@@ -452,19 +452,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record("layer_norm", vals, (x, gain, bias), bwd)
 
 
-def stack_scalars(items: Sequence) -> Tensor:
-    """Stack scalar tensors (and plain floats) into a 1-D vector."""
-    ts = [as_tensor(t) for t in items]
-    if any(t.values.shape != () for t in ts):
-        raise ShapeError("stack_scalars: every item must be a scalar")
-    vals = np.array([t.values for t in ts], dtype=np.float64)
-
-    def bwd(g):
-        return tuple(np.asarray(g[k]) for k in range(len(ts)))
-
-    return _record("stack_scalars", vals, tuple(ts), bwd)
-
-
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     try:

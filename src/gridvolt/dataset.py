@@ -1,4 +1,4 @@
-"""Snapshot datasets: solver output flattened to arrays and stored as npz.
+"""Datasets of solved timesteps: solver arrays stacked over time, as npz.
 
 Datasets hold fully observed features (every node carries its solved
 voltage); observability masks are applied at training/evaluation time by
@@ -25,6 +25,11 @@ from . import simulation as sim
 from .seeding import rng as _rng
 
 _FORMAT = "snapshot-dataset/v1"
+
+# arrays with one row per snapshot; the rest describe the static graph
+_PER_TIME = ("node_features", "v_true", "node_feeder", "edge_features",
+             "edge_p", "edge_q", "edge_phys", "timestamps", "head_p",
+             "head_q", "s_subxfmr_re", "s_subxfmr_im", "s_aux_re", "s_aux_im")
 
 
 @dataclass
@@ -122,11 +127,7 @@ class SnapshotDataset:
         if not 1 <= n_first <= self.n_snapshots:
             raise ValueError(
                 f"subset size {n_first} outside 1..{self.n_snapshots}")
-        per_t = ("node_features", "v_true", "node_feeder", "edge_features",
-                 "edge_p", "edge_q", "edge_phys", "timestamps", "head_p",
-                 "head_q", "s_subxfmr_re", "s_subxfmr_im", "s_aux_re",
-                 "s_aux_im")
-        arrays = {k: (v[:n_first] if k in per_t else v)
+        arrays = {k: (v[:n_first] if k in _PER_TIME else v)
                   for k, v in self.arrays.items()}
         meta = dict(self.meta)
         meta["subset_of"] = self.meta.get("n_snapshots", self.n_snapshots)
@@ -143,79 +144,108 @@ def build_dataset(spec: sim.SubstationSpec,
 
 def dataset_from_states(spec: sim.SubstationSpec,
                         scenario: sim.ScenarioConfig,
-                        states: list[net.SolvedState]) -> SnapshotDataset:
+                        states: list[sim.SolvedState]) -> SnapshotDataset:
+    """Stack solved timesteps into dataset arrays, fully observed.
+
+    The graph's static feature columns are broadcast over time and only the
+    per-step columns are written; the structural annotations are computed
+    once per switch configuration.
+    """
     if not states:
         raise ValueError("no snapshots to store")
-    n = len(states[0].bus_phases)
-    n_edges = len(states[0].edges)
-    t_total = len(states)
-    full = net.ObservabilityMask(observed=np.ones(n, dtype=bool),
-                                 p_obs=100, seed=0)
+    graph = states[0].graph
 
-    node_features = np.empty((t_total, n, net.N_NODE_FEATURES))
-    v_true = np.empty((t_total, n))
-    node_feeder = np.empty((t_total, n), dtype=np.int64)
-    edge_features = np.empty((t_total, n_edges, net.N_EDGE_FEATURES))
-    edge_p = np.empty((t_total, n_edges))
-    edge_q = np.empty((t_total, n_edges))
-    edge_phys = np.empty((t_total, n_edges), dtype=bool)
-    timestamps = np.empty(t_total)
+    def stack(name: str) -> np.ndarray:
+        return np.stack([getattr(s, name) for s in states])
+
+    v_true = stack("v_mag")
+    status = stack("edge_status")
+    edge_tap = stack("edge_tap")
+    reg = np.flatnonzero(graph.edge_kind == "regulator")
+    node_tap = np.zeros_like(v_true)
+    node_tap[:, graph.edge_to[reg]] = np.where(status[:, reg] == 1,
+                                               edge_tap[:, reg], 0.0)
+    _check_range(v_true, node_tap)
+
+    # topology columns, once per distinct switch configuration
+    configs, which = np.unique(status, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    per_config = [net.structural_annotations(graph.bus_phases, graph.edge_from,
+                                             graph.edge_to, graph.edge_zmag,
+                                             c == 1) for c in configs]
+    depth, elec, degree, feeder = (np.stack(a)[which]
+                                   for a in zip(*per_config))
+    sw_closed = np.ones((len(configs), graph.n_nodes))
+    k, e = np.nonzero((configs == 0) & (graph.edge_kind == "switch"))
+    sw_closed[k, graph.edge_from[e]] = 0.0
+    sw_closed[k, graph.edge_to[e]] = 0.0
+
+    p_inj = stack("p_injection_pu")
+    rating = graph.serving_rating
+    injection = np.divide(p_inj, rating, out=np.zeros_like(p_inj),
+                          where=rating > 0)
+    node_features = np.repeat(graph.node_features[None], len(states), axis=0)
+    for name, column in (
+            ("p_injection_pu", injection),
+            ("tap", node_tap), ("sw_closed", sw_closed[which]),
+            ("depth", depth), ("elec_dist", elec), ("degree", degree),
+            ("m_obs", 1.0), ("m_obs_v_pu", v_true)):
+        node_features[:, :, net.NODE_FEATURE_INDEX[name]] = column
+    edge_features = np.repeat(graph.edge_features[None], len(states), axis=0)
+    edge_features[:, :, net.EDGE_FEATURE_INDEX["status"]] = status
+    edge_features[:, :, net.EDGE_FEATURE_INDEX["tap"]] = edge_tap
+
+    _blur_injection_features(node_features, feeder[0], spec, scenario)
+
     fids = sorted(f.feeder_id for f in spec.feeders)
-    head_p = np.empty((t_total, len(fids)))
-    head_q = np.empty((t_total, len(fids)))
-    s_sub = np.empty(t_total, dtype=complex)
-    s_aux = np.empty(t_total, dtype=complex)
-
-    for t, state in enumerate(states):
-        snap = net.build_features(state, full)
-        node_features[t] = snap.node_feature_matrix()
-        v_true[t] = snap.v_true()
-        node_feeder[t] = [bp.feeder_id for bp, _, _ in snap.nodes]
-        for e, rec in enumerate(snap.edges):
-            edge_features[t, e] = rec.features
-            edge_p[t, e] = rec.p_flow_pu
-            edge_q[t, e] = rec.q_flow_pu
-            edge_phys[t, e] = rec.in_physics_set
-        timestamps[t] = state.timestamp
-        for k, f in enumerate(fids):
-            head_p[t, k] = state.feeder_heads[f].real
-            head_q[t, k] = state.feeder_heads[f].imag
-        s_sub[t] = state.s_subxfmr
-        s_aux[t] = state.s_aux
-
-    _blur_injection_features(node_features, node_feeder[0], spec, scenario)
-
-    first = states[0]
-    edge_from = np.array([e.from_id for e in first.edges], dtype=np.int64)
-    edge_to = np.array([e.to_id for e in first.edges], dtype=np.int64)
-    bus_id = np.array([bp.bus_id for bp in first.bus_phases], dtype=np.int64)
-    phase_idx = np.array([net.PHASES.index(bp.phase) for bp in first.bus_phases],
-                         dtype=np.int64)
-    bus_type_idx = np.array([net.BUS_TYPES.index(bp.bus_type)
-                             for bp in first.bus_phases], dtype=np.int64)
-    kv_base = np.array([bp.kv_base for bp in first.bus_phases])
-
+    heads = np.array([[s.feeder_heads[f] for f in fids] for s in states],
+                     dtype=complex)
+    s_sub = np.array([s.s_subxfmr for s in states], dtype=complex)
+    s_aux = np.array([s.s_aux for s in states], dtype=complex)
+    bps = graph.bus_phases
     meta = {
         "format": _FORMAT,
         "feature_order_hash": net.feature_order_hash(),
         "substation": spec.name,
         "spec": sim.spec_to_dict(spec),
         "scenarios": [scenario_to_dict(scenario)],
-        "n_snapshots": t_total,
+        "n_snapshots": len(states),
     }
     arrays = dict(
-        node_features=node_features, v_true=v_true, node_feeder=node_feeder,
-        edge_from=edge_from, edge_to=edge_to, edge_features=edge_features,
-        edge_p=edge_p, edge_q=edge_q, edge_phys=edge_phys,
-        timestamps=timestamps,
+        node_features=node_features, v_true=v_true,
+        node_feeder=feeder.astype(np.int64),
+        edge_from=graph.edge_from.astype(np.int64),
+        edge_to=graph.edge_to.astype(np.int64), edge_features=edge_features,
+        edge_p=stack("edge_p"), edge_q=stack("edge_q"),
+        edge_phys=(status == 1) & graph.phys_device,
+        timestamps=np.array([s.timestamp for s in states], dtype=float),
         feeder_ids=np.array(fids, dtype=np.int64),
-        head_p=head_p, head_q=head_q,
+        head_p=heads.real.copy(), head_q=heads.imag.copy(),
         s_subxfmr_re=s_sub.real.copy(), s_subxfmr_im=s_sub.imag.copy(),
         s_aux_re=s_aux.real.copy(), s_aux_im=s_aux.imag.copy(),
-        bus_id=bus_id, phase_idx=phase_idx, bus_type_idx=bus_type_idx,
-        kv_base=kv_base,
+        bus_id=np.array([bp.bus_id for bp in bps], dtype=np.int64),
+        phase_idx=np.array([net.PHASES.index(bp.phase) for bp in bps],
+                           dtype=np.int64),
+        bus_type_idx=np.array([net.BUS_TYPES.index(bp.bus_type) for bp in bps],
+                              dtype=np.int64),
+        kv_base=np.array([bp.kv_base for bp in bps]),
     )
     return SnapshotDataset(meta, arrays)
+
+
+def _check_range(v_true: np.ndarray, node_tap: np.ndarray) -> None:
+    """Refuse voltages outside (0.5, 1.5) p.u. and node taps outside
+    [-1, 1], naming the first offending bus-phase and step."""
+    bad = np.argwhere(~((v_true > 0.5) & (v_true < 1.5)))
+    if len(bad):
+        t, i = bad[0]
+        raise ValueError(f"bus-phase {i}: voltage {v_true[t, i]} outside "
+                         f"(0.5, 1.5) at step {t}")
+    bad = np.argwhere(np.abs(node_tap) > 1.0 + 1e-12)
+    if len(bad):
+        t, i = bad[0]
+        raise ValueError(f"bus-phase {i}: tap {node_tap[t, i]} outside "
+                         f"[-1, 1] at step {t}")
 
 
 def _blur_injection_features(node_features: np.ndarray, fid: np.ndarray,
@@ -266,11 +296,8 @@ def concatenate(datasets: list[SnapshotDataset]) -> SnapshotDataset:
             raise ValueError("datasets come from different substations")
         if not np.array_equal(other.arrays["edge_from"], base.arrays["edge_from"]):
             raise ValueError("edge topology differs between datasets")
-    per_t = ("node_features", "v_true", "node_feeder", "edge_features",
-             "edge_p", "edge_q", "edge_phys", "timestamps", "head_p",
-             "head_q", "s_subxfmr_re", "s_subxfmr_im", "s_aux_re", "s_aux_im")
     arrays = dict(base.arrays)
-    for k in per_t:
+    for k in _PER_TIME:
         arrays[k] = np.concatenate([d.arrays[k] for d in datasets], axis=0)
     meta = dict(base.meta)
     meta["scenarios"] = [s for d in datasets for s in d.meta["scenarios"]]

@@ -69,9 +69,9 @@ def supervised_loss(v_hat: ad.Tensor, v_true: np.ndarray,
 
 
 def physics_loss(v_hat: ad.Tensor, phys_from: np.ndarray, phys_to: np.ndarray,
-                 r: np.ndarray, x: np.ndarray, p: np.ndarray, q: np.ndarray,
-                 weights: np.ndarray | None = None) -> ad.Tensor:
-    """Mean weighted absolute linearized-DistFlow residual."""
+                 r: np.ndarray, x: np.ndarray, p: np.ndarray,
+                 q: np.ndarray) -> ad.Tensor:
+    """Mean absolute linearized-DistFlow residual."""
     n = len(phys_from)
     if n == 0:
         logger.warning("physics_loss: empty edge set, physics term disabled")
@@ -80,17 +80,7 @@ def physics_loss(v_hat: ad.Tensor, phys_from: np.ndarray, phys_to: np.ndarray,
     drop = ad.sub(ad.gather_rows(v_sq, phys_from),
                   ad.gather_rows(v_sq, phys_to))
     resid = ad.absolute(ad.sub(drop, 2.0 * (r * p + x * q)))
-    if weights is not None:
-        resid = ad.mul(resid, np.asarray(weights, dtype=np.float64))
     return ad.mul(ad.total_sum(resid), 1.0 / n)
-
-
-def hub_balance_penalty(head_flows, s_aux: complex,
-                        s_subxfmr: complex) -> float:
-    """Magnitude of the substation power bookkeeping mismatch."""
-    flows = list(head_flows.values()) if isinstance(head_flows, dict) \
-        else list(head_flows)
-    return float(abs(sum(flows) + s_aux - s_subxfmr))
 
 
 def regularization(tensors) -> ad.Tensor:
@@ -115,8 +105,7 @@ def batch_loss(params: ModelParams, batch: GraphBatch,
     v_hat = forward(params, batch)
     sup = supervised_loss(v_hat, batch.v_true, ~batch.observed)
     phys = physics_loss(v_hat, batch.phys_from, batch.phys_to, batch.phys_r,
-                        batch.phys_x, batch.phys_p, batch.phys_q,
-                        batch.phys_weight)
+                        batch.phys_x, batch.phys_p, batch.phys_q)
     reg = regularization(params.tensors.values())
     hub = float(np.mean(batch.hub_residual))
     total = total_loss(sup, phys, reg, hub, weights)

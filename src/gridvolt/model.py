@@ -256,7 +256,6 @@ class GraphBatch:
     phys_x: np.ndarray
     phys_p: np.ndarray
     phys_q: np.ndarray
-    phys_weight: np.ndarray     # per-edge down-weighting hook, default 1
     hub_residual: np.ndarray    # [n_graphs]
 
 
@@ -275,8 +274,8 @@ def build_batch(items: list[BatchItem],
     node_parts, feeder_parts, graph_parts = [], [], []
     recv_parts, send_parts, z_parts = [], [], []
     v_parts, obs_parts = [], []
-    pf_parts, pt_parts, pr_parts, px_parts, pp_parts, pq_parts, pw_parts = \
-        [], [], [], [], [], [], []
+    pf_parts, pt_parts, pr_parts, px_parts, pp_parts, pq_parts = \
+        [], [], [], [], [], []
     hub_parts = []
     offset = 0
     for g, item in enumerate(items):
@@ -296,14 +295,12 @@ def build_batch(items: list[BatchItem],
         graph_parts.append(np.full(n, g, dtype=np.int64))
         v_parts.append(item.v_true)
         obs_parts.append(item.observed)
-        n_phys = len(item.phys_from)
         pf_parts.append(item.phys_from + offset)
         pt_parts.append(item.phys_to + offset)
         pr_parts.append(item.phys_r)
         px_parts.append(item.phys_x)
         pp_parts.append(item.phys_p)
         pq_parts.append(item.phys_q)
-        pw_parts.append(np.ones(n_phys))
         hub_parts.append(item.hub_residual)
         offset += n
 
@@ -361,7 +358,6 @@ def build_batch(items: list[BatchItem],
         phys_from=np.concatenate(pf_parts), phys_to=np.concatenate(pt_parts),
         phys_r=np.concatenate(pr_parts), phys_x=np.concatenate(px_parts),
         phys_p=np.concatenate(pp_parts), phys_q=np.concatenate(pq_parts),
-        phys_weight=np.concatenate(pw_parts),
         hub_residual=np.array(hub_parts))
 
 
@@ -429,8 +425,7 @@ def decode(params: ModelParams, h: ad.Tensor) -> ad.Tensor:
     return ad.reshape(out, (h.shape[0],))
 
 
-def forward(params: ModelParams, batch: GraphBatch,
-            return_embeddings: bool = False):
+def forward(params: ModelParams, batch: GraphBatch):
     """Predicted voltage magnitude per bus-phase node of the batch."""
     t = params.tensors
     h = ad.add(ad.matmul(ad.as_tensor(batch.node_x), t["input.W"]),
@@ -438,10 +433,7 @@ def forward(params: ModelParams, batch: GraphBatch,
     for layer in range(params.config.n_layers):
         h = encoder_layer(params, layer, h, batch)
     modulated = film_hub(params, h, batch)
-    v_hat = decode(params, modulated)
-    if return_embeddings:
-        return v_hat, {"encoder": h, "modulated": modulated}
-    return v_hat
+    return decode(params, modulated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Graph-side data model: bus-phases, edge records, features, masks.
+"""Graph-side data model: bus-phases, feature layouts, masks.
 
 Nodes are bus-phases (one node per energized phase of each bus). The node
 feature vector has 17 entries and the edge feature vector 13; the exact
@@ -9,14 +9,11 @@ checkpoints so a model is never applied to features laid out differently.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-
-from .seeding import rng as _rng
 
 PHASES = ("A", "B", "C")
 
@@ -70,10 +67,6 @@ EDGE_FEATURE_INDEX = {name: i for i, name in enumerate(EDGE_FEATURE_ORDER)}
 N_NODE_FEATURES = len(NODE_FEATURE_ORDER)   # 17
 N_EDGE_FEATURES = len(EDGE_FEATURE_ORDER)   # 13
 
-# Observability levels the mask sampler and curriculum accept.
-OBSERVABILITY_LEVELS = (1,) + tuple(range(5, 85, 5))
-
-
 def feature_order_hash() -> str:
     """Stable hash of the node+edge feature layouts, stored in checkpoints."""
     text = ";".join(NODE_FEATURE_ORDER) + "|" + ";".join(EDGE_FEATURE_ORDER)
@@ -109,173 +102,65 @@ class BusPhase:
             raise ValueError(f"bus-phase {self.id}: kv_base must be > 0, got {self.kv_base}")
 
 
-@dataclass
-class EdgeState:
-    """One device on one phase, endpoints given as bus-phase ids.
+def static_node_features(bus_phases: Sequence[BusPhase],
+                         cap_on: np.ndarray) -> np.ndarray:
+    """[N, 17] node feature rows holding the columns no timestep changes.
 
-    A three-phase device contributes one EdgeState per connected phase;
-    ``phases`` still lists every phase the device spans, which is what the
-    edge feature phase mask reports.
+    Phase and bus-type one-hots, kv base and the capacitor flag are filled;
+    the injection, tap, switch, structural and measurement columns are 0.
     """
-
-    from_id: int
-    to_id: int
-    device: str
-    phases: tuple[str, ...]
-    r_pu: float
-    x_pu: float
-    length_km: float
-    rating_pu: float
-    status: int
-    tap: float = 0.0
-    p_flow_pu: float = 0.0
-    q_flow_pu: float = 0.0
-    in_physics_set: bool = False
-    is_tie: bool = False
-    i_mag_pu: float = 0.0
-
-    def feature_vector(self) -> np.ndarray:
-        if self.device not in _DEVICE_SLOT:
-            raise ValueError(f"unknown device kind {self.device!r}")
-        v = np.zeros(N_EDGE_FEATURES)
-        v[0] = self.r_pu
-        v[1] = self.x_pu
-        v[2] = self.length_km
-        v[3] = self.rating_pu
-        v[4 + _DEVICE_SLOT[self.device]] = 1.0
-        v[8] = float(self.status)
-        for ph in self.phases:
-            v[9 + PHASES.index(ph)] = 1.0
-        v[12] = self.tap
-        return v
+    feats = np.zeros((len(bus_phases), N_NODE_FEATURES))
+    for bp in bus_phases:
+        row = feats[bp.id]
+        row[PHASES.index(bp.phase)] = 1.0
+        row[NODE_FEATURE_INDEX["kv_base"]] = bp.kv_base
+        row[4 + _BUS_TYPE_SLOT[bp.bus_type]] = 1.0
+    feats[:, NODE_FEATURE_INDEX["cap_on"]] = cap_on
+    return feats
 
 
-@dataclass
-class EdgeRecord:
-    """Graph edge as stored in snapshots: features plus solver flows."""
+def static_edge_features(devices: Sequence) -> np.ndarray:
+    """[E, 13] edge feature rows with status and tap left at 0.
 
-    from_id: int
-    to_id: int
-    features: np.ndarray
-    p_flow_pu: float
-    q_flow_pu: float
-    in_physics_set: bool
-
-
-@dataclass
-class Snapshot:
-    """One solved timestep of one substation, ready for the model."""
-
-    timestamp: float
-    nodes: list[tuple[BusPhase, np.ndarray, float]]
-    edges: list[EdgeRecord]
-    feeder_heads: dict[int, complex]
-    s_subxfmr: complex
-    s_aux: complex
-
-    def node_feature_matrix(self) -> np.ndarray:
-        return np.stack([f for _, f, _ in self.nodes])
-
-    def v_true(self) -> np.ndarray:
-        return np.array([v for _, _, v in self.nodes])
-
-    def validate(self) -> None:
-        for bp, feat, v in self.nodes:
-            if not (0.5 < v < 1.5):
-                raise ValueError(f"bus-phase {bp.id}: voltage {v} outside (0.5, 1.5)")
-            if feat.shape != (N_NODE_FEATURES,):
-                raise ValueError(f"bus-phase {bp.id}: feature vector {feat.shape}")
-            if feat[NODE_FEATURE_INDEX["m_obs"]] == 0.0 and \
-                    feat[NODE_FEATURE_INDEX["m_obs_v_pu"]] != 0.0:
-                raise ValueError(f"bus-phase {bp.id}: masked node carries a voltage")
-            if abs(feat[NODE_FEATURE_INDEX["tap"]]) > 1.0 + 1e-12:
-                raise ValueError(f"bus-phase {bp.id}: tap outside [-1, 1]")
-        for e in self.edges:
-            if e.features.shape != (N_EDGE_FEATURES,):
-                raise ValueError(f"edge {e.from_id}->{e.to_id}: features {e.features.shape}")
-
-
-@dataclass
-class SolvedState:
-    """Raw per-timestep solver output, input to feature assembly."""
-
-    timestamp: float
-    bus_phases: list[BusPhase]
-    v_mag: np.ndarray
-    p_injection_pu: np.ndarray      # net active, consumption-positive
-    serving_rating_pu: np.ndarray   # denominator for the injection feature
-    tap: np.ndarray                 # node tap feature, already in [-1, 1]
-    cap_on: np.ndarray
-    sw_closed: np.ndarray
-    edges: list[EdgeState]
-    feeder_heads: dict[int, complex]
-    s_subxfmr: complex
-    s_aux: complex
-    q_injection_pu: np.ndarray | None = None    # kept for conservation checks
-    sweep_iterations: int = 0
-
-
-@dataclass
-class ObservabilityMask:
-    """Boolean observation flags over the nodes of one substation graph."""
-
-    observed: np.ndarray
-    p_obs: int
-    seed: int
-
-    @property
-    def n_observed(self) -> int:
-        return int(self.observed.sum())
-
-
-def sample_mask(n_nodes: int, p_obs: int, seed: int,
-                hub_indices: Sequence[int] = ()) -> ObservabilityMask:
-    """Sample an observability mask with exactly round(p_obs% of n) observed.
-
-    The substation hub is metered, so hub nodes fill the budget first; the
-    remainder is a uniform draw over the other nodes. Same seed, same mask.
+    ``devices[e]`` is the device edge ``e`` is one phase of (anything with
+    ``device``, ``phases``, ``r_pu``, ``x_pu``, ``length_km`` and
+    ``rating_pu``). The phase mask lists every phase the device spans, so a
+    three-phase device reports all three on each of its edges.
     """
-    if p_obs not in OBSERVABILITY_LEVELS:
-        raise ValueError(
-            f"p_obs must be one of {OBSERVABILITY_LEVELS}, got {p_obs}")
-    if n_nodes <= 0:
-        raise ValueError("n_nodes must be positive")
-    budget = max(1, int(math.floor(p_obs / 100.0 * n_nodes + 0.5)))
-    hub = [i for i in hub_indices if 0 <= i < n_nodes]
-    observed = np.zeros(n_nodes, dtype=bool)
-    take_hub = hub[:budget]
-    observed[take_hub] = True
-    remaining = budget - len(take_hub)
-    if remaining > 0:
-        pool = np.setdiff1d(np.arange(n_nodes), np.array(take_hub, dtype=int))
-        gen = _rng(seed, "mask", n_nodes, p_obs)
-        extra = gen.choice(pool, size=remaining, replace=False)
-        observed[extra] = True
-    return ObservabilityMask(observed=observed, p_obs=p_obs, seed=seed)
+    feats = np.zeros((len(devices), N_EDGE_FEATURES))
+    for row, d in zip(feats, devices):
+        if d.device not in _DEVICE_SLOT:
+            raise ValueError(f"unknown device kind {d.device!r}")
+        row[:4] = d.r_pu, d.x_pu, d.length_km, d.rating_pu
+        row[4 + _DEVICE_SLOT[d.device]] = 1.0
+        for ph in d.phases:
+            row[9 + PHASES.index(ph)] = 1.0
+    return feats
 
 
 def structural_annotations(
-    bus_phases: Sequence[BusPhase], edges: Iterable[EdgeState]
+    bus_phases: Sequence[BusPhase], edge_from: np.ndarray,
+    edge_to: np.ndarray, edge_zmag: np.ndarray, closed: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Depth, electrical distance, degree, and supplying feeder per node.
 
-    Depth counts hops from the feeder head that currently supplies the node
-    (0 at heads and at the hub). Electrical distance accumulates |Z| of the
-    closed edges along that path. Degree counts incident closed edges. The
-    supplying feeder follows the energized path, so a subtree fed through a
-    closed tie is attributed to the feeder that actually supplies it.
+    Edges are given as endpoint arrays with their impedance magnitude and a
+    boolean ``closed`` flag. Depth counts hops from the feeder head that
+    currently supplies the node (0 at heads and at the hub). Electrical
+    distance accumulates |Z| of the closed edges along that path. Degree
+    counts incident closed edges. The supplying feeder follows the energized
+    path, so a subtree fed through a closed tie is attributed to the feeder
+    that actually supplies it.
     """
     n = len(bus_phases)
+    sel = np.flatnonzero(closed)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    degree = np.zeros(n)
-    for e in edges:
-        if not e.status:
-            continue
-        zmag = math.hypot(e.r_pu, e.x_pu)
-        adj[e.from_id].append((e.to_id, zmag))
-        adj[e.to_id].append((e.from_id, zmag))
-        degree[e.from_id] += 1
-        degree[e.to_id] += 1
+    for a, b, zmag in zip(edge_from[sel].tolist(), edge_to[sel].tolist(),
+                          edge_zmag[sel].tolist()):
+        adj[a].append((b, zmag))
+        adj[b].append((a, zmag))
+    degree = (np.bincount(edge_from[sel], minlength=n)
+              + np.bincount(edge_to[sel], minlength=n)).astype(float)
 
     depth = np.full(n, -1.0)
     elec = np.zeros(n)
@@ -311,59 +196,6 @@ def structural_annotations(
     return depth, elec, degree, feeder
 
 
-def build_features(solved: SolvedState, mask: ObservabilityMask) -> Snapshot:
-    """Assemble a model-ready snapshot from solver output and a mask.
-
-    Deterministic: identical inputs produce bit-identical features.
-    """
-    n = len(solved.bus_phases)
-    if mask.observed.shape != (n,):
-        raise ValueError(f"mask covers {mask.observed.shape[0]} nodes, graph has {n}")
-    depth, elec, degree, feeder = structural_annotations(solved.bus_phases, solved.edges)
-
-    feats = np.zeros((n, N_NODE_FEATURES))
-    nodes: list[tuple[BusPhase, np.ndarray, float]] = []
-    for bp in solved.bus_phases:
-        i = bp.id
-        if bp.bus_type not in _BUS_TYPE_SLOT:
-            raise ValueError(f"unknown bus type {bp.bus_type!r}")
-        if not bp.kv_base > 0:
-            raise ValueError(f"bus-phase {i}: kv_base must be > 0")
-        row = feats[i]
-        row[PHASES.index(bp.phase)] = 1.0
-        row[3] = bp.kv_base
-        row[4 + _BUS_TYPE_SLOT[bp.bus_type]] = 1.0
-        rating = solved.serving_rating_pu[i]
-        row[8] = solved.p_injection_pu[i] / rating if rating > 0 else 0.0
-        row[9] = solved.tap[i]
-        row[10] = solved.cap_on[i]
-        row[11] = solved.sw_closed[i]
-        row[12] = depth[i]
-        row[13] = elec[i]
-        row[14] = degree[i]
-        if mask.observed[i]:
-            row[15] = 1.0
-            row[16] = solved.v_mag[i]
-        effective = bp if bp.feeder_id == feeder[i] else replace(bp, feeder_id=int(feeder[i]))
-        nodes.append((effective, row, float(solved.v_mag[i])))
-
-    records = [
-        EdgeRecord(
-            from_id=e.from_id, to_id=e.to_id, features=e.feature_vector(),
-            p_flow_pu=e.p_flow_pu, q_flow_pu=e.q_flow_pu,
-            in_physics_set=bool(e.in_physics_set),
-        )
-        for e in solved.edges
-    ]
-    snap = Snapshot(
-        timestamp=solved.timestamp, nodes=nodes, edges=records,
-        feeder_heads=dict(solved.feeder_heads),
-        s_subxfmr=solved.s_subxfmr, s_aux=solved.s_aux,
-    )
-    snap.validate()
-    return snap
-
-
 def apply_mask_to_features(features: np.ndarray, v_true: np.ndarray,
                            observed: np.ndarray) -> np.ndarray:
     """Rewrite the observation columns of a feature matrix for a new mask."""
@@ -384,10 +216,7 @@ def sample_observed_mask(n_nodes: int, p_obs: float, gen,
     stays observed and at least one stays hidden so both the supervised
     target set and the measurement set are non-empty.
     """
-    if not 0 < p_obs < 100:
-        raise ValueError(f"p_obs must be in (0, 100), got {p_obs}")
-    k = int(round(n_nodes * p_obs / 100.0))
-    k = min(max(k, 1), n_nodes - 1)
+    k = _observed_count(n_nodes, p_obs)
     hub = [i for i in hub_indices if 0 <= i < n_nodes][:k]
     observed = np.zeros(n_nodes, dtype=bool)
     observed[hub] = True
@@ -420,11 +249,15 @@ def fleet_order(n_nodes: int, gen,
 
 def fleet_mask(order: np.ndarray, p_obs: float) -> np.ndarray:
     """Observed mask for the first round(p_obs%) sensors of a fleet order."""
+    observed = np.zeros(len(order), dtype=bool)
+    observed[order[:_observed_count(len(order), p_obs)]] = True
+    return observed
+
+
+def _observed_count(n_nodes: int, p_obs: float) -> int:
+    """round(p_obs% of n_nodes), clamped so at least one node is observed
+    and at least one hidden."""
     if not 0 < p_obs < 100:
         raise ValueError(f"p_obs must be in (0, 100), got {p_obs}")
-    n = len(order)
-    k = int(round(n * p_obs / 100.0))
-    k = min(max(k, 1), n - 1)
-    observed = np.zeros(n, dtype=bool)
-    observed[order[:k]] = True
-    return observed
+    k = int(round(n_nodes * p_obs / 100.0))
+    return min(max(k, 1), n_nodes - 1)

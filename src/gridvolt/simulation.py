@@ -545,18 +545,33 @@ def _make_tie(gen, fa: FeederSpec, fb: FeederSpec, next_uid: int):
 
 @dataclass
 class GraphIndex:
-    """Bus-phase expansion of a SubstationSpec."""
+    """Bus-phase expansion of a SubstationSpec.
+
+    An edge is one phase of one device. Everything here is fixed for the
+    life of the spec; what a timestep changes is in SolvedState, in the same
+    node and edge order.
+    """
 
     bus_phases: list[net.BusPhase]
     node_of: dict[tuple[int, str], int]
-    devices: list[DeviceSpec]
-    device_by_uid: dict[int, DeviceSpec]
-    edge_device: list[int]       # device uid per device-phase edge
+    edge_device: np.ndarray      # device uid per edge
     edge_phase: list[str]
     edge_from: np.ndarray
     edge_to: np.ndarray
+    edge_kind: np.ndarray        # network.DEVICE_KINDS entry per edge
+    edge_impedance: np.ndarray   # complex r + jx
+    edge_zmag: np.ndarray        # |r + jx|
+    edge_normally_closed: np.ndarray
+    edge_features: np.ndarray    # [E, 13], status and tap columns left at 0
+    phys_device: np.ndarray      # line, cable or switch: physics set when closed
+    # per edge: index in spec.feeders of the head a hub link feeds, else -1
+    head_feeder: np.ndarray
+    node_features: np.ndarray    # [N, 17], columns no timestep changes
     serving_rating: np.ndarray
+    cap_q: np.ndarray            # reactive output of the switched-on capacitors
     hub_node_ids: list[int]
+    # solver trees by switch configuration (edge status bytes)
+    trees: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -575,30 +590,61 @@ def build_graph(spec: SubstationSpec) -> GraphIndex:
                 bus_type=b.bus_type, feeder_id=b.feeder_id))
             node_of[(b.bus_id, ph)] = nid
             serving.append(b.serving_rating_pu)
+    n = len(bus_phases)
 
-    devices = spec.all_devices()
-    edge_device: list[int] = []
+    edge_dev: list[DeviceSpec] = []
     edge_phase: list[str] = []
     edge_from: list[int] = []
     edge_to: list[int] = []
-    for d in devices:
+    for d in spec.all_devices():
         for ph in d.phases:
             a = node_of.get((d.from_bus, ph))
             b = node_of.get((d.to_bus, ph))
             if a is None or b is None:
                 continue
-            edge_device.append(d.uid)
+            edge_dev.append(d)
             edge_phase.append(ph)
             edge_from.append(a)
             edge_to.append(b)
 
+    cap_q = np.zeros(n)
+    cap_on = np.zeros(n)
+    for f in spec.feeders:
+        for c in f.capacitors:
+            if c.on:
+                share = c.q_pu / len(net.PHASES)
+                for ph in net.PHASES:
+                    nid = node_of.get((c.bus_id, ph))
+                    if nid is not None:
+                        cap_q[nid] += share
+                        cap_on[nid] = 1.0
+
     hub_nodes = [bp.id for bp in bus_phases if bp.bus_type == "substation_hub"]
+    hub = set(hub_nodes)
+    head_of = {node_of[(f.head_bus, ph)]: k for k, f in enumerate(spec.feeders)
+               for ph in net.PHASES if (f.head_bus, ph) in node_of}
+    head_feeder = [head_of.get(b, -1) if a in hub else
+                   head_of.get(a, -1) if b in hub else -1
+                   for a, b in zip(edge_from, edge_to)]
+
+    kind = np.array([d.device for d in edge_dev])
     return GraphIndex(
-        bus_phases=bus_phases, node_of=node_of, devices=devices,
-        device_by_uid={d.uid: d for d in devices},
-        edge_device=edge_device, edge_phase=edge_phase,
-        edge_from=np.array(edge_from, dtype=int), edge_to=np.array(edge_to, dtype=int),
-        serving_rating=np.array(serving), hub_node_ids=hub_nodes,
+        bus_phases=bus_phases, node_of=node_of,
+        edge_device=np.array([d.uid for d in edge_dev], dtype=int),
+        edge_phase=edge_phase,
+        edge_from=np.array(edge_from, dtype=int),
+        edge_to=np.array(edge_to, dtype=int),
+        edge_kind=kind,
+        edge_impedance=np.array([complex(d.r_pu, d.x_pu) for d in edge_dev],
+                                dtype=complex),
+        edge_zmag=np.array([math.hypot(d.r_pu, d.x_pu) for d in edge_dev]),
+        edge_normally_closed=np.array(
+            [1 if d.normally_closed else 0 for d in edge_dev], dtype=int),
+        edge_features=net.static_edge_features(edge_dev),
+        phys_device=np.isin(kind, ("line", "cable", "switch")),
+        head_feeder=np.array(head_feeder, dtype=int),
+        node_features=net.static_node_features(bus_phases, cap_on),
+        serving_rating=np.array(serving), cap_q=cap_q, hub_node_ids=hub_nodes,
     )
 
 
@@ -612,19 +658,37 @@ class Controls:
     taps: dict[tuple[int, str], int] = field(default_factory=dict)
     closed_override: dict[int, bool] = field(default_factory=dict)
 
-    def status(self, dev: DeviceSpec) -> int:
-        closed = self.closed_override.get(dev.uid, dev.normally_closed)
-        return 1 if closed else 0
 
-    def tap_steps(self, dev: DeviceSpec, phase: str) -> int:
-        return self.taps.get((dev.uid, phase), 0)
+@dataclass
+class SolvedState:
+    """One solved timestep.
+
+    Node arrays follow the graph's node order and edge arrays its edge
+    order. Edge flows are sending-end values in the spec's from -> to
+    direction; flows and currents are 0 on open edges.
+    """
+
+    timestamp: float
+    graph: GraphIndex
+    v_mag: np.ndarray
+    p_injection_pu: np.ndarray      # net active, consumption-positive
+    q_injection_pu: np.ndarray
+    edge_status: np.ndarray         # 1 closed, 0 open
+    edge_tap: np.ndarray            # regulator tap steps / REG_MAX_TAP, else 0
+    edge_p: np.ndarray
+    edge_q: np.ndarray
+    edge_i_mag: np.ndarray
+    feeder_heads: dict[int, complex]
+    s_subxfmr: complex
+    s_aux: complex
+    sweep_iterations: int = 0
 
 
 def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
                     s_injection: np.ndarray, controls: Controls,
                     timestamp: float = 0.0,
                     tol: float = SOLVER_TOL,
-                    max_iter: int = SOLVER_MAX_ITER) -> net.SolvedState:
+                    max_iter: int = SOLVER_MAX_ITER) -> SolvedState:
     """Backward-forward sweep over every phase tree of the substation.
 
     ``s_injection`` is complex net consumption per bus-phase node (load minus
@@ -633,75 +697,34 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     """
     n = graph.n_nodes
     n_edges = len(graph.edge_device)
-    status = np.zeros(n_edges, dtype=int)
+    status = graph.edge_normally_closed.copy()
+    for uid, closed in controls.closed_override.items():
+        status[graph.edge_device == uid] = 1 if closed else 0
+    reg = np.flatnonzero(graph.edge_kind == "regulator")
+    steps = np.array([controls.taps.get((int(graph.edge_device[e]),
+                                         graph.edge_phase[e]), 0)
+                      for e in reg], dtype=float)
     ratio = np.ones(n_edges)
-    z = np.zeros(n_edges, dtype=complex)
+    ratio[reg] = 1.0 + REG_STEP * steps
     tap_norm_edge = np.zeros(n_edges)
-    for e in range(n_edges):
-        dev = graph.device_by_uid[graph.edge_device[e]]
-        status[e] = controls.status(dev)
-        z[e] = complex(dev.r_pu, dev.x_pu)
-        if dev.device == "regulator":
-            steps = controls.tap_steps(dev, graph.edge_phase[e])
-            ratio[e] = 1.0 + REG_STEP * steps
-            tap_norm_edge[e] = steps / REG_MAX_TAP
+    tap_norm_edge[reg] = steps / REG_MAX_TAP
+    z = graph.edge_impedance
 
-    # per-phase trees rooted at the hub
-    parent_edge = np.full(n, -1, dtype=int)       # edge index into edge arrays
-    parent_node = np.full(n, -1, dtype=int)
-    order: list[int] = []                          # BFS order, roots first
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    closed_edges = np.flatnonzero(status == 1)
-    for e in closed_edges:
-        a, b = graph.edge_from[e], graph.edge_to[e]
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    seen = np.zeros(n, dtype=bool)
-    for root in graph.hub_node_ids:
-        seen[root] = True
-        order.append(root)
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for v, e in adj[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            parent_edge[v] = e
-            parent_node[v] = u
-            order.append(v)
-    if not np.all(seen):
-        bad = graph.bus_phases[int(np.flatnonzero(~seen)[0])]
-        raise PowerFlowError(
-            f"bus-phase {bad.id} (bus {bad.bus_id} phase {bad.phase}) is "
-            f"islanded from the substation hub")
-    if len(closed_edges) != n - len(graph.hub_node_ids):
-        raise PowerFlowError(
-            f"closed-edge count {len(closed_edges)} does not form a radial "
-            f"forest over {n} nodes ({len(graph.hub_node_ids)} roots); "
-            f"a loop is present")
+    key = status.tobytes()
+    if key not in graph.trees:
+        graph.trees[key] = _phase_trees(graph, status)
+    order, rev, parent_edge, parent_node, child = graph.trees[key]
 
-    # orient each tree edge parent -> child
-    child_of_edge = np.full(n_edges, -1, dtype=int)
-    for v in range(n):
-        if parent_edge[v] >= 0:
-            child_of_edge[parent_edge[v]] = v
-    e_ratio = ratio  # ratio applies from parent side to child side
-    # flip ratio orientation if the spec edge points child -> parent
-    for v in range(n):
-        e = parent_edge[v]
-        if e >= 0 and graph.edge_to[e] != v:
-            # device was specified in the opposite direction; its ratio and
-            # impedance are symmetric in this model except tap orientation,
-            # which we keep tied to the device's to-bus. Reverse taps invert.
-            if ratio[e] != 1.0:
-                e_ratio = e_ratio.copy()
-                e_ratio[e] = 1.0 / ratio[e]
+    # the ratio applies from the parent side to the child side; a tap is
+    # tied to the device's to-bus, so a device specified child -> parent
+    # sees its ratio inverted
+    flip = np.flatnonzero((child >= 0) & (graph.edge_to != child)
+                          & (ratio != 1.0))
+    e_ratio = ratio.copy()
+    e_ratio[flip] = 1.0 / ratio[flip]
 
     v_volt = np.full(n, complex(spec.ltc_setpoint, 0.0), dtype=complex)
     i_branch = np.zeros(n_edges, dtype=complex)
-    rev = order[::-1]
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -745,120 +768,136 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
         i_branch[e] = i_acc[v2]
         i_acc[parent_node[v2]] += e_ratio[e] * i_acc[v2]
 
-    state = _assemble_state(spec, graph, s_injection, controls, timestamp,
-                            status, ratio, tap_norm_edge, v_volt, i_branch,
-                            parent_edge, parent_node, e_ratio, z)
+    state = _assemble_state(spec, graph, s_injection, timestamp, status,
+                            tap_norm_edge, v_volt, i_branch, child,
+                            parent_node, e_ratio)
     state.sweep_iterations = iterations
     return state
 
 
-def _assemble_state(spec, graph, s_injection, controls, timestamp, status,
-                    ratio, tap_norm_edge, v_volt, i_branch, parent_edge,
-                    parent_node, e_ratio, z) -> net.SolvedState:
+def _phase_trees(graph: GraphIndex, status: np.ndarray):
+    """BFS trees of the closed edges, one per phase, rooted at the hub.
+
+    Returns the visiting order (roots first) and its reverse, the parent
+    edge and parent node of every node (-1 at roots), and the child node of
+    every edge (-1 when open). Raises PowerFlowError when a node is islanded
+    or the closed edges form a loop.
+    """
     n = graph.n_nodes
+    parent_edge = np.full(n, -1, dtype=int)       # edge index into edge arrays
+    parent_node = np.full(n, -1, dtype=int)
+    order: list[int] = []                          # BFS order, roots first
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    closed_edges = np.flatnonzero(status == 1)
+    for e in closed_edges:
+        a, b = graph.edge_from[e], graph.edge_to[e]
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    seen = np.zeros(n, dtype=bool)
+    for root in graph.hub_node_ids:
+        seen[root] = True
+        order.append(root)
+    qi = 0
+    while qi < len(order):
+        u = order[qi]
+        qi += 1
+        for v, e in adj[u]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            parent_edge[v] = e
+            parent_node[v] = u
+            order.append(v)
+    if not np.all(seen):
+        bad = graph.bus_phases[int(np.flatnonzero(~seen)[0])]
+        raise PowerFlowError(
+            f"bus-phase {bad.id} (bus {bad.bus_id} phase {bad.phase}) is "
+            f"islanded from the substation hub")
+    if len(closed_edges) != n - len(graph.hub_node_ids):
+        raise PowerFlowError(
+            f"closed-edge count {len(closed_edges)} does not form a radial "
+            f"forest over {n} nodes ({len(graph.hub_node_ids)} roots); "
+            f"a loop is present")
+    child = np.full(len(status), -1, dtype=int)
+    tree_nodes = np.flatnonzero(parent_edge >= 0)
+    child[parent_edge[tree_nodes]] = tree_nodes
+    return order, order[::-1], parent_edge, parent_node, child
+
+
+
+def _times_conj(ar, ai, br, bi):
+    """Real and imaginary parts of a * conj(b), written out in real
+    arithmetic: numpy's whole-array complex multiply can round differently
+    from the scalar product in the last bit."""
+    return ar * br + ai * bi, ai * br - ar * bi
+
+
+def _assemble_state(spec, graph, s_injection, timestamp, status,
+                    tap_norm_edge, v_volt, i_branch, child, parent_node,
+                    e_ratio) -> SolvedState:
     n_edges = len(graph.edge_device)
+    vr, vi = v_volt.real, v_volt.imag
+    ir, ii = i_branch.real, i_branch.imag
+    # e_ratio * i_branch with the real ratio taken as the complex (r, 0)
+    cr = e_ratio * ir - 0.0 * ii
+    ci = e_ratio * ii + 0.0 * ir
 
-    # sending-end flows oriented with the spec's from -> to direction
-    edges: list[net.EdgeState] = []
-    tap_node = np.zeros(n)
-    sw_closed = np.ones(n)
-    for e in range(n_edges):
-        dev = graph.device_by_uid[graph.edge_device[e]]
-        a, b = int(graph.edge_from[e]), int(graph.edge_to[e])
-        if status[e] and parent_edge[b] == e:
-            # tree orientation matches spec orientation
-            s_from = v_volt[a] * np.conj(e_ratio[e] * i_branch[e])
-        elif status[e] and parent_edge[a] == e:
-            # power flows child -> parent relative to spec orientation
-            s_from = -(v_volt[a] * np.conj(i_branch[e]))
-        else:
-            s_from = 0.0 + 0.0j
-        in_phys = bool(status[e]) and dev.device in ("line", "cable", "switch")
-        i_mag = abs(i_branch[e]) if (status[e] and
-                                     (parent_edge[a] == e or parent_edge[b] == e)) \
-            else 0.0
-        edges.append(net.EdgeState(
-            from_id=a, to_id=b, device=dev.device, phases=dev.phases,
-            r_pu=dev.r_pu, x_pu=dev.x_pu, length_km=dev.length_km,
-            rating_pu=dev.rating_pu, status=int(status[e]),
-            tap=tap_norm_edge[e], p_flow_pu=float(s_from.real),
-            q_flow_pu=float(s_from.imag), in_physics_set=in_phys,
-            is_tie=dev.is_tie, i_mag_pu=float(i_mag)))
-        if dev.device == "regulator" and status[e]:
-            tap_node[b] = tap_norm_edge[e]
-        if dev.device == "switch":
-            sw_closed[a] = min(sw_closed[a], float(status[e]))
-            sw_closed[b] = min(sw_closed[b], float(status[e]))
+    # sending-end flows oriented with the spec's from -> to direction; a
+    # closed edge is a tree edge, its child node is either end
+    a = graph.edge_from
+    fwd = np.flatnonzero(child == graph.edge_to)
+    bwd = np.flatnonzero(child == a)
+    p = np.zeros(n_edges)
+    q = np.zeros(n_edges)
+    p[fwd], q[fwd] = _times_conj(vr[a[fwd]], vi[a[fwd]], cr[fwd], ci[fwd])
+    pb, qb = _times_conj(vr[a[bwd]], vi[a[bwd]], ir[bwd], ii[bwd])
+    p[bwd], q[bwd] = -pb, -qb
+    tree = np.flatnonzero(child >= 0)
+    i_mag = np.zeros(n_edges)
+    i_mag[tree] = np.hypot(ir[tree], ii[tree])
 
-    cap_on = np.zeros(n)
-    for f in spec.feeders:
-        for c in f.capacitors:
-            if c.on:
-                for ph in net.PHASES:
-                    nid = graph.node_of.get((c.bus_id, ph))
-                    if nid is not None:
-                        cap_on[nid] = 1.0
-
-    head_flow: dict[int, complex] = {f.feeder_id: 0.0 + 0.0j for f in spec.feeders}
-    head_node = {}
-    for f in spec.feeders:
-        for ph in net.PHASES:
-            nid = graph.node_of.get((f.head_bus, ph))
-            if nid is not None:
-                head_node[nid] = f.feeder_id
-    hub_set = set(graph.hub_node_ids)
-    for e in range(n_edges):
-        if not status[e]:
-            continue
-        a, b = int(graph.edge_from[e]), int(graph.edge_to[e])
-        if a in hub_set and b in head_node:
-            hub_side, feeder_side = a, b
-        elif b in hub_set and a in head_node:
-            hub_side, feeder_side = b, a
-        else:
-            continue
-        if parent_edge[feeder_side] == e:
-            s = v_volt[hub_side] * np.conj(e_ratio[e] * i_branch[e])
-            head_flow[head_node[feeder_side]] += s
-
+    # power the hub sends into each feeder head, summed in edge order
+    links = np.flatnonzero((graph.head_feeder >= 0) & (status == 1))
+    hub = parent_node[child[links]]
+    sr, si = _times_conj(vr[hub], vi[hub], cr[links], ci[links])
+    head_re = np.zeros(len(spec.feeders))
+    head_im = np.zeros(len(spec.feeders))
+    np.add.at(head_re, graph.head_feeder[links], sr)
+    np.add.at(head_im, graph.head_feeder[links], si)
+    head_flow = {f.feeder_id: complex(head_re[k], head_im[k])
+                 for k, f in enumerate(spec.feeders)}
     s_subxfmr = sum(head_flow.values()) + spec.aux_load
 
-    return net.SolvedState(
+    return SolvedState(
         timestamp=timestamp,
-        bus_phases=graph.bus_phases,
+        graph=graph,
         v_mag=np.abs(v_volt),
         p_injection_pu=s_injection.real.copy(),
-        serving_rating_pu=graph.serving_rating.copy(),
-        tap=tap_node,
-        cap_on=cap_on,
-        sw_closed=sw_closed,
-        edges=edges,
+        q_injection_pu=s_injection.imag.copy(),
+        edge_status=status,
+        edge_tap=tap_norm_edge,
+        edge_p=p,
+        edge_q=q,
+        edge_i_mag=i_mag,
         feeder_heads=head_flow,
         s_subxfmr=s_subxfmr,
         s_aux=spec.aux_load,
-        q_injection_pu=s_injection.imag.copy(),
     )
 
 
-def conservation_residuals(state: net.SolvedState) -> np.ndarray:
+def conservation_residuals(state: SolvedState) -> np.ndarray:
     """Per-node |complex power in - out - consumption| for a solved state.
 
     Hub nodes are the slack and are reported as zero.
     """
-    q = state.q_injection_pu if state.q_injection_pu is not None \
-        else np.zeros_like(state.p_injection_pu)
-    s_injection = state.p_injection_pu + 1j * q
-    acc = -s_injection.astype(complex).copy()
-    for e in state.edges:
-        if not e.status:
-            continue
-        s_from = complex(e.p_flow_pu, e.q_flow_pu)
-        loss = complex(e.r_pu, e.x_pu) * e.i_mag_pu ** 2
-        acc[e.from_id] -= s_from
-        acc[e.to_id] += s_from - loss
-    for bp in state.bus_phases:
-        if bp.bus_type == "substation_hub":
-            acc[bp.id] = 0.0
+    g = state.graph
+    closed = np.flatnonzero(state.edge_status)
+    s_from = state.edge_p[closed] + 1j * state.edge_q[closed]
+    loss = g.edge_impedance[closed] * state.edge_i_mag[closed] ** 2
+    acc = -(state.p_injection_pu + 1j * state.q_injection_pu)
+    np.add.at(acc, g.edge_from[closed], -s_from)
+    np.add.at(acc, g.edge_to[closed], s_from - loss)
+    acc[g.hub_node_ids] = 0.0
     return np.abs(acc)
 
 
@@ -896,12 +935,11 @@ class RegulatorController:
 
     def __init__(self, graph: GraphIndex):
         self.reg_edges = [
-            (graph.edge_device[e], graph.edge_phase[e], int(graph.edge_to[e]))
-            for e in range(len(graph.edge_device))
-            if graph.device_by_uid[graph.edge_device[e]].device == "regulator"
+            (int(graph.edge_device[e]), graph.edge_phase[e], int(graph.edge_to[e]))
+            for e in np.flatnonzero(graph.edge_kind == "regulator")
         ]
 
-    def update(self, controls: Controls, state: net.SolvedState) -> None:
+    def update(self, controls: Controls, state: SolvedState) -> None:
         for uid, phase, node in self.reg_edges:
             v = state.v_mag[node]
             tap = controls.taps.get((uid, phase), 0)
@@ -912,8 +950,33 @@ class RegulatorController:
             controls.taps[(uid, phase)] = tap
 
 
+def _injections(spec: SubstationSpec, graph: GraphIndex,
+                scenario: ScenarioConfig) -> np.ndarray:
+    """Complex net consumption per timestep and bus-phase node, [T, N]:
+    loads minus PV generation, less the capacitors' reactive output."""
+    n_steps = scenario.horizon_minutes // TIMESTEP_MINUTES
+    loads = [l for f in spec.feeders for l in f.loads]
+    ders = [d for f in spec.feeders for d in f.ders]
+    s_inj = np.zeros((n_steps, graph.n_nodes), dtype=complex)
+    # add.at on the [N, T] view accumulates shared nodes in list order
+    if loads:
+        load_p = np.stack([materialize_profile(l.profile, n_steps) for l in loads])
+        load_q = np.stack([p * math.tan(math.acos(l.profile.pf))
+                           for p, l in zip(load_p, loads)])
+        np.add.at(s_inj.T, [graph.node_of[(l.bus_id, l.phase)] for l in loads],
+                  load_p + 1j * load_q)
+    if ders:
+        pv_scale = scenario.der_penetration / 100.0
+        der_p = np.stack([pv_scale * materialize_profile(d.profile, n_steps)
+                          for d in ders])
+        np.add.at(s_inj.T, [graph.node_of[(d.bus_id, d.phase)] for d in ders],
+                  -der_p)
+    s_inj -= 1j * graph.cap_q
+    return s_inj
+
+
 def run_timeseries(spec: SubstationSpec, scenario: ScenarioConfig,
-                   graph: GraphIndex | None = None) -> list[net.SolvedState]:
+                   graph: GraphIndex | None = None) -> list[SolvedState]:
     """Solve the scenario horizon at 15-minute resolution.
 
     Timesteps are independent given the control state carried over from the
@@ -921,46 +984,15 @@ def run_timeseries(spec: SubstationSpec, scenario: ScenarioConfig,
     effect at ``tie_close_step`` together with their sectionalizer opening.
     """
     graph = graph or build_graph(spec)
-    n_steps = scenario.horizon_minutes // TIMESTEP_MINUTES
-
-    loads = [l for f in spec.feeders for l in f.loads]
-    ders = [d for f in spec.feeders for d in f.ders]
-    load_nodes = np.array([graph.node_of[(l.bus_id, l.phase)] for l in loads], dtype=int)
-    der_nodes = np.array([graph.node_of[(d.bus_id, d.phase)] for d in ders], dtype=int)
-    load_p = np.stack([materialize_profile(l.profile, n_steps) for l in loads]) \
-        if loads else np.zeros((0, n_steps))
-    load_q = np.stack([p * math.tan(math.acos(l.profile.pf))
-                       for p, l in zip(load_p, loads)]) \
-        if loads else np.zeros((0, n_steps))
-    pv_scale = scenario.der_penetration / 100.0
-    der_p = np.stack([pv_scale * materialize_profile(d.profile, n_steps)
-                      for d in ders]) if ders else np.zeros((0, n_steps))
-
-    cap_q = np.zeros(graph.n_nodes)
-    for f in spec.feeders:
-        for c in f.capacitors:
-            if c.on:
-                share = c.q_pu / len(net.PHASES)
-                for ph in net.PHASES:
-                    nid = graph.node_of.get((c.bus_id, ph))
-                    if nid is not None:
-                        cap_q[nid] += share
-
     controls = Controls()
     controller = RegulatorController(graph)
-    states: list[net.SolvedState] = []
-    for t in range(n_steps):
+    states: list[SolvedState] = []
+    for t, s_inj in enumerate(_injections(spec, graph, scenario)):
         if scenario.tie_closures and t >= scenario.tie_close_step:
             for ti in scenario.tie_closures:
                 tie = spec.ties[ti]
                 controls.closed_override[tie.device_uid] = True
                 controls.closed_override[tie.sectionalizer_uid] = False
-        s_inj = np.zeros(graph.n_nodes, dtype=complex)
-        if len(loads):
-            np.add.at(s_inj, load_nodes, load_p[:, t] + 1j * load_q[:, t])
-        if len(ders):
-            np.add.at(s_inj, der_nodes, -der_p[:, t])
-        s_inj -= 1j * cap_q
         try:
             state = solve_powerflow(spec, graph, s_inj, controls,
                                     timestamp=float(t * TIMESTEP_MINUTES))
@@ -973,12 +1005,12 @@ def run_timeseries(spec: SubstationSpec, scenario: ScenarioConfig,
 
 def solve_timestep(spec: SubstationSpec, timestep: int,
                    scenario: ScenarioConfig | None = None,
-                   controls: Controls | None = None) -> net.SolvedState:
+                   controls: Controls | None = None) -> SolvedState:
     """Solve one step of a scenario with explicit control state.
 
     Unlike run_timeseries this does not evolve regulator taps; pass the
-    Controls you want applied. Profiles are deterministic per step, so the
-    injections match the same step of a full run.
+    Controls you want applied. The injections are those of the same step of
+    a full run.
     """
     scenario = scenario or ScenarioConfig()
     n_steps = scenario.horizon_minutes // TIMESTEP_MINUTES
@@ -986,29 +1018,10 @@ def solve_timestep(spec: SubstationSpec, timestep: int,
         raise ValueError(f"timestep {timestep} outside horizon of {n_steps} steps")
     graph = build_graph(spec)
     controls = controls or Controls()
-    loads = [l for f in spec.feeders for l in f.loads]
-    ders = [d for f in spec.feeders for d in f.ders]
-    s_inj = np.zeros(graph.n_nodes, dtype=complex)
-    for l in loads:
-        p = materialize_profile(l.profile, n_steps)[timestep]
-        q = p * math.tan(math.acos(l.profile.pf))
-        s_inj[graph.node_of[(l.bus_id, l.phase)]] += p + 1j * q
-    pv_scale = scenario.der_penetration / 100.0
-    for d in ders:
-        p = pv_scale * materialize_profile(d.profile, n_steps)[timestep]
-        s_inj[graph.node_of[(d.bus_id, d.phase)]] -= p
-    for f in spec.feeders:
-        for c in f.capacitors:
-            if c.on:
-                share = c.q_pu / len(net.PHASES)
-                for ph in net.PHASES:
-                    nid = graph.node_of.get((c.bus_id, ph))
-                    if nid is not None:
-                        s_inj[nid] -= 1j * share
     if scenario.tie_closures and timestep >= scenario.tie_close_step:
         for ti in scenario.tie_closures:
             tie = spec.ties[ti]
             controls.closed_override.setdefault(tie.device_uid, True)
             controls.closed_override.setdefault(tie.sectionalizer_uid, False)
-    return solve_powerflow(spec, graph, s_inj, controls,
-                           timestamp=float(timestep * TIMESTEP_MINUTES))
+    return solve_powerflow(spec, graph, _injections(spec, graph, scenario)[timestep],
+                           controls, timestamp=float(timestep * TIMESTEP_MINUTES))

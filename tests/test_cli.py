@@ -7,6 +7,7 @@ import pytest
 
 from gridvolt import cli
 from gridvolt import dataset as ds
+from gridvolt import simulation as gsim
 
 ERROR_LINE = re.compile(r"^ERROR (config|data|powerflow|training|checkpoint"
                         r"|internal): .+$")
@@ -82,6 +83,24 @@ def test_generate_bad_feeder_count_reports_config(tmp_path, capsys):
                       "--out", str(tmp_path / "d.npz")], capsys)
     assert rc == 1
     assert err.strip().startswith("ERROR config:")
+
+
+def test_generate_out_of_range_voltage_reports_config(tmp_path, capsys,
+                                                     monkeypatch):
+    solve = gsim.run_timeseries
+
+    def sagging(spec, scenario, graph=None):
+        states = solve(spec, scenario, graph)
+        states[2].v_mag[4] = 0.3
+        return states
+
+    monkeypatch.setattr(gsim, "run_timeseries", sagging)
+    rc, _, err = run(["generate", "--seed", "1", "--horizon-minutes", "60",
+                      "--out", str(tmp_path / "d.npz")], capsys)
+    assert rc == 1
+    assert err.strip() == ("ERROR config: bus-phase 4: voltage 0.3 outside "
+                           "(0.5, 1.5) at step 2")
+    assert not (tmp_path / "d.npz").exists()
 
 
 def test_close_ties_flag_changes_dataset(tmp_path, capsys):

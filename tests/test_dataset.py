@@ -114,14 +114,46 @@ def test_effective_feeder_between_tie_states(tiny_spec):
 
 def test_masking_at_load_time(ds):
     view = ds.snapshot(0)
-    mask = net.sample_mask(ds.n_nodes, 5, seed=123)
+    observed = net.sample_observed_mask(ds.n_nodes, 5,
+                                        np.random.default_rng(123))
     masked = net.apply_mask_to_features(view.node_features, view.v_true,
-                                        mask.observed)
+                                        observed)
     obs_col = net.NODE_FEATURE_INDEX["m_obs"]
     v_col = net.NODE_FEATURE_INDEX["m_obs_v_pu"]
-    assert masked[:, obs_col].sum() == mask.n_observed
-    hidden = ~mask.observed
+    assert masked[:, obs_col].sum() == observed.sum() == round(ds.n_nodes * 0.05)
+    hidden = ~observed
     assert np.all(masked[hidden][:, v_col] == 0.0)
-    assert np.all(masked[mask.observed][:, v_col] == view.v_true[mask.observed])
+    assert np.all(masked[observed][:, v_col] == view.v_true[observed])
     # the stored dataset is untouched
     assert np.all(view.node_features[:, obs_col] == 1.0)
+
+
+def test_out_of_range_values_name_bus_phase_and_step(tiny_spec):
+    cfg = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20)
+    states = sim.run_timeseries(tiny_spec, cfg)
+    states[3].v_mag[5] = 0.4
+    with pytest.raises(ValueError, match=r"^bus-phase 5: voltage 0.4 outside "
+                                         r"\(0.5, 1.5\) at step 3$"):
+        dsm.dataset_from_states(tiny_spec, cfg, states)
+    states[3].v_mag[5] = 1.0
+    reg = np.flatnonzero(states[0].graph.edge_kind == "regulator")[1]
+    states[7].edge_tap[reg] = -1.5
+    node = states[0].graph.edge_to[reg]
+    with pytest.raises(ValueError, match=rf"^bus-phase {node}: tap -1.5 "
+                                         r"outside \[-1, 1\] at step 7$"):
+        dsm.dataset_from_states(tiny_spec, cfg, states)
+
+
+def test_node_tap_follows_regulator_edges(tiny_spec):
+    cfg = sim.ScenarioConfig(horizon_minutes=HORIZON)
+    graph = sim.build_graph(tiny_spec)
+    reg = np.flatnonzero(graph.edge_kind == "regulator")[0]
+    uid = int(graph.edge_device[reg])
+    state = sim.solve_timestep(tiny_spec, 0, cfg, sim.Controls(
+        taps={(uid, graph.edge_phase[reg]): 4}))
+    data = dsm.dataset_from_states(tiny_spec, cfg, [state])
+    tap = data.arrays["node_features"][0, :, net.NODE_FEATURE_INDEX["tap"]]
+    edge_tap = data.arrays["edge_features"][0, :, net.EDGE_FEATURE_INDEX["tap"]]
+    assert tap[graph.edge_to[reg]] == edge_tap[reg] == 0.25
+    assert np.count_nonzero(tap) == np.count_nonzero(edge_tap) == 1
+    assert np.all(tap[graph.hub_node_ids] == 0.0)

@@ -97,15 +97,6 @@ def test_physics_zero_for_flat_voltage_and_no_flow():
     assert loss.values == 0.0
 
 
-def test_physics_zero_weights_zero_loss():
-    v_hat = ad.as_tensor(np.array([1.05, 0.95]))
-    loss = gl.physics_loss(v_hat, np.array([0]), np.array([1]),
-                           r=np.array([0.2]), x=np.array([0.1]),
-                           p=np.array([1.0]), q=np.array([0.5]),
-                           weights=np.array([0.0]))
-    assert loss.values == 0.0
-
-
 def test_physics_empty_edge_set_warns_and_returns_zero(caplog):
     empty = np.zeros(0)
     with caplog.at_level(logging.WARNING, logger="gridvolt.losses"):
@@ -121,7 +112,7 @@ def test_physics_residual_of_solver_truth_is_second_order_small(tiny_batch):
     truth = ad.as_tensor(batch.v_true)
     loss = gl.physics_loss(truth, batch.phys_from, batch.phys_to,
                            batch.phys_r, batch.phys_x, batch.phys_p,
-                           batch.phys_q, batch.phys_weight)
+                           batch.phys_q)
     assert loss.values < 5e-4
 
 
@@ -154,14 +145,25 @@ def test_hub_penalty_is_tiny_on_generated_snapshots(tiny_batch):
     assert np.max(batch.hub_residual) < 1e-6
 
 
-def test_hub_penalty_exact_balance_is_zero():
-    s = 0.4 + 0.1j
-    assert gl.hub_balance_penalty([s], 0.0, s) == 0.0
+def balanced_view(data, shift=0.0):
+    """The first stored snapshot with its transformer flow set to the head
+    flows plus aux load, moved by ``shift``."""
+    view = data.snapshot(0)
+    view.s_subxfmr = sum(view.head_s.values()) + view.s_aux + shift
+    return view
 
 
-def test_hub_penalty_tracks_perturbation():
-    s = 0.4 + 0.1j
-    assert gl.hub_balance_penalty({1: s}, 0.0, s + 0.1) == pytest.approx(0.1)
+def test_hub_penalty_exact_balance_is_zero(tiny_batch):
+    data = tiny_batch[2]
+    item = gm.item_from_view(balanced_view(data), np.ones(data.n_nodes, bool))
+    assert item.hub_residual == 0.0
+
+
+def test_hub_penalty_tracks_perturbation(tiny_batch):
+    data = tiny_batch[2]
+    item = gm.item_from_view(balanced_view(data, 0.1),
+                             np.ones(data.n_nodes, bool))
+    assert item.hub_residual == pytest.approx(0.1)
 
 
 # -- weights and total ---------------------------------------------------------------

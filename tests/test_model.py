@@ -410,7 +410,6 @@ def test_batch_edges_are_receiver_sorted_and_bidirectional(tiny_views):
     pairs = set(zip(batch.send.tolist(), batch.recv.tolist()))
     assert all((r, s) in pairs for s, r in pairs)
     assert batch.graph_of_node.max() == 2
-    np.testing.assert_array_equal(batch.phys_weight, 1.0)
     assert len(batch.phys_from) == 3 * len(views[0].edge_p[views[0].edge_phys])
 
 

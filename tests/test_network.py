@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridvolt import network as net
+from gridvolt import simulation as sim
 
 
-def toy_solved():
-    """Single-phase chain: hub -sw- head -line- dt_high -xfmr- dt_low -line- lv."""
+def toy_chain():
+    """Single-phase chain: hub -sw- head -line- dt_high -xfmr- dt_low -line- lv.
+
+    Returns the bus-phases, the per-edge devices and the endpoint and |Z|
+    arrays of the four edges.
+    """
     bps = [
         net.BusPhase(0, 0, "A", 7.2, "substation_hub", net.HUB_FEEDER),
         net.BusPhase(1, 1, "A", 7.2, "feeder_head", 0),
@@ -14,62 +21,77 @@ def toy_solved():
         net.BusPhase(3, 3, "A", 0.12, "dt_low", 0),
         net.BusPhase(4, 4, "A", 0.12, "lv_node", 0),
     ]
-    edges = [
-        net.EdgeState(0, 1, "switch", ("A", "B", "C"), 1e-4, 1e-4, 0.0, 5.0, 1),
-        net.EdgeState(1, 2, "line", ("A", "B", "C"), 0.006, 0.008, 1.0, 2.0, 1),
-        net.EdgeState(2, 3, "transformer", ("A",), 0.012, 0.016, 0.0, 0.05, 1,
-                      tap=0.25),
-        net.EdgeState(3, 4, "line", ("A",), 0.003, 0.004, 0.03, 0.05, 1),
+    devices = [
+        sim.DeviceSpec(0, 0, 1, "switch", ("A", "B", "C"), 1e-4, 1e-4, 0.0, 5.0),
+        sim.DeviceSpec(1, 1, 2, "line", ("A", "B", "C"), 0.006, 0.008, 1.0, 2.0),
+        sim.DeviceSpec(2, 2, 3, "transformer", ("A",), 0.012, 0.016, 0.0, 0.05),
+        sim.DeviceSpec(3, 3, 4, "line", ("A",), 0.003, 0.004, 0.03, 0.05),
     ]
-    return net.SolvedState(
-        timestamp=0.0,
-        bus_phases=bps,
-        v_mag=np.array([1.0, 0.998, 0.99, 0.985, 0.98]),
-        p_injection_pu=np.array([0.0, 0.0, 0.0, 0.0, 0.01]),
-        serving_rating_pu=np.array([5.0, 2.0, 2.0, 0.05, 0.05]),
-        tap=np.array([0.0, 0.0, 0.0, 0.25, 0.0]),
-        cap_on=np.zeros(5),
-        sw_closed=np.ones(5),
-        edges=edges,
-        feeder_heads={0: 0.03 + 0.01j},
-        s_subxfmr=0.04 + 0.015j,
-        s_aux=0.01 + 0.005j,
-    )
+    zmag = np.array([math.hypot(d.r_pu, d.x_pu) for d in devices])
+    return bps, devices, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]), zmag
 
 
-def full_mask(n):
-    return net.ObservabilityMask(observed=np.ones(n, dtype=bool), p_obs=80, seed=0)
+def annotate(closed=None):
+    bps, _, frm, to, zmag = toy_chain()
+    closed = np.ones(4, dtype=bool) if closed is None else closed
+    return net.structural_annotations(bps, frm, to, zmag, closed)
+
+
+def observed_features():
+    """Toy node features as a dataset stores them: every node observed."""
+    bps, *_ = toy_chain()
+    v = np.array([1.0, 0.998, 0.99, 0.985, 0.98])
+    feats = net.static_node_features(bps, np.zeros(5))
+    feats[:, net.NODE_FEATURE_INDEX["m_obs"]] = 1.0
+    feats[:, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] = v
+    return feats, v
 
 
 def test_feature_vector_lengths():
     assert len(net.NODE_FEATURE_ORDER) == 17
     assert len(net.EDGE_FEATURE_ORDER) == 13
-    snap = net.build_features(toy_solved(), full_mask(5))
-    assert snap.node_feature_matrix().shape == (5, 17)
-    assert snap.edges[0].features.shape == (13,)
+    bps, devices, *_ = toy_chain()
+    assert net.static_node_features(bps, np.zeros(5)).shape == (5, 17)
+    assert net.static_edge_features(devices).shape == (4, 13)
 
 
 def test_masked_node_reports_no_voltage():
-    mask = net.ObservabilityMask(
-        observed=np.array([True, True, True, False, True]), p_obs=80, seed=0)
-    snap = net.build_features(toy_solved(), mask)
-    feat = snap.nodes[3][1]
-    assert feat[net.NODE_FEATURE_INDEX["m_obs"]] == 0.0
-    assert feat[net.NODE_FEATURE_INDEX["m_obs_v_pu"]] == 0.0
-    observed_feat = snap.nodes[4][1]
-    assert observed_feat[net.NODE_FEATURE_INDEX["m_obs"]] == 1.0
-    assert observed_feat[net.NODE_FEATURE_INDEX["m_obs_v_pu"]] == pytest.approx(0.98)
+    feats, v = observed_features()
+    observed = np.array([True, True, True, False, True])
+    masked = net.apply_mask_to_features(feats, v, observed)
+    assert masked[3, net.NODE_FEATURE_INDEX["m_obs"]] == 0.0
+    assert masked[3, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] == 0.0
+    assert masked[4, net.NODE_FEATURE_INDEX["m_obs"]] == 1.0
+    assert masked[4, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] == pytest.approx(0.98)
+
+
+def test_masked_rows_never_carry_a_voltage():
+    feats, v = observed_features()
+    gen = np.random.default_rng(4)
+    for _ in range(20):
+        observed = gen.random(5) < 0.5
+        masked = net.apply_mask_to_features(feats, v, observed)
+        hidden = masked[~observed]
+        assert np.all(hidden[:, net.NODE_FEATURE_INDEX["m_obs"]] == 0.0)
+        assert np.all(hidden[:, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] == 0.0)
+        assert np.array_equal(
+            masked[observed, net.NODE_FEATURE_INDEX["m_obs_v_pu"]], v[observed])
+    # the stored matrix is left as it was
+    assert np.all(feats[:, net.NODE_FEATURE_INDEX["m_obs"]] == 1.0)
 
 
 def test_tap_midpoint_is_zero():
-    snap = net.build_features(toy_solved(), full_mask(5))
-    taps = snap.node_feature_matrix()[:, net.NODE_FEATURE_INDEX["tap"]]
-    assert taps[0] == 0.0 and taps[3] == 0.25
+    # the static rows leave every tap at its midpoint; only the per-step
+    # regulator taps written at dataset assembly move it
+    bps, devices, *_ = toy_chain()
+    nodes = net.static_node_features(bps, np.zeros(5))
+    edges = net.static_edge_features(devices)
+    assert np.all(nodes[:, net.NODE_FEATURE_INDEX["tap"]] == 0.0)
+    assert np.all(edges[:, net.EDGE_FEATURE_INDEX["tap"]] == 0.0)
 
 
 def test_structural_annotations_depth_and_distance():
-    s = toy_solved()
-    depth, elec, degree, feeder = net.structural_annotations(s.bus_phases, s.edges)
+    depth, elec, degree, feeder = annotate()
     # feeder head resets the counters
     assert depth[1] == 0.0 and elec[1] == 0.0
     # two hops from the head over |Z| = 0.01 then 0.02
@@ -81,16 +103,13 @@ def test_structural_annotations_depth_and_distance():
 
 
 def test_elec_dist_monotone_along_path():
-    s = toy_solved()
-    _, elec, _, _ = net.structural_annotations(s.bus_phases, s.edges)
+    _, elec, _, _ = annotate()
     assert elec[1] <= elec[2] <= elec[3] <= elec[4]
 
 
 def test_unreachable_node_named_in_error():
-    s = toy_solved()
-    s.edges[3].status = 0
     with pytest.raises(ValueError, match="bus-phase 4"):
-        net.structural_annotations(s.bus_phases, s.edges)
+        annotate(np.array([True, True, True, False]))
 
 
 def test_supplying_feeder_follows_closed_tie():
@@ -104,68 +123,61 @@ def test_supplying_feeder_follows_closed_tie():
         net.BusPhase(4, 4, "A", 7.2, "dt_high", 1),
         net.BusPhase(5, 5, "A", 7.2, "dt_high", 1),
     ]
-    edges = [
-        net.EdgeState(0, 1, "switch", ("A",), 1e-4, 1e-4, 0.0, 5.0, 1),
-        net.EdgeState(0, 3, "switch", ("A",), 1e-4, 1e-4, 0.0, 5.0, 1),
-        net.EdgeState(1, 2, "line", ("A",), 0.01, 0.01, 1.0, 2.0, 1),
-        net.EdgeState(3, 4, "line", ("A",), 0.01, 0.01, 1.0, 2.0, 1),
-        net.EdgeState(4, 5, "switch", ("A",), 1e-4, 1e-4, 0.0, 2.0, 0),
-        net.EdgeState(2, 5, "switch", ("A",), 1e-4, 1e-4, 0.0, 2.0, 1, is_tie=True),
-    ]
-    _, _, _, feeder = net.structural_annotations(bps, edges)
+    frm = np.array([0, 0, 1, 3, 4, 2])
+    to = np.array([1, 3, 2, 4, 5, 5])
+    zmag = np.array([1.4e-4, 1.4e-4, 0.014, 0.014, 1.4e-4, 1.4e-4])
+    closed = np.array([True, True, True, True, False, True])
+    _, _, _, feeder = net.structural_annotations(bps, frm, to, zmag, closed)
     assert feeder[5] == 0 and feeder[4] == 1
 
 
 def test_mask_cardinality_examples():
-    m80 = net.sample_mask(100, 80, seed=11, hub_indices=[0, 1, 2])
-    assert m80.n_observed == 80
-    m1 = net.sample_mask(100, 1, seed=99, hub_indices=[0, 1, 2])
-    assert m1.n_observed == 1
-    assert m1.observed[0]  # hub fills the budget first
+    m80 = net.sample_observed_mask(100, 80, np.random.default_rng(11),
+                                   hub_indices=[0, 1, 2])
+    assert m80.sum() == 80
+    m1 = net.sample_observed_mask(100, 1, np.random.default_rng(99),
+                                  hub_indices=[0, 1, 2])
+    assert m1.sum() == 1
+    assert m1[0]  # hub fills the budget first
 
 
 def test_mask_determinism():
-    a = net.sample_mask(200, 20, seed=5, hub_indices=[0])
-    b = net.sample_mask(200, 20, seed=5, hub_indices=[0])
-    assert np.array_equal(a.observed, b.observed)
-    c = net.sample_mask(200, 20, seed=6, hub_indices=[0])
-    assert not np.array_equal(a.observed, c.observed)
+    def draw(seed):
+        return net.sample_observed_mask(200, 20, np.random.default_rng(seed),
+                                        hub_indices=[0])
+
+    assert np.array_equal(draw(5), draw(5))
+    assert not np.array_equal(draw(5), draw(6))
 
 
 def test_mask_rejects_off_schedule_levels():
-    for bad in (0, 3, 42, 81, 100):
-        with pytest.raises(ValueError):
-            net.sample_mask(100, bad, seed=0)
+    for bad in (0, -5, 100, 120.5):
+        with pytest.raises(ValueError, match="p_obs"):
+            net.sample_observed_mask(100, bad, np.random.default_rng(0))
 
 
 @given(
     n=st.integers(min_value=4, max_value=400),
-    p=st.sampled_from(net.OBSERVABILITY_LEVELS),
+    p=st.floats(min_value=0.5, max_value=99.5),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 @settings(max_examples=60, deadline=None)
 def test_mask_cardinality_property(n, p, seed):
-    m = net.sample_mask(n, p, seed=seed, hub_indices=[0, 1, 2])
-    expected = max(1, int(np.floor(p / 100 * n + 0.5)))
-    assert m.n_observed == expected
-    assert m.observed[0]
+    m = net.sample_observed_mask(n, p, np.random.default_rng(seed),
+                                 hub_indices=[0, 1, 2])
+    expected = min(max(round(n * p / 100.0), 1), n - 1)
+    assert m.sum() == expected
+    assert m[0]
 
 
 def test_onehot_feature_invariants():
-    snap = net.build_features(toy_solved(), full_mask(5))
-    feats = snap.node_feature_matrix()
+    bps, devices, *_ = toy_chain()
+    feats = net.static_node_features(bps, np.zeros(5))
     assert np.all(feats[:, 0:3].sum(axis=1) == 1.0)   # phase one-hot
     assert np.all(feats[:, 4:8].sum(axis=1) == 1.0)   # type one-hot
-    for e in snap.edges:
-        assert e.features[4:8].sum() == 1.0           # device one-hot
-        assert set(np.unique(e.features[9:12])) <= {0.0, 1.0}
-
-
-def test_build_features_bit_identical():
-    mask = net.sample_mask(5, 60, seed=3, hub_indices=[0])
-    a = net.build_features(toy_solved(), mask).node_feature_matrix()
-    b = net.build_features(toy_solved(), mask).node_feature_matrix()
-    assert np.array_equal(a, b)
+    for row in net.static_edge_features(devices):
+        assert row[4:8].sum() == 1.0                  # device one-hot
+        assert set(np.unique(row[9:12])) <= {0.0, 1.0}
 
 
 def test_bad_bus_type_and_kv_raise():
@@ -175,17 +187,10 @@ def test_bad_bus_type_and_kv_raise():
         net.BusPhase(0, 0, "A", -1.0, "lv_node", 0)
 
 
-def test_snapshot_validation_rejects_leaked_voltage():
-    snap = net.build_features(toy_solved(), full_mask(5))
-    snap.nodes[2][1][net.NODE_FEATURE_INDEX["m_obs"]] = 0.0
-    with pytest.raises(ValueError, match="masked node"):
-        snap.validate()
-
-
 def test_effective_feeder_recorded_on_nodes():
-    snap = net.build_features(toy_solved(), full_mask(5))
-    assert snap.nodes[0][0].feeder_id == net.HUB_FEEDER
-    assert all(bp.feeder_id == 0 for bp, _, _ in snap.nodes[1:])
+    _, _, _, feeder = annotate()
+    assert feeder[0] == net.HUB_FEEDER
+    assert np.all(feeder[1:] == 0)
 
 
 def test_feature_order_hash_is_stable():

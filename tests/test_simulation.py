@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
+from gridvolt import dataset as dsm
 from gridvolt import network as net
 from gridvolt import simulation as sim
 
@@ -89,11 +90,10 @@ def test_two_bus_closed_form_property(r, x, p, q):
 
 def test_two_bus_flows_and_head_power():
     state, graph = solve_two_bus(0.01, 0.02, 0.5, 0.2)
-    edge = state.edges[0]
-    loss = complex(0.01, 0.02) * edge.i_mag_pu ** 2
-    s_recv = complex(edge.p_flow_pu, edge.q_flow_pu) - loss
-    assert abs(s_recv - complex(0.5, 0.2)) < 1e-9
-    assert abs(state.feeder_heads[5] - complex(edge.p_flow_pu, edge.q_flow_pu)) < 1e-12
+    s_send = complex(state.edge_p[0], state.edge_q[0])
+    loss = complex(0.01, 0.02) * state.edge_i_mag[0] ** 2
+    assert abs(s_send - loss - complex(0.5, 0.2)) < 1e-9
+    assert abs(state.feeder_heads[5] - s_send) < 1e-12
     assert state.s_subxfmr == state.feeder_heads[5] + state.s_aux
 
 
@@ -246,8 +246,9 @@ def test_hub_balance_identity(tiny_day):
         total = sum(state.feeder_heads.values()) + state.s_aux
         assert total == state.s_subxfmr
         injections = np.sum(state.p_injection_pu + 1j * state.q_injection_pu)
-        losses = sum(complex(e.r_pu, e.x_pu) * e.i_mag_pu ** 2
-                     for e in state.edges if e.status)
+        closed = state.edge_status == 1
+        losses = np.sum(state.graph.edge_impedance[closed]
+                        * state.edge_i_mag[closed] ** 2)
         expected = injections + losses + state.s_aux
         assert abs(state.s_subxfmr - expected) < 1e-9
 
@@ -266,34 +267,36 @@ def test_squared_voltage_drop_identity(tiny_day):
     """On every active unity-ratio edge, the squared-magnitude drop minus
     2(R*P + X*Q) equals the quadratic loss term -(|z| |I|)^2 exactly."""
     for state in (tiny_day[20], tiny_day[50], tiny_day[90]):
-        checked = 0
-        for e in state.edges:
-            if not e.status or e.device == "regulator":
-                continue
-            gap = (state.v_mag[e.from_id] ** 2 - state.v_mag[e.to_id] ** 2
-                   - 2.0 * (e.r_pu * e.p_flow_pu + e.x_pu * e.q_flow_pu))
-            quad = (e.r_pu ** 2 + e.x_pu ** 2) * e.i_mag_pu ** 2
-            assert abs(gap + quad) < 1e-9
-            checked += 1
-        assert checked > 50
+        g = state.graph
+        e = np.flatnonzero((state.edge_status == 1)
+                           & (g.edge_kind != "regulator"))
+        v, z = state.v_mag, g.edge_impedance[e]
+        gap = (v[g.edge_from[e]] ** 2 - v[g.edge_to[e]] ** 2
+               - 2.0 * (z.real * state.edge_p[e] + z.imag * state.edge_q[e]))
+        quad = (z.real ** 2 + z.imag ** 2) * state.edge_i_mag[e] ** 2
+        assert np.max(np.abs(gap + quad)) < 1e-9
+        assert len(e) > 50
 
 
-def test_physics_edge_set_membership(tiny_day):
-    state = tiny_day[40]
-    for e in state.edges:
-        expected = bool(e.status) and e.device in ("line", "cable", "switch")
-        assert e.in_physics_set == expected
+def test_physics_edge_set_membership(tiny_spec, tiny_day):
+    data = dsm.dataset_from_states(tiny_spec, sim.ScenarioConfig(
+        horizon_minutes=1440, der_penetration=20), tiny_day)
+    kind = tiny_day[0].graph.edge_kind
+    for t in (0, 40):
+        expected = (tiny_day[t].edge_status == 1) & np.isin(
+            kind, ("line", "cable", "switch"))
+        assert np.array_equal(data.arrays["edge_phys"][t], expected)
 
 
 def test_branch_flows_stay_light_on_tiny(tiny_day):
-    worst = max(abs(complex(e.p_flow_pu, e.q_flow_pu))
-                for state in tiny_day for e in state.edges)
+    worst = max(np.max(np.hypot(state.edge_p, state.edge_q))
+                for state in tiny_day)
     assert worst < 0.3
 
 
 def test_voltage_band_and_variability(tiny_day):
     v = np.stack([state.v_mag for state in tiny_day])
-    bus_phases = tiny_day[0].bus_phases
+    bus_phases = tiny_day[0].graph.bus_phases
 
     def where(t, node):
         bp = bus_phases[node]
@@ -329,13 +332,12 @@ def test_monotone_drop_without_der(tiny_spec):
     states = sim.run_timeseries(spec, sim.ScenarioConfig(
         horizon_minutes=1440, der_penetration=0))
     state = states[72]  # evening peak
-    for e in state.edges:
-        if not e.status or e.device == "regulator":
-            continue
-        upstream, downstream = e.from_id, e.to_id
-        if e.p_flow_pu < 0:
-            upstream, downstream = downstream, upstream
-        assert state.v_mag[downstream] <= state.v_mag[upstream] + 1e-9
+    g = state.graph
+    e = np.flatnonzero((state.edge_status == 1) & (g.edge_kind != "regulator"))
+    reverse = state.edge_p[e] < 0
+    upstream = np.where(reverse, g.edge_to[e], g.edge_from[e])
+    downstream = np.where(reverse, g.edge_from[e], g.edge_to[e])
+    assert np.all(state.v_mag[downstream] <= state.v_mag[upstream] + 1e-9)
 
 
 def test_der_raises_downstream_voltage(tiny_spec):
@@ -363,8 +365,12 @@ def test_solve_timestep_matches_full_run(tiny_spec):
     cfg = sim.ScenarioConfig(horizon_minutes=8 * sim.TIMESTEP_MINUTES,
                              der_penetration=20)
     full = sim.run_timeseries(tiny_spec, cfg)
-    single = sim.solve_timestep(tiny_spec, 0, cfg)
-    assert np.array_equal(single.v_mag, full[0].v_mag)
+    for t, state in enumerate(full):
+        single = sim.solve_timestep(tiny_spec, t, cfg)
+        assert np.array_equal(single.p_injection_pu, state.p_injection_pu), t
+        assert np.array_equal(single.q_injection_pu, state.q_injection_pu), t
+        if t == 0:
+            assert np.array_equal(single.v_mag, state.v_mag)
     with pytest.raises(ValueError, match="horizon"):
         sim.solve_timestep(tiny_spec, 9, cfg)
 
@@ -408,7 +414,8 @@ def test_regulator_steps_into_deadband():
     assert taps == sorted(taps)
     assert 1 <= max(controls.taps.values()) <= 5
     assert 0.99 <= volts[-1] <= 1.01
-    assert state.tap[out_node] == pytest.approx(max(controls.taps.values()) / 16)
+    reg = np.flatnonzero(graph.edge_kind == "regulator")[0]
+    assert state.edge_tap[reg] == pytest.approx(max(controls.taps.values()) / 16)
 
 
 def test_tie_closure_reroots_transfer_subtree(tiny_spec):
@@ -419,30 +426,26 @@ def test_tie_closure_reroots_transfer_subtree(tiny_spec):
     tie = tiny_spec.ties[0]
     graph = sim.build_graph(tiny_spec)
 
-    def edge_status(state, uid):
-        dev = graph.device_by_uid[uid]
-        for e in state.edges:
-            key = (e.from_id, e.to_id)
-            a = graph.node_of.get((dev.from_bus, "A"))
-            b = graph.node_of.get((dev.to_bus, "A"))
-            if key == (a, b):
-                return e.status
-        raise AssertionError("edge not found")
-
+    tie_edges = np.flatnonzero(graph.edge_device == tie.device_uid)
+    sect_edges = np.flatnonzero(graph.edge_device == tie.sectionalizer_uid)
+    assert len(tie_edges) == len(sect_edges) == 3
     for state in states[:2]:
-        assert edge_status(state, tie.device_uid) == 0
-        assert edge_status(state, tie.sectionalizer_uid) == 1
+        assert np.all(state.edge_status[tie_edges] == 0)
+        assert np.all(state.edge_status[sect_edges] == 1)
     for state in states[2:]:
-        assert edge_status(state, tie.device_uid) == 1
-        assert edge_status(state, tie.sectionalizer_uid) == 0
+        assert np.all(state.edge_status[tie_edges] == 1)
+        assert np.all(state.edge_status[sect_edges] == 0)
 
-    _, _, _, feeder = net.structural_annotations(states[3].bus_phases,
-                                                 states[3].edges)
+    def supplying_feeder(state):
+        return net.structural_annotations(
+            graph.bus_phases, graph.edge_from, graph.edge_to, graph.edge_zmag,
+            state.edge_status == 1)[3]
+
+    feeder = supplying_feeder(states[3])
     for ph in net.PHASES:
         node = graph.node_of[(tie.transfer_bus, ph)]
         assert feeder[node] == tie.from_feeder
-    _, _, _, feeder_before = net.structural_annotations(states[0].bus_phases,
-                                                        states[0].edges)
+    feeder_before = supplying_feeder(states[0])
     for ph in net.PHASES:
         node = graph.node_of[(tie.transfer_bus, ph)]
         assert feeder_before[node] == tie.to_feeder
