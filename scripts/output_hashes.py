@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""SHA-256 of a fixed set of generate/train/evaluate outputs.
+
+Runs the commands below in-process through ``gridvolt.cli.dispatch`` and
+prints one ``<file> <sha256>`` line per output, sorted by path. The
+manifests are skipped: they record wall-clock time. A change that must
+keep every output byte-identical is checked by running this script on
+both checkouts and diffing the two listings:
+
+    python3 scripts/output_hashes.py --root ../parent --workdir /tmp/a > a.txt
+    python3 scripts/output_hashes.py --workdir /tmp/b > b.txt
+    diff a.txt b.txt
+
+The set: ``generate`` for tiny seeds 0-4 (defaults), tiny 7 with its ties
+closed at 40 % DER, medium 100-103 at 20 % DER, medium 103 with its ties
+closed, and a two-day tiny dataset (seed 0); ``train --seed 0`` on the
+two-day set with a short curriculum; ``evaluate --study A --seeds 2`` of
+that checkpoint on the same set. It takes about a minute on one core.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SHORT_TRAIN = {"steps_per_epoch": 60, "max_warmup_epochs": 4,
+               "ramp_epochs": 2, "levels": [80, 50, 20, 5, 1]}
+
+
+def commands(work: Path) -> list[list[str]]:
+    def gen(name, *args):
+        return ["generate", *args, "--out", str(work / f"{name}.npz")]
+
+    runs = [gen(f"tiny{s}", "--seed", str(s)) for s in range(5)]
+    runs.append(gen("tiny7c", "--seed", "7", "--close-ties", "--der", "40"))
+    runs += [gen(f"med{s}", "--seed", str(s), "--size", "medium",
+                 "--der", "20") for s in range(100, 104)]
+    runs.append(gen("med103c", "--seed", "103", "--size", "medium",
+                    "--close-ties"))
+    runs.append(gen("train2d", "--seed", "0", "--horizon-minutes", "2880"))
+    data = str(work / "train2d.npz")
+    runs.append(["train", "--data", data, "--config",
+                 str(work / "train_config.json"), "--seed", "0",
+                 "--out", str(work / "model.npz")])
+    runs.append(["evaluate", "--study", "A", "--checkpoint",
+                 str(work / "model.npz"), "--data", data, "--seeds", "2",
+                 "--out-dir", str(work / "studyA")])
+    return runs
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path,
+                    default=Path(__file__).resolve().parent.parent,
+                    help="checkout whose src/ is run (default: this one)")
+    ap.add_argument("--workdir", type=Path, default=None,
+                    help="output directory (default: a temporary one)")
+    args = ap.parse_args()
+
+    # one BLAS thread, so the checkpoint cannot depend on the thread count
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    os.environ.pop("GRIDVOLT_RUN_DIR", None)
+    sys.path.insert(0, str((args.root / "src").resolve()))
+    from gridvolt import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = (args.workdir or Path(tmp)).resolve()
+        work.mkdir(parents=True, exist_ok=True)
+        (work / "train_config.json").write_text(json.dumps(SHORT_TRAIN))
+        for argv in commands(work):
+            print("+", " ".join(argv[:3]), file=sys.stderr)
+            # the commands' own reports go to stderr, the listing to stdout
+            with contextlib.redirect_stdout(sys.stderr):
+                rc = cli.dispatch(argv)
+            if rc != 0:
+                print(f"failed: {' '.join(argv)}", file=sys.stderr)
+                return 1
+        for path in sorted(work.rglob("*")):
+            if (not path.is_file() or path.name == "manifest.json"
+                    or path.name == "train_config.json"):
+                continue
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{path.relative_to(work).as_posix()} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

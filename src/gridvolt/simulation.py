@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,8 +316,11 @@ def spec_from_dict(data: dict) -> SubstationSpec:
     )
 
 
-def save_spec(spec: SubstationSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True))
+def save_spec(spec: SubstationSpec | dict, path: str | Path) -> None:
+    """Write a spec as JSON; a dict is taken as spec_to_dict's output, which
+    saves serializing a spec whose dict is already at hand."""
+    data = spec if isinstance(spec, dict) else spec_to_dict(spec)
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
 
 
 def load_spec(path: str | Path) -> SubstationSpec:
@@ -693,7 +697,10 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
 
     ``s_injection`` is complex net consumption per bus-phase node (load minus
     generation; capacitors contribute negative reactive consumption). The hub
-    nodes are the slack at the LTC setpoint.
+    nodes are the slack at the LTC setpoint. Both sweeps are
+    level-synchronous: they loop over the depths of the BFS tree cached for
+    the switch configuration and treat each depth as whole arrays, with the
+    same arithmetic, in the same order, as a sweep node by node.
     """
     n = graph.n_nodes
     n_edges = len(graph.edge_device)
@@ -713,79 +720,103 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     key = status.tobytes()
     if key not in graph.trees:
         graph.trees[key] = _phase_trees(graph, status)
-    order, rev, parent_edge, parent_node, child = graph.trees[key]
+    tree = graph.trees[key]
 
     # the ratio applies from the parent side to the child side; a tap is
     # tied to the device's to-bus, so a device specified child -> parent
     # sees its ratio inverted
+    child = tree.child
     flip = np.flatnonzero((child >= 0) & (graph.edge_to != child)
                           & (ratio != 1.0))
     e_ratio = ratio.copy()
     e_ratio[flip] = 1.0 / ratio[flip]
 
-    v_volt = np.full(n, complex(spec.ltc_setpoint, 0.0), dtype=complex)
-    i_branch = np.zeros(n_edges, dtype=complex)
+    # the sweeps work in BFS positions: s and v are tree.order's nodes
+    ratio_re, ratio_x = _pair_coefficients(e_ratio.astype(complex))
+    z_re, z_x = _pair_coefficients(z)
+    coef = [(ratio_re[lv.edge_pairs], ratio_x[lv.edge_pairs],
+             z_re[lv.edge_pairs], z_x[lv.edge_pairs]) for lv in tree.levels]
+    s = s_injection[tree.order]
+    v = np.full(n, complex(spec.ltc_setpoint, 0.0), dtype=complex)
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # backward: accumulate branch currents toward the roots
-        i_node = np.conj(s_injection / v_volt)
-        i_acc = i_node.copy()
-        for v in rev:
-            e = parent_edge[v]
-            if e < 0:
-                continue
-            i_branch[e] = i_acc[v]
-            i_acc[parent_node[v]] += e_ratio[e] * i_acc[v]
-        # forward: update voltages from the roots
-        v_prev = v_volt.copy()
-        for v in order:
-            e = parent_edge[v]
-            if e < 0:
-                continue
-            v_volt[v] = e_ratio[e] * v_volt[parent_node[v]] - z[e] * i_branch[e]
+        i_acc = _backward_sweep(tree.levels, coef, s, v)
+        v_prev = v.copy()
+        _forward_sweep(tree.levels, coef, i_acc, v)
         # NaN from a divergent case propagates here and fails the tolerance
         # check, so divergence always exits through the iteration limit
-        residual = float(np.max(np.abs(v_volt - v_prev)))
+        residual = float(np.max(np.abs(v - v_prev)))
         if residual < tol:
             break
     else:
         raise PowerFlowError(
             f"power flow did not converge in {max_iter} iterations "
             f"(last residual {residual:.3e})", residual=residual)
-    if not np.all(np.isfinite(v_volt)):
+    if not np.all(np.isfinite(v)):
         raise PowerFlowError("solver produced non-finite voltages",
                              residual=residual)
 
     # one more backward pass with the final voltages makes bus-level complex
     # power conservation exact
-    i_node = np.conj(s_injection / v_volt)
-    i_acc = i_node.copy()
-    for v2 in rev:
-        e = parent_edge[v2]
-        if e < 0:
-            continue
-        i_branch[e] = i_acc[v2]
-        i_acc[parent_node[v2]] += e_ratio[e] * i_acc[v2]
+    i_acc = _backward_sweep(tree.levels, coef, s, v)
+    v_volt = np.empty(n, dtype=complex)
+    v_volt[tree.order] = v
+    i_branch = np.zeros(n_edges, dtype=complex)
+    for lv in tree.levels:
+        i_branch[lv.edges] = i_acc[lv.nodes]
 
     state = _assemble_state(spec, graph, s_injection, timestamp, status,
                             tap_norm_edge, v_volt, i_branch, child,
-                            parent_node, e_ratio)
+                            tree.parent_node, e_ratio)
     state.sweep_iterations = iterations
     return state
 
 
-def _phase_trees(graph: GraphIndex, status: np.ndarray):
+class _Level(NamedTuple):
+    """One depth of a phase tree, in BFS positions.
+
+    The sweeps read a complex array of BFS positions through its flat float
+    view, where position k holds its real part at 2k and its imaginary
+    part at 2k + 1. Every field but ``nodes`` and ``edges`` addresses such a
+    view (``edge_pairs`` that of an edge array); a ``swap`` index exchanges
+    the two parts of each position, as the cross terms of a complex product
+    need.
+    """
+
+    nodes: slice             # the depth's run of BFS positions
+    edges: np.ndarray        # edge above each of those nodes
+    pairs: slice             # the same run in the float view
+    swap: np.ndarray         # pairs with real and imaginary exchanged
+    edge_pairs: np.ndarray   # edges, as float-view indices of edge arrays
+    parent_pairs: np.ndarray  # each node's parent
+    parent_swap: np.ndarray
+    parent_up: np.ndarray    # parent_pairs reversed, for the backward sweep
+
+
+class _PhaseTree(NamedTuple):
+    """The radial forest of one switch configuration (see _phase_trees)."""
+
+    order: np.ndarray        # node at each BFS position, roots first
+    parent_edge: np.ndarray  # per node, -1 at roots
+    parent_node: np.ndarray  # per node, -1 at roots
+    child: np.ndarray        # per edge, -1 when open
+    levels: list[_Level]     # depths 1, 2, ... (the roots are depth 0)
+
+
+def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
     """BFS trees of the closed edges, one per phase, rooted at the hub.
 
-    Returns the visiting order (roots first) and its reverse, the parent
-    edge and parent node of every node (-1 at roots), and the child node of
-    every edge (-1 when open). Raises PowerFlowError when a node is islanded
-    or the closed edges form a loop.
+    Returns the visiting order (roots first), the parent edge and parent
+    node of every node (-1 at roots), the child node of every edge (-1 when
+    open), and the order cut into depth levels: BFS visits depths in
+    nondecreasing order, so each depth is a contiguous run of it. Raises
+    PowerFlowError when a node is islanded or the closed edges form a loop.
     """
     n = graph.n_nodes
     parent_edge = np.full(n, -1, dtype=int)       # edge index into edge arrays
     parent_node = np.full(n, -1, dtype=int)
+    depth = np.zeros(n, dtype=int)
     order: list[int] = []                          # BFS order, roots first
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     closed_edges = np.flatnonzero(status == 1)
@@ -807,6 +838,7 @@ def _phase_trees(graph: GraphIndex, status: np.ndarray):
             seen[v] = True
             parent_edge[v] = e
             parent_node[v] = u
+            depth[v] = depth[u] + 1
             order.append(v)
     if not np.all(seen):
         bad = graph.bus_phases[int(np.flatnonzero(~seen)[0])]
@@ -821,8 +853,71 @@ def _phase_trees(graph: GraphIndex, status: np.ndarray):
     child = np.full(len(status), -1, dtype=int)
     tree_nodes = np.flatnonzero(parent_edge >= 0)
     child[parent_edge[tree_nodes]] = tree_nodes
-    return order, order[::-1], parent_edge, parent_node, child
 
+    order_arr = np.array(order, dtype=int)
+    position = np.empty(n, dtype=int)
+    position[order_arr] = np.arange(n)
+    bounds = np.flatnonzero(np.diff(depth[order_arr])) + 1
+    levels = []
+    for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), n]):
+        nodes = order_arr[lo:hi]
+        edges = parent_edge[nodes]
+        parent_pairs = _pair_index(position[parent_node[nodes]])
+        levels.append(_Level(
+            nodes=slice(lo, hi), edges=edges, pairs=slice(2 * lo, 2 * hi),
+            swap=_pair_index(np.arange(lo, hi)) ^ 1,
+            edge_pairs=_pair_index(edges), parent_pairs=parent_pairs,
+            parent_swap=parent_pairs ^ 1,
+            parent_up=parent_pairs[::-1].copy()))
+    return _PhaseTree(order_arr, parent_edge, parent_node, child, levels)
+
+
+def _pair_index(k: np.ndarray) -> np.ndarray:
+    """Float-view indices 2k, 2k + 1 of each position k, in order."""
+    return np.stack([2 * k, 2 * k + 1], axis=1).ravel()
+
+
+def _pair_coefficients(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of x -> a * x over the float view: (re, re) and
+    (-im, im) per element of a. With xs the swapped view of x,
+    re * x + cross * xs is (ar*xr - ai*xi, ar*xi + ai*xr): the product a
+    scalar complex multiply forms, bit for bit, since IEEE 754 defines
+    p - q as p + (-q). A whole-array complex multiply can round
+    differently."""
+    re = np.repeat(a.real, 2)
+    cross = np.repeat(a.imag, 2)
+    cross[0::2] = -cross[0::2]
+    return re, cross
+
+
+def _backward_sweep(levels: list[_Level], coef, s: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+    """Node currents conj(s / v) accumulated toward the roots, deepest
+    level first, by BFS position. Past the roots, entry k is then the
+    current in the edge above the node at position k.
+
+    Each level adds ratio * current into its parents in reverse BFS order,
+    the order a node-by-node pass over the reversed BFS order takes, so
+    every sum is formed in the same sequence. The real ratio enters as the
+    complex (r, 0), as in a scalar product.
+    """
+    i_acc = np.conj(s / v)
+    x = i_acc.view(np.float64)
+    for lv, (r_re, r_x, _, _) in zip(reversed(levels), reversed(coef)):
+        np.add.at(x, lv.parent_up,
+                  (r_re * x[lv.pairs] + r_x * x[lv.swap])[::-1])
+    return i_acc
+
+
+def _forward_sweep(levels: list[_Level], coef, i_acc: np.ndarray,
+                   v: np.ndarray) -> None:
+    """v = ratio * v_parent - z * i_branch, shallowest level first, in
+    place by BFS position."""
+    x = v.view(np.float64)
+    i = i_acc.view(np.float64)
+    for lv, (r_re, r_x, z_re, z_x) in zip(levels, coef):
+        x[lv.pairs] = ((r_re * x[lv.parent_pairs] + r_x * x[lv.parent_swap])
+                       - (z_re * i[lv.pairs] + z_x * i[lv.swap]))
 
 
 def _times_conj(ar, ai, br, bi):
@@ -905,13 +1000,13 @@ def conservation_residuals(state: SolvedState) -> np.ndarray:
 # profiles and time series
 
 def _ar1(gen, t: int, sigma: float, rho: float = 0.6) -> np.ndarray:
-    eps = gen.normal(0.0, sigma, size=t)
-    out = np.empty(t)
+    scale = math.sqrt(1 - rho ** 2)
+    out = []
     prev = 0.0
-    for i in range(t):
-        prev = rho * prev + math.sqrt(1 - rho ** 2) * eps[i]
-        out[i] = prev
-    return out
+    for e in gen.normal(0.0, sigma, size=t).tolist():
+        prev = rho * prev + scale * e
+        out.append(prev)
+    return np.array(out)
 
 
 def materialize_profile(profile: ProfileSpec, n_steps: int) -> np.ndarray:
@@ -1023,5 +1118,9 @@ def solve_timestep(spec: SubstationSpec, timestep: int,
             tie = spec.ties[ti]
             controls.closed_override.setdefault(tie.device_uid, True)
             controls.closed_override.setdefault(tie.sectionalizer_uid, False)
-    return solve_powerflow(spec, graph, _injections(spec, graph, scenario)[timestep],
+    # profile noise is drawn step by step, so a horizon cut after the
+    # requested step yields the same injections for it
+    through = replace(scenario,
+                      horizon_minutes=(timestep + 1) * TIMESTEP_MINUTES)
+    return solve_powerflow(spec, graph, _injections(spec, graph, through)[timestep],
                            controls, timestamp=float(timestep * TIMESTEP_MINUTES))

@@ -470,6 +470,195 @@ def test_closing_tie_without_sectionalizer_is_a_loop(tiny_spec):
 
 
 # ---------------------------------------------------------------------------
+# the level-synchronous sweep against the node-by-node loop it replaced
+
+
+def loop_sweep_reference(spec, graph, s_injection, controls, timestamp=0.0,
+                         tol=sim.SOLVER_TOL, max_iter=sim.SOLVER_MAX_ITER):
+    """solve_powerflow with both sweeps as Python loops over single nodes,
+    in BFS order and its reverse: the solver as it was before the sweeps
+    went level by level, kept here as their bit-identity oracle."""
+    n = graph.n_nodes
+    n_edges = len(graph.edge_device)
+    status = graph.edge_normally_closed.copy()
+    for uid, closed in controls.closed_override.items():
+        status[graph.edge_device == uid] = 1 if closed else 0
+    reg = np.flatnonzero(graph.edge_kind == "regulator")
+    steps = np.array([controls.taps.get((int(graph.edge_device[e]),
+                                         graph.edge_phase[e]), 0)
+                      for e in reg], dtype=float)
+    ratio = np.ones(n_edges)
+    ratio[reg] = 1.0 + sim.REG_STEP * steps
+    tap_norm_edge = np.zeros(n_edges)
+    tap_norm_edge[reg] = steps / sim.REG_MAX_TAP
+    z = graph.edge_impedance
+
+    tree = sim._phase_trees(graph, status)
+    order = [int(v) for v in tree.order]
+    rev = order[::-1]
+    parent_edge, parent_node, child = (tree.parent_edge, tree.parent_node,
+                                       tree.child)
+    flip = np.flatnonzero((child >= 0) & (graph.edge_to != child)
+                          & (ratio != 1.0))
+    e_ratio = ratio.copy()
+    e_ratio[flip] = 1.0 / ratio[flip]
+
+    def backward(v_volt, i_branch):
+        i_acc = np.conj(s_injection / v_volt)
+        for v in rev:
+            e = parent_edge[v]
+            if e < 0:
+                continue
+            i_branch[e] = i_acc[v]
+            i_acc[parent_node[v]] += e_ratio[e] * i_acc[v]
+
+    v_volt = np.full(n, complex(spec.ltc_setpoint, 0.0), dtype=complex)
+    i_branch = np.zeros(n_edges, dtype=complex)
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        backward(v_volt, i_branch)
+        v_prev = v_volt.copy()
+        for v in order:
+            e = parent_edge[v]
+            if e < 0:
+                continue
+            v_volt[v] = e_ratio[e] * v_volt[parent_node[v]] - z[e] * i_branch[e]
+        residual = float(np.max(np.abs(v_volt - v_prev)))
+        if residual < tol:
+            break
+    else:
+        raise sim.PowerFlowError(
+            f"power flow did not converge in {max_iter} iterations "
+            f"(last residual {residual:.3e})", residual=residual)
+    if not np.all(np.isfinite(v_volt)):
+        raise sim.PowerFlowError("solver produced non-finite voltages",
+                                 residual=residual)
+    backward(v_volt, i_branch)
+    state = sim._assemble_state(spec, graph, s_injection, timestamp, status,
+                                tap_norm_edge, v_volt, i_branch, child,
+                                parent_node, e_ratio)
+    state.sweep_iterations = iterations
+    return state
+
+
+SOLVED_ARRAYS = ("v_mag", "edge_p", "edge_q", "edge_i_mag")
+
+
+def assert_bit_identical(state, ref, where):
+    for name in SOLVED_ARRAYS:
+        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), \
+            f"{name} differs {where}"
+    assert state.sweep_iterations == ref.sweep_iterations, where
+    assert (np.array(state.s_subxfmr).tobytes()
+            == np.array(ref.s_subxfmr).tobytes()), where
+
+
+@pytest.mark.parametrize("seed,size,n_steps,close_step,ties,taps_move", [
+    (7, "tiny", 40, 20, (0,), False),   # a tie closes mid-run: re-rooted subtree
+    (101, "medium", 10, 5, (0, 1), True),
+])
+def test_level_sweep_matches_loop_reference(seed, size, n_steps, close_step,
+                                            ties, taps_move):
+    """Every step of a run, with regulator taps evolving, matches the node
+    loop bit for bit; the step loop is run_timeseries's."""
+    spec = sim.generate_substation(seed, size)
+    scenario = sim.ScenarioConfig(
+        horizon_minutes=n_steps * sim.TIMESTEP_MINUTES, der_penetration=20,
+        tie_closures=ties, tie_close_step=close_step)
+    graph = sim.build_graph(spec)
+    controls = sim.Controls()
+    controller = sim.RegulatorController(graph)
+    for t, s_inj in enumerate(sim._injections(spec, graph, scenario)):
+        if t >= close_step:
+            for ti in ties:
+                controls.closed_override[spec.ties[ti].device_uid] = True
+                controls.closed_override[spec.ties[ti].sectionalizer_uid] = False
+        state = sim.solve_powerflow(spec, graph, s_inj, controls)
+        assert_bit_identical(state, loop_sweep_reference(
+            spec, graph, s_inj, controls), f"at step {t}")
+        controller.update(controls, state)
+    assert len(graph.trees) == 2       # the run crossed a switch change
+    assert any(tap != 0 for tap in controls.taps.values()) == taps_move
+
+
+@pytest.mark.parametrize("tap", [-5, 0, 3])
+def test_level_sweep_matches_loop_reference_on_reversed_regulator(tap):
+    """A regulator specified child -> parent sees its ratio inverted (the
+    flip path); no generated feeder has one."""
+    spec = copy.deepcopy(reg_chain_spec())
+    reg = spec.feeders[0].devices[1]
+    reg.from_bus, reg.to_bus = reg.to_bus, reg.from_bus
+    graph = sim.build_graph(spec)
+    s = np.zeros(graph.n_nodes, dtype=complex)
+    s[graph.node_of[(3, "A")]] = complex(0.4, 0.1)
+    controls = sim.Controls(taps={(reg.uid, "A"): tap})
+    state = sim.solve_powerflow(spec, graph, s, controls)
+    e = int(np.flatnonzero(graph.edge_kind == "regulator")[0])
+    assert next(iter(graph.trees.values())).child[e] == graph.edge_from[e]
+    assert_bit_identical(state, loop_sweep_reference(spec, graph, s, controls),
+                         f"at tap {tap}")
+
+
+def test_level_sweep_diverges_like_loop_reference():
+    spec = two_bus_spec(0.01, 0.0)
+    graph = sim.build_graph(spec)
+    s = np.zeros(graph.n_nodes, dtype=complex)
+    s[graph.node_of[(1, "A")]] = complex(40.0, 0.0)
+    errors = []
+    with np.errstate(all="ignore"):
+        for solve in (sim.solve_powerflow, loop_sweep_reference):
+            with pytest.raises(sim.PowerFlowError) as exc_info:
+                solve(spec, graph, s, sim.Controls())
+            errors.append((str(exc_info.value), exc_info.value.residual))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("seed,size,ties", [
+    (7, "tiny", ()), (7, "tiny", (0,)), (101, "medium", (0, 1))])
+def test_phase_tree_levels(seed, size, ties):
+    spec = sim.generate_substation(seed, size)
+    graph = sim.build_graph(spec)
+    controls = sim.Controls()
+    for ti in ties:
+        controls.closed_override[spec.ties[ti].device_uid] = True
+        controls.closed_override[spec.ties[ti].sectionalizer_uid] = False
+    status = graph.edge_normally_closed.copy()
+    for uid, closed in controls.closed_override.items():
+        status[graph.edge_device == uid] = int(closed)
+    tree = sim._phase_trees(graph, status)
+    roots = len(graph.hub_node_ids)
+    assert sorted(tree.order[:roots]) == sorted(graph.hub_node_ids)
+
+    # every non-root node sits in exactly one level, levels tile the order
+    placed = np.concatenate([tree.order[lv.nodes] for lv in tree.levels])
+    assert np.array_equal(placed, tree.order[roots:])
+    assert np.array_equal(np.sort(placed),
+                          np.flatnonzero(tree.parent_node >= 0))
+    above = slice(0, roots)
+    for lv in tree.levels:
+        nodes = tree.order[lv.nodes]
+        # the parent of each node sits in the level above
+        parents = lv.parent_pairs[0::2] // 2
+        assert np.all((parents >= above.start) & (parents < above.stop))
+        assert np.array_equal(tree.order[parents], tree.parent_node[nodes])
+        assert np.array_equal(lv.edges, tree.parent_edge[nodes])
+        # float-view indices: real part at 2k, imaginary part at 2k + 1
+        positions = np.arange(lv.nodes.start, lv.nodes.stop)
+        assert lv.pairs == slice(2 * lv.nodes.start, 2 * lv.nodes.stop)
+        assert np.array_equal(lv.swap[1::2], 2 * positions)
+        assert np.array_equal(lv.swap[0::2], 2 * positions + 1)
+        assert np.array_equal(lv.parent_pairs[1::2], 2 * parents + 1)
+        assert np.array_equal(lv.parent_swap, lv.parent_pairs ^ 1)
+        assert np.array_equal(lv.edge_pairs[0::2], 2 * lv.edges)
+        assert np.array_equal(lv.edge_pairs[1::2], 2 * lv.edges + 1)
+        # the backward copy is the exact reverse of the forward one
+        assert np.array_equal(lv.parent_up, lv.parent_pairs[::-1])
+        above = lv.nodes
+    assert len(tree.levels) >= 4
+
+
+# ---------------------------------------------------------------------------
 # profiles
 
 
@@ -489,6 +678,29 @@ def test_pv_profile_is_zero_at_night_and_positive_midday():
     assert np.all(series[:24] == 0.0)
     assert series[50] > 0.0
     assert series.max() <= 0.05 + 1e-12
+
+
+def test_ar1_matches_scalar_recurrence():
+    for seed in range(5):
+        gen_a, gen_b = (sim._rng(seed, "profile", "load") for _ in range(2))
+        eps = gen_b.normal(0.0, 0.35, size=200)
+        prev, expected = 0.0, np.empty(200)
+        for i in range(200):
+            prev = 0.6 * prev + math.sqrt(1 - 0.6 ** 2) * eps[i]
+            expected[i] = prev
+        assert sim._ar1(gen_a, 200, 0.35).tobytes() == expected.tobytes()
+
+
+def test_injections_over_a_shorter_horizon_are_a_prefix(tiny_spec):
+    graph = sim.build_graph(tiny_spec)
+    full = sim.ScenarioConfig(horizon_minutes=1440, der_penetration=40)
+    for n_steps in (1, 9, 50):
+        cut = sim.ScenarioConfig(
+            horizon_minutes=n_steps * sim.TIMESTEP_MINUTES, der_penetration=40)
+        head = sim._injections(tiny_spec, graph, cut)
+        assert head.shape == (n_steps, graph.n_nodes)
+        assert (head.tobytes()
+                == sim._injections(tiny_spec, graph, full)[:n_steps].tobytes())
 
 
 def test_unknown_profile_kind():
