@@ -15,7 +15,9 @@ The set: ``generate`` for tiny seeds 0-4 (defaults), tiny 7 with its ties
 closed at 40 % DER, medium 100-103 at 20 % DER, medium 103 with its ties
 closed, and a two-day tiny dataset (seed 0); ``train --seed 0`` on the
 two-day set with a short curriculum; ``evaluate --study A --seeds 2`` of
-that checkpoint on the same set. It takes about a minute on one core.
+that checkpoint on the same set; ``finetune --seed 0`` of it on tiny seed 1;
+``evaluate --study D --seeds 2`` of both checkpoints on tiny seed 1. It
+takes about two minutes on one core.
 """
 
 import argparse
@@ -28,7 +30,8 @@ import tempfile
 from pathlib import Path
 
 SHORT_TRAIN = {"steps_per_epoch": 60, "max_warmup_epochs": 4,
-               "ramp_epochs": 2, "levels": [80, 50, 20, 5, 1]}
+               "ramp_epochs": 2, "levels": [80, 50, 20, 5, 1],
+               "finetune_epochs": 6}
 
 
 def commands(work: Path) -> list[list[str]]:
@@ -49,6 +52,16 @@ def commands(work: Path) -> list[list[str]]:
     runs.append(["evaluate", "--study", "A", "--checkpoint",
                  str(work / "model.npz"), "--data", data, "--seeds", "2",
                  "--out-dir", str(work / "studyA")])
+    target = str(work / "tiny1.npz")
+    runs.append(["finetune", "--checkpoint", str(work / "model.npz"),
+                 "--data", target, "--config",
+                 str(work / "train_config.json"), "--seed", "0",
+                 "--pretrain-snapshots", "192",
+                 "--out", str(work / "tuned" / "model.npz")])
+    runs.append(["evaluate", "--study", "D", "--checkpoint",
+                 str(work / "model.npz"), "--finetuned-checkpoint",
+                 str(work / "tuned" / "model.npz"), "--data", target,
+                 "--seeds", "2", "--out-dir", str(work / "studyD")])
     return runs
 
 

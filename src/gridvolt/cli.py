@@ -156,18 +156,6 @@ def _train_config(args) -> gtr.TrainConfig:
         raise CliError("config", f"invalid training config: {exc}") from exc
 
 
-def _eval_views(data: gds.SnapshotDataset, eval_fraction: float):
-    n = data.n_snapshots
-    n_eval = max(1, int(round(n * eval_fraction)))
-    return [data.snapshot(i) for i in range(n - n_eval, n)]
-
-
-def _train_views(data: gds.SnapshotDataset, eval_fraction: float):
-    n = data.n_snapshots
-    n_eval = max(1, int(round(n * eval_fraction)))
-    return [data.snapshot(i) for i in range(n - n_eval)]
-
-
 def _parse_levels(text: str) -> tuple:
     try:
         levels = tuple(float(x) if "." in x else int(x)
@@ -259,14 +247,22 @@ def _study_rows(args) -> list:
     params = _load_checkpoint(args.checkpoint)
     levels = _parse_levels(args.levels) if args.levels else None
     common = dict(n_seeds=args.seeds, seed=args.seed or 0)
+
+    def test_views(data):
+        test = gds.split_windows(data.n_snapshots, 0.0, args.eval_fraction)[2]
+        return [data.snapshot(i) for i in test]
+
     if args.study == "A":
         data = _load_dataset(args.data[0])
-        views = _eval_views(data, args.eval_fraction)
+        # the ridge fit sees every snapshot before the evaluation window
+        before, _, test = gds.split_windows(data.n_snapshots, 0.0,
+                                            args.eval_fraction)
         baseline = gev.fit_linear_baseline(
-            _train_views(data, args.eval_fraction),
+            [data.snapshot(i) for i in before],
             levels=levels or gev.DEFAULT_LEVELS, seed=common["seed"])
         return gev.case_study_runner(
-            "A", params=params, baseline=baseline, views=views,
+            "A", params=params, baseline=baseline,
+            views=[data.snapshot(i) for i in test],
             substation=data.meta.get("substation", "?"),
             levels=levels or gev.DEFAULT_LEVELS, **common)
     if args.study == "B":
@@ -276,7 +272,7 @@ def _study_rows(args) -> list:
             data = _load_dataset(path)
             name = data.meta.get("substation", "?")
             pen = int(data.meta["scenarios"][0]["der_penetration"])
-            by_pen[pen] = _eval_views(data, args.eval_fraction)
+            by_pen[pen] = test_views(data)
         return gev.case_study_runner(
             "B", params=params, views_by_penetration=by_pen, substation=name,
             levels=levels or (5, 20, 50), **common)
@@ -285,8 +281,8 @@ def _study_rows(args) -> list:
         closed = _load_dataset(args.data_closed)
         return gev.case_study_runner(
             "C", params=params,
-            views_base=_eval_views(base, args.eval_fraction),
-            views_closed=_eval_views(closed, args.eval_fraction),
+            views_base=test_views(base),
+            views_closed=test_views(closed),
             substation=base.meta.get("substation", "?"),
             levels=levels or (5, 20, 50), **common)
     if args.study == "D":
@@ -294,7 +290,7 @@ def _study_rows(args) -> list:
         data = _load_dataset(args.data[0])
         return gev.case_study_runner(
             "D", zero_shot_params=params, finetuned_params=tuned,
-            views=_eval_views(data, args.eval_fraction),
+            views=test_views(data),
             substation=data.meta.get("substation", "?"),
             levels=levels or (5, 20, 50), **common)
     # study E
@@ -307,7 +303,7 @@ def _study_rows(args) -> list:
         raise CliError("config", str(exc)) from exc
     return gev.case_study_runner(
         "E", params=params, ablation_params=ablation,
-        views=_eval_views(data, args.eval_fraction),
+        views=test_views(data),
         substation=data.meta.get("substation", "?"), attack=attack,
         levels=levels or (20, 50), **common)
 
@@ -322,6 +318,8 @@ def cmd_evaluate(args) -> None:
         raise CliError("config", "study E requires --ablation-checkpoint")
     try:
         rows = _study_rows(args)
+    except ValueError as exc:  # the series cannot hold the evaluation window
+        raise CliError("data", str(exc)) from exc
     except RuntimeError as exc:
         raise CliError("internal", str(exc)) from exc
     out_dir = Path(args.out_dir)
@@ -414,8 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seeds", type=int, default=10,
                    help="mask seeds per level")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--eval-fraction", type=float, default=0.1,
-                   help="tail fraction of snapshots used for evaluation")
+    e.add_argument("--eval-fraction", type=float, default=gds.TEST_FRACTION,
+                   help="tail fraction of snapshots used for evaluation; the "
+                        "default is the window that training holds out, "
+                        "larger values reach into training data")
     e.add_argument("--attack-penetration", type=float, default=0.06)
     e.add_argument("--attack-targets", default="both",
                    choices=("voltage", "power", "both"))

@@ -26,6 +26,10 @@ from .seeding import rng as _rng
 
 _FORMAT = "snapshot-dataset/v1"
 
+# share of each series held out, at its end, for evaluation only: neither
+# training nor model selection reads it
+TEST_FRACTION = 0.1
+
 # arrays with one row per snapshot; the rest describe the static graph
 _PER_TIME = ("node_features", "v_true", "node_feeder", "edge_features",
              "edge_p", "edge_q", "edge_phys", "timestamps", "head_p",
@@ -133,6 +137,29 @@ class SnapshotDataset:
         meta["subset_of"] = self.meta.get("n_snapshots", self.n_snapshots)
         meta["n_snapshots"] = n_first
         return SnapshotDataset(meta, arrays)
+
+
+def split_windows(n: int, val_fraction: float,
+                  test_fraction: float) -> tuple[range, range, range]:
+    """Contiguous, disjoint, time-ordered (train, val, test) index ranges.
+
+    The test window is the last ``max(1, round(n * test_fraction))``
+    snapshots and the validation window the ``max(1, round(n *
+    val_fraction))`` just before it (none when ``val_fraction`` is 0); train
+    is the rest. Blocked windows keep the serially correlated 15-minute
+    neighbours of one window out of the others, except at the two seams.
+    """
+    if not 0 <= val_fraction < 1 or not 0 < test_fraction < 1:
+        raise ValueError(f"split fractions val={val_fraction}, "
+                         f"test={test_fraction} outside [0, 1) and (0, 1)")
+    n_test = max(1, int(round(n * test_fraction)))
+    n_val = max(1, int(round(n * val_fraction))) if val_fraction else 0
+    n_train = n - n_val - n_test
+    if n_train < 1:
+        raise ValueError(f"{n} snapshots are too few for the validation "
+                         f"split ({n_val}) and the test window ({n_test})")
+    return (range(n_train), range(n_train, n - n_test),
+            range(n - n_test, n))
 
 
 def build_dataset(spec: sim.SubstationSpec,

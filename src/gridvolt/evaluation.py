@@ -120,23 +120,16 @@ def predict(params: ModelParams, items: list[BatchItem],
     return flat.reshape(len(items), -1)
 
 
-def evaluate_masked(params: ModelParams, views, p_obs: float, mask_seed: int,
+def evaluate_masked(params: ModelParams, views, p_obs: float,
+                    mask: np.ndarray, mask_seed: int = 0,
                     attack: AttackConfig | None = None,
-                    attack_seed: int = 0,
-                    mask: np.ndarray | None = None) -> tuple[float, float]:
+                    attack_seed: int = 0) -> tuple[float, float]:
     """(RMSE, MAE) on hidden nodes under one sensor placement.
 
-    The mask is sampled once and held fixed across the snapshots, like a
-    fixed sensor fleet watching the day unfold. Callers may pass an explicit
-    ``mask`` instead (e.g. a nested fleet truncation), in which case
-    ``mask_seed`` only steers the attack draw.
+    The mask is held fixed across the snapshots, like a fixed sensor fleet
+    watching the day unfold; ``mask_seed`` and ``attack_seed`` steer only
+    the attack draw.
     """
-    n_nodes = len(views[0].v_true)
-    if mask is None:
-        mask = net.sample_observed_mask(n_nodes, p_obs,
-                                        _rng(mask_seed, "eval-mask", p_obs),
-                                        hub_indices=net.hub_rows(
-                                            views[0].node_features))
     items = [item_from_view(v, mask) for v in views]
     if attack is not None:
         gen = _rng(attack_seed, "attack", p_obs, mask_seed)
@@ -167,11 +160,9 @@ def fleet_orders(views, n_seeds: int, seed: int) -> list[np.ndarray]:
             for k in range(n_seeds)]
 
 
-def observability_sweep(params: ModelParams, views, substation: str,
-                        levels=DEFAULT_LEVELS, n_seeds: int = 10,
-                        seed: int = 0,
-                        attack: AttackConfig | None = None) -> list[SweepRow]:
-    """Mean and spread of masked-node error per observability level.
+def _sweep(score, views, substation: str, levels, n_seeds: int,
+           seed: int) -> list[SweepRow]:
+    """Mean and spread of ``score(level, mask, replicate seed)`` per level.
 
     Each replicate is one sensor fleet rolled out in priority order, so the
     sets compared across levels are nested and the per-replicate error
@@ -180,11 +171,8 @@ def observability_sweep(params: ModelParams, views, substation: str,
     orders = fleet_orders(views, n_seeds, seed)
     rows = []
     for level in levels:
-        scores = [evaluate_masked(params, views, level,
-                                  mask_seed=_seed_for(seed, level, k),
-                                  attack=attack, attack_seed=seed,
-                                  mask=net.fleet_mask(orders[k], level))
-                  for k in range(n_seeds)]
+        scores = [score(level, net.fleet_mask(orders[k], level),
+                        _seed_for(seed, level, k)) for k in range(n_seeds)]
         r = np.array([s[0] for s in scores])
         m = np.array([s[1] for s in scores])
         rows.append(SweepRow(substation=substation, p_obs=level,
@@ -194,6 +182,18 @@ def observability_sweep(params: ModelParams, views, substation: str,
                              per_seed_rmse=tuple(r.tolist()),
                              per_seed_mae=tuple(m.tolist())))
     return rows
+
+
+def observability_sweep(params: ModelParams, views, substation: str,
+                        levels=DEFAULT_LEVELS, n_seeds: int = 10,
+                        seed: int = 0,
+                        attack: AttackConfig | None = None) -> list[SweepRow]:
+    """Masked-node error of the model per observability level."""
+    def score(level, mask, mask_seed):
+        return evaluate_masked(params, views, level, mask,
+                               mask_seed=mask_seed, attack=attack,
+                               attack_seed=seed)
+    return _sweep(score, views, substation, levels, n_seeds, seed)
 
 
 def _seed_for(seed: int, level: float, k: int) -> int:
@@ -257,9 +257,11 @@ def fit_linear_baseline(train_views, levels, seed: int = 0,
     hub = net.hub_rows(sub[0].node_features)
     pooled: list[BatchItem] = []
     for level in levels:
+        # a fresh placement per snapshot, all from one stream per level
         gen = _rng(seed, "baseline-mask", level)
-        items = [item_from_view(v, net.sample_observed_mask(
-            n_nodes, level, gen, hub_indices=hub)) for v in sub]
+        items = [item_from_view(v, net.fleet_mask(
+            net.fleet_order(n_nodes, gen, hub_indices=hub), level))
+            for v in sub]
         baseline.fit_tag(level, items)
         pooled.extend(items[:: max(1, len(levels) // 4)])
     baseline.fit_tag("pooled", pooled)
@@ -267,15 +269,8 @@ def fit_linear_baseline(train_views, levels, seed: int = 0,
 
 
 def baseline_masked(baseline: LinearBaseline, views, p_obs: float,
-                    mask_seed: int,
-                    mask: np.ndarray | None = None) -> tuple[float, float]:
+                    mask: np.ndarray) -> tuple[float, float]:
     """Best-of per-level/pooled baseline error under one sensor placement."""
-    n_nodes = len(views[0].v_true)
-    if mask is None:
-        mask = net.sample_observed_mask(n_nodes, p_obs,
-                                        _rng(mask_seed, "eval-mask", p_obs),
-                                        hub_indices=net.hub_rows(
-                                            views[0].node_features))
     items = [item_from_view(v, mask) for v in views]
     hidden = np.tile(~mask, len(views))
     truth = np.concatenate([v.v_true for v in views])
@@ -291,21 +286,10 @@ def baseline_masked(baseline: LinearBaseline, views, p_obs: float,
 def baseline_sweep(baseline: LinearBaseline, views, substation: str,
                    levels=DEFAULT_LEVELS, n_seeds: int = 10,
                    seed: int = 0) -> list[SweepRow]:
-    orders = fleet_orders(views, n_seeds, seed)
-    rows = []
-    for level in levels:
-        scores = [baseline_masked(baseline, views, level,
-                                  mask_seed=_seed_for(seed, level, k),
-                                  mask=net.fleet_mask(orders[k], level))
-                  for k in range(n_seeds)]
-        r = np.array([s[0] for s in scores])
-        m = np.array([s[1] for s in scores])
-        rows.append(SweepRow(substation=substation, p_obs=level,
-                             mean_rmse=float(r.mean()), std_rmse=float(r.std()),
-                             mean_mae=float(m.mean()),
-                             per_seed_rmse=tuple(r.tolist()),
-                             per_seed_mae=tuple(m.tolist())))
-    return rows
+    """Masked-node error of the ridge baseline per observability level."""
+    def score(level, mask, _):
+        return baseline_masked(baseline, views, level, mask)
+    return _sweep(score, views, substation, levels, n_seeds, seed)
 
 
 # -- case studies -----------------------------------------------------------------

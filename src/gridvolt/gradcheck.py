@@ -122,7 +122,7 @@ def run_gradcheck(seed: int = 0, eps: float = 1e-5, rtol: float = 1e-4,
     config = ModelConfig()
     params = ModelParams.create(config, list(TOY_FEEDERS), seed=seed)
     batch = toy_batch(params, seed=seed)
-    weights = LossWeights.with_physics(0.1)
+    weights = LossWeights(lam_phys=0.1)
 
     def build_loss():
         total, _ = batch_loss(params, batch, weights)

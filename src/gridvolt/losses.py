@@ -1,6 +1,6 @@
 """Loss terms for voltage estimation under partial observability.
 
-Four terms enter the objective. Supervision is mean absolute error over
+Three terms enter the objective. Supervision is mean absolute error over
 the nodes whose voltage was hidden from the input; observed nodes carry
 their measurement already and are excluded. The physics term penalizes
 the linearized squared-voltage drop residual along closed series branches,
@@ -10,10 +10,11 @@ the linearized squared-voltage drop residual along closed series branches,
 averaged over the physics edge set. Ground-truth voltages leave only the
 quadratic loss term of the exact relation, so the residual is second-order
 small on lightly loaded branches and the penalty pulls predictions toward
-power-flow-consistent profiles rather than exact solutions. A hub term
-charges mismatch between the transformer injection and the sum of feeder
-head flows plus auxiliary load; it is data-only and constant with respect
-to parameters. Weight decay applies to the trainable tensors only.
+power-flow-consistent profiles rather than exact solutions. Weight decay
+applies to the trainable tensors only. The hub residual, the mismatch
+between the transformer injection and the sum of feeder head flows plus
+auxiliary load, is logged as a data-quality value; it does not depend on
+the parameters and so is not part of the objective.
 """
 
 from __future__ import annotations
@@ -36,19 +37,11 @@ class LossWeights:
     lam_sup: float = 1.0
     lam_phys: float = 0.0
     lam_reg: float = 1e-5
-    lam_hub: float = 0.0
 
     def __post_init__(self):
-        for name in ("lam_sup", "lam_phys", "lam_reg", "lam_hub"):
+        for name in ("lam_sup", "lam_phys", "lam_reg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    @classmethod
-    def with_physics(cls, lam_phys: float, lam_sup: float = 1.0,
-                     lam_reg: float = 1e-5) -> "LossWeights":
-        # the hub term rides on the physics schedule at a fixed fraction
-        return cls(lam_sup=lam_sup, lam_phys=lam_phys, lam_reg=lam_reg,
-                   lam_hub=0.1 * lam_phys)
 
 
 def physics_ramp(step: int, ramp_steps: int, lam_max: float) -> float:
@@ -88,11 +81,10 @@ def regularization(tensors) -> ad.Tensor:
     return ad.l2_penalty([t for t in tensors if t.requires_grad])
 
 
-def total_loss(supervised, physics, reg, hub, weights: LossWeights) -> ad.Tensor:
+def total_loss(supervised, physics, reg, weights: LossWeights) -> ad.Tensor:
     total = ad.mul(ad.as_tensor(supervised), weights.lam_sup)
     total = ad.add(total, ad.mul(ad.as_tensor(physics), weights.lam_phys))
-    total = ad.add(total, ad.mul(ad.as_tensor(reg), weights.lam_reg))
-    return ad.add(total, weights.lam_hub * float(hub))
+    return ad.add(total, ad.mul(ad.as_tensor(reg), weights.lam_reg))
 
 
 def batch_loss(params: ModelParams, batch: GraphBatch,
@@ -107,9 +99,8 @@ def batch_loss(params: ModelParams, batch: GraphBatch,
     phys = physics_loss(v_hat, batch.phys_from, batch.phys_to, batch.phys_r,
                         batch.phys_x, batch.phys_p, batch.phys_q)
     reg = regularization(params.tensors.values())
-    hub = float(np.mean(batch.hub_residual))
-    total = total_loss(sup, phys, reg, hub, weights)
+    total = total_loss(sup, phys, reg, weights)
     parts = {"total": float(total.values), "supervised": float(sup.values),
              "physics": float(phys.values), "reg": float(reg.values),
-             "hub": hub}
+             "hub": float(np.mean(batch.hub_residual))}
     return total, parts

@@ -207,26 +207,6 @@ def apply_mask_to_features(features: np.ndarray, v_true: np.ndarray,
     return out
 
 
-def sample_observed_mask(n_nodes: int, p_obs: float, gen,
-                         hub_indices: Sequence[int] = ()) -> np.ndarray:
-    """Boolean mask marking round(p_obs% of n_nodes) nodes as observed.
-
-    Hub nodes are metered in practice, so they fill the budget first; the
-    remainder is a uniform draw over the other nodes. At least one node
-    stays observed and at least one stays hidden so both the supervised
-    target set and the measurement set are non-empty.
-    """
-    k = _observed_count(n_nodes, p_obs)
-    hub = [i for i in hub_indices if 0 <= i < n_nodes][:k]
-    observed = np.zeros(n_nodes, dtype=bool)
-    observed[hub] = True
-    remaining = k - len(hub)
-    if remaining > 0:
-        pool = np.setdiff1d(np.arange(n_nodes), np.asarray(hub, dtype=int))
-        observed[gen.choice(pool, size=remaining, replace=False)] = True
-    return observed
-
-
 def hub_rows(node_features: np.ndarray) -> np.ndarray:
     """Row indices of substation-hub bus-phases in a feature matrix."""
     col = NODE_FEATURE_ORDER.index("type_hub")
@@ -237,9 +217,13 @@ def fleet_order(n_nodes: int, gen,
                 hub_indices: Sequence[int] = ()) -> np.ndarray:
     """Sensor roll-out priority: hub rows first, then a seeded shuffle.
 
-    Materializing one order per fleet and truncating it per level gives
-    nested sensor sets, so error curves across observability levels compare
-    supersets of the same placements instead of independent redraws.
+    This is the one mask sampler: every observability mask, in training,
+    validation, the baseline fit and evaluation, is ``fleet_mask`` of such
+    an order. Hub nodes are metered in practice, so they fill the budget
+    first. Materializing one order per fleet and truncating it per level
+    gives nested sensor sets, so error curves across observability levels
+    compare supersets of the same placements instead of independent
+    redraws.
     """
     hub = np.array([i for i in hub_indices if 0 <= i < n_nodes], dtype=int)
     rest = gen.permutation(n_nodes)
@@ -248,7 +232,11 @@ def fleet_order(n_nodes: int, gen,
 
 
 def fleet_mask(order: np.ndarray, p_obs: float) -> np.ndarray:
-    """Observed mask for the first round(p_obs%) sensors of a fleet order."""
+    """Observed mask for the first round(p_obs%) sensors of a fleet order.
+
+    At least one node stays observed and at least one hidden, so both the
+    supervised target set and the measurement set are non-empty.
+    """
     observed = np.zeros(len(order), dtype=bool)
     observed[order[:_observed_count(len(order), p_obs)]] = True
     return observed

@@ -8,14 +8,18 @@ of epochs. Finally observability descends through
 model sees many mask realizations at each level.
 
 Each optimization step processes one full substation snapshot; an epoch
-is a seeded sample of snapshots from the training split. Validation uses
-the last snapshots of the series as a contiguous time block, so no
-15-minute neighbor of a training snapshot leaks into validation.
+is a seeded sample of snapshots from the training window. Every series is
+cut by ``dataset.split_windows`` into three contiguous time blocks:
+training, then validation, then a held-out test window (the last
+``TEST_FRACTION`` of the snapshots). The warm-up plateau test and
+checkpoint selection read only the validation block; nothing here reads
+the test window, which ``evaluate`` scores.
 
 Fine-tuning freezes the backbone (input projection, prior coefficients,
 all but the last encoder layer), re-creates per-feeder gates for the
-target substation, truncates the target dataset to a fraction of the
-pretraining volume, and trains the head at a reduced learning rate.
+target substation, trains the head at a reduced learning rate on the
+start of the target's training window, truncated to a fraction of the
+pretraining volume, and selects on the target's validation window.
 
 If any step produces a non-finite value, training aborts and returns the
 parameters saved after the last completed epoch.
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import network as net
-from .dataset import SnapshotDataset
+from .dataset import TEST_FRACTION, SnapshotDataset, split_windows
 from .evaluation import rmse as _rmse
 from .losses import LossWeights, batch_loss, physics_ramp
 from .model import (ModelConfig, ModelParams, build_batch, forward,
@@ -174,26 +178,10 @@ class Adam:
 # -- data plumbing ------------------------------------------------------------
 
 
-def _split_views(dataset: SnapshotDataset, config: TrainConfig):
-    n = dataset.n_snapshots
-    if n == 0:
-        raise ValueError("dataset has no snapshots")
-    n_val = max(1, int(round(n * config.val_fraction)))
-    if n_val >= n:
-        raise ValueError("dataset too small for the validation split")
-    train_views = [dataset.snapshot(i) for i in range(n - n_val)]
-    val_idx = np.linspace(n - n_val, n - 1,
-                          min(n_val, config.val_max_snapshots)).astype(int)
-    val_views = [dataset.snapshot(int(i)) for i in np.unique(val_idx)]
-    return train_views, val_views
-
-
 def _val_batch(val_views, p_obs, seed, feeder_rows):
-    n_nodes = len(val_views[0].v_true)
-    mask = net.sample_observed_mask(n_nodes, p_obs,
-                                    _rng(seed, "val-mask", p_obs),
-                                    hub_indices=net.hub_rows(
-                                        val_views[0].node_features))
+    mask = net.fleet_mask(net.fleet_order(
+        len(val_views[0].v_true), _rng(seed, "val-mask", p_obs),
+        hub_indices=net.hub_rows(val_views[0].node_features)), p_obs)
     items = [item_from_view(v, mask) for v in val_views]
     return build_batch(items, feeder_rows), mask
 
@@ -211,10 +199,14 @@ def _val_metrics(params, batch) -> tuple[float, float]:
 
 
 class _Trainer:
-    def __init__(self, params, train_views, val_views, config):
+    def __init__(self, params, dataset, train: range, val: range, config):
         self.params = params
-        self.train_views = train_views
-        self.val_views = val_views
+        self.train_views = [dataset.snapshot(i) for i in train]
+        # an evenly spaced sample of the validation window
+        picks = np.linspace(val.start, val.stop - 1,
+                            min(len(val), config.val_max_snapshots))
+        self.val_views = [dataset.snapshot(int(i))
+                          for i in np.unique(picks.astype(int))]
         self.config = config
         self.history: list[EpochRecord] = []
         self.epoch = 0
@@ -223,7 +215,7 @@ class _Trainer:
         self.selected_epoch = -1
         self._best_score = np.inf
         self._best_tensors = None
-        self._probes = [_val_batch(val_views, p, config.seed,
+        self._probes = [_val_batch(self.val_views, p, config.seed,
                                    params.feeder_rows)[0]
                         for p in config.select_levels]
 
@@ -251,12 +243,13 @@ class _Trainer:
     def run_epoch(self, stage: str, p_obs: float, lam_phys: float,
                   optimizer: Adam, val_batch) -> EpochRecord:
         cfg = self.config
-        weights = LossWeights.with_physics(lam_phys, lam_sup=cfg.lam_sup,
-                                           lam_reg=cfg.lam_reg)
-        n_nodes = len(self.train_views[0].v_true)
-        mask = net.sample_observed_mask(
-            n_nodes, p_obs, _rng(cfg.seed, "mask", stage, self.epoch),
-            hub_indices=net.hub_rows(self.train_views[0].node_features))
+        weights = LossWeights(lam_sup=cfg.lam_sup, lam_phys=lam_phys,
+                              lam_reg=cfg.lam_reg)
+        mask = net.fleet_mask(net.fleet_order(
+            len(self.train_views[0].v_true),
+            _rng(cfg.seed, "mask", stage, self.epoch),
+            hub_indices=net.hub_rows(self.train_views[0].node_features)),
+            p_obs)
         order_gen = _rng(cfg.seed, "order", stage, self.epoch)
         order = order_gen.permutation(len(self.train_views))
         order = order[:min(cfg.steps_per_epoch, len(order))]
@@ -356,8 +349,9 @@ def train(datasets, config: TrainConfig,
     aborted = False
     selected: list[int] = []
     for dataset in datasets:
-        train_views, val_views = _split_views(dataset, config)
-        trainer = _Trainer(params, train_views, val_views, config)
+        train_idx, val_idx, _ = split_windows(
+            dataset.n_snapshots, config.val_fraction, TEST_FRACTION)
+        trainer = _Trainer(params, dataset, train_idx, val_idx, config)
         trainer.epoch = len(history)
         trainer.train_substation()
         history.extend(trainer.history)
@@ -374,23 +368,26 @@ def finetune(params: ModelParams, dataset: SnapshotDataset,
              n_pretrain: int | None = None) -> TrainResult:
     """Adapt a pretrained model to a new substation, training the head only.
 
-    ``n_pretrain`` is the snapshot count of the pretraining dataset; the
-    target dataset is truncated to ``finetune_fraction`` of it (defaulting
-    to the target's own size when not given). The backbone is frozen in
-    place: its tensors are excluded from the optimizer and marked
-    non-differentiable, so their values and gradients stay untouched.
+    The target is split like a training dataset. Training reads at most
+    ``round(finetune_fraction * n_pretrain)`` snapshots (but at least 8)
+    from the start of its training window, where ``n_pretrain`` is the
+    snapshot count of the pretraining dataset (default: the target's own);
+    selection reads its validation window, and its test window is never
+    read. The backbone is frozen in place: its
+    tensors are excluded from the optimizer and marked non-differentiable,
+    so their values and gradients stay untouched.
     """
+    train_idx, val_idx, _ = split_windows(
+        dataset.n_snapshots, config.val_fraction, TEST_FRACTION)
     reference = n_pretrain if n_pretrain is not None else dataset.n_snapshots
     n_keep = int(round(config.finetune_fraction * reference))
-    n_keep = min(max(n_keep, 8), dataset.n_snapshots)
-    truncated = dataset.subset(n_keep)
+    n_keep = min(max(n_keep, 8), len(train_idx))
 
     for name in params.backbone_names():
         params.tensors[name].requires_grad = False
-    params.replace_eta(list(truncated.feeder_ids))
+    params.replace_eta(list(dataset.feeder_ids))
 
-    train_views, val_views = _split_views(truncated, config)
-    trainer = _Trainer(params, train_views, val_views, config)
+    trainer = _Trainer(params, dataset, train_idx[:n_keep], val_idx, config)
     trainer.finetune_substation()
     return TrainResult(params=params, history=trainer.history,
                        aborted=trainer.aborted,

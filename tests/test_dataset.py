@@ -114,8 +114,8 @@ def test_effective_feeder_between_tie_states(tiny_spec):
 
 def test_masking_at_load_time(ds):
     view = ds.snapshot(0)
-    observed = net.sample_observed_mask(ds.n_nodes, 5,
-                                        np.random.default_rng(123))
+    observed = net.fleet_mask(
+        net.fleet_order(ds.n_nodes, np.random.default_rng(123)), 5)
     masked = net.apply_mask_to_features(view.node_features, view.v_true,
                                         observed)
     obs_col = net.NODE_FEATURE_INDEX["m_obs"]
@@ -126,6 +126,32 @@ def test_masking_at_load_time(ds):
     assert np.all(masked[observed][:, v_col] == view.v_true[observed])
     # the stored dataset is untouched
     assert np.all(view.node_features[:, obs_col] == 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 13, 96, 192, 2000])
+@pytest.mark.parametrize("test_fraction", [0.1, 0.5])
+def test_split_windows_are_ordered_disjoint_and_keep_the_eval_tail(
+        n, test_fraction):
+    # the evaluation tail as evaluate has always cut it
+    n_tail = max(1, int(round(n * test_fraction)))
+    tail = range(n - n_tail, n)
+    for val_fraction in (0.0, 0.1):
+        if n < 13 and val_fraction:
+            continue  # too short for three windows; see the next test
+        train, val, test = dsm.split_windows(n, val_fraction, test_fraction)
+        assert test == tail
+        assert list(train) + list(val) + list(test) == list(range(n))
+        assert len(train) >= 1
+        assert len(val) == (max(1, round(n * val_fraction))
+                            if val_fraction else 0)
+
+
+def test_split_windows_reject_too_short_series():
+    for n, val_fraction in ((2, 0.1), (1, 0.0), (0, 0.1), (10, 0.9)):
+        with pytest.raises(ValueError, match="validation split"):
+            dsm.split_windows(n, val_fraction, 0.1)
+    with pytest.raises(ValueError, match="fractions"):
+        dsm.split_windows(100, 0.1, 1.0)
 
 
 def test_out_of_range_values_name_bus_phase_and_step(tiny_spec):

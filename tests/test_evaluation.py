@@ -26,6 +26,13 @@ def tiny_setup():
     return params, views, data
 
 
+def _fleet_mask(data, seed, p_obs):
+    order = net.fleet_order(data.n_nodes, rng(seed, "fleet"),
+                            hub_indices=net.hub_rows(
+                                data.snapshot(0).node_features))
+    return net.fleet_mask(order, p_obs)
+
+
 # -- metrics -------------------------------------------------------------------
 
 
@@ -158,7 +165,7 @@ def test_predict_matches_single_forward(tiny_setup):
 
 def test_evaluate_masked_returns_finite_scores(tiny_setup):
     params, views, data = tiny_setup
-    r, m = ev.evaluate_masked(params, views[:8], 20, mask_seed=5)
+    r, m = ev.evaluate_masked(params, views[:8], 20, _fleet_mask(data, 5, 20))
     assert np.isfinite(r) and np.isfinite(m)
     assert r >= m > 0
 
@@ -182,7 +189,8 @@ def test_baseline_fits_constant_voltage_exactly(tiny_setup):
     flat_views = [dataclasses.replace(v, v_true=np.ones(data.n_nodes))
                   for v in views[:10]]
     baseline = ev.fit_linear_baseline(flat_views, levels=(20,), seed=0)
-    r, m = ev.baseline_masked(baseline, flat_views, 20, mask_seed=1)
+    r, m = ev.baseline_masked(baseline, flat_views, 20,
+                              _fleet_mask(data, 1, 20))
     assert r < 1e-6
 
 
@@ -199,7 +207,8 @@ def test_baseline_is_fit_per_feeder(tiny_setup):
 def test_baseline_beats_nominal_guess_on_real_data(tiny_setup):
     params, views, data = tiny_setup
     baseline = ev.fit_linear_baseline(views[:36], levels=(20,), seed=0)
-    r, m = ev.baseline_masked(baseline, views[36:], 20, mask_seed=4)
+    r, m = ev.baseline_masked(baseline, views[36:], 20,
+                              _fleet_mask(data, 4, 20))
     flat = np.concatenate([np.ones(data.n_nodes) for _ in views[36:]])
     truth = np.concatenate([v.v_true for v in views[36:]])
     nominal = ev.rmse(flat, truth, np.arange(len(truth)))

@@ -174,12 +174,6 @@ def test_loss_weights_reject_negatives():
         gl.LossWeights(lam_sup=-1.0)
 
 
-def test_with_physics_scales_hub_weight():
-    w = gl.LossWeights.with_physics(0.1)
-    assert w.lam_phys == pytest.approx(0.1)
-    assert w.lam_hub == pytest.approx(0.01)
-
-
 def test_physics_ramp_endpoints_and_midpoint():
     assert gl.physics_ramp(0, 20, 0.1) == 0.0
     assert gl.physics_ramp(10, 20, 0.1) == pytest.approx(0.05)
@@ -189,31 +183,31 @@ def test_physics_ramp_endpoints_and_midpoint():
 
 
 def test_total_reduces_to_supervised_when_other_weights_zero():
-    w = gl.LossWeights(lam_sup=1.0, lam_phys=0.0, lam_reg=0.0, lam_hub=0.0)
-    total = gl.total_loss(0.02, 7.0, 9.0, 11.0, w)
+    w = gl.LossWeights(lam_sup=1.0, lam_phys=0.0, lam_reg=0.0)
+    total = gl.total_loss(0.02, 7.0, 9.0, w)
     assert total.values == pytest.approx(0.02, abs=1e-15)
 
 
 def test_total_all_zero_weights_is_zero():
-    w = gl.LossWeights(lam_sup=0.0, lam_phys=0.0, lam_reg=0.0, lam_hub=0.0)
-    assert gl.total_loss(1.0, 1.0, 1.0, 1.0, w).values == 0.0
+    w = gl.LossWeights(lam_sup=0.0, lam_phys=0.0, lam_reg=0.0)
+    assert gl.total_loss(1.0, 1.0, 1.0, w).values == 0.0
 
 
 def test_total_nonnegative_for_nonnegative_weights_and_terms():
     gen = np.random.default_rng(0)
     for _ in range(50):
-        w = gl.LossWeights(*gen.random(4))
-        terms = gen.random(4)
+        w = gl.LossWeights(*gen.random(3))
+        terms = gen.random(3)
         assert gl.total_loss(*terms, w).values >= 0.0
 
 
 def test_batch_loss_components_recombine(tiny_batch):
     params, batch, data = tiny_batch
-    w = gl.LossWeights(lam_sup=1.0, lam_phys=0.05, lam_reg=1e-5,
-                       lam_hub=0.005)
+    w = gl.LossWeights(lam_sup=1.0, lam_phys=0.05, lam_reg=1e-5)
     total, parts = gl.batch_loss(params, batch, w)
+    # the hub residual is logged but not part of the objective
     expected = (parts["supervised"] + 0.05 * parts["physics"]
-                + 1e-5 * parts["reg"] + 0.005 * parts["hub"])
+                + 1e-5 * parts["reg"])
     assert parts["total"] == pytest.approx(expected, rel=1e-12)
     assert parts["supervised"] > 0.0
     assert parts["reg"] > 0.0
@@ -226,7 +220,7 @@ def test_frozen_parameters_receive_exactly_no_gradient(tiny_batch):
     try:
         with ad.Tape():
             total, _ = gl.batch_loss(params, batch,
-                                     gl.LossWeights.with_physics(0.1))
+                                     gl.LossWeights(lam_phys=0.1))
             ad.backward(total)
         for name in params.backbone_names():
             assert params.tensors[name].grad is None, name

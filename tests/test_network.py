@@ -131,29 +131,30 @@ def test_supplying_feeder_follows_closed_tie():
     assert feeder[5] == 0 and feeder[4] == 1
 
 
+def sample_mask(n, p, seed, hub=()):
+    return net.fleet_mask(net.fleet_order(n, np.random.default_rng(seed),
+                                          hub_indices=hub), p)
+
+
 def test_mask_cardinality_examples():
-    m80 = net.sample_observed_mask(100, 80, np.random.default_rng(11),
-                                   hub_indices=[0, 1, 2])
+    m80 = sample_mask(100, 80, 11, hub=[0, 1, 2])
     assert m80.sum() == 80
-    m1 = net.sample_observed_mask(100, 1, np.random.default_rng(99),
-                                  hub_indices=[0, 1, 2])
+    m1 = sample_mask(100, 1, 99, hub=[0, 1, 2])
     assert m1.sum() == 1
     assert m1[0]  # hub fills the budget first
 
 
 def test_mask_determinism():
-    def draw(seed):
-        return net.sample_observed_mask(200, 20, np.random.default_rng(seed),
-                                        hub_indices=[0])
-
-    assert np.array_equal(draw(5), draw(5))
-    assert not np.array_equal(draw(5), draw(6))
+    assert np.array_equal(sample_mask(200, 20, 5, [0]),
+                          sample_mask(200, 20, 5, [0]))
+    assert not np.array_equal(sample_mask(200, 20, 5, [0]),
+                              sample_mask(200, 20, 6, [0]))
 
 
 def test_mask_rejects_off_schedule_levels():
     for bad in (0, -5, 100, 120.5):
         with pytest.raises(ValueError, match="p_obs"):
-            net.sample_observed_mask(100, bad, np.random.default_rng(0))
+            sample_mask(100, bad, 0)
 
 
 @given(
@@ -163,8 +164,7 @@ def test_mask_rejects_off_schedule_levels():
 )
 @settings(max_examples=60, deadline=None)
 def test_mask_cardinality_property(n, p, seed):
-    m = net.sample_observed_mask(n, p, np.random.default_rng(seed),
-                                 hub_indices=[0, 1, 2])
+    m = sample_mask(n, p, seed, hub=[0, 1, 2])
     expected = min(max(round(n * p / 100.0), 1), n - 1)
     assert m.sum() == expected
     assert m[0]

@@ -146,8 +146,10 @@ def test_validation_error_improves_over_warmup(micro_run):
 
 
 def test_epoch_masks_are_resampled_and_union_grows():
-    m0 = net.sample_observed_mask(93, 20, rng(1, "mask", "curriculum", 5))
-    m1 = net.sample_observed_mask(93, 20, rng(1, "mask", "curriculum", 6))
+    m0 = net.fleet_mask(net.fleet_order(93, rng(1, "mask", "curriculum", 5)),
+                        20)
+    m1 = net.fleet_mask(net.fleet_order(93, rng(1, "mask", "curriculum", 6)),
+                        20)
     assert not np.array_equal(m0, m1)
     assert (m0 | m1).sum() > m0.sum()
 
@@ -228,16 +230,57 @@ def test_finetune_creates_gates_for_target_feeders(micro_run, target_dataset):
 def test_finetune_truncates_to_pretraining_fraction(micro_run, target_dataset,
                                                     monkeypatch):
     seen = {}
-    real = ds.SnapshotDataset.subset
+    real = tr._Trainer.__init__
 
-    def spy(self, n_first):
-        seen["n"] = n_first
-        return real(self, n_first)
+    def spy(self, params, dataset, train, val, config):
+        seen["train"], seen["val"] = train, val
+        real(self, params, dataset, train, val, config)
 
-    monkeypatch.setattr(ds.SnapshotDataset, "subset", spy)
+    monkeypatch.setattr(tr._Trainer, "__init__", spy)
     params = _clone(micro_run.params)
     tr.finetune(params, target_dataset, micro_config(), n_pretrain=96)
-    assert seen["n"] == 24  # round(0.25 * 96)
+    # round(0.25 * 96) snapshots from the start of the training window;
+    # of 96, the last 10 are held out and the 10 before them validate
+    assert seen["train"] == range(24)
+    assert seen["val"] == range(76, 86)
+
+
+# -- the held-out window ------------------------------------------------------
+
+
+def _perturb_eval_tail(dataset, factor=1.01):
+    """Copy of a dataset whose default evaluation window (its last 10 %)
+    carries scaled voltages, in the labels and in the measurement column."""
+    n = dataset.n_snapshots
+    start = n - max(1, int(round(0.1 * n)))
+    arrays = dict(dataset.arrays)
+    arrays["v_true"] = arrays["v_true"].copy()
+    arrays["v_true"][start:] *= factor
+    arrays["node_features"] = arrays["node_features"].copy()
+    arrays["node_features"][start:, :, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] \
+        *= factor
+    return ds.SnapshotDataset(dataset.meta, arrays)
+
+
+def _assert_same_run(a, b):
+    assert a.history == b.history
+    assert a.selected_epochs == b.selected_epochs
+    for name, t in a.params.tensors.items():
+        assert t.values.tobytes() == b.params.tensors[name].values.tobytes()
+
+
+def test_training_never_reads_the_evaluation_window(day_dataset, micro_run):
+    perturbed = tr.train(_perturb_eval_tail(day_dataset), micro_config())
+    _assert_same_run(micro_run, perturbed)
+
+
+def test_finetune_never_reads_the_evaluation_window(micro_run,
+                                                    target_dataset):
+    # a pretraining volume large enough to ask for every target snapshot
+    runs = [tr.finetune(_clone(micro_run.params), data, micro_config(),
+                        n_pretrain=4 * target_dataset.n_snapshots)
+            for data in (target_dataset, _perturb_eval_tail(target_dataset))]
+    _assert_same_run(*runs)
 
 
 def _clone(params):
