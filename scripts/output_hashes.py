@@ -3,9 +3,13 @@
 
 Runs the commands below in-process through ``gridvolt.cli.dispatch`` and
 prints one ``<file> <sha256>`` line per output, sorted by path. The
-manifests are skipped: they record wall-clock time. A change that must
-keep every output byte-identical is checked by running this script on
-both checkouts and diffing the two listings:
+manifests are skipped: they record wall-clock time. After the files comes
+a content listing: one ``<dataset>[<i>] <sha256>`` line per snapshot of
+every generated dataset, over the arrays ``load_dataset(path).snapshot(i)``
+assembles. It reads only that accessor, so it compares two checkouts whose
+dataset files are laid out differently but must hold the same snapshots.
+A change that must keep every output byte-identical is checked by running
+this script on both checkouts and diffing the two listings:
 
     python3 scripts/output_hashes.py --root ../parent --workdir /tmp/a > a.txt
     python3 scripts/output_hashes.py --workdir /tmp/b > b.txt
@@ -28,6 +32,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SHORT_TRAIN = {"steps_per_epoch": 60, "max_warmup_epochs": 4,
                "ramp_epochs": 2, "levels": [80, 50, 20, 5, 1],
@@ -65,6 +71,23 @@ def commands(work: Path) -> list[list[str]]:
     return runs
 
 
+def snapshot_digest(view) -> str:
+    """SHA-256 over one assembled snapshot: every array with its dtype and
+    shape, then the head, transformer and auxiliary sums and the time."""
+    h = hashlib.sha256()
+    sums = [[f, s.real, s.imag] for f, s in sorted(view.head_s.items())]
+    sums += [[0, view.s_subxfmr.real, view.s_subxfmr.imag],
+             [0, view.s_aux.real, view.s_aux.imag], [0, view.timestamp, 0]]
+    for name in ("node_features", "edge_features", "v_true", "node_feeder",
+                 "edge_p", "edge_q", "edge_phys", "sums"):
+        arr = np.ascontiguousarray(
+            np.array(sums, dtype=float) if name == "sums"
+            else getattr(view, name))
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path,
@@ -79,14 +102,17 @@ def main() -> int:
         os.environ[var] = "1"
     os.environ.pop("GRIDVOLT_RUN_DIR", None)
     sys.path.insert(0, str((args.root / "src").resolve()))
-    from gridvolt import cli
+    from gridvolt import cli, dataset
 
     with tempfile.TemporaryDirectory() as tmp:
         work = (args.workdir or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         (work / "train_config.json").write_text(json.dumps(SHORT_TRAIN))
+        datasets = []
         for argv in commands(work):
             print("+", " ".join(argv[:3]), file=sys.stderr)
+            if argv[0] == "generate":
+                datasets.append(Path(argv[-1]))
             # the commands' own reports go to stderr, the listing to stdout
             with contextlib.redirect_stdout(sys.stderr):
                 rc = cli.dispatch(argv)
@@ -99,6 +125,11 @@ def main() -> int:
                 continue
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{path.relative_to(work).as_posix()} {digest}")
+        for path in sorted(datasets):
+            data = dataset.load_dataset(path)
+            for i in range(data.n_snapshots):
+                print(f"{path.relative_to(work).as_posix()}[{i}] "
+                      f"{snapshot_digest(data.snapshot(i))}")
     return 0
 
 

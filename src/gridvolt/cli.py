@@ -188,7 +188,7 @@ def cmd_generate(args) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     gds.save_dataset(data, out)
     spec_path = out.with_suffix(".spec.json")
-    gsim.save_spec(data.meta["spec"], spec_path)
+    gsim.save_spec(spec, spec_path)
     print(f"generated {spec.name}: {data.n_snapshots} snapshots, "
           f"{data.n_nodes} bus-phases -> {out}")
     config = {"seed": args.seed, "size": args.size, "feeders": args.feeders,

@@ -1,9 +1,25 @@
-"""Datasets of solved timesteps: solver arrays stacked over time, as npz.
+"""Datasets of solved timesteps, factored by how often each value changes.
 
-Datasets hold fully observed features (every node carries its solved
-voltage); observability masks are applied at training/evaluation time by
-re-zeroing the two measurement columns. This keeps one stored copy per
-scenario valid for every observability level.
+A dataset (format ``snapshot-dataset/v2``) stores each value at the rate
+it changes:
+
+- static: the node feature rows ``[N, 17]`` and edge feature rows
+  ``[E, 13]`` of the graph, edge endpoints and node identity, including the
+  spec's (pre-tie) feeder of every node;
+- per switch configuration: the switch flag, depth, electrical distance,
+  degree and supplying feeder of every node, and edge status and
+  physics-loss membership, one row per distinct configuration, with a
+  ``[T]`` index naming each snapshot's configuration;
+- per snapshot: the injection feature, node and edge taps, voltages, edge
+  flows and the feeder-head, substation-transformer and auxiliary sums.
+
+``SnapshotDataset.snapshot`` assembles one snapshot's full feature rows
+from the three blocks. Snapshots are fully observed (every node carries
+its solved voltage); observability masks are applied at training and
+evaluation time by re-zeroing the two measurement columns, so one stored
+copy per scenario serves every observability level. Files of the earlier
+``snapshot-dataset/v1`` layout, which repeated every feature row per
+snapshot, are refused and must be regenerated.
 
 The npz writer is deterministic: sorted member order, fixed zip metadata
 timestamps, no pickling. Equal inputs produce byte-identical files, which
@@ -24,16 +40,31 @@ from . import network as net
 from . import simulation as sim
 from .seeding import rng as _rng
 
-_FORMAT = "snapshot-dataset/v1"
+_FORMAT = "snapshot-dataset/v2"
 
 # share of each series held out, at its end, for evaluation only: neither
 # training nor model selection reads it
 TEST_FRACTION = 0.1
 
-# arrays with one row per snapshot; the rest describe the static graph
-_PER_TIME = ("node_features", "v_true", "node_feeder", "edge_features",
-             "edge_p", "edge_q", "edge_phys", "timestamps", "head_p",
-             "head_q", "s_subxfmr_re", "s_subxfmr_im", "s_aux_re", "s_aux_im")
+_STATIC = ("node_features_static", "edge_features_static", "edge_from",
+           "edge_to", "feeder_ids", "bus_id", "phase_idx", "bus_type_idx",
+           "kv_base", "spec_feeder")
+# one row per distinct switch configuration
+_PER_CONFIG = ("config_status", "config_sw_closed", "config_depth",
+               "config_elec_dist", "config_degree", "config_node_feeder",
+               "config_edge_phys")
+# one row per snapshot; config_index points into the configuration rows
+_PER_TIME = ("config_index", "injection", "node_tap", "edge_tap", "v_true",
+             "edge_p", "edge_q", "timestamps", "head_p", "head_q",
+             "s_subxfmr_re", "s_subxfmr_im", "s_aux_re", "s_aux_im")
+
+# node feature columns filled per snapshot and per configuration
+_NODE_TIME_COLUMNS = (("p_injection_pu", "injection"), ("tap", "node_tap"),
+                      ("m_obs_v_pu", "v_true"))
+_NODE_CONFIG_COLUMNS = (("sw_closed", "config_sw_closed"),
+                        ("depth", "config_depth"),
+                        ("elec_dist", "config_elec_dist"),
+                        ("degree", "config_degree"))
 
 
 @dataclass
@@ -59,20 +90,16 @@ class SnapshotView:
 class SnapshotDataset:
     """In-memory dataset over one substation graph.
 
-    Static topology (endpoints, node identity) is shared across snapshots;
-    per-snapshot arrays carry features, targets, flows and switch states.
+    ``arrays`` holds the static, per-configuration and per-snapshot blocks
+    described in the module docstring; ``snapshot(i)`` assembles one
+    snapshot from them.
     """
 
     def __init__(self, meta: dict, arrays: dict[str, np.ndarray]):
         self.meta = meta
         self.arrays = arrays
-        required = ("node_features", "v_true", "node_feeder", "edge_from",
-                    "edge_to", "edge_features", "edge_p", "edge_q",
-                    "edge_phys", "timestamps", "feeder_ids", "head_p",
-                    "head_q", "s_subxfmr_re", "s_subxfmr_im", "s_aux_re",
-                    "s_aux_im", "bus_id", "phase_idx", "bus_type_idx",
-                    "kv_base")
-        missing = [k for k in required if k not in arrays]
+        missing = [k for k in _STATIC + _PER_CONFIG + _PER_TIME
+                   if k not in arrays]
         if missing:
             raise ValueError(f"dataset arrays missing {missing}")
         if meta.get("feature_order_hash") != net.feature_order_hash():
@@ -82,11 +109,11 @@ class SnapshotDataset:
 
     @property
     def n_snapshots(self) -> int:
-        return self.arrays["node_features"].shape[0]
+        return self.arrays["v_true"].shape[0]
 
     @property
     def n_nodes(self) -> int:
-        return self.arrays["node_features"].shape[1]
+        return self.arrays["v_true"].shape[1]
 
     @property
     def n_edges(self) -> int:
@@ -100,16 +127,25 @@ class SnapshotDataset:
         if not 0 <= i < self.n_snapshots:
             raise IndexError(f"snapshot {i} out of range 0..{self.n_snapshots - 1}")
         a = self.arrays
+        c = a["config_index"][i]
+        node = a["node_features_static"].copy()
+        for col, key in _NODE_TIME_COLUMNS:
+            node[:, net.NODE_FEATURE_INDEX[col]] = a[key][i]
+        for col, key in _NODE_CONFIG_COLUMNS:
+            node[:, net.NODE_FEATURE_INDEX[col]] = a[key][c]
+        node[:, net.NODE_FEATURE_INDEX["m_obs"]] = 1.0
+        edge = a["edge_features_static"].copy()
+        edge[:, net.EDGE_FEATURE_INDEX["status"]] = a["config_status"][c]
+        edge[:, net.EDGE_FEATURE_INDEX["tap"]] = a["edge_tap"][i]
         head_s = {int(f): complex(a["head_p"][i, k], a["head_q"][i, k])
                   for k, f in enumerate(a["feeder_ids"])}
         return SnapshotView(
             index=i, timestamp=float(a["timestamps"][i]),
-            node_features=a["node_features"][i], v_true=a["v_true"][i],
-            node_feeder=a["node_feeder"][i],
+            node_features=node, v_true=a["v_true"][i],
+            node_feeder=a["config_node_feeder"][c],
             edge_from=a["edge_from"], edge_to=a["edge_to"],
-            edge_features=a["edge_features"][i],
-            edge_p=a["edge_p"][i], edge_q=a["edge_q"][i],
-            edge_phys=a["edge_phys"][i], head_s=head_s,
+            edge_features=edge, edge_p=a["edge_p"][i], edge_q=a["edge_q"][i],
+            edge_phys=a["config_edge_phys"][c], head_s=head_s,
             s_subxfmr=complex(a["s_subxfmr_re"][i], a["s_subxfmr_im"][i]),
             s_aux=complex(a["s_aux_re"][i], a["s_aux_im"][i]))
 
@@ -122,12 +158,13 @@ class SnapshotDataset:
                 phase=net.PHASES[int(a["phase_idx"][i])],
                 kv_base=float(a["kv_base"][i]),
                 bus_type=net.BUS_TYPES[int(a["bus_type_idx"][i])],
-                feeder_id=int(a["node_feeder"][0, i]))
+                feeder_id=int(a["spec_feeder"][i]))
             for i in range(self.n_nodes)
         ]
 
     def subset(self, n_first: int) -> "SnapshotDataset":
-        """First n_first snapshots as a new dataset (array views)."""
+        """First n_first snapshots as a new dataset (array views); the
+        configuration table is kept whole."""
         if not 1 <= n_first <= self.n_snapshots:
             raise ValueError(
                 f"subset size {n_first} outside 1..{self.n_snapshots}")
@@ -172,11 +209,11 @@ def build_dataset(spec: sim.SubstationSpec,
 def dataset_from_states(spec: sim.SubstationSpec,
                         scenario: sim.ScenarioConfig,
                         states: list[sim.SolvedState]) -> SnapshotDataset:
-    """Stack solved timesteps into dataset arrays, fully observed.
+    """Factor solved timesteps into dataset arrays, fully observed.
 
-    The graph's static feature columns are broadcast over time and only the
-    per-step columns are written; the structural annotations are computed
-    once per switch configuration.
+    The graph's static feature rows are stored once, the structural
+    annotations once per distinct switch configuration, and only the
+    per-step columns per snapshot.
     """
     if not states:
         raise ValueError("no snapshots to store")
@@ -194,14 +231,12 @@ def dataset_from_states(spec: sim.SubstationSpec,
                                                edge_tap[:, reg], 0.0)
     _check_range(v_true, node_tap)
 
-    # topology columns, once per distinct switch configuration
     configs, which = np.unique(status, axis=0, return_inverse=True)
     which = which.reshape(-1)
     per_config = [net.structural_annotations(graph.bus_phases, graph.edge_from,
                                              graph.edge_to, graph.edge_zmag,
                                              c == 1) for c in configs]
-    depth, elec, degree, feeder = (np.stack(a)[which]
-                                   for a in zip(*per_config))
+    depth, elec, degree, feeder = (np.stack(a) for a in zip(*per_config))
     sw_closed = np.ones((len(configs), graph.n_nodes))
     k, e = np.nonzero((configs == 0) & (graph.edge_kind == "switch"))
     sw_closed[k, graph.edge_from[e]] = 0.0
@@ -211,18 +246,7 @@ def dataset_from_states(spec: sim.SubstationSpec,
     rating = graph.serving_rating
     injection = np.divide(p_inj, rating, out=np.zeros_like(p_inj),
                           where=rating > 0)
-    node_features = np.repeat(graph.node_features[None], len(states), axis=0)
-    for name, column in (
-            ("p_injection_pu", injection),
-            ("tap", node_tap), ("sw_closed", sw_closed[which]),
-            ("depth", depth), ("elec_dist", elec), ("degree", degree),
-            ("m_obs", 1.0), ("m_obs_v_pu", v_true)):
-        node_features[:, :, net.NODE_FEATURE_INDEX[name]] = column
-    edge_features = np.repeat(graph.edge_features[None], len(states), axis=0)
-    edge_features[:, :, net.EDGE_FEATURE_INDEX["status"]] = status
-    edge_features[:, :, net.EDGE_FEATURE_INDEX["tap"]] = edge_tap
-
-    _blur_injection_features(node_features, feeder[0], spec, scenario)
+    _blur_injection(injection, feeder[which[0]], spec, scenario)
 
     fids = sorted(f.feeder_id for f in spec.feeders)
     heads = np.array([[s.feeder_heads[f] for f in fids] for s in states],
@@ -234,28 +258,33 @@ def dataset_from_states(spec: sim.SubstationSpec,
         "format": _FORMAT,
         "feature_order_hash": net.feature_order_hash(),
         "substation": spec.name,
-        "spec": sim.spec_to_dict(spec),
         "scenarios": [scenario_to_dict(scenario)],
         "n_snapshots": len(states),
     }
     arrays = dict(
-        node_features=node_features, v_true=v_true,
-        node_feeder=feeder.astype(np.int64),
+        node_features_static=graph.node_features,
+        edge_features_static=graph.edge_features,
         edge_from=graph.edge_from.astype(np.int64),
-        edge_to=graph.edge_to.astype(np.int64), edge_features=edge_features,
-        edge_p=stack("edge_p"), edge_q=stack("edge_q"),
-        edge_phys=(status == 1) & graph.phys_device,
-        timestamps=np.array([s.timestamp for s in states], dtype=float),
+        edge_to=graph.edge_to.astype(np.int64),
         feeder_ids=np.array(fids, dtype=np.int64),
-        head_p=heads.real.copy(), head_q=heads.imag.copy(),
-        s_subxfmr_re=s_sub.real.copy(), s_subxfmr_im=s_sub.imag.copy(),
-        s_aux_re=s_aux.real.copy(), s_aux_im=s_aux.imag.copy(),
         bus_id=np.array([bp.bus_id for bp in bps], dtype=np.int64),
         phase_idx=np.array([net.PHASES.index(bp.phase) for bp in bps],
                            dtype=np.int64),
         bus_type_idx=np.array([net.BUS_TYPES.index(bp.bus_type) for bp in bps],
                               dtype=np.int64),
         kv_base=np.array([bp.kv_base for bp in bps]),
+        spec_feeder=np.array([bp.feeder_id for bp in bps], dtype=np.int64),
+        config_status=configs, config_sw_closed=sw_closed,
+        config_depth=depth, config_elec_dist=elec, config_degree=degree,
+        config_node_feeder=feeder.astype(np.int64),
+        config_edge_phys=(configs == 1) & graph.phys_device,
+        config_index=which.astype(np.int64), injection=injection,
+        node_tap=node_tap, edge_tap=edge_tap, v_true=v_true,
+        edge_p=stack("edge_p"), edge_q=stack("edge_q"),
+        timestamps=np.array([s.timestamp for s in states], dtype=float),
+        head_p=heads.real.copy(), head_q=heads.imag.copy(),
+        s_subxfmr_re=s_sub.real.copy(), s_subxfmr_im=s_sub.imag.copy(),
+        s_aux_re=s_aux.real.copy(), s_aux_im=s_aux.imag.copy(),
     )
     return SnapshotDataset(meta, arrays)
 
@@ -275,10 +304,10 @@ def _check_range(v_true: np.ndarray, node_tap: np.ndarray) -> None:
                          f"[-1, 1] at step {t}")
 
 
-def _blur_injection_features(node_features: np.ndarray, fid: np.ndarray,
-                             spec: sim.SubstationSpec,
-                             scenario: sim.ScenarioConfig) -> None:
-    """Degrade the injection feature column to pseudo-measurement quality.
+def _blur_injection(injection: np.ndarray, fid: np.ndarray,
+                    spec: sim.SubstationSpec,
+                    scenario: sim.ScenarioConfig) -> None:
+    """Degrade the [T, N] injection feature to pseudo-measurement quality.
 
     Multiplicative error, one component shared per feeder per snapshot plus
     one independent per node, clipped to keep signs. Only the feature column
@@ -290,16 +319,15 @@ def _blur_injection_features(node_features: np.ndarray, fid: np.ndarray,
     gen = _rng(spec.seed, "pseudo-measurement", scenario.der_penetration,
                scenario.horizon_minutes, scenario.tie_close_step,
                *scenario.tie_closures)
-    col = net.NODE_FEATURE_INDEX["p_injection_pu"]
     feeders = np.unique(fid)
-    n = node_features.shape[1]
-    for t in range(node_features.shape[0]):
+    n = injection.shape[1]
+    for t in range(injection.shape[0]):
         factor = np.ones(n)
         for f in feeders:
             factor[fid == f] *= 1.0 + gen.normal(
                 0.0, scenario.pseudo_noise_common)
         factor *= 1.0 + gen.normal(0.0, scenario.pseudo_noise_local, size=n)
-        node_features[t, :, col] *= np.clip(factor, 0.3, 1.7)
+        injection[t] *= np.clip(factor, 0.3, 1.7)
 
 
 def scenario_to_dict(scenario: sim.ScenarioConfig) -> dict:
@@ -323,9 +351,14 @@ def concatenate(datasets: list[SnapshotDataset]) -> SnapshotDataset:
             raise ValueError("datasets come from different substations")
         if not np.array_equal(other.arrays["edge_from"], base.arrays["edge_from"]):
             raise ValueError("edge topology differs between datasets")
+    # each run's configuration rows follow those of the runs before it
+    offsets = np.cumsum([0] + [len(d.arrays["config_status"])
+                               for d in datasets[:-1]])
+    parts = [dict(d.arrays, config_index=d.arrays["config_index"] + off)
+             for d, off in zip(datasets, offsets)]
     arrays = dict(base.arrays)
-    for k in _PER_TIME:
-        arrays[k] = np.concatenate([d.arrays[k] for d in datasets], axis=0)
+    for k in _PER_CONFIG + _PER_TIME:
+        arrays[k] = np.concatenate([a[k] for a in parts], axis=0)
     meta = dict(base.meta)
     meta["scenarios"] = [s for d in datasets for s in d.meta["scenarios"]]
     meta["n_snapshots"] = int(arrays["v_true"].shape[0])
@@ -357,8 +390,10 @@ def save_dataset(ds: SnapshotDataset, path) -> None:
 
 def load_dataset(path) -> SnapshotDataset:
     with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files if k != "meta_json"}
         meta = json.loads(str(data["meta_json"][()]))
-    if meta.get("format") != _FORMAT:
-        raise ValueError(f"not a snapshot dataset: format={meta.get('format')!r}")
+        if meta.get("format") != _FORMAT:
+            raise ValueError(
+                f"dataset format {meta.get('format')!r} is not {_FORMAT!r}; "
+                "regenerate the dataset with this version's generate")
+        arrays = {k: data[k] for k in data.files if k != "meta_json"}
     return SnapshotDataset(meta, arrays)

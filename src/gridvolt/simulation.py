@@ -316,11 +316,9 @@ def spec_from_dict(data: dict) -> SubstationSpec:
     )
 
 
-def save_spec(spec: SubstationSpec | dict, path: str | Path) -> None:
-    """Write a spec as JSON; a dict is taken as spec_to_dict's output, which
-    saves serializing a spec whose dict is already at hand."""
-    data = spec if isinstance(spec, dict) else spec_to_dict(spec)
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
+def save_spec(spec: SubstationSpec, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2,
+                                     sort_keys=True))
 
 
 def load_spec(path: str | Path) -> SubstationSpec:

@@ -201,7 +201,10 @@ def _val_metrics(params, batch) -> tuple[float, float]:
 class _Trainer:
     def __init__(self, params, dataset, train: range, val: range, config):
         self.params = params
-        self.train_views = [dataset.snapshot(i) for i in train]
+        # training snapshots are assembled when a step draws them
+        self.dataset = dataset
+        self.train = train
+        self.hub = net.hub_rows(dataset.snapshot(train[0]).node_features)
         # an evenly spaced sample of the validation window
         picks = np.linspace(val.start, val.stop - 1,
                             min(len(val), config.val_max_snapshots))
@@ -246,16 +249,15 @@ class _Trainer:
         weights = LossWeights(lam_sup=cfg.lam_sup, lam_phys=lam_phys,
                               lam_reg=cfg.lam_reg)
         mask = net.fleet_mask(net.fleet_order(
-            len(self.train_views[0].v_true),
-            _rng(cfg.seed, "mask", stage, self.epoch),
-            hub_indices=net.hub_rows(self.train_views[0].node_features)),
-            p_obs)
+            self.dataset.n_nodes, _rng(cfg.seed, "mask", stage, self.epoch),
+            hub_indices=self.hub), p_obs)
         order_gen = _rng(cfg.seed, "order", stage, self.epoch)
-        order = order_gen.permutation(len(self.train_views))
+        order = order_gen.permutation(len(self.train))
         order = order[:min(cfg.steps_per_epoch, len(order))]
         totals = np.zeros(3)
         for idx in order:
-            item = item_from_view(self.train_views[idx], mask)
+            item = item_from_view(self.dataset.snapshot(self.train[idx]),
+                                  mask)
             batch = build_batch([item], self.params.feeder_rows)
             optimizer.zero_grad()
             with ad.Tape():

@@ -1,13 +1,106 @@
 """Dataset assembly, npz round-trips, and byte-level determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
+from gridvolt import cli
 from gridvolt import dataset as dsm
 from gridvolt import network as net
 from gridvolt import simulation as sim
+from gridvolt.seeding import rng
 
 HORIZON = 12 * sim.TIMESTEP_MINUTES
+
+
+def v1_reference_arrays(states, spec, scenario):
+    """The arrays of a ``snapshot-dataset/v1`` file: every feature row
+    broadcast over time and patched per step, as that format stored them.
+    The reference that every assembled v2 snapshot must equal bit for bit."""
+    graph = states[0].graph
+
+    def stack(name):
+        return np.stack([getattr(s, name) for s in states])
+
+    v_true = stack("v_mag")
+    status = stack("edge_status")
+    edge_tap = stack("edge_tap")
+    reg = np.flatnonzero(graph.edge_kind == "regulator")
+    node_tap = np.zeros_like(v_true)
+    node_tap[:, graph.edge_to[reg]] = np.where(status[:, reg] == 1,
+                                               edge_tap[:, reg], 0.0)
+    configs, which = np.unique(status, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    per_config = [net.structural_annotations(graph.bus_phases, graph.edge_from,
+                                             graph.edge_to, graph.edge_zmag,
+                                             c == 1) for c in configs]
+    depth, elec, degree, feeder = (np.stack(a)[which]
+                                   for a in zip(*per_config))
+    sw_closed = np.ones((len(configs), graph.n_nodes))
+    k, e = np.nonzero((configs == 0) & (graph.edge_kind == "switch"))
+    sw_closed[k, graph.edge_from[e]] = 0.0
+    sw_closed[k, graph.edge_to[e]] = 0.0
+    p_inj = stack("p_injection_pu")
+    rating = graph.serving_rating
+    injection = np.divide(p_inj, rating, out=np.zeros_like(p_inj),
+                          where=rating > 0)
+    node_features = np.repeat(graph.node_features[None], len(states), axis=0)
+    for name, column in (
+            ("p_injection_pu", injection),
+            ("tap", node_tap), ("sw_closed", sw_closed[which]),
+            ("depth", depth), ("elec_dist", elec), ("degree", degree),
+            ("m_obs", 1.0), ("m_obs_v_pu", v_true)):
+        node_features[:, :, net.NODE_FEATURE_INDEX[name]] = column
+    edge_features = np.repeat(graph.edge_features[None], len(states), axis=0)
+    edge_features[:, :, net.EDGE_FEATURE_INDEX["status"]] = status
+    edge_features[:, :, net.EDGE_FEATURE_INDEX["tap"]] = edge_tap
+    if scenario.pseudo_noise_common or scenario.pseudo_noise_local:
+        gen = rng(spec.seed, "pseudo-measurement", scenario.der_penetration,
+                  scenario.horizon_minutes, scenario.tie_close_step,
+                  *scenario.tie_closures)
+        col = net.NODE_FEATURE_INDEX["p_injection_pu"]
+        fid = feeder[0]
+        n = graph.n_nodes
+        for t in range(len(states)):
+            factor = np.ones(n)
+            for f in np.unique(fid):
+                factor[fid == f] *= 1.0 + gen.normal(
+                    0.0, scenario.pseudo_noise_common)
+            factor *= 1.0 + gen.normal(0.0, scenario.pseudo_noise_local,
+                                       size=n)
+            node_features[t, :, col] *= np.clip(factor, 0.3, 1.7)
+    fids = sorted(f.feeder_id for f in spec.feeders)
+    heads = np.array([[s.feeder_heads[f] for f in fids] for s in states],
+                     dtype=complex)
+    s_sub = np.array([s.s_subxfmr for s in states], dtype=complex)
+    s_aux = np.array([s.s_aux for s in states], dtype=complex)
+    bps = graph.bus_phases
+    return dict(
+        node_features=node_features, v_true=v_true,
+        node_feeder=feeder.astype(np.int64),
+        edge_from=graph.edge_from.astype(np.int64),
+        edge_to=graph.edge_to.astype(np.int64), edge_features=edge_features,
+        edge_p=stack("edge_p"), edge_q=stack("edge_q"),
+        edge_phys=(status == 1) & graph.phys_device,
+        timestamps=np.array([s.timestamp for s in states], dtype=float),
+        feeder_ids=np.array(fids, dtype=np.int64),
+        head_p=heads.real.copy(), head_q=heads.imag.copy(),
+        s_subxfmr_re=s_sub.real.copy(), s_subxfmr_im=s_sub.imag.copy(),
+        s_aux_re=s_aux.real.copy(), s_aux_im=s_aux.imag.copy(),
+        bus_id=np.array([bp.bus_id for bp in bps], dtype=np.int64),
+        phase_idx=np.array([net.PHASES.index(bp.phase) for bp in bps],
+                           dtype=np.int64),
+        bus_type_idx=np.array([net.BUS_TYPES.index(bp.bus_type)
+                               for bp in bps], dtype=np.int64),
+        kv_base=np.array([bp.kv_base for bp in bps]),
+    )
+
+
+def solved(spec, scenario):
+    """A run's solved states and the dataset built from them."""
+    states = sim.run_timeseries(spec, scenario)
+    return states, dsm.dataset_from_states(spec, scenario, states)
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +117,9 @@ def ds(tiny_spec):
 def test_shapes(ds):
     assert ds.n_snapshots == 12
     assert ds.n_nodes == 93
-    assert ds.arrays["node_features"].shape == (12, 93, net.N_NODE_FEATURES)
-    assert ds.arrays["edge_features"].shape[2] == net.N_EDGE_FEATURES
+    view = ds.snapshot(0)
+    assert view.node_features.shape == (93, net.N_NODE_FEATURES)
+    assert view.edge_features.shape == (ds.n_edges, net.N_EDGE_FEATURES)
     assert ds.arrays["edge_from"].shape == ds.arrays["edge_to"].shape
 
 
@@ -96,9 +190,12 @@ def test_concatenate(ds, tiny_spec):
 
 def test_bus_phase_reconstruction(ds, tiny_spec):
     graph = sim.build_graph(tiny_spec)
-    rebuilt = ds.bus_phases()
-    for original, copy_ in zip(graph.bus_phases, rebuilt):
-        assert original == copy_
+    assert ds.bus_phases() == graph.bus_phases
+    # with a tie closed from the first step, the nodes it transfers are
+    # supplied by another feeder than the spec's in every snapshot
+    closed = dsm.build_dataset(tiny_spec, sim.ScenarioConfig(
+        horizon_minutes=2 * sim.TIMESTEP_MINUTES, tie_closures=(0,)))
+    assert closed.bus_phases() == graph.bus_phases
 
 
 def test_effective_feeder_between_tie_states(tiny_spec):
@@ -108,8 +205,9 @@ def test_effective_feeder_between_tie_states(tiny_spec):
         tie_close_step=2))
     graph = sim.build_graph(tiny_spec)
     nodes = [graph.node_of[(tie.transfer_bus, ph)] for ph in net.PHASES]
-    assert np.all(closed.arrays["node_feeder"][:2, nodes] == tie.to_feeder)
-    assert np.all(closed.arrays["node_feeder"][2:, nodes] == tie.from_feeder)
+    feeder = np.stack([closed.snapshot(t).node_feeder for t in range(4)])
+    assert np.all(feeder[:2, nodes] == tie.to_feeder)
+    assert np.all(feeder[2:, nodes] == tie.from_feeder)
 
 
 def test_masking_at_load_time(ds):
@@ -177,9 +275,104 @@ def test_node_tap_follows_regulator_edges(tiny_spec):
     uid = int(graph.edge_device[reg])
     state = sim.solve_timestep(tiny_spec, 0, cfg, sim.Controls(
         taps={(uid, graph.edge_phase[reg]): 4}))
-    data = dsm.dataset_from_states(tiny_spec, cfg, [state])
-    tap = data.arrays["node_features"][0, :, net.NODE_FEATURE_INDEX["tap"]]
-    edge_tap = data.arrays["edge_features"][0, :, net.EDGE_FEATURE_INDEX["tap"]]
+    view = dsm.dataset_from_states(tiny_spec, cfg, [state]).snapshot(0)
+    tap = view.node_features[:, net.NODE_FEATURE_INDEX["tap"]]
+    edge_tap = view.edge_features[:, net.EDGE_FEATURE_INDEX["tap"]]
     assert tap[graph.edge_to[reg]] == edge_tap[reg] == 0.25
     assert np.count_nonzero(tap) == np.count_nonzero(edge_tap) == 1
     assert np.all(tap[graph.hub_node_ids] == 0.0)
+
+
+# -- the factored layout against the v1 broadcast ----------------------------
+
+
+def assert_rows_equal_v1(data, ref):
+    """Every assembled snapshot equals the v1 rows bit for bit."""
+    assert data.n_snapshots == len(ref["v_true"])
+    for i in range(data.n_snapshots):
+        view = data.snapshot(i)
+        for key in ("node_features", "v_true", "node_feeder",
+                    "edge_features", "edge_p", "edge_q", "edge_phys"):
+            got, want = getattr(view, key), ref[key][i]
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                (key, i)
+            assert got.tobytes() == want.tobytes(), (key, i)
+        assert view.timestamp == ref["timestamps"][i]
+        assert view.head_s == {
+            int(f): complex(ref["head_p"][i, k], ref["head_q"][i, k])
+            for k, f in enumerate(ref["feeder_ids"])}
+        assert view.s_subxfmr == complex(ref["s_subxfmr_re"][i],
+                                         ref["s_subxfmr_im"][i])
+        assert view.s_aux == complex(ref["s_aux_re"][i], ref["s_aux_im"][i])
+
+
+TIE_AT_2 = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20,
+                              tie_closures=(0,), tie_close_step=2)
+
+
+def test_v2_rows_equal_v1_on_tiny_open(tiny_spec):
+    scenario = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20)
+    states, data = solved(tiny_spec, scenario)
+    assert len(data.arrays["config_status"]) == 1
+    assert_rows_equal_v1(data, v1_reference_arrays(states, tiny_spec,
+                                                   scenario))
+
+
+def test_v2_rows_equal_v1_across_a_tie_closing(tiny_spec):
+    states, data = solved(tiny_spec, TIE_AT_2)
+    assert len(data.arrays["config_status"]) == 2
+    ref = v1_reference_arrays(states, tiny_spec, TIE_AT_2)
+    assert_rows_equal_v1(data, ref)
+    # a subset keeps the configuration table and the first rows
+    assert_rows_equal_v1(data.subset(3), {k: v[:3] for k, v in ref.items()})
+
+
+def test_v2_rows_equal_v1_on_medium_with_ties_closed():
+    spec = sim.generate_substation(101, "medium")
+    scenario = sim.ScenarioConfig(horizon_minutes=1440, der_penetration=20,
+                                  tie_closures=tuple(range(len(spec.ties))))
+    states, data = solved(spec, scenario)
+    assert_rows_equal_v1(data, v1_reference_arrays(states, spec, scenario))
+
+
+def test_v2_rows_equal_v1_after_concatenate(tiny_spec):
+    open_scenario = sim.ScenarioConfig(horizon_minutes=HORIZON)
+    runs = [solved(tiny_spec, sc) for sc in (open_scenario, TIE_AT_2)]
+    joined = dsm.concatenate([data for _, data in runs])
+    assert len(joined.arrays["config_status"]) == 3
+    refs = [v1_reference_arrays(states, tiny_spec, sc)
+            for (states, _), sc in zip(runs, (open_scenario, TIE_AT_2))]
+    per_time = ("node_features", "v_true", "node_feeder", "edge_features",
+                "edge_p", "edge_q", "edge_phys", "timestamps", "head_p",
+                "head_q", "s_subxfmr_re", "s_subxfmr_im", "s_aux_re",
+                "s_aux_im")
+    ref = dict(refs[0])
+    ref.update({k: np.concatenate([r[k] for r in refs]) for k in per_time})
+    assert_rows_equal_v1(joined, ref)
+
+
+def test_v1_files_are_refused(ds, tiny_spec, tmp_path, capsys):
+    scenario = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20)
+    states = sim.run_timeseries(tiny_spec, scenario)
+    arrays = v1_reference_arrays(states, tiny_spec, scenario)
+    meta = {"format": "snapshot-dataset/v1",
+            "feature_order_hash": net.feature_order_hash(),
+            "substation": tiny_spec.name,
+            "spec": sim.spec_to_dict(tiny_spec),
+            "scenarios": [dsm.scenario_to_dict(scenario)],
+            "n_snapshots": len(states)}
+    arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
+    path = tmp_path / "old.npz"
+    dsm.write_npz(path, arrays)
+    with pytest.raises(ValueError, match="snapshot-dataset/v1") as exc:
+        dsm.load_dataset(path)
+    assert "snapshot-dataset/v2" in str(exc.value)
+    assert "regenerate" in str(exc.value)
+
+    rc = cli.dispatch(["train", "--data", str(path),
+                       "--out", str(tmp_path / "m.npz")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("ERROR data:")
+    assert "snapshot-dataset/v1" in err

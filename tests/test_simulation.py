@@ -285,7 +285,7 @@ def test_physics_edge_set_membership(tiny_spec, tiny_day):
     for t in (0, 40):
         expected = (tiny_day[t].edge_status == 1) & np.isin(
             kind, ("line", "cable", "switch"))
-        assert np.array_equal(data.arrays["edge_phys"][t], expected)
+        assert np.array_equal(data.snapshot(t).edge_phys, expected)
 
 
 def test_branch_flows_stay_light_on_tiny(tiny_day):

@@ -250,16 +250,19 @@ def test_finetune_truncates_to_pretraining_fraction(micro_run, target_dataset,
 
 def _perturb_eval_tail(dataset, factor=1.01):
     """Copy of a dataset whose default evaluation window (its last 10 %)
-    carries scaled voltages, in the labels and in the measurement column."""
+    carries scaled voltages, in the labels and in the measurement column
+    (which a snapshot assembles from the labels)."""
     n = dataset.n_snapshots
     start = n - max(1, int(round(0.1 * n)))
     arrays = dict(dataset.arrays)
     arrays["v_true"] = arrays["v_true"].copy()
     arrays["v_true"][start:] *= factor
-    arrays["node_features"] = arrays["node_features"].copy()
-    arrays["node_features"][start:, :, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] \
-        *= factor
-    return ds.SnapshotDataset(dataset.meta, arrays)
+    perturbed = ds.SnapshotDataset(dataset.meta, arrays)
+    col = net.NODE_FEATURE_INDEX["m_obs_v_pu"]
+    assert np.array_equal(perturbed.snapshot(n - 1).node_features[:, col],
+                          dataset.snapshot(n - 1).node_features[:, col]
+                          * factor)
+    return perturbed
 
 
 def _assert_same_run(a, b):
