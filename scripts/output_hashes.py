@@ -18,10 +18,12 @@ this script on both checkouts and diffing the two listings:
 The set: ``generate`` for tiny seeds 0-4 (defaults), tiny 7 with its ties
 closed at 40 % DER, medium 100-103 at 20 % DER, medium 103 with its ties
 closed, and a two-day tiny dataset (seed 0); ``train --seed 0`` on the
-two-day set with a short curriculum; ``evaluate --study A --seeds 2`` of
-that checkpoint on the same set; ``finetune --seed 0`` of it on tiny seed 1;
-``evaluate --study D --seeds 2`` of both checkpoints on tiny seed 1. It
-takes about two minutes on one core.
+two-day set with a short curriculum, and a shorter one there without
+weight decay (``lam_reg`` 0, where the decay gradient is zero of either
+sign); ``evaluate --study A --seeds 2`` of the first checkpoint on the same
+set; ``finetune --seed 0`` of it on tiny seed 1; ``evaluate --study D
+--seeds 2`` of both checkpoints on tiny seed 1. It takes about two minutes
+on one core.
 """
 
 import argparse
@@ -38,6 +40,10 @@ import numpy as np
 SHORT_TRAIN = {"steps_per_epoch": 60, "max_warmup_epochs": 4,
                "ramp_epochs": 2, "levels": [80, 50, 20, 5, 1],
                "finetune_epochs": 6}
+NO_DECAY_TRAIN = {"steps_per_epoch": 30, "max_warmup_epochs": 2,
+                  "ramp_epochs": 1, "levels": [50, 5], "lam_reg": 0.0}
+CONFIGS = {"train_config.json": SHORT_TRAIN,
+           "no_decay_config.json": NO_DECAY_TRAIN}
 
 
 def commands(work: Path) -> list[list[str]]:
@@ -55,6 +61,9 @@ def commands(work: Path) -> list[list[str]]:
     runs.append(["train", "--data", data, "--config",
                  str(work / "train_config.json"), "--seed", "0",
                  "--out", str(work / "model.npz")])
+    runs.append(["train", "--data", data, "--config",
+                 str(work / "no_decay_config.json"), "--seed", "0",
+                 "--out", str(work / "no_decay" / "model.npz")])
     runs.append(["evaluate", "--study", "A", "--checkpoint",
                  str(work / "model.npz"), "--data", data, "--seeds", "2",
                  "--out-dir", str(work / "studyA")])
@@ -107,7 +116,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = (args.workdir or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
-        (work / "train_config.json").write_text(json.dumps(SHORT_TRAIN))
+        for name, config in CONFIGS.items():
+            (work / name).write_text(json.dumps(config))
         datasets = []
         for argv in commands(work):
             print("+", " ".join(argv[:3]), file=sys.stderr)
@@ -121,7 +131,7 @@ def main() -> int:
                 return 1
         for path in sorted(work.rglob("*")):
             if (not path.is_file() or path.name == "manifest.json"
-                    or path.name == "train_config.json"):
+                    or path.name in CONFIGS):
                 continue
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{path.relative_to(work).as_posix()} {digest}")

@@ -7,12 +7,24 @@ is deliberately small: dense linear algebra, elementwise arithmetic, and the
 segment reductions a message-passing network needs (segment sum / mean and a
 temperature softmax over contiguous segments).
 
+A ``FlatStore`` packs leaf tensors back to back into one value vector and
+one gradient buffer, with every tensor a reshaped view of its span. An
+optimizer then updates the whole vector at once, and one copy snapshots
+every tensor. The squared L2 norm of a store is computed outside the tape:
+``FlatStore.l2_term`` writes its closed-form gradient into the buffer, and
+the backward pass that follows adds the taped gradients to it.
+
 Conventions:
 
 * all values are float64; anything non-finite raises ``NonFiniteError`` as
   soon as it is produced,
 * segment ids must be sorted (non-decreasing); builders sort once up front,
-* a tape is single-threaded and is consumed by its first backward pass.
+* a tape is single-threaded and is consumed by its first backward pass,
+* gradients accumulate in ``grad``: a tensor whose ``grad`` is None takes a
+  copy of the first gradient that reaches it; a tensor whose ``grad``
+  already holds an array (a view into a store's gradient buffer, seeded by
+  ``l2_term``) has every gradient that reaches it added in place, in the
+  order the backward pass produces them.
 """
 
 from __future__ import annotations
@@ -50,7 +62,8 @@ def _check_finite(op: str, values: np.ndarray) -> None:
 class Tensor:
     """A dense float64 array plus an optional gradient slot."""
 
-    __slots__ = ("values", "requires_grad", "grad", "name", "_tape", "_is_leaf")
+    __slots__ = ("values", "requires_grad", "grad", "name", "_tape", "_is_leaf",
+                 "_store")
 
     def __init__(self, values, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(values, dtype=np.float64)
@@ -61,6 +74,7 @@ class Tensor:
         self.name = name
         self._tape: Tape | None = None
         self._is_leaf = True
+        self._store: FlatStore | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -145,8 +159,9 @@ class Tape:
                 if g is None or not (t.requires_grad or not t._is_leaf):
                     continue
                 if t.grad is None:
-                    t.grad = np.zeros_like(t.values)
-                t.grad += g
+                    t.grad = np.array(g, dtype=np.float64)
+                else:
+                    t.grad += g
 
 
 _ACTIVE_TAPE: Tape | None = None
@@ -164,6 +179,106 @@ class no_grad:
     def __exit__(self, *exc):
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = self._prev
+
+
+class FlatStore:
+    """Leaf tensors packed back to back into one value vector and one
+    gradient buffer.
+
+    Packing copies every tensor into ``values`` and rebinds its ``values``
+    to a reshaped view of its span, so an in-place update of the vector
+    updates the tensors and one copy of it snapshots them all.
+    ``grad_views[k]`` is tensor ``k``'s view of ``grad``; a tensor's own
+    ``grad`` points there once ``l2_term`` has seeded it.
+    """
+
+    def __init__(self, tensors: Sequence[Tensor]):
+        self.tensors = list(tensors)
+        self.bounds = [0]
+        for t in self.tensors:
+            self.bounds.append(self.bounds[-1] + t.values.size)
+        self.values = np.empty(self.bounds[-1], dtype=np.float64)
+        self.grad = np.zeros(self.bounds[-1], dtype=np.float64)
+        self.grad_views: list[np.ndarray] = []
+        self._index: dict[int, int] = {}
+        for k, t in enumerate(self.tensors):
+            if id(t) in self._index:
+                raise ValueError(f"tensor {t.name!r} packed twice")
+            span = slice(self.bounds[k], self.bounds[k + 1])
+            shape = t.values.shape
+            self.values[span] = t.values.reshape(-1)
+            t.values = self.values[span].reshape(shape)
+            t._store = self
+            self.grad_views.append(self.grad[span].reshape(shape))
+            self._index[id(t)] = k
+
+    @classmethod
+    def of(cls, tensors: Sequence[Tensor]) -> "FlatStore":
+        """The store that holds ``tensors``; loose tensors get a new one."""
+        homes = {t._store for t in tensors}
+        if not homes or homes == {None}:
+            return cls(tensors)
+        if len(homes) == 1:
+            return homes.pop()
+        raise ValueError("tensors from more than one store, or packed and "
+                         "loose tensors mixed")
+
+    def _runs(self, ks: Sequence[int]) -> list[slice]:
+        """Spans of the tensors ``ks``, merged where they touch."""
+        runs: list[list[int]] = []
+        for k in ks:
+            a, b = self.bounds[k], self.bounds[k + 1]
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+        return [slice(a, b) for a, b in runs]
+
+    def gradient_runs(self, tensors: Sequence[Tensor]) -> list[slice]:
+        """Slices of ``values`` and ``grad`` covering those of ``tensors``
+        that hold a gradient, merged where they touch. A gradient held
+        outside the buffer is first copied into its view."""
+        ks = []
+        for t in tensors:
+            if t.grad is None:
+                continue
+            k = self._index[id(t)]
+            if t.grad is not self.grad_views[k]:
+                self.grad_views[k][...] = t.grad
+            ks.append(k)
+        return self._runs(ks)
+
+    def l2_term(self, lam: float) -> float:
+        """Squared L2 norm of the tensors that require a gradient, summed
+        tensor by tensor in store order.
+
+        The term stays off the tape. While a tape records, its gradient
+        ``2 * lam * theta`` is added here to those tensors' gradients; a
+        tensor whose ``grad`` is None gets its buffer view, seeded with it.
+        The backward pass that follows adds the taped gradients after it,
+        the order a taped term recorded after the forward pass gave.
+        """
+        ks = [k for k, t in enumerate(self.tensors) if t.requires_grad]
+        total = 0.0
+        for k in ks:
+            total += np.square(self.tensors[k].values).sum()
+        if _ACTIVE_TAPE is None:
+            return float(total)
+        if all(self.tensors[k].grad is None for k in ks):
+            for span in self._runs(ks):
+                np.multiply(self.values[span], 2.0 * lam, out=self.grad[span])
+            for k in ks:
+                self.tensors[k].grad = self.grad_views[k]
+            return float(total)
+        for k in ks:  # some gradients already accumulated: add to them
+            t = self.tensors[k]
+            if t.grad is None:
+                t.grad = self.grad_views[k]
+                t.grad.fill(0.0)
+            half = lam * t.values  # the taped chain added it twice
+            t.grad += half
+            t.grad += half
+        return float(total)
 
 
 def backward(loss: Tensor) -> None:
@@ -189,6 +304,7 @@ def _record(op: str, output_values: np.ndarray, inputs: tuple[Tensor, ...],
     out.requires_grad = False
     out._is_leaf = not tracked
     out._tape = tape if tracked else None
+    out._store = None
     if tracked:
         tape.records.append(_OpRecord(out, inputs, backward_fn))
     return out
@@ -300,10 +416,12 @@ def _scatter_add_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """Deterministic scatter-add of rows g into an [n, ...] zero array."""
     if g.ndim == 1:
         return np.bincount(idx, weights=g, minlength=n)
-    out = np.empty((n, g.shape[1]), dtype=np.float64)
-    for c in range(g.shape[1]):
-        out[:, c] = np.bincount(idx, weights=g[:, c], minlength=n)
-    return out
+    # one bincount over (row, column) bins; each bin still sums its rows in
+    # index order, as a per-column bincount does
+    cols = g.shape[1]
+    bins = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+    return np.bincount(bins, weights=g.reshape(-1),
+                       minlength=n * cols).reshape(n, cols)
 
 
 def _require_sorted(op: str, seg: np.ndarray) -> None:
@@ -492,17 +610,6 @@ def mean_all(x) -> Tensor:
 def l1_loss(x) -> Tensor:
     """Mean absolute value of all entries."""
     return mean_all(absolute(x))
-
-
-def l2_penalty(params: Sequence[Tensor]) -> Tensor:
-    """Sum of squared entries across a parameter list."""
-    terms = [total_sum(mul(p, p)) for p in params]
-    if not terms:
-        return Tensor(0.0)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = add(acc, t)
-    return acc
 
 
 def gradcheck(build_loss: Callable[[], Tensor], params: Sequence[Tensor],

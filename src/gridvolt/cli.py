@@ -254,11 +254,12 @@ def _study_rows(args) -> list:
 
     if args.study == "A":
         data = _load_dataset(args.data[0])
-        # the ridge fit sees every snapshot before the evaluation window
+        # the ridge fit reads a strided sample of the snapshots before the
+        # evaluation window; only those are assembled
         before, _, test = gds.split_windows(data.n_snapshots, 0.0,
                                             args.eval_fraction)
         baseline = gev.fit_linear_baseline(
-            [data.snapshot(i) for i in before],
+            [data.snapshot(i) for i in gev.baseline_sample(before)],
             levels=levels or gev.DEFAULT_LEVELS, seed=common["seed"])
         return gev.case_study_runner(
             "A", params=params, baseline=baseline,

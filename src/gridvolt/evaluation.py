@@ -246,22 +246,27 @@ class LinearBaseline:
         return out
 
 
-def fit_linear_baseline(train_views, levels, seed: int = 0,
-                        max_snapshots: int = 400) -> LinearBaseline:
-    """Fit per-level and pooled per-feeder models on masked features."""
+def baseline_sample(window: range, max_snapshots: int = 400) -> range:
+    """The snapshots of a training window the linear baseline is fit on:
+    at most ``max_snapshots``, evenly strided from its start."""
+    take = min(len(window), max_snapshots)
+    stride = max(1, len(window) // max(take, 1))
+    return window[::stride][:take]
+
+
+def fit_linear_baseline(train_views, levels, seed: int = 0) -> LinearBaseline:
+    """Fit per-level and pooled per-feeder models on masked features of
+    every given view (``baseline_sample`` picks them from a window)."""
     baseline = LinearBaseline()
     n_nodes = len(train_views[0].v_true)
-    take = min(len(train_views), max_snapshots)
-    stride = max(1, len(train_views) // take)
-    sub = train_views[::stride][:take]
-    hub = net.hub_rows(sub[0].node_features)
+    hub = net.hub_rows(train_views[0].node_features)
     pooled: list[BatchItem] = []
     for level in levels:
         # a fresh placement per snapshot, all from one stream per level
         gen = _rng(seed, "baseline-mask", level)
         items = [item_from_view(v, net.fleet_mask(
             net.fleet_order(n_nodes, gen, hub_indices=hub), level))
-            for v in sub]
+            for v in train_views]
         baseline.fit_tag(level, items)
         pooled.extend(items[:: max(1, len(levels) // 4)])
     baseline.fit_tag("pooled", pooled)

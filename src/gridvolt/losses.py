@@ -11,10 +11,12 @@ averaged over the physics edge set. Ground-truth voltages leave only the
 quadratic loss term of the exact relation, so the residual is second-order
 small on lightly loaded branches and the penalty pulls predictions toward
 power-flow-consistent profiles rather than exact solutions. Weight decay
-applies to the trainable tensors only. The hub residual, the mismatch
-between the transformer injection and the sum of feeder head flows plus
-auxiliary load, is logged as a data-quality value; it does not depend on
-the parameters and so is not part of the objective.
+applies to the trainable tensors only, and outside the tape: its gradient
+2·lam_reg·θ is written into the flat gradient buffer before backward,
+which then adds the taped terms' gradients to it. The hub residual, the
+mismatch between the transformer injection and the sum of feeder head
+flows plus auxiliary load, is logged as a data-quality value; it does not
+depend on the parameters and so is not part of the objective.
 """
 
 from __future__ import annotations
@@ -76,11 +78,6 @@ def physics_loss(v_hat: ad.Tensor, phys_from: np.ndarray, phys_to: np.ndarray,
     return ad.mul(ad.total_sum(resid), 1.0 / n)
 
 
-def regularization(tensors) -> ad.Tensor:
-    """Squared L2 norm over the currently trainable tensors."""
-    return ad.l2_penalty([t for t in tensors if t.requires_grad])
-
-
 def total_loss(supervised, physics, reg, weights: LossWeights) -> ad.Tensor:
     total = ad.mul(ad.as_tensor(supervised), weights.lam_sup)
     total = ad.add(total, ad.mul(ad.as_tensor(physics), weights.lam_phys))
@@ -92,15 +89,17 @@ def batch_loss(params: ModelParams, batch: GraphBatch,
     """Forward pass plus the full objective for one batch.
 
     Returns the scalar loss tensor (attached to the active tape) and a
-    plain-float component breakdown for logging.
+    plain-float component breakdown for logging. Under a tape the L2 term
+    is not on it: its gradient is already in the trainable tensors' grads
+    when this returns, and backward adds the rest.
     """
     v_hat = forward(params, batch)
     sup = supervised_loss(v_hat, batch.v_true, ~batch.observed)
     phys = physics_loss(v_hat, batch.phys_from, batch.phys_to, batch.phys_r,
                         batch.phys_x, batch.phys_p, batch.phys_q)
-    reg = regularization(params.tensors.values())
+    reg = params.store.l2_term(weights.lam_reg)
     total = total_loss(sup, phys, reg, weights)
     parts = {"total": float(total.values), "supervised": float(sup.values),
-             "physics": float(phys.values), "reg": float(reg.values),
+             "physics": float(phys.values), "reg": reg,
              "hub": float(np.mean(batch.hub_residual))}
     return total, parts

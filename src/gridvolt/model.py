@@ -16,7 +16,9 @@ A node-wise two-layer decoder maps embeddings to voltage magnitude.
 
 Parameters split into two freezing groups: "backbone" (input projection,
 layers 1..L-1, prior coefficients) and "head" (last layer, conditioning,
-gates, decoder). Transfer to a new substation trains the head only.
+gates, decoder). Transfer to a new substation trains the head only. All
+parameters are views of one flat vector, backbone first, so each group is
+one contiguous span of it.
 """
 
 from __future__ import annotations
@@ -73,14 +75,46 @@ class ModelConfig:
         return cls(**d)
 
 
+_LAYER_TENSORS = tuple(f"msg{r}" for r in range(N_EDGE_TYPES)) + (
+    "att_W", "att_a", "phi_W1", "phi_b1", "phi_W2", "phi_b2", "norm_gain",
+    "norm_bias")
+_HEAD_TAIL = ("film.Wg", "film.bg", "film.Wb", "film.bb", "eta",
+              "decoder.W1", "decoder.b1", "decoder.W2", "decoder.b2")
+
+
+def parameter_names(config: ModelConfig) -> list[str]:
+    """Every tensor name in the canonical flat layout: the backbone, then
+    the head, so each freezing group is one contiguous span."""
+    names = ["input.W", "input.b", "beta"]
+    for layer in range(config.n_layers):
+        names.extend(f"layer{layer}.{n}" for n in _LAYER_TENSORS)
+    names.extend(_HEAD_TAIL)
+    return names
+
+
 class ModelParams:
-    """Named parameter tensors plus the feeder-gate row mapping."""
+    """Named parameter tensors plus the feeder-gate row mapping.
+
+    The tensors live in one ``ad.FlatStore``: ``store.values`` is every
+    parameter value and ``store.grad`` every gradient, each tensor a view
+    of its span, in the order of ``parameter_names`` whatever the order of
+    the given dict (a checkpoint yields sorted names). Names outside that
+    layout follow it in their given order.
+    """
 
     def __init__(self, config: ModelConfig, tensors: dict[str, ad.Tensor],
                  feeder_rows: dict[int, int]):
         self.config = config
-        self.tensors = tensors
         self.feeder_rows = dict(feeder_rows)
+        self._pack(tensors)
+
+    def _pack(self, tensors: dict[str, ad.Tensor]) -> None:
+        canonical = parameter_names(self.config)
+        known = set(canonical)
+        order = [n for n in canonical if n in tensors]
+        order.extend(n for n in tensors if n not in known)
+        self.tensors = {n: tensors[n] for n in order}
+        self.store = ad.FlatStore(list(self.tensors.values()))
 
     @classmethod
     def create(cls, config: ModelConfig, feeder_ids: list[int],
@@ -169,11 +203,16 @@ class ModelParams:
         return [self.tensors[n] for n in names]
 
     def replace_eta(self, feeder_ids: list[int]) -> None:
-        """Fresh unit gates for a new set of feeders (transfer setup)."""
+        """Fresh unit gates for a new set of feeders (transfer setup).
+
+        The gate count can change, so every tensor is repacked into a new
+        store; build optimizers after this call."""
         self.feeder_rows = {int(f): k
                             for k, f in enumerate(sorted(set(feeder_ids)))}
-        self.tensors["eta"] = ad.Tensor(
+        tensors = dict(self.tensors)
+        tensors["eta"] = ad.Tensor(
             np.ones((len(self.feeder_rows), 1)), requires_grad=True, name="eta")
+        self._pack(tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,14 @@ def plateau(losses, window: int, eps: float) -> bool:
 
 
 class Adam:
-    """Adaptive-moment optimizer over an explicit trainable tensor list."""
+    """Adaptive-moment optimizer over the tensors of one flat store.
+
+    Loose tensors are packed into a store of their own. ``step`` updates
+    every tensor that holds a gradient, in place, and skips the others. In
+    training every trainable tensor holds one, and the trainable tensors
+    are one contiguous span of the store, so a step is a dozen whole-vector
+    numpy ops on preallocated scratch.
+    """
 
     def __init__(self, tensors, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -151,10 +158,13 @@ class Adam:
             if not t.requires_grad:
                 raise ValueError(
                     f"frozen tensor {t.name!r} handed to the optimizer")
+        self.store = ad.FlatStore.of(self.tensors)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(t.values) for t in self.tensors]
-        self.v = [np.zeros_like(t.values) for t in self.tensors]
+        n = self.store.values.size
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._scratch = (np.empty(n), np.empty(n))
         self.t = 0
 
     def zero_grad(self) -> None:
@@ -165,14 +175,26 @@ class Adam:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for i, t in enumerate(self.tensors):
-            if t.grad is None:
-                continue
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * t.grad
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * t.grad ** 2
-            step = self.lr * (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c)
-                                                  + self.eps)
-            t.values = t.values - step
+        for span in self.store.gradient_runs(self.tensors):
+            theta, g = self.store.values[span], self.store.grad[span]
+            m, v = self.m[span], self.v[span]
+            s, r = self._scratch[0][span], self._scratch[1][span]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=s)
+            m += s
+            v *= self.beta2
+            np.square(g, out=s)
+            s *= 1 - self.beta2
+            v += s
+            # theta -= lr (m / b1c) / (sqrt(v / b2c) + eps)
+            np.divide(m, b1c, out=s)
+            s *= self.lr
+            np.divide(v, b2c, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            theta -= s
 
 
 # -- data plumbing ------------------------------------------------------------
@@ -213,35 +235,26 @@ class _Trainer:
         self.config = config
         self.history: list[EpochRecord] = []
         self.epoch = 0
-        self.last_good = self._snapshot_tensors()
+        self.last_good = params.store.values.copy()
         self.aborted = False
         self.selected_epoch = -1
         self._best_score = np.inf
-        self._best_tensors = None
+        self._best_values = None
         self._probes = [_val_batch(self.val_views, p, config.seed,
                                    params.feeder_rows)[0]
                         for p in config.select_levels]
-
-    def _snapshot_tensors(self):
-        return {k: t.values.copy() for k, t in self.params.tensors.items()}
-
-    def _restore_last_good(self):
-        for k, t in self.params.tensors.items():
-            if k in self.last_good:
-                t.values = self.last_good[k].copy()
 
     def _consider_select(self) -> None:
         score = float(np.mean([_val_metrics(self.params, b)[1]
                                for b in self._probes]))
         if score < self._best_score:
             self._best_score = score
-            self._best_tensors = self._snapshot_tensors()
+            self._best_values = self.params.store.values.copy()
             self.selected_epoch = self.epoch - 1
 
     def _restore_selected(self) -> None:
-        if self._best_tensors is not None:
-            for k, t in self.params.tensors.items():
-                t.values = self._best_tensors[k].copy()
+        if self._best_values is not None:
+            self.params.store.values[:] = self._best_values
 
     def run_epoch(self, stage: str, p_obs: float, lam_phys: float,
                   optimizer: Adam, val_batch) -> EpochRecord:
@@ -273,7 +286,7 @@ class _Trainer:
             train_phys=totals[2], val_sup=val_sup, val_rmse=val_rmse)
         self.history.append(record)
         self.epoch += 1
-        self.last_good = self._snapshot_tensors()
+        self.last_good = self.params.store.values.copy()
         return record
 
     def train_substation(self) -> None:
@@ -310,7 +323,7 @@ class _Trainer:
                     self._consider_select()
             self._restore_selected()
         except ad.NonFiniteError:
-            self._restore_last_good()
+            self.params.store.values[:] = self.last_good
             self.aborted = True
 
     def finetune_substation(self) -> None:
@@ -328,7 +341,7 @@ class _Trainer:
                 self._consider_select()
             self._restore_selected()
         except ad.NonFiniteError:
-            self._restore_last_good()
+            self.params.store.values[:] = self.last_good
             self.aborted = True
 
 

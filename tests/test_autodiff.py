@@ -225,14 +225,141 @@ def test_gradcheck_concat_cols():
 
 
 def test_l2_penalty_value_and_grad():
+    # the L2 term is off the tape: its gradient (here at weight 1) is
+    # seeded into the store's buffer while the tape records
     p = ad.Tensor([1.0, -2.0], requires_grad=True, name="p")
     q = ad.Tensor([[3.0]], requires_grad=True, name="q")
+    store = ad.FlatStore([p, q])
     with ad.Tape() as tape:
-        pen = ad.l2_penalty([p, q])
-    assert pen.values == pytest.approx(14.0)
-    tape.backward(pen)
+        pen = store.l2_term(1.0)
+    assert pen == pytest.approx(14.0)
+    assert tape.records == []
     assert np.allclose(p.grad, [2.0, -4.0])
     assert np.allclose(q.grad, [[6.0]])
+    assert p.grad is store.grad_views[0] and q.grad is store.grad_views[1]
+
+
+# -- the flat store --------------------------------------------------------------
+
+
+def _taped_l2(params):
+    """The L2 term as a chain of tape records (the reference)."""
+    acc = ad.total_sum(ad.mul(params[0], params[0]))
+    for p in params[1:]:
+        acc = ad.add(acc, ad.total_sum(ad.mul(p, p)))
+    return acc
+
+
+def _reuse_loss(a, b, x):
+    """A loss that reaches ``a`` by two paths and ``b`` by one."""
+    h = ad.relu(ad.matmul(ad.as_tensor(x), a))
+    return ad.total_sum(ad.mul(ad.add(ad.matmul(h, b), ad.matmul(h, b)),
+                               ad.reshape(ad.total_sum(a), (1, 1))))
+
+
+def _store_pair(seed):
+    r = np.random.default_rng(seed)
+    a = ad.Tensor(r.normal(size=(4, 3)), requires_grad=True, name="a")
+    b = ad.Tensor(r.normal(size=(3, 2)), requires_grad=True, name="b")
+    return a, b, r.normal(size=(5, 4))
+
+
+def test_flat_store_views_share_the_vector():
+    a, b, _ = _store_pair(0)
+    want = np.concatenate([a.values.ravel(), b.values.ravel()])
+    store = ad.FlatStore([a, b])
+    np.testing.assert_array_equal(store.values, want)
+    assert a.values.base is store.values and b.values.base is store.values
+    store.values[:] = 0.0
+    assert not a.values.any() and not b.values.any()
+    assert ad.FlatStore.of([b, a]) is store
+    with pytest.raises(ValueError, match="store"):
+        ad.FlatStore.of([a, ad.Tensor([1.0], requires_grad=True)])
+
+
+@pytest.mark.parametrize("lam", [1e-5, 0.37])
+def test_l2_term_gradient_equals_the_taped_chain_bitwise(lam):
+    """Seeding 2*lam*theta and then running backward gives the gradients
+    of the taped term recorded after the forward pass, bit for bit."""
+    a, b, x = _store_pair(1)
+    with ad.Tape() as tape:
+        loss = ad.add(_reuse_loss(a, b, x), ad.mul(_taped_l2([a, b]), lam))
+    tape.backward(loss)
+    taped = (a.grad.copy(), b.grad.copy(), float(loss.values))
+    a.zero_grad()
+    b.zero_grad()
+    store = ad.FlatStore([a, b])
+    with ad.Tape() as tape:
+        fwd = _reuse_loss(a, b, x)
+        loss = ad.add(fwd, ad.mul(store.l2_term(lam), lam))
+    tape.backward(loss)
+    assert a.grad.tobytes() == taped[0].tobytes()
+    assert b.grad.tobytes() == taped[1].tobytes()
+    assert float(loss.values) == taped[2]
+    assert a.grad.base is store.grad
+
+
+def test_l2_term_adds_to_gradients_already_held():
+    # a second loss on top of a first backward: the term adds lam*theta
+    # twice, as the taped chain did, and leaves frozen tensors alone
+    a, b, x = _store_pair(2)
+    frozen = ad.Tensor([4.0], requires_grad=False, name="frozen")
+
+    def two_passes(l2):
+        for t in (a, b):
+            t.zero_grad()
+        with ad.Tape() as tape:
+            loss = _reuse_loss(a, b, x)
+        tape.backward(loss)
+        with ad.Tape() as tape:
+            loss = ad.add(_reuse_loss(a, b, 2.0 * x), l2())
+        tape.backward(loss)
+        return a.grad.copy(), b.grad.copy()
+
+    taped = two_passes(lambda: ad.mul(_taped_l2([a, b]), 1e-3))
+    store = ad.FlatStore([a, b, frozen])
+    flat = two_passes(lambda: ad.mul(store.l2_term(1e-3), 1e-3))
+    assert flat[0].tobytes() == taped[0].tobytes()
+    assert flat[1].tobytes() == taped[1].tobytes()
+    assert frozen.grad is None
+
+
+def test_first_gradient_is_copied_not_shared():
+    # add hands the same array to both inputs; a later gradient into one
+    # must not show up in the other
+    a = ad.Tensor([1.0, 2.0], requires_grad=True)
+    b = ad.Tensor([5.0, 6.0], requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.add(ad.total_sum(ad.add(a, b)),
+                      ad.total_sum(ad.mul(a, 3.0)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def _scatter_per_column(g, idx, n):
+    """Per-column bincount scatter-add (the reference)."""
+    if g.ndim == 1:
+        return np.bincount(idx, weights=g, minlength=n)
+    out = np.empty((n, g.shape[1]))
+    for c in range(g.shape[1]):
+        out[:, c] = np.bincount(idx, weights=g[:, c], minlength=n)
+    return out
+
+
+@pytest.mark.parametrize("case", ["sorted", "unsorted", "empty", "1-d"])
+def test_scatter_add_rows_matches_per_column_bincount(case):
+    r = np.random.default_rng(3)
+    n = 40
+    idx = {"sorted": np.sort(r.integers(0, n, 360)),
+           "unsorted": r.integers(0, n, 360),
+           "empty": np.zeros(0, dtype=np.intp),
+           "1-d": r.integers(0, n, 97)}[case].astype(np.intp)
+    g = r.normal(size=(len(idx),) if case == "1-d" else (len(idx), 64))
+    got = ad._scatter_add_rows(g, idx, n)
+    want = _scatter_per_column(g, idx, n)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @given(st.lists(finite_floats(), min_size=1, max_size=12))

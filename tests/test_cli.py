@@ -208,6 +208,32 @@ def test_evaluate_study_a(workspace, tmp_path, capsys):
     assert "A-observability" in out
 
 
+def test_study_a_assembles_only_the_ridge_sample(workspace, tmp_path, capsys,
+                                                 monkeypatch):
+    from gridvolt import evaluation as gev
+    real_sample, real_snapshot = gev.baseline_sample, ds.SnapshotDataset.snapshot
+    asked = []
+
+    def spy(self, i):
+        asked.append(int(i))
+        return real_snapshot(self, i)
+
+    monkeypatch.setattr(gev, "baseline_sample",
+                        lambda window: real_sample(window, max_snapshots=10))
+    monkeypatch.setattr(ds.SnapshotDataset, "snapshot", spy)
+    rc, _, _ = run(["evaluate", "--study", "A",
+                    "--checkpoint", str(workspace["ckpt"]),
+                    "--data", str(workspace["data"]),
+                    "--levels", "20", "--seeds", "1",
+                    "--out-dir", str(tmp_path / "evalA")], capsys)
+    assert rc == 0
+    n = ds.load_dataset(workspace["data"]).n_snapshots
+    before, _, test = ds.split_windows(n, 0.0, ds.TEST_FRACTION)
+    sample = real_sample(before, max_snapshots=10)
+    assert len(before) > len(sample) == 10
+    assert sorted(asked) == sorted(list(sample) + list(test))
+
+
 def test_evaluate_deterministic_report(workspace, tmp_path, capsys):
     texts = []
     for sub in ("one", "two"):

@@ -184,6 +184,19 @@ def test_observability_sweep_shape_and_determinism(tiny_setup):
 # -- linear baseline ---------------------------------------------------------------
 
 
+def test_baseline_sample_strides_over_the_window():
+    assert ev.baseline_sample(range(36)) == range(36)
+    assert ev.baseline_sample(range(1800)) == range(0, 1600, 4)
+    assert ev.baseline_sample(range(5, 1205)) == range(5, 1205, 3)
+    assert len(ev.baseline_sample(range(0))) == 0
+    # the choice the fit made from a list of every window view
+    for n in (400, 401, 799, 1001, 1800):
+        views = list(range(n))
+        stride = max(1, n // min(n, 400))
+        assert list(ev.baseline_sample(range(n))) == \
+            views[::stride][:min(n, 400)]
+
+
 def test_baseline_fits_constant_voltage_exactly(tiny_setup):
     params, views, data = tiny_setup
     flat_views = [dataclasses.replace(v, v_true=np.ones(data.n_nodes))

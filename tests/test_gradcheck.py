@@ -74,3 +74,16 @@ def test_harness_catches_a_wrong_backward_rule(monkeypatch):
     monkeypatch.setattr(ad, "absolute", bad_absolute)
     report = gc.run_gradcheck(seed=0, n_samples=4)
     assert not report.all_ok
+
+
+def test_harness_catches_a_wrong_l2_gradient(monkeypatch):
+    # the L2 term is off the tape; seeding lam*theta instead of its
+    # gradient 2*lam*theta must still show up against finite differences
+    real = ad.FlatStore.l2_term
+
+    def half_gradient(self, lam):
+        return real(self, lam / 2.0)  # same value, seeds lam * theta
+
+    monkeypatch.setattr(ad.FlatStore, "l2_term", half_gradient)
+    report = gc.run_gradcheck(seed=0, n_samples=4)
+    assert not report.all_ok

@@ -235,4 +235,8 @@ def test_frozen_parameters_receive_exactly_no_gradient(tiny_batch):
 def test_regularization_skips_frozen_tensors():
     a = ad.Tensor(np.array([2.0]), requires_grad=True)
     b = ad.Tensor(np.array([3.0]), requires_grad=False)
-    assert gl.regularization([a, b]).values == pytest.approx(4.0)
+    store = ad.FlatStore([a, b])
+    assert store.l2_term(1e-5) == pytest.approx(4.0)
+    with ad.Tape():
+        assert store.l2_term(0.5) == pytest.approx(4.0)
+    assert a.grad == pytest.approx([2.0]) and b.grad is None

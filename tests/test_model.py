@@ -390,6 +390,46 @@ def test_replace_eta_resets_gate_rows():
     assert params.tensors["eta"].shape == (3, 1)
 
 
+def _assert_flat_layout(params):
+    """Tensors in canonical order, each a view of its span of the store,
+    and the head one contiguous span at the end."""
+    names = gm.parameter_names(params.config)
+    assert list(params.tensors) == names
+    store = params.store
+    assert store.tensors == list(params.tensors.values())
+    offset = 0
+    for name, t in params.tensors.items():
+        assert t.values.base is store.values, name
+        span = store.values[offset:offset + t.values.size]
+        assert np.shares_memory(t.values, span), name
+        offset += t.values.size
+    assert offset == store.values.size == store.grad.size
+    head = params.head_names()
+    assert names[len(names) - len(head):] == head
+    assert set(names[:len(names) - len(head)]) == set(params.backbone_names())
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    params = gm.ModelParams.create(gm.ModelConfig(), [1, 2, 3], seed=4)
+    _assert_flat_layout(params)
+    assert params.store.values.size == 228_232  # the default model, 3 gates
+    params.store.values[:] = 0.5
+    assert all(np.all(t.values == 0.5) for t in params.tensors.values())
+
+
+def test_replace_eta_keeps_the_store_consistent():
+    params = gm.ModelParams.create(gm.ModelConfig(), [1, 2], seed=0)
+    before = {n: t.values.copy() for n, t in params.tensors.items()}
+    size = params.store.values.size
+    params.replace_eta([10, 11, 12])
+    _assert_flat_layout(params)
+    assert params.store.values.size == size + 1
+    for name, vals in before.items():
+        if name != "eta":
+            np.testing.assert_array_equal(params.tensors[name].values, vals)
+    np.testing.assert_array_equal(params.tensors["eta"].values, 1.0)
+
+
 def test_hub_feeder_cannot_receive_a_gate():
     with pytest.raises(ValueError, match="hub"):
         gm.ModelParams.create(gm.ModelConfig(), [net.HUB_FEEDER, 1], seed=0)
@@ -453,15 +493,48 @@ def test_gradients_flow_to_every_parameter(tiny_views):
         data.feeder_ids, seed=6)
     item = gm.item_from_view(views[0], np.ones(data.n_nodes, dtype=bool))
     batch = gm.build_batch([item], params.feeder_rows)
-    with ad.Tape():
-        v_hat = gm.forward(params, batch)
-        loss = ad.l1_loss(ad.sub(v_hat, batch.v_true))
-        ad.backward(loss)
+    # first with fresh gradient arrays, then with every gradient bound to
+    # its view of the flat buffer (seeded at zero weight) before backward
+    for prebound in (False, True):
+        params.store.grad[:] = 0.0
+        for t in params.tensors.values():
+            t.zero_grad()
+        with ad.Tape():
+            v_hat = gm.forward(params, batch)
+            loss = ad.l1_loss(ad.sub(v_hat, batch.v_true))
+            if prebound:
+                params.store.l2_term(0.0)
+            ad.backward(loss)
+        missing, zero = _gradient_gaps(params)
+        assert missing == []
+        assert zero == []
+
+
+def _gradient_gaps(params):
+    """Tensors with no gradient array, and tensors whose gradient is all
+    zero (a pre-bound view nothing reached)."""
     missing = [n for n, t in params.tensors.items() if t.grad is None]
-    assert missing == []
     zero = [n for n, t in params.tensors.items()
-            if float(np.abs(t.grad).max()) == 0.0]
-    assert zero == []
+            if t.grad is not None and float(np.abs(t.grad).max()) == 0.0]
+    return missing, zero
+
+
+def test_gradient_check_catches_a_gap_behind_prebound_views(tiny_views):
+    views, data = tiny_views
+    params = gm.ModelParams.create(
+        gm.ModelConfig(hidden_dim=8, n_layers=2, decoder_hidden=8),
+        data.feeder_ids, seed=6)
+    params.tensors["decoder.W2"].values[:] = 0.0  # nothing flows past it
+    item = gm.item_from_view(views[0], np.ones(data.n_nodes, dtype=bool))
+    batch = gm.build_batch([item], params.feeder_rows)
+    with ad.Tape():
+        loss = ad.l1_loss(ad.sub(gm.forward(params, batch), batch.v_true))
+        params.store.l2_term(0.0)
+        ad.backward(loss)
+    missing, zero = _gradient_gaps(params)
+    assert missing == []  # every gradient is a bound view ...
+    assert "decoder.W1" in zero and "input.W" in zero  # ... yet gaps show
+    assert "decoder.W2" not in zero and "decoder.b2" not in zero
 
 
 def test_numeric_gradcheck_on_micro_model():
@@ -498,6 +571,18 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
         np.testing.assert_array_equal(loaded.tensors[name].values,
                                       tensor.values)
         assert loaded.tensors[name].requires_grad
+
+
+def test_checkpoint_loads_sorted_keys_into_the_canonical_layout(tmp_path):
+    params = gm.ModelParams.create(gm.ModelConfig(), [7, 8], seed=13)
+    path = tmp_path / "model.npz"
+    gm.save_checkpoint(params, path)
+    with np.load(path) as data:
+        keys = [k for k in data.files if k.startswith("tensor/")]
+    assert keys == sorted(keys)  # the head names are not contiguous here
+    loaded = gm.load_checkpoint(path)
+    _assert_flat_layout(loaded)
+    assert loaded.store.values.tobytes() == params.store.values.tobytes()
 
 
 def test_checkpoint_rejects_wrong_format(tmp_path):

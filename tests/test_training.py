@@ -81,6 +81,51 @@ def test_adam_skips_tensors_without_gradient():
     assert x.values[0] == 5.0
 
 
+def _per_tensor_adam(values, grad_steps, lr, beta1=0.9, beta2=0.999,
+                     eps=1e-8):
+    """Adam tensor by tensor, allocating every intermediate (the
+    reference for the in-place whole-vector update)."""
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grad_steps, start=1):
+        b1c = 1.0 - beta1 ** t
+        b2c = 1.0 - beta2 ** t
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v2[i] = beta2 * v2[i] + (1 - beta2) * g ** 2
+            step = lr * (m[i] / b1c) / (np.sqrt(v2[i] / b2c) + eps)
+            values[i] = values[i] - step
+    return values
+
+
+@pytest.mark.parametrize("group", ["all", "head"])
+def test_flat_adam_matches_the_per_tensor_formula_bitwise(group):
+    import gridvolt.model as gm
+    params = gm.ModelParams.create(gm.ModelConfig(), [1, 2, 3], seed=2)
+    names = list(params.tensors) if group == "all" else params.head_names()
+    tensors = [params.tensors[n] for n in names]
+    others = {n: t.values.copy() for n, t in params.tensors.items()
+              if n not in names}
+    views = dict(zip(map(id, params.store.tensors), params.store.grad_views))
+    r = np.random.default_rng(5)
+    grad_steps = [[r.normal(0.0, 10.0 ** r.integers(-6, 1), size=t.shape)
+                   for t in tensors] for _ in range(4)]
+    want = _per_tensor_adam([t.values for t in tensors], grad_steps, lr=3e-4)
+    opt = tr.Adam(tensors, lr=3e-4)
+    assert opt.store is params.store
+    for grads in grad_steps:
+        opt.zero_grad()
+        for t, g in zip(tensors, grads):  # bound as the L2 seeding binds
+            t.grad = views[id(t)]
+            t.grad[...] = g
+        opt.step()
+    for name, t, w in zip(names, tensors, want):
+        assert t.values.tobytes() == w.tobytes(), name
+    for name, vals in others.items():
+        assert params.tensors[name].values.tobytes() == vals.tobytes()
+
+
 # -- config -------------------------------------------------------------------
 
 
