@@ -16,14 +16,16 @@ this script on both checkouts and diffing the two listings:
     diff a.txt b.txt
 
 The set: ``generate`` for tiny seeds 0-4 (defaults), tiny 7 with its ties
-closed at 40 % DER, medium 100-103 at 20 % DER, medium 103 with its ties
-closed, and a two-day tiny dataset (seed 0); ``train --seed 0`` on the
-two-day set with a short curriculum, and a shorter one there without
-weight decay (``lam_reg`` 0, where the decay gradient is zero of either
-sign); ``evaluate --study A --seeds 2`` of the first checkpoint on the same
-set; ``finetune --seed 0`` of it on tiny seed 1; ``evaluate --study D
---seeds 2`` of both checkpoints on tiny seed 1. It takes about two minutes
-on one core.
+closed at 40 % DER, tiny 0 at 40 % DER, tiny 0 with its ties closed,
+medium 100-103 at 20 % DER, medium 103 with its ties closed, and a two-day
+tiny dataset (seed 0); ``train --seed 0`` on the two-day set with a short
+curriculum, and a shorter one there without weight decay (``lam_reg`` 0,
+where the decay gradient is zero of either sign); ``evaluate --seeds 2`` of
+the first checkpoint in every study: A on the two-day set, B on tiny 0 at
+0 % and 40 % DER, C on tiny 0 with its ties open and closed, E on the
+two-day set with the no-decay checkpoint as the ablation, and D with the
+checkpoint from ``finetune --seed 0`` of it on tiny seed 1. It takes about
+two minutes on one core.
 """
 
 import argparse
@@ -52,6 +54,8 @@ def commands(work: Path) -> list[list[str]]:
 
     runs = [gen(f"tiny{s}", "--seed", str(s)) for s in range(5)]
     runs.append(gen("tiny7c", "--seed", "7", "--close-ties", "--der", "40"))
+    runs.append(gen("tiny0d40", "--seed", "0", "--der", "40"))
+    runs.append(gen("tiny0c", "--seed", "0", "--close-ties"))
     runs += [gen(f"med{s}", "--seed", str(s), "--size", "medium",
                  "--der", "20") for s in range(100, 104)]
     runs.append(gen("med103c", "--seed", "103", "--size", "medium",
@@ -64,19 +68,27 @@ def commands(work: Path) -> list[list[str]]:
     runs.append(["train", "--data", data, "--config",
                  str(work / "no_decay_config.json"), "--seed", "0",
                  "--out", str(work / "no_decay" / "model.npz")])
-    runs.append(["evaluate", "--study", "A", "--checkpoint",
-                 str(work / "model.npz"), "--data", data, "--seeds", "2",
-                 "--out-dir", str(work / "studyA")])
+    model = str(work / "model.npz")
+
+    def study(name, *args):
+        return ["evaluate", "--study", name, "--checkpoint", model, *args,
+                "--seeds", "2", "--out-dir", str(work / f"study{name}")]
+
+    runs.append(study("A", "--data", data))
+    runs.append(study("B", "--data", str(work / "tiny0.npz"),
+                      "--data", str(work / "tiny0d40.npz")))
+    runs.append(study("C", "--data", str(work / "tiny0.npz"),
+                      "--data-closed", str(work / "tiny0c.npz")))
+    runs.append(study("E", "--data", data, "--ablation-checkpoint",
+                      str(work / "no_decay" / "model.npz")))
     target = str(work / "tiny1.npz")
-    runs.append(["finetune", "--checkpoint", str(work / "model.npz"),
+    runs.append(["finetune", "--checkpoint", model,
                  "--data", target, "--config",
                  str(work / "train_config.json"), "--seed", "0",
                  "--pretrain-snapshots", "192",
                  "--out", str(work / "tuned" / "model.npz")])
-    runs.append(["evaluate", "--study", "D", "--checkpoint",
-                 str(work / "model.npz"), "--finetuned-checkpoint",
-                 str(work / "tuned" / "model.npz"), "--data", target,
-                 "--seeds", "2", "--out-dir", str(work / "studyD")])
+    runs.append(study("D", "--finetuned-checkpoint",
+                      str(work / "tuned" / "model.npz"), "--data", target))
     return runs
 
 

@@ -39,6 +39,11 @@ from .gradcheck import format_report, run_gradcheck
 
 ERROR_CATEGORIES = ("config", "data", "powerflow", "training", "checkpoint",
                     "internal")
+# observability levels of each case study when --levels is not given
+STUDY_LEVELS = {"A": (1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70,
+                      75, 80),
+                "B": (5, 20, 50), "C": (5, 20, 50), "D": (5, 20, 50),
+                "E": (20, 50)}
 
 
 class CliError(Exception):
@@ -164,6 +169,8 @@ def _parse_levels(text: str) -> tuple:
         raise CliError("config", f"cannot parse levels {text!r}") from exc
     if not levels:
         raise CliError("config", "empty levels list")
+    if not all(0 < x < 100 for x in levels):
+        raise CliError("config", f"levels must lie in (0, 100), got {text!r}")
     return levels
 
 
@@ -245,68 +252,48 @@ def cmd_finetune(args) -> None:
 
 def _study_rows(args) -> list:
     params = _load_checkpoint(args.checkpoint)
-    levels = _parse_levels(args.levels) if args.levels else None
-    common = dict(n_seeds=args.seeds, seed=args.seed or 0)
+    common = dict(levels=_parse_levels(args.levels) if args.levels
+                  else STUDY_LEVELS[args.study],
+                  n_seeds=args.seeds, seed=args.seed)
+    data = _load_dataset(args.data[0])
+    name = data.meta.get("substation", "?")
 
-    def test_views(data):
-        test = gds.split_windows(data.n_snapshots, 0.0, args.eval_fraction)[2]
-        return [data.snapshot(i) for i in test]
+    def test_views(d):
+        test = gds.split_windows(d.n_snapshots, 0.0, args.eval_fraction)[2]
+        return [d.snapshot(i) for i in test]
 
     if args.study == "A":
-        data = _load_dataset(args.data[0])
         # the ridge fit reads a strided sample of the snapshots before the
         # evaluation window; only those are assembled
-        before, _, test = gds.split_windows(data.n_snapshots, 0.0,
-                                            args.eval_fraction)
+        before = gds.split_windows(data.n_snapshots, 0.0,
+                                   args.eval_fraction)[0]
         baseline = gev.fit_linear_baseline(
             [data.snapshot(i) for i in gev.baseline_sample(before)],
-            levels=levels or gev.DEFAULT_LEVELS, seed=common["seed"])
-        return gev.case_study_runner(
-            "A", params=params, baseline=baseline,
-            views=[data.snapshot(i) for i in test],
-            substation=data.meta.get("substation", "?"),
-            levels=levels or gev.DEFAULT_LEVELS, **common)
+            levels=common["levels"], seed=args.seed)
+        return gev.study_observability(params, baseline, test_views(data),
+                                       name, **common)
     if args.study == "B":
-        by_pen = {}
-        name = "?"
-        for path in args.data:
-            data = _load_dataset(path)
-            name = data.meta.get("substation", "?")
-            pen = int(data.meta["scenarios"][0]["der_penetration"])
-            by_pen[pen] = test_views(data)
-        return gev.case_study_runner(
-            "B", params=params, views_by_penetration=by_pen, substation=name,
-            levels=levels or (5, 20, 50), **common)
+        sets = [data] + [_load_dataset(p) for p in args.data[1:]]
+        by_pen = {int(d.meta["scenarios"][0]["der_penetration"]): test_views(d)
+                  for d in sets}
+        return gev.study_der(params, by_pen,
+                             sets[-1].meta.get("substation", "?"), **common)
     if args.study == "C":
-        base = _load_dataset(args.data[0])
         closed = _load_dataset(args.data_closed)
-        return gev.case_study_runner(
-            "C", params=params,
-            views_base=test_views(base),
-            views_closed=test_views(closed),
-            substation=base.meta.get("substation", "?"),
-            levels=levels or (5, 20, 50), **common)
+        return gev.study_tie(params, test_views(data), test_views(closed),
+                             name, **common)
     if args.study == "D":
         tuned = _load_checkpoint(args.finetuned_checkpoint)
-        data = _load_dataset(args.data[0])
-        return gev.case_study_runner(
-            "D", zero_shot_params=params, finetuned_params=tuned,
-            views=test_views(data),
-            substation=data.meta.get("substation", "?"),
-            levels=levels or (5, 20, 50), **common)
-    # study E
+        return gev.study_transfer(params, tuned, test_views(data), name,
+                                  **common)
     ablation = _load_checkpoint(args.ablation_checkpoint)
-    data = _load_dataset(args.data[0])
     try:
         attack = gev.AttackConfig(penetration=args.attack_penetration,
                                   targets=args.attack_targets)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-    return gev.case_study_runner(
-        "E", params=params, ablation_params=ablation,
-        views=test_views(data),
-        substation=data.meta.get("substation", "?"), attack=attack,
-        levels=levels or (20, 50), **common)
+    return gev.study_attack(params, ablation, test_views(data), name, attack,
+                            **common)
 
 
 def cmd_evaluate(args) -> None:
@@ -317,12 +304,16 @@ def cmd_evaluate(args) -> None:
         raise CliError("config", "study D requires --finetuned-checkpoint")
     if args.study == "E" and not args.ablation_checkpoint:
         raise CliError("config", "study E requires --ablation-checkpoint")
+    if args.seeds < 1:
+        raise CliError("config", f"--seeds must be at least 1, got "
+                                 f"{args.seeds}")
+    if not 0 < args.eval_fraction < 1:
+        raise CliError("config", f"--eval-fraction must lie in (0, 1), got "
+                                 f"{args.eval_fraction}")
     try:
         rows = _study_rows(args)
     except ValueError as exc:  # the series cannot hold the evaluation window
         raise CliError("data", str(exc)) from exc
-    except RuntimeError as exc:
-        raise CliError("internal", str(exc)) from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = out_dir / f"study_{args.study}.csv"
@@ -337,7 +328,7 @@ def cmd_evaluate(args) -> None:
                   args.ablation_checkpoint):
         if extra:
             inputs.append(extra)
-    _finish("evaluate", config, [args.seed or 0], inputs, [report, summary],
+    _finish("evaluate", config, [args.seed], inputs, [report, summary],
             started)
 
 

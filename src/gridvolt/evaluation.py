@@ -3,10 +3,11 @@
 Reported errors are computed over masked nodes only: reconstructing the
 voltages the estimator cannot see is the quantity that matters, and the
 observed nodes carry their own measurement anyway. Observability sweeps
-resample sensor placements over several seeds per level and report the
-mean and spread. The reference baseline is per-feeder ridge-regularized
-least squares from the same masked node features, fit both per level and
-pooled across levels, keeping the better score.
+resample sensor placements over several seeds per level and return one
+report row per level and seed; the summary averages over seeds. The
+reference baseline is per-feeder ridge-regularized least squares from the
+same masked node features: one fit per level, scored only at the level it
+was fit at (no best-of across fits).
 
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
@@ -32,8 +33,6 @@ from .seeding import rng as _rng
 
 REPORT_COLUMNS = ("scenario", "substation", "p_obs", "model", "RMSE", "MAE",
                   "seed")
-DEFAULT_LEVELS = (1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70,
-                  75, 80)
 _NI = net.NODE_FEATURE_INDEX
 
 
@@ -141,17 +140,6 @@ def evaluate_masked(params: ModelParams, views, p_obs: float,
             mae(preds.ravel(), truth.ravel(), np.tile(hidden, len(views))))
 
 
-@dataclass
-class SweepRow:
-    substation: str
-    p_obs: float
-    mean_rmse: float
-    std_rmse: float
-    mean_mae: float
-    per_seed_rmse: tuple[float, ...]
-    per_seed_mae: tuple[float, ...]
-
-
 def fleet_orders(views, n_seeds: int, seed: int) -> list[np.ndarray]:
     """One nested sensor roll-out order per replicate, hub metered first."""
     n_nodes = len(views[0].v_true)
@@ -160,9 +148,10 @@ def fleet_orders(views, n_seeds: int, seed: int) -> list[np.ndarray]:
             for k in range(n_seeds)]
 
 
-def _sweep(score, views, substation: str, levels, n_seeds: int,
-           seed: int) -> list[SweepRow]:
-    """Mean and spread of ``score(level, mask, replicate seed)`` per level.
+def _sweep(score, views, substation: str, levels, n_seeds: int, seed: int,
+           scenario: str, model: str) -> list[ReportRow]:
+    """One report row per (level, replicate) of ``score(level, mask,
+    replicate seed)``.
 
     Each replicate is one sensor fleet rolled out in priority order, so the
     sets compared across levels are nested and the per-replicate error
@@ -171,34 +160,26 @@ def _sweep(score, views, substation: str, levels, n_seeds: int,
     orders = fleet_orders(views, n_seeds, seed)
     rows = []
     for level in levels:
-        scores = [score(level, net.fleet_mask(orders[k], level),
-                        _seed_for(seed, level, k)) for k in range(n_seeds)]
-        r = np.array([s[0] for s in scores])
-        m = np.array([s[1] for s in scores])
-        rows.append(SweepRow(substation=substation, p_obs=level,
-                             mean_rmse=float(r.mean()),
-                             std_rmse=float(r.std()),
-                             mean_mae=float(m.mean()),
-                             per_seed_rmse=tuple(r.tolist()),
-                             per_seed_mae=tuple(m.tolist())))
+        for k in range(n_seeds):
+            # one integer per (sweep seed, level, replicate), stable
+            mask_seed = derive_seed(seed, "sweep", level, k)
+            r, m = score(level, net.fleet_mask(orders[k], level), mask_seed)
+            rows.append(ReportRow(scenario, substation, level, model, r, m,
+                                  mask_seed))
     return rows
 
 
-def observability_sweep(params: ModelParams, views, substation: str,
-                        levels=DEFAULT_LEVELS, n_seeds: int = 10,
-                        seed: int = 0,
-                        attack: AttackConfig | None = None) -> list[SweepRow]:
+def observability_sweep(params: ModelParams, views, substation: str, levels,
+                        n_seeds: int, seed: int = 0,
+                        attack: AttackConfig | None = None, *,
+                        scenario: str, model: str) -> list[ReportRow]:
     """Masked-node error of the model per observability level."""
     def score(level, mask, mask_seed):
         return evaluate_masked(params, views, level, mask,
                                mask_seed=mask_seed, attack=attack,
                                attack_seed=seed)
-    return _sweep(score, views, substation, levels, n_seeds, seed)
-
-
-def _seed_for(seed: int, level: float, k: int) -> int:
-    # one integer per (sweep seed, level, replicate); stable across runs
-    return derive_seed(seed, "sweep", level, k)
+    return _sweep(score, views, substation, levels, n_seeds, seed, scenario,
+                  model)
 
 
 # -- linear baseline ---------------------------------------------------------------
@@ -207,42 +188,34 @@ def _seed_for(seed: int, level: float, k: int) -> int:
 class LinearBaseline:
     """Per-feeder least squares from masked node features to voltage.
 
-    One weight vector per (feeder, tag) where tag is an observability
-    level or "pooled". Ridge jitter keeps the normal equations solvable;
-    fits whose design matrix is rank-deficient are flagged.
+    One weight vector per feeder for each observability level it was fit
+    at, ``coef[level][feeder]``. Ridge jitter keeps the normal equations
+    solvable.
     """
 
     def __init__(self):
-        self.coef: dict[tuple[int, object], np.ndarray] = {}
-        self.rank_deficient: list[tuple[int, object]] = []
+        self.coef: dict[float, dict[int, np.ndarray]] = {}
 
     @staticmethod
     def _design(features: np.ndarray) -> np.ndarray:
         return np.hstack([features, np.ones((features.shape[0], 1))])
 
-    def fit_tag(self, tag, items: list[BatchItem]) -> None:
-        feeders = np.unique(np.concatenate([i.node_feeder for i in items]))
+    def fit_level(self, level, items: list[BatchItem]) -> None:
         x = np.vstack([self._design(i.node_x) for i in items])
         y = np.concatenate([i.v_true for i in items])
         groups = np.concatenate([i.node_feeder for i in items])
-        for f in feeders:
-            rows = groups == f
-            xf, yf = x[rows], y[rows]
+        self.coef[level] = {}
+        for f in np.unique(groups):
+            xf, yf = x[groups == f], y[groups == f]
             gram = xf.T @ xf + 1e-8 * np.eye(xf.shape[1])
-            self.coef[(int(f), tag)] = np.linalg.solve(gram, xf.T @ yf)
-            if np.linalg.matrix_rank(xf) < xf.shape[1]:
-                self.rank_deficient.append((int(f), tag))
+            self.coef[level][int(f)] = np.linalg.solve(gram, xf.T @ yf)
 
-    def predict_tag(self, tag, item: BatchItem) -> np.ndarray:
+    def predict(self, level, item: BatchItem) -> np.ndarray:
         x = self._design(item.node_x)
-        out = np.zeros(x.shape[0])
-        for f in np.unique(item.node_feeder):
-            key = (int(f), tag)
-            if key not in self.coef:  # unseen feeder: nominal voltage
-                out[item.node_feeder == f] = 1.0
-                continue
+        out = np.ones(x.shape[0])  # unseen feeder: nominal voltage
+        for f, w in self.coef[level].items():
             rows = item.node_feeder == f
-            out[rows] = x[rows] @ self.coef[key]
+            out[rows] = x[rows] @ w
         return out
 
 
@@ -255,46 +228,38 @@ def baseline_sample(window: range, max_snapshots: int = 400) -> range:
 
 
 def fit_linear_baseline(train_views, levels, seed: int = 0) -> LinearBaseline:
-    """Fit per-level and pooled per-feeder models on masked features of
-    every given view (``baseline_sample`` picks them from a window)."""
+    """Fit one per-feeder model per level on masked features of every
+    given view (``baseline_sample`` picks them from a window)."""
     baseline = LinearBaseline()
     n_nodes = len(train_views[0].v_true)
     hub = net.hub_rows(train_views[0].node_features)
-    pooled: list[BatchItem] = []
     for level in levels:
         # a fresh placement per snapshot, all from one stream per level
         gen = _rng(seed, "baseline-mask", level)
-        items = [item_from_view(v, net.fleet_mask(
+        baseline.fit_level(level, [item_from_view(v, net.fleet_mask(
             net.fleet_order(n_nodes, gen, hub_indices=hub), level))
-            for v in train_views]
-        baseline.fit_tag(level, items)
-        pooled.extend(items[:: max(1, len(levels) // 4)])
-    baseline.fit_tag("pooled", pooled)
+            for v in train_views])
     return baseline
 
 
 def baseline_masked(baseline: LinearBaseline, views, p_obs: float,
                     mask: np.ndarray) -> tuple[float, float]:
-    """Best-of per-level/pooled baseline error under one sensor placement."""
-    items = [item_from_view(v, mask) for v in views]
-    hidden = np.tile(~mask, len(views))
+    """Error of the level-``p_obs`` fit under one sensor placement."""
+    preds = np.concatenate([baseline.predict(p_obs, item_from_view(v, mask))
+                            for v in views])
     truth = np.concatenate([v.v_true for v in views])
-    scores = []
-    for tag in (p_obs, "pooled"):
-        if not any(key[1] == tag for key in baseline.coef):
-            continue
-        preds = np.concatenate([baseline.predict_tag(tag, it) for it in items])
-        scores.append((rmse(preds, truth, hidden), mae(preds, truth, hidden)))
-    return min(scores)
+    hidden = np.tile(~mask, len(views))
+    return rmse(preds, truth, hidden), mae(preds, truth, hidden)
 
 
-def baseline_sweep(baseline: LinearBaseline, views, substation: str,
-                   levels=DEFAULT_LEVELS, n_seeds: int = 10,
-                   seed: int = 0) -> list[SweepRow]:
+def baseline_sweep(baseline: LinearBaseline, views, substation: str, levels,
+                   n_seeds: int, seed: int = 0, *, scenario: str,
+                   model: str) -> list[ReportRow]:
     """Masked-node error of the ridge baseline per observability level."""
     def score(level, mask, _):
         return baseline_masked(baseline, views, level, mask)
-    return _sweep(score, views, substation, levels, n_seeds, seed)
+    return _sweep(score, views, substation, levels, n_seeds, seed, scenario,
+                  model)
 
 
 # -- case studies -----------------------------------------------------------------
@@ -320,89 +285,62 @@ def write_report(path, rows: list[ReportRow]) -> None:
                              f"{r.rmse:.8f}", f"{r.mae:.8f}", r.seed])
 
 
-def _sweep_to_rows(scenario: str, model: str, sweep: list[SweepRow],
-                   base_seed: int) -> list[ReportRow]:
-    rows = []
-    for sw in sweep:
-        for k, (r, m) in enumerate(zip(sw.per_seed_rmse, sw.per_seed_mae)):
-            rows.append(ReportRow(scenario=scenario, substation=sw.substation,
-                                  p_obs=sw.p_obs, model=model, rmse=r, mae=m,
-                                  seed=_seed_for(base_seed, sw.p_obs, k)))
-    return rows
-
-
-def study_observability(params, baseline, views, substation,
-                        levels=DEFAULT_LEVELS, n_seeds=10,
+def study_observability(params, baseline, views, substation, levels, n_seeds,
                         seed=0) -> list[ReportRow]:
     """Study A: model vs linear baseline across observability levels."""
-    model_rows = observability_sweep(params, views, substation, levels,
-                                     n_seeds, seed)
-    base_rows = baseline_sweep(baseline, views, substation, levels, n_seeds,
-                               seed)
-    return (_sweep_to_rows("A-observability", "gnn", model_rows, seed)
-            + _sweep_to_rows("A-observability", "linear", base_rows, seed))
+    return (observability_sweep(params, views, substation, levels, n_seeds,
+                                seed, scenario="A-observability", model="gnn")
+            + baseline_sweep(baseline, views, substation, levels, n_seeds,
+                             seed, scenario="A-observability",
+                             model="linear"))
 
 
 def study_der(params, views_by_penetration: dict[int, list], substation,
-              levels=(5, 20, 50), n_seeds=5, seed=0) -> list[ReportRow]:
+              levels, n_seeds, seed=0) -> list[ReportRow]:
     """Study B: error under increasing local generation."""
     rows = []
     for pen, views in sorted(views_by_penetration.items()):
-        sweep = observability_sweep(params, views, substation, levels,
-                                    n_seeds, seed)
-        rows.extend(_sweep_to_rows(f"B-der{pen}", "gnn", sweep, seed))
+        rows += observability_sweep(params, views, substation, levels,
+                                    n_seeds, seed, scenario=f"B-der{pen}",
+                                    model="gnn")
     return rows
 
 
-def study_tie(params, views_base, views_closed, substation,
-              levels=(5, 20, 50), n_seeds=5, seed=0) -> list[ReportRow]:
+def study_tie(params, views_base, views_closed, substation, levels, n_seeds,
+              seed=0) -> list[ReportRow]:
     """Study C: radial operation vs a closed inter-feeder tie."""
-    base = observability_sweep(params, views_base, substation, levels,
-                               n_seeds, seed)
-    closed = observability_sweep(params, views_closed, substation, levels,
-                                 n_seeds, seed)
-    return (_sweep_to_rows("C-radial", "gnn", base, seed)
-            + _sweep_to_rows("C-tie-closed", "gnn", closed, seed))
+    return (observability_sweep(params, views_base, substation, levels,
+                                n_seeds, seed, scenario="C-radial",
+                                model="gnn")
+            + observability_sweep(params, views_closed, substation, levels,
+                                  n_seeds, seed, scenario="C-tie-closed",
+                                  model="gnn"))
 
 
 def study_transfer(zero_shot_params, finetuned_params, views, substation,
-                   levels=(5, 20, 50), n_seeds=10, seed=0) -> list[ReportRow]:
+                   levels, n_seeds, seed=0) -> list[ReportRow]:
     """Study D: pretrained model on an unseen substation, before/after
     head-only fine-tuning."""
-    zero = observability_sweep(zero_shot_params, views, substation, levels,
-                               n_seeds, seed)
-    tuned = observability_sweep(finetuned_params, views, substation, levels,
-                                n_seeds, seed)
-    return (_sweep_to_rows("D-transfer", "gnn-zeroshot", zero, seed)
-            + _sweep_to_rows("D-transfer", "gnn-finetuned", tuned, seed))
+    return (observability_sweep(zero_shot_params, views, substation, levels,
+                                n_seeds, seed, scenario="D-transfer",
+                                model="gnn-zeroshot")
+            + observability_sweep(finetuned_params, views, substation, levels,
+                                  n_seeds, seed, scenario="D-transfer",
+                                  model="gnn-finetuned"))
 
 
 def study_attack(params, ablation_params, views, substation,
-                 attack: AttackConfig | None = None, levels=(20, 50),
-                 n_seeds=5, seed=0) -> list[ReportRow]:
+                 attack: AttackConfig, levels, n_seeds,
+                 seed=0) -> list[ReportRow]:
     """Study E: attacked vs clean error, physics-trained vs ablation."""
-    attack = attack or AttackConfig()
     rows = []
-    for tag, p in (("gnn-physics", params), ("gnn-nophysics", ablation_params)):
-        clean = observability_sweep(p, views, substation, levels, n_seeds,
-                                    seed)
-        hit = observability_sweep(p, views, substation, levels, n_seeds, seed,
-                                  attack=attack)
-        rows.extend(_sweep_to_rows("E-clean", tag, clean, seed))
-        rows.extend(_sweep_to_rows("E-attacked", tag, hit, seed))
+    for model, p in (("gnn-physics", params),
+                     ("gnn-nophysics", ablation_params)):
+        for scenario, hit in (("E-clean", None), ("E-attacked", attack)):
+            rows += observability_sweep(p, views, substation, levels, n_seeds,
+                                        seed, hit, scenario=scenario,
+                                        model=model)
     return rows
-
-
-def case_study_runner(study_id: str, **kwargs) -> list[ReportRow]:
-    """Dispatch one of the five studies, tagging failures with the id."""
-    studies = {"A": study_observability, "B": study_der, "C": study_tie,
-               "D": study_transfer, "E": study_attack}
-    if study_id not in studies:
-        raise ValueError(f"unknown case study {study_id!r}, expected A..E")
-    try:
-        return studies[study_id](**kwargs)
-    except Exception as exc:
-        raise RuntimeError(f"case study {study_id} failed: {exc}") from exc
 
 
 def summarize(rows: list[ReportRow]) -> str:

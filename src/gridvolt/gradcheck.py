@@ -2,11 +2,10 @@
 
 Builds a fixed 10-node, two-feeder, single-phase toy snapshot that
 exercises every edge device type, an open tie, masked and observed nodes,
-physics-edge flows, and a nonzero hub mismatch, then compares analytic
-gradients of the complete objective against central differences for every
-parameter tensor. Results aggregate into one row per model block so a
-failure localizes to input projection, a specific layer, conditioning,
-or the decoder.
+and physics-edge flows, then compares analytic gradients of the complete
+objective against central differences for every parameter tensor. Results
+aggregate into one row per model block so a failure localizes to input
+projection, a specific layer, conditioning, or the decoder.
 """
 
 from __future__ import annotations
@@ -82,8 +81,7 @@ def toy_item(seed: int = 0) -> BatchItem:
         phys_from=edge_from[phys], phys_to=edge_to[phys],
         phys_r=edge_z[phys, _EI["r_pu"]], phys_x=edge_z[phys, _EI["x_pu"]],
         phys_p=gen.uniform(0.05, 0.4, len(phys)),
-        phys_q=gen.uniform(0.02, 0.2, len(phys)),
-        hub_residual=0.002)
+        phys_q=gen.uniform(0.02, 0.2, len(phys)))
 
 
 def toy_batch(params: ModelParams, seed: int = 0) -> GraphBatch:

@@ -13,10 +13,7 @@ small on lightly loaded branches and the penalty pulls predictions toward
 power-flow-consistent profiles rather than exact solutions. Weight decay
 applies to the trainable tensors only, and outside the tape: its gradient
 2·lam_reg·θ is written into the flat gradient buffer before backward,
-which then adds the taped terms' gradients to it. The hub residual, the
-mismatch between the transformer injection and the sum of feeder head
-flows plus auxiliary load, is logged as a data-quality value; it does not
-depend on the parameters and so is not part of the objective.
+which then adds the taped terms' gradients to it.
 """
 
 from __future__ import annotations
@@ -100,6 +97,5 @@ def batch_loss(params: ModelParams, batch: GraphBatch,
     reg = params.store.l2_term(weights.lam_reg)
     total = total_loss(sup, phys, reg, weights)
     parts = {"total": float(total.values), "supervised": float(sup.values),
-             "physics": float(phys.values), "reg": reg,
-             "hub": float(np.mean(batch.hub_residual))}
+             "physics": float(phys.values), "reg": reg}
     return total, parts

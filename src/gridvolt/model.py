@@ -236,7 +236,6 @@ class BatchItem:
     phys_x: np.ndarray
     phys_p: np.ndarray
     phys_q: np.ndarray
-    hub_residual: float         # |sum of head flows + aux - transformer flow|
 
 
 def item_from_view(view, observed: np.ndarray) -> BatchItem:
@@ -246,7 +245,6 @@ def item_from_view(view, observed: np.ndarray) -> BatchItem:
     sel = np.flatnonzero(view.edge_phys)
     r_col = net.EDGE_FEATURE_INDEX["r_pu"]
     x_col = net.EDGE_FEATURE_INDEX["x_pu"]
-    hub_gap = abs(sum(view.head_s.values()) + view.s_aux - view.s_subxfmr)
     return BatchItem(
         node_x=node_x, edge_from=view.edge_from, edge_to=view.edge_to,
         edge_z=view.edge_features, node_feeder=view.node_feeder,
@@ -254,8 +252,7 @@ def item_from_view(view, observed: np.ndarray) -> BatchItem:
         phys_from=view.edge_from[sel], phys_to=view.edge_to[sel],
         phys_r=view.edge_features[sel, r_col],
         phys_x=view.edge_features[sel, x_col],
-        phys_p=view.edge_p[sel], phys_q=view.edge_q[sel],
-        hub_residual=float(hub_gap))
+        phys_p=view.edge_p[sel], phys_q=view.edge_q[sel])
 
 
 def status_gate(edge_z: np.ndarray, phase_i: np.ndarray,
@@ -295,7 +292,6 @@ class GraphBatch:
     phys_x: np.ndarray
     phys_p: np.ndarray
     phys_q: np.ndarray
-    hub_residual: np.ndarray    # [n_graphs]
 
 
 def edge_type_ids(edge_z: np.ndarray) -> np.ndarray:
@@ -315,7 +311,6 @@ def build_batch(items: list[BatchItem],
     v_parts, obs_parts = [], []
     pf_parts, pt_parts, pr_parts, px_parts, pp_parts, pq_parts = \
         [], [], [], [], [], []
-    hub_parts = []
     offset = 0
     for g, item in enumerate(items):
         n = item.node_x.shape[0]
@@ -340,7 +335,6 @@ def build_batch(items: list[BatchItem],
         px_parts.append(item.phys_x)
         pp_parts.append(item.phys_p)
         pq_parts.append(item.phys_q)
-        hub_parts.append(item.hub_residual)
         offset += n
 
     node_x = np.concatenate(node_parts, axis=0)
@@ -396,8 +390,7 @@ def build_batch(items: list[BatchItem],
         v_true=np.concatenate(v_parts), observed=np.concatenate(obs_parts),
         phys_from=np.concatenate(pf_parts), phys_to=np.concatenate(pt_parts),
         phys_r=np.concatenate(pr_parts), phys_x=np.concatenate(px_parts),
-        phys_p=np.concatenate(pp_parts), phys_q=np.concatenate(pq_parts),
-        hub_residual=np.array(hub_parts))
+        phys_p=np.concatenate(pp_parts), phys_q=np.concatenate(pq_parts))
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,31 @@ def test_evaluate_bad_attack_penetration(workspace, tmp_path, capsys):
     assert err.strip().startswith("ERROR config:")
 
 
+@pytest.mark.parametrize("study", ["A", "B"])
+@pytest.mark.parametrize("flags", [["--levels", "0"], ["--levels", "100"],
+                                   ["--seeds", "0"],
+                                   ["--eval-fraction", "1.5"]])
+def test_evaluate_bad_flags_are_config_errors(workspace, tmp_path, capsys,
+                                              study, flags):
+    rc, _, err = run(["evaluate", "--study", study,
+                      "--checkpoint", str(workspace["ckpt"]),
+                      "--data", str(workspace["data"]), *flags,
+                      "--out-dir", str(tmp_path / "out")], capsys)
+    assert rc == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.strip().startswith("ERROR config:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_unknown_study_is_usage_error(workspace, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.dispatch(["evaluate", "--study", "Z",
+                      "--checkpoint", str(workspace["ckpt"]),
+                      "--data", str(workspace["data"]),
+                      "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 # -- plumbing --------------------------------------------------------------------
 
 

@@ -172,13 +172,15 @@ def test_evaluate_masked_returns_finite_scores(tiny_setup):
 
 def test_observability_sweep_shape_and_determinism(tiny_setup):
     params, views, data = tiny_setup
-    rows = ev.observability_sweep(params, views[:6], "s31", levels=(5, 40),
-                                  n_seeds=3, seed=2)
-    assert [r.p_obs for r in rows] == [5, 40]
-    assert all(len(r.per_seed_rmse) == 3 for r in rows)
-    again = ev.observability_sweep(params, views[:6], "s31", levels=(5, 40),
-                                   n_seeds=3, seed=2)
-    assert [r.per_seed_rmse for r in again] == [r.per_seed_rmse for r in rows]
+    kwargs = dict(levels=(5, 40), n_seeds=3, seed=2, scenario="X",
+                  model="gnn")
+    rows = ev.observability_sweep(params, views[:6], "s31", **kwargs)
+    assert [r.p_obs for r in rows] == [5, 5, 5, 40, 40, 40]
+    assert {(r.scenario, r.substation, r.model) for r in rows} == \
+        {("X", "s31", "gnn")}
+    assert len({r.seed for r in rows}) == 6
+    again = ev.observability_sweep(params, views[:6], "s31", **kwargs)
+    assert again == rows
 
 
 # -- linear baseline ---------------------------------------------------------------
@@ -210,11 +212,45 @@ def test_baseline_fits_constant_voltage_exactly(tiny_setup):
 def test_baseline_is_fit_per_feeder(tiny_setup):
     params, views, data = tiny_setup
     baseline = ev.fit_linear_baseline(views[:10], levels=(20,), seed=0)
-    feeders = {key[0] for key in baseline.coef}
     expected = set(int(f) for f in data.feeder_ids) | {net.HUB_FEEDER}
-    assert feeders == expected
-    tags = {key[1] for key in baseline.coef}
-    assert tags == {20, "pooled"}
+    assert set(baseline.coef[20]) == expected
+    assert set(baseline.coef) == {20}
+
+
+def test_baseline_scores_the_level_fit_alone(tiny_setup):
+    params, views, data = tiny_setup
+    train, test = views[:20], views[36:44]
+    # the level-20 fit by hand: the same masks, one ridge solve per feeder
+    gen = rng(0, "baseline-mask", 20)
+    hub = net.hub_rows(views[0].node_features)
+    items = [gm.item_from_view(v, net.fleet_mask(
+        net.fleet_order(data.n_nodes, gen, hub_indices=hub), 20))
+        for v in train]
+    x = np.vstack([np.hstack([i.node_x, np.ones((data.n_nodes, 1))])
+                   for i in items])
+    y = np.concatenate([i.v_true for i in items])
+    feeder = np.concatenate([i.node_feeder for i in items])
+    weights = {}
+    for f in np.unique(feeder):
+        xf, yf = x[feeder == f], y[feeder == f]
+        weights[f] = np.linalg.solve(xf.T @ xf + 1e-8 * np.eye(xf.shape[1]),
+                                     xf.T @ yf)
+    mask = _fleet_mask(data, 6, 20)
+    preds, truth = [], []
+    for v in test:
+        item = gm.item_from_view(v, mask)
+        xv = np.hstack([item.node_x, np.ones((data.n_nodes, 1))])
+        preds.append([xv[n] @ weights[item.node_feeder[n]]
+                      for n in range(data.n_nodes)])
+        truth.append(v.v_true)
+    hidden = np.tile(~mask, len(test))
+    expected = (ev.rmse(np.ravel(preds), np.ravel(truth), hidden),
+                ev.mae(np.ravel(preds), np.ravel(truth), hidden))
+    # fits at other levels never enter the level-20 score
+    for levels in ((20,), (5, 20, 80)):
+        baseline = ev.fit_linear_baseline(train, levels=levels, seed=0)
+        got = ev.baseline_masked(baseline, test, 20, mask)
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
 def test_baseline_beats_nominal_guess_on_real_data(tiny_setup):
@@ -245,19 +281,13 @@ def test_write_report_and_summarize(tiny_setup, tmp_path):
     assert "A-observability" in text and "linear" in text
 
 
-def test_case_study_runner_dispatch_and_errors(tiny_setup):
-    with pytest.raises(ValueError, match="unknown case study"):
-        ev.case_study_runner("Z")
-    with pytest.raises(RuntimeError, match="case study D failed"):
-        ev.case_study_runner("D", bogus_argument=1)
-
-
 def test_study_attack_rows_are_deterministic(tiny_setup):
     params, views, data = tiny_setup
     kwargs = dict(params=params, ablation_params=params, views=views[:4],
-                  substation="s31", levels=(20,), n_seeds=2, seed=5)
-    rows_a = ev.case_study_runner("E", **kwargs)
-    rows_b = ev.case_study_runner("E", **kwargs)
+                  substation="s31", attack=ev.AttackConfig(), levels=(20,),
+                  n_seeds=2, seed=5)
+    rows_a = ev.study_attack(**kwargs)
+    rows_b = ev.study_attack(**kwargs)
     assert [(r.scenario, r.model, r.rmse) for r in rows_a] == \
         [(r.scenario, r.model, r.rmse) for r in rows_b]
     scenarios = {r.scenario for r in rows_a}

@@ -137,35 +137,6 @@ def test_physics_gradient_flows_to_voltages():
     assert v_hat.grad[1] == pytest.approx(-2 * 1.00, abs=1e-12)
 
 
-# -- hub ---------------------------------------------------------------------------
-
-
-def test_hub_penalty_is_tiny_on_generated_snapshots(tiny_batch):
-    params, batch, data = tiny_batch
-    assert np.max(batch.hub_residual) < 1e-6
-
-
-def balanced_view(data, shift=0.0):
-    """The first stored snapshot with its transformer flow set to the head
-    flows plus aux load, moved by ``shift``."""
-    view = data.snapshot(0)
-    view.s_subxfmr = sum(view.head_s.values()) + view.s_aux + shift
-    return view
-
-
-def test_hub_penalty_exact_balance_is_zero(tiny_batch):
-    data = tiny_batch[2]
-    item = gm.item_from_view(balanced_view(data), np.ones(data.n_nodes, bool))
-    assert item.hub_residual == 0.0
-
-
-def test_hub_penalty_tracks_perturbation(tiny_batch):
-    data = tiny_batch[2]
-    item = gm.item_from_view(balanced_view(data, 0.1),
-                             np.ones(data.n_nodes, bool))
-    assert item.hub_residual == pytest.approx(0.1)
-
-
 # -- weights and total ---------------------------------------------------------------
 
 
@@ -205,7 +176,6 @@ def test_batch_loss_components_recombine(tiny_batch):
     params, batch, data = tiny_batch
     w = gl.LossWeights(lam_sup=1.0, lam_phys=0.05, lam_reg=1e-5)
     total, parts = gl.batch_loss(params, batch, w)
-    # the hub residual is logged but not part of the objective
     expected = (parts["supervised"] + 0.05 * parts["physics"]
                 + 1e-5 * parts["reg"])
     assert parts["total"] == pytest.approx(expected, rel=1e-12)

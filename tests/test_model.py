@@ -42,8 +42,7 @@ def micro_item(n_nodes, edges, *, feeders=None, phases=None):
         node_feeder=feeder, v_true=np.ones(n_nodes),
         observed=np.ones(n_nodes, dtype=bool),
         phys_from=empty.astype(np.int64), phys_to=empty.astype(np.int64),
-        phys_r=empty, phys_x=empty, phys_p=empty, phys_q=empty,
-        hub_residual=0.0)
+        phys_r=empty, phys_x=empty, phys_p=empty, phys_q=empty)
 
 
 def small_params(n_feeders=2, d=8, layers=2, seed=5):
@@ -221,8 +220,7 @@ def test_open_tie_equals_tie_removed_bitwise(tiny_views):
         node_feeder=item.node_feeder, v_true=item.v_true,
         observed=item.observed, phys_from=item.phys_from,
         phys_to=item.phys_to, phys_r=item.phys_r, phys_x=item.phys_x,
-        phys_p=item.phys_p, phys_q=item.phys_q,
-        hub_residual=item.hub_residual)
+        phys_p=item.phys_p, phys_q=item.phys_q)
 
     with_tie = gm.forward(params, gm.build_batch([item], params.feeder_rows))
     without = gm.forward(params, gm.build_batch([stripped], params.feeder_rows))
@@ -247,8 +245,7 @@ def test_permutation_equivariance(tiny_views):
         node_feeder=item.node_feeder[perm], v_true=item.v_true[perm],
         observed=item.observed[perm], phys_from=inv[item.phys_from],
         phys_to=inv[item.phys_to], phys_r=item.phys_r, phys_x=item.phys_x,
-        phys_p=item.phys_p, phys_q=item.phys_q,
-        hub_residual=item.hub_residual)
+        phys_p=item.phys_p, phys_q=item.phys_q)
     out = gm.forward(params, gm.build_batch([shuffled], params.feeder_rows))
     np.testing.assert_allclose(out.values, base.values[perm], atol=1e-12)
 
@@ -465,7 +462,6 @@ def test_item_from_view_applies_mask_and_keeps_truth(tiny_views):
     np.testing.assert_allclose(item.node_x[obs, NI["m_obs_v_pu"]],
                                view.v_true[:5], atol=1e-15)
     np.testing.assert_array_equal(item.v_true, view.v_true)
-    assert item.hub_residual < 1e-12
 
 
 def test_edge_type_ids_decode_device_slots():
