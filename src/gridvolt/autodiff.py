@@ -3,9 +3,14 @@
 A ``Tape`` records every operation executed while it is active; calling
 ``backward`` on a scalar result walks the record in exact reverse order and
 accumulates gradients additively into the participating tensors. The op set
-is deliberately small: dense linear algebra, elementwise arithmetic, and the
+is deliberately small: dense linear algebra, elementwise arithmetic, the
 segment reductions a message-passing network needs (segment sum / mean and a
-temperature softmax over contiguous segments).
+temperature softmax over contiguous segments), and two edge projections of
+``[x[recv] ‖ x[send] ‖ z]`` that never put that concatenation on the tape:
+``edge_matmul`` applies the two node blocks of its weight once per node,
+``typed_edge_matmul`` multiplies each edge type's rows by that type's weight.
+Every sum over rows into buckets (segment sums, the backward of a gather or
+an edge projection) is one flat-bin ``bincount`` scatter-add.
 
 A ``FlatStore`` packs leaf tensors back to back into one value vector and
 one gradient buffer, with every tensor a reshaped view of its span. An
@@ -20,6 +25,8 @@ Conventions:
   soon as it is produced,
 * segment ids must be sorted (non-decreasing); builders sort once up front,
 * a tape is single-threaded and is consumed by its first backward pass,
+  which drops each record once it has used it, so a step's graph is freed
+  by reference counting as soon as the caller lets go of its tensors,
 * gradients accumulate in ``grad``: a tensor whose ``grad`` is None takes a
   copy of the first gradient that reaches it; a tensor whose ``grad``
   already holds an array (a view into a store's gradient buffer, seeded by
@@ -63,7 +70,7 @@ class Tensor:
     """A dense float64 array plus an optional gradient slot."""
 
     __slots__ = ("values", "requires_grad", "grad", "name", "_tape", "_is_leaf",
-                 "_store")
+                 "_store", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(values, dtype=np.float64)
@@ -149,8 +156,13 @@ class Tape:
                 f"backward requires a scalar loss, got shape {loss.values.shape}"
             )
         self.consumed = True
+        # every output tensor refers back to this tape; dropping the records
+        # as they are used breaks that cycle and frees each op's saved
+        # arrays as soon as the pass is past it
+        records, self.records = self.records, []
         loss.grad = np.ones((), dtype=np.float64)
-        for rec in reversed(self.records):
+        while records:
+            rec = records.pop()
             out_grad = rec.output.grad
             if out_grad is None:
                 continue
@@ -375,22 +387,6 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", vals, (a, b), bwd)
 
 
-def concat_cols(parts: Sequence) -> Tensor:
-    """Concatenate 2-D tensors along the feature axis."""
-    ts = [as_tensor(p) for p in parts]
-    rows = {t.shape[0] for t in ts}
-    if any(t.values.ndim != 2 for t in ts) or len(rows) != 1:
-        raise ShapeError(f"concat_cols: row counts differ {[t.shape for t in ts]}")
-    vals = np.concatenate([t.values for t in ts], axis=1)
-    widths = [t.shape[1] for t in ts]
-    splits = np.cumsum(widths)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=1))
-
-    return _record("concat_cols", vals, tuple(ts), bwd)
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
     mask = x.values > 0.0
@@ -413,36 +409,137 @@ def gather_rows(x, index) -> Tensor:
 
 
 def _scatter_add_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic scatter-add of rows g into an [n, ...] zero array."""
+    """Deterministic scatter-add of the rows of g into an [n, ...] zero
+    array: row k adds into row ``idx[k]``, and every output row sums its
+    rows in index order. ``idx`` need not be sorted."""
     if g.ndim == 1:
         return np.bincount(idx, weights=g, minlength=n)
     # one bincount over (row, column) bins; each bin still sums its rows in
     # index order, as a per-column bincount does
-    cols = g.shape[1]
+    cols = int(np.prod(g.shape[1:]))
     bins = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
     return np.bincount(bins, weights=g.reshape(-1),
-                       minlength=n * cols).reshape(n, cols)
+                       minlength=n * cols).reshape((n,) + g.shape[1:])
+
+
+def _edge_operands(op: str, x: Tensor, z: np.ndarray, w_rows: int,
+                   recv, send) -> tuple[np.ndarray, np.ndarray]:
+    """Check the shapes of an edge projection; the index arrays as intp."""
+    recv = np.asarray(recv, dtype=np.intp)
+    send = np.asarray(send, dtype=np.intp)
+    if x.values.ndim != 2 or z.ndim != 2:
+        raise ShapeError(f"{op}: x {x.shape} and z {z.shape} must be 2-D")
+    if recv.shape != (z.shape[0],) or send.shape != recv.shape:
+        raise ShapeError(f"{op}: recv {recv.shape}, send {send.shape} vs "
+                         f"z {z.shape}")
+    if w_rows != 2 * x.shape[1] + z.shape[1]:
+        raise ShapeError(f"{op}: weight rows {w_rows} vs "
+                         f"[x ‖ x ‖ z] width {2 * x.shape[1] + z.shape[1]}")
+    return recv, send
+
+
+def edge_matmul(x, z, w, recv, send) -> Tensor:
+    """Edge rows ``[x[recv] ‖ x[send] ‖ z] @ w``, split at node level.
+
+    The two ``x`` blocks of ``w`` are applied once per node, as one
+    ``[N, d] @ [d, 2 * out]`` product whose halves are gathered by
+    ``recv`` and by ``send``; ``z`` is a constant ``[E, k]`` array. The
+    backward pass scatter-adds the edge gradient to the nodes first, so
+    it multiplies at node level too.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    z = np.asarray(z, dtype=np.float64)
+    if w.values.ndim != 2:
+        raise ShapeError(f"edge_matmul: weight must be 2-D, got {w.shape}")
+    recv, send = _edge_operands("edge_matmul", x, z, w.shape[0], recv, send)
+    n, d = x.shape
+    out_dim = w.shape[1]
+    w_nodes = np.concatenate((w.values[:d], w.values[d:2 * d]), axis=1)
+    q = x.values @ w_nodes
+    vals = q[recv, :out_dim]
+    vals += q[send, out_dim:]
+    vals += z @ w.values[2 * d:]
+
+    def bwd(g):
+        # [N, 2 * out] seen as [2N, out]: row 2i takes node i's receiving
+        # edges, row 2i + 1 its sending ones
+        dq = _scatter_add_rows(np.concatenate((g, g)),
+                               np.concatenate((2 * recv, 2 * send + 1)),
+                               2 * n).reshape(n, 2 * out_dim)
+        dw = np.empty_like(w.values)
+        dw_nodes = x.values.T @ dq
+        dw[:d], dw[d:2 * d] = dw_nodes[:, :out_dim], dw_nodes[:, out_dim:]
+        dw[2 * d:] = z.T @ g
+        return (dq @ w_nodes.T, dw)
+
+    return _record("edge_matmul", vals, (x, w), bwd)
+
+
+def typed_edge_matmul(x, z, weights: Sequence[Tensor], recv, send,
+                      type_order, type_bounds) -> Tensor:
+    """Edge rows ``[x[recv] ‖ x[send] ‖ z]``, each times its type's weight.
+
+    ``type_order`` lists the edges grouped by type: edges
+    ``type_order[type_bounds[r]:type_bounds[r + 1]]`` have type ``r`` and
+    are multiplied by ``weights[r]`` as one contiguous block. The op forms
+    ``[x[recv] ‖ x[send]]`` off the tape, as one gather of node rows in
+    that order, and adds the product of the constant ``z`` block to it.
+    The backward pass scatter-adds the gradient of the two ``x`` blocks by
+    the same pair index.
+    """
+    x = as_tensor(x)
+    ws = [as_tensor(w) for w in weights]
+    z = np.asarray(z, dtype=np.float64)
+    order = np.asarray(type_order, dtype=np.intp)
+    bounds = np.asarray(type_bounds, dtype=np.intp)
+    if not ws or any(w.values.ndim != 2 or w.shape != ws[0].shape
+                     for w in ws):
+        raise ShapeError(f"typed_edge_matmul: weight shapes "
+                         f"{[w.shape for w in ws]} differ")
+    recv, send = _edge_operands("typed_edge_matmul", x, z, ws[0].shape[0],
+                                recv, send)
+    n_edges = len(recv)
+    if (order.shape != (n_edges,) or bounds.shape != (len(ws) + 1,)
+            or bounds[0] != 0 or bounds[-1] != n_edges
+            or np.any(np.diff(bounds) < 0)):
+        raise EngineError(f"typed_edge_matmul: type partition (order "
+                          f"{order.shape}, bounds {bounds.tolist()}) does not "
+                          f"cover {n_edges} edges in {len(ws)} types")
+    n, d = x.shape
+    out_dim = ws[0].shape[1]
+    blocks = [(r, a, b) for r, (a, b)
+              in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+              if b > a]
+    # row 2k of the pair index is edge k's receiver, row 2k + 1 its sender
+    pairs = np.stack((recv[order], send[order]), axis=1).reshape(-1)
+    nodes = x.values[pairs].reshape(n_edges, 2 * d)
+    z_t = z[order]
+    out = np.empty((n_edges, out_dim), dtype=np.float64)
+    for r, a, b in blocks:
+        np.matmul(nodes[a:b], ws[r].values[:2 * d], out=out[a:b])
+        out[a:b] += z_t[a:b] @ ws[r].values[2 * d:]
+    vals = np.empty_like(out)
+    vals[order] = out
+
+    def bwd(g):
+        g_t = g[order]
+        d_nodes = np.empty((n_edges, 2 * d), dtype=np.float64)
+        dws = [None] * len(ws)
+        for r, a, b in blocks:
+            w = ws[r].values
+            np.matmul(g_t[a:b], w[:2 * d].T, out=d_nodes[a:b])
+            dws[r] = np.empty_like(w)
+            np.matmul(nodes[a:b].T, g_t[a:b], out=dws[r][:2 * d])
+            np.matmul(z_t[a:b].T, g_t[a:b], out=dws[r][2 * d:])
+        dx = _scatter_add_rows(d_nodes.reshape(2 * n_edges, d), pairs, n)
+        return (dx, *dws)
+
+    return _record("typed_edge_matmul", vals, (x, *ws), bwd)
 
 
 def _require_sorted(op: str, seg: np.ndarray) -> None:
     if seg.size and np.any(np.diff(seg) < 0):
         raise EngineError(f"{op}: segment ids must be non-decreasing")
-
-
-def _segment_starts(seg: np.ndarray, n: int) -> np.ndarray:
-    return np.searchsorted(seg, np.arange(n))
-
-
-def _segment_sum_np(values: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
-    counts = np.bincount(seg, minlength=n)
-    if values.size == 0:
-        return np.zeros((n,) + values.shape[1:], dtype=np.float64)
-    if values.ndim == 1:
-        return np.bincount(seg, weights=values, minlength=n)
-    starts = np.minimum(_segment_starts(seg, n), len(values) - 1)
-    out = np.add.reduceat(values, starts, axis=0)
-    out[counts == 0] = 0.0
-    return out
 
 
 def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
@@ -452,7 +549,7 @@ def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
     if seg.shape != (x.shape[0],):
         raise ShapeError(f"segment_sum: ids {seg.shape} vs rows {x.shape}")
     _require_sorted("segment_sum", seg)
-    vals = _segment_sum_np(x.values, seg, num_segments)
+    vals = _scatter_add_rows(x.values, seg, num_segments)
 
     def bwd(g):
         return (g[seg],)
@@ -471,7 +568,7 @@ def segment_mean(x, segment_ids, num_segments: int) -> Tensor:
     if np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
         raise EngineError(f"segment_mean: segment {empty} is empty")
-    sums = _segment_sum_np(x.values, seg, num_segments)
+    sums = _scatter_add_rows(x.values, seg, num_segments)
     denom = counts.astype(np.float64)
     denom_col = denom if x.values.ndim == 1 else denom[:, None]
     vals = sums / denom_col
@@ -498,52 +595,21 @@ def segment_softmax(logits, segment_ids, num_segments: int,
     if x.values.size == 0:
         alpha = np.zeros(0, dtype=np.float64)
     else:
-        starts = np.minimum(_segment_starts(seg, num_segments), len(x.values) - 1)
-        seg_max = np.maximum.reduceat(x.values, starts)
-        seg_max[counts == 0] = 0.0
+        # reduceat over the starts of the non-empty segments only: an empty
+        # segment's start would cut the row range of the one before it
+        filled = counts > 0
+        starts = np.cumsum(counts) - counts
+        seg_max = np.zeros(num_segments, dtype=np.float64)
+        seg_max[filled] = np.maximum.reduceat(x.values, starts[filled])
         z = np.exp((x.values - seg_max[seg]) / temperature)
-        denom = _segment_sum_np(z, seg, num_segments)
+        denom = _scatter_add_rows(z, seg, num_segments)
         alpha = z / denom[seg]
 
     def bwd(g):
-        inner = _segment_sum_np(alpha * g, seg, num_segments)
+        inner = _scatter_add_rows(alpha * g, seg, num_segments)
         return (alpha * (g - inner[seg]) / temperature,)
 
     return _record("segment_softmax", alpha, (x,), bwd)
-
-
-def typed_matmul(x, weights: Sequence[Tensor], type_ids) -> Tensor:
-    """Row-wise matmul where each row picks its weight matrix by type id."""
-    x = as_tensor(x)
-    ws = [as_tensor(w) for w in weights]
-    tids = np.asarray(type_ids, dtype=np.intp)
-    if tids.shape != (x.shape[0],):
-        raise ShapeError(f"typed_matmul: type ids {tids.shape} vs rows {x.shape}")
-    if any(w.shape[0] != x.shape[1] for w in ws):
-        raise ShapeError(
-            f"typed_matmul: weight shapes {[w.shape for w in ws]} vs input {x.shape}"
-        )
-    if tids.size and (tids.min() < 0 or tids.max() >= len(ws)):
-        raise EngineError(f"typed_matmul: type id out of range 0..{len(ws) - 1}")
-    out_dim = ws[0].shape[1]
-    vals = np.zeros((x.shape[0], out_dim), dtype=np.float64)
-    sels = [np.flatnonzero(tids == r) for r in range(len(ws))]
-    for r, sel in enumerate(sels):
-        if sel.size:
-            vals[sel] = x.values[sel] @ ws[r].values
-
-    def bwd(g):
-        dx = np.zeros_like(x.values)
-        dws = []
-        for r, sel in enumerate(sels):
-            if sel.size:
-                dx[sel] = g[sel] @ ws[r].values.T
-                dws.append(x.values[sel].T @ g[sel])
-            else:
-                dws.append(None)
-        return (dx, *dws)
-
-    return _record("typed_matmul", vals, (x, *ws), bwd)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

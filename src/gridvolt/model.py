@@ -273,7 +273,8 @@ class GraphBatch:
     recv: np.ndarray
     send: np.ndarray
     edge_z: np.ndarray
-    edge_type: np.ndarray
+    type_order: np.ndarray      # edge ids grouped by device type
+    type_bounds: np.ndarray     # [N_EDGE_TYPES + 1] offsets into type_order
     prior: np.ndarray           # [E, 4] structural prior features
     n_nodes: int
     n_graphs: int
@@ -378,10 +379,13 @@ def build_batch(items: list[BatchItem],
                        dtype=np.int64)
     eta_known = np.array(
         [1.0 if int(f) in feeder_rows else 0.0 for f in node_feeder])
+    edge_type = edge_type_ids(edge_z)
+    type_counts = np.bincount(edge_type, minlength=N_EDGE_TYPES)
 
     return GraphBatch(
         node_x=node_x, recv=recv, send=send, edge_z=edge_z,
-        edge_type=edge_type_ids(edge_z), prior=prior,
+        type_order=np.argsort(edge_type, kind="stable"),
+        type_bounds=np.r_[0, np.cumsum(type_counts)], prior=prior,
         n_nodes=node_x.shape[0], n_graphs=len(items),
         graph_of_node=graph_of_node,
         film_nodes=film_nodes, film_seg=film_seg, film_n_seg=film_n_seg,
@@ -397,19 +401,25 @@ def build_batch(items: list[BatchItem],
 # forward
 
 
-def edge_messages(params: ModelParams, layer: int, feat: ad.Tensor,
-                  type_ids: np.ndarray) -> ad.Tensor:
+def edge_messages(params: ModelParams, layer: int, h: ad.Tensor,
+                  batch: GraphBatch) -> ad.Tensor:
+    """``[h_recv ‖ h_send ‖ z] @ msg{type}`` per edge, in one op."""
     weights = [params.tensors[f"layer{layer}.msg{r}"]
                for r in range(N_EDGE_TYPES)]
-    return ad.typed_matmul(feat, weights, type_ids)
+    return ad.typed_edge_matmul(h, batch.edge_z, weights, batch.recv,
+                                batch.send, batch.type_order,
+                                batch.type_bounds)
 
 
-def attention_logits(params: ModelParams, layer: int, feat: ad.Tensor,
-                     prior: np.ndarray) -> ad.Tensor:
+def attention_logits(params: ModelParams, layer: int, h: ad.Tensor,
+                     batch: GraphBatch) -> ad.Tensor:
+    """Learned score ``relu([h_recv ‖ h_send ‖ z] @ att_W) @ att_a``, with
+    the node blocks of ``att_W`` applied per node, plus ``prior @ beta``."""
     t = params.tensors
-    hidden = ad.relu(ad.matmul(feat, t[f"layer{layer}.att_W"]))
+    hidden = ad.relu(ad.edge_matmul(h, batch.edge_z, t[f"layer{layer}.att_W"],
+                                    batch.recv, batch.send))
     learned = ad.matmul(hidden, t[f"layer{layer}.att_a"])
-    structural = ad.matmul(ad.as_tensor(prior), t["beta"])
+    structural = ad.matmul(ad.as_tensor(batch.prior), t["beta"])
     return ad.add(learned, structural)
 
 
@@ -417,11 +427,8 @@ def encoder_layer(params: ModelParams, layer: int, h: ad.Tensor,
                   batch: GraphBatch) -> ad.Tensor:
     t = params.tensors
     n_edges = len(batch.recv)
-    feat = ad.concat_cols([ad.gather_rows(h, batch.recv),
-                           ad.gather_rows(h, batch.send),
-                           ad.as_tensor(batch.edge_z)])
-    messages = edge_messages(params, layer, feat, batch.edge_type)
-    logits = attention_logits(params, layer, feat, batch.prior)
+    messages = edge_messages(params, layer, h, batch)
+    logits = attention_logits(params, layer, h, batch)
     alpha = ad.segment_softmax(ad.reshape(logits, (n_edges,)), batch.recv,
                                batch.n_nodes, params.config.temperature)
     weighted = ad.mul(messages, ad.reshape(alpha, (n_edges, 1)))

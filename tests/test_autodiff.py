@@ -24,6 +24,19 @@ def test_segment_sum_empty_segment_is_zero():
     assert np.array_equal(out.values, [[1, 2], [0, 0], [3, 4], [0, 0]])
 
 
+def test_segment_sum_keeps_the_last_row_before_empty_segments():
+    out = ad.segment_sum(ad.Tensor([[1.0], [2.0], [4.0], [8.0]]),
+                         [0, 1, 1, 1], 3)
+    np.testing.assert_array_equal(out.values, [[1.0], [14.0], [0.0]])
+
+
+def test_softmax_max_sees_the_last_row_before_empty_segments():
+    out = ad.segment_softmax(ad.Tensor([0.0, 0.0, 1000.0]), [0, 1, 1], 3)
+    np.testing.assert_array_equal(out.values, [1.0, 0.0, 1.0])
+    trimmed = ad.segment_softmax(ad.Tensor([0.0, 0.0, 1000.0]), [0, 1, 1], 2)
+    np.testing.assert_array_equal(out.values, trimmed.values)
+
+
 def test_softmax_single_logit_is_one():
     out = ad.segment_softmax(ad.Tensor([3.7]), [0], 1, temperature=2.0)
     assert out.values[0] == pytest.approx(1.0, abs=1e-15)
@@ -92,6 +105,30 @@ def test_second_backward_errors():
     tape.backward(y)
     with pytest.raises(ad.TapeConsumedError):
         tape.backward(y)
+
+
+def test_backward_frees_the_graph_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    def step():
+        w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+        with ad.Tape() as tape:
+            hidden = ad.relu(ad.matmul(ad.as_tensor(np.ones((4, 3))), w))
+            loss = ad.total_sum(hidden)
+        tape.backward(loss)
+        assert tape.records == []
+        return weakref.ref(hidden), w.grad
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref, grad = step()
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    np.testing.assert_array_equal(grad, 4.0)
 
 
 def test_linear_gradient_is_input():
@@ -196,32 +233,94 @@ def test_gradcheck_segment_softmax():
     _check(build, [logits])
 
 
-def test_gradcheck_gather_and_typed_matmul():
-    r = np.random.Generator(np.random.PCG64(5))
-    x = ad.Tensor(r.normal(size=(5, 4)), requires_grad=True, name="x")
+def _edge_case(seed):
+    """Six nodes and seven receiver-sorted edges: node 0 has no incoming
+    edge, node 5 none at all, and of four types type 2 has no edge."""
+    r = np.random.Generator(np.random.PCG64(seed))
+    x = ad.Tensor(r.normal(size=(6, 4)), requires_grad=True, name="x")
+    z = r.normal(size=(7, 2))
+    recv = np.array([1, 1, 2, 3, 3, 3, 4])
+    send = np.array([0, 2, 1, 1, 4, 0, 3])
+    types = np.array([0, 3, 1, 0, 3, 3, 1])
+    ws = [ad.Tensor(r.normal(size=(10, 3)), requires_grad=True, name=f"W{k}")
+          for k in range(4)]
+    return r, x, z, recv, send, types, ws
+
+
+def _type_partition(types, n_types):
+    order = np.argsort(types, kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(types, minlength=n_types))]
+    return order, bounds
+
+
+def _edge_rows(x, z, recv, send):
+    return np.concatenate((x[recv], x[send], z), axis=1)
+
+
+def test_gradcheck_gather_and_typed_edge_matmul():
+    r, x, z, recv, send, types, ws = _edge_case(5)
+    order, bounds = _type_partition(types, 4)
     idx = np.array([0, 2, 2, 4, 1, 3])
-    tids = np.array([0, 1, 2, 0, 1, 2])
-    ws = [ad.Tensor(r.normal(size=(4, 3)), requires_grad=True, name=f"W{k}")
-          for k in range(3)]
-    w = r.normal(size=(6, 3))
+    w = r.normal(size=(7, 3))
+    w_gather = r.normal(size=(6, 4))
 
     def build():
-        rows = ad.gather_rows(x, idx)
-        return ad.total_sum(ad.mul(ad.typed_matmul(rows, ws, tids), w))
+        msgs = ad.typed_edge_matmul(x, z, ws, recv, send, order, bounds)
+        return ad.add(ad.total_sum(ad.mul(msgs, w)),
+                      ad.total_sum(ad.mul(ad.gather_rows(x, idx), w_gather)))
 
     _check(build, [x, *ws])
+    assert ws[2].grad is None  # no edge of type 2
 
 
-def test_gradcheck_concat_cols():
-    r = np.random.Generator(np.random.PCG64(6))
-    a = ad.Tensor(r.normal(size=(4, 2)), requires_grad=True, name="a")
-    b = ad.Tensor(r.normal(size=(4, 3)), requires_grad=True, name="b")
-    w = r.normal(size=(4, 5))
+def test_typed_edge_matmul_matches_the_concatenated_rows():
+    _, x, z, recv, send, types, ws = _edge_case(7)
+    order, bounds = _type_partition(types, 4)
+    got = ad.typed_edge_matmul(x, z, ws, recv, send, order, bounds).values
+    rows = _edge_rows(x.values, z, recv, send)
+    want = np.stack([rows[k] @ ws[t].values for k, t in enumerate(types)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_typed_edge_matmul_rejects_a_partial_partition():
+    _, x, z, recv, send, types, ws = _edge_case(7)
+    order, bounds = _type_partition(types, 4)
+    with pytest.raises(ad.EngineError, match="partition"):
+        ad.typed_edge_matmul(x, z, ws, recv, send, order, bounds[:-1])
+    with pytest.raises(ad.ShapeError, match="weight rows"):
+        ad.typed_edge_matmul(x, z[:, :1], ws, recv, send, order, bounds)
+
+
+def test_gradcheck_edge_matmul():
+    r, x, z, recv, send, _, ws = _edge_case(6)
+    w = r.normal(size=(7, 3))
 
     def build():
-        return ad.total_sum(ad.mul(ad.concat_cols([a, b]), w))
+        return ad.total_sum(ad.mul(
+            ad.edge_matmul(x, z, ws[0], recv, send), w))
 
-    _check(build, [a, b])
+    _check(build, [x, ws[0]])
+
+
+def test_edge_matmul_matches_the_concatenated_rows():
+    _, x, z, recv, send, _, ws = _edge_case(8)
+    got = ad.edge_matmul(x, z, ws[1], recv, send).values
+    want = _edge_rows(x.values, z, recv, send) @ ws[1].values
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_edge_ops_take_an_empty_edge_set():
+    x = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+    w = ad.Tensor(np.ones((5, 4)), requires_grad=True)
+    none = np.zeros(0, dtype=np.intp)
+    z = np.zeros((0, 1))
+    with ad.Tape() as tape:
+        a = ad.edge_matmul(x, z, w, none, none)
+        b = ad.typed_edge_matmul(x, z, [w, w], none, none, none, [0, 0, 0])
+        loss = ad.add(ad.total_sum(a), ad.total_sum(b))
+    assert a.shape == b.shape == (0, 4)
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, 0.0)
 
 
 def test_l2_penalty_value_and_grad():

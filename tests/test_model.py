@@ -100,32 +100,52 @@ def test_open_and_mismatched_edges_never_enter_the_batch():
 # -- messages and attention ----------------------------------------------------
 
 
+def four_device_batch(params):
+    """One edge of every device type on a five-node path."""
+    item = micro_item(5, [(0, 1, "line", 1, "A"), (1, 2, "cable", 1, "A"),
+                          (2, 3, "xfmr_reg", 1, "A"),
+                          (3, 4, "switch", 1, "A")])
+    return gm.build_batch([item], params.feeder_rows)
+
+
 def test_zero_message_weights_give_zero_messages():
     params = small_params()
     for r in range(gm.N_EDGE_TYPES):
         params.tensors[f"layer0.msg{r}"].values[:] = 0.0
-    feat = ad.as_tensor(np.random.default_rng(0).normal(size=(5, 2 * 8 + 13)))
-    out = gm.edge_messages(params, 0, feat, np.array([0, 1, 2, 3, 0]))
+    batch = four_device_batch(params)
+    h = ad.as_tensor(np.random.default_rng(0).normal(size=(5, 8)))
+    out = gm.edge_messages(params, 0, h, batch)
+    assert out.shape == (8, 8)
     np.testing.assert_array_equal(out.values, 0.0)
 
 
 def test_message_weights_are_device_type_specific():
     params = small_params()
-    feat_row = np.random.default_rng(1).normal(size=(1, 2 * 8 + 13))
-    feat = ad.as_tensor(np.vstack([feat_row, feat_row]))
-    out = gm.edge_messages(params, 0, feat, np.array([0, 3]))
-    assert not np.allclose(out.values[0], out.values[1])
+    batch = four_device_batch(params)
+    h = np.random.default_rng(1).normal(size=(5, 8))
+    out = gm.edge_messages(params, 0, ad.as_tensor(h), batch).values
+    rows = np.concatenate((h[batch.recv], h[batch.send], batch.edge_z), axis=1)
+    types = gm.edge_type_ids(batch.edge_z)
+    np.testing.assert_array_equal(np.bincount(types), [2, 2, 2, 2])
+    for k, r in enumerate(types):
+        own = rows[k] @ params.tensors[f"layer0.msg{r}"].values
+        other = rows[k] @ params.tensors[f"layer0.msg{(r + 1) % 4}"].values
+        np.testing.assert_allclose(out[k], own, rtol=0, atol=1e-14)
+        assert not np.allclose(out[k], other)
 
 
 def test_structural_prior_shifts_regulator_logit_by_beta3():
     params = small_params()
     params.tensors["layer0.att_a"].values[:] = 0.0  # learned term off
-    feat = ad.as_tensor(np.zeros((2, 2 * 8 + 13)))
-    prior = np.array([[-0.05, 1.0, 0.0, -1.2],
-                      [-0.05, 1.0, 1.0, -1.2]])  # same edge, regulator bit on
-    logits = gm.attention_logits(params, 0, feat, prior)
-    diff = logits.values[1, 0] - logits.values[0, 0]
-    assert diff == pytest.approx(params.tensors["beta"].values[2, 0], abs=1e-15)
+    # two edges alike but for the device: a line and a regulator
+    item = micro_item(4, [(0, 1, "line", 1, "A"), (2, 3, "xfmr_reg", 1, "A")])
+    batch = gm.build_batch([item], params.feeder_rows)
+    logits = gm.attention_logits(params, 0, ad.as_tensor(np.zeros((4, 8))),
+                                 batch).values[:, 0]
+    regulator = batch.edge_z[:, EI["dev_xfmr_reg"]] == 1.0
+    diff = logits[regulator] - logits[~regulator]
+    np.testing.assert_allclose(diff, params.tensors["beta"].values[2, 0],
+                               rtol=0, atol=1e-15)
 
 
 def test_attention_uniform_when_all_logits_equal():
@@ -136,10 +156,7 @@ def test_attention_uniform_when_all_logits_equal():
     params.tensors["beta"].values[:] = 0.0
     batch = gm.build_batch([item], params.feeder_rows)
     h = ad.as_tensor(np.zeros((4, 8)))
-    feat = ad.concat_cols([ad.gather_rows(h, batch.recv),
-                           ad.gather_rows(h, batch.send),
-                           ad.as_tensor(batch.edge_z)])
-    logits = gm.attention_logits(params, 0, feat, batch.prior)
+    logits = gm.attention_logits(params, 0, h, batch)
     alpha = ad.segment_softmax(ad.reshape(logits, (len(batch.recv),)),
                                batch.recv, batch.n_nodes, 1.0)
     # node 0 has three identical neighbors, each leaf has exactly one
@@ -153,10 +170,7 @@ def test_singleton_neighborhood_gets_weight_one_for_any_logit():
     params = small_params(seed=12)
     batch = gm.build_batch([item], params.feeder_rows)
     h = ad.as_tensor(np.random.default_rng(2).normal(size=(2, 8)))
-    feat = ad.concat_cols([ad.gather_rows(h, batch.recv),
-                           ad.gather_rows(h, batch.send),
-                           ad.as_tensor(batch.edge_z)])
-    logits = gm.attention_logits(params, 0, feat, batch.prior)
+    logits = gm.attention_logits(params, 0, h, batch)
     alpha = ad.segment_softmax(ad.reshape(logits, (2,)), batch.recv, 2, 1.0)
     np.testing.assert_allclose(alpha.values, 1.0, atol=1e-15)
 
@@ -167,10 +181,7 @@ def test_attention_sums_to_one_per_receiver(tiny_views):
     item = gm.item_from_view(views[0], np.ones(data.n_nodes, dtype=bool))
     batch = gm.build_batch([item], params.feeder_rows)
     h = ad.matmul(ad.as_tensor(batch.node_x), params.tensors["input.W"])
-    feat = ad.concat_cols([ad.gather_rows(h, batch.recv),
-                           ad.gather_rows(h, batch.send),
-                           ad.as_tensor(batch.edge_z)])
-    logits = gm.attention_logits(params, 0, feat, batch.prior)
+    logits = gm.attention_logits(params, 0, h, batch)
     alpha = ad.segment_softmax(ad.reshape(logits, (len(batch.recv),)),
                                batch.recv, batch.n_nodes, 1.0)
     sums = np.bincount(batch.recv, weights=alpha.values,
@@ -248,6 +259,78 @@ def test_permutation_equivariance(tiny_views):
         phys_p=item.phys_p, phys_q=item.phys_q)
     out = gm.forward(params, gm.build_batch([shuffled], params.feeder_rows))
     np.testing.assert_allclose(out.values, base.values[perm], atol=1e-12)
+
+
+# -- the batched forward -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def batch32(tiny_views):
+    """32 masked snapshots (the evaluation chunk) and default-size params."""
+    views, data = tiny_views
+    params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=3)
+    gen = np.random.default_rng(32)
+    items = [gm.item_from_view(views[k % len(views)],
+                               gen.random(data.n_nodes) < 0.3)
+             for k in range(32)]
+    return params, items
+
+
+def reference_forward(params, batch):
+    """The forward over explicit edge rows: numpy ``[h_recv ‖ h_send ‖ z]``
+    times each edge's message weight and times ``att_W``, then the same
+    softmax, sum, update and norm, and the model's own conditioning and
+    decoder."""
+    t = {k: v.values for k, v in params.tensors.items()}
+    recv, send, n = batch.recv, batch.send, batch.n_nodes
+    types = gm.edge_type_ids(batch.edge_z)
+    h = batch.node_x @ t["input.W"] + t["input.b"]
+    for layer in range(params.config.n_layers):
+        p = f"layer{layer}."
+        rows = np.concatenate((h[recv], h[send], batch.edge_z), axis=1)
+        msgs = np.zeros((len(recv), h.shape[1]))
+        for r in range(gm.N_EDGE_TYPES):
+            msgs[types == r] = rows[types == r] @ t[p + f"msg{r}"]
+        logits = (np.maximum(rows @ t[p + "att_W"], 0.0) @ t[p + "att_a"]
+                  + batch.prior @ t["beta"])[:, 0] / params.config.temperature
+        top = np.full(n, -np.inf)
+        np.maximum.at(top, recv, logits)
+        e = np.exp(logits - top[recv])
+        alpha = e / np.bincount(recv, weights=e, minlength=n)[recv]
+        agg = np.zeros_like(h)
+        np.add.at(agg, recv, msgs * alpha[:, None])
+        update = (np.maximum(agg @ t[p + "phi_W1"] + t[p + "phi_b1"], 0.0)
+                  @ t[p + "phi_W2"] + t[p + "phi_b2"])
+        x = h + update
+        xhat = ((x - x.mean(axis=1, keepdims=True))
+                / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5))
+        h = xhat * t[p + "norm_gain"] + t[p + "norm_bias"]
+    with ad.no_grad():
+        return gm.decode(params, gm.film_hub(params, ad.as_tensor(h),
+                                             batch)).values
+
+
+def test_batched_forward_matches_the_explicit_edge_rows(batch32):
+    params, items = batch32
+    batch = gm.build_batch(items, params.feeder_rows)
+    assert set(gm.edge_type_ids(batch.edge_z).tolist()) >= {0, 2, 3}
+    with ad.no_grad():
+        got = gm.forward(params, batch).values
+    np.testing.assert_allclose(got, reference_forward(params, batch),
+                               rtol=0, atol=1e-10)
+
+
+def test_batch_of_32_equals_32_single_forwards(batch32):
+    params, items = batch32
+    with ad.no_grad():
+        batched = gm.forward(params, gm.build_batch(items,
+                                                    params.feeder_rows))
+        singles = [gm.forward(params, gm.build_batch([it],
+                                                     params.feeder_rows))
+                   for it in items]
+    np.testing.assert_allclose(batched.values,
+                               np.concatenate([s.values for s in singles]),
+                               rtol=0, atol=1e-12)
 
 
 # -- conditioning and decoding ---------------------------------------------------

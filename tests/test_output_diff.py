@@ -1,0 +1,57 @@
+"""scripts/output_diff.py on two small hand-made output directories."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_diff.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("output_diff", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _write(root, weights, rmse, summary):
+    root.mkdir()
+    np.savez(root / "model.npz", w=np.array(weights), tag=np.array("v1"))
+    (root / "study.csv").write_text(f"model,level,RMSE\ngnn,5,{rmse}\n")
+    (root / "summary.txt").write_text(summary)
+    (root / "manifest.json").write_text(str(rmse))
+
+
+def test_reports_max_abs_difference_per_array_column_and_text(
+        tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, [1.0, 2.0, 3.0], 0.00475, "gnn 5% 0.00475\n")
+    _write(b, [1.0, 2.5, 3.0], 0.00477, "gnn 5% 0.00475\n")
+    (b / "extra.csv").write_text("x\n1\n")
+    monkeypatch.setattr("sys.argv", ["output_diff.py", str(a), str(b)])
+    assert _load().main() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "extra.csv only in b" in out
+    assert "model.npz:w max|Δ| 5.000e-01" in out
+    assert "model.npz:tag identical" in out
+    assert "study.csv[RMSE] max|Δ| 2.000e-05 over 1 cells" in out
+    assert "study.csv[level] max|Δ| 0.000e+00 over 1 cells" in out
+    assert "summary.txt identical" in out
+    assert not any(line.startswith("manifest.json") for line in out)
+
+
+def test_text_numbers_and_shapes(tmp_path):
+    mod = _load()
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("rmse 0.5 at level 20\n")
+    b.write_text("rmse 0.25 at level 20\n")
+    assert mod.diff_file("s.txt", a, b) == [
+        "s.txt max|Δ| 2.500e-01 over 2 numbers"]
+    b.write_text("RMSE 0.5 at level 20\n")
+    assert mod.diff_file("s.txt", a, b) == [
+        "s.txt max|Δ| 0.000e+00 over 2 numbers, text between them differs"]
+    np.savez(tmp_path / "x.npz", w=np.zeros(2))
+    np.savez(tmp_path / "y.npz", w=np.zeros(3))
+    assert mod.diff_file("m.npz", tmp_path / "x.npz", tmp_path / "y.npz") == [
+        "m.npz:w differs (float64[2] vs float64[3])"]
