@@ -10,7 +10,10 @@ temperature softmax over contiguous segments), and two edge projections of
 ``edge_matmul`` applies the two node blocks of its weight once per node,
 ``typed_edge_matmul`` multiplies each edge type's rows by that type's weight.
 Every sum over rows into buckets (segment sums, the backward of a gather or
-an edge projection) is one flat-bin ``bincount`` scatter-add.
+an edge projection) is one flat-bin ``bincount`` scatter-add. ``relu`` and
+``layer_norm`` make no more full-size passes than their outputs need and
+stay bitwise equal to ``np.where(x > 0, x, 0)`` and the ``mean``/``var``
+formula.
 
 A ``FlatStore`` packs leaf tensors back to back into one value vector and
 one gradient buffer, with every tensor a reshaped view of its span. An
@@ -389,8 +392,9 @@ def matmul(a, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.values > 0.0
-    return _record("relu", np.where(mask, x.values, 0.0), (x,), lambda g: (g * mask,))
+    vals = np.maximum(x.values, 0.0)
+    vals += 0.0  # -0.0 becomes +0.0, as np.where(x > 0, x, 0.0) gives
+    return _record("relu", vals, (x,), lambda g: (g * (vals > 0.0),))
 
 
 def gather_rows(x, index) -> Tensor:
@@ -619,12 +623,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
         )
-    mu = x.values.mean(axis=1, keepdims=True)
-    var = x.values.var(axis=1)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mu) * inv_std[:, None]
-    vals = xhat * gain.values + bias.values
     d = x.shape[1]
+    # one centring pass serves the variance and xhat; the same operations
+    # as x.var(axis=1), which would centre again
+    xhat = x.values - x.values.mean(axis=1, keepdims=True)
+    var = np.square(xhat).sum(axis=1) / d
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std[:, None]
+    vals = xhat * gain.values + bias.values
 
     def bwd(g):
         gg = g * gain.values

@@ -162,9 +162,14 @@ def _train_config(args) -> gtr.TrainConfig:
 
 
 def _parse_levels(text: str) -> tuple:
+    # A level is hashed by its str() into the mask and attack draws, so an
+    # integral value is an int however it is spelled: "20.0" is level 20.
+    def level(x: str):
+        value = float(x)
+        return int(value) if value.is_integer() else value
+
     try:
-        levels = tuple(float(x) if "." in x else int(x)
-                       for x in text.split(",") if x.strip())
+        levels = tuple(level(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise CliError("config", f"cannot parse levels {text!r}") from exc
     if not levels:

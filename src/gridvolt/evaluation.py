@@ -9,6 +9,9 @@ reference baseline is per-feeder ridge-regularized least squares from the
 same masked node features: one fit per level, scored only at the level it
 was fit at (no best-of across fits).
 
+Predictions run in the cache-sized snapshot runs of ``model.batch_runs``,
+one batch built and dropped at a time.
+
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
 channel. Attackable channels are the measurements the estimator actually
@@ -27,7 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import network as net
-from .model import BatchItem, ModelParams, build_batch, forward, item_from_view
+from .model import (BatchItem, ModelParams, batch_runs, build_batch, forward,
+                    item_from_view)
 from .seeding import derive_seed
 from .seeding import rng as _rng
 
@@ -107,15 +111,15 @@ def inject_attack(item: BatchItem, cfg: AttackConfig, gen) -> BatchItem:
 # -- model evaluation ------------------------------------------------------------
 
 
-def predict(params: ModelParams, items: list[BatchItem],
-            chunk: int = 32) -> np.ndarray:
-    """Voltage predictions for a list of snapshots, stacked [n_items, N]."""
-    outs = []
+def predict(params: ModelParams, items: list[BatchItem]) -> np.ndarray:
+    """Voltage predictions for a list of snapshots, stacked [n_items, N].
+
+    Each run of ``model.batch_runs`` is built, forwarded and dropped in
+    turn, so memory holds one cache-sized batch whatever the item count."""
     with ad.no_grad():
-        for lo in range(0, len(items), chunk):
-            batch = build_batch(items[lo:lo + chunk], params.feeder_rows)
-            outs.append(forward(params, batch).values)
-    flat = np.concatenate(outs)
+        flat = np.concatenate([
+            forward(params, build_batch(items[run], params.feeder_rows)).values
+            for run in batch_runs(items)])
     return flat.reshape(len(items), -1)
 
 

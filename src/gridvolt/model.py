@@ -19,6 +19,11 @@ layers 1..L-1, prior coefficients) and "head" (last layer, conditioning,
 gates, decoder). Transfer to a new substation trains the head only. All
 parameters are views of one flat vector, backbone first, so each group is
 one contiguous span of it.
+
+A training step forwards one snapshot. Every no-grad forward cuts its
+snapshots into consecutive, balanced runs of at most ``BATCH_NODES``
+bus-phase nodes (``batch_runs``), sized so that a layer's activations stay
+in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -395,6 +400,36 @@ def build_batch(items: list[BatchItem],
         phys_from=np.concatenate(pf_parts), phys_to=np.concatenate(pt_parts),
         phys_r=np.concatenate(pr_parts), phys_x=np.concatenate(px_parts),
         phys_p=np.concatenate(pp_parts), phys_q=np.concatenate(pq_parts))
+
+
+# Bus-phase nodes per no-grad batch. At 1,024 nodes a layer's [E, 64] and
+# [N, 64] float64 arrays (about 1 MB and 0.5 MB) stay in a 2 MiB L2. In a
+# sweep of the forward's CPU time per snapshot (CHANGES.md) the cost is
+# within 17 % of its minimum from about 750 to 2,050 nodes on the 93- and
+# 183-node graphs, and 27-34 % above the 915-node cost at 32 snapshots of
+# 183 nodes (5,856).
+BATCH_NODES = 1024
+
+
+def batch_runs(items: list[BatchItem]) -> list[slice]:
+    """``items`` cut into consecutive runs of whole snapshots.
+
+    Run sizes differ by at most one, and a run holds at most
+    ``BATCH_NODES`` nodes, or one snapshot if a snapshot alone is larger.
+    """
+    if not items:
+        raise ValueError("empty batch")
+    per_run = max(1, BATCH_NODES // max(it.node_x.shape[0] for it in items))
+    n_runs = -(-len(items) // per_run)
+    bounds = [len(items) * k // n_runs for k in range(n_runs + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def batches(items: list[BatchItem],
+            feeder_rows: dict[int, int]) -> list[GraphBatch]:
+    """One batch per run of ``batch_runs``, all built at once, for a batch
+    set that is scored more than once."""
+    return [build_batch(items[run], feeder_rows) for run in batch_runs(items)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ cut by ``dataset.split_windows`` into three contiguous time blocks:
 training, then validation, then a held-out test window (the last
 ``TEST_FRACTION`` of the snapshots). The warm-up plateau test and
 checkpoint selection read only the validation block; nothing here reads
-the test window, which ``evaluate`` scores.
+the test window, which ``evaluate`` scores. The validation sample at each
+mask level is a list of cache-sized batches (``model.batches``), built
+once; an epoch that validates on a selection probe's batches reuses the
+probe's and scores them once.
 
 Fine-tuning freezes the backbone (input projection, prior coefficients,
 all but the last encoder layer), re-creates per-feeder gates for the
@@ -37,7 +40,7 @@ from . import network as net
 from .dataset import TEST_FRACTION, SnapshotDataset, split_windows
 from .evaluation import rmse as _rmse
 from .losses import LossWeights, batch_loss, physics_ramp
-from .model import (ModelConfig, ModelParams, build_batch, forward,
+from .model import (ModelConfig, ModelParams, batches, build_batch, forward,
                     item_from_view)
 from .seeding import rng as _rng
 
@@ -205,16 +208,19 @@ def _val_batch(val_views, p_obs, seed, feeder_rows):
         len(val_views[0].v_true), _rng(seed, "val-mask", p_obs),
         hub_indices=net.hub_rows(val_views[0].node_features)), p_obs)
     items = [item_from_view(v, mask) for v in val_views]
-    return build_batch(items, feeder_rows), mask
+    return batches(items, feeder_rows), mask
 
 
-def _val_metrics(params, batch) -> tuple[float, float]:
+def _val_metrics(params, val_batches) -> tuple[float, float]:
+    """(masked-node MAE, RMSE) over every node of the batches."""
     with ad.no_grad():
-        v_hat = forward(params, batch).values
-    hidden = ~batch.observed
-    err = v_hat - batch.v_true
+        v_hat = np.concatenate([forward(params, b).values
+                                for b in val_batches])
+    v_true = np.concatenate([b.v_true for b in val_batches])
+    hidden = ~np.concatenate([b.observed for b in val_batches])
+    err = v_hat - v_true
     sup = float(np.mean(np.abs(err[hidden])))
-    return sup, _rmse(v_hat, batch.v_true, hidden)
+    return sup, _rmse(v_hat, v_true, hidden)
 
 
 # -- the loop -------------------------------------------------------------------
@@ -244,9 +250,22 @@ class _Trainer:
                                    params.feeder_rows)[0]
                         for p in config.select_levels]
 
-    def _consider_select(self) -> None:
-        score = float(np.mean([_val_metrics(self.params, b)[1]
-                               for b in self._probes]))
+    def _val_batches(self, p_obs):
+        """The validation batches at ``p_obs``. A selection probe whose level
+        has the same mask-draw label (``str(p_obs)``) gives its own."""
+        for level, probe in zip(self.config.select_levels, self._probes):
+            if str(level) == str(p_obs):
+                return probe
+        return _val_batch(self.val_views, p_obs, self.config.seed,
+                          self.params.feeder_rows)[0]
+
+    def _consider_select(self, record: EpochRecord, val_batches) -> None:
+        # a probe that is the epoch's validation batch was scored at these
+        # weights already, in record.val_rmse
+        score = float(np.mean([
+            record.val_rmse if probe is val_batches
+            else _val_metrics(self.params, probe)[1]
+            for probe in self._probes]))
         if score < self._best_score:
             self._best_score = score
             self._best_values = self.params.store.values.copy()
@@ -257,7 +276,7 @@ class _Trainer:
             self.params.store.values[:] = self._best_values
 
     def run_epoch(self, stage: str, p_obs: float, lam_phys: float,
-                  optimizer: Adam, val_batch) -> EpochRecord:
+                  optimizer: Adam, val_batches) -> EpochRecord:
         cfg = self.config
         weights = LossWeights(lam_sup=cfg.lam_sup, lam_phys=lam_phys,
                               lam_reg=cfg.lam_reg)
@@ -279,7 +298,7 @@ class _Trainer:
             optimizer.step()
             totals += (parts["total"], parts["supervised"], parts["physics"])
         totals /= max(len(order), 1)
-        val_sup, val_rmse = _val_metrics(self.params, val_batch)
+        val_sup, val_rmse = _val_metrics(self.params, val_batches)
         record = EpochRecord(
             epoch=self.epoch, stage=stage, p_obs=p_obs, lam_phys=lam_phys,
             lr=optimizer.lr, train_total=totals[0], train_sup=totals[1],
@@ -295,14 +314,13 @@ class _Trainer:
             [n for n in self.params.tensors
              if self.params.tensors[n].requires_grad])
         optimizer = Adam(trainable, lr=cfg.lr_warmup)
-        val_batch, _ = _val_batch(self.val_views, cfg.warmup_p_obs, cfg.seed,
-                                  self.params.feeder_rows)
+        val_batches = self._val_batches(cfg.warmup_p_obs)
         try:
             # stage 1: supervision only, high observability, until plateau
             stage_losses: list[float] = []
             for _ in range(cfg.max_warmup_epochs):
                 rec = self.run_epoch("warmup", cfg.warmup_p_obs, 0.0,
-                                     optimizer, val_batch)
+                                     optimizer, val_batches)
                 stage_losses.append(rec.val_sup)
                 if plateau(stage_losses, cfg.plateau_window, cfg.plateau_eps):
                     break
@@ -310,17 +328,16 @@ class _Trainer:
             optimizer.lr = cfg.lr_curriculum
             for e in range(1, cfg.ramp_epochs + 1):
                 lam = physics_ramp(e, cfg.ramp_epochs, cfg.lam_max)
-                self.run_epoch("ramp", cfg.warmup_p_obs, lam, optimizer,
-                               val_batch)
-                self._consider_select()
+                rec = self.run_epoch("ramp", cfg.warmup_p_obs, lam, optimizer,
+                                     val_batches)
+                self._consider_select(rec, val_batches)
             # stage 3: observability descends
             for level in cfg.levels:
-                level_batch, _ = _val_batch(self.val_views, level, cfg.seed,
-                                            self.params.feeder_rows)
+                level_batches = self._val_batches(level)
                 for _ in range(cfg.epochs_per_level):
-                    self.run_epoch("curriculum", level, cfg.lam_max,
-                                   optimizer, level_batch)
-                    self._consider_select()
+                    rec = self.run_epoch("curriculum", level, cfg.lam_max,
+                                         optimizer, level_batches)
+                    self._consider_select(rec, level_batches)
             self._restore_selected()
         except ad.NonFiniteError:
             self.params.store.values[:] = self.last_good
@@ -331,14 +348,13 @@ class _Trainer:
         head = [self.params.tensors[n] for n in self.params.head_names()]
         optimizer = Adam(head, lr=cfg.lr_finetune)
         levels = tuple(cfg.levels)
-        val_batch, _ = _val_batch(self.val_views, 40.0, cfg.seed,
-                                  self.params.feeder_rows)
+        val_batches = self._val_batches(40.0)
         try:
             for e in range(cfg.finetune_epochs):
                 level = levels[e % len(levels)]
-                self.run_epoch("finetune", level, cfg.lam_max, optimizer,
-                               val_batch)
-                self._consider_select()
+                rec = self.run_epoch("finetune", level, cfg.lam_max,
+                                     optimizer, val_batches)
+                self._consider_select(rec, val_batches)
             self._restore_selected()
         except ad.NonFiniteError:
             self.params.store.values[:] = self.last_good

@@ -201,6 +201,45 @@ def test_layer_norm_matches_finite_difference_on_vector():
     _check(build, [x, g, s])
 
 
+def _awkward_rows(d=64):
+    """Rows with -0.0 entries, an all-negative row and constant rows."""
+    r = np.random.Generator(np.random.PCG64(4))
+    x = r.normal(size=(40, d)) * 3.0
+    x[0] = -np.abs(x[0])
+    x[1] = -0.0
+    x[2] = 1.75
+    x[3] = 0.0
+    x[4, ::2] = -0.0
+    return x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_relu_is_bitwise_np_where():
+    x = _awkward_rows()
+    w = np.random.Generator(np.random.PCG64(5)).normal(size=x.shape)
+    t = ad.Tensor(x, requires_grad=True, name="x")
+    with ad.Tape():
+        out = ad.relu(t)
+        ad.backward(ad.total_sum(ad.mul(out, w)))
+    np.testing.assert_array_equal(_bits(out.values),
+                                  _bits(np.where(x > 0.0, x, 0.0)))
+    np.testing.assert_array_equal(_bits(t.grad), _bits(w * (x > 0.0)))
+
+
+def test_layer_norm_is_bitwise_the_mean_var_formula():
+    x = _awkward_rows()
+    r = np.random.Generator(np.random.PCG64(6))
+    gain, bias = r.normal(size=64), r.normal(size=64)
+    mu = x.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.var(axis=1) + 1e-5)
+    expected = (x - mu) * inv_std[:, None] * gain + bias
+    out = ad.layer_norm(x, gain, bias).values
+    np.testing.assert_array_equal(_bits(out), _bits(expected))
+
+
 def test_gradcheck_segment_ops():
     r = np.random.Generator(np.random.PCG64(3))
     x = ad.Tensor(r.normal(size=(9, 3)), requires_grad=True, name="x")

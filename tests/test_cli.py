@@ -234,6 +234,27 @@ def test_study_a_assembles_only_the_ridge_sample(workspace, tmp_path, capsys,
     assert sorted(asked) == sorted(list(sample) + list(test))
 
 
+def test_integral_levels_parse_as_ints():
+    levels = cli._parse_levels("20.0,2.5,1,50.")
+    assert levels == (20, 2.5, 1, 50)
+    assert [type(x) for x in levels] == [int, float, int, int]
+
+
+def test_study_a_is_the_same_for_either_spelling_of_a_level(workspace,
+                                                           tmp_path, capsys):
+    texts = []
+    for spelling in ("20.0,5", "20,5"):
+        out_dir = tmp_path / spelling
+        rc, _, _ = run(["evaluate", "--study", "A",
+                        "--checkpoint", str(workspace["ckpt"]),
+                        "--data", str(workspace["data"]),
+                        "--levels", spelling, "--seeds", "2",
+                        "--out-dir", str(out_dir)], capsys)
+        assert rc == 0
+        texts.append((out_dir / "study_A.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_evaluate_deterministic_report(workspace, tmp_path, capsys):
     texts = []
     for sub in ("one", "two"):

@@ -1,10 +1,12 @@
 """Evaluation-harness tests: metrics, attacks, baseline, case studies."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gridvolt.autodiff as ad
 import gridvolt.dataset as ds
 import gridvolt.evaluation as ev
 import gridvolt.model as gm
@@ -151,16 +153,48 @@ def test_attack_is_deterministic_under_seed(tiny_setup):
 # -- model evaluation -------------------------------------------------------------
 
 
+def _masked_items(tiny_setup, n):
+    params, views, data = tiny_setup
+    gen = np.random.default_rng(n)
+    return [gm.item_from_view(views[k % len(views)],
+                              gen.random(data.n_nodes) < 0.5)
+            for k in range(n)]
+
+
 def test_predict_matches_single_forward(tiny_setup):
     params, views, data = tiny_setup
-    items = [_item(tiny_setup, seed=s) for s in range(3)]
-    stacked = ev.predict(params, items, chunk=2)
-    assert stacked.shape == (3, data.n_nodes)
-    import gridvolt.autodiff as ad
+    items = _masked_items(tiny_setup, 24)
+    assert len(gm.batch_runs(items)) > 1
+    stacked = ev.predict(params, items)
+    assert stacked.shape == (24, data.n_nodes)
     with ad.no_grad():
-        single = gm.forward(params, gm.build_batch([items[0]],
-                                                   params.feeder_rows))
-    np.testing.assert_allclose(stacked[0], single.values, atol=1e-12)
+        whole = gm.forward(params, gm.build_batch(items, params.feeder_rows))
+    # one ulp near 1.0 p.u.: only the BLAS kernels chosen by row count differ
+    np.testing.assert_allclose(stacked.ravel(), whole.values,
+                               rtol=0, atol=2.3e-16)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_peak_memory_does_not_grow_with_snapshots(tiny_setup):
+    """``predict`` holds one cache-sized batch at a time: from 8 to 64
+    snapshots its traced peak grows by at most the [64, N] output plus the
+    peak of one full-budget batch, where one all-in-one batch grows 8x."""
+    params, views, data = tiny_setup
+    few, many = _masked_items(tiny_setup, 8), _masked_items(tiny_setup, 64)
+    budget = _traced_peak(ev.predict, params,
+                          many[:gm.BATCH_NODES // data.n_nodes])
+    output = 64 * data.n_nodes * 8
+    growth = _traced_peak(ev.predict, params, many) - \
+        _traced_peak(ev.predict, params, few)
+    assert growth <= output + budget, (growth, output, budget)
 
 
 def test_evaluate_masked_returns_finite_scores(tiny_setup):

@@ -266,7 +266,7 @@ def test_permutation_equivariance(tiny_views):
 
 @pytest.fixture(scope="module")
 def batch32(tiny_views):
-    """32 masked snapshots (the evaluation chunk) and default-size params."""
+    """32 masked snapshots and default-size params."""
     views, data = tiny_views
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=3)
     gen = np.random.default_rng(32)
@@ -560,6 +560,37 @@ def test_edge_type_ids_decode_device_slots():
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty"):
         gm.build_batch([], {})
+    with pytest.raises(ValueError, match="empty"):
+        gm.batches([], {})
+
+
+def chain_item(n_nodes, tag):
+    """A path of ``n_nodes`` whose truth labels name the item."""
+    item = micro_item(n_nodes, [(k, k + 1, "line", 1, "A")
+                                for k in range(n_nodes - 1)])
+    item.v_true = np.full(n_nodes, float(tag))
+    return item
+
+
+@pytest.mark.parametrize("sizes", [
+    [93] * 25, [183] * 19, [93] * 11, [183] * 5 + [184], [1024] * 3,
+    [2000, 5, 5], [93] * 7 + [603] + [93] * 4, [7]])
+def test_batches_are_balanced_runs_within_the_node_budget(sizes):
+    items = [chain_item(n, k) for k, n in enumerate(sizes)]
+    runs = gm.batches(items, {1: 0})
+    counts = [b.n_graphs for b in runs]
+    assert max(counts) - min(counts) <= 1
+    assert sum(counts) == len(items)
+    for b in runs:
+        assert b.n_nodes <= gm.BATCH_NODES or b.n_graphs == 1
+    # consecutive and in order: the labels run 0, 1, 2, ... across batches
+    labels = np.concatenate([b.v_true for b in runs])
+    np.testing.assert_array_equal(
+        labels, np.repeat(np.arange(len(sizes)), sizes).astype(float))
+    per_run = max(1, gm.BATCH_NODES // max(sizes))
+    assert len(runs) == -(-len(items) // per_run)  # no more runs than needed
+    if max(sizes) > gm.BATCH_NODES // 2:
+        assert counts == [1] * len(items)
 
 
 # -- gradients -----------------------------------------------------------------

@@ -225,6 +225,57 @@ def test_divergence_aborts_and_restores_last_good(day_dataset, monkeypatch):
         assert np.all(np.isfinite(t.values))
 
 
+def test_val_metrics_over_split_batches_equals_one_batch(day_dataset,
+                                                        micro_run):
+    import gridvolt.model as gm
+    views = [day_dataset.snapshot(i) for i in range(30)]
+    mask = net.fleet_mask(net.fleet_order(day_dataset.n_nodes, rng(4, "m")),
+                          30)
+    items = [gm.item_from_view(v, mask) for v in views]
+    params, rows = micro_run.params, micro_run.params.feeder_rows
+    split = gm.batches(items, rows)
+    assert len(split) > 1
+    assert (tr._val_metrics(params, split)
+            == tr._val_metrics(params, [gm.build_batch(items, rows)]))
+
+
+def _count_val_forwards(monkeypatch):
+    calls = []
+    real = tr._val_metrics
+
+    def counted(params, val_batches):
+        calls.append(val_batches)
+        return real(params, val_batches)
+
+    monkeypatch.setattr(tr, "_val_metrics", counted)
+    return calls
+
+
+def test_a_probe_shared_by_the_epoch_is_scored_once(day_dataset, micro_run,
+                                                     monkeypatch):
+    """Ramp epochs validate on the 80.0 probe's batches: one forward serves
+    both, and history and selection equal a run that scores it twice. The
+    int curriculum level 80 draws its own mask and is not shared."""
+    calls = _count_val_forwards(monkeypatch)
+    shared = tr.train(day_dataset, micro_config())
+    n_probes = len(micro_config().select_levels)
+    selecting = [r for r in shared.history if r.stage != "warmup"]
+    n_ramp = sum(r.stage == "ramp" for r in shared.history)
+    assert len(calls) == (len(shared.history) + n_probes * len(selecting)
+                          - n_ramp)
+    _assert_same_run(micro_run, shared)
+
+    calls.clear()
+    monkeypatch.setattr(
+        tr._Trainer, "_val_batches",
+        lambda self, p_obs: tr._val_batch(self.val_views, p_obs,
+                                          self.config.seed,
+                                          self.params.feeder_rows)[0])
+    unshared = tr.train(day_dataset, micro_config())
+    assert len(calls) == len(shared.history) + n_probes * len(selecting)
+    _assert_same_run(shared, unshared)
+
+
 def test_history_csv_roundtrip(micro_run, tmp_path):
     path = tmp_path / "history.csv"
     tr.history_to_csv(micro_run.history, path)
@@ -288,6 +339,16 @@ def test_finetune_truncates_to_pretraining_fraction(micro_run, target_dataset,
     # of 96, the last 10 are held out and the 10 before them validate
     assert seen["train"] == range(24)
     assert seen["val"] == range(76, 86)
+
+
+def test_finetune_scores_its_40_probe_once(micro_run, target_dataset,
+                                          monkeypatch):
+    # every finetune epoch validates on the 40.0 probe's batches
+    calls = _count_val_forwards(monkeypatch)
+    result = tr.finetune(_clone(micro_run.params), target_dataset,
+                         micro_config())
+    n_probes = len(micro_config().select_levels)
+    assert len(calls) == n_probes * len(result.history)
 
 
 # -- the held-out window ------------------------------------------------------
