@@ -146,12 +146,18 @@ def _train_config(args) -> gtr.TrainConfig:
                            f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise CliError("config", f"malformed config JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise CliError("config", "config must be a JSON object, got "
+                                     f"{type(values).__name__}")
         known = {f.name for f in fields(gtr.TrainConfig)}
         unknown = set(values) - known
         if unknown:
             raise CliError("config",
                            f"unknown config keys: {sorted(unknown)}")
         if "levels" in values:
+            if not isinstance(values["levels"], list):
+                raise CliError("config", "levels must be a JSON list, got "
+                                         f"{values['levels']!r}")
             values["levels"] = tuple(values["levels"])
     if args.seed is not None:
         values["seed"] = args.seed

@@ -9,7 +9,9 @@ it changes:
 - per switch configuration: the switch flag, depth, electrical distance,
   degree and supplying feeder of every node, and edge status and
   physics-loss membership, one row per distinct configuration, with a
-  ``[T]`` index naming each snapshot's configuration;
+  ``[T]`` index naming each snapshot's configuration. The structural
+  columns come from ``simulation.structural_annotations`` on the phase
+  tree the solver cached for that configuration, so no second search runs;
 - per snapshot: the injection feature, node and edge taps, voltages, edge
   flows and the feeder-head, substation-transformer and auxiliary sums.
 
@@ -162,19 +164,6 @@ class SnapshotDataset:
             for i in range(self.n_nodes)
         ]
 
-    def subset(self, n_first: int) -> "SnapshotDataset":
-        """First n_first snapshots as a new dataset (array views); the
-        configuration table is kept whole."""
-        if not 1 <= n_first <= self.n_snapshots:
-            raise ValueError(
-                f"subset size {n_first} outside 1..{self.n_snapshots}")
-        arrays = {k: (v[:n_first] if k in _PER_TIME else v)
-                  for k, v in self.arrays.items()}
-        meta = dict(self.meta)
-        meta["subset_of"] = self.meta.get("n_snapshots", self.n_snapshots)
-        meta["n_snapshots"] = n_first
-        return SnapshotDataset(meta, arrays)
-
 
 def split_windows(n: int, val_fraction: float,
                   test_fraction: float) -> tuple[range, range, range]:
@@ -233,9 +222,8 @@ def dataset_from_states(spec: sim.SubstationSpec,
 
     configs, which = np.unique(status, axis=0, return_inverse=True)
     which = which.reshape(-1)
-    per_config = [net.structural_annotations(graph.bus_phases, graph.edge_from,
-                                             graph.edge_to, graph.edge_zmag,
-                                             c == 1) for c in configs]
+    # the run cached each configuration's tree on the graph
+    per_config = [sim.structural_annotations(graph, c) for c in configs]
     depth, elec, degree, feeder = (np.stack(a) for a in zip(*per_config))
     sw_closed = np.ones((len(configs), graph.n_nodes))
     k, e = np.nonzero((configs == 0) & (graph.edge_kind == "switch"))
@@ -339,30 +327,6 @@ def scenario_to_dict(scenario: sim.ScenarioConfig) -> dict:
         "pseudo_noise_common": scenario.pseudo_noise_common,
         "pseudo_noise_local": scenario.pseudo_noise_local,
     }
-
-
-def concatenate(datasets: list[SnapshotDataset]) -> SnapshotDataset:
-    """Join scenario runs over the same substation graph along time."""
-    if not datasets:
-        raise ValueError("nothing to concatenate")
-    base = datasets[0]
-    for other in datasets[1:]:
-        if other.meta["substation"] != base.meta["substation"]:
-            raise ValueError("datasets come from different substations")
-        if not np.array_equal(other.arrays["edge_from"], base.arrays["edge_from"]):
-            raise ValueError("edge topology differs between datasets")
-    # each run's configuration rows follow those of the runs before it
-    offsets = np.cumsum([0] + [len(d.arrays["config_status"])
-                               for d in datasets[:-1]])
-    parts = [dict(d.arrays, config_index=d.arrays["config_index"] + off)
-             for d, off in zip(datasets, offsets)]
-    arrays = dict(base.arrays)
-    for k in _PER_CONFIG + _PER_TIME:
-        arrays[k] = np.concatenate([a[k] for a in parts], axis=0)
-    meta = dict(base.meta)
-    meta["scenarios"] = [s for d in datasets for s in d.meta["scenarios"]]
-    meta["n_snapshots"] = int(arrays["v_true"].shape[0])
-    return SnapshotDataset(meta, arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Nodes are bus-phases (one node per energized phase of each bus). The node
 feature vector has 17 entries and the edge feature vector 13; the exact
 orders below are part of the on-disk dataset contract and are hashed into
 checkpoints so a model is never applied to features laid out differently.
+The columns that depend on the switch configuration (depth, electrical
+distance, degree) come from ``simulation.structural_annotations``, which
+reads them off the solver's phase tree.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,64 +138,6 @@ def static_edge_features(devices: Sequence) -> np.ndarray:
         for ph in d.phases:
             row[9 + PHASES.index(ph)] = 1.0
     return feats
-
-
-def structural_annotations(
-    bus_phases: Sequence[BusPhase], edge_from: np.ndarray,
-    edge_to: np.ndarray, edge_zmag: np.ndarray, closed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Depth, electrical distance, degree, and supplying feeder per node.
-
-    Edges are given as endpoint arrays with their impedance magnitude and a
-    boolean ``closed`` flag. Depth counts hops from the feeder head that
-    currently supplies the node (0 at heads and at the hub). Electrical
-    distance accumulates |Z| of the closed edges along that path. Degree
-    counts incident closed edges. The supplying feeder follows the energized
-    path, so a subtree fed through a closed tie is attributed to the feeder
-    that actually supplies it.
-    """
-    n = len(bus_phases)
-    sel = np.flatnonzero(closed)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b, zmag in zip(edge_from[sel].tolist(), edge_to[sel].tolist(),
-                          edge_zmag[sel].tolist()):
-        adj[a].append((b, zmag))
-        adj[b].append((a, zmag))
-    degree = (np.bincount(edge_from[sel], minlength=n)
-              + np.bincount(edge_to[sel], minlength=n)).astype(float)
-
-    depth = np.full(n, -1.0)
-    elec = np.zeros(n)
-    feeder = np.full(n, HUB_FEEDER, dtype=int)
-    queue: deque[int] = deque()
-    for bp in bus_phases:
-        if bp.bus_type == "substation_hub":
-            depth[bp.id] = 0.0
-            elec[bp.id] = 0.0
-            queue.append(bp.id)
-    if not queue:
-        raise ValueError("graph has no substation hub node")
-    while queue:
-        u = queue.popleft()
-        for v, zmag in adj[u]:
-            if depth[v] >= 0.0:
-                continue
-            if bus_phases[v].bus_type == "feeder_head":
-                depth[v] = 0.0
-                elec[v] = 0.0
-                feeder[v] = bus_phases[v].feeder_id
-            else:
-                depth[v] = depth[u] + 1.0
-                elec[v] = elec[u] + zmag
-                feeder[v] = feeder[u]
-            queue.append(v)
-    unreachable = np.flatnonzero(depth < 0.0)
-    if unreachable.size:
-        bp = bus_phases[int(unreachable[0])]
-        raise ValueError(
-            f"bus-phase {bp.id} (bus {bp.bus_id} phase {bp.phase}) is not "
-            f"energized from the substation hub")
-    return depth, elec, degree, feeder
 
 
 def apply_mask_to_features(features: np.ndarray, v_true: np.ndarray,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -572,12 +572,20 @@ class GraphIndex:
     serving_rating: np.ndarray
     cap_q: np.ndarray            # reactive output of the switched-on capacitors
     hub_node_ids: list[int]
-    # solver trees by switch configuration (edge status bytes)
+    # solver trees by switch configuration (edge status bytes); see tree()
     trees: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.bus_phases)
+
+    def tree(self, status: np.ndarray) -> _PhaseTree:
+        """The phase trees of the switch configuration ``status`` (1 closed,
+        0 open, per edge), built on first use and cached on the graph."""
+        key = status.tobytes()
+        if key not in self.trees:
+            self.trees[key] = _phase_trees(self, status)
+        return self.trees[key]
 
 
 def build_graph(spec: SubstationSpec) -> GraphIndex:
@@ -715,10 +723,7 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     tap_norm_edge[reg] = steps / REG_MAX_TAP
     z = graph.edge_impedance
 
-    key = status.tobytes()
-    if key not in graph.trees:
-        graph.trees[key] = _phase_trees(graph, status)
-    tree = graph.trees[key]
+    tree = graph.tree(status)
 
     # the ratio applies from the parent side to the child side; a tap is
     # tied to the device's to-bus, so a device specified child -> parent
@@ -994,6 +999,40 @@ def conservation_residuals(state: SolvedState) -> np.ndarray:
     return np.abs(acc)
 
 
+def structural_annotations(
+    graph: GraphIndex, status: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Depth, electrical distance, degree and supplying feeder per node for
+    the switch configuration ``status``, read off its cached phase tree.
+
+    Depth counts hops from the feeder head that currently supplies the node
+    (0 at heads and at the hub). Electrical distance accumulates |Z| of the
+    edges along that path. Degree counts incident closed edges. The
+    supplying feeder follows the energized path, so a subtree fed through a
+    closed tie is attributed to the feeder that actually supplies it. Raises
+    PowerFlowError when a node is islanded or the closed edges form a loop.
+    """
+    tree = graph.tree(status)
+    n = graph.n_nodes
+    head = np.array([bp.bus_type == "feeder_head" for bp in graph.bus_phases])
+    own = np.array([bp.feeder_id for bp in graph.bus_phases])
+    depth = np.zeros(n)
+    elec = np.zeros(n)
+    feeder = np.full(n, net.HUB_FEEDER, dtype=int)
+    # shallowest level first: each parent is final before its children
+    for lv in tree.levels:
+        nodes = tree.order[lv.nodes]
+        up = tree.parent_node[nodes]
+        reset = head[nodes]
+        depth[nodes] = np.where(reset, 0.0, depth[up] + 1.0)
+        elec[nodes] = np.where(reset, 0.0, elec[up] + graph.edge_zmag[lv.edges])
+        feeder[nodes] = np.where(reset, own[nodes], feeder[up])
+    closed = status == 1
+    degree = (np.bincount(graph.edge_from[closed], minlength=n)
+              + np.bincount(graph.edge_to[closed], minlength=n)).astype(float)
+    return depth, elec, degree, feeder
+
+
 # ---------------------------------------------------------------------------
 # profiles and time series
 
@@ -1094,31 +1133,3 @@ def run_timeseries(spec: SubstationSpec, scenario: ScenarioConfig,
         states.append(state)
         controller.update(controls, state)
     return states
-
-
-def solve_timestep(spec: SubstationSpec, timestep: int,
-                   scenario: ScenarioConfig | None = None,
-                   controls: Controls | None = None) -> SolvedState:
-    """Solve one step of a scenario with explicit control state.
-
-    Unlike run_timeseries this does not evolve regulator taps; pass the
-    Controls you want applied. The injections are those of the same step of
-    a full run.
-    """
-    scenario = scenario or ScenarioConfig()
-    n_steps = scenario.horizon_minutes // TIMESTEP_MINUTES
-    if not 0 <= timestep < n_steps:
-        raise ValueError(f"timestep {timestep} outside horizon of {n_steps} steps")
-    graph = build_graph(spec)
-    controls = controls or Controls()
-    if scenario.tie_closures and timestep >= scenario.tie_close_step:
-        for ti in scenario.tie_closures:
-            tie = spec.ties[ti]
-            controls.closed_override.setdefault(tie.device_uid, True)
-            controls.closed_override.setdefault(tie.sectionalizer_uid, False)
-    # profile noise is drawn step by step, so a horizon cut after the
-    # requested step yields the same injections for it
-    through = replace(scenario,
-                      horizon_minutes=(timestep + 1) * TIMESTEP_MINUTES)
-    return solve_powerflow(spec, graph, _injections(spec, graph, through)[timestep],
-                           controls, timestamp=float(timestep * TIMESTEP_MINUTES))

@@ -82,10 +82,23 @@ class TrainConfig:
             raise ValueError("curriculum needs at least one level")
         if any(not 0 < p < 100 for p in self.levels):
             raise ValueError("observability levels must lie in (0, 100)")
+        if not self.select_levels:
+            raise ValueError("selection needs at least one level")
         if any(not 0 < p < 100 for p in self.select_levels):
             raise ValueError("selection levels must lie in (0, 100)")
-        if self.plateau_window < 1:
-            raise ValueError("plateau window must be >= 1")
+        if not 0 < self.warmup_p_obs < 100:
+            raise ValueError("warmup_p_obs must lie in (0, 100)")
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.plateau_window, int) or self.plateau_window < 1:
+            raise ValueError("plateau window must be an integer >= 1")
+        for name, least in (("steps_per_epoch", 1), ("val_max_snapshots", 1),
+                            ("epochs_per_level", 1), ("max_warmup_epochs", 0),
+                            ("ramp_epochs", 0), ("finetune_epochs", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must lie in (0, 1)")
         if not 0 < self.finetune_fraction <= 1:

@@ -160,6 +160,27 @@ def test_train_invalid_config_value(workspace, tmp_path, capsys):
     assert err.strip().startswith("ERROR config:")
 
 
+@pytest.mark.parametrize("config", [
+    {"levels": 5}, 5, [80, 20], {"val_max_snapshots": 0},
+    {"warmup_p_obs": 100},
+    {"max_warmup_epochs": 0, "ramp_epochs": 0, "epochs_per_level": 0},
+    {"steps_per_epoch": 0}, {"seed": "a"}, {"select_levels": []}],
+    ids=["levels-not-a-list", "not-an-object", "a-list", "no-val-snapshot",
+         "warmup-fully-observed", "no-epoch", "no-step", "seed-not-an-int",
+         "no-selection-level"])
+def test_malformed_config_is_one_config_line(workspace, tmp_path, capsys,
+                                             config):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "m.npz"
+    rc, stdout, err = run(["train", "--data", str(workspace["data"]),
+                           "--config", str(bad), "--out", str(out)], capsys)
+    assert rc == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("ERROR config:")
+    assert not stdout and not out.exists()
+
+
 def test_finetune_roundtrip(workspace, tmp_path, capsys):
     target = tmp_path / "target.npz"
     rc, _, _ = run(["generate", "--seed", "77", "--horizon-minutes", "360",

@@ -1,6 +1,7 @@
 """Dataset assembly, npz round-trips, and byte-level determinism."""
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,6 +13,48 @@ from gridvolt import simulation as sim
 from gridvolt.seeding import rng
 
 HORIZON = 12 * sim.TIMESTEP_MINUTES
+
+
+def bfs_annotations_reference(graph, status):
+    """Depth, electrical distance, degree and supplying feeder by a
+    breadth-first search from the hub over the closed edges, independent of
+    the solver's phase tree. The reference ``sim.structural_annotations``
+    must equal in dtype and bytes."""
+    bus_phases = graph.bus_phases
+    n = len(bus_phases)
+    sel = np.flatnonzero(status == 1)
+    adj = [[] for _ in range(n)]
+    for a, b, zmag in zip(graph.edge_from[sel].tolist(),
+                          graph.edge_to[sel].tolist(),
+                          graph.edge_zmag[sel].tolist()):
+        adj[a].append((b, zmag))
+        adj[b].append((a, zmag))
+    degree = (np.bincount(graph.edge_from[sel], minlength=n)
+              + np.bincount(graph.edge_to[sel], minlength=n)).astype(float)
+    depth = np.full(n, -1.0)
+    elec = np.zeros(n)
+    feeder = np.full(n, net.HUB_FEEDER, dtype=int)
+    queue = deque()
+    for bp in bus_phases:
+        if bp.bus_type == "substation_hub":
+            depth[bp.id] = 0.0
+            queue.append(bp.id)
+    while queue:
+        u = queue.popleft()
+        for v, zmag in adj[u]:
+            if depth[v] >= 0.0:
+                continue
+            if bus_phases[v].bus_type == "feeder_head":
+                depth[v] = 0.0
+                elec[v] = 0.0
+                feeder[v] = bus_phases[v].feeder_id
+            else:
+                depth[v] = depth[u] + 1.0
+                elec[v] = elec[u] + zmag
+                feeder[v] = feeder[u]
+            queue.append(v)
+    assert np.all(depth >= 0.0), "a node is not energized from the hub"
+    return depth, elec, degree, feeder
 
 
 def v1_reference_arrays(states, spec, scenario):
@@ -32,9 +75,7 @@ def v1_reference_arrays(states, spec, scenario):
                                                edge_tap[:, reg], 0.0)
     configs, which = np.unique(status, axis=0, return_inverse=True)
     which = which.reshape(-1)
-    per_config = [net.structural_annotations(graph.bus_phases, graph.edge_from,
-                                             graph.edge_to, graph.edge_zmag,
-                                             c == 1) for c in configs]
+    per_config = [bfs_annotations_reference(graph, c) for c in configs]
     depth, elec, degree, feeder = (np.stack(a)[which]
                                    for a in zip(*per_config))
     sw_closed = np.ones((len(configs), graph.n_nodes))
@@ -163,31 +204,6 @@ def test_feature_hash_guard(ds):
         dsm.SnapshotDataset(meta, ds.arrays)
 
 
-def test_subset(ds):
-    sub = ds.subset(3)
-    assert sub.n_snapshots == 3
-    assert np.array_equal(sub.arrays["v_true"], ds.arrays["v_true"][:3])
-    assert sub.arrays["edge_from"] is ds.arrays["edge_from"]
-    with pytest.raises(ValueError):
-        ds.subset(0)
-    with pytest.raises(ValueError):
-        ds.subset(13)
-
-
-def test_concatenate(ds, tiny_spec):
-    other = dsm.build_dataset(tiny_spec, sim.ScenarioConfig(
-        horizon_minutes=HORIZON, der_penetration=0))
-    joined = dsm.concatenate([ds, other])
-    assert joined.n_snapshots == 24
-    assert len(joined.meta["scenarios"]) == 2
-    assert np.array_equal(joined.arrays["v_true"][:12], ds.arrays["v_true"])
-
-    foreign = dsm.build_dataset(sim.generate_substation(22, "tiny"),
-                                sim.ScenarioConfig(horizon_minutes=HORIZON))
-    with pytest.raises(ValueError, match="different substations"):
-        dsm.concatenate([ds, foreign])
-
-
 def test_bus_phase_reconstruction(ds, tiny_spec):
     graph = sim.build_graph(tiny_spec)
     assert ds.bus_phases() == graph.bus_phases
@@ -273,14 +289,60 @@ def test_node_tap_follows_regulator_edges(tiny_spec):
     graph = sim.build_graph(tiny_spec)
     reg = np.flatnonzero(graph.edge_kind == "regulator")[0]
     uid = int(graph.edge_device[reg])
-    state = sim.solve_timestep(tiny_spec, 0, cfg, sim.Controls(
-        taps={(uid, graph.edge_phase[reg]): 4}))
+    state = sim.solve_powerflow(
+        tiny_spec, graph, sim._injections(tiny_spec, graph, cfg)[0],
+        sim.Controls(taps={(uid, graph.edge_phase[reg]): 4}))
     view = dsm.dataset_from_states(tiny_spec, cfg, [state]).snapshot(0)
     tap = view.node_features[:, net.NODE_FEATURE_INDEX["tap"]]
     edge_tap = view.edge_features[:, net.EDGE_FEATURE_INDEX["tap"]]
     assert tap[graph.edge_to[reg]] == edge_tap[reg] == 0.25
     assert np.count_nonzero(tap) == np.count_nonzero(edge_tap) == 1
     assert np.all(tap[graph.hub_node_ids] == 0.0)
+
+
+# -- structural annotations against a breadth-first search --------------------
+
+
+def tie_configurations(spec, graph):
+    """Edge status with every tie open, then with each tie closed alone
+    (its sectionalizer opened)."""
+    yield graph.edge_normally_closed.copy()
+    for tie in spec.ties:
+        status = graph.edge_normally_closed.copy()
+        status[graph.edge_device == tie.device_uid] = 1
+        status[graph.edge_device == tie.sectionalizer_uid] = 0
+        yield status
+
+
+@pytest.mark.parametrize("size,seeds", [("tiny", range(30)),
+                                        ("medium", range(100, 104))])
+def test_structural_annotations_equal_the_bfs_reference(size, seeds):
+    for seed in seeds:
+        spec = sim.generate_substation(seed, size)
+        graph = sim.build_graph(spec)
+        for k, status in enumerate(tie_configurations(spec, graph)):
+            got = sim.structural_annotations(graph, status)
+            want = bfs_annotations_reference(graph, status)
+            for name, g, w in zip(("depth", "elec", "degree", "feeder"),
+                                  got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), \
+                    (seed, k, name)
+
+
+def test_dataset_builds_no_second_tree(tiny_spec, monkeypatch):
+    built = []
+    real = sim._phase_trees
+
+    def counted(graph, status):
+        built.append(status.tobytes())
+        return real(graph, status)
+
+    monkeypatch.setattr(sim, "_phase_trees", counted)
+    states = sim.run_timeseries(tiny_spec, TIE_AT_2)
+    assert len(built) == 2         # the run crossed the tie closing
+    data = dsm.dataset_from_states(tiny_spec, TIE_AT_2, states)
+    assert len(built) == 2
+    assert len(data.arrays["config_status"]) == 2
 
 
 # -- the factored layout against the v1 broadcast ----------------------------
@@ -323,8 +385,6 @@ def test_v2_rows_equal_v1_across_a_tie_closing(tiny_spec):
     assert len(data.arrays["config_status"]) == 2
     ref = v1_reference_arrays(states, tiny_spec, TIE_AT_2)
     assert_rows_equal_v1(data, ref)
-    # a subset keeps the configuration table and the first rows
-    assert_rows_equal_v1(data.subset(3), {k: v[:3] for k, v in ref.items()})
 
 
 def test_v2_rows_equal_v1_on_medium_with_ties_closed():
@@ -333,22 +393,6 @@ def test_v2_rows_equal_v1_on_medium_with_ties_closed():
                                   tie_closures=tuple(range(len(spec.ties))))
     states, data = solved(spec, scenario)
     assert_rows_equal_v1(data, v1_reference_arrays(states, spec, scenario))
-
-
-def test_v2_rows_equal_v1_after_concatenate(tiny_spec):
-    open_scenario = sim.ScenarioConfig(horizon_minutes=HORIZON)
-    runs = [solved(tiny_spec, sc) for sc in (open_scenario, TIE_AT_2)]
-    joined = dsm.concatenate([data for _, data in runs])
-    assert len(joined.arrays["config_status"]) == 3
-    refs = [v1_reference_arrays(states, tiny_spec, sc)
-            for (states, _), sc in zip(runs, (open_scenario, TIE_AT_2))]
-    per_time = ("node_features", "v_true", "node_feeder", "edge_features",
-                "edge_p", "edge_q", "edge_phys", "timestamps", "head_p",
-                "head_q", "s_subxfmr_re", "s_subxfmr_im", "s_aux_re",
-                "s_aux_im")
-    ref = dict(refs[0])
-    ref.update({k: np.concatenate([r[k] for r in refs]) for k in per_time})
-    assert_rows_equal_v1(joined, ref)
 
 
 def test_v1_files_are_refused(ds, tiny_spec, tmp_path, capsys):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +9,7 @@ from gridvolt import simulation as sim
 def toy_chain():
     """Single-phase chain: hub -sw- head -line- dt_high -xfmr- dt_low -line- lv.
 
-    Returns the bus-phases, the per-edge devices and the endpoint and |Z|
-    arrays of the four edges.
+    Returns the bus-phases and the per-edge devices.
     """
     bps = [
         net.BusPhase(0, 0, "A", 7.2, "substation_hub", net.HUB_FEEDER),
@@ -27,19 +24,29 @@ def toy_chain():
         sim.DeviceSpec(2, 2, 3, "transformer", ("A",), 0.012, 0.016, 0.0, 0.05),
         sim.DeviceSpec(3, 3, 4, "line", ("A",), 0.003, 0.004, 0.03, 0.05),
     ]
-    zmag = np.array([math.hypot(d.r_pu, d.x_pu) for d in devices])
-    return bps, devices, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]), zmag
+    return bps, devices
 
 
-def annotate(closed=None):
-    bps, _, frm, to, zmag = toy_chain()
-    closed = np.ones(4, dtype=bool) if closed is None else closed
-    return net.structural_annotations(bps, frm, to, zmag, closed)
+@pytest.fixture(scope="module")
+def tiny():
+    """A generated tiny substation and its graph, ties open."""
+    spec = sim.generate_substation(7, "tiny")
+    return spec, sim.build_graph(spec)
+
+
+def annotate(graph, status=None):
+    status = graph.edge_normally_closed if status is None else status
+    return sim.structural_annotations(graph, status)
+
+
+def nodes_of_type(graph, bus_type):
+    return np.array([bp.id for bp in graph.bus_phases
+                     if bp.bus_type == bus_type])
 
 
 def observed_features():
     """Toy node features as a dataset stores them: every node observed."""
-    bps, *_ = toy_chain()
+    bps, _ = toy_chain()
     v = np.array([1.0, 0.998, 0.99, 0.985, 0.98])
     feats = net.static_node_features(bps, np.zeros(5))
     feats[:, net.NODE_FEATURE_INDEX["m_obs"]] = 1.0
@@ -50,7 +57,7 @@ def observed_features():
 def test_feature_vector_lengths():
     assert len(net.NODE_FEATURE_ORDER) == 17
     assert len(net.EDGE_FEATURE_ORDER) == 13
-    bps, devices, *_ = toy_chain()
+    bps, devices = toy_chain()
     assert net.static_node_features(bps, np.zeros(5)).shape == (5, 17)
     assert net.static_edge_features(devices).shape == (4, 13)
 
@@ -83,52 +90,66 @@ def test_masked_rows_never_carry_a_voltage():
 def test_tap_midpoint_is_zero():
     # the static rows leave every tap at its midpoint; only the per-step
     # regulator taps written at dataset assembly move it
-    bps, devices, *_ = toy_chain()
+    bps, devices = toy_chain()
     nodes = net.static_node_features(bps, np.zeros(5))
     edges = net.static_edge_features(devices)
     assert np.all(nodes[:, net.NODE_FEATURE_INDEX["tap"]] == 0.0)
     assert np.all(edges[:, net.EDGE_FEATURE_INDEX["tap"]] == 0.0)
 
 
-def test_structural_annotations_depth_and_distance():
-    depth, elec, degree, feeder = annotate()
-    # feeder head resets the counters
-    assert depth[1] == 0.0 and elec[1] == 0.0
-    # two hops from the head over |Z| = 0.01 then 0.02
-    assert depth[3] == 2.0
-    assert elec[3] == pytest.approx(0.03, abs=1e-15)
-    # leaf with a single closed edge
-    assert degree[4] == 1.0
-    assert feeder[0] == net.HUB_FEEDER and feeder[4] == 0
+def test_structural_annotations_depth_and_distance(tiny):
+    spec, graph = tiny
+    depth, elec, degree, feeder = annotate(graph)
+    # feeder heads reset the counters; the hub starts them
+    for kind in ("substation_hub", "feeder_head"):
+        roots = nodes_of_type(graph, kind)
+        assert np.all(depth[roots] == 0.0) and np.all(elec[roots] == 0.0)
+    below = nodes_of_type(graph, "lv_node")
+    assert np.all(depth[below] >= 2.0) and np.all(elec[below] > 0.0)
+    # every hub phase links to each feeder head; every node has an edge
+    assert np.all(degree[graph.hub_node_ids] == len(spec.feeders))
+    assert np.all(degree >= 1.0)
+    assert np.any(degree[below] == 1.0)
 
 
-def test_elec_dist_monotone_along_path():
-    _, elec, _, _ = annotate()
-    assert elec[1] <= elec[2] <= elec[3] <= elec[4]
+def test_elec_dist_monotone_along_path(tiny):
+    _, graph = tiny
+    depth, elec, _, _ = annotate(graph)
+    hub = set(graph.hub_node_ids)
+    for e in np.flatnonzero(graph.edge_normally_closed == 1):
+        a, b = int(graph.edge_from[e]), int(graph.edge_to[e])
+        if a in hub or b in hub:
+            continue
+        up, down = (a, b) if depth[a] < depth[b] else (b, a)
+        assert depth[down] == depth[up] + 1.0
+        assert elec[down] == elec[up] + graph.edge_zmag[e]
 
 
-def test_unreachable_node_named_in_error():
-    with pytest.raises(ValueError, match="bus-phase 4"):
-        annotate(np.array([True, True, True, False]))
+def test_unreachable_node_named_in_error(tiny):
+    _, graph = tiny
+    degree = annotate(graph)[2]
+    lv = nodes_of_type(graph, "lv_node")
+    leaf = int(lv[degree[lv] == 1.0][0])
+    bp = graph.bus_phases[leaf]
+    status = graph.edge_normally_closed.copy()
+    status[(graph.edge_from == leaf) | (graph.edge_to == leaf)] = 0
+    with pytest.raises(sim.PowerFlowError,
+                       match=rf"^bus-phase {leaf} \(bus {bp.bus_id} phase "
+                             rf"{bp.phase}\) is islanded"):
+        annotate(graph, status)
 
 
-def test_supplying_feeder_follows_closed_tie():
-    # hub 0, feeder 0: head 1 - n2 ; feeder 1: head 3 - n4 - n5.
-    # Sectionalizer 4->5 open, tie 2->5 closed: node 5 is supplied by feeder 0.
-    bps = [
-        net.BusPhase(0, 0, "A", 7.2, "substation_hub", net.HUB_FEEDER),
-        net.BusPhase(1, 1, "A", 7.2, "feeder_head", 0),
-        net.BusPhase(2, 2, "A", 7.2, "dt_high", 0),
-        net.BusPhase(3, 3, "A", 7.2, "feeder_head", 1),
-        net.BusPhase(4, 4, "A", 7.2, "dt_high", 1),
-        net.BusPhase(5, 5, "A", 7.2, "dt_high", 1),
-    ]
-    frm = np.array([0, 0, 1, 3, 4, 2])
-    to = np.array([1, 3, 2, 4, 5, 5])
-    zmag = np.array([1.4e-4, 1.4e-4, 0.014, 0.014, 1.4e-4, 1.4e-4])
-    closed = np.array([True, True, True, True, False, True])
-    _, _, _, feeder = net.structural_annotations(bps, frm, to, zmag, closed)
-    assert feeder[5] == 0 and feeder[4] == 1
+def test_supplying_feeder_follows_closed_tie(tiny):
+    spec, graph = tiny
+    tie = spec.ties[0]
+    status = graph.edge_normally_closed.copy()
+    status[graph.edge_device == tie.device_uid] = 1
+    status[graph.edge_device == tie.sectionalizer_uid] = 0
+    before, after = (annotate(graph, s)[3]
+                     for s in (graph.edge_normally_closed, status))
+    for ph in net.PHASES:
+        node = graph.node_of[(tie.transfer_bus, ph)]
+        assert before[node] == tie.to_feeder and after[node] == tie.from_feeder
 
 
 def sample_mask(n, p, seed, hub=()):
@@ -171,7 +192,7 @@ def test_mask_cardinality_property(n, p, seed):
 
 
 def test_onehot_feature_invariants():
-    bps, devices, *_ = toy_chain()
+    bps, devices = toy_chain()
     feats = net.static_node_features(bps, np.zeros(5))
     assert np.all(feats[:, 0:3].sum(axis=1) == 1.0)   # phase one-hot
     assert np.all(feats[:, 4:8].sum(axis=1) == 1.0)   # type one-hot
@@ -187,10 +208,12 @@ def test_bad_bus_type_and_kv_raise():
         net.BusPhase(0, 0, "A", -1.0, "lv_node", 0)
 
 
-def test_effective_feeder_recorded_on_nodes():
-    _, _, _, feeder = annotate()
-    assert feeder[0] == net.HUB_FEEDER
-    assert np.all(feeder[1:] == 0)
+def test_effective_feeder_recorded_on_nodes(tiny):
+    # with every tie open each node is supplied by its own feeder
+    _, graph = tiny
+    _, _, _, feeder = annotate(graph)
+    assert np.all(feeder[graph.hub_node_ids] == net.HUB_FEEDER)
+    assert np.array_equal(feeder, [bp.feeder_id for bp in graph.bus_phases])
 
 
 def test_feature_order_hash_is_stable():

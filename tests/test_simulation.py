@@ -361,20 +361,6 @@ def test_run_is_deterministic(tiny_spec):
     assert np.array_equal(a, b)
 
 
-def test_solve_timestep_matches_full_run(tiny_spec):
-    cfg = sim.ScenarioConfig(horizon_minutes=8 * sim.TIMESTEP_MINUTES,
-                             der_penetration=20)
-    full = sim.run_timeseries(tiny_spec, cfg)
-    for t, state in enumerate(full):
-        single = sim.solve_timestep(tiny_spec, t, cfg)
-        assert np.array_equal(single.p_injection_pu, state.p_injection_pu), t
-        assert np.array_equal(single.q_injection_pu, state.q_injection_pu), t
-        if t == 0:
-            assert np.array_equal(single.v_mag, state.v_mag)
-    with pytest.raises(ValueError, match="horizon"):
-        sim.solve_timestep(tiny_spec, 9, cfg)
-
-
 # ---------------------------------------------------------------------------
 # controls: regulator, ties, switching faults
 
@@ -437,9 +423,7 @@ def test_tie_closure_reroots_transfer_subtree(tiny_spec):
         assert np.all(state.edge_status[sect_edges] == 0)
 
     def supplying_feeder(state):
-        return net.structural_annotations(
-            graph.bus_phases, graph.edge_from, graph.edge_to, graph.edge_zmag,
-            state.edge_status == 1)[3]
+        return sim.structural_annotations(graph, state.edge_status)[3]
 
     feeder = supplying_feeder(states[3])
     for ph in net.PHASES:

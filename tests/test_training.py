@@ -147,6 +147,21 @@ def test_config_validation():
         tr.TrainConfig(plateau_window=0)
     with pytest.raises(ValueError, match="finetune_fraction"):
         tr.TrainConfig(finetune_fraction=0.0)
+    with pytest.raises(ValueError, match="plateau window"):
+        tr.TrainConfig(plateau_window=1.5)
+    with pytest.raises(ValueError, match="seed"):
+        tr.TrainConfig(seed="a")
+    with pytest.raises(ValueError, match="selection"):
+        tr.TrainConfig(select_levels=())
+    for name in ("steps_per_epoch", "val_max_snapshots", "epochs_per_level"):
+        with pytest.raises(ValueError, match=name):
+            tr.TrainConfig(**{name: 0})
+    for name in ("max_warmup_epochs", "ramp_epochs", "finetune_epochs"):
+        with pytest.raises(ValueError, match=name):
+            tr.TrainConfig(**{name: -1})
+    for p_obs in (0.0, 100.0):
+        with pytest.raises(ValueError, match="warmup_p_obs"):
+            tr.TrainConfig(warmup_p_obs=p_obs)
 
 
 # -- the loop -----------------------------------------------------------------
@@ -199,12 +214,14 @@ def test_epoch_masks_are_resampled_and_union_grows():
     assert (m0 | m1).sum() > m0.sum()
 
 
-def test_empty_and_undersized_datasets_rejected(day_dataset):
+def test_empty_and_undersized_datasets_rejected():
     with pytest.raises(ValueError, match="no datasets"):
         tr.train([], micro_config())
-    tiny = day_dataset.subset(2)
+    two = ds.build_dataset(sim.generate_substation(31, "tiny", n_feeders=3),
+                           sim.ScenarioConfig(
+                               horizon_minutes=2 * sim.TIMESTEP_MINUTES))
     with pytest.raises(ValueError, match="validation split"):
-        tr.train(tiny, micro_config(val_fraction=0.9))
+        tr.train(two, micro_config(val_fraction=0.9))
 
 
 def test_divergence_aborts_and_restores_last_good(day_dataset, monkeypatch):
