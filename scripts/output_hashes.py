@@ -5,9 +5,11 @@ Runs the commands below in-process through ``gridvolt.cli.dispatch`` and
 prints one ``<file> <sha256>`` line per output, sorted by path. The
 manifests are skipped: they record wall-clock time. After the files comes
 a content listing: one ``<dataset>[<i>] <sha256>`` line per snapshot of
-every generated dataset, over the arrays ``load_dataset(path).snapshot(i)``
-assembles. It reads only that accessor, so it compares two checkouts whose
-dataset files are laid out differently but must hold the same snapshots.
+every generated dataset, over snapshot i's rows of
+``load_dataset(path).arrays``: row i of each per-snapshot array and row
+``config_index[i]`` of each per-configuration array. It reads only the
+stored arrays, so the one script lists any two checkouts that share the
+dataset format.
 A change that must keep every output byte-identical is checked by running
 this script on both checkouts and diffing the two listings:
 
@@ -92,21 +94,23 @@ def commands(work: Path) -> list[list[str]]:
     return runs
 
 
-def snapshot_digest(view) -> str:
-    """SHA-256 over one assembled snapshot: every array with its dtype and
-    shape, then the head, transformer and auxiliary sums and the time."""
-    h = hashlib.sha256()
-    sums = [[f, s.real, s.imag] for f, s in sorted(view.head_s.items())]
-    sums += [[0, view.s_subxfmr.real, view.s_subxfmr.imag],
-             [0, view.s_aux.real, view.s_aux.imag], [0, view.timestamp, 0]]
-    for name in ("node_features", "edge_features", "v_true", "node_feeder",
-                 "edge_p", "edge_q", "edge_phys", "sums"):
-        arr = np.ascontiguousarray(
-            np.array(sums, dtype=float) if name == "sums"
-            else getattr(view, name))
-        h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
+def snapshot_digests(data) -> list[str]:
+    """SHA-256 per snapshot over its rows of the stored arrays, each with
+    its name, dtype and shape: row i of every per-snapshot array and row
+    ``config_index[i]`` of every per-configuration array."""
+    from gridvolt import dataset
+
+    arrays = data.arrays
+    digests = []
+    for i, c in enumerate(arrays["config_index"]):
+        h = hashlib.sha256()
+        for name in sorted(dataset._PER_TIME + dataset._PER_CONFIG):
+            row = np.ascontiguousarray(
+                arrays[name][c if name in dataset._PER_CONFIG else i])
+            h.update(f"{name}:{row.dtype.str}:{row.shape}:".encode())
+            h.update(row.tobytes())
+        digests.append(h.hexdigest())
+    return digests
 
 
 def main() -> int:
@@ -148,10 +152,10 @@ def main() -> int:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{path.relative_to(work).as_posix()} {digest}")
         for path in sorted(datasets):
-            data = dataset.load_dataset(path)
-            for i in range(data.n_snapshots):
-                print(f"{path.relative_to(work).as_posix()}[{i}] "
-                      f"{snapshot_digest(data.snapshot(i))}")
+            name = path.relative_to(work).as_posix()
+            for i, digest in enumerate(
+                    snapshot_digests(dataset.load_dataset(path))):
+                print(f"{name}[{i}] {digest}")
     return 0
 
 

@@ -15,13 +15,14 @@ it changes:
 - per snapshot: the injection feature, node and edge taps, voltages, edge
   flows and the feeder-head, substation-transformer and auxiliary sums.
 
-``SnapshotDataset.snapshot`` assembles one snapshot's full feature rows
-from the three blocks. Snapshots are fully observed (every node carries
-its solved voltage); observability masks are applied at training and
-evaluation time by re-zeroing the two measurement columns, so one stored
-copy per scenario serves every observability level. Files of the earlier
-``snapshot-dataset/v1`` layout, which repeated every feature row per
-snapshot, are refused and must be regenerated.
+``SnapshotDataset.snapshot(i)`` assembles snapshot i from the three
+blocks into the one snapshot record, ``Snapshot``, with every node observed
+(every node carries its solved voltage). The record is what a batch is
+built from; ``record.masked(observed)`` gives the same snapshot seen
+through another sensor mask, so one stored copy per scenario serves every
+observability level. Files of the earlier ``snapshot-dataset/v1`` layout,
+which repeated every feature row per snapshot, are refused and must be
+regenerated.
 
 The npz writer is deterministic: sorted member order, fixed zip metadata
 timestamps, no pickling. Equal inputs produce byte-identical files, which
@@ -33,7 +34,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib import format as npformat
@@ -69,24 +70,44 @@ _NODE_CONFIG_COLUMNS = (("sw_closed", "config_sw_closed"),
                         ("degree", "config_degree"))
 
 
-@dataclass
-class SnapshotView:
-    """Arrays of one snapshot; feature rows follow NODE_FEATURE_ORDER."""
+_M_OBS = net.NODE_FEATURE_INDEX["m_obs"]
+_M_OBS_V = net.NODE_FEATURE_INDEX["m_obs_v_pu"]
 
-    index: int
-    timestamp: float
-    node_features: np.ndarray   # [N, 17], fully observed
+
+@dataclass
+class Snapshot:
+    """One snapshot of one substation graph under one sensor mask.
+
+    Feature rows follow ``NODE_FEATURE_ORDER`` and ``EDGE_FEATURE_ORDER``;
+    ``phys_*`` are the physics-loss edges with their impedance and solved
+    sending-end flows. A batch is the disjoint union of such records.
+    """
+
+    node_x: np.ndarray          # [N, 17]
+    edge_from: np.ndarray       # [E] undirected device-phase edges
+    edge_to: np.ndarray
+    edge_z: np.ndarray          # [E, 13]
+    node_feeder: np.ndarray     # [N] effective feeder ids (ties applied)
     v_true: np.ndarray          # [N]
-    node_feeder: np.ndarray     # [N] effective feeder id (ties applied)
-    edge_from: np.ndarray       # [E]
-    edge_to: np.ndarray         # [E]
-    edge_features: np.ndarray   # [E, 13]
-    edge_p: np.ndarray          # [E] sending-end active flow
-    edge_q: np.ndarray          # [E]
-    edge_phys: np.ndarray       # [E] bool, physics-loss membership
-    head_s: dict[int, complex]
-    s_subxfmr: complex
-    s_aux: complex
+    observed: np.ndarray        # [N] bool
+    phys_from: np.ndarray       # physics-loss edges (subset, undirected)
+    phys_to: np.ndarray
+    phys_r: np.ndarray
+    phys_x: np.ndarray
+    phys_p: np.ndarray
+    phys_q: np.ndarray
+
+    def masked(self, observed: np.ndarray) -> "Snapshot":
+        """This snapshot with only the ``observed`` nodes measured.
+
+        Only ``observed`` and the two measurement columns of a copy of
+        ``node_x`` are rewritten; every other array is shared.
+        """
+        observed = np.asarray(observed, dtype=bool)
+        node_x = self.node_x.copy()
+        node_x[:, _M_OBS] = observed
+        node_x[:, _M_OBS_V] = np.where(observed, self.v_true, 0.0)
+        return replace(self, node_x=node_x, observed=observed)
 
 
 class SnapshotDataset:
@@ -125,7 +146,8 @@ class SnapshotDataset:
     def feeder_ids(self) -> np.ndarray:
         return self.arrays["feeder_ids"]
 
-    def snapshot(self, i: int) -> SnapshotView:
+    def snapshot(self, i: int) -> Snapshot:
+        """Snapshot ``i`` with every node observed."""
         if not 0 <= i < self.n_snapshots:
             raise IndexError(f"snapshot {i} out of range 0..{self.n_snapshots - 1}")
         a = self.arrays
@@ -135,34 +157,19 @@ class SnapshotDataset:
             node[:, net.NODE_FEATURE_INDEX[col]] = a[key][i]
         for col, key in _NODE_CONFIG_COLUMNS:
             node[:, net.NODE_FEATURE_INDEX[col]] = a[key][c]
-        node[:, net.NODE_FEATURE_INDEX["m_obs"]] = 1.0
+        node[:, _M_OBS] = 1.0
         edge = a["edge_features_static"].copy()
         edge[:, net.EDGE_FEATURE_INDEX["status"]] = a["config_status"][c]
         edge[:, net.EDGE_FEATURE_INDEX["tap"]] = a["edge_tap"][i]
-        head_s = {int(f): complex(a["head_p"][i, k], a["head_q"][i, k])
-                  for k, f in enumerate(a["feeder_ids"])}
-        return SnapshotView(
-            index=i, timestamp=float(a["timestamps"][i]),
-            node_features=node, v_true=a["v_true"][i],
-            node_feeder=a["config_node_feeder"][c],
-            edge_from=a["edge_from"], edge_to=a["edge_to"],
-            edge_features=edge, edge_p=a["edge_p"][i], edge_q=a["edge_q"][i],
-            edge_phys=a["config_edge_phys"][c], head_s=head_s,
-            s_subxfmr=complex(a["s_subxfmr_re"][i], a["s_subxfmr_im"][i]),
-            s_aux=complex(a["s_aux_re"][i], a["s_aux_im"][i]))
-
-    def bus_phases(self) -> list[net.BusPhase]:
-        """Static node identity; feeder ids are the spec's (pre-tie)."""
-        a = self.arrays
-        return [
-            net.BusPhase(
-                id=i, bus_id=int(a["bus_id"][i]),
-                phase=net.PHASES[int(a["phase_idx"][i])],
-                kv_base=float(a["kv_base"][i]),
-                bus_type=net.BUS_TYPES[int(a["bus_type_idx"][i])],
-                feeder_id=int(a["spec_feeder"][i]))
-            for i in range(self.n_nodes)
-        ]
+        phys = np.flatnonzero(a["config_edge_phys"][c])
+        return Snapshot(
+            node_x=node, edge_from=a["edge_from"], edge_to=a["edge_to"],
+            edge_z=edge, node_feeder=a["config_node_feeder"][c],
+            v_true=a["v_true"][i], observed=np.ones(self.n_nodes, dtype=bool),
+            phys_from=a["edge_from"][phys], phys_to=a["edge_to"][phys],
+            phys_r=edge[phys, net.EDGE_FEATURE_INDEX["r_pu"]],
+            phys_x=edge[phys, net.EDGE_FEATURE_INDEX["x_pu"]],
+            phys_p=a["edge_p"][i, phys], phys_q=a["edge_q"][i, phys])
 
 
 def split_windows(n: int, val_fraction: float,

@@ -9,8 +9,10 @@ reference baseline is per-feeder ridge-regularized least squares from the
 same masked node features: one fit per level, scored only at the level it
 was fit at (no best-of across fits).
 
-Predictions run in the cache-sized snapshot runs of ``model.batch_runs``,
-one batch built and dropped at a time.
+Every input, to the model and to the baseline, is a ``dataset.Snapshot``
+seen through one sensor mask, ``snapshot.masked(mask)``. Predictions run
+in the cache-sized snapshot runs of ``model.batch_runs``, one batch built
+and dropped at a time.
 
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
@@ -30,8 +32,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import network as net
-from .model import (BatchItem, ModelParams, batch_runs, build_batch, forward,
-                    item_from_view)
+from .dataset import Snapshot
+from .model import ModelParams, batch_runs, build_batch, forward
 from .seeding import derive_seed
 from .seeding import rng as _rng
 
@@ -86,7 +88,7 @@ class AttackConfig:
             raise ValueError(f"unknown attack targets {self.targets!r}")
 
 
-def inject_attack(item: BatchItem, cfg: AttackConfig, gen) -> BatchItem:
+def inject_attack(item: Snapshot, cfg: AttackConfig, gen) -> Snapshot:
     """Perturb an exact share of the available measurement channels."""
     channels: list[tuple[int, int, float]] = []  # (node, column, sigma)
     if cfg.targets in ("voltage", "both"):
@@ -111,7 +113,7 @@ def inject_attack(item: BatchItem, cfg: AttackConfig, gen) -> BatchItem:
 # -- model evaluation ------------------------------------------------------------
 
 
-def predict(params: ModelParams, items: list[BatchItem]) -> np.ndarray:
+def predict(params: ModelParams, items: list[Snapshot]) -> np.ndarray:
     """Voltage predictions for a list of snapshots, stacked [n_items, N].
 
     Each run of ``model.batch_runs`` is built, forwarded and dropped in
@@ -123,7 +125,7 @@ def predict(params: ModelParams, items: list[BatchItem]) -> np.ndarray:
     return flat.reshape(len(items), -1)
 
 
-def evaluate_masked(params: ModelParams, views, p_obs: float,
+def evaluate_masked(params: ModelParams, snaps, p_obs: float,
                     mask: np.ndarray, mask_seed: int = 0,
                     attack: AttackConfig | None = None,
                     attack_seed: int = 0) -> tuple[float, float]:
@@ -133,26 +135,24 @@ def evaluate_masked(params: ModelParams, views, p_obs: float,
     watching the day unfold; ``mask_seed`` and ``attack_seed`` steer only
     the attack draw.
     """
-    items = [item_from_view(v, mask) for v in views]
+    items = [s.masked(mask) for s in snaps]
     if attack is not None:
         gen = _rng(attack_seed, "attack", p_obs, mask_seed)
         items = [inject_attack(it, cfg=attack, gen=gen) for it in items]
     preds = predict(params, items)
-    truth = np.stack([v.v_true for v in views])
+    truth = np.stack([s.v_true for s in snaps])
     hidden = ~mask
-    return (rmse(preds.ravel(), truth.ravel(), np.tile(hidden, len(views))),
-            mae(preds.ravel(), truth.ravel(), np.tile(hidden, len(views))))
+    return (rmse(preds.ravel(), truth.ravel(), np.tile(hidden, len(snaps))),
+            mae(preds.ravel(), truth.ravel(), np.tile(hidden, len(snaps))))
 
 
-def fleet_orders(views, n_seeds: int, seed: int) -> list[np.ndarray]:
+def fleet_orders(snaps, n_seeds: int, seed: int) -> list[np.ndarray]:
     """One nested sensor roll-out order per replicate, hub metered first."""
-    n_nodes = len(views[0].v_true)
-    hub = net.hub_rows(views[0].node_features)
-    return [net.fleet_order(n_nodes, _rng(seed, "fleet", k), hub_indices=hub)
+    return [net.fleet_order(snaps[0].node_x, _rng(seed, "fleet", k))
             for k in range(n_seeds)]
 
 
-def _sweep(score, views, substation: str, levels, n_seeds: int, seed: int,
+def _sweep(score, snaps, substation: str, levels, n_seeds: int, seed: int,
            scenario: str, model: str) -> list[ReportRow]:
     """One report row per (level, replicate) of ``score(level, mask,
     replicate seed)``.
@@ -161,7 +161,7 @@ def _sweep(score, views, substation: str, levels, n_seeds: int, seed: int,
     sets compared across levels are nested and the per-replicate error
     curves are paired.
     """
-    orders = fleet_orders(views, n_seeds, seed)
+    orders = fleet_orders(snaps, n_seeds, seed)
     rows = []
     for level in levels:
         for k in range(n_seeds):
@@ -173,16 +173,16 @@ def _sweep(score, views, substation: str, levels, n_seeds: int, seed: int,
     return rows
 
 
-def observability_sweep(params: ModelParams, views, substation: str, levels,
+def observability_sweep(params: ModelParams, snaps, substation: str, levels,
                         n_seeds: int, seed: int = 0,
                         attack: AttackConfig | None = None, *,
                         scenario: str, model: str) -> list[ReportRow]:
     """Masked-node error of the model per observability level."""
     def score(level, mask, mask_seed):
-        return evaluate_masked(params, views, level, mask,
+        return evaluate_masked(params, snaps, level, mask,
                                mask_seed=mask_seed, attack=attack,
                                attack_seed=seed)
-    return _sweep(score, views, substation, levels, n_seeds, seed, scenario,
+    return _sweep(score, snaps, substation, levels, n_seeds, seed, scenario,
                   model)
 
 
@@ -204,7 +204,7 @@ class LinearBaseline:
     def _design(features: np.ndarray) -> np.ndarray:
         return np.hstack([features, np.ones((features.shape[0], 1))])
 
-    def fit_level(self, level, items: list[BatchItem]) -> None:
+    def fit_level(self, level, items: list[Snapshot]) -> None:
         x = np.vstack([self._design(i.node_x) for i in items])
         y = np.concatenate([i.v_true for i in items])
         groups = np.concatenate([i.node_feeder for i in items])
@@ -214,7 +214,7 @@ class LinearBaseline:
             gram = xf.T @ xf + 1e-8 * np.eye(xf.shape[1])
             self.coef[level][int(f)] = np.linalg.solve(gram, xf.T @ yf)
 
-    def predict(self, level, item: BatchItem) -> np.ndarray:
+    def predict(self, level, item: Snapshot) -> np.ndarray:
         x = self._design(item.node_x)
         out = np.ones(x.shape[0])  # unseen feeder: nominal voltage
         for f, w in self.coef[level].items():
@@ -231,38 +231,35 @@ def baseline_sample(window: range, max_snapshots: int = 400) -> range:
     return window[::stride][:take]
 
 
-def fit_linear_baseline(train_views, levels, seed: int = 0) -> LinearBaseline:
+def fit_linear_baseline(train_snaps, levels, seed: int = 0) -> LinearBaseline:
     """Fit one per-feeder model per level on masked features of every
-    given view (``baseline_sample`` picks them from a window)."""
+    given snapshot (``baseline_sample`` picks them from a window)."""
     baseline = LinearBaseline()
-    n_nodes = len(train_views[0].v_true)
-    hub = net.hub_rows(train_views[0].node_features)
     for level in levels:
         # a fresh placement per snapshot, all from one stream per level
         gen = _rng(seed, "baseline-mask", level)
-        baseline.fit_level(level, [item_from_view(v, net.fleet_mask(
-            net.fleet_order(n_nodes, gen, hub_indices=hub), level))
-            for v in train_views])
+        baseline.fit_level(level, [s.masked(net.fleet_mask(
+            net.fleet_order(s.node_x, gen), level)) for s in train_snaps])
     return baseline
 
 
-def baseline_masked(baseline: LinearBaseline, views, p_obs: float,
+def baseline_masked(baseline: LinearBaseline, snaps, p_obs: float,
                     mask: np.ndarray) -> tuple[float, float]:
     """Error of the level-``p_obs`` fit under one sensor placement."""
-    preds = np.concatenate([baseline.predict(p_obs, item_from_view(v, mask))
-                            for v in views])
-    truth = np.concatenate([v.v_true for v in views])
-    hidden = np.tile(~mask, len(views))
+    preds = np.concatenate([baseline.predict(p_obs, s.masked(mask))
+                            for s in snaps])
+    truth = np.concatenate([s.v_true for s in snaps])
+    hidden = np.tile(~mask, len(snaps))
     return rmse(preds, truth, hidden), mae(preds, truth, hidden)
 
 
-def baseline_sweep(baseline: LinearBaseline, views, substation: str, levels,
+def baseline_sweep(baseline: LinearBaseline, snaps, substation: str, levels,
                    n_seeds: int, seed: int = 0, *, scenario: str,
                    model: str) -> list[ReportRow]:
     """Masked-node error of the ridge baseline per observability level."""
     def score(level, mask, _):
-        return baseline_masked(baseline, views, level, mask)
-    return _sweep(score, views, substation, levels, n_seeds, seed, scenario,
+        return baseline_masked(baseline, snaps, level, mask)
+    return _sweep(score, snaps, substation, levels, n_seeds, seed, scenario,
                   model)
 
 
@@ -289,51 +286,51 @@ def write_report(path, rows: list[ReportRow]) -> None:
                              f"{r.rmse:.8f}", f"{r.mae:.8f}", r.seed])
 
 
-def study_observability(params, baseline, views, substation, levels, n_seeds,
+def study_observability(params, baseline, snaps, substation, levels, n_seeds,
                         seed=0) -> list[ReportRow]:
     """Study A: model vs linear baseline across observability levels."""
-    return (observability_sweep(params, views, substation, levels, n_seeds,
+    return (observability_sweep(params, snaps, substation, levels, n_seeds,
                                 seed, scenario="A-observability", model="gnn")
-            + baseline_sweep(baseline, views, substation, levels, n_seeds,
+            + baseline_sweep(baseline, snaps, substation, levels, n_seeds,
                              seed, scenario="A-observability",
                              model="linear"))
 
 
-def study_der(params, views_by_penetration: dict[int, list], substation,
+def study_der(params, snaps_by_penetration: dict[int, list], substation,
               levels, n_seeds, seed=0) -> list[ReportRow]:
     """Study B: error under increasing local generation."""
     rows = []
-    for pen, views in sorted(views_by_penetration.items()):
-        rows += observability_sweep(params, views, substation, levels,
+    for pen, snaps in sorted(snaps_by_penetration.items()):
+        rows += observability_sweep(params, snaps, substation, levels,
                                     n_seeds, seed, scenario=f"B-der{pen}",
                                     model="gnn")
     return rows
 
 
-def study_tie(params, views_base, views_closed, substation, levels, n_seeds,
+def study_tie(params, snaps_base, snaps_closed, substation, levels, n_seeds,
               seed=0) -> list[ReportRow]:
     """Study C: radial operation vs a closed inter-feeder tie."""
-    return (observability_sweep(params, views_base, substation, levels,
+    return (observability_sweep(params, snaps_base, substation, levels,
                                 n_seeds, seed, scenario="C-radial",
                                 model="gnn")
-            + observability_sweep(params, views_closed, substation, levels,
+            + observability_sweep(params, snaps_closed, substation, levels,
                                   n_seeds, seed, scenario="C-tie-closed",
                                   model="gnn"))
 
 
-def study_transfer(zero_shot_params, finetuned_params, views, substation,
+def study_transfer(zero_shot_params, finetuned_params, snaps, substation,
                    levels, n_seeds, seed=0) -> list[ReportRow]:
     """Study D: pretrained model on an unseen substation, before/after
     head-only fine-tuning."""
-    return (observability_sweep(zero_shot_params, views, substation, levels,
+    return (observability_sweep(zero_shot_params, snaps, substation, levels,
                                 n_seeds, seed, scenario="D-transfer",
                                 model="gnn-zeroshot")
-            + observability_sweep(finetuned_params, views, substation, levels,
+            + observability_sweep(finetuned_params, snaps, substation, levels,
                                   n_seeds, seed, scenario="D-transfer",
                                   model="gnn-finetuned"))
 
 
-def study_attack(params, ablation_params, views, substation,
+def study_attack(params, ablation_params, snaps, substation,
                  attack: AttackConfig, levels, n_seeds,
                  seed=0) -> list[ReportRow]:
     """Study E: attacked vs clean error, physics-trained vs ablation."""
@@ -341,7 +338,7 @@ def study_attack(params, ablation_params, views, substation,
     for model, p in (("gnn-physics", params),
                      ("gnn-nophysics", ablation_params)):
         for scenario, hit in (("E-clean", None), ("E-attacked", attack)):
-            rows += observability_sweep(p, views, substation, levels, n_seeds,
+            rows += observability_sweep(p, snaps, substation, levels, n_seeds,
                                         seed, hit, scenario=scenario,
                                         model=model)
     return rows

@@ -18,7 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from . import network as net
 from .losses import LossWeights, batch_loss
-from .model import BatchItem, GraphBatch, ModelConfig, ModelParams, build_batch
+from .dataset import Snapshot
+from .model import GraphBatch, ModelConfig, ModelParams, build_batch
 
 TOY_FEEDERS = (1, 2)
 
@@ -35,7 +36,7 @@ _TOY_EDGES = (
 )
 
 
-def toy_item(seed: int = 0) -> BatchItem:
+def toy_snapshot(seed: int = 0) -> Snapshot:
     """10 bus-phases: hub node 0, feeder 1 = nodes 1..4, feeder 2 = 5..9."""
     gen = np.random.default_rng(seed)
     n = 10
@@ -74,7 +75,7 @@ def toy_item(seed: int = 0) -> BatchItem:
                      if e[3] == 1 and e[2] in ("line", "cable")])
     edge_from = np.array([e[0] for e in _TOY_EDGES], dtype=np.int64)
     edge_to = np.array([e[1] for e in _TOY_EDGES], dtype=np.int64)
-    return BatchItem(
+    return Snapshot(
         node_x=node_x, edge_from=edge_from, edge_to=edge_to, edge_z=edge_z,
         node_feeder=np.array([net.HUB_FEEDER, 1, 1, 1, 1, 2, 2, 2, 2, 2]),
         v_true=v_true, observed=observed,
@@ -85,7 +86,7 @@ def toy_item(seed: int = 0) -> BatchItem:
 
 
 def toy_batch(params: ModelParams, seed: int = 0) -> GraphBatch:
-    return build_batch([toy_item(seed)], params.feeder_rows)
+    return build_batch([toy_snapshot(seed)], params.feeder_rows)
 
 
 @dataclass

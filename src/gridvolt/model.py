@@ -20,22 +20,23 @@ gates, decoder). Transfer to a new substation trains the head only. All
 parameters are views of one flat vector, backbone first, so each group is
 one contiguous span of it.
 
-A training step forwards one snapshot. Every no-grad forward cuts its
-snapshots into consecutive, balanced runs of at most ``BATCH_NODES``
-bus-phase nodes (``batch_runs``), sized so that a layer's activations stay
-in a core's L2 cache.
+A batch is the disjoint union of masked ``dataset.Snapshot`` records
+(``build_batch``). A training step forwards one snapshot. Every no-grad
+forward cuts its snapshots into consecutive, balanced runs of at most
+``BATCH_NODES`` bus-phase nodes (``batch_runs``), sized so that a layer's
+activations stay in a core's L2 cache.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import network as net
-from .dataset import write_npz
+from .dataset import Snapshot, write_npz
 from .seeding import rng as _rng
 
 CHECKPOINT_FORMAT = "gridvolt-checkpoint/v1"
@@ -224,42 +225,6 @@ class ModelParams:
 # batch assembly
 
 
-@dataclass
-class BatchItem:
-    """One snapshot prepared for batching; features already masked."""
-
-    node_x: np.ndarray          # [N, 17]
-    edge_from: np.ndarray       # [E] undirected device-phase edges
-    edge_to: np.ndarray
-    edge_z: np.ndarray          # [E, 13]
-    node_feeder: np.ndarray     # [N] effective feeder ids
-    v_true: np.ndarray          # [N]
-    observed: np.ndarray        # [N] bool
-    phys_from: np.ndarray       # physics-loss edges (subset, undirected)
-    phys_to: np.ndarray
-    phys_r: np.ndarray
-    phys_x: np.ndarray
-    phys_p: np.ndarray
-    phys_q: np.ndarray
-
-
-def item_from_view(view, observed: np.ndarray) -> BatchItem:
-    """Mask a stored snapshot and collect the loss-side arrays."""
-    node_x = net.apply_mask_to_features(view.node_features, view.v_true,
-                                        observed)
-    sel = np.flatnonzero(view.edge_phys)
-    r_col = net.EDGE_FEATURE_INDEX["r_pu"]
-    x_col = net.EDGE_FEATURE_INDEX["x_pu"]
-    return BatchItem(
-        node_x=node_x, edge_from=view.edge_from, edge_to=view.edge_to,
-        edge_z=view.edge_features, node_feeder=view.node_feeder,
-        v_true=view.v_true, observed=np.asarray(observed, dtype=bool),
-        phys_from=view.edge_from[sel], phys_to=view.edge_to[sel],
-        phys_r=view.edge_features[sel, r_col],
-        phys_x=view.edge_features[sel, x_col],
-        phys_p=view.edge_p[sel], phys_q=view.edge_q[sel])
-
-
 def status_gate(edge_z: np.ndarray, phase_i: np.ndarray,
                 phase_j: np.ndarray) -> np.ndarray:
     """1 where the edge is closed and both endpoint phases lie in its mask."""
@@ -308,7 +273,7 @@ def edge_type_ids(edge_z: np.ndarray) -> np.ndarray:
     return block.argmax(axis=1)
 
 
-def build_batch(items: list[BatchItem],
+def build_batch(items: list[Snapshot],
                 feeder_rows: dict[int, int]) -> GraphBatch:
     if not items:
         raise ValueError("empty batch")
@@ -411,7 +376,7 @@ def build_batch(items: list[BatchItem],
 BATCH_NODES = 1024
 
 
-def batch_runs(items: list[BatchItem]) -> list[slice]:
+def batch_runs(items: list[Snapshot]) -> list[slice]:
     """``items`` cut into consecutive runs of whole snapshots.
 
     Run sizes differ by at most one, and a run holds at most
@@ -425,7 +390,7 @@ def batch_runs(items: list[BatchItem]) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def batches(items: list[BatchItem],
+def batches(items: list[Snapshot],
             feeder_rows: dict[int, int]) -> list[GraphBatch]:
     """One batch per run of ``batch_runs``, all built at once, for a batch
     set that is scored more than once."""

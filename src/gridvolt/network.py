@@ -1,4 +1,4 @@
-"""Graph-side data model: bus-phases, feature layouts, masks.
+"""Graph-side data model: bus-phases, feature layouts, sensor masks.
 
 Nodes are bus-phases (one node per energized phase of each bus). The node
 feature vector has 17 entries and the edge feature vector 13; the exact
@@ -6,7 +6,8 @@ orders below are part of the on-disk dataset contract and are hashed into
 checkpoints so a model is never applied to features laid out differently.
 The columns that depend on the switch configuration (depth, electrical
 distance, degree) come from ``simulation.structural_annotations``, which
-reads them off the solver's phase tree.
+reads them off the solver's phase tree. A sensor mask is ``fleet_mask`` of
+a ``fleet_order``; ``dataset.Snapshot.masked`` applies it to a snapshot.
 """
 
 from __future__ import annotations
@@ -140,26 +141,9 @@ def static_edge_features(devices: Sequence) -> np.ndarray:
     return feats
 
 
-def apply_mask_to_features(features: np.ndarray, v_true: np.ndarray,
-                           observed: np.ndarray) -> np.ndarray:
-    """Rewrite the observation columns of a feature matrix for a new mask."""
-    out = features.copy()
-    col_obs = NODE_FEATURE_INDEX["m_obs"]
-    col_v = NODE_FEATURE_INDEX["m_obs_v_pu"]
-    out[:, col_obs] = observed.astype(float)
-    out[:, col_v] = np.where(observed, v_true, 0.0)
-    return out
-
-
-def hub_rows(node_features: np.ndarray) -> np.ndarray:
-    """Row indices of substation-hub bus-phases in a feature matrix."""
-    col = NODE_FEATURE_ORDER.index("type_hub")
-    return np.flatnonzero(node_features[:, col] == 1.0)
-
-
-def fleet_order(n_nodes: int, gen,
-                hub_indices: Sequence[int] = ()) -> np.ndarray:
-    """Sensor roll-out priority: hub rows first, then a seeded shuffle.
+def fleet_order(node_x: np.ndarray, gen) -> np.ndarray:
+    """Sensor roll-out priority over the rows of a node feature matrix:
+    the substation-hub rows (``type_hub``) first, then a seeded shuffle.
 
     This is the one mask sampler: every observability mask, in training,
     validation, the baseline fit and evaluation, is ``fleet_mask`` of such
@@ -169,8 +153,8 @@ def fleet_order(n_nodes: int, gen,
     compare supersets of the same placements instead of independent
     redraws.
     """
-    hub = np.array([i for i in hub_indices if 0 <= i < n_nodes], dtype=int)
-    rest = gen.permutation(n_nodes)
+    hub = np.flatnonzero(node_x[:, NODE_FEATURE_INDEX["type_hub"]] == 1.0)
+    rest = gen.permutation(len(node_x))
     rest = rest[~np.isin(rest, hub)]
     return np.concatenate([hub, rest])
 

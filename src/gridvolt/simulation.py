@@ -228,101 +228,13 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # serialization (key-value tree on disk)
 
-def _profile_to_dict(p: ProfileSpec) -> dict:
-    return asdict(p)
-
-
-def spec_to_dict(spec: SubstationSpec) -> dict:
-    def dev(d: DeviceSpec) -> dict:
-        out = asdict(d)
-        out["phases"] = list(d.phases)
-        return out
-
-    def bus(b: BusSpec) -> dict:
-        out = asdict(b)
-        out["phases"] = list(b.phases)
-        return out
-
-    return {
-        "format": "substation-spec/v1",
-        "seed": spec.seed,
-        "size_class": spec.size_class,
-        "hub_kv": spec.hub_kv,
-        "hub_bus": bus(spec.hub_bus),
-        "xfmr_rating_pu": spec.xfmr_rating_pu,
-        "feeder_rating_pu": spec.feeder_rating_pu,
-        "aux_load": [spec.aux_load.real, spec.aux_load.imag],
-        "ltc_setpoint": spec.ltc_setpoint,
-        "hub_links": [dev(d) for d in spec.hub_links],
-        "tie_devices": [dev(d) for d in spec.tie_devices],
-        "ties": [asdict(t) for t in spec.ties],
-        "feeders": [
-            {
-                "feeder_id": f.feeder_id,
-                "head_bus": f.head_bus,
-                "buses": [bus(b) for b in f.buses],
-                "devices": [dev(d) for d in f.devices],
-                "loads": [{"bus_id": l.bus_id, "phase": l.phase,
-                           "profile": _profile_to_dict(l.profile)} for l in f.loads],
-                "ders": [{"bus_id": d.bus_id, "phase": d.phase,
-                          "profile": _profile_to_dict(d.profile)} for d in f.ders],
-                "capacitors": [asdict(c) for c in f.capacitors],
-            }
-            for f in spec.feeders
-        ],
-    }
-
-
-def spec_from_dict(data: dict) -> SubstationSpec:
-    if data.get("format") != "substation-spec/v1":
-        raise ValueError(f"not a substation spec file: format={data.get('format')!r}")
-
-    def bus(d: dict) -> BusSpec:
-        d = dict(d)
-        d["phases"] = tuple(d["phases"])
-        return BusSpec(**d)
-
-    def dev(d: dict) -> DeviceSpec:
-        d = dict(d)
-        d["phases"] = tuple(d["phases"])
-        return DeviceSpec(**d)
-
-    feeders = []
-    for f in data["feeders"]:
-        feeders.append(FeederSpec(
-            feeder_id=f["feeder_id"],
-            head_bus=f["head_bus"],
-            buses=[bus(b) for b in f["buses"]],
-            devices=[dev(d) for d in f["devices"]],
-            loads=[LoadSpec(l["bus_id"], l["phase"], ProfileSpec(**l["profile"]))
-                   for l in f["loads"]],
-            ders=[DerSpec(d["bus_id"], d["phase"], ProfileSpec(**d["profile"]))
-                  for d in f["ders"]],
-            capacitors=[CapacitorSpec(**c) for c in f["capacitors"]],
-        ))
-    return SubstationSpec(
-        seed=data["seed"],
-        size_class=data["size_class"],
-        hub_bus=bus(data["hub_bus"]),
-        hub_kv=data["hub_kv"],
-        feeders=feeders,
-        hub_links=[dev(d) for d in data["hub_links"]],
-        ties=[TieSpec(**t) for t in data["ties"]],
-        tie_devices=[dev(d) for d in data["tie_devices"]],
-        xfmr_rating_pu=data["xfmr_rating_pu"],
-        feeder_rating_pu=data["feeder_rating_pu"],
-        aux_load=complex(data["aux_load"][0], data["aux_load"][1]),
-        ltc_setpoint=data["ltc_setpoint"],
-    )
-
-
 def save_spec(spec: SubstationSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2,
-                                     sort_keys=True))
-
-
-def load_spec(path: str | Path) -> SubstationSpec:
-    return spec_from_dict(json.loads(Path(path).read_text()))
+    """The spec as sorted JSON: its fields, ``aux_load`` as ``[re, im]``,
+    and the ``substation-spec/v1`` format tag."""
+    data = asdict(spec)
+    data["format"] = "substation-spec/v1"
+    data["aux_load"] = [spec.aux_load.real, spec.aux_load.imag]
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------

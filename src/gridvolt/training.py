@@ -31,6 +31,8 @@ parameters saved after the last completed epoch.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +42,24 @@ from . import network as net
 from .dataset import TEST_FRACTION, SnapshotDataset, split_windows
 from .evaluation import rmse as _rmse
 from .losses import LossWeights, batch_loss, physics_ramp
-from .model import (ModelConfig, ModelParams, batches, build_batch, forward,
-                    item_from_view)
+from .model import ModelConfig, ModelParams, batches, build_batch, forward
 from .seeding import rng as _rng
 
 CURRICULUM_LEVELS = (80, 75, 70, 65, 60, 55, 50, 45, 40, 35, 30, 25, 20, 15,
                      10, 5, 1)
+
+
+_REAL_FIELDS = ("lr_warmup", "lr_curriculum", "lr_finetune", "plateau_eps",
+                "lam_sup", "lam_max", "lam_reg", "val_fraction",
+                "finetune_fraction", "warmup_p_obs")
+
+
+def _require_real(name: str, value) -> None:
+    """Refuse anything but a finite real number; a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +92,11 @@ class TrainConfig:
     select_levels: tuple = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
 
     def __post_init__(self):
+        for name in _REAL_FIELDS:
+            _require_real(name, getattr(self, name))
+        for name in ("levels", "select_levels"):
+            for value in getattr(self, name):
+                _require_real(f"each of {name}", value)
         if not self.levels:
             raise ValueError("curriculum needs at least one level")
         if any(not 0 < p < 100 for p in self.levels):
@@ -216,12 +235,11 @@ class Adam:
 # -- data plumbing ------------------------------------------------------------
 
 
-def _val_batch(val_views, p_obs, seed, feeder_rows):
+def _val_batch(val_snaps, p_obs, seed, feeder_rows):
+    """The validation snapshots under the level-``p_obs`` mask, as batches."""
     mask = net.fleet_mask(net.fleet_order(
-        len(val_views[0].v_true), _rng(seed, "val-mask", p_obs),
-        hub_indices=net.hub_rows(val_views[0].node_features)), p_obs)
-    items = [item_from_view(v, mask) for v in val_views]
-    return batches(items, feeder_rows), mask
+        val_snaps[0].node_x, _rng(seed, "val-mask", p_obs)), p_obs)
+    return batches([s.masked(mask) for s in val_snaps], feeder_rows)
 
 
 def _val_metrics(params, val_batches) -> tuple[float, float]:
@@ -245,11 +263,10 @@ class _Trainer:
         # training snapshots are assembled when a step draws them
         self.dataset = dataset
         self.train = train
-        self.hub = net.hub_rows(dataset.snapshot(train[0]).node_features)
         # an evenly spaced sample of the validation window
         picks = np.linspace(val.start, val.stop - 1,
                             min(len(val), config.val_max_snapshots))
-        self.val_views = [dataset.snapshot(int(i))
+        self.val_snaps = [dataset.snapshot(int(i))
                           for i in np.unique(picks.astype(int))]
         self.config = config
         self.history: list[EpochRecord] = []
@@ -259,8 +276,8 @@ class _Trainer:
         self.selected_epoch = -1
         self._best_score = np.inf
         self._best_values = None
-        self._probes = [_val_batch(self.val_views, p, config.seed,
-                                   params.feeder_rows)[0]
+        self._probes = [_val_batch(self.val_snaps, p, config.seed,
+                                   params.feeder_rows)
                         for p in config.select_levels]
 
     def _val_batches(self, p_obs):
@@ -269,8 +286,8 @@ class _Trainer:
         for level, probe in zip(self.config.select_levels, self._probes):
             if str(level) == str(p_obs):
                 return probe
-        return _val_batch(self.val_views, p_obs, self.config.seed,
-                          self.params.feeder_rows)[0]
+        return _val_batch(self.val_snaps, p_obs, self.config.seed,
+                          self.params.feeder_rows)
 
     def _consider_select(self, record: EpochRecord, val_batches) -> None:
         # a probe that is the epoch's validation batch was scored at these
@@ -294,16 +311,15 @@ class _Trainer:
         weights = LossWeights(lam_sup=cfg.lam_sup, lam_phys=lam_phys,
                               lam_reg=cfg.lam_reg)
         mask = net.fleet_mask(net.fleet_order(
-            self.dataset.n_nodes, _rng(cfg.seed, "mask", stage, self.epoch),
-            hub_indices=self.hub), p_obs)
+            self.dataset.arrays["node_features_static"],
+            _rng(cfg.seed, "mask", stage, self.epoch)), p_obs)
         order_gen = _rng(cfg.seed, "order", stage, self.epoch)
         order = order_gen.permutation(len(self.train))
         order = order[:min(cfg.steps_per_epoch, len(order))]
         totals = np.zeros(3)
         for idx in order:
-            item = item_from_view(self.dataset.snapshot(self.train[idx]),
-                                  mask)
-            batch = build_batch([item], self.params.feeder_rows)
+            snap = self.dataset.snapshot(self.train[idx]).masked(mask)
+            batch = build_batch([snap], self.params.feeder_rows)
             optimizer.zero_grad()
             with ad.Tape():
                 loss, parts = batch_loss(self.params, batch, weights)

@@ -164,10 +164,13 @@ def test_train_invalid_config_value(workspace, tmp_path, capsys):
     {"levels": 5}, 5, [80, 20], {"val_max_snapshots": 0},
     {"warmup_p_obs": 100},
     {"max_warmup_epochs": 0, "ramp_epochs": 0, "epochs_per_level": 0},
-    {"steps_per_epoch": 0}, {"seed": "a"}, {"select_levels": []}],
+    {"steps_per_epoch": 0}, {"seed": "a"}, {"select_levels": []},
+    {"plateau_eps": "x"}, {"levels": [True]}, {"lam_max": True},
+    {"select_levels": [True, 5]}],
     ids=["levels-not-a-list", "not-an-object", "a-list", "no-val-snapshot",
          "warmup-fully-observed", "no-epoch", "no-step", "seed-not-an-int",
-         "no-selection-level"])
+         "no-selection-level", "eps-not-a-number", "level-a-bool",
+         "weight-a-bool", "selection-level-a-bool"])
 def test_malformed_config_is_one_config_line(workspace, tmp_path, capsys,
                                              config):
     bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Dataset assembly, npz round-trips, and byte-level determinism."""
 
+import dataclasses
 import json
 from collections import deque
 
@@ -158,22 +159,25 @@ def ds(tiny_spec):
 def test_shapes(ds):
     assert ds.n_snapshots == 12
     assert ds.n_nodes == 93
-    view = ds.snapshot(0)
-    assert view.node_features.shape == (93, net.N_NODE_FEATURES)
-    assert view.edge_features.shape == (ds.n_edges, net.N_EDGE_FEATURES)
+    snap = ds.snapshot(0)
+    assert snap.node_x.shape == (93, net.N_NODE_FEATURES)
+    assert snap.edge_z.shape == (ds.n_edges, net.N_EDGE_FEATURES)
     assert ds.arrays["edge_from"].shape == ds.arrays["edge_to"].shape
 
 
 def test_snapshot_accessor_matches_solver(ds, tiny_spec):
     states = sim.run_timeseries(tiny_spec, sim.ScenarioConfig(
         horizon_minutes=HORIZON, der_penetration=20))
-    view = ds.snapshot(5)
-    assert np.array_equal(view.v_true, states[5].v_mag)
+    snap = ds.snapshot(5)
+    assert np.array_equal(snap.v_true, states[5].v_mag)
     obs_col = net.NODE_FEATURE_INDEX["m_obs"]
     v_col = net.NODE_FEATURE_INDEX["m_obs_v_pu"]
-    assert np.all(view.node_features[:, obs_col] == 1.0)
-    assert np.array_equal(view.node_features[:, v_col], states[5].v_mag)
-    assert view.s_subxfmr == states[5].s_subxfmr
+    assert np.all(snap.node_x[:, obs_col] == 1.0)
+    assert snap.observed.all()
+    assert np.array_equal(snap.node_x[:, v_col], states[5].v_mag)
+    phys = (states[5].edge_status == 1) & states[5].graph.phys_device
+    assert np.array_equal(snap.phys_p, states[5].edge_p[phys])
+    assert np.array_equal(snap.phys_q, states[5].edge_q[phys])
     with pytest.raises(IndexError):
         ds.snapshot(12)
 
@@ -204,16 +208,6 @@ def test_feature_hash_guard(ds):
         dsm.SnapshotDataset(meta, ds.arrays)
 
 
-def test_bus_phase_reconstruction(ds, tiny_spec):
-    graph = sim.build_graph(tiny_spec)
-    assert ds.bus_phases() == graph.bus_phases
-    # with a tie closed from the first step, the nodes it transfers are
-    # supplied by another feeder than the spec's in every snapshot
-    closed = dsm.build_dataset(tiny_spec, sim.ScenarioConfig(
-        horizon_minutes=2 * sim.TIMESTEP_MINUTES, tie_closures=(0,)))
-    assert closed.bus_phases() == graph.bus_phases
-
-
 def test_effective_feeder_between_tie_states(tiny_spec):
     tie = tiny_spec.ties[0]
     closed = dsm.build_dataset(tiny_spec, sim.ScenarioConfig(
@@ -227,19 +221,46 @@ def test_effective_feeder_between_tie_states(tiny_spec):
 
 
 def test_masking_at_load_time(ds):
-    view = ds.snapshot(0)
+    snap = ds.snapshot(0)
     observed = net.fleet_mask(
-        net.fleet_order(ds.n_nodes, np.random.default_rng(123)), 5)
-    masked = net.apply_mask_to_features(view.node_features, view.v_true,
-                                        observed)
+        net.fleet_order(snap.node_x, np.random.default_rng(123)), 5)
+    masked = snap.masked(observed).node_x
     obs_col = net.NODE_FEATURE_INDEX["m_obs"]
     v_col = net.NODE_FEATURE_INDEX["m_obs_v_pu"]
     assert masked[:, obs_col].sum() == observed.sum() == round(ds.n_nodes * 0.05)
     hidden = ~observed
     assert np.all(masked[hidden][:, v_col] == 0.0)
-    assert np.all(masked[observed][:, v_col] == view.v_true[observed])
+    assert np.all(masked[observed][:, v_col] == snap.v_true[observed])
     # the stored dataset is untouched
-    assert np.all(view.node_features[:, obs_col] == 1.0)
+    assert np.all(ds.snapshot(0).node_x[:, obs_col] == 1.0)
+
+
+def test_masked_copies_only_the_measurement_arrays(ds):
+    snap = ds.snapshot(3)
+    before = {f.name: getattr(snap, f.name).copy()
+              for f in dataclasses.fields(snap)}
+    observed = np.random.default_rng(8).random(ds.n_nodes) < 0.3
+    masked = snap.masked(observed)
+    for name, arr in before.items():
+        # the source record is left as it was
+        assert getattr(snap, name).tobytes() == arr.tobytes(), name
+        if name in ("node_x", "observed"):
+            assert getattr(masked, name) is not getattr(snap, name), name
+        else:
+            assert getattr(masked, name) is getattr(snap, name), name
+    assert np.array_equal(masked.observed, observed)
+    other = np.delete(np.arange(net.N_NODE_FEATURES),
+                      [net.NODE_FEATURE_INDEX["m_obs"],
+                       net.NODE_FEATURE_INDEX["m_obs_v_pu"]])
+    assert masked.node_x[:, other].tobytes() == snap.node_x[:, other].tobytes()
+
+
+def test_fully_observed_mask_is_the_stored_snapshot(ds):
+    for i in (0, 7, ds.n_snapshots - 1):
+        snap = ds.snapshot(i)
+        full = snap.masked(np.ones(ds.n_nodes, dtype=bool))
+        assert full.node_x.dtype == snap.node_x.dtype
+        assert full.node_x.tobytes() == snap.node_x.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 13, 96, 192, 2000])
@@ -292,9 +313,9 @@ def test_node_tap_follows_regulator_edges(tiny_spec):
     state = sim.solve_powerflow(
         tiny_spec, graph, sim._injections(tiny_spec, graph, cfg)[0],
         sim.Controls(taps={(uid, graph.edge_phase[reg]): 4}))
-    view = dsm.dataset_from_states(tiny_spec, cfg, [state]).snapshot(0)
-    tap = view.node_features[:, net.NODE_FEATURE_INDEX["tap"]]
-    edge_tap = view.edge_features[:, net.EDGE_FEATURE_INDEX["tap"]]
+    snap = dsm.dataset_from_states(tiny_spec, cfg, [state]).snapshot(0)
+    tap = snap.node_x[:, net.NODE_FEATURE_INDEX["tap"]]
+    edge_tap = snap.edge_z[:, net.EDGE_FEATURE_INDEX["tap"]]
     assert tap[graph.edge_to[reg]] == edge_tap[reg] == 0.25
     assert np.count_nonzero(tap) == np.count_nonzero(edge_tap) == 1
     assert np.all(tap[graph.hub_node_ids] == 0.0)
@@ -349,23 +370,26 @@ def test_dataset_builds_no_second_tree(tiny_spec, monkeypatch):
 
 
 def assert_rows_equal_v1(data, ref):
-    """Every assembled snapshot equals the v1 rows bit for bit."""
+    """Every assembled snapshot equals the v1 rows bit for bit, and the
+    per-snapshot sums no snapshot assembles equal the v1 arrays."""
     assert data.n_snapshots == len(ref["v_true"])
     for i in range(data.n_snapshots):
-        view = data.snapshot(i)
-        for key in ("node_features", "v_true", "node_feeder",
-                    "edge_features", "edge_p", "edge_q", "edge_phys"):
-            got, want = getattr(view, key), ref[key][i]
-            assert got.dtype == want.dtype and np.array_equal(got, want), \
-                (key, i)
-            assert got.tobytes() == want.tobytes(), (key, i)
-        assert view.timestamp == ref["timestamps"][i]
-        assert view.head_s == {
-            int(f): complex(ref["head_p"][i, k], ref["head_q"][i, k])
-            for k, f in enumerate(ref["feeder_ids"])}
-        assert view.s_subxfmr == complex(ref["s_subxfmr_re"][i],
-                                         ref["s_subxfmr_im"][i])
-        assert view.s_aux == complex(ref["s_aux_re"][i], ref["s_aux_im"][i])
+        snap = data.snapshot(i)
+        phys = ref["edge_phys"][i]
+        want = {"node_x": ref["node_features"][i], "v_true": ref["v_true"][i],
+                "node_feeder": ref["node_feeder"][i],
+                "edge_z": ref["edge_features"][i],
+                "phys_from": ref["edge_from"][phys],
+                "phys_to": ref["edge_to"][phys],
+                "phys_p": ref["edge_p"][i][phys],
+                "phys_q": ref["edge_q"][i][phys]}
+        for key, w in want.items():
+            got = getattr(snap, key)
+            assert got.dtype == w.dtype and np.array_equal(got, w), (key, i)
+            assert got.tobytes() == w.tobytes(), (key, i)
+    for key in ("timestamps", "feeder_ids", "head_p", "head_q",
+                "s_subxfmr_re", "s_subxfmr_im", "s_aux_re", "s_aux_im"):
+        assert data.arrays[key].tobytes() == ref[key].tobytes(), key
 
 
 TIE_AT_2 = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20,
@@ -402,7 +426,6 @@ def test_v1_files_are_refused(ds, tiny_spec, tmp_path, capsys):
     meta = {"format": "snapshot-dataset/v1",
             "feature_order_hash": net.feature_order_hash(),
             "substation": tiny_spec.name,
-            "spec": sim.spec_to_dict(tiny_spec),
             "scenarios": [dsm.scenario_to_dict(scenario)],
             "n_snapshots": len(states)}
     arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))

@@ -22,16 +22,14 @@ def tiny_setup():
     spec = sim.generate_substation(31, "tiny", n_feeders=3)
     scen = sim.ScenarioConfig(horizon_minutes=720, der_penetration=20)
     data = ds.build_dataset(spec, scen)
-    views = [data.snapshot(i) for i in range(data.n_snapshots)]
+    snaps = [data.snapshot(i) for i in range(data.n_snapshots)]
     params = gm.ModelParams.create(gm.ModelConfig(hidden_dim=8, n_layers=2),
                                    data.feeder_ids, seed=3)
-    return params, views, data
+    return params, snaps, data
 
 
 def _fleet_mask(data, seed, p_obs):
-    order = net.fleet_order(data.n_nodes, rng(seed, "fleet"),
-                            hub_indices=net.hub_rows(
-                                data.snapshot(0).node_features))
+    order = net.fleet_order(data.snapshot(0).node_x, rng(seed, "fleet"))
     return net.fleet_mask(order, p_obs)
 
 
@@ -91,10 +89,10 @@ def test_attack_config_validation():
 
 
 def _item(tiny_setup, observed_frac=0.5, seed=0):
-    params, views, data = tiny_setup
+    params, snaps, data = tiny_setup
     gen = np.random.default_rng(seed)
     obs = gen.random(data.n_nodes) < observed_frac
-    return gm.item_from_view(views[0], obs)
+    return snaps[0].masked(obs)
 
 
 def test_null_attack_is_bitwise_identity(tiny_setup):
@@ -113,11 +111,11 @@ def test_zero_penetration_returns_snapshot_unchanged(tiny_setup):
 
 
 def test_attack_hits_exactly_the_configured_share(tiny_setup):
-    params, views, data = tiny_setup
+    params, snaps, data = tiny_setup
     # 100 power channels: restrict to power targets on a 100-node slice
     obs = np.zeros(data.n_nodes, dtype=bool)
     obs[:5] = True
-    item = gm.item_from_view(views[0], obs)
+    item = snaps[0].masked(obs)
     assert data.n_nodes == 93
     cfg = ev.AttackConfig(penetration=0.06, targets="power",
                           bias_lo=0.01, bias_hi=0.02)
@@ -154,15 +152,14 @@ def test_attack_is_deterministic_under_seed(tiny_setup):
 
 
 def _masked_items(tiny_setup, n):
-    params, views, data = tiny_setup
+    params, snaps, data = tiny_setup
     gen = np.random.default_rng(n)
-    return [gm.item_from_view(views[k % len(views)],
-                              gen.random(data.n_nodes) < 0.5)
+    return [snaps[k % len(snaps)].masked(gen.random(data.n_nodes) < 0.5)
             for k in range(n)]
 
 
 def test_predict_matches_single_forward(tiny_setup):
-    params, views, data = tiny_setup
+    params, snaps, data = tiny_setup
     items = _masked_items(tiny_setup, 24)
     assert len(gm.batch_runs(items)) > 1
     stacked = ev.predict(params, items)
@@ -187,7 +184,7 @@ def test_predict_peak_memory_does_not_grow_with_snapshots(tiny_setup):
     """``predict`` holds one cache-sized batch at a time: from 8 to 64
     snapshots its traced peak grows by at most the [64, N] output plus the
     peak of one full-budget batch, where one all-in-one batch grows 8x."""
-    params, views, data = tiny_setup
+    params, snaps, data = tiny_setup
     few, many = _masked_items(tiny_setup, 8), _masked_items(tiny_setup, 64)
     budget = _traced_peak(ev.predict, params,
                           many[:gm.BATCH_NODES // data.n_nodes])
@@ -198,22 +195,22 @@ def test_predict_peak_memory_does_not_grow_with_snapshots(tiny_setup):
 
 
 def test_evaluate_masked_returns_finite_scores(tiny_setup):
-    params, views, data = tiny_setup
-    r, m = ev.evaluate_masked(params, views[:8], 20, _fleet_mask(data, 5, 20))
+    params, snaps, data = tiny_setup
+    r, m = ev.evaluate_masked(params, snaps[:8], 20, _fleet_mask(data, 5, 20))
     assert np.isfinite(r) and np.isfinite(m)
     assert r >= m > 0
 
 
 def test_observability_sweep_shape_and_determinism(tiny_setup):
-    params, views, data = tiny_setup
+    params, snaps, data = tiny_setup
     kwargs = dict(levels=(5, 40), n_seeds=3, seed=2, scenario="X",
                   model="gnn")
-    rows = ev.observability_sweep(params, views[:6], "s31", **kwargs)
+    rows = ev.observability_sweep(params, snaps[:6], "s31", **kwargs)
     assert [r.p_obs for r in rows] == [5, 5, 5, 40, 40, 40]
     assert {(r.scenario, r.substation, r.model) for r in rows} == \
         {("X", "s31", "gnn")}
     assert len({r.seed for r in rows}) == 6
-    again = ev.observability_sweep(params, views[:6], "s31", **kwargs)
+    again = ev.observability_sweep(params, snaps[:6], "s31", **kwargs)
     assert again == rows
 
 
@@ -225,41 +222,39 @@ def test_baseline_sample_strides_over_the_window():
     assert ev.baseline_sample(range(1800)) == range(0, 1600, 4)
     assert ev.baseline_sample(range(5, 1205)) == range(5, 1205, 3)
     assert len(ev.baseline_sample(range(0))) == 0
-    # the choice the fit made from a list of every window view
+    # the choice the fit made from a list of every window snapshot
     for n in (400, 401, 799, 1001, 1800):
-        views = list(range(n))
+        snaps = list(range(n))
         stride = max(1, n // min(n, 400))
         assert list(ev.baseline_sample(range(n))) == \
-            views[::stride][:min(n, 400)]
+            snaps[::stride][:min(n, 400)]
 
 
 def test_baseline_fits_constant_voltage_exactly(tiny_setup):
-    params, views, data = tiny_setup
-    flat_views = [dataclasses.replace(v, v_true=np.ones(data.n_nodes))
-                  for v in views[:10]]
-    baseline = ev.fit_linear_baseline(flat_views, levels=(20,), seed=0)
-    r, m = ev.baseline_masked(baseline, flat_views, 20,
+    params, snaps, data = tiny_setup
+    flat_snaps = [dataclasses.replace(s, v_true=np.ones(data.n_nodes))
+                  for s in snaps[:10]]
+    baseline = ev.fit_linear_baseline(flat_snaps, levels=(20,), seed=0)
+    r, m = ev.baseline_masked(baseline, flat_snaps, 20,
                               _fleet_mask(data, 1, 20))
     assert r < 1e-6
 
 
 def test_baseline_is_fit_per_feeder(tiny_setup):
-    params, views, data = tiny_setup
-    baseline = ev.fit_linear_baseline(views[:10], levels=(20,), seed=0)
+    params, snaps, data = tiny_setup
+    baseline = ev.fit_linear_baseline(snaps[:10], levels=(20,), seed=0)
     expected = set(int(f) for f in data.feeder_ids) | {net.HUB_FEEDER}
     assert set(baseline.coef[20]) == expected
     assert set(baseline.coef) == {20}
 
 
 def test_baseline_scores_the_level_fit_alone(tiny_setup):
-    params, views, data = tiny_setup
-    train, test = views[:20], views[36:44]
+    params, snaps, data = tiny_setup
+    train, test = snaps[:20], snaps[36:44]
     # the level-20 fit by hand: the same masks, one ridge solve per feeder
     gen = rng(0, "baseline-mask", 20)
-    hub = net.hub_rows(views[0].node_features)
-    items = [gm.item_from_view(v, net.fleet_mask(
-        net.fleet_order(data.n_nodes, gen, hub_indices=hub), 20))
-        for v in train]
+    items = [s.masked(net.fleet_mask(net.fleet_order(s.node_x, gen), 20))
+             for s in train]
     x = np.vstack([np.hstack([i.node_x, np.ones((data.n_nodes, 1))])
                    for i in items])
     y = np.concatenate([i.v_true for i in items])
@@ -271,12 +266,12 @@ def test_baseline_scores_the_level_fit_alone(tiny_setup):
                                      xf.T @ yf)
     mask = _fleet_mask(data, 6, 20)
     preds, truth = [], []
-    for v in test:
-        item = gm.item_from_view(v, mask)
+    for s in test:
+        item = s.masked(mask)
         xv = np.hstack([item.node_x, np.ones((data.n_nodes, 1))])
         preds.append([xv[n] @ weights[item.node_feeder[n]]
                       for n in range(data.n_nodes)])
-        truth.append(v.v_true)
+        truth.append(s.v_true)
     hidden = np.tile(~mask, len(test))
     expected = (ev.rmse(np.ravel(preds), np.ravel(truth), hidden),
                 ev.mae(np.ravel(preds), np.ravel(truth), hidden))
@@ -288,12 +283,12 @@ def test_baseline_scores_the_level_fit_alone(tiny_setup):
 
 
 def test_baseline_beats_nominal_guess_on_real_data(tiny_setup):
-    params, views, data = tiny_setup
-    baseline = ev.fit_linear_baseline(views[:36], levels=(20,), seed=0)
-    r, m = ev.baseline_masked(baseline, views[36:], 20,
+    params, snaps, data = tiny_setup
+    baseline = ev.fit_linear_baseline(snaps[:36], levels=(20,), seed=0)
+    r, m = ev.baseline_masked(baseline, snaps[36:], 20,
                               _fleet_mask(data, 4, 20))
-    flat = np.concatenate([np.ones(data.n_nodes) for _ in views[36:]])
-    truth = np.concatenate([v.v_true for v in views[36:]])
+    flat = np.concatenate([np.ones(data.n_nodes) for _ in snaps[36:]])
+    truth = np.concatenate([s.v_true for s in snaps[36:]])
     nominal = ev.rmse(flat, truth, np.arange(len(truth)))
     assert r < nominal
 
@@ -302,7 +297,7 @@ def test_baseline_beats_nominal_guess_on_real_data(tiny_setup):
 
 
 def test_write_report_and_summarize(tiny_setup, tmp_path):
-    params, views, data = tiny_setup
+    params, snaps, data = tiny_setup
     rows = [ev.ReportRow("A-observability", "s31", 20, "gnn", 0.01, 0.008, 7),
             ev.ReportRow("A-observability", "s31", 20, "linear", 0.02, 0.015,
                          7)]
@@ -316,8 +311,8 @@ def test_write_report_and_summarize(tiny_setup, tmp_path):
 
 
 def test_study_attack_rows_are_deterministic(tiny_setup):
-    params, views, data = tiny_setup
-    kwargs = dict(params=params, ablation_params=params, views=views[:4],
+    params, snaps, data = tiny_setup
+    kwargs = dict(params=params, ablation_params=params, snaps=snaps[:4],
                   substation="s31", attack=ev.AttackConfig(), levels=(20,),
                   n_seeds=2, seed=5)
     rows_a = ev.study_attack(**kwargs)

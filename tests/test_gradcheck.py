@@ -21,7 +21,7 @@ def report():
 
 
 def test_toy_snapshot_structure():
-    item = gc.toy_item(seed=0)
+    item = gc.toy_snapshot(seed=0)
     assert item.node_x.shape[0] == 10
     assert set(item.node_feeder.tolist()) == {net.HUB_FEEDER, 1, 2}
     devs = [f"dev_{d}" for d in ("line", "cable", "xfmr_reg", "switch")]

@@ -29,7 +29,7 @@ def tiny_batch():
     items = []
     for i in range(data.n_snapshots):
         obs = gen.random(data.n_nodes) < 0.4
-        items.append(gm.item_from_view(data.snapshot(i), obs))
+        items.append(data.snapshot(i).masked(obs))
     return params, gm.build_batch(items, params.feeder_rows), data
 
 

@@ -37,7 +37,7 @@ def micro_item(n_nodes, edges, *, feeders=None, phases=None):
     feeder = np.array(feeders if feeders is not None else [1] * n_nodes,
                       dtype=np.int64)
     empty = np.zeros(0)
-    return gm.BatchItem(
+    return ds.Snapshot(
         node_x=node_x, edge_from=edge_from, edge_to=edge_to, edge_z=edge_z,
         node_feeder=feeder, v_true=np.ones(n_nodes),
         observed=np.ones(n_nodes, dtype=bool),
@@ -51,7 +51,7 @@ def small_params(n_feeders=2, d=8, layers=2, seed=5):
 
 
 @pytest.fixture(scope="module")
-def tiny_views():
+def tiny_snaps():
     spec = sim.generate_substation(31, "tiny", n_feeders=3)
     scen = sim.ScenarioConfig(horizon_minutes=120, der_penetration=20)
     data = ds.build_dataset(spec, scen)
@@ -175,10 +175,10 @@ def test_singleton_neighborhood_gets_weight_one_for_any_logit():
     np.testing.assert_allclose(alpha.values, 1.0, atol=1e-15)
 
 
-def test_attention_sums_to_one_per_receiver(tiny_views):
-    views, data = tiny_views
+def test_attention_sums_to_one_per_receiver(tiny_snaps):
+    snaps, data = tiny_snaps
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=1)
-    item = gm.item_from_view(views[0], np.ones(data.n_nodes, dtype=bool))
+    item = snaps[0].masked(np.ones(data.n_nodes, dtype=bool))
     batch = gm.build_batch([item], params.feeder_rows)
     h = ad.matmul(ad.as_tensor(batch.node_x), params.tensors["input.W"])
     logits = gm.attention_logits(params, 0, h, batch)
@@ -216,16 +216,16 @@ def test_isolated_batch_reduces_to_residual_norm_stack():
     np.testing.assert_array_equal(got.values, expected.values)
 
 
-def test_open_tie_equals_tie_removed_bitwise(tiny_views):
-    views, data = tiny_views
-    view = views[0]
+def test_open_tie_equals_tie_removed_bitwise(tiny_snaps):
+    snaps, data = tiny_snaps
+    snap = snaps[0]
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=9)
     obs = np.ones(data.n_nodes, dtype=bool)
-    item = gm.item_from_view(view, obs)
+    item = snap.masked(obs)
     assert (item.edge_z[:, EI["status"]] == 0.0).any()  # ties present, open
 
     keep = item.edge_z[:, EI["status"]] == 1.0
-    stripped = gm.BatchItem(
+    stripped = ds.Snapshot(
         node_x=item.node_x, edge_from=item.edge_from[keep],
         edge_to=item.edge_to[keep], edge_z=item.edge_z[keep],
         node_feeder=item.node_feeder, v_true=item.v_true,
@@ -238,19 +238,19 @@ def test_open_tie_equals_tie_removed_bitwise(tiny_views):
     np.testing.assert_array_equal(with_tie.values, without.values)
 
 
-def test_permutation_equivariance(tiny_views):
-    views, data = tiny_views
-    view = views[1]
+def test_permutation_equivariance(tiny_snaps):
+    snaps, data = tiny_snaps
+    snap = snaps[1]
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=4)
     gen = np.random.default_rng(77)
     obs = gen.random(data.n_nodes) < 0.5
-    item = gm.item_from_view(view, obs)
+    item = snap.masked(obs)
     base = gm.forward(params, gm.build_batch([item], params.feeder_rows))
 
     perm = gen.permutation(data.n_nodes)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(data.n_nodes)
-    shuffled = gm.BatchItem(
+    shuffled = ds.Snapshot(
         node_x=item.node_x[perm], edge_from=inv[item.edge_from],
         edge_to=inv[item.edge_to], edge_z=item.edge_z,
         node_feeder=item.node_feeder[perm], v_true=item.v_true[perm],
@@ -265,13 +265,12 @@ def test_permutation_equivariance(tiny_views):
 
 
 @pytest.fixture(scope="module")
-def batch32(tiny_views):
+def batch32(tiny_snaps):
     """32 masked snapshots and default-size params."""
-    views, data = tiny_views
+    snaps, data = tiny_snaps
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=3)
     gen = np.random.default_rng(32)
-    items = [gm.item_from_view(views[k % len(views)],
-                               gen.random(data.n_nodes) < 0.3)
+    items = [snaps[k % len(snaps)].masked(gen.random(data.n_nodes) < 0.3)
              for k in range(32)]
     return params, items
 
@@ -415,10 +414,10 @@ def test_film_requires_at_least_one_feeder_node():
         gm.film_hub(params, ad.as_tensor(np.zeros((2, 8))), batch)
 
 
-def test_hub_nodes_never_enter_feeder_pooling(tiny_views):
-    views, data = tiny_views
+def test_hub_nodes_never_enter_feeder_pooling(tiny_snaps):
+    snaps, data = tiny_snaps
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=2)
-    item = gm.item_from_view(views[0], np.ones(data.n_nodes, dtype=bool))
+    item = snaps[0].masked(np.ones(data.n_nodes, dtype=bool))
     batch = gm.build_batch([item], params.feeder_rows)
     assert np.all(item.node_feeder[batch.film_nodes] != net.HUB_FEEDER)
     hub_nodes = np.flatnonzero(item.node_feeder == net.HUB_FEEDER)
@@ -437,10 +436,10 @@ def test_constant_decoder_outputs_one():
     np.testing.assert_array_equal(out.values, 1.0)
 
 
-def test_fresh_params_decode_near_nominal_voltage(tiny_views):
-    views, data = tiny_views
+def test_fresh_params_decode_near_nominal_voltage(tiny_snaps):
+    snaps, data = tiny_snaps
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=0)
-    item = gm.item_from_view(views[0], np.ones(data.n_nodes, dtype=bool))
+    item = snaps[0].masked(np.ones(data.n_nodes, dtype=bool))
     out = gm.forward(params, gm.build_batch([item], params.feeder_rows))
     assert np.all(np.abs(out.values - 1.0) < 0.25)
 
@@ -518,11 +517,10 @@ def test_hub_feeder_cannot_receive_a_gate():
 # -- batching ---------------------------------------------------------------------
 
 
-def test_batch_edges_are_receiver_sorted_and_bidirectional(tiny_views):
-    views, data = tiny_views
+def test_batch_edges_are_receiver_sorted_and_bidirectional(tiny_snaps):
+    snaps, data = tiny_snaps
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=0)
-    items = [gm.item_from_view(v, np.ones(data.n_nodes, dtype=bool))
-             for v in views[:3]]
+    items = [s.masked(np.ones(data.n_nodes, dtype=bool)) for s in snaps[:3]]
     batch = gm.build_batch(items, params.feeder_rows)
     assert batch.n_graphs == 3
     assert batch.n_nodes == 3 * data.n_nodes
@@ -530,21 +528,21 @@ def test_batch_edges_are_receiver_sorted_and_bidirectional(tiny_views):
     pairs = set(zip(batch.send.tolist(), batch.recv.tolist()))
     assert all((r, s) in pairs for s, r in pairs)
     assert batch.graph_of_node.max() == 2
-    assert len(batch.phys_from) == 3 * len(views[0].edge_p[views[0].edge_phys])
+    assert len(batch.phys_from) == 3 * len(snaps[0].phys_p)
 
 
-def test_item_from_view_applies_mask_and_keeps_truth(tiny_views):
-    views, data = tiny_views
-    view = views[0]
+def test_masked_applies_mask_and_keeps_truth(tiny_snaps):
+    snaps, data = tiny_snaps
+    snap = snaps[0]
     obs = np.zeros(data.n_nodes, dtype=bool)
     obs[:5] = True
-    item = gm.item_from_view(view, obs)
+    item = snap.masked(obs)
     np.testing.assert_array_equal(item.node_x[:, NI["m_obs"]],
                                   obs.astype(float))
     np.testing.assert_array_equal(item.node_x[~obs, NI["m_obs_v_pu"]], 0.0)
     np.testing.assert_allclose(item.node_x[obs, NI["m_obs_v_pu"]],
-                               view.v_true[:5], atol=1e-15)
-    np.testing.assert_array_equal(item.v_true, view.v_true)
+                               snap.v_true[:5], atol=1e-15)
+    np.testing.assert_array_equal(item.v_true, snap.v_true)
 
 
 def test_edge_type_ids_decode_device_slots():
@@ -596,12 +594,12 @@ def test_batches_are_balanced_runs_within_the_node_budget(sizes):
 # -- gradients -----------------------------------------------------------------
 
 
-def test_gradients_flow_to_every_parameter(tiny_views):
-    views, data = tiny_views
+def test_gradients_flow_to_every_parameter(tiny_snaps):
+    snaps, data = tiny_snaps
     params = gm.ModelParams.create(
         gm.ModelConfig(hidden_dim=8, n_layers=2, decoder_hidden=8),
         data.feeder_ids, seed=6)
-    item = gm.item_from_view(views[0], np.ones(data.n_nodes, dtype=bool))
+    item = snaps[0].masked(np.ones(data.n_nodes, dtype=bool))
     batch = gm.build_batch([item], params.feeder_rows)
     # first with fresh gradient arrays, then with every gradient bound to
     # its view of the flat buffer (seeded at zero weight) before backward
@@ -629,13 +627,13 @@ def _gradient_gaps(params):
     return missing, zero
 
 
-def test_gradient_check_catches_a_gap_behind_prebound_views(tiny_views):
-    views, data = tiny_views
+def test_gradient_check_catches_a_gap_behind_prebound_views(tiny_snaps):
+    snaps, data = tiny_snaps
     params = gm.ModelParams.create(
         gm.ModelConfig(hidden_dim=8, n_layers=2, decoder_hidden=8),
         data.feeder_ids, seed=6)
     params.tensors["decoder.W2"].values[:] = 0.0  # nothing flows past it
-    item = gm.item_from_view(views[0], np.ones(data.n_nodes, dtype=bool))
+    item = snaps[0].masked(np.ones(data.n_nodes, dtype=bool))
     batch = gm.build_batch([item], params.feeder_rows)
     with ad.Tape():
         loss = ad.l1_loss(ad.sub(gm.forward(params, batch), batch.v_true))

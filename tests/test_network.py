@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridvolt import dataset as ds
 from gridvolt import network as net
 from gridvolt import simulation as sim
 
@@ -44,14 +45,22 @@ def nodes_of_type(graph, bus_type):
                      if bp.bus_type == bus_type])
 
 
-def observed_features():
-    """Toy node features as a dataset stores them: every node observed."""
-    bps, _ = toy_chain()
+def observed_snapshot():
+    """The toy chain as a dataset assembles it: every node observed."""
+    bps, devices = toy_chain()
     v = np.array([1.0, 0.998, 0.99, 0.985, 0.98])
     feats = net.static_node_features(bps, np.zeros(5))
     feats[:, net.NODE_FEATURE_INDEX["m_obs"]] = 1.0
     feats[:, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] = v
-    return feats, v
+    ends = np.array([[d.from_bus, d.to_bus] for d in devices])
+    none = np.zeros(0)
+    return ds.Snapshot(
+        node_x=feats, edge_from=ends[:, 0], edge_to=ends[:, 1],
+        edge_z=net.static_edge_features(devices),
+        node_feeder=np.array([bp.feeder_id for bp in bps]), v_true=v,
+        observed=np.ones(5, dtype=bool), phys_from=none.astype(int),
+        phys_to=none.astype(int), phys_r=none, phys_x=none, phys_p=none,
+        phys_q=none)
 
 
 def test_feature_vector_lengths():
@@ -63,9 +72,8 @@ def test_feature_vector_lengths():
 
 
 def test_masked_node_reports_no_voltage():
-    feats, v = observed_features()
     observed = np.array([True, True, True, False, True])
-    masked = net.apply_mask_to_features(feats, v, observed)
+    masked = observed_snapshot().masked(observed).node_x
     assert masked[3, net.NODE_FEATURE_INDEX["m_obs"]] == 0.0
     assert masked[3, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] == 0.0
     assert masked[4, net.NODE_FEATURE_INDEX["m_obs"]] == 1.0
@@ -73,11 +81,12 @@ def test_masked_node_reports_no_voltage():
 
 
 def test_masked_rows_never_carry_a_voltage():
-    feats, v = observed_features()
+    snap = observed_snapshot()
+    feats, v = snap.node_x, snap.v_true
     gen = np.random.default_rng(4)
     for _ in range(20):
         observed = gen.random(5) < 0.5
-        masked = net.apply_mask_to_features(feats, v, observed)
+        masked = snap.masked(observed).node_x
         hidden = masked[~observed]
         assert np.all(hidden[:, net.NODE_FEATURE_INDEX["m_obs"]] == 0.0)
         assert np.all(hidden[:, net.NODE_FEATURE_INDEX["m_obs_v_pu"]] == 0.0)
@@ -152,9 +161,31 @@ def test_supplying_feeder_follows_closed_tie(tiny):
         assert before[node] == tie.to_feeder and after[node] == tie.from_feeder
 
 
+def hub_features(n, hub=()):
+    """[n, 17] node features whose ``type_hub`` rows are ``hub``."""
+    node_x = np.zeros((n, net.N_NODE_FEATURES))
+    node_x[list(hub), net.NODE_FEATURE_INDEX["type_hub"]] = 1.0
+    return node_x
+
+
 def sample_mask(n, p, seed, hub=()):
-    return net.fleet_mask(net.fleet_order(n, np.random.default_rng(seed),
-                                          hub_indices=hub), p)
+    return net.fleet_mask(net.fleet_order(hub_features(n, hub),
+                                          np.random.default_rng(seed)), p)
+
+
+def test_fleet_order_puts_the_hub_rows_first(tiny):
+    _, graph = tiny
+    hub = nodes_of_type(graph, "substation_hub")
+    order = net.fleet_order(graph.node_features, np.random.default_rng(3))
+    assert len(hub) == 3 and np.array_equal(order[:3], hub)
+    assert np.array_equal(np.sort(order), np.arange(graph.n_nodes))
+    # away from the hub, the same permutation as without hub rows
+    gen = np.random.default_rng(3)
+    rest = net.fleet_order(hub_features(graph.n_nodes), gen)
+    assert np.array_equal(order[3:], rest[~np.isin(rest, hub)])
+    scattered = net.fleet_order(hub_features(50, [7, 2, 31]),
+                                np.random.default_rng(0))
+    assert np.array_equal(scattered[:3], [2, 7, 31])
 
 
 def test_mask_cardinality_examples():

@@ -11,6 +11,8 @@ as the oracle for the sweep solver.
 """
 
 import copy
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -128,9 +130,9 @@ def tiny_day(tiny_spec):
 
 def test_generation_is_deterministic(tiny_spec):
     again = sim.generate_substation(7, "tiny")
-    assert sim.spec_to_dict(again) == sim.spec_to_dict(tiny_spec)
+    assert again == tiny_spec
     other = sim.generate_substation(8, "tiny")
-    assert sim.spec_to_dict(other) != sim.spec_to_dict(tiny_spec)
+    assert other != tiny_spec
 
 
 def test_generation_validation():
@@ -206,13 +208,16 @@ def test_tie_endpoints_on_distinct_feeders(tiny_spec):
         assert feeder_of_bus[tie.transfer_bus] == tie.to_feeder
 
 
-def test_spec_roundtrip_through_disk(tiny_spec, tmp_path):
+def test_spec_file_holds_every_field_and_the_format_tag(tiny_spec, tmp_path):
     path = tmp_path / "spec.json"
     sim.save_spec(tiny_spec, path)
-    loaded = sim.load_spec(path)
-    assert sim.spec_to_dict(loaded) == sim.spec_to_dict(tiny_spec)
-    with pytest.raises(ValueError, match="format"):
-        sim.spec_from_dict({"format": "other"})
+    data = json.loads(path.read_text())
+    assert data.pop("format") == "substation-spec/v1"
+    assert data.pop("aux_load") == [tiny_spec.aux_load.real,
+                                    tiny_spec.aux_load.imag]
+    fields = dataclasses.asdict(tiny_spec)
+    del fields["aux_load"]
+    assert data == json.loads(json.dumps(fields))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,9 @@ def test_physics_edge_set_membership(tiny_spec, tiny_day):
     for t in (0, 40):
         expected = (tiny_day[t].edge_status == 1) & np.isin(
             kind, ("line", "cable", "switch"))
-        assert np.array_equal(data.snapshot(t).edge_phys, expected)
+        snap = data.snapshot(t)
+        assert np.array_equal(snap.phys_from, snap.edge_from[expected])
+        assert np.array_equal(snap.phys_to, snap.edge_to[expected])
 
 
 def test_branch_flows_stay_light_on_tiny(tiny_day):

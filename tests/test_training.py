@@ -162,6 +162,17 @@ def test_config_validation():
     for p_obs in (0.0, 100.0):
         with pytest.raises(ValueError, match="warmup_p_obs"):
             tr.TrainConfig(warmup_p_obs=p_obs)
+    for name in ("lr_warmup", "lr_curriculum", "lr_finetune", "plateau_eps",
+                 "lam_sup", "lam_max", "lam_reg", "val_fraction",
+                 "finetune_fraction", "warmup_p_obs"):
+        for value in ("x", True, float("nan"), None):
+            with pytest.raises(ValueError, match=f"{name} must be a finite"):
+                tr.TrainConfig(**{name: value})
+    for name in ("levels", "select_levels"):
+        for value in ((True,), (20, "x"), (float("inf"),)):
+            with pytest.raises(ValueError, match=f"each of {name}"):
+                tr.TrainConfig(**{name: value})
+    tr.TrainConfig(levels=(80, 20.5), plateau_eps=0, lam_reg=np.float64(0.5))
 
 
 # -- the loop -----------------------------------------------------------------
@@ -206,10 +217,11 @@ def test_validation_error_improves_over_warmup(micro_run):
 
 
 def test_epoch_masks_are_resampled_and_union_grows():
-    m0 = net.fleet_mask(net.fleet_order(93, rng(1, "mask", "curriculum", 5)),
-                        20)
-    m1 = net.fleet_mask(net.fleet_order(93, rng(1, "mask", "curriculum", 6)),
-                        20)
+    node_x = np.zeros((93, net.N_NODE_FEATURES))
+    m0 = net.fleet_mask(
+        net.fleet_order(node_x, rng(1, "mask", "curriculum", 5)), 20)
+    m1 = net.fleet_mask(
+        net.fleet_order(node_x, rng(1, "mask", "curriculum", 6)), 20)
     assert not np.array_equal(m0, m1)
     assert (m0 | m1).sum() > m0.sum()
 
@@ -245,10 +257,9 @@ def test_divergence_aborts_and_restores_last_good(day_dataset, monkeypatch):
 def test_val_metrics_over_split_batches_equals_one_batch(day_dataset,
                                                         micro_run):
     import gridvolt.model as gm
-    views = [day_dataset.snapshot(i) for i in range(30)]
-    mask = net.fleet_mask(net.fleet_order(day_dataset.n_nodes, rng(4, "m")),
-                          30)
-    items = [gm.item_from_view(v, mask) for v in views]
+    snaps = [day_dataset.snapshot(i) for i in range(30)]
+    mask = net.fleet_mask(net.fleet_order(snaps[0].node_x, rng(4, "m")), 30)
+    items = [s.masked(mask) for s in snaps]
     params, rows = micro_run.params, micro_run.params.feeder_rows
     split = gm.batches(items, rows)
     assert len(split) > 1
@@ -285,9 +296,9 @@ def test_a_probe_shared_by_the_epoch_is_scored_once(day_dataset, micro_run,
     calls.clear()
     monkeypatch.setattr(
         tr._Trainer, "_val_batches",
-        lambda self, p_obs: tr._val_batch(self.val_views, p_obs,
+        lambda self, p_obs: tr._val_batch(self.val_snaps, p_obs,
                                           self.config.seed,
-                                          self.params.feeder_rows)[0])
+                                          self.params.feeder_rows))
     unshared = tr.train(day_dataset, micro_config())
     assert len(calls) == len(shared.history) + n_probes * len(selecting)
     _assert_same_run(shared, unshared)
@@ -382,8 +393,8 @@ def _perturb_eval_tail(dataset, factor=1.01):
     arrays["v_true"][start:] *= factor
     perturbed = ds.SnapshotDataset(dataset.meta, arrays)
     col = net.NODE_FEATURE_INDEX["m_obs_v_pu"]
-    assert np.array_equal(perturbed.snapshot(n - 1).node_features[:, col],
-                          dataset.snapshot(n - 1).node_features[:, col]
+    assert np.array_equal(perturbed.snapshot(n - 1).node_x[:, col],
+                          dataset.snapshot(n - 1).node_x[:, col]
                           * factor)
     return perturbed
 
