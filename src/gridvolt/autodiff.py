@@ -3,17 +3,29 @@
 A ``Tape`` records every operation executed while it is active; calling
 ``backward`` on a scalar result walks the record in exact reverse order and
 accumulates gradients additively into the participating tensors. The op set
-is deliberately small: dense linear algebra, elementwise arithmetic, the
-segment reductions a message-passing network needs (segment sum / mean and a
-temperature softmax over contiguous segments), and two edge projections of
-``[x[recv] ‖ x[send] ‖ z]`` that never put that concatenation on the tape:
-``edge_matmul`` applies the two node blocks of its weight once per node,
-``typed_edge_matmul`` multiplies each edge type's rows by that type's weight.
-Every sum over rows into buckets (segment sums, the backward of a gather or
-an edge projection) is one flat-bin ``bincount`` scatter-add. ``relu`` and
-``layer_norm`` make no more full-size passes than their outputs need and
-stay bitwise equal to ``np.where(x > 0, x, 0)`` and the ``mean``/``var``
-formula.
+is deliberately small: dense linear algebra, elementwise arithmetic, a
+segment mean, and the fused ops of a message-passing encoder layer, each
+one tape record in place of a chain of small ones:
+
+* ``linear``: ``x @ w + b``;
+* ``typed_edge_matmul``: ``[x[recv] ‖ x[send] ‖ z]`` times each edge
+  type's weight, without putting that concatenation on the tape;
+* ``attention_score``: ``relu([x[recv] ‖ x[send] ‖ z] @ w) @ a`` plus
+  ``prior @ beta``, with the node blocks of ``w`` applied once per node;
+* ``softmax_aggregate``: each node's sum of its incoming messages, weighted
+  by a temperature softmax of the logits over its incoming edges;
+* ``layer_norm``, optionally of ``residual + x``.
+
+A fused op runs the numpy operations of the chain it replaces, in the same
+order, forward and backward, so its values and gradients are bitwise
+those of the chain, and it checks every intermediate the chain's ops
+checked. The edge ops share one ``EdgePlan`` per forward pass: the index
+arrays every layer needs, with the flat bins of the backward scatter-adds
+built once. Every sum over rows into buckets (the aggregation, the
+backward of a gather or an edge op) is one flat-bin ``bincount``
+scatter-add. ``relu`` and ``layer_norm`` make no more full-size passes
+than their outputs need and stay bitwise equal to ``np.where(x > 0, x, 0)``
+and the ``mean``/``var`` formula.
 
 A ``FlatStore`` packs leaf tensors back to back into one value vector and
 one gradient buffer, with every tensor a reshaped view of its span. An
@@ -412,6 +424,28 @@ def gather_rows(x, index) -> Tensor:
     return _record("gather_rows", vals, (x,), bwd)
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for a bias ``b`` of one value per output column."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias {b.shape} vs output width {w.shape[1]}")
+    vals = x.values @ w.values
+    _check_finite("linear/matmul", vals)
+    vals += b.values
+
+    def bwd(g):
+        return (g @ w.values.T, x.values.T @ g, g.sum(axis=0))
+
+    return _record("linear", vals, (x, w, b), bwd)
+
+
+def _row_bins(idx: np.ndarray, cols: int) -> np.ndarray:
+    """Flat (row, column) bins of a scatter-add of ``cols``-wide rows."""
+    return (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+
+
 def _scatter_add_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """Deterministic scatter-add of the rows of g into an [n, ...] zero
     array: row k adds into row ``idx[k]``, and every output row sums its
@@ -421,124 +455,8 @@ def _scatter_add_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     # one bincount over (row, column) bins; each bin still sums its rows in
     # index order, as a per-column bincount does
     cols = int(np.prod(g.shape[1:]))
-    bins = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
-    return np.bincount(bins, weights=g.reshape(-1),
+    return np.bincount(_row_bins(idx, cols), weights=g.reshape(-1),
                        minlength=n * cols).reshape((n,) + g.shape[1:])
-
-
-def _edge_operands(op: str, x: Tensor, z: np.ndarray, w_rows: int,
-                   recv, send) -> tuple[np.ndarray, np.ndarray]:
-    """Check the shapes of an edge projection; the index arrays as intp."""
-    recv = np.asarray(recv, dtype=np.intp)
-    send = np.asarray(send, dtype=np.intp)
-    if x.values.ndim != 2 or z.ndim != 2:
-        raise ShapeError(f"{op}: x {x.shape} and z {z.shape} must be 2-D")
-    if recv.shape != (z.shape[0],) or send.shape != recv.shape:
-        raise ShapeError(f"{op}: recv {recv.shape}, send {send.shape} vs "
-                         f"z {z.shape}")
-    if w_rows != 2 * x.shape[1] + z.shape[1]:
-        raise ShapeError(f"{op}: weight rows {w_rows} vs "
-                         f"[x ‖ x ‖ z] width {2 * x.shape[1] + z.shape[1]}")
-    return recv, send
-
-
-def edge_matmul(x, z, w, recv, send) -> Tensor:
-    """Edge rows ``[x[recv] ‖ x[send] ‖ z] @ w``, split at node level.
-
-    The two ``x`` blocks of ``w`` are applied once per node, as one
-    ``[N, d] @ [d, 2 * out]`` product whose halves are gathered by
-    ``recv`` and by ``send``; ``z`` is a constant ``[E, k]`` array. The
-    backward pass scatter-adds the edge gradient to the nodes first, so
-    it multiplies at node level too.
-    """
-    x, w = as_tensor(x), as_tensor(w)
-    z = np.asarray(z, dtype=np.float64)
-    if w.values.ndim != 2:
-        raise ShapeError(f"edge_matmul: weight must be 2-D, got {w.shape}")
-    recv, send = _edge_operands("edge_matmul", x, z, w.shape[0], recv, send)
-    n, d = x.shape
-    out_dim = w.shape[1]
-    w_nodes = np.concatenate((w.values[:d], w.values[d:2 * d]), axis=1)
-    q = x.values @ w_nodes
-    vals = q[recv, :out_dim]
-    vals += q[send, out_dim:]
-    vals += z @ w.values[2 * d:]
-
-    def bwd(g):
-        # [N, 2 * out] seen as [2N, out]: row 2i takes node i's receiving
-        # edges, row 2i + 1 its sending ones
-        dq = _scatter_add_rows(np.concatenate((g, g)),
-                               np.concatenate((2 * recv, 2 * send + 1)),
-                               2 * n).reshape(n, 2 * out_dim)
-        dw = np.empty_like(w.values)
-        dw_nodes = x.values.T @ dq
-        dw[:d], dw[d:2 * d] = dw_nodes[:, :out_dim], dw_nodes[:, out_dim:]
-        dw[2 * d:] = z.T @ g
-        return (dq @ w_nodes.T, dw)
-
-    return _record("edge_matmul", vals, (x, w), bwd)
-
-
-def typed_edge_matmul(x, z, weights: Sequence[Tensor], recv, send,
-                      type_order, type_bounds) -> Tensor:
-    """Edge rows ``[x[recv] ‖ x[send] ‖ z]``, each times its type's weight.
-
-    ``type_order`` lists the edges grouped by type: edges
-    ``type_order[type_bounds[r]:type_bounds[r + 1]]`` have type ``r`` and
-    are multiplied by ``weights[r]`` as one contiguous block. The op forms
-    ``[x[recv] ‖ x[send]]`` off the tape, as one gather of node rows in
-    that order, and adds the product of the constant ``z`` block to it.
-    The backward pass scatter-adds the gradient of the two ``x`` blocks by
-    the same pair index.
-    """
-    x = as_tensor(x)
-    ws = [as_tensor(w) for w in weights]
-    z = np.asarray(z, dtype=np.float64)
-    order = np.asarray(type_order, dtype=np.intp)
-    bounds = np.asarray(type_bounds, dtype=np.intp)
-    if not ws or any(w.values.ndim != 2 or w.shape != ws[0].shape
-                     for w in ws):
-        raise ShapeError(f"typed_edge_matmul: weight shapes "
-                         f"{[w.shape for w in ws]} differ")
-    recv, send = _edge_operands("typed_edge_matmul", x, z, ws[0].shape[0],
-                                recv, send)
-    n_edges = len(recv)
-    if (order.shape != (n_edges,) or bounds.shape != (len(ws) + 1,)
-            or bounds[0] != 0 or bounds[-1] != n_edges
-            or np.any(np.diff(bounds) < 0)):
-        raise EngineError(f"typed_edge_matmul: type partition (order "
-                          f"{order.shape}, bounds {bounds.tolist()}) does not "
-                          f"cover {n_edges} edges in {len(ws)} types")
-    n, d = x.shape
-    out_dim = ws[0].shape[1]
-    blocks = [(r, a, b) for r, (a, b)
-              in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-              if b > a]
-    # row 2k of the pair index is edge k's receiver, row 2k + 1 its sender
-    pairs = np.stack((recv[order], send[order]), axis=1).reshape(-1)
-    nodes = x.values[pairs].reshape(n_edges, 2 * d)
-    z_t = z[order]
-    out = np.empty((n_edges, out_dim), dtype=np.float64)
-    for r, a, b in blocks:
-        np.matmul(nodes[a:b], ws[r].values[:2 * d], out=out[a:b])
-        out[a:b] += z_t[a:b] @ ws[r].values[2 * d:]
-    vals = np.empty_like(out)
-    vals[order] = out
-
-    def bwd(g):
-        g_t = g[order]
-        d_nodes = np.empty((n_edges, 2 * d), dtype=np.float64)
-        dws = [None] * len(ws)
-        for r, a, b in blocks:
-            w = ws[r].values
-            np.matmul(g_t[a:b], w[:2 * d].T, out=d_nodes[a:b])
-            dws[r] = np.empty_like(w)
-            np.matmul(nodes[a:b].T, g_t[a:b], out=dws[r][:2 * d])
-            np.matmul(z_t[a:b].T, g_t[a:b], out=dws[r][2 * d:])
-        dx = _scatter_add_rows(d_nodes.reshape(2 * n_edges, d), pairs, n)
-        return (dx, *dws)
-
-    return _record("typed_edge_matmul", vals, (x, *ws), bwd)
 
 
 def _require_sorted(op: str, seg: np.ndarray) -> None:
@@ -546,19 +464,216 @@ def _require_sorted(op: str, seg: np.ndarray) -> None:
         raise EngineError(f"{op}: segment ids must be non-decreasing")
 
 
-def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of x into ``num_segments`` buckets; empty buckets give zero."""
+class EdgePlan:
+    """The edge index arrays that the edge ops of one forward pass share.
+
+    Edges are sorted by receiver (``recv`` non-decreasing, so each node's
+    incoming edges are one contiguous segment), ``z`` holds a constant
+    ``[E, k]`` feature row per edge, and ``type_order`` lists the edges
+    grouped by type: edges ``type_order[type_bounds[r]:type_bounds[r + 1]]``
+    have type ``r``. The plan forms once what every layer would otherwise
+    form again: the pair index (row ``2k`` is the receiver of the ``k``-th
+    edge in type order, row ``2k + 1`` its sender), ``z`` in type order,
+    the non-empty type blocks and the receiver segments' starts. The flat
+    bins of the backward scatter-adds are built by the first backward that
+    needs them and reused by every layer after it, so a forward without a
+    tape builds none and holds no ``[E, out]``-sized index array.
+    """
+
+    def __init__(self, recv, send, z, type_order, type_bounds, n_nodes: int):
+        recv = np.asarray(recv, dtype=np.intp)
+        send = np.asarray(send, dtype=np.intp)
+        z = np.asarray(z, dtype=np.float64)
+        order = np.asarray(type_order, dtype=np.intp)
+        bounds = np.asarray(type_bounds, dtype=np.intp)
+        if z.ndim != 2 or recv.shape != (z.shape[0],) or send.shape != recv.shape:
+            raise ShapeError(f"EdgePlan: recv {recv.shape}, send {send.shape} "
+                             f"vs z {z.shape}")
+        n_edges = len(recv)
+        if (order.shape != (n_edges,) or bounds.ndim != 1 or len(bounds) < 2
+                or bounds[0] != 0 or bounds[-1] != n_edges
+                or np.any(np.diff(bounds) < 0)):
+            raise EngineError(f"EdgePlan: type partition (order {order.shape}, "
+                              f"bounds {bounds.tolist()}) does not cover "
+                              f"{n_edges} edges")
+        _require_sorted("EdgePlan", recv)
+        self.recv, self.send, self.z = recv, send, z
+        self.n_nodes = int(n_nodes)
+        self.order = order
+        self.n_types = len(bounds) - 1
+        self.blocks = [(r, a, b) for r, (a, b)
+                       in enumerate(zip(bounds[:-1].tolist(),
+                                        bounds[1:].tolist()))
+                       if b > a]
+        self.pairs = np.stack((recv[order], send[order]), axis=1).reshape(-1)
+        self.z_typed = z[order]
+        # row 2i of a [2N, out] array takes node i's receiving edges, row
+        # 2i + 1 its sending ones
+        self.ends = np.concatenate((2 * recv, 2 * send + 1))
+        counts = np.bincount(recv, minlength=self.n_nodes)
+        self.filled = counts > 0
+        self.starts = (np.cumsum(counts) - counts)[self.filled]
+        self._bins: dict[tuple[str, int], np.ndarray] = {}
+
+    def scatter(self, index: str, g: np.ndarray, n: int) -> np.ndarray:
+        """``_scatter_add_rows(g, getattr(self, index), n)`` for 2-D ``g``
+        and ``index`` "pairs" or "ends", with the flat bins of that index
+        and width built once."""
+        cols = g.shape[1]
+        bins = self._bins.get((index, cols))
+        if bins is None:
+            bins = self._bins[index, cols] = _row_bins(getattr(self, index),
+                                                       cols)
+        return np.bincount(bins, weights=g.reshape(-1),
+                           minlength=n * cols).reshape(n, cols)
+
+
+def _edge_weight_rows(op: str, x: Tensor, plan: EdgePlan, w_rows: int) -> int:
+    """Check ``x`` against a weight of ``[x ‖ x ‖ z]`` rows; x's width."""
+    if x.values.ndim != 2:
+        raise ShapeError(f"{op}: x {x.shape} must be 2-D")
+    d = x.shape[1]
+    if w_rows != 2 * d + plan.z.shape[1]:
+        raise ShapeError(f"{op}: weight rows {w_rows} vs [x ‖ x ‖ z] width "
+                         f"{2 * d + plan.z.shape[1]}")
+    return d
+
+
+def typed_edge_matmul(x, weights: Sequence[Tensor], plan: EdgePlan) -> Tensor:
+    """Edge rows ``[x[recv] ‖ x[send] ‖ z]``, each times its type's weight.
+
+    Each type's edges are multiplied by ``weights[r]`` as one contiguous
+    block of the plan's type order. The op forms ``[x[recv] ‖ x[send]]``
+    off the tape, as one gather of node rows through the pair index, and
+    adds the product of the constant ``z`` block to it. The backward pass
+    scatter-adds the gradient of the two ``x`` blocks by the same index.
+    """
     x = as_tensor(x)
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape != (x.shape[0],):
-        raise ShapeError(f"segment_sum: ids {seg.shape} vs rows {x.shape}")
-    _require_sorted("segment_sum", seg)
-    vals = _scatter_add_rows(x.values, seg, num_segments)
+    ws = [as_tensor(w) for w in weights]
+    if (len(ws) != plan.n_types
+            or any(w.values.ndim != 2 or w.shape != ws[0].shape for w in ws)):
+        raise ShapeError(f"typed_edge_matmul: weight shapes "
+                         f"{[w.shape for w in ws]} for {plan.n_types} types")
+    d = _edge_weight_rows("typed_edge_matmul", x, plan, ws[0].shape[0])
+    n_edges = len(plan.recv)
+    out_dim = ws[0].shape[1]
+    nodes = x.values[plan.pairs].reshape(n_edges, 2 * d)
+    z_t = plan.z_typed
+    out = np.empty((n_edges, out_dim), dtype=np.float64)
+    for r, a, b in plan.blocks:
+        np.matmul(nodes[a:b], ws[r].values[:2 * d], out=out[a:b])
+        out[a:b] += z_t[a:b] @ ws[r].values[2 * d:]
+    vals = np.empty_like(out)
+    vals[plan.order] = out
 
     def bwd(g):
-        return (g[seg],)
+        g_t = g[plan.order]
+        d_nodes = np.empty((n_edges, 2 * d), dtype=np.float64)
+        dws = [None] * len(ws)
+        for r, a, b in plan.blocks:
+            w = ws[r].values
+            np.matmul(g_t[a:b], w[:2 * d].T, out=d_nodes[a:b])
+            dws[r] = np.empty_like(w)
+            np.matmul(nodes[a:b].T, g_t[a:b], out=dws[r][:2 * d])
+            np.matmul(z_t[a:b].T, g_t[a:b], out=dws[r][2 * d:])
+        dx = plan.scatter("pairs", d_nodes.reshape(2 * n_edges, d),
+                          x.shape[0])
+        return (dx, *dws)
 
-    return _record("segment_sum", vals, (x,), bwd)
+    return _record("typed_edge_matmul", vals, (x, *ws), bwd)
+
+
+def attention_score(x, w, a, prior, beta, plan: EdgePlan) -> Tensor:
+    """Edge logits ``relu([x[recv] ‖ x[send] ‖ z] @ w) @ a + prior @ beta``.
+
+    The two ``x`` blocks of ``w`` are applied once per node, as one
+    ``[N, d] @ [d, 2 * out]`` product whose halves are gathered by
+    ``recv`` and by ``send``; ``prior`` is a constant ``[E, p]`` array.
+    The backward pass scatter-adds the edge gradient to the nodes first,
+    so it multiplies at node level too. Returns ``[E, 1]``.
+    """
+    x, w, a, beta = as_tensor(x), as_tensor(w), as_tensor(a), as_tensor(beta)
+    prior = np.asarray(prior, dtype=np.float64)
+    if w.values.ndim != 2 or a.shape != (w.shape[1], 1):
+        raise ShapeError(f"attention_score: weight {w.shape}, score {a.shape}")
+    if beta.values.ndim != 2 or prior.shape != (len(plan.recv), beta.shape[0]):
+        raise ShapeError(f"attention_score: prior {prior.shape}, "
+                         f"coefficients {beta.shape}")
+    d = _edge_weight_rows("attention_score", x, plan, w.shape[0])
+    n = x.shape[0]
+    out_dim = w.shape[1]
+    recv, send, z = plan.recv, plan.send, plan.z
+    w_nodes = np.concatenate((w.values[:d], w.values[d:2 * d]), axis=1)
+    q = x.values @ w_nodes
+    edge = q[recv, :out_dim]
+    edge += q[send, out_dim:]
+    edge += z @ w.values[2 * d:]
+    _check_finite("attention_score/edge_matmul", edge)
+    hidden = np.maximum(edge, 0.0)
+    hidden += 0.0  # -0.0 becomes +0.0, as relu gives
+    _check_finite("attention_score/relu", hidden)
+    learned = hidden @ a.values
+    _check_finite("attention_score/learned", learned)
+    structural = prior @ beta.values
+    _check_finite("attention_score/prior", structural)
+
+    def bwd(g):
+        d_edge = (g @ a.values.T) * (hidden > 0.0)
+        dq = plan.scatter("ends", np.concatenate((d_edge, d_edge)),
+                          2 * n).reshape(n, 2 * out_dim)
+        dw = np.empty_like(w.values)
+        dw_nodes = x.values.T @ dq
+        dw[:d], dw[d:2 * d] = dw_nodes[:, :out_dim], dw_nodes[:, out_dim:]
+        dw[2 * d:] = z.T @ d_edge
+        return (dq @ w_nodes.T, dw, hidden.T @ g, prior.T @ g)
+
+    return _record("attention_score", learned + structural, (x, w, a, beta),
+                   bwd)
+
+
+def softmax_aggregate(messages, logits, plan: EdgePlan,
+                      temperature: float = 1.0) -> Tensor:
+    """Per receiving node, the sum of its incoming edges' messages, each
+    weighted by the temperature softmax of the edge logits over that
+    node's incoming edges. A node without incoming edges gets zeros.
+
+    ``messages`` is ``[E, out]`` and ``logits`` ``[E, 1]``, both in edge
+    order; the result is ``[N, out]`` for the plan's ``N`` nodes.
+    """
+    if not temperature > 0.0:
+        raise ValueError(f"softmax_aggregate: temperature must be > 0, "
+                         f"got {temperature}")
+    m, s = as_tensor(messages), as_tensor(logits)
+    n_edges, n = len(plan.recv), plan.n_nodes
+    if m.values.ndim != 2 or m.shape[0] != n_edges or s.shape != (n_edges, 1):
+        raise ShapeError(f"softmax_aggregate: messages {m.shape}, logits "
+                         f"{s.shape} vs {n_edges} edges")
+    seg = plan.recv
+    x = s.values.reshape((n_edges,))
+    if n_edges == 0:
+        alpha = np.zeros(0, dtype=np.float64)
+    else:
+        # reduceat over the starts of the non-empty segments only: an empty
+        # segment's start would cut the row range of the one before it
+        seg_max = np.zeros(n, dtype=np.float64)
+        seg_max[plan.filled] = np.maximum.reduceat(x, plan.starts)
+        e = np.exp((x - seg_max[seg]) / temperature)
+        alpha = e / np.bincount(seg, weights=e, minlength=n)[seg]
+    _check_finite("softmax_aggregate/softmax", alpha)
+    alpha_col = alpha.reshape((n_edges, 1))
+    weighted = m.values * alpha_col
+    _check_finite("softmax_aggregate/weighted", weighted)
+
+    def bwd(g):
+        g_w = g[seg]
+        d_alpha = _unbroadcast(g_w * m.values, (n_edges, 1)).reshape(
+            (n_edges,))
+        inner = np.bincount(seg, weights=alpha * d_alpha, minlength=n)
+        d_logits = alpha * (d_alpha - inner[seg]) / temperature
+        return (g_w * alpha_col, d_logits.reshape((n_edges, 1)))
+
+    return _record("softmax_aggregate", _scatter_add_rows(weighted, seg, n),
+                   (m, s), bwd)
 
 
 def segment_mean(x, segment_ids, num_segments: int) -> Tensor:
@@ -583,50 +698,27 @@ def segment_mean(x, segment_ids, num_segments: int) -> Tensor:
     return _record("segment_mean", vals, (x,), bwd)
 
 
-def segment_softmax(logits, segment_ids, num_segments: int,
-                    temperature: float = 1.0) -> Tensor:
-    """Softmax with temperature, normalized within each contiguous segment."""
-    if not temperature > 0.0:
-        raise ValueError(f"segment_softmax: temperature must be > 0, got {temperature}")
-    x = as_tensor(logits)
-    if x.values.ndim != 1:
-        raise ShapeError(f"segment_softmax: logits must be 1-D, got {x.shape}")
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape != x.values.shape:
-        raise ShapeError(f"segment_softmax: ids {seg.shape} vs logits {x.shape}")
-    _require_sorted("segment_softmax", seg)
-    counts = np.bincount(seg, minlength=num_segments)
-    if x.values.size == 0:
-        alpha = np.zeros(0, dtype=np.float64)
-    else:
-        # reduceat over the starts of the non-empty segments only: an empty
-        # segment's start would cut the row range of the one before it
-        filled = counts > 0
-        starts = np.cumsum(counts) - counts
-        seg_max = np.zeros(num_segments, dtype=np.float64)
-        seg_max[filled] = np.maximum.reduceat(x.values, starts[filled])
-        z = np.exp((x.values - seg_max[seg]) / temperature)
-        denom = _scatter_add_rows(z, seg, num_segments)
-        alpha = z / denom[seg]
-
-    def bwd(g):
-        inner = _scatter_add_rows(alpha * g, seg, num_segments)
-        return (alpha * (g - inner[seg]) / temperature,)
-
-    return _record("segment_softmax", alpha, (x,), bwd)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization with learnable gain and bias."""
+def layer_norm(x, gain, bias, eps: float = 1e-5, *, residual=None) -> Tensor:
+    """Row-wise layer normalization with learnable gain and bias, of
+    ``residual + x`` when a residual is given."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if x.values.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
         raise ShapeError(
             f"layer_norm: x {x.shape}, gain {gain.shape}, bias {bias.shape}"
         )
+    if residual is None:
+        inputs, s = (x, gain, bias), x.values
+    else:
+        residual = as_tensor(residual)
+        if residual.shape != x.shape:
+            raise ShapeError(f"layer_norm: residual {residual.shape} vs x "
+                             f"{x.shape}")
+        inputs, s = (residual, x, gain, bias), residual.values + x.values
+        _check_finite("layer_norm/residual", s)
     d = x.shape[1]
     # one centring pass serves the variance and xhat; the same operations
-    # as x.var(axis=1), which would centre again
-    xhat = x.values - x.values.mean(axis=1, keepdims=True)
+    # as s.var(axis=1), which would centre again
+    xhat = s - s.mean(axis=1, keepdims=True)
     var = np.square(xhat).sum(axis=1) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[:, None]
@@ -637,9 +729,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         m1 = gg.mean(axis=1, keepdims=True)
         m2 = (gg * xhat).mean(axis=1, keepdims=True)
         dx = inv_std[:, None] * (gg - m1 - xhat * m2)
-        return (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+        dx_in = (dx,) if residual is None else (dx, dx)
+        return (*dx_in, (g * xhat).sum(axis=0), g.sum(axis=0))
 
-    return _record("layer_norm", vals, (x, gain, bias), bwd)
+    return _record("layer_norm", vals, inputs, bwd)
 
 
 def reshape(x, shape) -> Tensor:

@@ -345,10 +345,12 @@ def build_batch(items: list[Snapshot],
         film_n_seg = 0
         film_seg_graph = np.zeros(0, dtype=np.int64)
 
-    eta_idx = np.array([feeder_rows.get(int(f), 0) for f in node_feeder],
-                       dtype=np.int64)
+    # one gate lookup per distinct feeder, spread to its nodes
+    feeders, feeder_of_node = np.unique(node_feeder, return_inverse=True)
+    eta_idx = np.array([feeder_rows.get(int(f), 0) for f in feeders],
+                       dtype=np.int64)[feeder_of_node]
     eta_known = np.array(
-        [1.0 if int(f) in feeder_rows else 0.0 for f in node_feeder])
+        [1.0 if int(f) in feeder_rows else 0.0 for f in feeders])[feeder_of_node]
     edge_type = edge_type_ids(edge_z)
     type_counts = np.bincount(edge_type, minlength=N_EDGE_TYPES)
 
@@ -401,44 +403,42 @@ def batches(items: list[Snapshot],
 # forward
 
 
+def edge_plan(batch: GraphBatch) -> ad.EdgePlan:
+    """The edge index arrays that every layer of one forward pass shares."""
+    return ad.EdgePlan(batch.recv, batch.send, batch.edge_z, batch.type_order,
+                       batch.type_bounds, batch.n_nodes)
+
+
 def edge_messages(params: ModelParams, layer: int, h: ad.Tensor,
-                  batch: GraphBatch) -> ad.Tensor:
+                  plan: ad.EdgePlan) -> ad.Tensor:
     """``[h_recv ‖ h_send ‖ z] @ msg{type}`` per edge, in one op."""
     weights = [params.tensors[f"layer{layer}.msg{r}"]
                for r in range(N_EDGE_TYPES)]
-    return ad.typed_edge_matmul(h, batch.edge_z, weights, batch.recv,
-                                batch.send, batch.type_order,
-                                batch.type_bounds)
+    return ad.typed_edge_matmul(h, weights, plan)
 
 
 def attention_logits(params: ModelParams, layer: int, h: ad.Tensor,
-                     batch: GraphBatch) -> ad.Tensor:
+                     batch: GraphBatch, plan: ad.EdgePlan) -> ad.Tensor:
     """Learned score ``relu([h_recv ‖ h_send ‖ z] @ att_W) @ att_a``, with
     the node blocks of ``att_W`` applied per node, plus ``prior @ beta``."""
     t = params.tensors
-    hidden = ad.relu(ad.edge_matmul(h, batch.edge_z, t[f"layer{layer}.att_W"],
-                                    batch.recv, batch.send))
-    learned = ad.matmul(hidden, t[f"layer{layer}.att_a"])
-    structural = ad.matmul(ad.as_tensor(batch.prior), t["beta"])
-    return ad.add(learned, structural)
+    return ad.attention_score(h, t[f"layer{layer}.att_W"],
+                              t[f"layer{layer}.att_a"], batch.prior,
+                              t["beta"], plan)
 
 
 def encoder_layer(params: ModelParams, layer: int, h: ad.Tensor,
-                  batch: GraphBatch) -> ad.Tensor:
+                  batch: GraphBatch, plan: ad.EdgePlan) -> ad.Tensor:
     t = params.tensors
-    n_edges = len(batch.recv)
-    messages = edge_messages(params, layer, h, batch)
-    logits = attention_logits(params, layer, h, batch)
-    alpha = ad.segment_softmax(ad.reshape(logits, (n_edges,)), batch.recv,
-                               batch.n_nodes, params.config.temperature)
-    weighted = ad.mul(messages, ad.reshape(alpha, (n_edges, 1)))
-    agg = ad.segment_sum(weighted, batch.recv, batch.n_nodes)
-    hidden = ad.relu(ad.add(ad.matmul(agg, t[f"layer{layer}.phi_W1"]),
-                            t[f"layer{layer}.phi_b1"]))
-    update = ad.add(ad.matmul(hidden, t[f"layer{layer}.phi_W2"]),
-                    t[f"layer{layer}.phi_b2"])
-    return ad.layer_norm(ad.add(h, update), t[f"layer{layer}.norm_gain"],
-                         t[f"layer{layer}.norm_bias"])
+    p = f"layer{layer}."
+    messages = edge_messages(params, layer, h, plan)
+    logits = attention_logits(params, layer, h, batch, plan)
+    agg = ad.softmax_aggregate(messages, logits, plan,
+                               params.config.temperature)
+    hidden = ad.relu(ad.linear(agg, t[p + "phi_W1"], t[p + "phi_b1"]))
+    update = ad.linear(hidden, t[p + "phi_W2"], t[p + "phi_b2"])
+    return ad.layer_norm(update, t[p + "norm_gain"], t[p + "norm_bias"],
+                         residual=h)
 
 
 def film_hub(params: ModelParams, h: ad.Tensor, batch: GraphBatch) -> ad.Tensor:
@@ -448,8 +448,8 @@ def film_hub(params: ModelParams, h: ad.Tensor, batch: GraphBatch) -> ad.Tensor:
     pooled = ad.segment_mean(ad.gather_rows(h, batch.film_nodes),
                              batch.film_seg, batch.film_n_seg)
     context = ad.segment_mean(pooled, batch.film_seg_graph, batch.n_graphs)
-    gamma = ad.add(ad.matmul(context, t["film.Wg"]), t["film.bg"])
-    beta = ad.add(ad.matmul(context, t["film.Wb"]), t["film.bb"])
+    gamma = ad.linear(context, t["film.Wg"], t["film.bg"])
+    beta = ad.linear(context, t["film.Wb"], t["film.bb"])
     modulated = ad.add(ad.mul(h, ad.gather_rows(gamma, batch.graph_of_node)),
                        ad.gather_rows(beta, batch.graph_of_node))
     gate = ad.gather_rows(t["eta"], batch.eta_idx)
@@ -459,18 +459,21 @@ def film_hub(params: ModelParams, h: ad.Tensor, batch: GraphBatch) -> ad.Tensor:
 
 def decode(params: ModelParams, h: ad.Tensor) -> ad.Tensor:
     t = params.tensors
-    hidden = ad.relu(ad.add(ad.matmul(h, t["decoder.W1"]), t["decoder.b1"]))
-    out = ad.add(ad.matmul(hidden, t["decoder.W2"]), t["decoder.b2"])
+    hidden = ad.relu(ad.linear(h, t["decoder.W1"], t["decoder.b1"]))
+    out = ad.linear(hidden, t["decoder.W2"], t["decoder.b2"])
     return ad.reshape(out, (h.shape[0],))
 
 
 def forward(params: ModelParams, batch: GraphBatch):
-    """Predicted voltage magnitude per bus-phase node of the batch."""
+    """Predicted voltage magnitude per bus-phase node of the batch.
+
+    One edge plan serves every layer; it lives only as long as this call
+    and the tape that records it, never on the batch."""
     t = params.tensors
-    h = ad.add(ad.matmul(ad.as_tensor(batch.node_x), t["input.W"]),
-               t["input.b"])
+    plan = edge_plan(batch)
+    h = ad.linear(batch.node_x, t["input.W"], t["input.b"])
     for layer in range(params.config.n_layers):
-        h = encoder_layer(params, layer, h, batch)
+        h = encoder_layer(params, layer, h, batch, plan)
     modulated = film_hub(params, h, batch)
     return decode(params, modulated)
 

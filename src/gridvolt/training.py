@@ -62,6 +62,11 @@ def _require_real(name: str, value) -> None:
                          f"got {value!r}")
 
 
+def _is_int(value) -> bool:
+    """An int, and not a bool (which Python counts as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
@@ -107,15 +112,15 @@ class TrainConfig:
             raise ValueError("selection levels must lie in (0, 100)")
         if not 0 < self.warmup_p_obs < 100:
             raise ValueError("warmup_p_obs must lie in (0, 100)")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.plateau_window, int) or self.plateau_window < 1:
+        if not _is_int(self.plateau_window) or self.plateau_window < 1:
             raise ValueError("plateau window must be an integer >= 1")
         for name, least in (("steps_per_epoch", 1), ("val_max_snapshots", 1),
                             ("epochs_per_level", 1), ("max_warmup_epochs", 0),
                             ("ramp_epochs", 0), ("finetune_epochs", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
+            if not _is_int(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, "
                                  f"got {value!r}")
         if not 0 < self.val_fraction < 1:

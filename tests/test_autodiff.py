@@ -14,38 +14,59 @@ def test_relu_values():
     assert np.array_equal(out.values, [0.0, 0.0, 2.0])
 
 
+def _plan(recv, n):
+    """A one-type plan over the receiver ids ``recv``, for the segment
+    tests: every edge is a self-loop with no edge features."""
+    recv = np.asarray(recv)
+    e = len(recv)
+    return ad.EdgePlan(recv, recv, np.zeros((e, 0)), np.arange(e), [0, e], n)
+
+
+def _softmax(logits, seg, n, temperature=1.0):
+    """The attention weights of ``softmax_aggregate``: it aggregates the
+    identity rows, so edge k's weight lands in column k of its receiver."""
+    e = len(seg)
+    out = ad.softmax_aggregate(np.eye(e), np.reshape(logits, (e, 1)),
+                               _plan(seg, n), temperature)
+    return out.values[np.asarray(seg), np.arange(e)]
+
+
 def test_segment_sum_definition():
-    out = ad.segment_sum(ad.Tensor([1.0, 2.0, 3.0]), [0, 0, 1], 2)
-    assert np.array_equal(out.values, [3.0, 3.0])
+    # equal logits weigh each of two edges by exactly 0.5
+    out = ad.softmax_aggregate(ad.Tensor([[1.0], [2.0], [3.0]]),
+                               np.zeros((3, 1)), _plan([0, 0, 1], 2))
+    assert np.array_equal(out.values, [[1.5], [3.0]])
 
 
 def test_segment_sum_empty_segment_is_zero():
-    out = ad.segment_sum(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]), [0, 2], 4)
+    out = ad.softmax_aggregate(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]),
+                               np.zeros((2, 1)), _plan([0, 2], 4))
     assert np.array_equal(out.values, [[1, 2], [0, 0], [3, 4], [0, 0]])
 
 
 def test_segment_sum_keeps_the_last_row_before_empty_segments():
-    out = ad.segment_sum(ad.Tensor([[1.0], [2.0], [4.0], [8.0]]),
-                         [0, 1, 1, 1], 3)
-    np.testing.assert_array_equal(out.values, [[1.0], [14.0], [0.0]])
+    # the last edge of segment 1 takes all of its weight
+    out = ad.softmax_aggregate(ad.Tensor([[1.0], [2.0], [4.0], [8.0]]),
+                               [[0.0], [-1000.0], [-1000.0], [0.0]],
+                               _plan([0, 1, 1, 1], 3))
+    np.testing.assert_array_equal(out.values, [[1.0], [8.0], [0.0]])
 
 
 def test_softmax_max_sees_the_last_row_before_empty_segments():
-    out = ad.segment_softmax(ad.Tensor([0.0, 0.0, 1000.0]), [0, 1, 1], 3)
-    np.testing.assert_array_equal(out.values, [1.0, 0.0, 1.0])
-    trimmed = ad.segment_softmax(ad.Tensor([0.0, 0.0, 1000.0]), [0, 1, 1], 2)
-    np.testing.assert_array_equal(out.values, trimmed.values)
+    out = _softmax([0.0, 0.0, 1000.0], [0, 1, 1], 3)
+    np.testing.assert_array_equal(out, [1.0, 0.0, 1.0])
+    trimmed = _softmax([0.0, 0.0, 1000.0], [0, 1, 1], 2)
+    np.testing.assert_array_equal(out, trimmed)
 
 
 def test_softmax_single_logit_is_one():
-    out = ad.segment_softmax(ad.Tensor([3.7]), [0], 1, temperature=2.0)
-    assert out.values[0] == pytest.approx(1.0, abs=1e-15)
+    out = _softmax([3.7], [0], 1, temperature=2.0)
+    assert out[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_softmax_segments_sum_to_one():
-    logits = ad.Tensor([0.3, -1.0, 2.0, 0.5, 0.5])
     seg = [0, 0, 0, 1, 1]
-    alpha = ad.segment_softmax(logits, seg, 2, temperature=0.7).values
+    alpha = _softmax([0.3, -1.0, 2.0, 0.5, 0.5], seg, 2, temperature=0.7)
     sums = np.bincount(seg, weights=alpha)
     assert np.allclose(sums, 1.0, atol=1e-12)
 
@@ -54,21 +75,23 @@ def test_softmax_segments_sum_to_one():
 @settings(max_examples=50, deadline=None)
 def test_softmax_shift_invariance(logits, shift):
     seg = [0] * len(logits)
-    a = ad.segment_softmax(ad.Tensor(logits), seg, 1).values
-    b = ad.segment_softmax(ad.Tensor(np.array(logits) + shift), seg, 1).values
+    a = _softmax(logits, seg, 1)
+    b = _softmax(np.array(logits) + shift, seg, 1)
     assert np.allclose(a, b, atol=1e-9)
 
 
 def test_softmax_temperature_must_be_positive():
     with pytest.raises(ValueError):
-        ad.segment_softmax(ad.Tensor([1.0]), [0], 1, temperature=0.0)
+        _softmax([1.0], [0], 1, temperature=0.0)
     with pytest.raises(ValueError):
-        ad.segment_softmax(ad.Tensor([1.0]), [0], 1, temperature=-1.0)
+        _softmax([1.0], [0], 1, temperature=-1.0)
 
 
 def test_segment_ids_must_be_sorted():
     with pytest.raises(ad.EngineError):
-        ad.segment_sum(ad.Tensor([1.0, 2.0]), [1, 0], 2)
+        _plan([1, 0], 2)
+    with pytest.raises(ad.EngineError):
+        ad.segment_mean(ad.Tensor([1.0, 2.0]), [1, 0], 2)
 
 
 def test_segment_mean_empty_segment_errors():
@@ -180,12 +203,34 @@ def test_gradcheck_layer_norm():
     x = ad.Tensor(r.normal(size=(6, 8)), requires_grad=True, name="x")
     g = ad.Tensor(r.normal(size=8) + 1.0, requires_grad=True, name="gain")
     s = ad.Tensor(r.normal(size=8), requires_grad=True, name="shift")
+    res = ad.Tensor(r.normal(size=(6, 8)), requires_grad=True, name="res")
     w = r.normal(size=(6, 8))
 
     def build():
         return ad.total_sum(ad.mul(ad.layer_norm(x, g, s), w))
 
+    def build_residual():
+        return ad.total_sum(ad.mul(ad.layer_norm(x, g, s, residual=res), w))
+
     _check(build, [x, g, s])
+    for t in (x, g, s):
+        t.zero_grad()
+    _check(build_residual, [x, g, s, res])
+
+
+def test_gradcheck_linear():
+    r = np.random.Generator(np.random.PCG64(9))
+    x = ad.Tensor(r.normal(size=(7, 5)), requires_grad=True, name="x")
+    W = ad.Tensor(r.normal(size=(5, 4)), requires_grad=True, name="W")
+    b = ad.Tensor(r.normal(size=4), requires_grad=True, name="b")
+    w = r.normal(size=(7, 4))
+
+    def build():
+        return ad.total_sum(ad.mul(ad.linear(x, W, b), w))
+
+    _check(build, [x, W, b])
+    with pytest.raises(ad.ShapeError, match="bias"):
+        ad.linear(x, W, np.ones((1, 4)))
 
 
 def test_layer_norm_matches_finite_difference_on_vector():
@@ -244,12 +289,14 @@ def test_gradcheck_segment_ops():
     r = np.random.Generator(np.random.PCG64(3))
     x = ad.Tensor(r.normal(size=(9, 3)), requires_grad=True, name="x")
     seg = np.array([0, 0, 0, 1, 1, 3, 3, 3, 3])
+    logits = r.normal(size=(9, 1))
     w_sum = r.normal(size=(4, 3))
     seg_full = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3])
     w_mean = r.normal(size=(4, 3))
 
     def build_sum():
-        return ad.total_sum(ad.mul(ad.segment_sum(x, seg, 4), w_sum))
+        return ad.total_sum(ad.mul(
+            ad.softmax_aggregate(x, logits, _plan(seg, 4)), w_sum))
 
     def build_mean():
         return ad.total_sum(ad.mul(ad.segment_mean(x, seg_full, 4), w_mean))
@@ -261,15 +308,17 @@ def test_gradcheck_segment_ops():
 
 def test_gradcheck_segment_softmax():
     r = np.random.Generator(np.random.PCG64(4))
-    logits = ad.Tensor(r.normal(size=10), requires_grad=True, name="logits")
-    seg = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2, 2])
-    w = r.normal(size=10)
+    logits = ad.Tensor(r.normal(size=(10, 1)), requires_grad=True,
+                       name="logits")
+    msgs = ad.Tensor(r.normal(size=(10, 3)), requires_grad=True, name="msgs")
+    plan = _plan([0, 0, 0, 0, 1, 1, 2, 2, 2, 2], 4)
+    w = r.normal(size=(4, 3))
 
     def build():
         return ad.total_sum(ad.mul(
-            ad.segment_softmax(logits, seg, 3, temperature=0.6), w))
+            ad.softmax_aggregate(msgs, logits, plan, temperature=0.6), w))
 
-    _check(build, [logits])
+    _check(build, [logits, msgs])
 
 
 def _edge_case(seed):
@@ -292,19 +341,23 @@ def _type_partition(types, n_types):
     return order, bounds
 
 
+def _edge_plan(z, recv, send, types):
+    return ad.EdgePlan(recv, send, z, *_type_partition(types, 4), 6)
+
+
 def _edge_rows(x, z, recv, send):
     return np.concatenate((x[recv], x[send], z), axis=1)
 
 
 def test_gradcheck_gather_and_typed_edge_matmul():
     r, x, z, recv, send, types, ws = _edge_case(5)
-    order, bounds = _type_partition(types, 4)
+    plan = _edge_plan(z, recv, send, types)
     idx = np.array([0, 2, 2, 4, 1, 3])
     w = r.normal(size=(7, 3))
     w_gather = r.normal(size=(6, 4))
 
     def build():
-        msgs = ad.typed_edge_matmul(x, z, ws, recv, send, order, bounds)
+        msgs = ad.typed_edge_matmul(x, ws, plan)
         return ad.add(ad.total_sum(ad.mul(msgs, w)),
                       ad.total_sum(ad.mul(ad.gather_rows(x, idx), w_gather)))
 
@@ -314,8 +367,7 @@ def test_gradcheck_gather_and_typed_edge_matmul():
 
 def test_typed_edge_matmul_matches_the_concatenated_rows():
     _, x, z, recv, send, types, ws = _edge_case(7)
-    order, bounds = _type_partition(types, 4)
-    got = ad.typed_edge_matmul(x, z, ws, recv, send, order, bounds).values
+    got = ad.typed_edge_matmul(x, ws, _edge_plan(z, recv, send, types)).values
     rows = _edge_rows(x.values, z, recv, send)
     want = np.stack([rows[k] @ ws[t].values for k, t in enumerate(types)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -325,41 +377,63 @@ def test_typed_edge_matmul_rejects_a_partial_partition():
     _, x, z, recv, send, types, ws = _edge_case(7)
     order, bounds = _type_partition(types, 4)
     with pytest.raises(ad.EngineError, match="partition"):
-        ad.typed_edge_matmul(x, z, ws, recv, send, order, bounds[:-1])
+        ad.EdgePlan(recv, send, z, order, bounds[:-1], 6)
     with pytest.raises(ad.ShapeError, match="weight rows"):
-        ad.typed_edge_matmul(x, z[:, :1], ws, recv, send, order, bounds)
+        ad.typed_edge_matmul(x, ws, ad.EdgePlan(recv, send, z[:, :1], order,
+                                                bounds, 6))
+    with pytest.raises(ad.ShapeError, match="types"):
+        ad.typed_edge_matmul(x, ws[:3], ad.EdgePlan(recv, send, z, order,
+                                                    bounds, 6))
 
 
-def test_gradcheck_edge_matmul():
-    r, x, z, recv, send, _, ws = _edge_case(6)
-    w = r.normal(size=(7, 3))
+def _attention_operands(r):
+    a = ad.Tensor(r.normal(size=(3, 1)), requires_grad=True, name="a")
+    beta = ad.Tensor(r.normal(size=(4, 1)), requires_grad=True, name="beta")
+    return a, beta, r.normal(size=(7, 4))
+
+
+def test_gradcheck_attention_score():
+    r, x, z, recv, send, types, ws = _edge_case(6)
+    a, beta, prior = _attention_operands(r)
+    plan = _edge_plan(z, recv, send, types)
+    w = r.normal(size=(7, 1))
 
     def build():
         return ad.total_sum(ad.mul(
-            ad.edge_matmul(x, z, ws[0], recv, send), w))
+            ad.attention_score(x, ws[0], a, prior, beta, plan), w))
 
-    _check(build, [x, ws[0]])
+    _check(build, [x, ws[0], a, beta])
 
 
-def test_edge_matmul_matches_the_concatenated_rows():
-    _, x, z, recv, send, _, ws = _edge_case(8)
-    got = ad.edge_matmul(x, z, ws[1], recv, send).values
-    want = _edge_rows(x.values, z, recv, send) @ ws[1].values
+def test_attention_score_matches_the_concatenated_rows():
+    r, x, z, recv, send, types, ws = _edge_case(8)
+    a, beta, prior = _attention_operands(r)
+    got = ad.attention_score(x, ws[1], a, prior, beta,
+                             _edge_plan(z, recv, send, types)).values
+    hidden = np.maximum(_edge_rows(x.values, z, recv, send) @ ws[1].values,
+                        0.0)
+    want = hidden @ a.values + prior @ beta.values
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_edge_ops_take_an_empty_edge_set():
     x = ad.Tensor(np.ones((3, 2)), requires_grad=True)
     w = ad.Tensor(np.ones((5, 4)), requires_grad=True)
+    score = ad.Tensor(np.ones((4, 1)), requires_grad=True)
+    beta = ad.Tensor(np.ones((4, 1)), requires_grad=True)
     none = np.zeros(0, dtype=np.intp)
-    z = np.zeros((0, 1))
+    plan = ad.EdgePlan(none, none, np.zeros((0, 1)), none, [0, 0, 0], 3)
     with ad.Tape() as tape:
-        a = ad.edge_matmul(x, z, w, none, none)
-        b = ad.typed_edge_matmul(x, z, [w, w], none, none, none, [0, 0, 0])
-        loss = ad.add(ad.total_sum(a), ad.total_sum(b))
-    assert a.shape == b.shape == (0, 4)
+        a = ad.attention_score(x, w, score, np.zeros((0, 4)), beta, plan)
+        b = ad.typed_edge_matmul(x, [w, w], plan)
+        agg = ad.softmax_aggregate(b, a, plan)
+        loss = ad.add(ad.total_sum(agg), ad.total_sum(x))
+    assert a.shape == (0, 1) and b.shape == (0, 4)
+    np.testing.assert_array_equal(agg.values, np.zeros((3, 4)))
     tape.backward(loss)
-    np.testing.assert_array_equal(x.grad, 0.0)
+    np.testing.assert_array_equal(x.grad, 1.0)
+    for t in (w, score, beta):
+        np.testing.assert_array_equal(t.grad, 0.0)
 
 
 def test_l2_penalty_value_and_grad():

@@ -166,11 +166,17 @@ def test_train_invalid_config_value(workspace, tmp_path, capsys):
     {"max_warmup_epochs": 0, "ramp_epochs": 0, "epochs_per_level": 0},
     {"steps_per_epoch": 0}, {"seed": "a"}, {"select_levels": []},
     {"plateau_eps": "x"}, {"levels": [True]}, {"lam_max": True},
-    {"select_levels": [True, 5]}],
+    {"select_levels": [True, 5]}, {"seed": True}, {"plateau_window": True},
+    {"steps_per_epoch": True}, {"val_max_snapshots": True},
+    {"epochs_per_level": True}, {"max_warmup_epochs": False},
+    {"ramp_epochs": False}, {"finetune_epochs": True}],
     ids=["levels-not-a-list", "not-an-object", "a-list", "no-val-snapshot",
          "warmup-fully-observed", "no-epoch", "no-step", "seed-not-an-int",
          "no-selection-level", "eps-not-a-number", "level-a-bool",
-         "weight-a-bool", "selection-level-a-bool"])
+         "weight-a-bool", "selection-level-a-bool", "seed-a-bool",
+         "window-a-bool", "steps-a-bool", "val-snapshots-a-bool",
+         "epochs-per-level-a-bool", "warmup-epochs-a-bool",
+         "ramp-epochs-a-bool", "finetune-epochs-a-bool"])
 def test_malformed_config_is_one_config_line(workspace, tmp_path, capsys,
                                              config):
     bad = tmp_path / "bad.json"

@@ -114,7 +114,7 @@ def test_zero_message_weights_give_zero_messages():
         params.tensors[f"layer0.msg{r}"].values[:] = 0.0
     batch = four_device_batch(params)
     h = ad.as_tensor(np.random.default_rng(0).normal(size=(5, 8)))
-    out = gm.edge_messages(params, 0, h, batch)
+    out = gm.edge_messages(params, 0, h, gm.edge_plan(batch))
     assert out.shape == (8, 8)
     np.testing.assert_array_equal(out.values, 0.0)
 
@@ -123,7 +123,8 @@ def test_message_weights_are_device_type_specific():
     params = small_params()
     batch = four_device_batch(params)
     h = np.random.default_rng(1).normal(size=(5, 8))
-    out = gm.edge_messages(params, 0, ad.as_tensor(h), batch).values
+    out = gm.edge_messages(params, 0, ad.as_tensor(h),
+                           gm.edge_plan(batch)).values
     rows = np.concatenate((h[batch.recv], h[batch.send], batch.edge_z), axis=1)
     types = gm.edge_type_ids(batch.edge_z)
     np.testing.assert_array_equal(np.bincount(types), [2, 2, 2, 2])
@@ -141,11 +142,22 @@ def test_structural_prior_shifts_regulator_logit_by_beta3():
     item = micro_item(4, [(0, 1, "line", 1, "A"), (2, 3, "xfmr_reg", 1, "A")])
     batch = gm.build_batch([item], params.feeder_rows)
     logits = gm.attention_logits(params, 0, ad.as_tensor(np.zeros((4, 8))),
-                                 batch).values[:, 0]
+                                 batch, gm.edge_plan(batch)).values[:, 0]
     regulator = batch.edge_z[:, EI["dev_xfmr_reg"]] == 1.0
     diff = logits[regulator] - logits[~regulator]
     np.testing.assert_allclose(diff, params.tensors["beta"].values[2, 0],
                                rtol=0, atol=1e-15)
+
+
+def attention_weights(params, h, batch):
+    """Layer 0's attention weight per edge: the aggregation of the identity
+    rows puts edge k's weight in column k of its receiver's row."""
+    plan = gm.edge_plan(batch)
+    logits = gm.attention_logits(params, 0, h, batch, plan)
+    e = len(batch.recv)
+    agg = ad.softmax_aggregate(np.eye(e), logits, plan,
+                               params.config.temperature)
+    return agg.values[batch.recv, np.arange(e)]
 
 
 def test_attention_uniform_when_all_logits_equal():
@@ -155,14 +167,10 @@ def test_attention_uniform_when_all_logits_equal():
     params.tensors["layer0.att_a"].values[:] = 0.0
     params.tensors["beta"].values[:] = 0.0
     batch = gm.build_batch([item], params.feeder_rows)
-    h = ad.as_tensor(np.zeros((4, 8)))
-    logits = gm.attention_logits(params, 0, h, batch)
-    alpha = ad.segment_softmax(ad.reshape(logits, (len(batch.recv),)),
-                               batch.recv, batch.n_nodes, 1.0)
+    alpha = attention_weights(params, ad.as_tensor(np.zeros((4, 8))), batch)
     # node 0 has three identical neighbors, each leaf has exactly one
-    np.testing.assert_allclose(alpha.values[batch.recv == 0], 1.0 / 3.0,
-                               atol=1e-15)
-    np.testing.assert_allclose(alpha.values[batch.recv != 0], 1.0, atol=1e-15)
+    np.testing.assert_allclose(alpha[batch.recv == 0], 1.0 / 3.0, atol=1e-15)
+    np.testing.assert_allclose(alpha[batch.recv != 0], 1.0, atol=1e-15)
 
 
 def test_singleton_neighborhood_gets_weight_one_for_any_logit():
@@ -170,9 +178,8 @@ def test_singleton_neighborhood_gets_weight_one_for_any_logit():
     params = small_params(seed=12)
     batch = gm.build_batch([item], params.feeder_rows)
     h = ad.as_tensor(np.random.default_rng(2).normal(size=(2, 8)))
-    logits = gm.attention_logits(params, 0, h, batch)
-    alpha = ad.segment_softmax(ad.reshape(logits, (2,)), batch.recv, 2, 1.0)
-    np.testing.assert_allclose(alpha.values, 1.0, atol=1e-15)
+    np.testing.assert_allclose(attention_weights(params, h, batch), 1.0,
+                               atol=1e-15)
 
 
 def test_attention_sums_to_one_per_receiver(tiny_snaps):
@@ -181,11 +188,8 @@ def test_attention_sums_to_one_per_receiver(tiny_snaps):
     item = snaps[0].masked(np.ones(data.n_nodes, dtype=bool))
     batch = gm.build_batch([item], params.feeder_rows)
     h = ad.matmul(ad.as_tensor(batch.node_x), params.tensors["input.W"])
-    logits = gm.attention_logits(params, 0, h, batch)
-    alpha = ad.segment_softmax(ad.reshape(logits, (len(batch.recv),)),
-                               batch.recv, batch.n_nodes, 1.0)
-    sums = np.bincount(batch.recv, weights=alpha.values,
-                       minlength=batch.n_nodes)
+    alpha = attention_weights(params, h, batch)
+    sums = np.bincount(batch.recv, weights=alpha, minlength=batch.n_nodes)
     degree = np.bincount(batch.recv, minlength=batch.n_nodes)
     np.testing.assert_allclose(sums[degree > 0], 1.0, atol=1e-12)
     np.testing.assert_array_equal(sums[degree == 0], 0.0)

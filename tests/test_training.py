@@ -172,6 +172,12 @@ def test_config_validation():
         for value in ((True,), (20, "x"), (float("inf"),)):
             with pytest.raises(ValueError, match=f"each of {name}"):
                 tr.TrainConfig(**{name: value})
+    for name in ("seed", "plateau_window", "steps_per_epoch",
+                 "val_max_snapshots", "epochs_per_level", "max_warmup_epochs",
+                 "ramp_epochs", "finetune_epochs"):
+        for value in (True, False):
+            with pytest.raises(ValueError, match=name.replace("_", "[_ ]")):
+                tr.TrainConfig(**{name: value})
     tr.TrainConfig(levels=(80, 20.5), plateau_eps=0, lam_reg=np.float64(0.5))
 
 
@@ -250,6 +256,33 @@ def test_divergence_aborts_and_restores_last_good(day_dataset, monkeypatch):
     result = tr.train(day_dataset, micro_config())
     assert result.aborted
     assert len(result.history) == 1  # only the first epoch completed
+    for t in result.params.tensors.values():
+        assert np.all(np.isfinite(t.values))
+
+
+def test_an_overflow_in_a_fused_op_aborts_to_last_good(day_dataset,
+                                                      monkeypatch):
+    """A real overflow, not a raised stand-in: the learned attention score
+    of one layer goes to infinity partway through the second epoch."""
+    calls, errors = {"n": 0}, []
+    real = tr.batch_loss
+
+    def overflowing(params, batch, weights):
+        calls["n"] += 1
+        if calls["n"] == 16:
+            params.tensors["layer2.att_a"].values[:] = 1e308
+        try:
+            return real(params, batch, weights)
+        except ad.NonFiniteError as exc:
+            errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(tr, "batch_loss", overflowing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = tr.train(day_dataset, micro_config())
+    assert errors and errors[0].startswith("attention_score/learned:")
+    assert result.aborted
+    assert len(result.history) == 1
     for t in result.params.tensors.values():
         assert np.all(np.isfinite(t.values))
 
