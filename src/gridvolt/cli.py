@@ -182,6 +182,8 @@ def _parse_levels(text: str) -> tuple:
         raise CliError("config", "empty levels list")
     if not all(0 < x < 100 for x in levels):
         raise CliError("config", f"levels must lie in (0, 100), got {text!r}")
+    if len(set(levels)) != len(levels):
+        raise CliError("config", f"levels repeat a level: {text!r}")
     return levels
 
 

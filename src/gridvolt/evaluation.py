@@ -10,9 +10,12 @@ same masked node features: one fit per level, scored only at the level it
 was fit at (no best-of across fits).
 
 Every input, to the model and to the baseline, is a ``dataset.Snapshot``
-seen through one sensor mask, ``snapshot.masked(mask)``. Predictions run
-in the cache-sized snapshot runs of ``model.batch_runs``, one batch built
-and dropped at a time.
+seen through one sensor mask, ``snapshot.masked(mask)``. The model's
+sweep is one pass per level over the cache-sized snapshot runs of
+``model.batch_runs``: each run's batch and edge plan are built once from
+the unmasked snapshots, and every replicate mask of the level swaps in only
+its masked ``node_x`` and ``observed`` before its forward. Memory holds one
+level's predictions and one run's batch at a time.
 
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
@@ -33,7 +36,8 @@ import numpy as np
 from . import autodiff as ad
 from . import network as net
 from .dataset import Snapshot
-from .model import ModelParams, batch_runs, build_batch, forward
+from .model import (GraphBatch, ModelParams, batch_runs, build_batch,
+                    edge_plan, forward, node_inputs)
 from .seeding import derive_seed
 from .seeding import rng as _rng
 
@@ -110,40 +114,7 @@ def inject_attack(item: Snapshot, cfg: AttackConfig, gen) -> Snapshot:
     return dataclasses.replace(item, node_x=node_x)
 
 
-# -- model evaluation ------------------------------------------------------------
-
-
-def predict(params: ModelParams, items: list[Snapshot]) -> np.ndarray:
-    """Voltage predictions for a list of snapshots, stacked [n_items, N].
-
-    Each run of ``model.batch_runs`` is built, forwarded and dropped in
-    turn, so memory holds one cache-sized batch whatever the item count."""
-    with ad.no_grad():
-        flat = np.concatenate([
-            forward(params, build_batch(items[run], params.feeder_rows)).values
-            for run in batch_runs(items)])
-    return flat.reshape(len(items), -1)
-
-
-def evaluate_masked(params: ModelParams, snaps, p_obs: float,
-                    mask: np.ndarray, mask_seed: int = 0,
-                    attack: AttackConfig | None = None,
-                    attack_seed: int = 0) -> tuple[float, float]:
-    """(RMSE, MAE) on hidden nodes under one sensor placement.
-
-    The mask is held fixed across the snapshots, like a fixed sensor fleet
-    watching the day unfold; ``mask_seed`` and ``attack_seed`` steer only
-    the attack draw.
-    """
-    items = [s.masked(mask) for s in snaps]
-    if attack is not None:
-        gen = _rng(attack_seed, "attack", p_obs, mask_seed)
-        items = [inject_attack(it, cfg=attack, gen=gen) for it in items]
-    preds = predict(params, items)
-    truth = np.stack([s.v_true for s in snaps])
-    hidden = ~mask
-    return (rmse(preds.ravel(), truth.ravel(), np.tile(hidden, len(snaps))),
-            mae(preds.ravel(), truth.ravel(), np.tile(hidden, len(snaps))))
+# -- observability sweeps -----------------------------------------------------
 
 
 def fleet_orders(snaps, n_seeds: int, seed: int) -> list[np.ndarray]:
@@ -152,38 +123,92 @@ def fleet_orders(snaps, n_seeds: int, seed: int) -> list[np.ndarray]:
             for k in range(n_seeds)]
 
 
-def _sweep(score, snaps, substation: str, levels, n_seeds: int, seed: int,
-           scenario: str, model: str) -> list[ReportRow]:
-    """One report row per (level, replicate) of ``score(level, mask,
-    replicate seed)``.
+def _sweep(score_level, snaps, substation: str, levels, n_seeds: int,
+           seed: int, scenario: str, model: str) -> list[ReportRow]:
+    """One report row per (level, replicate).
 
-    Each replicate is one sensor fleet rolled out in priority order, so the
-    sets compared across levels are nested and the per-replicate error
-    curves are paired.
+    ``score_level(level, masks, mask_seeds)`` gives the (RMSE, MAE) of each
+    of a level's replicate masks, in replicate order. Each replicate is one
+    sensor fleet rolled out in priority order, so the sets compared across
+    levels are nested and the per-replicate error curves are paired.
     """
     orders = fleet_orders(snaps, n_seeds, seed)
     rows = []
     for level in levels:
-        for k in range(n_seeds):
-            # one integer per (sweep seed, level, replicate), stable
-            mask_seed = derive_seed(seed, "sweep", level, k)
-            r, m = score(level, net.fleet_mask(orders[k], level), mask_seed)
+        # one integer per (sweep seed, level, replicate), stable
+        mask_seeds = [derive_seed(seed, "sweep", level, k)
+                      for k in range(n_seeds)]
+        masks = [net.fleet_mask(order, level) for order in orders]
+        for (r, m), mask_seed in zip(score_level(level, masks, mask_seeds),
+                                     mask_seeds):
             rows.append(ReportRow(scenario, substation, level, model, r, m,
                                   mask_seed))
     return rows
+
+
+def _hidden_errors(preds: np.ndarray, truth: np.ndarray,
+                   mask: np.ndarray) -> tuple[float, float]:
+    """(RMSE, MAE) over the nodes ``mask`` hides, for predictions and
+    truths that stack whole snapshots, snapshot-major."""
+    hidden = np.tile(~mask, truth.size // mask.size)
+    return (rmse(preds.ravel(), truth.ravel(), hidden),
+            mae(preds.ravel(), truth.ravel(), hidden))
+
+
+def _with_mask(batch: GraphBatch, snaps, mask: np.ndarray,
+               attack: AttackConfig | None, gen) -> GraphBatch:
+    """``batch``, built from ``snaps``, with the node inputs of ``mask``:
+    each snapshot ``masked``, then attacked from ``gen`` if ``attack``."""
+    items = [s.masked(mask) for s in snaps]
+    if attack is not None:
+        items = [inject_attack(it, attack, gen) for it in items]
+    node_x, observed = node_inputs(items)
+    return dataclasses.replace(batch, node_x=node_x, observed=observed)
+
+
+def _level_predictions(params: ModelParams, snaps, masks, gens,
+                       attack: AttackConfig | None) -> np.ndarray:
+    """Predictions ``[replicate, snapshot, node]`` under each mask.
+
+    Each run of ``model.batch_runs`` is built once from the unmasked
+    snapshots, with one edge plan. Each mask then swaps in only its own
+    ``node_x`` and ``observed`` and forwards on that structure. The mask
+    is held fixed across the snapshots, like a fixed sensor fleet watching
+    the day unfold; mask ``k``'s attack draws come from ``gens[k]``, run by
+    run in snapshot order.
+    """
+    preds = np.empty((len(masks), len(snaps), snaps[0].node_x.shape[0]))
+    with ad.no_grad():
+        for run in batch_runs(snaps):
+            batch = build_batch(snaps[run], params.feeder_rows)
+            plan = edge_plan(batch)
+            for k, mask in enumerate(masks):
+                preds[k, run] = forward(
+                    params,
+                    _with_mask(batch, snaps[run], mask, attack, gens[k]),
+                    plan).values.reshape(run.stop - run.start, -1)
+            # freed before the next run's build, which reuses their memory
+            del batch, plan
+    return preds
 
 
 def observability_sweep(params: ModelParams, snaps, substation: str, levels,
                         n_seeds: int, seed: int = 0,
                         attack: AttackConfig | None = None, *,
                         scenario: str, model: str) -> list[ReportRow]:
-    """Masked-node error of the model per observability level."""
-    def score(level, mask, mask_seed):
-        return evaluate_masked(params, snaps, level, mask,
-                               mask_seed=mask_seed, attack=attack,
-                               attack_seed=seed)
-    return _sweep(score, snaps, substation, levels, n_seeds, seed, scenario,
-                  model)
+    """Masked-node error of the model per observability level.
+
+    Memory holds one level's predictions and one run's batch at a time."""
+    truth = np.stack([s.v_true for s in snaps])
+
+    def score_level(level, masks, mask_seeds):
+        # one attack stream per mask, drawn from only under an attack
+        gens = [_rng(seed, "attack", level, s) for s in mask_seeds]
+        preds = _level_predictions(params, snaps, masks, gens, attack)
+        return [_hidden_errors(p, truth, mask)
+                for p, mask in zip(preds, masks)]
+    return _sweep(score_level, snaps, substation, levels, n_seeds, seed,
+                  scenario, model)
 
 
 # -- linear baseline ---------------------------------------------------------------
@@ -248,19 +273,19 @@ def baseline_masked(baseline: LinearBaseline, snaps, p_obs: float,
     """Error of the level-``p_obs`` fit under one sensor placement."""
     preds = np.concatenate([baseline.predict(p_obs, s.masked(mask))
                             for s in snaps])
-    truth = np.concatenate([s.v_true for s in snaps])
-    hidden = np.tile(~mask, len(snaps))
-    return rmse(preds, truth, hidden), mae(preds, truth, hidden)
+    return _hidden_errors(preds, np.concatenate([s.v_true for s in snaps]),
+                          mask)
 
 
 def baseline_sweep(baseline: LinearBaseline, snaps, substation: str, levels,
                    n_seeds: int, seed: int = 0, *, scenario: str,
                    model: str) -> list[ReportRow]:
     """Masked-node error of the ridge baseline per observability level."""
-    def score(level, mask, _):
-        return baseline_masked(baseline, snaps, level, mask)
-    return _sweep(score, snaps, substation, levels, n_seeds, seed, scenario,
-                  model)
+    def score_level(level, masks, _):
+        return [baseline_masked(baseline, snaps, level, mask)
+                for mask in masks]
+    return _sweep(score_level, snaps, substation, levels, n_seeds, seed,
+                  scenario, model)
 
 
 # -- case studies -----------------------------------------------------------------

@@ -24,7 +24,9 @@ A batch is the disjoint union of masked ``dataset.Snapshot`` records
 (``build_batch``). A training step forwards one snapshot. Every no-grad
 forward cuts its snapshots into consecutive, balanced runs of at most
 ``BATCH_NODES`` bus-phase nodes (``batch_runs``), sized so that a layer's
-activations stay in a core's L2 cache.
+activations stay in a core's L2 cache. A mask changes only a batch's
+``node_x`` and ``observed`` (``node_inputs``), so one built batch and its
+edge plan serve every mask of an observability level.
 """
 
 from __future__ import annotations
@@ -273,13 +275,21 @@ def edge_type_ids(edge_z: np.ndarray) -> np.ndarray:
     return block.argmax(axis=1)
 
 
+def node_inputs(items: list[Snapshot]) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's mask-dependent arrays, ``node_x`` and ``observed``, stacked
+    over ``items``. Every other batch array is the same under any mask, so a
+    batch built once can take another mask's inputs from this."""
+    return (np.concatenate([it.node_x for it in items], axis=0),
+            np.concatenate([it.observed for it in items]))
+
+
 def build_batch(items: list[Snapshot],
                 feeder_rows: dict[int, int]) -> GraphBatch:
     if not items:
         raise ValueError("empty batch")
-    node_parts, feeder_parts, graph_parts = [], [], []
+    feeder_parts, graph_parts = [], []
     recv_parts, send_parts, z_parts = [], [], []
-    v_parts, obs_parts = [], []
+    v_parts = []
     pf_parts, pt_parts, pr_parts, px_parts, pp_parts, pq_parts = \
         [], [], [], [], [], []
     offset = 0
@@ -295,11 +305,9 @@ def build_batch(items: list[Snapshot],
         recv_parts.append(item.edge_from[keep] + offset)
         send_parts.append(item.edge_to[keep] + offset)
         z_parts.extend((item.edge_z[keep], item.edge_z[keep]))
-        node_parts.append(item.node_x)
         feeder_parts.append(item.node_feeder)
         graph_parts.append(np.full(n, g, dtype=np.int64))
         v_parts.append(item.v_true)
-        obs_parts.append(item.observed)
         pf_parts.append(item.phys_from + offset)
         pt_parts.append(item.phys_to + offset)
         pr_parts.append(item.phys_r)
@@ -308,7 +316,7 @@ def build_batch(items: list[Snapshot],
         pq_parts.append(item.phys_q)
         offset += n
 
-    node_x = np.concatenate(node_parts, axis=0)
+    node_x, observed = node_inputs(items)
     node_feeder = np.concatenate(feeder_parts)
     graph_of_node = np.concatenate(graph_parts)
     recv = np.concatenate(recv_parts)
@@ -363,7 +371,7 @@ def build_batch(items: list[Snapshot],
         film_nodes=film_nodes, film_seg=film_seg, film_n_seg=film_n_seg,
         film_seg_graph=film_seg_graph,
         eta_idx=eta_idx, eta_known=eta_known[:, None],
-        v_true=np.concatenate(v_parts), observed=np.concatenate(obs_parts),
+        v_true=np.concatenate(v_parts), observed=observed,
         phys_from=np.concatenate(pf_parts), phys_to=np.concatenate(pt_parts),
         phys_r=np.concatenate(pr_parts), phys_x=np.concatenate(px_parts),
         phys_p=np.concatenate(pp_parts), phys_q=np.concatenate(pq_parts))
@@ -464,13 +472,17 @@ def decode(params: ModelParams, h: ad.Tensor) -> ad.Tensor:
     return ad.reshape(out, (h.shape[0],))
 
 
-def forward(params: ModelParams, batch: GraphBatch):
+def forward(params: ModelParams, batch: GraphBatch,
+            plan: ad.EdgePlan | None = None):
     """Predicted voltage magnitude per bus-phase node of the batch.
 
-    One edge plan serves every layer; it lives only as long as this call
-    and the tape that records it, never on the batch."""
+    One edge plan serves every layer. By default it is ``edge_plan(batch)``
+    and lives only as long as this call and the tape that records it,
+    never on the batch; a caller that forwards one batch structure under
+    several masks passes the plan it built once."""
     t = params.tensors
-    plan = edge_plan(batch)
+    if plan is None:
+        plan = edge_plan(batch)
     h = ad.linear(batch.node_x, t["input.W"], t["input.b"])
     for layer in range(params.config.n_layers):
         h = encoder_layer(params, layer, h, batch, plan)

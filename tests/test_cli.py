@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import dataclass
 
 import pytest
 
@@ -160,6 +161,14 @@ def test_train_invalid_config_value(workspace, tmp_path, capsys):
     assert err.strip().startswith("ERROR config:")
 
 
+@dataclass(frozen=True)
+class EvaluateLevels:
+    """An ``evaluate --levels`` value, a config case beside the train
+    configs."""
+
+    text: str
+
+
 @pytest.mark.parametrize("config", [
     {"levels": 5}, 5, [80, 20], {"val_max_snapshots": 0},
     {"warmup_p_obs": 100},
@@ -169,21 +178,30 @@ def test_train_invalid_config_value(workspace, tmp_path, capsys):
     {"select_levels": [True, 5]}, {"seed": True}, {"plateau_window": True},
     {"steps_per_epoch": True}, {"val_max_snapshots": True},
     {"epochs_per_level": True}, {"max_warmup_epochs": False},
-    {"ramp_epochs": False}, {"finetune_epochs": True}],
+    {"ramp_epochs": False}, {"finetune_epochs": True},
+    EvaluateLevels("20,20"), EvaluateLevels("20,20.0")],
     ids=["levels-not-a-list", "not-an-object", "a-list", "no-val-snapshot",
          "warmup-fully-observed", "no-epoch", "no-step", "seed-not-an-int",
          "no-selection-level", "eps-not-a-number", "level-a-bool",
          "weight-a-bool", "selection-level-a-bool", "seed-a-bool",
          "window-a-bool", "steps-a-bool", "val-snapshots-a-bool",
          "epochs-per-level-a-bool", "warmup-epochs-a-bool",
-         "ramp-epochs-a-bool", "finetune-epochs-a-bool"])
+         "ramp-epochs-a-bool", "finetune-epochs-a-bool",
+         "evaluate-level-repeated", "evaluate-level-repeated-as-float"])
 def test_malformed_config_is_one_config_line(workspace, tmp_path, capsys,
                                              config):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(config))
     out = tmp_path / "m.npz"
-    rc, stdout, err = run(["train", "--data", str(workspace["data"]),
-                           "--config", str(bad), "--out", str(out)], capsys)
+    if isinstance(config, EvaluateLevels):
+        argv = ["evaluate", "--study", "A",
+                "--checkpoint", str(workspace["ckpt"]),
+                "--data", str(workspace["data"]), "--levels", config.text,
+                "--seeds", "2", "--out-dir", str(out)]
+    else:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        argv = ["train", "--data", str(workspace["data"]),
+                "--config", str(bad), "--out", str(out)]
+    rc, stdout, err = run(argv, capsys)
     assert rc == 1
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("ERROR config:")

@@ -12,7 +12,7 @@ import gridvolt.evaluation as ev
 import gridvolt.model as gm
 import gridvolt.network as net
 import gridvolt.simulation as sim
-from gridvolt.seeding import rng
+from gridvolt.seeding import derive_seed, rng
 
 NI = net.NODE_FEATURE_INDEX
 
@@ -151,54 +151,146 @@ def test_attack_is_deterministic_under_seed(tiny_setup):
 # -- model evaluation -------------------------------------------------------------
 
 
-def _masked_items(tiny_setup, n):
-    params, snaps, data = tiny_setup
-    gen = np.random.default_rng(n)
-    return [snaps[k % len(snaps)].masked(gen.random(data.n_nodes) < 0.5)
-            for k in range(n)]
-
-
-def test_predict_matches_single_forward(tiny_setup):
-    params, snaps, data = tiny_setup
-    items = _masked_items(tiny_setup, 24)
-    assert len(gm.batch_runs(items)) > 1
-    stacked = ev.predict(params, items)
-    assert stacked.shape == (24, data.n_nodes)
+def reference_predict(params, items):
+    """The per-mask path the sweep replaced: every run of every mask's
+    snapshots built, planned, forwarded and dropped."""
     with ad.no_grad():
-        whole = gm.forward(params, gm.build_batch(items, params.feeder_rows))
-    # one ulp near 1.0 p.u.: only the BLAS kernels chosen by row count differ
-    np.testing.assert_allclose(stacked.ravel(), whole.values,
-                               rtol=0, atol=2.3e-16)
+        flat = np.concatenate([
+            gm.forward(params, gm.build_batch(items[run],
+                                              params.feeder_rows)).values
+            for run in gm.batch_runs(items)])
+    return flat.reshape(len(items), -1)
 
 
-def _traced_peak(fn, *args) -> int:
+def reference_sweep(params, snaps, levels, n_seeds, seed, attack=None):
+    """The sweep's rows, one whole per-mask evaluation at a time."""
+    orders = ev.fleet_orders(snaps, n_seeds, seed)
+    truth = np.stack([s.v_true for s in snaps])
+    rows = []
+    for level in levels:
+        for k in range(n_seeds):
+            mask_seed = derive_seed(seed, "sweep", level, k)
+            mask = net.fleet_mask(orders[k], level)
+            items = [s.masked(mask) for s in snaps]
+            if attack is not None:
+                gen = rng(seed, "attack", level, mask_seed)
+                items = [ev.inject_attack(it, cfg=attack, gen=gen)
+                         for it in items]
+            preds = reference_predict(params, items)
+            hidden = np.tile(~mask, len(snaps))
+            rows.append(ev.ReportRow(
+                "X", "s31", level, "gnn",
+                ev.rmse(preds.ravel(), truth.ravel(), hidden),
+                ev.mae(preds.ravel(), truth.ravel(), hidden), mask_seed))
+    return rows
+
+
+# 23 snapshots of the 93-node graph: runs of 7, 8 and 8
+_SWEEP = dict(levels=(5, 40), n_seeds=2, seed=4)
+
+
+@pytest.mark.parametrize("attack", [None, ev.AttackConfig()],
+                         ids=["clean", "attacked"])
+def test_sweep_equals_the_per_mask_path(tiny_setup, attack):
+    params, snaps, data = tiny_setup
+    items = snaps[:23]
+    assert [r.stop - r.start for r in gm.batch_runs(items)] == [7, 8, 8]
+    rows = ev.observability_sweep(params, items, "s31", **_SWEEP,
+                                  attack=attack, scenario="X", model="gnn")
+    expected = reference_sweep(params, items, **_SWEEP, attack=attack)
+    assert len(rows) == 4
+    assert rows == expected
+    assert [(r.rmse, r.mae) for r in rows] == \
+        [(r.rmse, r.mae) for r in expected]
+
+
+def test_sweep_builds_each_run_once_per_level(tiny_setup, monkeypatch):
+    params, snaps, data = tiny_setup
+    calls = {"build_batch": 0, "edge_plan": 0, "forward": 0}
+
+    def counted(name):
+        real = getattr(ev, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(ev, name, counted(name))
+    ev.observability_sweep(params, snaps[:23], "s31", **_SWEEP,
+                           attack=ev.AttackConfig(), scenario="X",
+                           model="gnn")
+    levels, runs = len(_SWEEP["levels"]), len(gm.batch_runs(snaps[:23]))
+    assert calls == {"build_batch": levels * runs, "edge_plan": levels * runs,
+                     "forward": levels * runs * _SWEEP["n_seeds"]}
+
+
+def test_predict_matches_single_forward(tiny_setup, monkeypatch):
+    """What the sweep scores under each mask is one whole-batch forward of
+    the masked snapshots."""
+    params, snaps, data = tiny_setup
+    items = snaps[:24]
+    assert len(gm.batch_runs(items)) > 1
+    scored, real_rmse = [], ev.rmse
+
+    def spy(v_hat, v_true, nodes):
+        scored.append(np.array(v_hat))
+        return real_rmse(v_hat, v_true, nodes)
+
+    monkeypatch.setattr(ev, "rmse", spy)
+    ev.observability_sweep(params, items, "s31", **_SWEEP, scenario="X",
+                           model="gnn")
+    orders = ev.fleet_orders(items, _SWEEP["n_seeds"], _SWEEP["seed"])
+    masks = [net.fleet_mask(order, level)
+             for level in _SWEEP["levels"] for order in orders]
+    assert len(scored) == len(masks)
+    for got, mask in zip(scored, masks):
+        assert got.shape == (24 * data.n_nodes,)
+        with ad.no_grad():
+            whole = gm.forward(params, gm.build_batch(
+                [s.masked(mask) for s in items], params.feeder_rows))
+        # one ulp near 1.0 p.u.: only the BLAS kernels chosen by row count
+        # differ
+        np.testing.assert_allclose(got, whole.values, rtol=0, atol=2.3e-16)
+
+
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        fn(*args)
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_predict_peak_memory_does_not_grow_with_snapshots(tiny_setup):
-    """``predict`` holds one cache-sized batch at a time: from 8 to 64
-    snapshots its traced peak grows by at most the [64, N] output plus the
-    peak of one full-budget batch, where one all-in-one batch grows 8x."""
+    """A sweep holds one level's predictions and one run's batch at a time:
+    from 8 to 64 snapshots its traced peak grows by at most one level's
+    [n_seeds, 64, N] predictions plus the peak of a sweep over one
+    full-budget run, where one all-in-one batch grows 8x."""
     params, snaps, data = tiny_setup
-    few, many = _masked_items(tiny_setup, 8), _masked_items(tiny_setup, 64)
-    budget = _traced_peak(ev.predict, params,
-                          many[:gm.BATCH_NODES // data.n_nodes])
-    output = 64 * data.n_nodes * 8
-    growth = _traced_peak(ev.predict, params, many) - \
-        _traced_peak(ev.predict, params, few)
-    assert growth <= output + budget, (growth, output, budget)
+    n_seeds = 3
+
+    def sweep(n):
+        items = [snaps[k % len(snaps)] for k in range(n)]
+        return lambda: ev.observability_sweep(
+            params, items, "s31", levels=(5, 40), n_seeds=n_seeds,
+            scenario="X", model="gnn")
+
+    budget = _traced_peak(sweep(gm.BATCH_NODES // data.n_nodes))
+    level = n_seeds * 64 * data.n_nodes * 8
+    growth = _traced_peak(sweep(64)) - _traced_peak(sweep(8))
+    assert growth <= level + budget, (growth, level, budget)
 
 
 def test_evaluate_masked_returns_finite_scores(tiny_setup):
     params, snaps, data = tiny_setup
-    r, m = ev.evaluate_masked(params, snaps[:8], 20, _fleet_mask(data, 5, 20))
-    assert np.isfinite(r) and np.isfinite(m)
-    assert r >= m > 0
+    [row] = ev.observability_sweep(params, snaps[:8], "s31", levels=(20,),
+                                   n_seeds=1, seed=5, scenario="X",
+                                   model="gnn")
+    assert np.isfinite(row.rmse) and np.isfinite(row.mae)
+    assert row.rmse >= row.mae > 0
 
 
 def test_observability_sweep_shape_and_determinism(tiny_setup):
