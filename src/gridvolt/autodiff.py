@@ -29,10 +29,13 @@ and the ``mean``/``var`` formula.
 
 A ``FlatStore`` packs leaf tensors back to back into one value vector and
 one gradient buffer, with every tensor a reshaped view of its span. An
-optimizer then updates the whole vector at once, and one copy snapshots
-every tensor. The squared L2 norm of a store is computed outside the tape:
-``FlatStore.l2_term`` writes its closed-form gradient into the buffer, and
-the backward pass that follows adds the taped gradients to it.
+optimizer then updates its span of the vector at once, and one copy
+snapshots every tensor. A tensor does not refer back to its store. The
+squared L2 norm of a store is computed outside the tape: the tensors that
+require a gradient form one contiguous span, ``FlatStore.l2_term`` writes
+its closed-form gradient over that span of the buffer and binds their
+gradients to their views, and the backward pass that follows adds the
+taped gradients to it.
 
 Conventions:
 
@@ -43,10 +46,10 @@ Conventions:
   which drops each record once it has used it, so a step's graph is freed
   by reference counting as soon as the caller lets go of its tensors,
 * gradients accumulate in ``grad``: a tensor whose ``grad`` is None takes a
-  copy of the first gradient that reaches it; a tensor whose ``grad``
-  already holds an array (a view into a store's gradient buffer, seeded by
-  ``l2_term``) has every gradient that reaches it added in place, in the
-  order the backward pass produces them.
+  copy of the first gradient that reaches it; a tensor whose ``grad`` is
+  its view of a store's gradient buffer, bound and seeded by ``l2_term``
+  before the backward pass, has every gradient that reaches it added in
+  place, in the order the backward pass produces them.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class Tensor:
     """A dense float64 array plus an optional gradient slot."""
 
     __slots__ = ("values", "requires_grad", "grad", "name", "_tape", "_is_leaf",
-                 "_store", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(values, dtype=np.float64)
@@ -96,7 +99,6 @@ class Tensor:
         self.name = name
         self._tape: Tape | None = None
         self._is_leaf = True
-        self._store: FlatStore | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -214,97 +216,54 @@ class FlatStore:
 
     Packing copies every tensor into ``values`` and rebinds its ``values``
     to a reshaped view of its span, so an in-place update of the vector
-    updates the tensors and one copy of it snapshots them all.
-    ``grad_views[k]`` is tensor ``k``'s view of ``grad``; a tensor's own
-    ``grad`` points there once ``l2_term`` has seeded it.
+    updates the tensors and one copy of it snapshots them all. Tensor ``k``
+    spans ``bounds[k]:bounds[k + 1]``, and ``grad_views[k]`` is its view of
+    ``grad``; a tensor's own ``grad`` points there once ``l2_term`` has
+    bound it.
     """
 
     def __init__(self, tensors: Sequence[Tensor]):
         self.tensors = list(tensors)
+        if len({id(t) for t in self.tensors}) != len(self.tensors):
+            raise ValueError("a tensor is packed twice")
         self.bounds = [0]
         for t in self.tensors:
             self.bounds.append(self.bounds[-1] + t.values.size)
         self.values = np.empty(self.bounds[-1], dtype=np.float64)
         self.grad = np.zeros(self.bounds[-1], dtype=np.float64)
         self.grad_views: list[np.ndarray] = []
-        self._index: dict[int, int] = {}
         for k, t in enumerate(self.tensors):
-            if id(t) in self._index:
-                raise ValueError(f"tensor {t.name!r} packed twice")
             span = slice(self.bounds[k], self.bounds[k + 1])
             shape = t.values.shape
             self.values[span] = t.values.reshape(-1)
             t.values = self.values[span].reshape(shape)
-            t._store = self
             self.grad_views.append(self.grad[span].reshape(shape))
-            self._index[id(t)] = k
-
-    @classmethod
-    def of(cls, tensors: Sequence[Tensor]) -> "FlatStore":
-        """The store that holds ``tensors``; loose tensors get a new one."""
-        homes = {t._store for t in tensors}
-        if not homes or homes == {None}:
-            return cls(tensors)
-        if len(homes) == 1:
-            return homes.pop()
-        raise ValueError("tensors from more than one store, or packed and "
-                         "loose tensors mixed")
-
-    def _runs(self, ks: Sequence[int]) -> list[slice]:
-        """Spans of the tensors ``ks``, merged where they touch."""
-        runs: list[list[int]] = []
-        for k in ks:
-            a, b = self.bounds[k], self.bounds[k + 1]
-            if runs and runs[-1][1] == a:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b])
-        return [slice(a, b) for a, b in runs]
-
-    def gradient_runs(self, tensors: Sequence[Tensor]) -> list[slice]:
-        """Slices of ``values`` and ``grad`` covering those of ``tensors``
-        that hold a gradient, merged where they touch. A gradient held
-        outside the buffer is first copied into its view."""
-        ks = []
-        for t in tensors:
-            if t.grad is None:
-                continue
-            k = self._index[id(t)]
-            if t.grad is not self.grad_views[k]:
-                self.grad_views[k][...] = t.grad
-            ks.append(k)
-        return self._runs(ks)
 
     def l2_term(self, lam: float) -> float:
         """Squared L2 norm of the tensors that require a gradient, summed
         tensor by tensor in store order.
 
-        The term stays off the tape. While a tape records, its gradient
-        ``2 * lam * theta`` is added here to those tensors' gradients; a
-        tensor whose ``grad`` is None gets its buffer view, seeded with it.
-        The backward pass that follows adds the taped gradients after it,
-        the order a taped term recorded after the forward pass gave.
+        The term stays off the tape. Those tensors must form one contiguous
+        span of the store. While a tape records, their gradient
+        ``2 * lam * theta`` is written over that span of ``grad`` and each
+        tensor's ``grad`` is bound to its view, replacing whatever it held;
+        call it before the backward pass of the step. The backward pass
+        that follows adds the taped gradients after it, the order a taped
+        term recorded after the forward pass gave.
         """
         ks = [k for k, t in enumerate(self.tensors) if t.requires_grad]
         total = 0.0
         for k in ks:
             total += np.square(self.tensors[k].values).sum()
-        if _ACTIVE_TAPE is None:
+        if _ACTIVE_TAPE is None or not ks:
             return float(total)
-        if all(self.tensors[k].grad is None for k in ks):
-            for span in self._runs(ks):
-                np.multiply(self.values[span], 2.0 * lam, out=self.grad[span])
-            for k in ks:
-                self.tensors[k].grad = self.grad_views[k]
-            return float(total)
-        for k in ks:  # some gradients already accumulated: add to them
-            t = self.tensors[k]
-            if t.grad is None:
-                t.grad = self.grad_views[k]
-                t.grad.fill(0.0)
-            half = lam * t.values  # the taped chain added it twice
-            t.grad += half
-            t.grad += half
+        if ks[-1] - ks[0] + 1 != len(ks):
+            raise ValueError("the tensors that require a gradient are not "
+                             "one contiguous span of the store")
+        span = slice(self.bounds[ks[0]], self.bounds[ks[-1] + 1])
+        np.multiply(self.values[span], 2.0 * lam, out=self.grad[span])
+        for k in ks:
+            self.tensors[k].grad = self.grad_views[k]
         return float(total)
 
 
@@ -331,7 +290,6 @@ def _record(op: str, output_values: np.ndarray, inputs: tuple[Tensor, ...],
     out.requires_grad = False
     out._is_leaf = not tracked
     out._tape = tape if tracked else None
-    out._store = None
     if tracked:
         tape.records.append(_OpRecord(out, inputs, backward_fn))
     return out

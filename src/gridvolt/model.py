@@ -16,9 +16,10 @@ A node-wise two-layer decoder maps embeddings to voltage magnitude.
 
 Parameters split into two freezing groups: "backbone" (input projection,
 layers 1..L-1, prior coefficients) and "head" (last layer, conditioning,
-gates, decoder). Transfer to a new substation trains the head only. All
-parameters are views of one flat vector, backbone first, so each group is
-one contiguous span of it.
+gates, decoder). Transfer to a new substation trains the head only. One
+function, ``layout``, gives every tensor's name, shape and group in the
+canonical order, backbone first; the parameters are views of one flat
+vector in that order, so each group is one contiguous span of it.
 
 A batch is the disjoint union of masked ``dataset.Snapshot`` records
 (``build_batch``). A training step forwards one snapshot. Every no-grad
@@ -86,28 +87,45 @@ class ModelConfig:
 _LAYER_TENSORS = tuple(f"msg{r}" for r in range(N_EDGE_TYPES)) + (
     "att_W", "att_a", "phi_W1", "phi_b1", "phi_W2", "phi_b2", "norm_gain",
     "norm_bias")
-_HEAD_TAIL = ("film.Wg", "film.bg", "film.Wb", "film.bb", "eta",
-              "decoder.W1", "decoder.b1", "decoder.W2", "decoder.b2")
+# initialized to ones, as is every norm_gain; beta takes the config's
+# coefficients, every other 1-D tensor zeros and every other matrix a
+# normal draw
+_ONES = ("film.bg", "eta", "decoder.b2")
 
 
-def parameter_names(config: ModelConfig) -> list[str]:
-    """Every tensor name in the canonical flat layout: the backbone, then
-    the head, so each freezing group is one contiguous span."""
-    names = ["input.W", "input.b", "beta"]
+def layout(config: ModelConfig,
+           n_gates: int) -> list[tuple[str, tuple[int, ...], str]]:
+    """``(name, shape, group)`` of every parameter tensor in the canonical
+    flat order: the backbone, then the head, so each freezing group is one
+    contiguous span. ``n_gates`` is the number of feeder gates."""
+    d, dh = config.hidden_dim, config.decoder_hidden
+    cat = 2 * d + net.N_EDGE_FEATURES
+    rows = [("input.W", (net.N_NODE_FEATURES, d), "backbone"),
+            ("input.b", (d,), "backbone"),
+            ("beta", (len(config.beta_init), 1), "backbone")]
+    layer_shapes = [(cat, d)] * (N_EDGE_TYPES + 1) + [
+        (d, 1), (d, d), (d,), (d, d), (d,), (d,), (d,)]
     for layer in range(config.n_layers):
-        names.extend(f"layer{layer}.{n}" for n in _LAYER_TENSORS)
-    names.extend(_HEAD_TAIL)
-    return names
+        group = "head" if layer == config.n_layers - 1 else "backbone"
+        rows.extend((f"layer{layer}.{n}", shape, group)
+                    for n, shape in zip(_LAYER_TENSORS, layer_shapes))
+    rows.extend((name, shape, "head") for name, shape in (
+        ("film.Wg", (d, d)), ("film.bg", (d,)), ("film.Wb", (d, d)),
+        ("film.bb", (d,)), ("eta", (n_gates, 1)), ("decoder.W1", (d, dh)),
+        ("decoder.b1", (dh,)), ("decoder.W2", (dh, 1)), ("decoder.b2", (1,))))
+    return rows
 
 
 class ModelParams:
     """Named parameter tensors plus the feeder-gate row mapping.
 
-    The tensors live in one ``ad.FlatStore``: ``store.values`` is every
-    parameter value and ``store.grad`` every gradient, each tensor a view
-    of its span, in the order of ``parameter_names`` whatever the order of
-    the given dict (a checkpoint yields sorted names). Names outside that
-    layout follow it in their given order.
+    The tensors are exactly those of ``layout(config, len(feeder_rows))``,
+    with its shapes, and live in one ``ad.FlatStore`` in its order whatever
+    the order of the given dict (a checkpoint yields sorted names):
+    ``store.values`` is every parameter value and ``store.grad`` every
+    gradient, each tensor a view of its span. ``groups`` maps each name to
+    its freezing group. Nothing in the store refers back to it, so the
+    parameters are freed by reference counting.
     """
 
     def __init__(self, config: ModelConfig, tensors: dict[str, ad.Tensor],
@@ -117,37 +135,41 @@ class ModelParams:
         self._pack(tensors)
 
     def _pack(self, tensors: dict[str, ad.Tensor]) -> None:
-        canonical = parameter_names(self.config)
-        known = set(canonical)
-        order = [n for n in canonical if n in tensors]
-        order.extend(n for n in tensors if n not in known)
-        self.tensors = {n: tensors[n] for n in order}
+        rows = layout(self.config, len(self.feeder_rows))
+        unknown = set(tensors) - {name for name, _, _ in rows}
+        if unknown:
+            raise ValueError(f"unknown tensor {sorted(unknown)[0]}")
+        for name, shape, _ in rows:
+            if name not in tensors:
+                raise ValueError(f"missing tensor {name}")
+            if tensors[name].shape != shape:
+                raise ValueError(f"tensor {name} has shape "
+                                 f"{tensors[name].shape}, expected {shape}")
+        self.groups = {name: group for name, _, group in rows}
+        self.tensors = {name: tensors[name] for name in self.groups}
         self.store = ad.FlatStore(list(self.tensors.values()))
 
     @classmethod
     def create(cls, config: ModelConfig, feeder_ids: list[int],
                seed: int = 0) -> "ModelParams":
         d = config.hidden_dim
-        dh = config.decoder_hidden
-        n_in = net.N_NODE_FEATURES
-        n_edge = net.N_EDGE_FEATURES
-        cat = 2 * d + n_edge
         feeder_rows = {int(f): k for k, f in enumerate(sorted(set(feeder_ids)))}
         if net.HUB_FEEDER in feeder_rows:
             raise ValueError("the hub pseudo-feeder cannot have a gate")
-
-        def w(name, shape, scale=None):
-            gen = _rng(seed, "model-init", name)
-            scale = scale if scale is not None else 1.0 / np.sqrt(shape[0])
-            return ad.Tensor(gen.normal(0.0, scale, size=shape),
-                             requires_grad=True, name=name)
-
-        def const(name, values):
-            return ad.Tensor(np.asarray(values, dtype=np.float64),
-                             requires_grad=True, name=name)
-
+        scales = {"film.Wg": 0.01 / np.sqrt(d), "film.Wb": 0.01 / np.sqrt(d),
+                  "decoder.W2": 0.01}
         t: dict[str, ad.Tensor] = {}
-        t["input.W"] = w("input.W", (n_in, d))
+        for name, shape, _ in layout(config, len(feeder_rows)):
+            if name == "beta":
+                values = np.array(config.beta_init)[:, None]
+            elif name in _ONES or name.endswith(".norm_gain"):
+                values = np.ones(shape)
+            elif len(shape) == 1:
+                values = np.zeros(shape)
+            else:
+                values = _rng(seed, "model-init", name).normal(
+                    0.0, scales.get(name, 1.0 / np.sqrt(shape[0])), size=shape)
+            t[name] = ad.Tensor(values, requires_grad=True, name=name)
         # The sensor reading sits near 1.0 pu, so its informative part (the
         # deviation from nominal) is tiny next to the 0/1 mask toggle and the
         # gradient never amplifies it at these learning rates. Tie the two
@@ -155,60 +177,23 @@ class ModelParams:
         # contributes kappa*(v-1) to the embedding and a masked node exactly
         # zero, so the deviation enters at O(1) from the first step.
         kap = _rng(seed, "model-init", "sensor-rows").normal(
-            0.0, config.sensor_gain / np.sqrt(n_in), size=d)
+            0.0, config.sensor_gain / np.sqrt(net.N_NODE_FEATURES), size=d)
         t["input.W"].values[net.NODE_FEATURE_INDEX["m_obs_v_pu"]] = kap
         t["input.W"].values[net.NODE_FEATURE_INDEX["m_obs"]] = -kap
-        t["input.b"] = const("input.b", np.zeros(d))
-        t["beta"] = const("beta", np.array(config.beta_init)[:, None])
-        for layer in range(config.n_layers):
-            p = f"layer{layer}."
-            for r in range(N_EDGE_TYPES):
-                t[p + f"msg{r}"] = w(p + f"msg{r}", (cat, d))
-            t[p + "att_W"] = w(p + "att_W", (cat, d))
-            t[p + "att_a"] = w(p + "att_a", (d, 1))
-            t[p + "phi_W1"] = w(p + "phi_W1", (d, d))
-            t[p + "phi_b1"] = const(p + "phi_b1", np.zeros(d))
-            t[p + "phi_W2"] = w(p + "phi_W2", (d, d))
-            t[p + "phi_b2"] = const(p + "phi_b2", np.zeros(d))
-            t[p + "norm_gain"] = const(p + "norm_gain", np.ones(d))
-            t[p + "norm_bias"] = const(p + "norm_bias", np.zeros(d))
-        t["film.Wg"] = w("film.Wg", (d, d), scale=0.01 / np.sqrt(d))
-        t["film.bg"] = const("film.bg", np.ones(d))
-        t["film.Wb"] = w("film.Wb", (d, d), scale=0.01 / np.sqrt(d))
-        t["film.bb"] = const("film.bb", np.zeros(d))
-        t["eta"] = const("eta", np.ones((len(feeder_rows), 1)))
-        t["decoder.W1"] = w("decoder.W1", (d, dh))
-        t["decoder.b1"] = const("decoder.b1", np.zeros(dh))
-        t["decoder.W2"] = w("decoder.W2", (dh, 1), scale=0.01)
-        t["decoder.b2"] = const("decoder.b2", np.array([1.0]))
         return cls(config, t, feeder_rows)
 
     # -- freezing groups ----------------------------------------------------
 
     def backbone_names(self) -> list[str]:
-        names = ["input.W", "input.b", "beta"]
-        for layer in range(self.config.n_layers - 1):
-            names.extend(n for n in self.tensors if n.startswith(f"layer{layer}."))
-        return names
+        return [n for n, g in self.groups.items() if g == "backbone"]
 
     def head_names(self) -> list[str]:
-        last = f"layer{self.config.n_layers - 1}."
-        names = [n for n in self.tensors if n.startswith(last)]
-        names.extend(n for n in self.tensors
-                     if n.startswith("film.") or n.startswith("decoder.")
-                     or n == "eta")
-        return names
+        return [n for n, g in self.groups.items() if g == "head"]
 
-    def group_of(self, name: str) -> str:
-        if name in set(self.backbone_names()):
-            return "backbone"
-        if name in set(self.head_names()):
-            return "head"
-        raise KeyError(name)
-
-    def trainable(self, names: list[str] | None = None) -> list[ad.Tensor]:
-        names = list(self.tensors) if names is None else names
-        return [self.tensors[n] for n in names]
+    def span(self, group: str) -> slice:
+        """The group's contiguous span of ``store.values``."""
+        ks = [k for k, g in enumerate(self.groups.values()) if g == group]
+        return slice(self.store.bounds[ks[0]], self.store.bounds[ks[-1] + 1])
 
     def replace_eta(self, feeder_ids: list[int]) -> None:
         """Fresh unit gates for a new set of feeders (transfer setup).
@@ -500,7 +485,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "format": CHECKPOINT_FORMAT,
         "feature_order_hash": net.feature_order_hash(),
         "config": params.config.to_dict(),
-        "groups": {k: params.group_of(k) for k in params.tensors},
+        "groups": params.groups,
         "feeder_rows": {str(k): v for k, v in params.feeder_rows.items()},
     }
     arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
@@ -508,6 +493,9 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The parameters saved at ``path``. A checkpoint whose tensors are not
+    exactly the layout of its config and gate count, or hold a non-finite
+    value, is refused with a ``ValueError``."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta_json"][()]))
         if meta.get("format") != CHECKPOINT_FORMAT:
@@ -521,18 +509,12 @@ def load_checkpoint(path) -> ModelParams:
         for key in data.files:
             if key.startswith("tensor/"):
                 name = key[len("tensor/"):]
-                tensors[name] = ad.Tensor(data[key], requires_grad=True,
-                                          name=name)
+                try:
+                    tensors[name] = ad.Tensor(data[key], requires_grad=True,
+                                              name=name)
+                except ad.NonFiniteError as exc:
+                    raise ValueError(f"tensor {exc}") from exc
     feeder_rows = {int(k): v for k, v in meta["feeder_rows"].items()}
-    params = ModelParams(config, tensors, feeder_rows)
-    expected = ModelParams.create(config, list(feeder_rows) or [0], seed=0)
-    for name, tensor in expected.tensors.items():
-        if name == "eta":
-            continue
-        if name not in params.tensors:
-            raise ValueError(f"checkpoint missing tensor {name}")
-        if params.tensors[name].shape != tensor.shape:
-            raise ValueError(
-                f"checkpoint tensor {name} has shape "
-                f"{params.tensors[name].shape}, expected {tensor.shape}")
-    return params
+    if sorted(feeder_rows.values()) != list(range(len(feeder_rows))):
+        raise ValueError("checkpoint feeder rows are not 0..n-1")
+    return ModelParams(config, tensors, feeder_rows)

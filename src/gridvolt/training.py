@@ -182,26 +182,29 @@ def plateau(losses, window: int, eps: float) -> bool:
 
 
 class Adam:
-    """Adaptive-moment optimizer over the tensors of one flat store.
+    """Adaptive-moment optimizer over one span of a flat store.
 
-    Loose tensors are packed into a store of their own. ``step`` updates
-    every tensor that holds a gradient, in place, and skips the others. In
-    training every trainable tensor holds one, and the trainable tensors
-    are one contiguous span of the store, so a step is a dozen whole-vector
-    numpy ops on preallocated scratch.
+    The span must cover whole tensors, and every one of them must require a
+    gradient. ``step`` updates the span in place as a dozen whole-vector
+    numpy ops on preallocated scratch. It reads the gradients from the
+    store's buffer, where ``FlatStore.l2_term`` binds them, and refuses a
+    step in which a tensor's gradient is not its view of the buffer.
     """
 
-    def __init__(self, tensors, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.tensors = [t for t in tensors]
+    def __init__(self, store: ad.FlatStore, span: slice, lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        lo, hi, _ = span.indices(store.values.size)
+        first, stop = store.bounds.index(lo), store.bounds.index(hi)
+        self.tensors = store.tensors[first:stop]
+        self._views = store.grad_views[first:stop]
         for t in self.tensors:
             if not t.requires_grad:
                 raise ValueError(
                     f"frozen tensor {t.name!r} handed to the optimizer")
-        self.store = ad.FlatStore.of(self.tensors)
+        self.store, self.span = store, slice(lo, hi)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        n = self.store.values.size
+        n = hi - lo
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self._scratch = (np.empty(n), np.empty(n))
@@ -212,29 +215,31 @@ class Adam:
             t.zero_grad()
 
     def step(self) -> None:
+        if any(t.grad is not g for t, g in zip(self.tensors, self._views)):
+            raise ad.EngineError("a gradient is not bound to the store's "
+                                 "buffer; the L2 term binds them")
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for span in self.store.gradient_runs(self.tensors):
-            theta, g = self.store.values[span], self.store.grad[span]
-            m, v = self.m[span], self.v[span]
-            s, r = self._scratch[0][span], self._scratch[1][span]
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-            m *= self.beta1
-            np.multiply(g, 1 - self.beta1, out=s)
-            m += s
-            v *= self.beta2
-            np.square(g, out=s)
-            s *= 1 - self.beta2
-            v += s
-            # theta -= lr (m / b1c) / (sqrt(v / b2c) + eps)
-            np.divide(m, b1c, out=s)
-            s *= self.lr
-            np.divide(v, b2c, out=r)
-            np.sqrt(r, out=r)
-            r += self.eps
-            s /= r
-            theta -= s
+        theta, g = self.store.values[self.span], self.store.grad[self.span]
+        m, v = self.m, self.v
+        s, r = self._scratch
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= self.beta1
+        np.multiply(g, 1 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.square(g, out=s)
+        s *= 1 - self.beta2
+        v += s
+        # theta -= lr (m / b1c) / (sqrt(v / b2c) + eps)
+        np.divide(m, b1c, out=s)
+        s *= self.lr
+        np.divide(v, b2c, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        theta -= s
 
 
 # -- data plumbing ------------------------------------------------------------
@@ -344,10 +349,7 @@ class _Trainer:
 
     def train_substation(self) -> None:
         cfg = self.config
-        trainable = self.params.trainable(
-            [n for n in self.params.tensors
-             if self.params.tensors[n].requires_grad])
-        optimizer = Adam(trainable, lr=cfg.lr_warmup)
+        optimizer = Adam(self.params.store, slice(None), lr=cfg.lr_warmup)
         val_batches = self._val_batches(cfg.warmup_p_obs)
         try:
             # stage 1: supervision only, high observability, until plateau
@@ -379,8 +381,8 @@ class _Trainer:
 
     def finetune_substation(self) -> None:
         cfg = self.config
-        head = [self.params.tensors[n] for n in self.params.head_names()]
-        optimizer = Adam(head, lr=cfg.lr_finetune)
+        optimizer = Adam(self.params.store, self.params.span("head"),
+                         lr=cfg.lr_finetune)
         levels = tuple(cfg.levels)
         val_batches = self._val_batches(40.0)
         try:

@@ -4,6 +4,7 @@ import json
 import re
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from gridvolt import cli
@@ -234,6 +235,59 @@ def test_finetune_bad_checkpoint(workspace, tmp_path, capsys):
                       "--out", str(tmp_path / "m.npz")], capsys)
     assert rc == 1
     assert err.strip().startswith("ERROR checkpoint:")
+
+
+def _malformed_checkpoint(workspace, tmp_path, edit):
+    """The workspace checkpoint with ``edit`` applied to its arrays."""
+    with np.load(workspace["ckpt"]) as data:
+        arrays = {k: data[k] for k in data.files}
+    edit(arrays)
+    path = tmp_path / "bad.npz"
+    ds.write_npz(path, arrays)
+    return path
+
+
+def _checkpoint_error(argv, capsys):
+    rc, _, err = run(argv, capsys)
+    assert rc == 1
+    assert err.strip().startswith("ERROR checkpoint:")
+    assert ERROR_LINE.match(err.strip())
+    return err
+
+
+def _evaluate_argv(ckpt, workspace, tmp_path):
+    return ["evaluate", "--study", "A", "--checkpoint", str(ckpt),
+            "--data", str(workspace["data"]), "--out-dir", str(tmp_path)]
+
+
+def test_checkpoint_with_too_few_gate_rows(workspace, tmp_path, capsys):
+    def drop_gates(arrays):
+        arrays["tensor/eta"] = arrays["tensor/eta"][:1]
+
+    ckpt = _malformed_checkpoint(workspace, tmp_path, drop_gates)
+    err = _checkpoint_error(_evaluate_argv(ckpt, workspace, tmp_path), capsys)
+    assert "eta" in err
+
+
+def test_checkpoint_with_an_unknown_tensor(workspace, tmp_path, capsys):
+    def add_extra(arrays):
+        arrays["tensor/zzz.extra"] = np.ones(3)
+
+    ckpt = _malformed_checkpoint(workspace, tmp_path, add_extra)
+    for argv in (_evaluate_argv(ckpt, workspace, tmp_path),
+                 ["finetune", "--checkpoint", str(ckpt),
+                  "--data", str(workspace["data"]),
+                  "--out", str(tmp_path / "m.npz")]):
+        assert "zzz.extra" in _checkpoint_error(argv, capsys)
+
+
+def test_checkpoint_with_a_non_finite_value(workspace, tmp_path, capsys):
+    def poison(arrays):
+        arrays["tensor/decoder.W2"][0, 0] = np.nan
+
+    ckpt = _malformed_checkpoint(workspace, tmp_path, poison)
+    err = _checkpoint_error(_evaluate_argv(ckpt, workspace, tmp_path), capsys)
+    assert "decoder.W2" in err and "non-finite" in err
 
 
 # -- evaluate --------------------------------------------------------------------

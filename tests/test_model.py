@@ -476,7 +476,8 @@ def test_replace_eta_resets_gate_rows():
 def _assert_flat_layout(params):
     """Tensors in canonical order, each a view of its span of the store,
     and the head one contiguous span at the end."""
-    names = gm.parameter_names(params.config)
+    names = [n for n, _, _ in gm.layout(params.config,
+                                        len(params.feeder_rows))]
     assert list(params.tensors) == names
     store = params.store
     assert store.tensors == list(params.tensors.values())
@@ -490,6 +491,41 @@ def _assert_flat_layout(params):
     head = params.head_names()
     assert names[len(names) - len(head):] == head
     assert set(names[:len(names) - len(head)]) == set(params.backbone_names())
+
+
+def test_layout_gives_the_created_shapes_and_a_tail_head_span():
+    config = gm.ModelConfig(hidden_dim=8, n_layers=2)
+    params = gm.ModelParams.create(config, [4, 5], seed=1)
+    rows = gm.layout(config, 2)
+    assert [(n, s) for n, s, _ in rows] == [
+        (n, t.shape) for n, t in params.tensors.items()]
+    assert params.groups == {n: g for n, _, g in rows}
+    head = params.span("head")
+    assert head.stop == params.store.values.size
+    assert params.span("backbone") == slice(0, head.start)
+    n_head = sum(params.tensors[n].values.size for n in params.head_names())
+    assert head.stop - head.start == n_head
+    _assert_flat_layout(params)
+
+
+@pytest.mark.parametrize("source", ["create", "load_checkpoint"])
+def test_parameters_are_freed_without_the_cyclic_collector(source,
+                                                           tmp_path):
+    import gc
+    import weakref
+    params = gm.ModelParams.create(gm.ModelConfig(), [1, 2], seed=0)
+    if source == "load_checkpoint":
+        gm.save_checkpoint(params, tmp_path / "model.npz")
+        params = gm.load_checkpoint(tmp_path / "model.npz")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        store = weakref.ref(params.store)
+        del params
+        assert store() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_parameters_are_views_of_one_flat_vector():
@@ -726,4 +762,19 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
     path = tmp_path / "model.npz"
     ds.write_npz(path, arrays)
     with pytest.raises(ValueError, match="missing tensor"):
+        gm.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_feeder_rows_outside_the_gates(tmp_path):
+    import json
+    params = gm.ModelParams.create(gm.ModelConfig(), [1, 2], seed=0)
+    path = tmp_path / "model.npz"
+    gm.save_checkpoint(params, path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["meta_json"][()]))
+    meta["feeder_rows"] = {"1": 0, "2": 5}  # eta has two rows
+    arrays["meta_json"] = np.array(json.dumps(meta))
+    ds.write_npz(path, arrays)
+    with pytest.raises(ValueError, match="feeder rows"):
         gm.load_checkpoint(path)

@@ -58,11 +58,13 @@ def test_plateau_needs_full_window():
 
 def test_adam_minimizes_a_quadratic():
     x = ad.Tensor(np.array([10.0]), requires_grad=True, name="x")
-    opt = tr.Adam([x], lr=0.3)
+    store = ad.FlatStore([x])
+    opt = tr.Adam(store, slice(None), lr=0.3)
     for _ in range(300):
         opt.zero_grad()
         with ad.Tape():
             loss = ad.total_sum(ad.mul(ad.sub(x, 3.0), ad.sub(x, 3.0)))
+            store.l2_term(0.0)  # binds x's gradient to the buffer
             ad.backward(loss)
         opt.step()
     assert x.values[0] == pytest.approx(3.0, abs=1e-3)
@@ -71,14 +73,18 @@ def test_adam_minimizes_a_quadratic():
 def test_adam_rejects_frozen_tensors():
     x = ad.Tensor(np.ones(2), requires_grad=False, name="frozen")
     with pytest.raises(ValueError, match="frozen"):
-        tr.Adam([x], lr=0.1)
+        tr.Adam(ad.FlatStore([x]), slice(None), lr=0.1)
 
 
-def test_adam_skips_tensors_without_gradient():
+def test_adam_refuses_a_gradient_outside_the_buffer():
     x = ad.Tensor(np.array([5.0]), requires_grad=True)
-    opt = tr.Adam([x], lr=0.5)
-    opt.step()  # no grad accumulated yet
-    assert x.values[0] == 5.0
+    opt = tr.Adam(ad.FlatStore([x]), slice(None), lr=0.5)
+    with ad.Tape():
+        loss = ad.total_sum(ad.mul(x, x))
+        ad.backward(loss)  # no L2 term bound the view
+    with pytest.raises(ad.EngineError, match="buffer"):
+        opt.step()
+    assert x.values[0] == 5.0 and opt.t == 0
 
 
 def _per_tensor_adam(values, grad_steps, lr, beta1=0.9, beta2=0.999,
@@ -112,7 +118,8 @@ def test_flat_adam_matches_the_per_tensor_formula_bitwise(group):
     grad_steps = [[r.normal(0.0, 10.0 ** r.integers(-6, 1), size=t.shape)
                    for t in tensors] for _ in range(4)]
     want = _per_tensor_adam([t.values for t in tensors], grad_steps, lr=3e-4)
-    opt = tr.Adam(tensors, lr=3e-4)
+    span = slice(None) if group == "all" else params.span("head")
+    opt = tr.Adam(params.store, span, lr=3e-4)
     assert opt.store is params.store
     for grads in grad_steps:
         opt.zero_grad()
