@@ -242,6 +242,9 @@ def cmd_train(args) -> None:
 
 def cmd_finetune(args) -> None:
     started = time.monotonic()
+    if args.pretrain_snapshots is not None and args.pretrain_snapshots < 1:
+        raise CliError("config", f"--pretrain-snapshots must be at least 1, "
+                                 f"got {args.pretrain_snapshots}")
     config = _train_config(args)
     params = _load_checkpoint(args.checkpoint)
     data = _load_dataset(args.data)
@@ -287,8 +290,14 @@ def _study_rows(args) -> list:
                                        name, **common)
     if args.study == "B":
         sets = [data] + [_load_dataset(p) for p in args.data[1:]]
-        by_pen = {int(d.meta["scenarios"][0]["der_penetration"]): test_views(d)
-                  for d in sets}
+        by_pen = {}
+        for path, d in zip(args.data, sets):
+            pen = int(d.meta["scenarios"][0]["der_penetration"])
+            if pen in by_pen:
+                raise CliError("config", f"study B takes one --data set per "
+                                         f"DER penetration; {path} repeats "
+                                         f"{pen} %")
+            by_pen[pen] = test_views(d)
         return gev.study_der(params, by_pen,
                              sets[-1].meta.get("substation", "?"), **common)
     if args.study == "C":

@@ -339,16 +339,16 @@ def scenario_to_dict(scenario: sim.ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # deterministic npz io
 
-def write_npz(path, arrays: dict[str, np.ndarray], compress: bool = True) -> None:
-    """npz writer with fixed zip metadata so equal data gives equal bytes."""
-    method = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
-    with zipfile.ZipFile(path, "w", method) as zf:
+def write_npz(path, arrays: dict[str, np.ndarray]) -> None:
+    """Deflated npz writer with fixed zip metadata so equal data gives equal
+    bytes."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
         for name in sorted(arrays):
             buf = io.BytesIO()
             npformat.write_array(buf, np.asarray(arrays[name]),
                                  allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = method
+            info.compress_type = zipfile.ZIP_DEFLATED
             info.external_attr = 0o644 << 16
             zf.writestr(info, buf.getvalue())
 

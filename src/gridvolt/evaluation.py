@@ -10,12 +10,14 @@ same masked node features: one fit per level, scored only at the level it
 was fit at (no best-of across fits).
 
 Every input, to the model and to the baseline, is a ``dataset.Snapshot``
-seen through one sensor mask, ``snapshot.masked(mask)``. The model's
-sweep is one pass per level over the cache-sized snapshot runs of
-``model.batch_runs``: each run's batch and edge plan are built once from
-the unmasked snapshots, and every replicate mask of the level swaps in only
-its masked ``node_x`` and ``observed`` before its forward. Memory holds one
-level's predictions and one run's batch at a time.
+seen through one sensor mask, ``snapshot.masked(mask)``. The model is
+scored by one no-grad path, ``level_predictions`` and ``hidden_errors``,
+which training's validation and checkpoint selection share: one pass per
+level over the cache-sized snapshot runs of ``model.batch_runs``. Each
+run's batch, edge plan included, is built once from the unmasked
+snapshots, and every mask of the level swaps in only its masked ``node_x``
+and ``observed`` before its forward. Memory holds one level's predictions
+and one run's batch at a time.
 
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
@@ -37,7 +39,7 @@ from . import autodiff as ad
 from . import network as net
 from .dataset import Snapshot
 from .model import (GraphBatch, ModelParams, batch_runs, build_batch,
-                    edge_plan, forward, node_inputs)
+                    forward, node_inputs)
 from .seeding import derive_seed
 from .seeding import rng as _rng
 
@@ -146,8 +148,8 @@ def _sweep(score_level, snaps, substation: str, levels, n_seeds: int,
     return rows
 
 
-def _hidden_errors(preds: np.ndarray, truth: np.ndarray,
-                   mask: np.ndarray) -> tuple[float, float]:
+def hidden_errors(preds: np.ndarray, truth: np.ndarray,
+                  mask: np.ndarray) -> tuple[float, float]:
     """(RMSE, MAE) over the nodes ``mask`` hides, for predictions and
     truths that stack whole snapshots, snapshot-major."""
     hidden = np.tile(~mask, truth.size // mask.size)
@@ -166,29 +168,27 @@ def _with_mask(batch: GraphBatch, snaps, mask: np.ndarray,
     return dataclasses.replace(batch, node_x=node_x, observed=observed)
 
 
-def _level_predictions(params: ModelParams, snaps, masks, gens,
-                       attack: AttackConfig | None) -> np.ndarray:
+def level_predictions(params: ModelParams, snaps, masks, gens,
+                      attack: AttackConfig | None) -> np.ndarray:
     """Predictions ``[replicate, snapshot, node]`` under each mask.
 
     Each run of ``model.batch_runs`` is built once from the unmasked
-    snapshots, with one edge plan. Each mask then swaps in only its own
-    ``node_x`` and ``observed`` and forwards on that structure. The mask
-    is held fixed across the snapshots, like a fixed sensor fleet watching
-    the day unfold; mask ``k``'s attack draws come from ``gens[k]``, run by
-    run in snapshot order.
+    snapshots. Each mask then swaps in only its own ``node_x`` and
+    ``observed`` and forwards on that structure. The mask is held fixed
+    across the snapshots, like a fixed sensor fleet watching the day
+    unfold; under an ``attack``, mask ``k``'s draws come from ``gens[k]``,
+    run by run in snapshot order.
     """
     preds = np.empty((len(masks), len(snaps), snaps[0].node_x.shape[0]))
     with ad.no_grad():
         for run in batch_runs(snaps):
             batch = build_batch(snaps[run], params.feeder_rows)
-            plan = edge_plan(batch)
             for k, mask in enumerate(masks):
-                preds[k, run] = forward(
-                    params,
-                    _with_mask(batch, snaps[run], mask, attack, gens[k]),
-                    plan).values.reshape(run.stop - run.start, -1)
-            # freed before the next run's build, which reuses their memory
-            del batch, plan
+                v_hat = forward(params, _with_mask(batch, snaps[run], mask,
+                                                   attack, gens[k]))
+                preds[k, run] = v_hat.values.reshape(run.stop - run.start, -1)
+            # freed before the next run's build, which reuses its memory
+            del batch
     return preds
 
 
@@ -204,8 +204,8 @@ def observability_sweep(params: ModelParams, snaps, substation: str, levels,
     def score_level(level, masks, mask_seeds):
         # one attack stream per mask, drawn from only under an attack
         gens = [_rng(seed, "attack", level, s) for s in mask_seeds]
-        preds = _level_predictions(params, snaps, masks, gens, attack)
-        return [_hidden_errors(p, truth, mask)
+        preds = level_predictions(params, snaps, masks, gens, attack)
+        return [hidden_errors(p, truth, mask)
                 for p, mask in zip(preds, masks)]
     return _sweep(score_level, snaps, substation, levels, n_seeds, seed,
                   scenario, model)
@@ -273,7 +273,7 @@ def baseline_masked(baseline: LinearBaseline, snaps, p_obs: float,
     """Error of the level-``p_obs`` fit under one sensor placement."""
     preds = np.concatenate([baseline.predict(p_obs, s.masked(mask))
                             for s in snaps])
-    return _hidden_errors(preds, np.concatenate([s.v_true for s in snaps]),
+    return hidden_errors(preds, np.concatenate([s.v_true for s in snaps]),
                           mask)
 
 

@@ -25,15 +25,18 @@ A batch is the disjoint union of masked ``dataset.Snapshot`` records
 (``build_batch``). A training step forwards one snapshot. Every no-grad
 forward cuts its snapshots into consecutive, balanced runs of at most
 ``BATCH_NODES`` bus-phase nodes (``batch_runs``), sized so that a layer's
-activations stay in a core's L2 cache. A mask changes only a batch's
-``node_x`` and ``observed`` (``node_inputs``), so one built batch and its
-edge plan serve every mask of an observability level.
+activations stay in a core's L2 cache. The batch carries its edge plan,
+the index arrays every layer shares. A mask changes only a batch's
+``node_x`` and ``observed`` (``node_inputs``), so one built batch, plan
+included, serves every mask of an observability level.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +54,19 @@ _PH_COLS = slice(net.NODE_FEATURE_INDEX["phase_a"],
                  net.NODE_FEATURE_INDEX["phase_c"] + 1)
 _EDGE_PH_COLS = slice(net.EDGE_FEATURE_INDEX["phase_a"],
                       net.EDGE_FEATURE_INDEX["phase_c"] + 1)
+
+
+def _require_real(name: str, value) -> None:
+    """Refuse anything but a finite real number; a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, "
+                         f"got {value!r}")
+
+
+def _is_int(value) -> bool:
+    """An int, and not a bool (which Python counts as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -79,8 +95,27 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config ``to_dict`` gave. A key it does not write, or a value
+        of the wrong type, is refused with a ``ValueError``."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown model config keys {sorted(unknown)}")
         d = dict(d)
-        d["beta_init"] = tuple(d["beta_init"])
+        for name in ("hidden_dim", "n_layers", "decoder_hidden"):
+            if name in d and not _is_int(d[name]):
+                raise ValueError(f"model config {name} must be an integer, "
+                                 f"got {d[name]!r}")
+        for name in ("temperature", "sensor_gain"):
+            if name in d:
+                _require_real(f"model config {name}", d[name])
+        if "beta_init" in d:
+            beta = d["beta_init"]
+            if not isinstance(beta, list) or len(beta) != len(cls.beta_init):
+                raise ValueError(f"model config beta_init must be a list of "
+                                 f"{len(cls.beta_init)}, got {beta!r}")
+            for value in beta:
+                _require_real("each of model config beta_init", value)
+            d["beta_init"] = tuple(beta)
         return cls(**d)
 
 
@@ -227,11 +262,7 @@ class GraphBatch:
     """Disjoint union of snapshots with gated, receiver-sorted edges."""
 
     node_x: np.ndarray
-    recv: np.ndarray
-    send: np.ndarray
-    edge_z: np.ndarray
-    type_order: np.ndarray      # edge ids grouped by device type
-    type_bounds: np.ndarray     # [N_EDGE_TYPES + 1] offsets into type_order
+    plan: ad.EdgePlan           # the edges, their features and device types
     prior: np.ndarray           # [E, 4] structural prior features
     n_nodes: int
     n_graphs: int
@@ -346,11 +377,12 @@ def build_batch(items: list[Snapshot],
         [1.0 if int(f) in feeder_rows else 0.0 for f in feeders])[feeder_of_node]
     edge_type = edge_type_ids(edge_z)
     type_counts = np.bincount(edge_type, minlength=N_EDGE_TYPES)
+    plan = ad.EdgePlan(recv, send, edge_z,
+                       np.argsort(edge_type, kind="stable"),
+                       np.r_[0, np.cumsum(type_counts)], node_x.shape[0])
 
     return GraphBatch(
-        node_x=node_x, recv=recv, send=send, edge_z=edge_z,
-        type_order=np.argsort(edge_type, kind="stable"),
-        type_bounds=np.r_[0, np.cumsum(type_counts)], prior=prior,
+        node_x=node_x, plan=plan, prior=prior,
         n_nodes=node_x.shape[0], n_graphs=len(items),
         graph_of_node=graph_of_node,
         film_nodes=film_nodes, film_seg=film_seg, film_n_seg=film_n_seg,
@@ -385,48 +417,35 @@ def batch_runs(items: list[Snapshot]) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def batches(items: list[Snapshot],
-            feeder_rows: dict[int, int]) -> list[GraphBatch]:
-    """One batch per run of ``batch_runs``, all built at once, for a batch
-    set that is scored more than once."""
-    return [build_batch(items[run], feeder_rows) for run in batch_runs(items)]
-
-
 # ---------------------------------------------------------------------------
 # forward
 
 
-def edge_plan(batch: GraphBatch) -> ad.EdgePlan:
-    """The edge index arrays that every layer of one forward pass shares."""
-    return ad.EdgePlan(batch.recv, batch.send, batch.edge_z, batch.type_order,
-                       batch.type_bounds, batch.n_nodes)
-
-
 def edge_messages(params: ModelParams, layer: int, h: ad.Tensor,
-                  plan: ad.EdgePlan) -> ad.Tensor:
+                  batch: GraphBatch) -> ad.Tensor:
     """``[h_recv ‖ h_send ‖ z] @ msg{type}`` per edge, in one op."""
     weights = [params.tensors[f"layer{layer}.msg{r}"]
                for r in range(N_EDGE_TYPES)]
-    return ad.typed_edge_matmul(h, weights, plan)
+    return ad.typed_edge_matmul(h, weights, batch.plan)
 
 
 def attention_logits(params: ModelParams, layer: int, h: ad.Tensor,
-                     batch: GraphBatch, plan: ad.EdgePlan) -> ad.Tensor:
+                     batch: GraphBatch) -> ad.Tensor:
     """Learned score ``relu([h_recv ‖ h_send ‖ z] @ att_W) @ att_a``, with
     the node blocks of ``att_W`` applied per node, plus ``prior @ beta``."""
     t = params.tensors
     return ad.attention_score(h, t[f"layer{layer}.att_W"],
                               t[f"layer{layer}.att_a"], batch.prior,
-                              t["beta"], plan)
+                              t["beta"], batch.plan)
 
 
 def encoder_layer(params: ModelParams, layer: int, h: ad.Tensor,
-                  batch: GraphBatch, plan: ad.EdgePlan) -> ad.Tensor:
+                  batch: GraphBatch) -> ad.Tensor:
     t = params.tensors
     p = f"layer{layer}."
-    messages = edge_messages(params, layer, h, plan)
-    logits = attention_logits(params, layer, h, batch, plan)
-    agg = ad.softmax_aggregate(messages, logits, plan,
+    messages = edge_messages(params, layer, h, batch)
+    logits = attention_logits(params, layer, h, batch)
+    agg = ad.softmax_aggregate(messages, logits, batch.plan,
                                params.config.temperature)
     hidden = ad.relu(ad.linear(agg, t[p + "phi_W1"], t[p + "phi_b1"]))
     update = ad.linear(hidden, t[p + "phi_W2"], t[p + "phi_b2"])
@@ -457,20 +476,12 @@ def decode(params: ModelParams, h: ad.Tensor) -> ad.Tensor:
     return ad.reshape(out, (h.shape[0],))
 
 
-def forward(params: ModelParams, batch: GraphBatch,
-            plan: ad.EdgePlan | None = None):
-    """Predicted voltage magnitude per bus-phase node of the batch.
-
-    One edge plan serves every layer. By default it is ``edge_plan(batch)``
-    and lives only as long as this call and the tape that records it,
-    never on the batch; a caller that forwards one batch structure under
-    several masks passes the plan it built once."""
+def forward(params: ModelParams, batch: GraphBatch):
+    """Predicted voltage magnitude per bus-phase node of the batch."""
     t = params.tensors
-    if plan is None:
-        plan = edge_plan(batch)
     h = ad.linear(batch.node_x, t["input.W"], t["input.b"])
     for layer in range(params.config.n_layers):
-        h = encoder_layer(params, layer, h, batch, plan)
+        h = encoder_layer(params, layer, h, batch)
     modulated = film_hub(params, h, batch)
     return decode(params, modulated)
 

@@ -13,10 +13,10 @@ cut by ``dataset.split_windows`` into three contiguous time blocks:
 training, then validation, then a held-out test window (the last
 ``TEST_FRACTION`` of the snapshots). The warm-up plateau test and
 checkpoint selection read only the validation block; nothing here reads
-the test window, which ``evaluate`` scores. The validation sample at each
-mask level is a list of cache-sized batches (``model.batches``), built
-once; an epoch that validates on a selection probe's batches reuses the
-probe's and scores them once.
+the test window, which ``evaluate`` scores. Validation and selection
+score the validation sample under one mask per level through the sweep's
+scorer, ``evaluation.level_predictions``; a selection probe drawn like the
+epoch's own validation mask reuses the epoch's score.
 
 Fine-tuning freezes the backbone (input projection, prior coefficients,
 all but the last encoder layer), re-creates per-feeder gates for the
@@ -31,8 +31,6 @@ parameters saved after the last completed epoch.
 from __future__ import annotations
 
 import csv
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +38,10 @@ import numpy as np
 from . import autodiff as ad
 from . import network as net
 from .dataset import TEST_FRACTION, SnapshotDataset, split_windows
-from .evaluation import rmse as _rmse
+from .evaluation import hidden_errors, level_predictions
 from .losses import LossWeights, batch_loss, physics_ramp
-from .model import ModelConfig, ModelParams, batches, build_batch, forward
+from .model import (ModelConfig, ModelParams, _is_int, _require_real,
+                    build_batch)
 from .seeding import rng as _rng
 
 CURRICULUM_LEVELS = (80, 75, 70, 65, 60, 55, 50, 45, 40, 35, 30, 25, 20, 15,
@@ -52,19 +51,6 @@ CURRICULUM_LEVELS = (80, 75, 70, 65, 60, 55, 50, 45, 40, 35, 30, 25, 20, 15,
 _REAL_FIELDS = ("lr_warmup", "lr_curriculum", "lr_finetune", "plateau_eps",
                 "lam_sup", "lam_max", "lam_reg", "val_fraction",
                 "finetune_fraction", "warmup_p_obs")
-
-
-def _require_real(name: str, value) -> None:
-    """Refuse anything but a finite real number; a bool is not one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, "
-                         f"got {value!r}")
-
-
-def _is_int(value) -> bool:
-    """An int, and not a bool (which Python counts as one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -245,23 +231,20 @@ class Adam:
 # -- data plumbing ------------------------------------------------------------
 
 
-def _val_batch(val_snaps, p_obs, seed, feeder_rows):
-    """The validation snapshots under the level-``p_obs`` mask, as batches."""
-    mask = net.fleet_mask(net.fleet_order(
+def _val_batch(val_snaps, p_obs, seed) -> np.ndarray:
+    """The validation mask of level ``p_obs``, drawn by its label
+    ``str(p_obs)``."""
+    return net.fleet_mask(net.fleet_order(
         val_snaps[0].node_x, _rng(seed, "val-mask", p_obs)), p_obs)
-    return batches([s.masked(mask) for s in val_snaps], feeder_rows)
 
 
-def _val_metrics(params, val_batches) -> tuple[float, float]:
-    """(masked-node MAE, RMSE) over every node of the batches."""
-    with ad.no_grad():
-        v_hat = np.concatenate([forward(params, b).values
-                                for b in val_batches])
-    v_true = np.concatenate([b.v_true for b in val_batches])
-    hidden = ~np.concatenate([b.observed for b in val_batches])
-    err = v_hat - v_true
-    sup = float(np.mean(np.abs(err[hidden])))
-    return sup, _rmse(v_hat, v_true, hidden)
+def _val_metrics(params, val_snaps, masks) -> list[tuple[float, float]]:
+    """(masked-node MAE, RMSE) over the validation snapshots, per mask."""
+    truth = np.stack([s.v_true for s in val_snaps])
+    preds = level_predictions(params, val_snaps, masks, [None] * len(masks),
+                              None)
+    scores = [hidden_errors(p, truth, mask) for p, mask in zip(preds, masks)]
+    return [(mae, rmse) for rmse, mae in scores]
 
 
 # -- the loop -------------------------------------------------------------------
@@ -286,26 +269,21 @@ class _Trainer:
         self.selected_epoch = -1
         self._best_score = np.inf
         self._best_values = None
-        self._probes = [_val_batch(self.val_snaps, p, config.seed,
-                                   params.feeder_rows)
-                        for p in config.select_levels]
+        # (label, mask) of each selection level
+        self.select_masks = [(str(p), _val_batch(self.val_snaps, p,
+                                                 config.seed))
+                             for p in config.select_levels]
 
-    def _val_batches(self, p_obs):
-        """The validation batches at ``p_obs``. A selection probe whose level
-        has the same mask-draw label (``str(p_obs)``) gives its own."""
-        for level, probe in zip(self.config.select_levels, self._probes):
-            if str(level) == str(p_obs):
-                return probe
-        return _val_batch(self.val_snaps, p_obs, self.config.seed,
-                          self.params.feeder_rows)
-
-    def _consider_select(self, record: EpochRecord, val_batches) -> None:
-        # a probe that is the epoch's validation batch was scored at these
-        # weights already, in record.val_rmse
-        score = float(np.mean([
-            record.val_rmse if probe is val_batches
-            else _val_metrics(self.params, probe)[1]
-            for probe in self._probes]))
+    def _consider_select(self, record: EpochRecord, val_level) -> None:
+        # a probe drawn by the label of the epoch's validation level was
+        # scored at these weights already, in record.val_rmse
+        label = str(val_level)
+        others = iter(_val_metrics(
+            self.params, self.val_snaps,
+            [mask for lab, mask in self.select_masks if lab != label]))
+        score = float(np.mean([record.val_rmse if lab == label
+                               else next(others)[1]
+                               for lab, _ in self.select_masks]))
         if score < self._best_score:
             self._best_score = score
             self._best_values = self.params.store.values.copy()
@@ -316,7 +294,7 @@ class _Trainer:
             self.params.store.values[:] = self._best_values
 
     def run_epoch(self, stage: str, p_obs: float, lam_phys: float,
-                  optimizer: Adam, val_batches) -> EpochRecord:
+                  optimizer: Adam, val_level) -> EpochRecord:
         cfg = self.config
         weights = LossWeights(lam_sup=cfg.lam_sup, lam_phys=lam_phys,
                               lam_reg=cfg.lam_reg)
@@ -337,7 +315,9 @@ class _Trainer:
             optimizer.step()
             totals += (parts["total"], parts["supervised"], parts["physics"])
         totals /= max(len(order), 1)
-        val_sup, val_rmse = _val_metrics(self.params, val_batches)
+        val_sup, val_rmse = _val_metrics(
+            self.params, self.val_snaps,
+            [_val_batch(self.val_snaps, val_level, cfg.seed)])[0]
         record = EpochRecord(
             epoch=self.epoch, stage=stage, p_obs=p_obs, lam_phys=lam_phys,
             lr=optimizer.lr, train_total=totals[0], train_sup=totals[1],
@@ -350,13 +330,12 @@ class _Trainer:
     def train_substation(self) -> None:
         cfg = self.config
         optimizer = Adam(self.params.store, slice(None), lr=cfg.lr_warmup)
-        val_batches = self._val_batches(cfg.warmup_p_obs)
         try:
             # stage 1: supervision only, high observability, until plateau
             stage_losses: list[float] = []
             for _ in range(cfg.max_warmup_epochs):
                 rec = self.run_epoch("warmup", cfg.warmup_p_obs, 0.0,
-                                     optimizer, val_batches)
+                                     optimizer, cfg.warmup_p_obs)
                 stage_losses.append(rec.val_sup)
                 if plateau(stage_losses, cfg.plateau_window, cfg.plateau_eps):
                     break
@@ -365,15 +344,14 @@ class _Trainer:
             for e in range(1, cfg.ramp_epochs + 1):
                 lam = physics_ramp(e, cfg.ramp_epochs, cfg.lam_max)
                 rec = self.run_epoch("ramp", cfg.warmup_p_obs, lam, optimizer,
-                                     val_batches)
-                self._consider_select(rec, val_batches)
+                                     cfg.warmup_p_obs)
+                self._consider_select(rec, cfg.warmup_p_obs)
             # stage 3: observability descends
             for level in cfg.levels:
-                level_batches = self._val_batches(level)
                 for _ in range(cfg.epochs_per_level):
                     rec = self.run_epoch("curriculum", level, cfg.lam_max,
-                                         optimizer, level_batches)
-                    self._consider_select(rec, level_batches)
+                                         optimizer, level)
+                    self._consider_select(rec, level)
             self._restore_selected()
         except ad.NonFiniteError:
             self.params.store.values[:] = self.last_good
@@ -384,13 +362,11 @@ class _Trainer:
         optimizer = Adam(self.params.store, self.params.span("head"),
                          lr=cfg.lr_finetune)
         levels = tuple(cfg.levels)
-        val_batches = self._val_batches(40.0)
         try:
             for e in range(cfg.finetune_epochs):
-                level = levels[e % len(levels)]
-                rec = self.run_epoch("finetune", level, cfg.lam_max,
-                                     optimizer, val_batches)
-                self._consider_select(rec, val_batches)
+                rec = self.run_epoch("finetune", levels[e % len(levels)],
+                                     cfg.lam_max, optimizer, 40.0)
+                self._consider_select(rec, 40.0)
             self._restore_selected()
         except ad.NonFiniteError:
             self.params.store.values[:] = self.last_good

@@ -290,7 +290,53 @@ def test_checkpoint_with_a_non_finite_value(workspace, tmp_path, capsys):
     assert "decoder.W2" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("edit", [
+    {"hidden_dim": "8"}, {"zzz_extra": 1}, {"n_layers": True},
+    {"temperature": float("inf")}, {"beta_init": [1.0, 1.0, 0.5]}],
+    ids=["int-as-string", "unknown-key", "int-as-bool", "non-finite-float",
+         "short-beta"])
+def test_checkpoint_with_a_malformed_config(workspace, tmp_path, capsys,
+                                            edit):
+    def rewrite(arrays):
+        meta = json.loads(str(arrays["meta_json"][()]))
+        meta["config"].update(edit)
+        arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
+
+    ckpt = _malformed_checkpoint(workspace, tmp_path, rewrite)
+    err = _checkpoint_error(_evaluate_argv(ckpt, workspace, tmp_path), capsys)
+    assert next(iter(edit)) in err
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_finetune_non_positive_pretrain_snapshots(workspace, tmp_path,
+                                                  capsys, count):
+    out = tmp_path / "m.npz"
+    rc, _, err = run(["finetune", "--checkpoint", str(workspace["ckpt"]),
+                      "--data", str(workspace["data"]),
+                      "--pretrain-snapshots", count, "--out", str(out)],
+                     capsys)
+    assert rc == 1
+    assert err.strip().startswith("ERROR config:")
+    assert "--pretrain-snapshots" in err
+    assert not out.exists()
+
+
 # -- evaluate --------------------------------------------------------------------
+
+
+def test_study_b_refuses_two_sets_with_one_penetration(workspace, tmp_path,
+                                                       capsys):
+    rc, _, err = run(["evaluate", "--study", "B",
+                      "--checkpoint", str(workspace["ckpt"]),
+                      "--data", str(workspace["data"]),
+                      "--data", str(workspace["data"]),
+                      "--levels", "20", "--seeds", "1",
+                      "--out-dir", str(tmp_path / "out")], capsys)
+    assert rc == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.strip().startswith("ERROR config:")
+    assert "20 %" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_study_a(workspace, tmp_path, capsys):

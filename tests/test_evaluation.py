@@ -206,7 +206,7 @@ def test_sweep_equals_the_per_mask_path(tiny_setup, attack):
 
 def test_sweep_builds_each_run_once_per_level(tiny_setup, monkeypatch):
     params, snaps, data = tiny_setup
-    calls = {"build_batch": 0, "edge_plan": 0, "forward": 0}
+    calls = {"build_batch": 0, "forward": 0}
 
     def counted(name):
         real = getattr(ev, name)
@@ -222,7 +222,7 @@ def test_sweep_builds_each_run_once_per_level(tiny_setup, monkeypatch):
                            attack=ev.AttackConfig(), scenario="X",
                            model="gnn")
     levels, runs = len(_SWEEP["levels"]), len(gm.batch_runs(snaps[:23]))
-    assert calls == {"build_batch": levels * runs, "edge_plan": levels * runs,
+    assert calls == {"build_batch": levels * runs,
                      "forward": levels * runs * _SWEEP["n_seeds"]}
 
 

@@ -74,13 +74,13 @@ def affine(x, w, b):
 
 def unfused_forward(params, batch):
     t = params.tensors
-    recv, send, n, e = batch.recv, batch.send, batch.n_nodes, len(batch.recv)
-    plan = gm.edge_plan(batch)
+    recv, send, n = batch.plan.recv, batch.plan.send, batch.n_nodes
+    e = len(recv)
     h = affine(batch.node_x, t["input.W"], t["input.b"])
     for layer in range(params.config.n_layers):
         p = f"layer{layer}."
-        messages = gm.edge_messages(params, layer, h, plan)
-        hidden = ad.relu(edge_matmul(h, batch.edge_z, t[p + "att_W"], recv,
+        messages = gm.edge_messages(params, layer, h, batch)
+        hidden = ad.relu(edge_matmul(h, batch.plan.z, t[p + "att_W"], recv,
                                      send))
         logits = ad.add(ad.matmul(hidden, t[p + "att_a"]),
                         ad.matmul(ad.as_tensor(batch.prior), t["beta"]))

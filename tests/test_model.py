@@ -93,8 +93,9 @@ def test_open_and_mismatched_edges_never_enter_the_batch():
     params = small_params()
     batch = gm.build_batch([item], params.feeder_rows)
     # only edge (0,1) survives: (1,2) open, (2,3) phase mismatch at node 3
-    assert len(batch.recv) == 2
-    assert set(zip(batch.send.tolist(), batch.recv.tolist())) == {(0, 1), (1, 0)}
+    assert len(batch.plan.recv) == 2
+    plan = batch.plan
+    assert set(zip(plan.send.tolist(), plan.recv.tolist())) == {(0, 1), (1, 0)}
 
 
 # -- messages and attention ----------------------------------------------------
@@ -114,7 +115,7 @@ def test_zero_message_weights_give_zero_messages():
         params.tensors[f"layer0.msg{r}"].values[:] = 0.0
     batch = four_device_batch(params)
     h = ad.as_tensor(np.random.default_rng(0).normal(size=(5, 8)))
-    out = gm.edge_messages(params, 0, h, gm.edge_plan(batch))
+    out = gm.edge_messages(params, 0, h, batch)
     assert out.shape == (8, 8)
     np.testing.assert_array_equal(out.values, 0.0)
 
@@ -123,10 +124,10 @@ def test_message_weights_are_device_type_specific():
     params = small_params()
     batch = four_device_batch(params)
     h = np.random.default_rng(1).normal(size=(5, 8))
-    out = gm.edge_messages(params, 0, ad.as_tensor(h),
-                           gm.edge_plan(batch)).values
-    rows = np.concatenate((h[batch.recv], h[batch.send], batch.edge_z), axis=1)
-    types = gm.edge_type_ids(batch.edge_z)
+    out = gm.edge_messages(params, 0, ad.as_tensor(h), batch).values
+    plan = batch.plan
+    rows = np.concatenate((h[plan.recv], h[plan.send], plan.z), axis=1)
+    types = gm.edge_type_ids(plan.z)
     np.testing.assert_array_equal(np.bincount(types), [2, 2, 2, 2])
     for k, r in enumerate(types):
         own = rows[k] @ params.tensors[f"layer0.msg{r}"].values
@@ -142,8 +143,8 @@ def test_structural_prior_shifts_regulator_logit_by_beta3():
     item = micro_item(4, [(0, 1, "line", 1, "A"), (2, 3, "xfmr_reg", 1, "A")])
     batch = gm.build_batch([item], params.feeder_rows)
     logits = gm.attention_logits(params, 0, ad.as_tensor(np.zeros((4, 8))),
-                                 batch, gm.edge_plan(batch)).values[:, 0]
-    regulator = batch.edge_z[:, EI["dev_xfmr_reg"]] == 1.0
+                                 batch).values[:, 0]
+    regulator = batch.plan.z[:, EI["dev_xfmr_reg"]] == 1.0
     diff = logits[regulator] - logits[~regulator]
     np.testing.assert_allclose(diff, params.tensors["beta"].values[2, 0],
                                rtol=0, atol=1e-15)
@@ -152,12 +153,11 @@ def test_structural_prior_shifts_regulator_logit_by_beta3():
 def attention_weights(params, h, batch):
     """Layer 0's attention weight per edge: the aggregation of the identity
     rows puts edge k's weight in column k of its receiver's row."""
-    plan = gm.edge_plan(batch)
-    logits = gm.attention_logits(params, 0, h, batch, plan)
-    e = len(batch.recv)
-    agg = ad.softmax_aggregate(np.eye(e), logits, plan,
+    logits = gm.attention_logits(params, 0, h, batch)
+    e = len(batch.plan.recv)
+    agg = ad.softmax_aggregate(np.eye(e), logits, batch.plan,
                                params.config.temperature)
-    return agg.values[batch.recv, np.arange(e)]
+    return agg.values[batch.plan.recv, np.arange(e)]
 
 
 def test_attention_uniform_when_all_logits_equal():
@@ -169,8 +169,9 @@ def test_attention_uniform_when_all_logits_equal():
     batch = gm.build_batch([item], params.feeder_rows)
     alpha = attention_weights(params, ad.as_tensor(np.zeros((4, 8))), batch)
     # node 0 has three identical neighbors, each leaf has exactly one
-    np.testing.assert_allclose(alpha[batch.recv == 0], 1.0 / 3.0, atol=1e-15)
-    np.testing.assert_allclose(alpha[batch.recv != 0], 1.0, atol=1e-15)
+    recv = batch.plan.recv
+    np.testing.assert_allclose(alpha[recv == 0], 1.0 / 3.0, atol=1e-15)
+    np.testing.assert_allclose(alpha[recv != 0], 1.0, atol=1e-15)
 
 
 def test_singleton_neighborhood_gets_weight_one_for_any_logit():
@@ -189,8 +190,8 @@ def test_attention_sums_to_one_per_receiver(tiny_snaps):
     batch = gm.build_batch([item], params.feeder_rows)
     h = ad.matmul(ad.as_tensor(batch.node_x), params.tensors["input.W"])
     alpha = attention_weights(params, h, batch)
-    sums = np.bincount(batch.recv, weights=alpha, minlength=batch.n_nodes)
-    degree = np.bincount(batch.recv, minlength=batch.n_nodes)
+    sums = np.bincount(batch.plan.recv, weights=alpha, minlength=batch.n_nodes)
+    degree = np.bincount(batch.plan.recv, minlength=batch.n_nodes)
     np.testing.assert_allclose(sums[degree > 0], 1.0, atol=1e-12)
     np.testing.assert_array_equal(sums[degree == 0], 0.0)
 
@@ -203,7 +204,7 @@ def test_isolated_batch_reduces_to_residual_norm_stack():
     item = micro_item(3, [(0, 1, "switch", 0, "A")])
     params = small_params()
     batch = gm.build_batch([item], params.feeder_rows)
-    assert len(batch.recv) == 0
+    assert len(batch.plan.recv) == 0
     got = gm.forward(params, batch)
 
     t = params.tensors
@@ -285,12 +286,12 @@ def reference_forward(params, batch):
     softmax, sum, update and norm, and the model's own conditioning and
     decoder."""
     t = {k: v.values for k, v in params.tensors.items()}
-    recv, send, n = batch.recv, batch.send, batch.n_nodes
-    types = gm.edge_type_ids(batch.edge_z)
+    recv, send, n = batch.plan.recv, batch.plan.send, batch.n_nodes
+    types = gm.edge_type_ids(batch.plan.z)
     h = batch.node_x @ t["input.W"] + t["input.b"]
     for layer in range(params.config.n_layers):
         p = f"layer{layer}."
-        rows = np.concatenate((h[recv], h[send], batch.edge_z), axis=1)
+        rows = np.concatenate((h[recv], h[send], batch.plan.z), axis=1)
         msgs = np.zeros((len(recv), h.shape[1]))
         for r in range(gm.N_EDGE_TYPES):
             msgs[types == r] = rows[types == r] @ t[p + f"msg{r}"]
@@ -316,7 +317,7 @@ def reference_forward(params, batch):
 def test_batched_forward_matches_the_explicit_edge_rows(batch32):
     params, items = batch32
     batch = gm.build_batch(items, params.feeder_rows)
-    assert set(gm.edge_type_ids(batch.edge_z).tolist()) >= {0, 2, 3}
+    assert set(gm.edge_type_ids(batch.plan.z).tolist()) >= {0, 2, 3}
     with ad.no_grad():
         got = gm.forward(params, batch).values
     np.testing.assert_allclose(got, reference_forward(params, batch),
@@ -564,8 +565,8 @@ def test_batch_edges_are_receiver_sorted_and_bidirectional(tiny_snaps):
     batch = gm.build_batch(items, params.feeder_rows)
     assert batch.n_graphs == 3
     assert batch.n_nodes == 3 * data.n_nodes
-    assert np.all(np.diff(batch.recv) >= 0)
-    pairs = set(zip(batch.send.tolist(), batch.recv.tolist()))
+    assert np.all(np.diff(batch.plan.recv) >= 0)
+    pairs = set(zip(batch.plan.send.tolist(), batch.plan.recv.tolist()))
     assert all((r, s) in pairs for s, r in pairs)
     assert batch.graph_of_node.max() == 2
     assert len(batch.phys_from) == 3 * len(snaps[0].phys_p)
@@ -599,7 +600,7 @@ def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty"):
         gm.build_batch([], {})
     with pytest.raises(ValueError, match="empty"):
-        gm.batches([], {})
+        gm.batch_runs([])
 
 
 def chain_item(n_nodes, tag):
@@ -615,7 +616,7 @@ def chain_item(n_nodes, tag):
     [2000, 5, 5], [93] * 7 + [603] + [93] * 4, [7]])
 def test_batches_are_balanced_runs_within_the_node_budget(sizes):
     items = [chain_item(n, k) for k, n in enumerate(sizes)]
-    runs = gm.batches(items, {1: 0})
+    runs = [gm.build_batch(items[run], {1: 0}) for run in gm.batch_runs(items)]
     counts = [b.n_graphs for b in runs]
     assert max(counts) - min(counts) <= 1
     assert sum(counts) == len(items)

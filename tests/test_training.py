@@ -11,6 +11,8 @@ import pytest
 
 import gridvolt.autodiff as ad
 import gridvolt.dataset as ds
+import gridvolt.evaluation as ev
+import gridvolt.model as gm
 import gridvolt.network as net
 import gridvolt.simulation as sim
 import gridvolt.training as tr
@@ -107,7 +109,6 @@ def _per_tensor_adam(values, grad_steps, lr, beta1=0.9, beta2=0.999,
 
 @pytest.mark.parametrize("group", ["all", "head"])
 def test_flat_adam_matches_the_per_tensor_formula_bitwise(group):
-    import gridvolt.model as gm
     params = gm.ModelParams.create(gm.ModelConfig(), [1, 2, 3], seed=2)
     names = list(params.tensors) if group == "all" else params.head_names()
     tensors = [params.tensors[n] for n in names]
@@ -294,54 +295,122 @@ def test_an_overflow_in_a_fused_op_aborts_to_last_good(day_dataset,
         assert np.all(np.isfinite(t.values))
 
 
+def _reference_val_metrics(params, val_snaps, masks):
+    """(MAE, RMSE) per mask from one batch of the masked snapshots: the
+    validation metric with no runs and no batch shared across masks."""
+    scores = []
+    for mask in masks:
+        batch = gm.build_batch([s.masked(mask) for s in val_snaps],
+                               params.feeder_rows)
+        with ad.no_grad():
+            v_hat = gm.forward(params, batch).values
+        hidden = ~batch.observed
+        err = v_hat - batch.v_true
+        scores.append((float(np.mean(np.abs(err[hidden]))),
+                       ev.rmse(v_hat, batch.v_true, hidden)))
+    return scores
+
+
 def test_val_metrics_over_split_batches_equals_one_batch(day_dataset,
                                                         micro_run):
-    import gridvolt.model as gm
     snaps = [day_dataset.snapshot(i) for i in range(30)]
-    mask = net.fleet_mask(net.fleet_order(snaps[0].node_x, rng(4, "m")), 30)
-    items = [s.masked(mask) for s in snaps]
-    params, rows = micro_run.params, micro_run.params.feeder_rows
-    split = gm.batches(items, rows)
-    assert len(split) > 1
-    assert (tr._val_metrics(params, split)
-            == tr._val_metrics(params, [gm.build_batch(items, rows)]))
+    assert len(gm.batch_runs(snaps)) > 1
+    masks = [net.fleet_mask(net.fleet_order(snaps[0].node_x,
+                                            rng(4, "m", level)), level)
+             for level in (30, 5, 80)]
+    params = micro_run.params
+    assert (tr._val_metrics(params, snaps, masks)
+            == _reference_val_metrics(params, snaps, masks))
 
 
-def _count_val_forwards(monkeypatch):
+def _count_scored_masks(monkeypatch):
+    """The number of masks of each ``_val_metrics`` call, and its
+    validation snapshots."""
     calls = []
     real = tr._val_metrics
 
-    def counted(params, val_batches):
-        calls.append(val_batches)
-        return real(params, val_batches)
+    def counted(params, val_snaps, masks):
+        calls.append((len(masks), val_snaps))
+        return real(params, val_snaps, masks)
 
     monkeypatch.setattr(tr, "_val_metrics", counted)
     return calls
 
 
+def _reference_selection(monkeypatch):
+    """Per selection: the epoch's (MAE, RMSE) and the mean RMSE over every
+    selection mask, both from ``_reference_val_metrics`` at the epoch's
+    weights, and the best score kept after it."""
+    seen = []
+    real = tr._Trainer._consider_select
+
+    def spy(self, record, val_level):
+        own = _reference_val_metrics(
+            self.params, self.val_snaps,
+            [tr._val_batch(self.val_snaps, val_level, self.config.seed)])[0]
+        probes = _reference_val_metrics(
+            self.params, self.val_snaps, [m for _, m in self.select_masks])
+        real(self, record, val_level)
+        seen.append((record, own, float(np.mean([r for _, r in probes])),
+                     self._best_score))
+
+    monkeypatch.setattr(tr._Trainer, "_consider_select", spy)
+    return seen
+
+
+def _assert_selection_is_the_reference(seen, result):
+    """Each epoch's validation and the running best score equal the
+    per-mask reference, and the selected epoch is its first minimum."""
+    for k, (record, own, _, best) in enumerate(seen):
+        assert (record.val_sup, record.val_rmse) == own
+        assert best == min(score for _, _, score, _ in seen[:k + 1])
+    first_best = int(np.argmin([score for _, _, score, _ in seen]))
+    assert result.selected_epochs[-1] == seen[first_best][0].epoch
+
+
 def test_a_probe_shared_by_the_epoch_is_scored_once(day_dataset, micro_run,
                                                      monkeypatch):
-    """Ramp epochs validate on the 80.0 probe's batches: one forward serves
-    both, and history and selection equal a run that scores it twice. The
-    int curriculum level 80 draws its own mask and is not shared."""
-    calls = _count_val_forwards(monkeypatch)
+    """Ramp epochs validate on the 80.0 probe's mask: its score serves
+    both, and validation and selection equal a per-mask reference that
+    scores every probe. The int curriculum level 80 draws its own mask and
+    is not shared."""
+    calls = _count_scored_masks(monkeypatch)
+    seen = _reference_selection(monkeypatch)
     shared = tr.train(day_dataset, micro_config())
     n_probes = len(micro_config().select_levels)
     selecting = [r for r in shared.history if r.stage != "warmup"]
     n_ramp = sum(r.stage == "ramp" for r in shared.history)
-    assert len(calls) == (len(shared.history) + n_probes * len(selecting)
-                          - n_ramp)
+    assert sum(n for n, _ in calls) == (len(shared.history)
+                                        + n_probes * len(selecting) - n_ramp)
+    assert [record for record, *_ in seen] == selecting
+    _assert_selection_is_the_reference(seen, shared)
     _assert_same_run(micro_run, shared)
 
-    calls.clear()
-    monkeypatch.setattr(
-        tr._Trainer, "_val_batches",
-        lambda self, p_obs: tr._val_batch(self.val_snaps, p_obs,
-                                          self.config.seed,
-                                          self.params.feeder_rows))
-    unshared = tr.train(day_dataset, micro_config())
-    assert len(calls) == len(shared.history) + n_probes * len(selecting)
-    _assert_same_run(shared, unshared)
+
+def test_scoring_builds_each_validation_run_once_per_call(day_dataset,
+                                                          monkeypatch):
+    """Each scoring call builds every run of the validation sample once and
+    forwards it once per mask; a training step builds its own batch."""
+    counts = {"build_batch": 0, "forward": 0}
+
+    def counted(name):
+        real = getattr(ev, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(ev, name, counted(name))
+    calls = _count_scored_masks(monkeypatch)
+    result = tr.train(day_dataset,
+                      micro_config(val_fraction=0.3, val_max_snapshots=32))
+    runs = len(gm.batch_runs(calls[0][1]))
+    assert runs > 1
+    assert len(calls) > len(result.history)
+    assert counts == {"build_batch": len(calls) * runs,
+                      "forward": sum(n for n, _ in calls) * runs}
 
 
 def test_history_csv_roundtrip(micro_run, tmp_path):
@@ -411,12 +480,15 @@ def test_finetune_truncates_to_pretraining_fraction(micro_run, target_dataset,
 
 def test_finetune_scores_its_40_probe_once(micro_run, target_dataset,
                                           monkeypatch):
-    # every finetune epoch validates on the 40.0 probe's batches
-    calls = _count_val_forwards(monkeypatch)
+    # every finetune epoch validates on the 40.0 probe's mask
+    calls = _count_scored_masks(monkeypatch)
+    seen = _reference_selection(monkeypatch)
     result = tr.finetune(_clone(micro_run.params), target_dataset,
                          micro_config())
     n_probes = len(micro_config().select_levels)
-    assert len(calls) == n_probes * len(result.history)
+    assert sum(n for n, _ in calls) == n_probes * len(result.history)
+    assert [record for record, *_ in seen] == result.history
+    _assert_selection_is_the_reference(seen, result)
 
 
 # -- the held-out window ------------------------------------------------------
@@ -461,7 +533,6 @@ def test_finetune_never_reads_the_evaluation_window(micro_run,
 
 
 def _clone(params):
-    import gridvolt.model as gm
     fresh = {n: ad.Tensor(t.values.copy(), requires_grad=True, name=n)
              for n, t in params.tensors.items()}
     return gm.ModelParams(params.config, fresh, dict(params.feeder_rows))
