@@ -66,6 +66,7 @@ class RunManifest:
     outputs: dict  # path -> sha256
     version: str
     wall_clock_s: float
+    solver: dict | None = None  # generate: simulation.solver_health
 
 
 def _sha256(path) -> str:
@@ -94,14 +95,14 @@ def write_manifest(run_dir, manifest: RunManifest) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / "manifest.json"
     tmp = run_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True)
-                   + "\n")
+    data = {k: v for k, v in asdict(manifest).items() if v is not None}
+    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
     return path
 
 
 def _finish(command: str, config_obj, seeds, inputs, outputs,
-            started: float) -> None:
+            started: float, solver: dict | None = None) -> None:
     manifest = RunManifest(
         command=command,
         config_hash=_config_hash(config_obj),
@@ -110,6 +111,7 @@ def _finish(command: str, config_obj, seeds, inputs, outputs,
         outputs={str(p): _sha256(p) for p in outputs},
         version=__version__,
         wall_clock_s=round(time.monotonic() - started, 3),
+        solver=solver,
     )
     write_manifest(run_dir_for(outputs[0]), manifest)
 
@@ -199,11 +201,14 @@ def cmd_generate(args) -> None:
                                        der_penetration=args.der,
                                        tie_closures=closures,
                                        tie_close_step=0)
-        data = gds.build_dataset(spec, scenario)
+        states = gsim.run_timeseries(spec, scenario)
+        data = gds.dataset_from_states(spec, scenario, states)
     except gsim.PowerFlowError as exc:
         raise CliError("powerflow", str(exc)) from exc
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
+    health = gsim.solver_health(states)
+    del states  # freed before the writes, as inside build_dataset
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     gds.save_dataset(data, out)
@@ -211,10 +216,29 @@ def cmd_generate(args) -> None:
     gsim.save_spec(spec, spec_path)
     print(f"generated {spec.name}: {data.n_snapshots} snapshots, "
           f"{data.n_nodes} bus-phases -> {out}")
+    print(_solver_line(health))
     config = {"seed": args.seed, "size": args.size, "feeders": args.feeders,
               "der": args.der, "horizon_minutes": args.horizon_minutes,
               "close_ties": bool(args.close_ties)}
-    _finish("generate", config, [args.seed], [], [out, spec_path], started)
+    _finish("generate", config, [args.seed], [], [out, spec_path], started,
+            solver=health)
+
+
+def _solver_line(health: dict) -> str:
+    """simulation.solver_health in one line, naming the voltage range of
+    each bus type that leaves the band."""
+    lo, hi = health["band_pu"]
+    ranges = health["v_range_pu"]
+    outside = ", ".join(f"{t} {a:.4f}-{b:.4f}" for t, (a, b) in ranges.items()
+                        if not lo < a <= b < hi)
+    verdict = (f"inside the {lo}-{hi} band" if health["in_band"] else
+               f"outside the {lo}-{hi} band at {outside}")
+    return (f"solver: {health['snapshots']} snapshots, sweep iterations mean "
+            f"{health['sweep_iterations_mean']:.2f} max "
+            f"{health['sweep_iterations_max']}, conservation max "
+            f"{health['conservation_max_pu']:.1e} p.u., v "
+            f"{min(a for a, _ in ranges.values()):.4f}-"
+            f"{max(b for _, b in ranges.values()):.4f} p.u., {verdict}")
 
 
 def cmd_train(args) -> None:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,6 +36,7 @@ REG_MAX_TAP = 16
 REG_DEADBAND = 0.01          # regulate toward 1.0 +/- this band
 SOLVER_TOL = 1e-12           # max |dV| between sweeps; well inside the 1e-8 contract
 SOLVER_MAX_ITER = 100
+VOLTAGE_BAND = (0.94, 1.06)  # p.u., open: where every solved bus-phase belongs
 
 DER_PENETRATIONS = (0, 20, 30, 40)
 SIZE_CLASSES = ("tiny", "small", "medium")
@@ -230,11 +232,52 @@ class ScenarioConfig:
 
 def save_spec(spec: SubstationSpec, path: str | Path) -> None:
     """The spec as sorted JSON: its fields, ``aux_load`` as ``[re, im]``,
-    and the ``substation-spec/v1`` format tag."""
-    data = asdict(spec)
+    and the ``substation-spec/v1`` format tag, in the bytes
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes."""
+    data = {f.name: getattr(spec, f.name) for f in fields(spec)}
     data["format"] = "substation-spec/v1"
     data["aux_load"] = [spec.aux_load.real, spec.aux_load.imag]
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
+    out: list[str] = []
+    _emit_json(data, out, "\n")
+    Path(path).write_text("".join(out))
+
+
+def _emit_json(obj, out: list[str], newline: str) -> None:
+    """Append ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
+    writes it, a dataclass as the dict of its fields (as ``asdict`` gives
+    it, without the deep copy). ``newline`` is the line break plus the
+    current indent. With ``indent`` set, ``json`` runs its pure-Python
+    encoder; this writes the same text with less work per value."""
+    if type(obj) is str:
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is float and math.isfinite(obj):
+        out.append(float.__repr__(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif is_dataclass(obj):
+        _emit_json({f.name: getattr(obj, f.name) for f in fields(obj)},
+                   out, newline)
+    elif isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit_json(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _emit_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        # null, booleans, non-finite floats, empty containers and scalar
+        # subclasses, which the compact encoder writes as the indented one
+        # does; it raises TypeError on what JSON cannot hold
+        out.append(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +661,9 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     nodes are the slack at the LTC setpoint. Both sweeps are
     level-synchronous: they loop over the depths of the BFS tree cached for
     the switch configuration and treat each depth as whole arrays, with the
-    same arithmetic, in the same order, as a sweep node by node.
+    same arithmetic, in the same order, as a sweep node by node. The tree
+    carries the sweeps' gather indices and impedance coefficients; a solve
+    adds only its tap ratios, gathered once into the levels' blocks.
     """
     n = graph.n_nodes
     n_edges = len(graph.edge_device)
@@ -633,7 +678,6 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     ratio[reg] = 1.0 + REG_STEP * steps
     tap_norm_edge = np.zeros(n_edges)
     tap_norm_edge[reg] = steps / REG_MAX_TAP
-    z = graph.edge_impedance
 
     tree = graph.tree(status)
 
@@ -647,18 +691,15 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     e_ratio[flip] = 1.0 / ratio[flip]
 
     # the sweeps work in BFS positions: s and v are tree.order's nodes
-    ratio_re, ratio_x = _pair_coefficients(e_ratio.astype(complex))
-    z_re, z_x = _pair_coefficients(z)
-    coef = [(ratio_re[lv.edge_pairs], ratio_x[lv.edge_pairs],
-             z_re[lv.edge_pairs], z_x[lv.edge_pairs]) for lv in tree.levels]
+    ratio_coef = _pair_coefficients(e_ratio.astype(complex))[tree.ratio_index]
     s = s_injection[tree.order]
     v = np.full(n, complex(spec.ltc_setpoint, 0.0), dtype=complex)
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        i_acc = _backward_sweep(tree.levels, coef, s, v)
+        i_acc = _backward_sweep(tree, ratio_coef, s, v)
         v_prev = v.copy()
-        _forward_sweep(tree.levels, coef, i_acc, v)
+        _forward_sweep(tree, ratio_coef, i_acc, v)
         # NaN from a divergent case propagates here and fails the tolerance
         # check, so divergence always exits through the iteration limit
         residual = float(np.max(np.abs(v - v_prev)))
@@ -674,12 +715,11 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
 
     # one more backward pass with the final voltages makes bus-level complex
     # power conservation exact
-    i_acc = _backward_sweep(tree.levels, coef, s, v)
+    i_acc = _backward_sweep(tree, ratio_coef, s, v)
     v_volt = np.empty(n, dtype=complex)
     v_volt[tree.order] = v
     i_branch = np.zeros(n_edges, dtype=complex)
-    for lv in tree.levels:
-        i_branch[lv.edges] = i_acc[lv.nodes]
+    i_branch[tree.edges] = i_acc[len(graph.hub_node_ids):]
 
     state = _assemble_state(spec, graph, s_injection, timestamp, status,
                             tap_norm_edge, v_volt, i_branch, child,
@@ -693,30 +733,44 @@ class _Level(NamedTuple):
 
     The sweeps read a complex array of BFS positions through its flat float
     view, where position k holds its real part at 2k and its imaginary
-    part at 2k + 1. Every field but ``nodes`` and ``edges`` addresses such a
-    view (``edge_pairs`` that of an edge array); a ``swap`` index exchanges
-    the two parts of each position, as the cross terms of a complex product
-    need.
+    part at 2k + 1. ``own`` and ``parent`` address such a view, each as the
+    run's pairs followed by the same pairs with real and imaginary
+    exchanged, as the cross terms of a complex product need (_fused_pairs):
+    one gather and one multiply by the level's ``block`` of the solve's
+    [re | cross] ratio coefficients form both terms of every product of the
+    level.
     """
 
     nodes: slice             # the depth's run of BFS positions
     edges: np.ndarray        # edge above each of those nodes
-    pairs: slice             # the same run in the float view
-    swap: np.ndarray         # pairs with real and imaginary exchanged
-    edge_pairs: np.ndarray   # edges, as float-view indices of edge arrays
-    parent_pairs: np.ndarray  # each node's parent
-    parent_swap: np.ndarray
-    parent_up: np.ndarray    # parent_pairs reversed, for the backward sweep
+    pairs: slice             # the run in the float view
+    span: slice              # the run in the float view past the roots
+    block: slice             # the run's [re | cross] block of the ratio
+    own: np.ndarray          # the run's pairs, then swapped
+    parent: np.ndarray       # each node's parent pair, then swapped
+    parent_up: np.ndarray    # the parent pairs reversed, for the backward sweep
 
 
 class _PhaseTree(NamedTuple):
-    """The radial forest of one switch configuration (see _phase_trees)."""
+    """The radial forest of one switch configuration (see _phase_trees).
+
+    Past the roots, ``edges``, ``own`` and ``z_coef`` follow the BFS
+    positions of the k non-root nodes; ``ratio_index`` lays out each level's
+    coefficient block in turn, so a level's ``block`` is twice its
+    ``span``.
+    """
 
     order: np.ndarray        # node at each BFS position, roots first
     parent_edge: np.ndarray  # per node, -1 at roots
     parent_node: np.ndarray  # per node, -1 at roots
     child: np.ndarray        # per edge, -1 when open
     levels: list[_Level]     # depths 1, 2, ... (the roots are depth 0)
+    edges: np.ndarray        # edge above each non-root position
+    own: np.ndarray          # [4k] their pairs, then swapped
+    z_coef: np.ndarray       # [4k] [re | cross] of those edges' impedance
+    # [4k] per level, the [re | cross] entries of its edges in the
+    # _pair_coefficients of an edge array
+    ratio_index: np.ndarray
 
 
 def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
@@ -725,8 +779,10 @@ def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
     Returns the visiting order (roots first), the parent edge and parent
     node of every node (-1 at roots), the child node of every edge (-1 when
     open), and the order cut into depth levels: BFS visits depths in
-    nondecreasing order, so each depth is a contiguous run of it. Raises
-    PowerFlowError when a node is islanded or the closed edges form a loop.
+    nondecreasing order, so each depth is a contiguous run of it. The
+    sweeps' gather indices and impedance rows are built here too, once per
+    switch configuration. Raises PowerFlowError when a node is islanded or
+    the closed edges form a loop.
     """
     n = graph.n_nodes
     parent_edge = np.full(n, -1, dtype=int)       # edge index into edge arrays
@@ -772,19 +828,30 @@ def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
     order_arr = np.array(order, dtype=int)
     position = np.empty(n, dtype=int)
     position[order_arr] = np.arange(n)
+    roots = len(graph.hub_node_ids)
+    edges = parent_edge[order_arr[roots:]]
     bounds = np.flatnonzero(np.diff(depth[order_arr])) + 1
     levels = []
     for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), n]):
-        nodes = order_arr[lo:hi]
-        edges = parent_edge[nodes]
-        parent_pairs = _pair_index(position[parent_node[nodes]])
+        parent = _fused_pairs(position[parent_node[order_arr[lo:hi]]])
+        span = slice(2 * (lo - roots), 2 * (hi - roots))
         levels.append(_Level(
-            nodes=slice(lo, hi), edges=edges, pairs=slice(2 * lo, 2 * hi),
-            swap=_pair_index(np.arange(lo, hi)) ^ 1,
-            edge_pairs=_pair_index(edges), parent_pairs=parent_pairs,
-            parent_swap=parent_pairs ^ 1,
-            parent_up=parent_pairs[::-1].copy()))
-    return _PhaseTree(order_arr, parent_edge, parent_node, child, levels)
+            nodes=slice(lo, hi), edges=edges[lo - roots:hi - roots],
+            pairs=slice(2 * lo, 2 * hi), span=span,
+            block=slice(2 * span.start, 2 * span.stop),
+            own=_fused_pairs(np.arange(lo, hi)), parent=parent,
+            parent_up=parent[:2 * (hi - lo)][::-1].copy()))
+    # each level's block: its edges' re entries, then their cross entries
+    edge_pairs = _pair_index(edges)
+    n_edges = len(status)
+    blocks = [np.concatenate([edge_pairs[lv.span],
+                              2 * n_edges + edge_pairs[lv.span]])
+              for lv in levels]
+    return _PhaseTree(
+        order_arr, parent_edge, parent_node, child, levels, edges,
+        own=_fused_pairs(np.arange(roots, n)),
+        z_coef=_pair_coefficients(graph.edge_impedance[edges]),
+        ratio_index=np.concatenate([np.zeros(0, dtype=int), *blocks]))
 
 
 def _pair_index(k: np.ndarray) -> np.ndarray:
@@ -792,20 +859,28 @@ def _pair_index(k: np.ndarray) -> np.ndarray:
     return np.stack([2 * k, 2 * k + 1], axis=1).ravel()
 
 
-def _pair_coefficients(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of x -> a * x over the float view: (re, re) and
-    (-im, im) per element of a. With xs the swapped view of x,
-    re * x + cross * xs is (ar*xr - ai*xi, ar*xi + ai*xr): the product a
-    scalar complex multiply forms, bit for bit, since IEEE 754 defines
-    p - q as p + (-q). A whole-array complex multiply can round
+def _fused_pairs(k: np.ndarray) -> np.ndarray:
+    """The pairs of positions k, then the same pairs with real and
+    imaginary exchanged: one gather fetches both operands of the products
+    with a [re | cross] coefficient array."""
+    pairs = _pair_index(k)
+    return np.concatenate([pairs, pairs ^ 1])
+
+
+def _pair_coefficients(a: np.ndarray) -> np.ndarray:
+    """Coefficients of x -> a * x over the float view, as one array
+    [re | cross]: (re, re) and then (-im, im) per element of a. With xs the
+    swapped view of x, re * x + cross * xs is (ar*xr - ai*xi, ar*xi + ai*xr):
+    the product a scalar complex multiply forms, bit for bit, since IEEE 754
+    defines p - q as p + (-q). A whole-array complex multiply can round
     differently."""
     re = np.repeat(a.real, 2)
     cross = np.repeat(a.imag, 2)
     cross[0::2] = -cross[0::2]
-    return re, cross
+    return np.concatenate([re, cross])
 
 
-def _backward_sweep(levels: list[_Level], coef, s: np.ndarray,
+def _backward_sweep(tree: _PhaseTree, ratio_coef: np.ndarray, s: np.ndarray,
                     v: np.ndarray) -> np.ndarray:
     """Node currents conj(s / v) accumulated toward the roots, deepest
     level first, by BFS position. Past the roots, entry k is then the
@@ -818,21 +893,29 @@ def _backward_sweep(levels: list[_Level], coef, s: np.ndarray,
     """
     i_acc = np.conj(s / v)
     x = i_acc.view(np.float64)
-    for lv, (r_re, r_x, _, _) in zip(reversed(levels), reversed(coef)):
-        np.add.at(x, lv.parent_up,
-                  (r_re * x[lv.pairs] + r_x * x[lv.swap])[::-1])
+    for lv in reversed(tree.levels):
+        t = x[lv.own]
+        t *= ratio_coef[lv.block]
+        h = len(lv.parent_up)
+        np.add.at(x, lv.parent_up, (t[:h] + t[h:])[::-1])
     return i_acc
 
 
-def _forward_sweep(levels: list[_Level], coef, i_acc: np.ndarray,
-                   v: np.ndarray) -> None:
+def _forward_sweep(tree: _PhaseTree, ratio_coef: np.ndarray,
+                   i_acc: np.ndarray, v: np.ndarray) -> None:
     """v = ratio * v_parent - z * i_branch, shallowest level first, in
-    place by BFS position."""
+    place by BFS position. The branch currents are final before the sweep
+    starts, so z * i_branch is formed for all levels at once."""
+    zi = i_acc.view(np.float64)[tree.own]
+    zi *= tree.z_coef
+    h = len(zi) // 2
+    zi = zi[:h] + zi[h:]
     x = v.view(np.float64)
-    i = i_acc.view(np.float64)
-    for lv, (r_re, r_x, z_re, z_x) in zip(levels, coef):
-        x[lv.pairs] = ((r_re * x[lv.parent_pairs] + r_x * x[lv.parent_swap])
-                       - (z_re * i[lv.pairs] + z_x * i[lv.swap]))
+    for lv in tree.levels:
+        t = x[lv.parent]
+        t *= ratio_coef[lv.block]
+        h = len(lv.parent_up)
+        x[lv.pairs] = t[:h] + t[h:] - zi[lv.span]
 
 
 def _times_conj(ar, ai, br, bi):
@@ -909,6 +992,28 @@ def conservation_residuals(state: SolvedState) -> np.ndarray:
     np.add.at(acc, g.edge_to[closed], s_from - loss)
     acc[g.hub_node_ids] = 0.0
     return np.abs(acc)
+
+
+def solver_health(states: list[SolvedState]) -> dict:
+    """How a run's solves went: sweep iterations (mean, max), the largest
+    per-node conservation residual, the voltage range over every snapshot
+    per bus type, and whether every voltage lies inside VOLTAGE_BAND."""
+    v = np.stack([state.v_mag for state in states])
+    bus_type = np.array([bp.bus_type for bp in states[0].graph.bus_phases])
+    iterations = [state.sweep_iterations for state in states]
+    lo, hi = VOLTAGE_BAND
+    return {
+        "snapshots": len(states),
+        "sweep_iterations_mean": float(np.mean(iterations)),
+        "sweep_iterations_max": max(iterations),
+        "conservation_max_pu": max(float(conservation_residuals(s).max())
+                                   for s in states),
+        "v_range_pu": {t: [float(v[:, bus_type == t].min()),
+                           float(v[:, bus_type == t].max())]
+                       for t in net.BUS_TYPES if np.any(bus_type == t)},
+        "band_pu": list(VOLTAGE_BAND),
+        "in_band": bool(v.min() > lo and v.max() < hi),
+    }
 
 
 def structural_annotations(

@@ -59,6 +59,33 @@ def test_generate_outputs_and_manifest(workspace):
     assert manifest["command"] == "generate"
     assert manifest["version"]
     assert manifest["wall_clock_s"] >= 0
+    assert manifest["solver"]["snapshots"] == 48
+
+
+def test_generate_reports_solver_health(tmp_path, capsys):
+    """One summary line and the manifest's solver block, read from the
+    solved states: the dataset's voltages give the same range."""
+    out = tmp_path / "d.npz"
+    rc, stdout, _ = run(["generate", "--seed", "5", "--horizon-minutes",
+                         "240", "--out", str(out)], capsys)
+    assert rc == 0
+    line = stdout.splitlines()[-1]
+    assert re.fullmatch(r"solver: 16 snapshots, sweep iterations mean "
+                        r"[0-9.]+ max \d+, conservation max \S+ p\.u\., "
+                        r"v [0-9.]+-[0-9.]+ p\.u\., inside the 0\.94-1\.06 "
+                        r"band", line), line
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    solver = manifest["solver"]
+    assert solver["snapshots"] == 16
+    assert 1 <= solver["sweep_iterations_mean"] <= solver["sweep_iterations_max"] < 100
+    assert 0 <= solver["conservation_max_pu"] < 1e-10
+    assert solver["band_pu"] == list(gsim.VOLTAGE_BAND)
+    assert solver["in_band"] is True
+    v = ds.load_dataset(out).arrays["v_true"]
+    ranges = solver["v_range_pu"]
+    assert min(lo for lo, _ in ranges.values()) == v.min()
+    assert max(hi for _, hi in ranges.values()) == v.max()
+    assert set(ranges) <= set(gsim.net.BUS_TYPES)
 
 
 def test_generate_deterministic_outputs(tmp_path, capsys):

@@ -220,6 +220,22 @@ def test_spec_file_holds_every_field_and_the_format_tag(tiny_spec, tmp_path):
     assert data == json.loads(json.dumps(fields))
 
 
+@pytest.mark.parametrize("seed,size", [(7, "tiny"), (101, "medium")])
+def test_spec_file_bytes_are_the_indented_json_encoder_output(seed, size,
+                                                              tmp_path):
+    """save_spec writes what json.dumps(indent=2, sort_keys=True) of the
+    asdict form writes, byte for byte, so spec hashes stay put."""
+    spec = sim.generate_substation(seed, size)
+    assert spec.ties and spec.tie_devices
+    data = dataclasses.asdict(spec)
+    data["format"] = "substation-spec/v1"
+    data["aux_load"] = [spec.aux_load.real, spec.aux_load.imag]
+    path = tmp_path / "spec.json"
+    sim.save_spec(spec, path)
+    assert path.read_bytes() == json.dumps(data, indent=2,
+                                           sort_keys=True).encode()
+
+
 # ---------------------------------------------------------------------------
 # time-series physics
 
@@ -315,10 +331,12 @@ def test_voltage_band_and_variability(tiny_day):
         t = int(np.argmax(np.abs(v[:, node] - v[:, node].mean())))
         return where(t, node)
 
+    lo, hi = sim.VOLTAGE_BAND
     t, node = np.unravel_index(np.argmin(v), v.shape)
-    assert v.min() > 0.94, f"below the band: {where(t, node)}"
+    assert v.min() > lo, f"below the band: {where(t, node)}"
     t, node = np.unravel_index(np.argmax(v), v.shape)
-    assert v.max() < 1.06, f"above the band: {where(t, node)}"
+    assert v.max() < hi, f"above the band: {where(t, node)}"
+    assert sim.solver_health(tiny_day)["in_band"]
     lv_nodes = np.array([bp.id for bp in bus_phases if bp.bus_type == "lv_node"])
     per_node_std = v[:, lv_nodes].std(axis=0)
     stiffest = lv_nodes[np.argmin(per_node_std)]
@@ -548,6 +566,8 @@ def assert_bit_identical(state, ref, where):
 @pytest.mark.parametrize("seed,size,n_steps,close_step,ties,taps_move", [
     (7, "tiny", 40, 20, (0,), False),   # a tie closes mid-run: re-rooted subtree
     (101, "medium", 10, 5, (0, 1), True),
+    # every tie closed from the first step, as `generate --close-ties` runs
+    (104, "medium", 10, 0, (0, 1), True),
 ])
 def test_level_sweep_matches_loop_reference(seed, size, n_steps, close_step,
                                             ties, taps_move):
@@ -569,7 +589,8 @@ def test_level_sweep_matches_loop_reference(seed, size, n_steps, close_step,
         assert_bit_identical(state, loop_sweep_reference(
             spec, graph, s_inj, controls), f"at step {t}")
         controller.update(controls, state)
-    assert len(graph.trees) == 2       # the run crossed a switch change
+    # one tree per switch configuration the run crossed
+    assert len(graph.trees) == (1 if close_step == 0 else 2)
     assert any(tap != 0 for tap in controls.taps.values()) == taps_move
 
 
@@ -618,7 +639,8 @@ def test_phase_tree_levels(seed, size, ties):
     for uid, closed in controls.closed_override.items():
         status[graph.edge_device == uid] = int(closed)
     tree = sim._phase_trees(graph, status)
-    roots = len(graph.hub_node_ids)
+    n, roots = graph.n_nodes, len(graph.hub_node_ids)
+    n_edges = len(graph.edge_device)
     assert sorted(tree.order[:roots]) == sorted(graph.hub_node_ids)
 
     # every non-root node sits in exactly one level, levels tile the order
@@ -626,27 +648,70 @@ def test_phase_tree_levels(seed, size, ties):
     assert np.array_equal(placed, tree.order[roots:])
     assert np.array_equal(np.sort(placed),
                           np.flatnonzero(tree.parent_node >= 0))
+    # the rows past the roots: the edge above each position, and its pairs
+    # then the same pairs swapped, real part at 2k, imaginary at 2k + 1
+    assert np.array_equal(tree.edges, tree.parent_edge[tree.order[roots:]])
+    below = np.arange(2 * roots, 2 * n)
+    assert np.array_equal(tree.own, np.concatenate([below, below ^ 1]))
+    z = graph.edge_impedance[tree.edges]
+    k = len(tree.edges)
+    assert np.array_equal(tree.z_coef[:2 * k], np.repeat(z.real, 2))
+    assert np.array_equal(tree.z_coef[2 * k + 1::2], z.imag)
+    assert np.array_equal(tree.z_coef[2 * k::2], -z.imag)
+    assert len(tree.ratio_index) == 4 * k
+
     above = slice(0, roots)
     for lv in tree.levels:
         nodes = tree.order[lv.nodes]
+        h = 2 * len(nodes)
         # the parent of each node sits in the level above
-        parents = lv.parent_pairs[0::2] // 2
+        parents = lv.parent[:h:2] // 2
         assert np.all((parents >= above.start) & (parents < above.stop))
         assert np.array_equal(tree.order[parents], tree.parent_node[nodes])
         assert np.array_equal(lv.edges, tree.parent_edge[nodes])
-        # float-view indices: real part at 2k, imaginary part at 2k + 1
+        # float-view indices: the run's pairs, then the same pairs swapped
         positions = np.arange(lv.nodes.start, lv.nodes.stop)
         assert lv.pairs == slice(2 * lv.nodes.start, 2 * lv.nodes.stop)
-        assert np.array_equal(lv.swap[1::2], 2 * positions)
-        assert np.array_equal(lv.swap[0::2], 2 * positions + 1)
-        assert np.array_equal(lv.parent_pairs[1::2], 2 * parents + 1)
-        assert np.array_equal(lv.parent_swap, lv.parent_pairs ^ 1)
-        assert np.array_equal(lv.edge_pairs[0::2], 2 * lv.edges)
-        assert np.array_equal(lv.edge_pairs[1::2], 2 * lv.edges + 1)
-        # the backward copy is the exact reverse of the forward one
-        assert np.array_equal(lv.parent_up, lv.parent_pairs[::-1])
+        assert lv.span == slice(lv.pairs.start - 2 * roots,
+                                lv.pairs.stop - 2 * roots)
+        assert np.array_equal(lv.own[:h:2], 2 * positions)
+        assert np.array_equal(lv.own[1:h:2], 2 * positions + 1)
+        assert np.array_equal(lv.own[h:], lv.own[:h] ^ 1)
+        assert np.array_equal(lv.own[:h], tree.own[:2 * k][lv.span])
+        assert np.array_equal(lv.own[h:], tree.own[2 * k:][lv.span])
+        assert np.array_equal(lv.parent[1:h:2], 2 * parents + 1)
+        assert np.array_equal(lv.parent[h:], lv.parent[:h] ^ 1)
+        # the level's ratio block: its edges' re entries, then their cross
+        # entries, in the [re | cross] coefficients of an edge array
+        assert lv.block == slice(2 * lv.span.start, 2 * lv.span.stop)
+        block = tree.ratio_index[lv.block]
+        assert np.array_equal(block[:h:2], 2 * lv.edges)
+        assert np.array_equal(block[1:h:2], 2 * lv.edges + 1)
+        assert np.array_equal(block[h:], 2 * n_edges + block[:h])
+        # the backward copy is the exact reverse of the forward pairs
+        assert np.array_equal(lv.parent_up, lv.parent[:h][::-1])
         above = lv.nodes
     assert len(tree.levels) >= 4
+
+
+def test_run_builds_each_switch_configuration_once(tiny_spec, monkeypatch):
+    """The sweeps' fused indices and coefficient rows are built with the
+    tree, once per switch configuration of a run; the dataset's structural
+    annotations reuse them."""
+    built = []
+    phase_trees = sim._phase_trees
+
+    def counted(graph, status):
+        built.append(status.tobytes())
+        return phase_trees(graph, status)
+
+    monkeypatch.setattr(sim, "_phase_trees", counted)
+    scenario = sim.ScenarioConfig(horizon_minutes=8 * sim.TIMESTEP_MINUTES,
+                                  der_penetration=20, tie_closures=(0,),
+                                  tie_close_step=3)
+    data = dsm.build_dataset(tiny_spec, scenario)
+    assert data.n_snapshots == 8
+    assert len(built) == len(set(built)) == 2
 
 
 # ---------------------------------------------------------------------------
