@@ -7,7 +7,9 @@ are equal prints ``identical``. Otherwise it prints the max |Δ|:
 
 * of an npz file, one line per array (``<file>:<array>``); an array whose
   dtype or shape differs, or that is not numeric and differs, prints
-  ``differs``,
+  ``differs``. An npz whose arrays all have equal names, dtypes, shapes
+  and bytes prints one line, ``same arrays, container bytes differ``: only
+  its zip encoding changed,
 * of a CSV file, one line per column (``<file>[<column>]``), over the
   cells that parse as numbers on both sides; the line also counts the
   other cells of that column that differ,
@@ -48,7 +50,7 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def diff_npz(name: str, a: Path, b: Path) -> list[str]:
-    lines = []
+    lines, all_same = [], True
     with np.load(a, allow_pickle=False) as da, \
             np.load(b, allow_pickle=False) as db:
         for key in sorted(set(da.files) | set(db.files)):
@@ -56,16 +58,22 @@ def diff_npz(name: str, a: Path, b: Path) -> list[str]:
             if key not in da.files or key not in db.files:
                 side = "b" if key in db.files else "a"
                 lines.append(f"{label} only in {side}")
+                all_same = False
                 continue
             x, y = da[key], db[key]
             if x.dtype != y.dtype or x.shape != y.shape:
                 lines.append(f"{label} differs ({x.dtype}{list(x.shape)} vs "
                              f"{y.dtype}{list(y.shape)})")
-            elif np.issubdtype(x.dtype, np.number):
+                all_same = False
+                continue
+            same = x.tobytes() == y.tobytes()
+            all_same = all_same and same
+            if np.issubdtype(x.dtype, np.number):
                 lines.append(f"{label} {_fmt(_max_abs(x, y))}")
             else:
-                same = x.tobytes() == y.tobytes()
                 lines.append(f"{label} {'identical' if same else 'differs'}")
+    if all_same:
+        return [f"{name} same arrays, container bytes differ"]
     return lines
 
 

@@ -9,7 +9,10 @@ every generated dataset, over snapshot i's rows of
 ``load_dataset(path).arrays``: row i of each per-snapshot array and row
 ``config_index[i]`` of each per-configuration array. It reads only the
 stored arrays, so the one script lists any two checkouts that share the
-dataset format.
+dataset format. A change to how the npz container encodes its members
+(compression, zip metadata) that stores the same arrays shows up as the
+``.npz`` file lines alone: every content line and every other file line
+stays the same.
 A change that must keep every output byte-identical is checked by running
 this script on both checkouts and diffing the two listings:
 

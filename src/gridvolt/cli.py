@@ -26,6 +26,8 @@ import json
 import os
 import sys
 import time
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -70,10 +72,14 @@ class RunManifest:
 
 
 def _sha256(path) -> str:
+    """SHA-256 of the file at ``path``, read through one reused 64 KiB
+    buffer so hashing allocates nothing per block."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -119,12 +125,19 @@ def _finish(command: str, config_obj, seeds, inputs, outputs,
 # -- shared loaders -------------------------------------------------------------
 
 
+# what reading an unreadable npz raises: an empty file (EOFError), a file
+# that is not a whole zip or fails a member's CRC (BadZipFile), and a
+# deflated member from an earlier writer that does not inflate (zlib.error)
+_UNREADABLE = (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile,
+               zlib.error)
+
+
 def _load_dataset(path) -> gds.SnapshotDataset:
     try:
         return gds.load_dataset(path)
     except FileNotFoundError as exc:
         raise CliError("data", f"dataset not found: {path}") from exc
-    except (ValueError, KeyError, OSError) as exc:
+    except _UNREADABLE as exc:
         raise CliError("data", f"cannot load dataset {path}: {exc}") from exc
 
 
@@ -133,7 +146,7 @@ def _load_checkpoint(path) -> gmodel.ModelParams:
         return gmodel.load_checkpoint(path)
     except FileNotFoundError as exc:
         raise CliError("checkpoint", f"checkpoint not found: {path}") from exc
-    except (ValueError, KeyError, OSError) as exc:
+    except _UNREADABLE as exc:
         raise CliError("checkpoint",
                        f"cannot load checkpoint {path}: {exc}") from exc
 

@@ -24,14 +24,16 @@ observability level. Files of the earlier ``snapshot-dataset/v1`` layout,
 which repeated every feature row per snapshot, are refused and must be
 regenerated.
 
-The npz writer is deterministic: sorted member order, fixed zip metadata
-timestamps, no pickling. Equal inputs produce byte-identical files, which
-the run manifest relies on for output hashing.
+The npz writer stores every member uncompressed and streams each array's
+``.npy`` bytes straight into its member. It is deterministic: sorted member
+order, fixed zip metadata timestamps, no pickling. Equal inputs produce
+byte-identical files, which the run manifest relies on for output hashing.
+``np.load`` reads stored and deflated members alike, so files written
+deflated by earlier versions still load.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import zipfile
 from dataclasses import dataclass, replace
@@ -339,18 +341,37 @@ def scenario_to_dict(scenario: sim.ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # deterministic npz io
 
+class _ByteCount:
+    """A write-only sink that counts the bytes written to it."""
+
+    def __init__(self):
+        self.n = 0
+
+    def write(self, data) -> None:
+        self.n += len(data)
+
+
 def write_npz(path, arrays: dict[str, np.ndarray]) -> None:
-    """Deflated npz writer with fixed zip metadata so equal data gives equal
-    bytes."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+    """npz writer with stored (uncompressed) members and fixed zip metadata,
+    so equal data gives equal bytes.
+
+    Each array's ``.npy`` bytes (a version 1.0 header, then the raw data)
+    are streamed into its member with no in-memory copy of the whole
+    member. Its size is set before the member opens, because zipfile
+    decides there whether the member needs zip64 extensions.
+    """
+    with zipfile.ZipFile(path, "w") as zf:
         for name in sorted(arrays):
-            buf = io.BytesIO()
-            npformat.write_array(buf, np.asarray(arrays[name]),
-                                 allow_pickle=False)
+            array = np.asarray(arrays[name])
+            header = _ByteCount()
+            npformat.write_array_header_1_0(
+                header, npformat.header_data_from_array_1_0(array))
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
             info.external_attr = 0o644 << 16
-            zf.writestr(info, buf.getvalue())
+            info.file_size = header.n + array.nbytes
+            with zf.open(info, "w") as member:
+                npformat.write_array(member, array, version=(1, 0),
+                                     allow_pickle=False)
 
 
 def save_dataset(ds: SnapshotDataset, path) -> None:

@@ -1,7 +1,11 @@
 """Command-line surface: exit codes, error lines, manifests, determinism."""
 
+import hashlib
 import json
 import re
+import shutil
+import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,6 +291,68 @@ def _evaluate_argv(ckpt, workspace, tmp_path):
             "--data", str(workspace["data"]), "--out-dir", str(tmp_path)]
 
 
+def _member_data_offset(path, info):
+    """Offset in ``path`` of the first data byte of member ``info``: the
+    30-byte local header, then its name and extra field."""
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+    return info.header_offset + 30 + name_len + extra_len
+
+
+def _corrupt(src, dst, how):
+    """A copy of the npz ``src`` at ``dst``, broken as ``how`` says."""
+    if how == "empty":
+        dst.write_bytes(b"")
+    elif how == "truncated":
+        data = src.read_bytes()
+        dst.write_bytes(data[:len(data) // 2])
+    else:
+        if how == "deflated-flip":  # deflated, as earlier versions wrote
+            with zipfile.ZipFile(src) as zin, \
+                    zipfile.ZipFile(dst, "w", zipfile.ZIP_DEFLATED) as zout:
+                for info in zin.infolist():
+                    zout.writestr(info.filename, zin.read(info))
+        else:
+            shutil.copyfile(src, dst)
+        # flip one byte of the largest member's data, which both loaders
+        # read (the voltages, a weight matrix): mid-way through stored data
+        # (a CRC mismatch), or the first byte of a deflate stream, its
+        # block header (the stream no longer inflates)
+        with zipfile.ZipFile(dst) as zf:
+            info = max(zf.infolist(), key=lambda i: i.compress_size)
+        at = 0 if how == "deflated-flip" else info.compress_size // 2
+        data = bytearray(dst.read_bytes())
+        data[_member_data_offset(dst, info) + at] ^= 0xFF
+        dst.write_bytes(bytes(data))
+    return dst
+
+
+# each corruption and a word of the error it raises inside np.load
+CORRUPTIONS = {"empty": "No data left", "truncated": "not a zip file",
+               "flip": "Bad CRC-32", "deflated-flip": "decompressing"}
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_unreadable_dataset_is_a_data_error(workspace, tmp_path, capsys,
+                                            how):
+    bad = _corrupt(workspace["data"], tmp_path / "bad.npz", how)
+    rc, _, err = run(["train", "--data", str(bad),
+                      "--out", str(tmp_path / "m.npz")], capsys)
+    assert rc == 1
+    assert err.strip().startswith("ERROR data:")
+    assert ERROR_LINE.match(err.strip())  # one line
+    assert CORRUPTIONS[how] in err
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_unreadable_checkpoint_is_a_checkpoint_error(workspace, tmp_path,
+                                                     capsys, how):
+    bad = _corrupt(workspace["ckpt"], tmp_path / "bad.npz", how)
+    err = _checkpoint_error(_evaluate_argv(bad, workspace, tmp_path), capsys)
+    assert CORRUPTIONS[how] in err
+
+
 def test_checkpoint_with_too_few_gate_rows(workspace, tmp_path, capsys):
     def drop_gates(arrays):
         arrays["tensor/eta"] = arrays["tensor/eta"][:1]
@@ -511,6 +577,14 @@ def test_run_dir_env_override(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert (run_dir / "manifest.json").exists()
     assert not (tmp_path / "data" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16,
+                                  (1 << 16) + 1, 3 * (1 << 16) + 17])
+def test_sha256_equals_hashing_the_whole_file(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,7 +1,9 @@
 """Dataset assembly, npz round-trips, and byte-level determinism."""
 
 import dataclasses
+import io
 import json
+import zipfile
 from collections import deque
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from gridvolt import cli
 from gridvolt import dataset as dsm
+from gridvolt import model as gm
 from gridvolt import network as net
 from gridvolt import simulation as sim
 from gridvolt.seeding import rng
@@ -199,6 +202,104 @@ def test_written_bytes_are_deterministic(ds, tiny_spec, tmp_path):
         horizon_minutes=HORIZON, der_penetration=20))
     dsm.save_dataset(rebuilt, p3)
     assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+
+
+def _npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+def _assert_members_stored_as_npy(path, arrays):
+    """Every member of ``path`` is stored, in sorted order, and holds
+    exactly the bytes ``np.save`` writes for its array."""
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+        assert [i.filename for i in infos] == [f"{k}.npy"
+                                               for k in sorted(arrays)]
+        for info in infos:
+            assert info.compress_type == zipfile.ZIP_STORED, info.filename
+            expected = _npy_bytes(arrays[info.filename[:-len(".npy")]])
+            assert zf.read(info) == expected, info.filename
+
+
+def _repack_deflated(src, dst):
+    """``src`` with every member deflated, as earlier versions wrote it."""
+    with zipfile.ZipFile(src) as zin, \
+            zipfile.ZipFile(dst, "w", zipfile.ZIP_DEFLATED) as zout:
+        for info in zin.infolist():
+            member = zipfile.ZipInfo(info.filename, date_time=info.date_time)
+            member.compress_type = zipfile.ZIP_DEFLATED
+            member.external_attr = info.external_attr
+            zout.writestr(member, zin.read(info))
+    with zipfile.ZipFile(dst) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {
+            zipfile.ZIP_DEFLATED}
+
+
+def test_dataset_members_are_stored_npy(ds, tmp_path):
+    path = tmp_path / "ds.npz"
+    dsm.save_dataset(ds, path)
+    arrays = dict(ds.arrays)
+    arrays["meta_json"] = np.array(json.dumps(ds.meta, sort_keys=True))
+    _assert_members_stored_as_npy(path, arrays)
+
+
+def test_checkpoint_members_are_stored_npy(tmp_path):
+    params = gm.ModelParams.create(gm.ModelConfig(), [7, 8], seed=13)
+    path = tmp_path / "model.npz"
+    gm.save_checkpoint(params, path)
+    arrays = {f"tensor/{k}": v.values for k, v in params.tensors.items()}
+    with np.load(path) as data:
+        arrays["meta_json"] = data["meta_json"]
+    assert json.loads(str(arrays["meta_json"][()]))["format"] == \
+        gm.CHECKPOINT_FORMAT
+    _assert_members_stored_as_npy(path, arrays)
+
+
+def test_deflated_files_of_earlier_versions_still_load(ds, tmp_path):
+    stored, deflated = tmp_path / "ds.npz", tmp_path / "ds_deflated.npz"
+    dsm.save_dataset(ds, stored)
+    _repack_deflated(stored, deflated)
+    loaded = dsm.load_dataset(deflated)
+    assert loaded.meta == ds.meta
+    assert set(loaded.arrays) == set(ds.arrays)
+    for key, arr in ds.arrays.items():
+        assert loaded.arrays[key].dtype == arr.dtype, key
+        assert np.array_equal(loaded.arrays[key], arr), key
+
+    params = gm.ModelParams.create(gm.ModelConfig(), [7, 8], seed=13)
+    stored, deflated = tmp_path / "model.npz", tmp_path / "model_deflated.npz"
+    gm.save_checkpoint(params, stored)
+    _repack_deflated(stored, deflated)
+    tuned = gm.load_checkpoint(deflated)
+    assert tuned.config == params.config
+    assert tuned.feeder_rows == params.feeder_rows
+    assert set(tuned.tensors) == set(params.tensors)
+    for name, tensor in params.tensors.items():
+        assert tuned.tensors[name].values.tobytes() == \
+            tensor.values.tobytes(), name
+
+
+def test_members_past_the_zip64_limit_still_write_and_load(ds, tmp_path,
+                                                           monkeypatch):
+    """The size each member is opened with decides zip64: it must count the
+    ``.npy`` header as well as the data. A 10-value float64 array is 80
+    data bytes, under the limit by itself, but 208 bytes with its header."""
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 100)
+    arrays = {"small": np.arange(10, dtype=np.float64)}
+    assert arrays["small"].nbytes * 1.05 < zipfile.ZIP64_LIMIT
+    path = tmp_path / "small.npz"
+    dsm.write_npz(path, arrays)
+    _assert_members_stored_as_npy(path, arrays)
+    with np.load(path) as data:
+        assert np.array_equal(data["small"], arrays["small"])
+
+    path = tmp_path / "ds.npz"
+    dsm.save_dataset(ds, path)
+    loaded = dsm.load_dataset(path)
+    for key, arr in ds.arrays.items():
+        assert np.array_equal(loaded.arrays[key], arr), key
 
 
 def test_feature_hash_guard(ds):

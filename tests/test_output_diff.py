@@ -1,6 +1,7 @@
 """scripts/output_diff.py on two small hand-made output directories."""
 
 import importlib.util
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -55,3 +56,23 @@ def test_text_numbers_and_shapes(tmp_path):
     np.savez(tmp_path / "y.npz", w=np.zeros(3))
     assert mod.diff_file("m.npz", tmp_path / "x.npz", tmp_path / "y.npz") == [
         "m.npz:w differs (float64[2] vs float64[3])"]
+
+
+def test_npz_with_equal_arrays_in_another_encoding_is_one_line(tmp_path):
+    mod = _load()
+    a, b, c = (tmp_path / n for n in ("a.npz", "b.npz", "c.npz"))
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "tag": np.array("v1")}
+    np.savez(a, **arrays)
+    np.savez_compressed(b, **arrays)
+    with zipfile.ZipFile(a) as za, zipfile.ZipFile(b) as zb:
+        assert {i.compress_type for i in za.infolist()} == {
+            zipfile.ZIP_STORED}
+        assert {i.compress_type for i in zb.infolist()} == {
+            zipfile.ZIP_DEFLATED}
+    assert mod.diff_file("m.npz", a, b) == [
+        "m.npz same arrays, container bytes differ"]
+    # one value's bytes differ (-0.0 == 0.0, so max|Δ| alone reads 0)
+    np.savez_compressed(c, w=np.where(arrays["w"] == 0, -0.0, arrays["w"]),
+                        tag=arrays["tag"])
+    assert mod.diff_file("m.npz", a, c) == [
+        "m.npz:tag identical", "m.npz:w max|Δ| 0.000e+00"]
