@@ -22,10 +22,12 @@ this script on both checkouts and diffing the two listings:
 
 The set: ``generate`` for tiny seeds 0-4 (defaults), tiny 7 with its ties
 closed at 40 % DER, tiny 0 at 40 % DER, tiny 0 with its ties closed,
-medium 100-103 at 20 % DER, medium 103 with its ties closed, and a two-day
-tiny dataset (seed 0); ``train --seed 0`` on the two-day set with a short
-curriculum, and a shorter one there without weight decay (``lam_reg`` 0,
-where the decay gradient is zero of either sign); ``evaluate --seeds 2`` of
+medium 100-103 at 20 % DER, medium 103 with its ties closed, small 50 with
+six feeders and all five ties closed at 40 % DER (regulators of several
+feeders share a sweep level), and a two-day tiny dataset (seed 0);
+``train --seed 0`` on the two-day set with a short curriculum, and a
+shorter one there without weight decay (``lam_reg`` 0, where the decay
+gradient is zero of either sign); ``evaluate --seeds 2`` of
 the first checkpoint in every study: A on the two-day set, B on tiny 0 at
 0 % and 40 % DER, C on tiny 0 with its ties open and closed, E on the
 two-day set with the no-decay checkpoint as the ablation, and D with the
@@ -65,6 +67,8 @@ def commands(work: Path) -> list[list[str]]:
                  "--der", "20") for s in range(100, 104)]
     runs.append(gen("med103c", "--seed", "103", "--size", "medium",
                     "--close-ties"))
+    runs.append(gen("small50f6c", "--seed", "50", "--size", "small",
+                    "--feeders", "6", "--close-ties", "--der", "40"))
     runs.append(gen("train2d", "--seed", "0", "--horizon-minutes", "2880"))
     data = str(work / "train2d.npz")
     runs.append(["train", "--data", data, "--config",

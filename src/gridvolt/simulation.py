@@ -662,8 +662,9 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     level-synchronous: they loop over the depths of the BFS tree cached for
     the switch configuration and treat each depth as whole arrays, with the
     same arithmetic, in the same order, as a sweep node by node. The tree
-    carries the sweeps' gather indices and impedance coefficients; a solve
-    adds only its tap ratios, gathered once into the levels' blocks.
+    carries the sweeps' gather indices, regulator slots and impedance
+    coefficients; a solve adds only the tap ratios of the tree's regulator
+    edges, gathered once into the levels' regulator blocks.
     """
     n = graph.n_nodes
     n_edges = len(graph.edge_device)
@@ -733,31 +734,37 @@ class _Level(NamedTuple):
 
     The sweeps read a complex array of BFS positions through its flat float
     view, where position k holds its real part at 2k and its imaginary
-    part at 2k + 1. ``own`` and ``parent`` address such a view, each as the
-    run's pairs followed by the same pairs with real and imaginary
-    exchanged, as the cross terms of a complex product need (_fused_pairs):
-    one gather and one multiply by the level's ``block`` of the solve's
-    [re | cross] ratio coefficients form both terms of every product of the
-    level.
+    part at 2k + 1. Only a regulator has a tap ratio other than 1, so a
+    level moves its values as they are: the backward sweep adds its run
+    ``pairs`` into ``parent_up``, the forward sweep gathers ``parent``.
+    Where the level holds regulator edges, their ratio products overwrite
+    the ``reg_slots`` of the run first. ``reg_own`` and ``reg_parent``
+    address those nodes' own and parent pairs, each as the pairs followed
+    by the same pairs with real and imaginary exchanged, as the cross terms
+    of a complex product need (_fused_pairs): one gather and one multiply
+    by the level's ``reg_block`` of the solve's [re | cross] ratio
+    coefficients form both terms of each product.
     """
 
     nodes: slice             # the depth's run of BFS positions
     edges: np.ndarray        # edge above each of those nodes
     pairs: slice             # the run in the float view
     span: slice              # the run in the float view past the roots
-    block: slice             # the run's [re | cross] block of the ratio
-    own: np.ndarray          # the run's pairs, then swapped
-    parent: np.ndarray       # each node's parent pair, then swapped
+    parent: np.ndarray       # each node's parent pair
     parent_up: np.ndarray    # the parent pairs reversed, for the backward sweep
+    reg_slots: np.ndarray    # the regulator nodes' pairs within the run
+    reg_own: np.ndarray      # their pairs in the float view, then swapped
+    reg_parent: np.ndarray   # their parents' pairs, then swapped
+    reg_block: slice         # their [re | cross] block of the ratio
 
 
 class _PhaseTree(NamedTuple):
     """The radial forest of one switch configuration (see _phase_trees).
 
     Past the roots, ``edges``, ``own`` and ``z_coef`` follow the BFS
-    positions of the k non-root nodes; ``ratio_index`` lays out each level's
-    coefficient block in turn, so a level's ``block`` is twice its
-    ``span``.
+    positions of the k non-root nodes; ``ratio_index`` lays out each
+    level's regulator block in turn, 4 entries per regulator edge of the
+    tree, so a level's ``reg_block`` is twice its ``reg_slots``.
     """
 
     order: np.ndarray        # node at each BFS position, roots first
@@ -768,7 +775,7 @@ class _PhaseTree(NamedTuple):
     edges: np.ndarray        # edge above each non-root position
     own: np.ndarray          # [4k] their pairs, then swapped
     z_coef: np.ndarray       # [4k] [re | cross] of those edges' impedance
-    # [4k] per level, the [re | cross] entries of its edges in the
+    # per level, the [re | cross] entries of its regulator edges in the
     # _pair_coefficients of an edge array
     ratio_index: np.ndarray
 
@@ -780,9 +787,9 @@ def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
     node of every node (-1 at roots), the child node of every edge (-1 when
     open), and the order cut into depth levels: BFS visits depths in
     nondecreasing order, so each depth is a contiguous run of it. The
-    sweeps' gather indices and impedance rows are built here too, once per
-    switch configuration. Raises PowerFlowError when a node is islanded or
-    the closed edges form a loop.
+    sweeps' gather indices, regulator slots and impedance rows are built
+    here too, once per switch configuration. Raises PowerFlowError when a
+    node is islanded or the closed edges form a loop.
     """
     n = graph.n_nodes
     parent_edge = np.full(n, -1, dtype=int)       # edge index into edge arrays
@@ -831,22 +838,27 @@ def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
     roots = len(graph.hub_node_ids)
     edges = parent_edge[order_arr[roots:]]
     bounds = np.flatnonzero(np.diff(depth[order_arr])) + 1
-    levels = []
-    for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), n]):
-        parent = _fused_pairs(position[parent_node[order_arr[lo:hi]]])
-        span = slice(2 * (lo - roots), 2 * (hi - roots))
-        levels.append(_Level(
-            nodes=slice(lo, hi), edges=edges[lo - roots:hi - roots],
-            pairs=slice(2 * lo, 2 * hi), span=span,
-            block=slice(2 * span.start, 2 * span.stop),
-            own=_fused_pairs(np.arange(lo, hi)), parent=parent,
-            parent_up=parent[:2 * (hi - lo)][::-1].copy()))
-    # each level's block: its edges' re entries, then their cross entries
-    edge_pairs = _pair_index(edges)
     n_edges = len(status)
-    blocks = [np.concatenate([edge_pairs[lv.span],
-                              2 * n_edges + edge_pairs[lv.span]])
-              for lv in levels]
+    levels = []
+    blocks = []
+    done = 0
+    for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), n]):
+        run = edges[lo - roots:hi - roots]
+        parent_pos = position[parent_node[order_arr[lo:hi]]]
+        parent = _pair_index(parent_pos)
+        reg = np.flatnonzero(graph.edge_kind[run] == "regulator")
+        # the level's regulator block: those edges' re entries, then their
+        # cross entries
+        reg_pairs = _pair_index(run[reg])
+        blocks.append(np.concatenate([reg_pairs, 2 * n_edges + reg_pairs]))
+        levels.append(_Level(
+            nodes=slice(lo, hi), edges=run, pairs=slice(2 * lo, 2 * hi),
+            span=slice(2 * (lo - roots), 2 * (hi - roots)),
+            parent=parent, parent_up=parent[::-1].copy(),
+            reg_slots=_pair_index(reg), reg_own=_fused_pairs(lo + reg),
+            reg_parent=_fused_pairs(parent_pos[reg]),
+            reg_block=slice(done, done + 4 * len(reg))))
+        done += 4 * len(reg)
     return _PhaseTree(
         order_arr, parent_edge, parent_node, child, levels, edges,
         own=_fused_pairs(np.arange(roots, n)),
@@ -873,7 +885,8 @@ def _pair_coefficients(a: np.ndarray) -> np.ndarray:
     swapped view of x, re * x + cross * xs is (ar*xr - ai*xi, ar*xi + ai*xr):
     the product a scalar complex multiply forms, bit for bit, since IEEE 754
     defines p - q as p + (-q). A whole-array complex multiply can round
-    differently."""
+    differently. The sweeps form these products for the regulator edges
+    alone (the tap ratios) and for every tree edge's impedance."""
     re = np.repeat(a.real, 2)
     cross = np.repeat(a.imag, 2)
     cross[0::2] = -cross[0::2]
@@ -886,18 +899,30 @@ def _backward_sweep(tree: _PhaseTree, ratio_coef: np.ndarray, s: np.ndarray,
     level first, by BFS position. Past the roots, entry k is then the
     current in the edge above the node at position k.
 
-    Each level adds ratio * current into its parents in reverse BFS order,
+    Each level adds its currents into its parents in reverse BFS order,
     the order a node-by-node pass over the reversed BFS order takes, so
-    every sum is formed in the same sequence. The real ratio enters as the
-    complex (r, 0), as in a scalar product.
+    every sum is formed in the same sequence. A regulator's current enters
+    times its ratio, the real ratio taken as the complex (r, 0), as in a
+    scalar product. Elsewhere the ratio is 1, and the product by (1, 0)
+    would change a current only in the sign of an exact zero, so the run
+    is added as it is. Inside a subtree without injections, a zero current
+    then keeps the -0 imaginary part of conj(0 / v) where the product would
+    give +0. _assemble_state multiplies every current by its ratio again,
+    which clears that sign on each edge specified from parent to child, as
+    every generated edge is.
     """
     i_acc = np.conj(s / v)
     x = i_acc.view(np.float64)
     for lv in reversed(tree.levels):
-        t = x[lv.own]
-        t *= ratio_coef[lv.block]
-        h = len(lv.parent_up)
-        np.add.at(x, lv.parent_up, (t[:h] + t[h:])[::-1])
+        # a copy, not a view: np.add.at takes a slower path when its
+        # operands share memory
+        run = x[lv.pairs].copy()
+        if len(lv.reg_slots):
+            t = x[lv.reg_own]
+            t *= ratio_coef[lv.reg_block]
+            h = len(lv.reg_slots)
+            run[lv.reg_slots] = t[:h] + t[h:]
+        np.add.at(x, lv.parent_up, run[::-1])
     return i_acc
 
 
@@ -905,7 +930,11 @@ def _forward_sweep(tree: _PhaseTree, ratio_coef: np.ndarray,
                    i_acc: np.ndarray, v: np.ndarray) -> None:
     """v = ratio * v_parent - z * i_branch, shallowest level first, in
     place by BFS position. The branch currents are final before the sweep
-    starts, so z * i_branch is formed for all levels at once."""
+    starts, so z * i_branch is formed for all levels at once. The ratio
+    product runs at regulator edges alone. Elsewhere the product by (1, 0)
+    could change a parent voltage only in the sign of an exact zero, and no
+    voltage has one: the real part is never zero, and the imaginary part
+    starts at +0 at the roots and a difference is -0 only from -0."""
     zi = i_acc.view(np.float64)[tree.own]
     zi *= tree.z_coef
     h = len(zi) // 2
@@ -913,9 +942,12 @@ def _forward_sweep(tree: _PhaseTree, ratio_coef: np.ndarray,
     x = v.view(np.float64)
     for lv in tree.levels:
         t = x[lv.parent]
-        t *= ratio_coef[lv.block]
-        h = len(lv.parent_up)
-        x[lv.pairs] = t[:h] + t[h:] - zi[lv.span]
+        if len(lv.reg_slots):
+            p = x[lv.reg_parent]
+            p *= ratio_coef[lv.reg_block]
+            h = len(lv.reg_slots)
+            t[lv.reg_slots] = p[:h] + p[h:]
+        np.subtract(t, zi[lv.span], out=x[lv.pairs])
 
 
 def _times_conj(ar, ai, br, bi):

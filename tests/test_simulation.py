@@ -563,23 +563,45 @@ def assert_bit_identical(state, ref, where):
             == np.array(ref.s_subxfmr).tobytes()), where
 
 
-@pytest.mark.parametrize("seed,size,n_steps,close_step,ties,taps_move", [
-    (7, "tiny", 40, 20, (0,), False),   # a tie closes mid-run: re-rooted subtree
-    (101, "medium", 10, 5, (0, 1), True),
-    # every tie closed from the first step, as `generate --close-ties` runs
-    (104, "medium", 10, 0, (0, 1), True),
-])
-def test_level_sweep_matches_loop_reference(seed, size, n_steps, close_step,
-                                            ties, taps_move):
+def zero_injection_subtrees(tree, s_injection):
+    """Non-root nodes whose subtree has zero injection throughout and holds
+    more than the node itself. There the backward sweep adds a zero current
+    into a zero one, where the sign of each zero depends on whether the
+    ratio 1 multiplied it: the path the oracle must keep covering."""
+    zero = s_injection == 0
+    size = np.ones(len(zero), dtype=int)
+    for lv in reversed(tree.levels):
+        nodes = tree.order[lv.nodes]
+        np.logical_and.at(zero, tree.parent_node[nodes], zero[nodes])
+        np.add.at(size, tree.parent_node[nodes], size[nodes])
+    return np.flatnonzero(zero & (size > 1) & (tree.parent_node >= 0))
+
+
+ALL_TIES = tuple(range(5))   # the ties of a 6-feeder substation
+
+
+@pytest.mark.parametrize(
+    "seed,size,n_feeders,n_steps,close_step,ties,taps_move", [
+        (7, "tiny", 3, 40, 20, (0,), False),  # a tie closes mid-run: re-rooted
+        (101, "medium", 3, 10, 5, (0, 1), True),
+        # every tie closed from the first step, as `generate --close-ties` runs
+        (104, "medium", 3, 10, 0, (0, 1), True),
+        # six feeders: several regulators share a level and their taps move
+        (50, "small", 6, 10, 0, ALL_TIES, True),
+        (104, "medium", 6, 10, 5, ALL_TIES, True),
+    ])
+def test_level_sweep_matches_loop_reference(seed, size, n_feeders, n_steps,
+                                            close_step, ties, taps_move):
     """Every step of a run, with regulator taps evolving, matches the node
     loop bit for bit; the step loop is run_timeseries's."""
-    spec = sim.generate_substation(seed, size)
+    spec = sim.generate_substation(seed, size, n_feeders)
     scenario = sim.ScenarioConfig(
         horizon_minutes=n_steps * sim.TIMESTEP_MINUTES, der_penetration=20,
         tie_closures=ties, tie_close_step=close_step)
     graph = sim.build_graph(spec)
     controls = sim.Controls()
     controller = sim.RegulatorController(graph)
+    zero_subtrees = 0
     for t, s_inj in enumerate(sim._injections(spec, graph, scenario)):
         if t >= close_step:
             for ti in ties:
@@ -588,10 +610,19 @@ def test_level_sweep_matches_loop_reference(seed, size, n_steps, close_step,
         state = sim.solve_powerflow(spec, graph, s_inj, controls)
         assert_bit_identical(state, loop_sweep_reference(
             spec, graph, s_inj, controls), f"at step {t}")
+        zero_subtrees += len(zero_injection_subtrees(
+            graph.tree(state.edge_status), s_inj))
         controller.update(controls, state)
     # one tree per switch configuration the run crossed
     assert len(graph.trees) == (1 if close_step == 0 else 2)
     assert any(tap != 0 for tap in controls.taps.values()) == taps_move
+    assert zero_subtrees > 0
+    # three phases per regulator: with six feeders, some level holds the
+    # regulators of two feeders or more
+    regulators_per_level = [len(lv.reg_slots) // 2
+                            for tree in graph.trees.values()
+                            for lv in tree.levels]
+    assert max(regulators_per_level) >= n_feeders
 
 
 @pytest.mark.parametrize("tap", [-5, 0, 3])
@@ -658,40 +689,57 @@ def test_phase_tree_levels(seed, size, ties):
     assert np.array_equal(tree.z_coef[:2 * k], np.repeat(z.real, 2))
     assert np.array_equal(tree.z_coef[2 * k + 1::2], z.imag)
     assert np.array_equal(tree.z_coef[2 * k::2], -z.imag)
-    assert len(tree.ratio_index) == 4 * k
+    # the ratio's coefficients are gathered for the regulator edges alone:
+    # one three-phase regulator per feeder, 36 entries on three feeders
+    n_regulators = 3 * len(spec.feeders)
+    assert np.sum(graph.edge_kind[tree.edges] == "regulator") == n_regulators
+    assert len(tree.ratio_index) == 4 * n_regulators
 
     above = slice(0, roots)
+    done = 0
     for lv in tree.levels:
         nodes = tree.order[lv.nodes]
         h = 2 * len(nodes)
         # the parent of each node sits in the level above
-        parents = lv.parent[:h:2] // 2
+        parents = lv.parent[0::2] // 2
+        assert len(lv.parent) == h
         assert np.all((parents >= above.start) & (parents < above.stop))
         assert np.array_equal(tree.order[parents], tree.parent_node[nodes])
         assert np.array_equal(lv.edges, tree.parent_edge[nodes])
-        # float-view indices: the run's pairs, then the same pairs swapped
-        positions = np.arange(lv.nodes.start, lv.nodes.stop)
+        # float-view indices: the run's pairs and its parents' pairs
         assert lv.pairs == slice(2 * lv.nodes.start, 2 * lv.nodes.stop)
         assert lv.span == slice(lv.pairs.start - 2 * roots,
                                 lv.pairs.stop - 2 * roots)
-        assert np.array_equal(lv.own[:h:2], 2 * positions)
-        assert np.array_equal(lv.own[1:h:2], 2 * positions + 1)
-        assert np.array_equal(lv.own[h:], lv.own[:h] ^ 1)
-        assert np.array_equal(lv.own[:h], tree.own[:2 * k][lv.span])
-        assert np.array_equal(lv.own[h:], tree.own[2 * k:][lv.span])
-        assert np.array_equal(lv.parent[1:h:2], 2 * parents + 1)
-        assert np.array_equal(lv.parent[h:], lv.parent[:h] ^ 1)
-        # the level's ratio block: its edges' re entries, then their cross
-        # entries, in the [re | cross] coefficients of an edge array
-        assert lv.block == slice(2 * lv.span.start, 2 * lv.span.stop)
-        block = tree.ratio_index[lv.block]
-        assert np.array_equal(block[:h:2], 2 * lv.edges)
-        assert np.array_equal(block[1:h:2], 2 * lv.edges + 1)
-        assert np.array_equal(block[h:], 2 * n_edges + block[:h])
+        assert np.array_equal(lv.parent[0::2], 2 * parents)
+        assert np.array_equal(lv.parent[1::2], 2 * parents + 1)
         # the backward copy is the exact reverse of the forward pairs
-        assert np.array_equal(lv.parent_up, lv.parent[:h][::-1])
+        assert np.array_equal(lv.parent_up, lv.parent[::-1])
+        # the regulator slots are the run's pairs at its regulator edges;
+        # a level without one has none
+        reg = np.flatnonzero(graph.edge_kind[lv.edges] == "regulator")
+        r = 2 * len(reg)
+        assert np.array_equal(lv.reg_slots[0::2], 2 * reg)
+        assert np.array_equal(lv.reg_slots[1::2], 2 * reg + 1)
+        # their own and parent pairs, each then the same pairs swapped
+        run = np.arange(lv.pairs.start, lv.pairs.stop)
+        assert np.array_equal(lv.reg_own[:r], run[lv.reg_slots])
+        assert np.array_equal(lv.reg_own[r:], lv.reg_own[:r] ^ 1)
+        assert np.array_equal(lv.reg_parent[:r], lv.parent[lv.reg_slots])
+        assert np.array_equal(lv.reg_parent[r:], lv.reg_parent[:r] ^ 1)
+        # the level's ratio block: its regulator edges' re entries, then
+        # their cross entries, in the [re | cross] coefficients of an edge
+        # array; the blocks tile ratio_index level by level
+        assert lv.reg_block == slice(done, done + 2 * r)
+        block = tree.ratio_index[lv.reg_block]
+        assert np.array_equal(block[:r:2], 2 * lv.edges[reg])
+        assert np.array_equal(block[1:r:2], 2 * lv.edges[reg] + 1)
+        assert np.array_equal(block[r:], 2 * n_edges + block[:r])
+        done += 2 * r
         above = lv.nodes
+    assert done == len(tree.ratio_index)
     assert len(tree.levels) >= 4
+    # the regulators sit mid-backbone: most levels hold none
+    assert sum(len(lv.reg_slots) > 0 for lv in tree.levels) < len(tree.levels) / 2
 
 
 def test_run_builds_each_switch_configuration_once(tiny_spec, monkeypatch):
