@@ -223,7 +223,7 @@ def dataset_from_states(spec: sim.SubstationSpec,
     v_true = stack("v_mag")
     status = stack("edge_status")
     edge_tap = stack("edge_tap")
-    reg = np.flatnonzero(graph.edge_kind == "regulator")
+    reg = graph.reg_edges
     node_tap = np.zeros_like(v_true)
     node_tap[:, graph.edge_to[reg]] = np.where(status[:, reg] == 1,
                                                edge_tap[:, reg], 0.0)

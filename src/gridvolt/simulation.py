@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -505,17 +506,17 @@ class GraphIndex:
     """Bus-phase expansion of a SubstationSpec.
 
     An edge is one phase of one device. Everything here is fixed for the
-    life of the spec; what a timestep changes is in SolvedState, in the same
-    node and edge order.
+    life of the spec; what a timestep changes is in Controls and
+    SolvedState, in the same node and edge order.
     """
 
     bus_phases: list[net.BusPhase]
     node_of: dict[tuple[int, str], int]
     edge_device: np.ndarray      # device uid per edge
-    edge_phase: list[str]
     edge_from: np.ndarray
     edge_to: np.ndarray
     edge_kind: np.ndarray        # network.DEVICE_KINDS entry per edge
+    reg_edges: np.ndarray        # the regulator edges, in edge order
     edge_impedance: np.ndarray   # complex r + jx
     edge_zmag: np.ndarray        # |r + jx|
     edge_normally_closed: np.ndarray
@@ -558,7 +559,6 @@ def build_graph(spec: SubstationSpec) -> GraphIndex:
     n = len(bus_phases)
 
     edge_dev: list[DeviceSpec] = []
-    edge_phase: list[str] = []
     edge_from: list[int] = []
     edge_to: list[int] = []
     for d in spec.all_devices():
@@ -568,7 +568,6 @@ def build_graph(spec: SubstationSpec) -> GraphIndex:
             if a is None or b is None:
                 continue
             edge_dev.append(d)
-            edge_phase.append(ph)
             edge_from.append(a)
             edge_to.append(b)
 
@@ -596,10 +595,9 @@ def build_graph(spec: SubstationSpec) -> GraphIndex:
     return GraphIndex(
         bus_phases=bus_phases, node_of=node_of,
         edge_device=np.array([d.uid for d in edge_dev], dtype=int),
-        edge_phase=edge_phase,
         edge_from=np.array(edge_from, dtype=int),
         edge_to=np.array(edge_to, dtype=int),
-        edge_kind=kind,
+        edge_kind=kind, reg_edges=np.flatnonzero(kind == "regulator"),
         edge_impedance=np.array([complex(d.r_pu, d.x_pu) for d in edge_dev],
                                 dtype=complex),
         edge_zmag=np.array([math.hypot(d.r_pu, d.x_pu) for d in edge_dev]),
@@ -616,12 +614,13 @@ def build_graph(spec: SubstationSpec) -> GraphIndex:
 # ---------------------------------------------------------------------------
 # power flow
 
-@dataclass
-class Controls:
-    """Per-timestep device state: regulator taps and switch overrides."""
+class Controls(NamedTuple):
+    """Per-timestep device state as two arrays over a GraphIndex: ``status``
+    is 1 (closed) or 0 (open) per edge, and ``taps`` the integer tap step
+    of each edge of ``reg_edges``."""
 
-    taps: dict[tuple[int, str], int] = field(default_factory=dict)
-    closed_override: dict[int, bool] = field(default_factory=dict)
+    status: np.ndarray
+    taps: np.ndarray
 
 
 @dataclass
@@ -639,7 +638,7 @@ class SolvedState:
     p_injection_pu: np.ndarray      # net active, consumption-positive
     q_injection_pu: np.ndarray
     edge_status: np.ndarray         # 1 closed, 0 open
-    edge_tap: np.ndarray            # regulator tap steps / REG_MAX_TAP, else 0
+    edge_tap: np.ndarray            # regulator tap step / REG_MAX_TAP, else 0
     edge_p: np.ndarray
     edge_q: np.ndarray
     edge_i_mag: np.ndarray
@@ -652,47 +651,34 @@ class SolvedState:
 def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
                     s_injection: np.ndarray, controls: Controls,
                     timestamp: float = 0.0,
-                    tol: float = SOLVER_TOL,
                     max_iter: int = SOLVER_MAX_ITER) -> SolvedState:
     """Backward-forward sweep over every phase tree of the substation.
 
     ``s_injection`` is complex net consumption per bus-phase node (load minus
-    generation; capacitors contribute negative reactive consumption). The hub
-    nodes are the slack at the LTC setpoint. Both sweeps are
-    level-synchronous: they loop over the depths of the BFS tree cached for
-    the switch configuration and treat each depth as whole arrays, with the
-    same arithmetic, in the same order, as a sweep node by node. The tree
-    carries the sweeps' gather indices, regulator slots and impedance
-    coefficients; a solve adds only the tap ratios of the tree's regulator
-    edges, gathered once into the levels' regulator blocks.
+    generation; capacitors contribute negative reactive consumption), and
+    ``controls`` the switch status of every edge and the tap step of every
+    regulator edge. The hub nodes are the slack at the LTC setpoint. Both
+    sweeps are level-synchronous: they loop over the depths of the BFS tree
+    cached for ``controls.status`` and treat each depth as whole arrays,
+    with the same arithmetic, in the same order, as a sweep node by node.
+    The tree carries the sweeps' gather indices, impedance coefficients and
+    its regulator edges level by level, with their index into
+    ``controls.taps``; a solve forms the tap ratios of those edges alone.
     """
     n = graph.n_nodes
     n_edges = len(graph.edge_device)
-    status = graph.edge_normally_closed.copy()
-    for uid, closed in controls.closed_override.items():
-        status[graph.edge_device == uid] = 1 if closed else 0
-    reg = np.flatnonzero(graph.edge_kind == "regulator")
-    steps = np.array([controls.taps.get((int(graph.edge_device[e]),
-                                         graph.edge_phase[e]), 0)
-                      for e in reg], dtype=float)
-    ratio = np.ones(n_edges)
-    ratio[reg] = 1.0 + REG_STEP * steps
-    tap_norm_edge = np.zeros(n_edges)
-    tap_norm_edge[reg] = steps / REG_MAX_TAP
-
-    tree = graph.tree(status)
+    tree = graph.tree(controls.status)
 
     # the ratio applies from the parent side to the child side; a tap is
     # tied to the device's to-bus, so a device specified child -> parent
     # sees its ratio inverted
-    child = tree.child
-    flip = np.flatnonzero((child >= 0) & (graph.edge_to != child)
-                          & (ratio != 1.0))
-    e_ratio = ratio.copy()
-    e_ratio[flip] = 1.0 / ratio[flip]
+    ratio = 1.0 + REG_STEP * controls.taps[tree.reg_taps]
+    ratio[tree.reg_flip] = 1.0 / ratio[tree.reg_flip]
+    e_ratio = np.ones(n_edges)
+    e_ratio[tree.reg_edges] = ratio
 
     # the sweeps work in BFS positions: s and v are tree.order's nodes
-    ratio_coef = _pair_coefficients(e_ratio.astype(complex))[tree.ratio_index]
+    ratio_coef = _pair_coefficients(ratio.astype(complex))[tree.ratio_index]
     s = s_injection[tree.order]
     v = np.full(n, complex(spec.ltc_setpoint, 0.0), dtype=complex)
     residual = math.inf
@@ -704,7 +690,7 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
         # NaN from a divergent case propagates here and fails the tolerance
         # check, so divergence always exits through the iteration limit
         residual = float(np.max(np.abs(v - v_prev)))
-        if residual < tol:
+        if residual < SOLVER_TOL:
             break
     else:
         raise PowerFlowError(
@@ -722,9 +708,8 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     i_branch = np.zeros(n_edges, dtype=complex)
     i_branch[tree.edges] = i_acc[len(graph.hub_node_ids):]
 
-    state = _assemble_state(spec, graph, s_injection, timestamp, status,
-                            tap_norm_edge, v_volt, i_branch, child,
-                            tree.parent_node, e_ratio)
+    state = _assemble_state(spec, graph, tree, controls, s_injection,
+                            timestamp, v_volt, i_branch, e_ratio)
     state.sweep_iterations = iterations
     return state
 
@@ -762,9 +747,12 @@ class _PhaseTree(NamedTuple):
     """The radial forest of one switch configuration (see _phase_trees).
 
     Past the roots, ``edges``, ``own`` and ``z_coef`` follow the BFS
-    positions of the k non-root nodes; ``ratio_index`` lays out each
-    level's regulator block in turn, 4 entries per regulator edge of the
-    tree, so a level's ``reg_block`` is twice its ``reg_slots``.
+    positions of the k non-root nodes. ``reg_edges`` holds the tree's m
+    regulator edges level by level, ``reg_taps`` their index into
+    ``Controls.taps`` and ``reg_flip`` whether each is specified child ->
+    parent. ``ratio_index`` lays out each level's regulator block in turn,
+    4 entries per regulator edge, in the [re | cross] _pair_coefficients of
+    the m ratios, so a level's ``reg_block`` is twice its ``reg_slots``.
     """
 
     order: np.ndarray        # node at each BFS position, roots first
@@ -775,9 +763,10 @@ class _PhaseTree(NamedTuple):
     edges: np.ndarray        # edge above each non-root position
     own: np.ndarray          # [4k] their pairs, then swapped
     z_coef: np.ndarray       # [4k] [re | cross] of those edges' impedance
-    # per level, the [re | cross] entries of its regulator edges in the
-    # _pair_coefficients of an edge array
-    ratio_index: np.ndarray
+    reg_edges: np.ndarray    # [m] regulator edges, level by level
+    reg_taps: np.ndarray     # [m] their index into Controls.taps
+    reg_flip: np.ndarray     # [m] specified child -> parent
+    ratio_index: np.ndarray  # [4m] the levels' regulator blocks in turn
 
 
 def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
@@ -838,32 +827,40 @@ def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
     roots = len(graph.hub_node_ids)
     edges = parent_edge[order_arr[roots:]]
     bounds = np.flatnonzero(np.diff(depth[order_arr])) + 1
-    n_edges = len(status)
+    tap_of = np.full(len(status), -1)
+    tap_of[graph.reg_edges] = np.arange(len(graph.reg_edges))
+    # the levels tile the positions in order, so the regulator positions in
+    # BFS order hold the tree's regulator edges level by level
+    reg_pos = np.flatnonzero(tap_of[edges] >= 0)
+    reg_edges = edges[reg_pos]
+    m = len(reg_pos)
     levels = []
-    blocks = []
-    done = 0
+    ratio_index = []
+    done = 0                                       # regulator edges above
     for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), n]):
         run = edges[lo - roots:hi - roots]
         parent_pos = position[parent_node[order_arr[lo:hi]]]
         parent = _pair_index(parent_pos)
-        reg = np.flatnonzero(graph.edge_kind[run] == "regulator")
-        # the level's regulator block: those edges' re entries, then their
+        reg = np.flatnonzero(tap_of[run] >= 0)
+        # the level's regulator block: its ratios' re entries, then their
         # cross entries
-        reg_pairs = _pair_index(run[reg])
-        blocks.append(np.concatenate([reg_pairs, 2 * n_edges + reg_pairs]))
+        pairs = _pair_index(done + np.arange(len(reg)))
+        ratio_index += [pairs, 2 * m + pairs]
         levels.append(_Level(
             nodes=slice(lo, hi), edges=run, pairs=slice(2 * lo, 2 * hi),
             span=slice(2 * (lo - roots), 2 * (hi - roots)),
             parent=parent, parent_up=parent[::-1].copy(),
             reg_slots=_pair_index(reg), reg_own=_fused_pairs(lo + reg),
             reg_parent=_fused_pairs(parent_pos[reg]),
-            reg_block=slice(done, done + 4 * len(reg))))
-        done += 4 * len(reg)
+            reg_block=slice(4 * done, 4 * (done + len(reg)))))
+        done += len(reg)
     return _PhaseTree(
         order_arr, parent_edge, parent_node, child, levels, edges,
         own=_fused_pairs(np.arange(roots, n)),
         z_coef=_pair_coefficients(graph.edge_impedance[edges]),
-        ratio_index=np.concatenate([np.zeros(0, dtype=int), *blocks]))
+        reg_edges=reg_edges, reg_taps=tap_of[reg_edges],
+        reg_flip=graph.edge_to[reg_edges] != order_arr[roots + reg_pos],
+        ratio_index=np.concatenate([np.zeros(0, dtype=int), *ratio_index]))
 
 
 def _pair_index(k: np.ndarray) -> np.ndarray:
@@ -957,10 +954,10 @@ def _times_conj(ar, ai, br, bi):
     return ar * br + ai * bi, ai * br - ar * bi
 
 
-def _assemble_state(spec, graph, s_injection, timestamp, status,
-                    tap_norm_edge, v_volt, i_branch, child, parent_node,
-                    e_ratio) -> SolvedState:
+def _assemble_state(spec, graph, tree, controls, s_injection, timestamp,
+                    v_volt, i_branch, e_ratio) -> SolvedState:
     n_edges = len(graph.edge_device)
+    child, status = tree.child, controls.status
     vr, vi = v_volt.real, v_volt.imag
     ir, ii = i_branch.real, i_branch.imag
     # e_ratio * i_branch with the real ratio taken as the complex (r, 0)
@@ -977,13 +974,13 @@ def _assemble_state(spec, graph, s_injection, timestamp, status,
     p[fwd], q[fwd] = _times_conj(vr[a[fwd]], vi[a[fwd]], cr[fwd], ci[fwd])
     pb, qb = _times_conj(vr[a[bwd]], vi[a[bwd]], ir[bwd], ii[bwd])
     p[bwd], q[bwd] = -pb, -qb
-    tree = np.flatnonzero(child >= 0)
+    closed = np.flatnonzero(child >= 0)
     i_mag = np.zeros(n_edges)
-    i_mag[tree] = np.hypot(ir[tree], ii[tree])
+    i_mag[closed] = np.hypot(ir[closed], ii[closed])
 
     # power the hub sends into each feeder head, summed in edge order
     links = np.flatnonzero((graph.head_feeder >= 0) & (status == 1))
-    hub = parent_node[child[links]]
+    hub = tree.parent_node[child[links]]
     sr, si = _times_conj(vr[hub], vi[hub], cr[links], ci[links])
     head_re = np.zeros(len(spec.feeders))
     head_im = np.zeros(len(spec.feeders))
@@ -992,6 +989,8 @@ def _assemble_state(spec, graph, s_injection, timestamp, status,
     head_flow = {f.feeder_id: complex(head_re[k], head_im[k])
                  for k, f in enumerate(spec.feeders)}
     s_subxfmr = sum(head_flow.values()) + spec.aux_load
+    tap = np.zeros(n_edges)
+    tap[graph.reg_edges] = controls.taps / REG_MAX_TAP
 
     return SolvedState(
         timestamp=timestamp,
@@ -999,8 +998,8 @@ def _assemble_state(spec, graph, s_injection, timestamp, status,
         v_mag=np.abs(v_volt),
         p_injection_pu=s_injection.real.copy(),
         q_injection_pu=s_injection.imag.copy(),
-        edge_status=status,
-        edge_tap=tap_norm_edge,
+        edge_status=status.copy(),
+        edge_tap=tap,
         edge_p=p,
         edge_q=q,
         edge_i_mag=i_mag,
@@ -1027,17 +1026,25 @@ def conservation_residuals(state: SolvedState) -> np.ndarray:
 
 
 def solver_health(states: list[SolvedState]) -> dict:
-    """How a run's solves went: sweep iterations (mean, max), the largest
-    per-node conservation residual, the voltage range over every snapshot
-    per bus type, and whether every voltage lies inside VOLTAGE_BAND."""
+    """How a run's solves went: sweep iterations (mean, max, and the number
+    of solves per iteration count), the largest per-node conservation
+    residual, the lowest and highest regulator tap step, the voltage range
+    over every snapshot per bus type, and whether every voltage lies inside
+    VOLTAGE_BAND."""
+    graph = states[0].graph
     v = np.stack([state.v_mag for state in states])
-    bus_type = np.array([bp.bus_type for bp in states[0].graph.bus_phases])
+    bus_type = np.array([bp.bus_type for bp in graph.bus_phases])
     iterations = [state.sweep_iterations for state in states]
+    steps = REG_MAX_TAP * np.stack([s.edge_tap[graph.reg_edges]
+                                    for s in states])
     lo, hi = VOLTAGE_BAND
     return {
         "snapshots": len(states),
         "sweep_iterations_mean": float(np.mean(iterations)),
         "sweep_iterations_max": max(iterations),
+        "sweep_iterations_hist": dict(sorted(Counter(iterations).items())),
+        "tap_steps": ([int(steps.min()), int(steps.max())] if steps.size
+                      else None),
         "conservation_max_pu": max(float(conservation_residuals(s).max())
                                    for s in states),
         "v_range_pu": {t: [float(v[:, bus_type == t].min()),
@@ -1111,24 +1118,14 @@ def materialize_profile(profile: ProfileSpec, n_steps: int) -> np.ndarray:
     raise ValueError(f"unknown profile kind {profile.kind!r}")
 
 
-class RegulatorController:
-    """Deadband tap control: one step per timestep toward 1.0 p.u."""
-
-    def __init__(self, graph: GraphIndex):
-        self.reg_edges = [
-            (int(graph.edge_device[e]), graph.edge_phase[e], int(graph.edge_to[e]))
-            for e in np.flatnonzero(graph.edge_kind == "regulator")
-        ]
-
-    def update(self, controls: Controls, state: SolvedState) -> None:
-        for uid, phase, node in self.reg_edges:
-            v = state.v_mag[node]
-            tap = controls.taps.get((uid, phase), 0)
-            if v < 1.0 - REG_DEADBAND and tap < REG_MAX_TAP:
-                tap += 1
-            elif v > 1.0 + REG_DEADBAND and tap > -REG_MAX_TAP:
-                tap -= 1
-            controls.taps[(uid, phase)] = tap
+def _regulate(graph: GraphIndex, taps: np.ndarray,
+              v_mag: np.ndarray) -> np.ndarray:
+    """Deadband tap control: the taps after one step of each regulator
+    toward 1.0 p.u. at its to-bus, up below 1 - REG_DEADBAND and down above
+    1 + REG_DEADBAND, never past +/-REG_MAX_TAP."""
+    v = v_mag[graph.edge_to[graph.reg_edges]]
+    return (taps + ((v < 1.0 - REG_DEADBAND) & (taps < REG_MAX_TAP))
+            - ((v > 1.0 + REG_DEADBAND) & (taps > -REG_MAX_TAP)))
 
 
 def _injections(spec: SubstationSpec, graph: GraphIndex,
@@ -1156,29 +1153,30 @@ def _injections(spec: SubstationSpec, graph: GraphIndex,
     return s_inj
 
 
-def run_timeseries(spec: SubstationSpec, scenario: ScenarioConfig,
-                   graph: GraphIndex | None = None) -> list[SolvedState]:
+def run_timeseries(spec: SubstationSpec,
+                   scenario: ScenarioConfig) -> list[SolvedState]:
     """Solve the scenario horizon at 15-minute resolution.
 
     Timesteps are independent given the control state carried over from the
     previous step (regulator taps). Tie closures listed in the scenario take
     effect at ``tie_close_step`` together with their sectionalizer opening.
     """
-    graph = graph or build_graph(spec)
-    controls = Controls()
-    controller = RegulatorController(graph)
+    graph = build_graph(spec)
+    tied = graph.edge_normally_closed.copy()
+    for ti in scenario.tie_closures:
+        tie = spec.ties[ti]
+        tied[graph.edge_device == tie.device_uid] = 1
+        tied[graph.edge_device == tie.sectionalizer_uid] = 0
+    taps = np.zeros(len(graph.reg_edges), dtype=int)
     states: list[SolvedState] = []
     for t, s_inj in enumerate(_injections(spec, graph, scenario)):
-        if scenario.tie_closures and t >= scenario.tie_close_step:
-            for ti in scenario.tie_closures:
-                tie = spec.ties[ti]
-                controls.closed_override[tie.device_uid] = True
-                controls.closed_override[tie.sectionalizer_uid] = False
+        status = (tied if t >= scenario.tie_close_step
+                  else graph.edge_normally_closed)
         try:
-            state = solve_powerflow(spec, graph, s_inj, controls,
+            state = solve_powerflow(spec, graph, s_inj, Controls(status, taps),
                                     timestamp=float(t * TIMESTEP_MINUTES))
         except PowerFlowError as exc:
             raise PowerFlowError(f"timestep {t}: {exc}", exc.residual) from exc
         states.append(state)
-        controller.update(controls, state)
+        taps = _regulate(graph, taps, state.v_mag)
     return states

@@ -83,6 +83,17 @@ def test_generate_reports_solver_health(tmp_path, capsys):
     assert solver["snapshots"] == 16
     assert 1 <= solver["sweep_iterations_mean"] <= solver["sweep_iterations_max"] < 100
     assert 0 <= solver["conservation_max_pu"] < 1e-10
+    # the number of solves per sweep iteration count, keyed by the count
+    hist = {int(k): c for k, c in solver["sweep_iterations_hist"].items()}
+    assert sum(hist.values()) == 16
+    assert max(hist) == solver["sweep_iterations_max"]
+    assert (sum(k * c for k, c in hist.items()) / 16
+            == pytest.approx(solver["sweep_iterations_mean"]))
+    # the lowest and highest tap step of any regulator over the run, read
+    # back from the dataset's normalized edge taps
+    taps = ds.load_dataset(out).arrays["edge_tap"] * gsim.REG_MAX_TAP
+    assert solver["tap_steps"] == [taps.min(), taps.max()]
+    assert solver["tap_steps"][0] <= 0 <= solver["tap_steps"][1]
     assert solver["band_pu"] == list(gsim.VOLTAGE_BAND)
     assert solver["in_band"] is True
     v = ds.load_dataset(out).arrays["v_true"]
@@ -122,8 +133,8 @@ def test_generate_out_of_range_voltage_reports_config(tmp_path, capsys,
                                                      monkeypatch):
     solve = gsim.run_timeseries
 
-    def sagging(spec, scenario, graph=None):
-        states = solve(spec, scenario, graph)
+    def sagging(spec, scenario):
+        states = solve(spec, scenario)
         states[2].v_mag[4] = 0.3
         return states
 

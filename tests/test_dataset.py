@@ -409,11 +409,12 @@ def test_out_of_range_values_name_bus_phase_and_step(tiny_spec):
 def test_node_tap_follows_regulator_edges(tiny_spec):
     cfg = sim.ScenarioConfig(horizon_minutes=HORIZON)
     graph = sim.build_graph(tiny_spec)
-    reg = np.flatnonzero(graph.edge_kind == "regulator")[0]
-    uid = int(graph.edge_device[reg])
+    reg = graph.reg_edges[0]
+    taps = np.zeros(len(graph.reg_edges), dtype=int)
+    taps[0] = 4
     state = sim.solve_powerflow(
         tiny_spec, graph, sim._injections(tiny_spec, graph, cfg)[0],
-        sim.Controls(taps={(uid, graph.edge_phase[reg]): 4}))
+        sim.Controls(graph.edge_normally_closed, taps))
     snap = dsm.dataset_from_states(tiny_spec, cfg, [state]).snapshot(0)
     tap = snap.node_x[:, net.NODE_FEATURE_INDEX["tap"]]
     edge_tap = snap.edge_z[:, net.EDGE_FEATURE_INDEX["tap"]]

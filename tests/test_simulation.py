@@ -52,12 +52,18 @@ def two_bus_spec(r=0.01, x=0.02, setpoint=1.0, load_peak=None):
         ltc_setpoint=setpoint)
 
 
+def normal_controls(graph):
+    """Every switch in its normal state and every tap at step 0."""
+    return sim.Controls(graph.edge_normally_closed.copy(),
+                        np.zeros(len(graph.reg_edges), dtype=int))
+
+
 def solve_two_bus(r, x, p, q, setpoint=1.0):
     spec = two_bus_spec(r, x, setpoint)
     graph = sim.build_graph(spec)
     s = np.zeros(graph.n_nodes, dtype=complex)
     s[graph.node_of[(1, "A")]] = complex(p, q)
-    state = sim.solve_powerflow(spec, graph, s, sim.Controls())
+    state = sim.solve_powerflow(spec, graph, s, normal_controls(graph))
     return state, graph
 
 
@@ -413,20 +419,70 @@ def test_regulator_steps_into_deadband():
     s = np.zeros(graph.n_nodes, dtype=complex)
     out_node = graph.node_of[(3, "A")]
     s[out_node] = complex(0.4, 0.1)
-    controls = sim.Controls()
-    controller = sim.RegulatorController(graph)
+    controls = normal_controls(graph)
     taps, volts = [], []
     for _ in range(8):
         state = sim.solve_powerflow(spec, graph, s, controls)
-        taps.append(controls.taps.get((2, "A"), 0))
+        taps.append(int(controls.taps[0]))
         volts.append(state.v_mag[out_node])
-        controller.update(controls, state)
+        controls = controls._replace(
+            taps=sim._regulate(graph, controls.taps, state.v_mag))
     assert volts[0] < 0.99
     assert taps == sorted(taps)
-    assert 1 <= max(controls.taps.values()) <= 5
+    assert 1 <= controls.taps.max() <= 5
     assert 0.99 <= volts[-1] <= 1.01
-    reg = np.flatnonzero(graph.edge_kind == "regulator")[0]
-    assert state.edge_tap[reg] == pytest.approx(max(controls.taps.values()) / 16)
+    assert state.edge_tap[graph.reg_edges[0]] == pytest.approx(
+        controls.taps.max() / 16)
+
+
+def test_solved_state_owns_its_device_arrays(tiny_spec):
+    """A later change to a Controls array leaves a solved state as it was."""
+    graph = sim.build_graph(tiny_spec)
+    controls = normal_controls(graph)
+    controls.taps[:] = 2
+    s = sim._injections(tiny_spec, graph, sim.ScenarioConfig(
+        horizon_minutes=sim.TIMESTEP_MINUTES))[0]
+    state = sim.solve_powerflow(tiny_spec, graph, s, controls)
+    controls.status[:] = 0
+    controls.taps[:] = -3
+    assert state.edge_status.tobytes() == graph.edge_normally_closed.tobytes()
+    assert np.all(state.edge_tap[graph.reg_edges] == 2 / sim.REG_MAX_TAP)
+    assert np.count_nonzero(state.edge_tap) == len(graph.reg_edges)
+
+
+def regulate_scalar(v, tap):
+    """The deadband rule one regulator at a time, as a scalar loop."""
+    if v < 1.0 - sim.REG_DEADBAND and tap < sim.REG_MAX_TAP:
+        tap += 1
+    elif v > 1.0 + sim.REG_DEADBAND and tap > -sim.REG_MAX_TAP:
+        tap -= 1
+    return tap
+
+
+def test_regulate_holds_at_its_limits():
+    """Taps at +/-REG_MAX_TAP step no further, voltages exactly at the
+    deadband edges do not step, and every element follows the scalar rule."""
+    spec = sim.generate_substation(50, "small", 6)
+    graph = sim.build_graph(spec)
+    m = len(graph.reg_edges)
+    assert m == 18
+    top, band = sim.REG_MAX_TAP, sim.REG_DEADBAND
+    cases = [(1.0 - band, 0), (1.0 + band, 0), (1.0 - band, top),
+             (1.0 + band, -top), (0.9, top), (1.1, -top), (0.9, -top),
+             (1.1, top), (0.9, top - 1), (1.1, 1 - top), (1.0, 3),
+             (np.nextafter(1.0 - band, 0.0), 0),
+             (np.nextafter(1.0 + band, 2.0), 0), (0.98, -5), (1.02, 5),
+             (np.nan, 2), (1.0 - band, -top), (1.0 + band, top)]
+    assert len(cases) == m
+    v_mag = np.full(graph.n_nodes, 1.0)
+    v_mag[graph.edge_to[graph.reg_edges]] = [v for v, _ in cases]
+    taps = np.array([tap for _, tap in cases])
+    got = sim._regulate(graph, taps, v_mag)
+    assert got.tolist() == [regulate_scalar(v, tap) for v, tap in cases]
+    # the deadband edges and the limits hold
+    assert got[:10].tolist() == [0, 0, top, -top, top, -top, 1 - top,
+                                 top - 1, top, -top]
+    assert taps.tolist() == [tap for _, tap in cases]  # not in place
 
 
 def test_tie_closure_reroots_transfer_subtree(tiny_spec):
@@ -462,8 +518,9 @@ def test_tie_closure_reroots_transfer_subtree(tiny_spec):
 
 def test_open_sectionalizer_islands_subtree(tiny_spec):
     graph = sim.build_graph(tiny_spec)
-    controls = sim.Controls(
-        closed_override={tiny_spec.ties[0].sectionalizer_uid: False})
+    controls = normal_controls(graph)
+    controls.status[graph.edge_device
+                    == tiny_spec.ties[0].sectionalizer_uid] = 0
     s = np.zeros(graph.n_nodes, dtype=complex)
     with pytest.raises(sim.PowerFlowError, match="islanded"):
         sim.solve_powerflow(tiny_spec, graph, s, controls)
@@ -471,8 +528,8 @@ def test_open_sectionalizer_islands_subtree(tiny_spec):
 
 def test_closing_tie_without_sectionalizer_is_a_loop(tiny_spec):
     graph = sim.build_graph(tiny_spec)
-    controls = sim.Controls(
-        closed_override={tiny_spec.ties[0].device_uid: True})
+    controls = normal_controls(graph)
+    controls.status[graph.edge_device == tiny_spec.ties[0].device_uid] = 1
     s = np.zeros(graph.n_nodes, dtype=complex)
     with pytest.raises(sim.PowerFlowError, match="loop"):
         sim.solve_powerflow(tiny_spec, graph, s, controls)
@@ -489,17 +546,9 @@ def loop_sweep_reference(spec, graph, s_injection, controls, timestamp=0.0,
     went level by level, kept here as their bit-identity oracle."""
     n = graph.n_nodes
     n_edges = len(graph.edge_device)
-    status = graph.edge_normally_closed.copy()
-    for uid, closed in controls.closed_override.items():
-        status[graph.edge_device == uid] = 1 if closed else 0
-    reg = np.flatnonzero(graph.edge_kind == "regulator")
-    steps = np.array([controls.taps.get((int(graph.edge_device[e]),
-                                         graph.edge_phase[e]), 0)
-                      for e in reg], dtype=float)
+    status = controls.status
     ratio = np.ones(n_edges)
-    ratio[reg] = 1.0 + sim.REG_STEP * steps
-    tap_norm_edge = np.zeros(n_edges)
-    tap_norm_edge[reg] = steps / sim.REG_MAX_TAP
+    ratio[graph.reg_edges] = 1.0 + sim.REG_STEP * controls.taps
     z = graph.edge_impedance
 
     tree = sim._phase_trees(graph, status)
@@ -544,9 +593,8 @@ def loop_sweep_reference(spec, graph, s_injection, controls, timestamp=0.0,
         raise sim.PowerFlowError("solver produced non-finite voltages",
                                  residual=residual)
     backward(v_volt, i_branch)
-    state = sim._assemble_state(spec, graph, s_injection, timestamp, status,
-                                tap_norm_edge, v_volt, i_branch, child,
-                                parent_node, e_ratio)
+    state = sim._assemble_state(spec, graph, tree, controls, s_injection,
+                                timestamp, v_volt, i_branch, e_ratio)
     state.sweep_iterations = iterations
     return state
 
@@ -591,32 +639,32 @@ ALL_TIES = tuple(range(5))   # the ties of a 6-feeder substation
         (104, "medium", 6, 10, 5, ALL_TIES, True),
     ])
 def test_level_sweep_matches_loop_reference(seed, size, n_feeders, n_steps,
-                                            close_step, ties, taps_move):
-    """Every step of a run, with regulator taps evolving, matches the node
-    loop bit for bit; the step loop is run_timeseries's."""
+                                            close_step, ties, taps_move,
+                                            monkeypatch):
+    """Every solve of a run_timeseries, with regulator taps evolving,
+    matches the node loop bit for bit."""
     spec = sim.generate_substation(seed, size, n_feeders)
     scenario = sim.ScenarioConfig(
         horizon_minutes=n_steps * sim.TIMESTEP_MINUTES, der_penetration=20,
         tie_closures=ties, tie_close_step=close_step)
-    graph = sim.build_graph(spec)
-    controls = sim.Controls()
-    controller = sim.RegulatorController(graph)
-    zero_subtrees = 0
-    for t, s_inj in enumerate(sim._injections(spec, graph, scenario)):
-        if t >= close_step:
-            for ti in ties:
-                controls.closed_override[spec.ties[ti].device_uid] = True
-                controls.closed_override[spec.ties[ti].sectionalizer_uid] = False
-        state = sim.solve_powerflow(spec, graph, s_inj, controls)
+    solve = sim.solve_powerflow
+    seen = []
+
+    def checked(spec_, graph, s_inj, controls, **kwargs):
+        state = solve(spec_, graph, s_inj, controls, **kwargs)
         assert_bit_identical(state, loop_sweep_reference(
-            spec, graph, s_inj, controls), f"at step {t}")
-        zero_subtrees += len(zero_injection_subtrees(
-            graph.tree(state.edge_status), s_inj))
-        controller.update(controls, state)
+            spec_, graph, s_inj, controls, **kwargs), f"at step {len(seen)}")
+        seen.append((len(zero_injection_subtrees(
+            graph.tree(controls.status), s_inj)), np.any(controls.taps != 0)))
+        return state
+
+    monkeypatch.setattr(sim, "solve_powerflow", checked)
+    graph = sim.run_timeseries(spec, scenario)[0].graph
+    assert len(seen) == n_steps
     # one tree per switch configuration the run crossed
     assert len(graph.trees) == (1 if close_step == 0 else 2)
-    assert any(tap != 0 for tap in controls.taps.values()) == taps_move
-    assert zero_subtrees > 0
+    assert any(moved for _, moved in seen) == taps_move
+    assert sum(zero for zero, _ in seen) > 0
     # three phases per regulator: with six feeders, some level holds the
     # regulators of two feeders or more
     regulators_per_level = [len(lv.reg_slots) // 2
@@ -635,10 +683,12 @@ def test_level_sweep_matches_loop_reference_on_reversed_regulator(tap):
     graph = sim.build_graph(spec)
     s = np.zeros(graph.n_nodes, dtype=complex)
     s[graph.node_of[(3, "A")]] = complex(0.4, 0.1)
-    controls = sim.Controls(taps={(reg.uid, "A"): tap})
+    controls = normal_controls(graph)._replace(taps=np.array([tap]))
     state = sim.solve_powerflow(spec, graph, s, controls)
-    e = int(np.flatnonzero(graph.edge_kind == "regulator")[0])
-    assert next(iter(graph.trees.values())).child[e] == graph.edge_from[e]
+    e = int(graph.reg_edges[0])
+    tree = next(iter(graph.trees.values()))
+    assert tree.child[e] == graph.edge_from[e]
+    assert tree.reg_flip.tolist() == [True]
     assert_bit_identical(state, loop_sweep_reference(spec, graph, s, controls),
                          f"at tap {tap}")
 
@@ -652,7 +702,7 @@ def test_level_sweep_diverges_like_loop_reference():
     with np.errstate(all="ignore"):
         for solve in (sim.solve_powerflow, loop_sweep_reference):
             with pytest.raises(sim.PowerFlowError) as exc_info:
-                solve(spec, graph, s, sim.Controls())
+                solve(spec, graph, s, normal_controls(graph))
             errors.append((str(exc_info.value), exc_info.value.residual))
     assert errors[0] == errors[1]
 
@@ -662,16 +712,12 @@ def test_level_sweep_diverges_like_loop_reference():
 def test_phase_tree_levels(seed, size, ties):
     spec = sim.generate_substation(seed, size)
     graph = sim.build_graph(spec)
-    controls = sim.Controls()
-    for ti in ties:
-        controls.closed_override[spec.ties[ti].device_uid] = True
-        controls.closed_override[spec.ties[ti].sectionalizer_uid] = False
     status = graph.edge_normally_closed.copy()
-    for uid, closed in controls.closed_override.items():
-        status[graph.edge_device == uid] = int(closed)
+    for ti in ties:
+        status[graph.edge_device == spec.ties[ti].device_uid] = 1
+        status[graph.edge_device == spec.ties[ti].sectionalizer_uid] = 0
     tree = sim._phase_trees(graph, status)
     n, roots = graph.n_nodes, len(graph.hub_node_ids)
-    n_edges = len(graph.edge_device)
     assert sorted(tree.order[:roots]) == sorted(graph.hub_node_ids)
 
     # every non-root node sits in exactly one level, levels tile the order
@@ -691,9 +737,15 @@ def test_phase_tree_levels(seed, size, ties):
     assert np.array_equal(tree.z_coef[2 * k::2], -z.imag)
     # the ratio's coefficients are gathered for the regulator edges alone:
     # one three-phase regulator per feeder, 36 entries on three feeders
-    n_regulators = 3 * len(spec.feeders)
-    assert np.sum(graph.edge_kind[tree.edges] == "regulator") == n_regulators
-    assert len(tree.ratio_index) == 4 * n_regulators
+    m = 3 * len(spec.feeders)
+    assert np.sum(graph.edge_kind[tree.edges] == "regulator") == m
+    assert len(tree.ratio_index) == 4 * m
+    # the tree's regulator edges with their index into the taps; every
+    # generated regulator is specified parent -> child
+    assert np.array_equal(graph.reg_edges[tree.reg_taps], tree.reg_edges)
+    assert np.array_equal(tree.child[tree.reg_edges],
+                          graph.edge_to[tree.reg_edges])
+    assert tree.reg_flip.tolist() == [False] * m
 
     above = slice(0, roots)
     done = 0
@@ -726,17 +778,20 @@ def test_phase_tree_levels(seed, size, ties):
         assert np.array_equal(lv.reg_own[r:], lv.reg_own[:r] ^ 1)
         assert np.array_equal(lv.reg_parent[:r], lv.parent[lv.reg_slots])
         assert np.array_equal(lv.reg_parent[r:], lv.reg_parent[:r] ^ 1)
-        # the level's ratio block: its regulator edges' re entries, then
-        # their cross entries, in the [re | cross] coefficients of an edge
-        # array; the blocks tile ratio_index level by level
-        assert lv.reg_block == slice(done, done + 2 * r)
+        # the level's regulator edges are the tree's next ones; its ratio
+        # block holds their re entries, then their cross entries, in the
+        # [re | cross] coefficients of the tree's m ratios, and the blocks
+        # tile ratio_index level by level
+        j = np.arange(done, done + len(reg))
+        assert np.array_equal(tree.reg_edges[j], lv.edges[reg])
+        assert lv.reg_block == slice(4 * done, 4 * done + 2 * r)
         block = tree.ratio_index[lv.reg_block]
-        assert np.array_equal(block[:r:2], 2 * lv.edges[reg])
-        assert np.array_equal(block[1:r:2], 2 * lv.edges[reg] + 1)
-        assert np.array_equal(block[r:], 2 * n_edges + block[:r])
-        done += 2 * r
+        assert np.array_equal(block[:r:2], 2 * j)
+        assert np.array_equal(block[1:r:2], 2 * j + 1)
+        assert np.array_equal(block[r:], 2 * m + block[:r])
+        done += len(reg)
         above = lv.nodes
-    assert done == len(tree.ratio_index)
+    assert done == m
     assert len(tree.levels) >= 4
     # the regulators sit mid-backbone: most levels hold none
     assert sum(len(lv.reg_slots) > 0 for lv in tree.levels) < len(tree.levels) / 2
