@@ -24,7 +24,9 @@ The set: ``generate`` for tiny seeds 0-4 (defaults), tiny 7 with its ties
 closed at 40 % DER, tiny 0 at 40 % DER, tiny 0 with its ties closed,
 medium 100-103 at 20 % DER, medium 103 with its ties closed, small 50 with
 six feeders and all five ties closed at 40 % DER (regulators of several
-feeders share a sweep level), and a two-day tiny dataset (seed 0);
+feeders share a sweep level), a two-day tiny dataset (seed 0), and the
+ROADMAP's protocol dataset (tiny seed 11, 3 feeders, 20 % DER, 2000
+snapshots, the data the acceptance numbers are measured on);
 ``train --seed 0`` on the two-day set with a short curriculum, and a
 shorter one there without weight decay (``lam_reg`` 0, where the decay
 gradient is zero of either sign); ``evaluate --seeds 2`` of
@@ -70,6 +72,8 @@ def commands(work: Path) -> list[list[str]]:
     runs.append(gen("small50f6c", "--seed", "50", "--size", "small",
                     "--feeders", "6", "--close-ties", "--der", "40"))
     runs.append(gen("train2d", "--seed", "0", "--horizon-minutes", "2880"))
+    runs.append(gen("protocol11", "--seed", "11", "--feeders", "3", "--der",
+                    "20", "--horizon-minutes", "30000"))
     data = str(work / "train2d.npz")
     runs.append(["train", "--data", data, "--config",
                  str(work / "train_config.json"), "--seed", "0",

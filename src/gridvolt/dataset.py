@@ -229,8 +229,7 @@ def dataset_from_states(spec: sim.SubstationSpec,
                                                edge_tap[:, reg], 0.0)
     _check_range(v_true, node_tap)
 
-    configs, which = np.unique(status, axis=0, return_inverse=True)
-    which = which.reshape(-1)
+    configs, which = _group_rows(status)
     # the run cached each configuration's tree on the graph
     per_config = [sim.structural_annotations(graph, c) for c in configs]
     depth, elec, degree, feeder = (np.stack(a) for a in zip(*per_config))
@@ -301,6 +300,22 @@ def _check_range(v_true: np.ndarray, node_tap: np.ndarray) -> None:
                          f"[-1, 1] at step {t}")
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows`` in lexicographic order and the index
+    of each row among them, as ``np.unique(rows, axis=0,
+    return_inverse=True)`` gives them. Rows are grouped by their bytes, and
+    only the distinct rows are sorted."""
+    group: dict[bytes, int] = {}
+    ids = np.array([group.setdefault(row.tobytes(), len(group))
+                    for row in rows])
+    # ids number the groups in order of first appearance
+    distinct = rows[np.unique(ids, return_index=True)[1]]
+    order = np.lexsort(distinct.T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[ids]
+
+
 def _blur_injection(injection: np.ndarray, fid: np.ndarray,
                     spec: sim.SubstationSpec,
                     scenario: sim.ScenarioConfig) -> None:
@@ -310,21 +325,21 @@ def _blur_injection(injection: np.ndarray, fid: np.ndarray,
     one independent per node, clipped to keep signs. Only the feature column
     changes: labels, edge flows, and head totals stay solver-exact, so a
     voltage sensor carries information the injections no longer determine.
+    Each snapshot's draws are its feeders' shared components, in feeder id
+    order, then its nodes' own, all snapshots in one call.
     """
     if scenario.pseudo_noise_common == 0 and scenario.pseudo_noise_local == 0:
         return
     gen = _rng(spec.seed, "pseudo-measurement", scenario.der_penetration,
                scenario.horizon_minutes, scenario.tie_close_step,
                *scenario.tie_closures)
-    feeders = np.unique(fid)
-    n = injection.shape[1]
-    for t in range(injection.shape[0]):
-        factor = np.ones(n)
-        for f in feeders:
-            factor[fid == f] *= 1.0 + gen.normal(
-                0.0, scenario.pseudo_noise_common)
-        factor *= 1.0 + gen.normal(0.0, scenario.pseudo_noise_local, size=n)
-        injection[t] *= np.clip(factor, 0.3, 1.7)
+    feeders, node_feeder = np.unique(fid, return_inverse=True)
+    f = len(feeders)
+    scale = np.repeat([scenario.pseudo_noise_common,
+                       scenario.pseudo_noise_local], [f, injection.shape[1]])
+    draws = 1.0 + gen.normal(0.0, scale, size=(injection.shape[0], len(scale)))
+    factor = draws[:, :f][:, node_feeder] * draws[:, f:]
+    injection *= np.clip(factor, 0.3, 1.7)
 
 
 def scenario_to_dict(scenario: sim.ScenarioConfig) -> dict:

@@ -243,42 +243,71 @@ def save_spec(spec: SubstationSpec, path: str | Path) -> None:
     Path(path).write_text("".join(out))
 
 
+# each dataclass type's field names, sorted, as _emit_json writes them
+_FIELD_NAMES: dict[type, list[str]] = {}
+
+
 def _emit_json(obj, out: list[str], newline: str) -> None:
     """Append ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
     writes it, a dataclass as the dict of its fields (as ``asdict`` gives
     it, without the deep copy). ``newline`` is the line break plus the
     current indent. With ``indent`` set, ``json`` runs its pure-Python
-    encoder; this writes the same text with less work per value."""
-    if type(obj) is str:
+    encoder; this writes the same text with less work per value. The
+    scalar, list and tuple types a spec holds are tested by exact type,
+    before the dataclass test, and each dataclass type's sorted field
+    names are looked up once."""
+    kind = type(obj)
+    if kind is str:
         out.append(encode_basestring_ascii(obj))
-    elif type(obj) is float and math.isfinite(obj):
+    elif kind is float and math.isfinite(obj):
         out.append(float.__repr__(obj))
-    elif type(obj) is int:
+    elif kind is int:
         out.append(int.__repr__(obj))
-    elif is_dataclass(obj):
-        _emit_json({f.name: getattr(obj, f.name) for f in fields(obj)},
-                   out, newline)
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif (kind is list or kind is tuple) and obj:
+        _emit_array(obj, out, newline)
+    elif is_dataclass(kind):
+        names = _FIELD_NAMES.get(kind)
+        if names is None:
+            names = _FIELD_NAMES[kind] = sorted(f.name for f in fields(kind))
+        _emit_object([(name, getattr(obj, name)) for name in names],
+                     out, newline)
     elif isinstance(obj, dict) and obj:
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _emit_json(obj[key], out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
+        _emit_object(sorted(obj.items()), out, newline)
     elif isinstance(obj, (list, tuple)) and obj:
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _emit_json(value, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
+        _emit_array(obj, out, newline)
     else:
-        # null, booleans, non-finite floats, empty containers and scalar
+        # null, non-finite floats, empty containers and scalar
         # subclasses, which the compact encoder writes as the indented one
         # does; it raises TypeError on what JSON cannot hold
         out.append(json.dumps(obj))
+
+
+def _emit_object(items: list[tuple[str, object]], out: list[str],
+                 newline: str) -> None:
+    """Key-value pairs, in the order given, as an indented JSON object."""
+    if not items:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    sep = "{" + inner
+    for key, value in items:
+        out.append(sep + encode_basestring_ascii(key) + ": ")
+        _emit_json(value, out, inner)
+        sep = "," + inner
+    out.append(newline + "}")
+
+
+def _emit_array(values, out: list[str], newline: str) -> None:
+    """A non-empty list or tuple as an indented JSON array."""
+    inner = newline + "  "
+    sep = "[" + inner
+    for value in values:
+        out.append(sep)
+        _emit_json(value, out, inner)
+        sep = "," + inner
+    out.append(newline + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -1092,40 +1121,65 @@ def structural_annotations(
 # ---------------------------------------------------------------------------
 # profiles and time series
 
-def _ar1(gen, t: int, sigma: float, rho: float = 0.6) -> np.ndarray:
-    scale = math.sqrt(1 - rho ** 2)
-    out = []
-    prev = 0.0
-    for e in gen.normal(0.0, sigma, size=t).tolist():
-        prev = rho * prev + scale * e
-        out.append(prev)
-    return np.array(out)
+def _ar1(noise: np.ndarray, rho: float = 0.6) -> np.ndarray:
+    """AR(1) series x_t = rho * x_(t-1) + sqrt(1 - rho^2) * e_t, x_(-1) = 0,
+    of each column of the [T, P] innovations e, in place: one vector step
+    per row, with the arithmetic of a scalar loop over one column."""
+    noise *= math.sqrt(1 - rho ** 2)
+    prev = np.zeros(noise.shape[1])
+    for row in noise:
+        row += rho * prev
+        prev = row
+    return noise
 
 
-def materialize_profile(profile: ProfileSpec, n_steps: int) -> np.ndarray:
-    """Active-power series (p.u.) for n_steps 15-minute intervals."""
-    gen = _rng(profile.noise_seed, "profile", profile.kind)
+def materialize_profiles(profiles: list[ProfileSpec],
+                         n_steps: int) -> np.ndarray:
+    """Active-power series (p.u.) of each profile over n_steps 15-minute
+    intervals, [P, T]: the daily shape of its kind times AR(1) noise that
+    the profile draws from its own stream, clipped."""
+    kinds = np.array([p.kind for p in profiles], dtype=object)
+    load, pv = kinds == "load", kinds == "pv"
+    unknown = kinds[~(load | pv)]
+    if len(unknown):
+        raise ValueError(f"unknown profile kind {unknown[0]!r}")
+    noise = np.empty((n_steps, len(profiles)))
+    for k, p in enumerate(profiles):
+        noise[:, k] = _rng(p.noise_seed, "profile", p.kind).normal(
+            0.0, p.noise_sigma, size=n_steps)
+    ar = _ar1(noise).T
+
     hours = (np.arange(n_steps) * TIMESTEP_MINUTES / 60.0) % 24.0
-    if profile.kind == "load":
-        shape = 0.55 + 0.35 * np.cos(2 * np.pi * (hours - profile.peak_hour) / 24.0)
-        shape = shape * (1.0 + _ar1(gen, n_steps, profile.noise_sigma))
-        return profile.peak_pu * np.clip(shape, 0.08, 1.2)
-    if profile.kind == "pv":
-        elev = np.sin(np.pi * (hours - 6.0) / 12.5)
-        elev = np.clip(elev, 0.0, None) ** 1.3
-        cloud = np.clip(1.0 - np.abs(_ar1(gen, n_steps, profile.noise_sigma)), 0.15, 1.0)
-        return profile.peak_pu * elev * cloud
-    raise ValueError(f"unknown profile kind {profile.kind!r}")
+    peak = np.array([p.peak_pu for p in profiles])[:, None]
+    peak_hour = np.array([p.peak_hour for p in profiles])[load, None]
+    out = np.empty((len(profiles), n_steps))
+    shape = 0.55 + 0.35 * np.cos(2 * np.pi * (hours - peak_hour) / 24.0)
+    shape = shape * (1.0 + ar[load])
+    out[load] = peak[load] * np.clip(shape, 0.08, 1.2)
+    elev = np.sin(np.pi * (hours - 6.0) / 12.5)
+    elev = np.clip(elev, 0.0, None) ** 1.3
+    cloud = np.clip(1.0 - np.abs(ar[pv]), 0.15, 1.0)
+    out[pv] = peak[pv] * elev * cloud
+    return out
 
 
-def _regulate(graph: GraphIndex, taps: np.ndarray,
+def _regulate(graph: GraphIndex, controls: Controls,
               v_mag: np.ndarray) -> np.ndarray:
     """Deadband tap control: the taps after one step of each regulator
-    toward 1.0 p.u. at its to-bus, up below 1 - REG_DEADBAND and down above
-    1 + REG_DEADBAND, never past +/-REG_MAX_TAP."""
-    v = v_mag[graph.edge_to[graph.reg_edges]]
-    return (taps + ((v < 1.0 - REG_DEADBAND) & (taps < REG_MAX_TAP))
-            - ((v > 1.0 + REG_DEADBAND) & (taps > -REG_MAX_TAP)))
+    that moves its load side toward 1.0 p.u., raising it below
+    1 - REG_DEADBAND and lowering it above 1 + REG_DEADBAND, never past
+    +/-REG_MAX_TAP. The load side is the child end of the regulator's edge
+    in the phase tree of ``controls.status``. A regulator specified child
+    -> parent sees its ratio inverted (solve_powerflow), so a higher tap
+    lowers its load side and its steps run the other way. An open
+    regulator holds its tap."""
+    taps = controls.taps
+    child = graph.tree(controls.status).child[graph.reg_edges]
+    v = np.where(child >= 0, v_mag[child], 1.0)
+    low, high = v < 1.0 - REG_DEADBAND, v > 1.0 + REG_DEADBAND
+    flip = child == graph.edge_from[graph.reg_edges]
+    up, down = np.where(flip, high, low), np.where(flip, low, high)
+    return taps + (up & (taps < REG_MAX_TAP)) - (down & (taps > -REG_MAX_TAP))
 
 
 def _injections(spec: SubstationSpec, graph: GraphIndex,
@@ -1138,15 +1192,15 @@ def _injections(spec: SubstationSpec, graph: GraphIndex,
     s_inj = np.zeros((n_steps, graph.n_nodes), dtype=complex)
     # add.at on the [N, T] view accumulates shared nodes in list order
     if loads:
-        load_p = np.stack([materialize_profile(l.profile, n_steps) for l in loads])
-        load_q = np.stack([p * math.tan(math.acos(l.profile.pf))
-                           for p, l in zip(load_p, loads)])
+        load_p = materialize_profiles([l.profile for l in loads], n_steps)
+        load_q = load_p * np.array(
+            [math.tan(math.acos(l.profile.pf)) for l in loads])[:, None]
         np.add.at(s_inj.T, [graph.node_of[(l.bus_id, l.phase)] for l in loads],
                   load_p + 1j * load_q)
     if ders:
         pv_scale = scenario.der_penetration / 100.0
-        der_p = np.stack([pv_scale * materialize_profile(d.profile, n_steps)
-                          for d in ders])
+        der_p = pv_scale * materialize_profiles([d.profile for d in ders],
+                                                n_steps)
         np.add.at(s_inj.T, [graph.node_of[(d.bus_id, d.phase)] for d in ders],
                   -der_p)
     s_inj -= 1j * graph.cap_q
@@ -1172,11 +1226,12 @@ def run_timeseries(spec: SubstationSpec,
     for t, s_inj in enumerate(_injections(spec, graph, scenario)):
         status = (tied if t >= scenario.tie_close_step
                   else graph.edge_normally_closed)
+        controls = Controls(status, taps)
         try:
-            state = solve_powerflow(spec, graph, s_inj, Controls(status, taps),
+            state = solve_powerflow(spec, graph, s_inj, controls,
                                     timestamp=float(t * TIMESTEP_MINUTES))
         except PowerFlowError as exc:
             raise PowerFlowError(f"timestep {t}: {exc}", exc.residual) from exc
         states.append(state)
-        taps = _regulate(graph, taps, state.v_mag)
+        taps = _regulate(graph, controls, state.v_mag)
     return states

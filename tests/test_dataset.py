@@ -521,6 +521,40 @@ def test_v2_rows_equal_v1_on_medium_with_ties_closed():
     assert_rows_equal_v1(data, v1_reference_arrays(states, spec, scenario))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 1]] * 4,
+    [[1, 1, 0], [1, 0, 1], [1, 0, 1], [1, 1, 0], [1, 0, 1]],
+    [[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0],
+     [-1, 2, 0, 0], [1, 0, 1, 0], [1, 0, 0, 9]],
+])
+def test_configuration_grouping_equals_unique_rows(rows):
+    """_group_rows gives np.unique(axis=0, return_inverse=True)'s sorted
+    distinct rows and inverse on stacks of 1, 2 and 5 distinct rows given
+    out of order, in the rows' dtype."""
+    status = np.array(rows, dtype=np.int64)
+    configs, which = dsm._group_rows(status)
+    expected, inverse = np.unique(status, axis=0, return_inverse=True)
+    assert configs.dtype == status.dtype
+    assert configs.shape == expected.shape
+    assert configs.tobytes() == expected.tobytes()
+    assert which.tolist() == inverse.reshape(-1).tolist()
+    assert configs[which].tobytes() == status.tobytes()
+
+
+def test_configuration_grouping_of_a_run_with_a_tie_closing(tiny_spec):
+    """Two switch configurations over a run, the tied one first in sort
+    order, group as np.unique groups them."""
+    scenario = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20,
+                                  tie_closures=(0,), tie_close_step=5)
+    status = np.stack([s.edge_status
+                       for s in sim.run_timeseries(tiny_spec, scenario)])
+    configs, which = dsm._group_rows(status)
+    expected, inverse = np.unique(status, axis=0, return_inverse=True)
+    assert which.tolist() == [1] * 5 + [0] * 7
+    assert configs.tobytes() == expected.tobytes()
+    assert which.tolist() == inverse.reshape(-1).tolist()
+
+
 def test_v1_files_are_refused(ds, tiny_spec, tmp_path, capsys):
     scenario = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20)
     states = sim.run_timeseries(tiny_spec, scenario)

@@ -226,20 +226,38 @@ def test_spec_file_holds_every_field_and_the_format_tag(tiny_spec, tmp_path):
     assert data == json.loads(json.dumps(fields))
 
 
-@pytest.mark.parametrize("seed,size", [(7, "tiny"), (101, "medium")])
-def test_spec_file_bytes_are_the_indented_json_encoder_output(seed, size,
-                                                              tmp_path):
+def assert_spec_file_is_the_encoder_output(spec, path):
     """save_spec writes what json.dumps(indent=2, sort_keys=True) of the
     asdict form writes, byte for byte, so spec hashes stay put."""
-    spec = sim.generate_substation(seed, size)
-    assert spec.ties and spec.tie_devices
     data = dataclasses.asdict(spec)
     data["format"] = "substation-spec/v1"
     data["aux_load"] = [spec.aux_load.real, spec.aux_load.imag]
-    path = tmp_path / "spec.json"
     sim.save_spec(spec, path)
     assert path.read_bytes() == json.dumps(data, indent=2,
                                            sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("seed,size,n_feeders", [
+    pytest.param(7, "tiny", 3, id="7-tiny"),
+    pytest.param(101, "medium", 3, id="101-medium"),
+    pytest.param(50, "small", 6, id="50-small-6")])
+def test_spec_file_bytes_are_the_indented_json_encoder_output(
+        seed, size, n_feeders, tmp_path):
+    spec = sim.generate_substation(seed, size, n_feeders)
+    assert spec.ties and spec.tie_devices
+    assert_spec_file_is_the_encoder_output(spec, tmp_path / "spec.json")
+
+
+def test_spec_file_bytes_with_empty_lists_and_flags(tmp_path):
+    """A hand-built spec with empty list fields (no ties, no feeder
+    devices, DER or capacitors), an open switch, a capacitor switched off
+    and a negative zero: the type checks before the dataclass test write
+    what the encoder writes."""
+    spec = two_bus_spec(load_peak=0.02)
+    assert spec.ties == [] and spec.feeders[0].ders == []
+    spec.hub_links[0].normally_closed = False
+    spec.feeders[0].capacitors.append(sim.CapacitorSpec(1, -0.0, on=False))
+    assert_spec_file_is_the_encoder_output(spec, tmp_path / "spec.json")
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +444,51 @@ def test_regulator_steps_into_deadband():
         taps.append(int(controls.taps[0]))
         volts.append(state.v_mag[out_node])
         controls = controls._replace(
-            taps=sim._regulate(graph, controls.taps, state.v_mag))
+            taps=sim._regulate(graph, controls, state.v_mag))
     assert volts[0] < 0.99
     assert taps == sorted(taps)
     assert 1 <= controls.taps.max() <= 5
     assert 0.99 <= volts[-1] <= 1.01
     assert state.edge_tap[graph.reg_edges[0]] == pytest.approx(
         controls.taps.max() / 16)
+
+
+def settle_reg_chain(reversed_regulator: bool, steps: int = 20):
+    """Taps and load-bus voltages of ``steps`` solves of the regulator chain
+    with a 0.4 + 0.1j load, the taps stepped by _regulate after each."""
+    spec = copy.deepcopy(reg_chain_spec())
+    if reversed_regulator:
+        reg = spec.feeders[0].devices[1]
+        reg.from_bus, reg.to_bus = reg.to_bus, reg.from_bus
+    graph = sim.build_graph(spec)
+    s = np.zeros(graph.n_nodes, dtype=complex)
+    out_node = graph.node_of[(3, "A")]
+    s[out_node] = complex(0.4, 0.1)
+    controls = normal_controls(graph)
+    taps, volts = [], []
+    for _ in range(steps):
+        state = sim.solve_powerflow(spec, graph, s, controls)
+        taps.append(int(controls.taps[0]))
+        volts.append(float(state.v_mag[out_node]))
+        controls = controls._replace(
+            taps=sim._regulate(graph, controls, state.v_mag))
+    return taps, volts
+
+
+def test_reversed_regulator_settles_like_the_forward_one():
+    """A regulator specified child -> parent regulates its load side, not
+    its source side, and steps its tap the way its inverted ratio needs: it
+    settles inside the deadband in as many steps as the forward one, at
+    the opposite tap."""
+    fwd_taps, fwd_volts = settle_reg_chain(False)
+    rev_taps, rev_volts = settle_reg_chain(True)
+    assert fwd_taps[-1] == 3
+    assert rev_taps == [-tap for tap in fwd_taps]
+    for volts in (fwd_volts, rev_volts):
+        assert volts[0] < 1.0 - sim.REG_DEADBAND
+        assert volts == sorted(volts)
+        assert 1.0 - sim.REG_DEADBAND <= volts[-1] <= 1.0 + sim.REG_DEADBAND
+    assert abs(rev_volts[-1] - fwd_volts[-1]) < 1e-3
 
 
 def test_solved_state_owns_its_device_arrays(tiny_spec):
@@ -477,12 +533,34 @@ def test_regulate_holds_at_its_limits():
     v_mag = np.full(graph.n_nodes, 1.0)
     v_mag[graph.edge_to[graph.reg_edges]] = [v for v, _ in cases]
     taps = np.array([tap for _, tap in cases])
-    got = sim._regulate(graph, taps, v_mag)
+    got = sim._regulate(graph, sim.Controls(graph.edge_normally_closed, taps),
+                        v_mag)
     assert got.tolist() == [regulate_scalar(v, tap) for v, tap in cases]
     # the deadband edges and the limits hold
     assert got[:10].tolist() == [0, 0, top, -top, top, -top, 1 - top,
                                  top - 1, top, -top]
     assert taps.tolist() == [tap for _, tap in cases]  # not in place
+
+
+def test_open_regulator_holds_its_tap():
+    """With a tie closed and the receiving feeder's regulator open in place
+    of the sectionalizer, the subtree below the regulator is fed through
+    the tie: the open regulator holds its tap while the others step."""
+    spec = sim.generate_substation(1, "tiny")
+    graph = sim.build_graph(spec)
+    tie = spec.ties[0]
+    receiving = next(f for f in spec.feeders if f.feeder_id == tie.to_feeder)
+    reg = next(d for d in receiving.devices if d.device == "regulator")
+    status = graph.edge_normally_closed.copy()
+    status[graph.edge_device == tie.device_uid] = 1
+    status[graph.edge_device == reg.uid] = 0
+    is_open = graph.edge_device[graph.reg_edges] == reg.uid
+    assert np.all(graph.tree(status).child[graph.reg_edges[is_open]] == -1)
+    assert 0 < np.count_nonzero(is_open) < len(graph.reg_edges)
+    taps = np.full(len(graph.reg_edges), 2)
+    got = sim._regulate(graph, sim.Controls(status, taps),
+                        np.full(graph.n_nodes, 0.9))
+    assert got.tolist() == np.where(is_open, 2, 3).tolist()
 
 
 def test_tie_closure_reroots_transfer_subtree(tiny_spec):
@@ -821,33 +899,103 @@ def test_run_builds_each_switch_configuration_once(tiny_spec, monkeypatch):
 # profiles
 
 
+def ar1_reference(gen, t, sigma, rho=0.6):
+    """The AR(1) noise of one profile as a scalar loop over its draws."""
+    scale = math.sqrt(1 - rho ** 2)
+    out = []
+    prev = 0.0
+    for e in gen.normal(0.0, sigma, size=t).tolist():
+        prev = rho * prev + scale * e
+        out.append(prev)
+    return np.array(out)
+
+
+def profile_reference(profile, n_steps):
+    """One profile's active-power series, computed on its own: the
+    per-profile generator the [P, T] profiles replaced, kept here as their
+    bit-identity oracle."""
+    gen = sim._rng(profile.noise_seed, "profile", profile.kind)
+    hours = (np.arange(n_steps) * sim.TIMESTEP_MINUTES / 60.0) % 24.0
+    if profile.kind == "load":
+        shape = 0.55 + 0.35 * np.cos(2 * np.pi * (hours - profile.peak_hour) / 24.0)
+        shape = shape * (1.0 + ar1_reference(gen, n_steps, profile.noise_sigma))
+        return profile.peak_pu * np.clip(shape, 0.08, 1.2)
+    if profile.kind == "pv":
+        elev = np.sin(np.pi * (hours - 6.0) / 12.5)
+        elev = np.clip(elev, 0.0, None) ** 1.3
+        cloud = np.clip(1.0 - np.abs(ar1_reference(gen, n_steps,
+                                                   profile.noise_sigma)),
+                        0.15, 1.0)
+        return profile.peak_pu * elev * cloud
+    raise ValueError(f"unknown profile kind {profile.kind!r}")
+
+
+def spec_profiles(spec):
+    loads = [l.profile for f in spec.feeders for l in f.loads]
+    pvs = [d.profile for f in spec.feeders for d in f.ders]
+    return loads, pvs
+
+
+@pytest.mark.parametrize("n_steps", [1, 96, 2000])
+@pytest.mark.parametrize("seed,size", [(0, "tiny"), (3, "tiny"),
+                                       (101, "medium")])
+def test_profiles_equal_the_per_profile_reference(seed, size, n_steps):
+    """Every row of the [P, T] profiles equals the profile computed on its
+    own, bit for bit: loads, PV, and both kinds interleaved."""
+    loads, pvs = spec_profiles(sim.generate_substation(seed, size))
+    if size == "medium" and n_steps == 2000:
+        loads, pvs = loads[::7], pvs[::7]
+    mixed = [p for pair in zip(loads, pvs) for p in pair] + loads[len(pvs):]
+    assert pvs and len(mixed) == len(loads) + len(pvs)
+    for profiles in (loads, pvs, mixed):
+        got = sim.materialize_profiles(profiles, n_steps)
+        assert got.shape == (len(profiles), n_steps)
+        for row, p in zip(got, profiles):
+            assert row.tobytes() == profile_reference(p, n_steps).tobytes()
+
+
 def test_load_profile_bounds():
     p = sim.ProfileSpec(kind="load", peak_pu=0.02, peak_hour=18.0, pf=0.95,
                         noise_seed=3)
-    series = sim.materialize_profile(p, 96)
+    series = sim.materialize_profiles([p], 96)[0]
     assert series.shape == (96,)
     assert series.min() >= 0.08 * 0.02 - 1e-12
     assert series.max() <= 1.2 * 0.02 + 1e-12
+    loads, _ = spec_profiles(sim.generate_substation(3, "tiny"))
+    peak = np.array([l.peak_pu for l in loads])[:, None]
+    series = sim.materialize_profiles(loads, 96)
+    assert np.all(series >= 0.08 * peak - 1e-12)
+    assert np.all(series <= 1.2 * peak + 1e-12)
 
 
 def test_pv_profile_is_zero_at_night_and_positive_midday():
     p = sim.ProfileSpec(kind="pv", peak_pu=0.05, peak_hour=13.0,
                         noise_seed=3, noise_sigma=0.3)
-    series = sim.materialize_profile(p, 96)
+    series = sim.materialize_profiles([p], 96)[0]
     assert np.all(series[:24] == 0.0)
     assert series[50] > 0.0
     assert series.max() <= 0.05 + 1e-12
+    loads, pvs = spec_profiles(sim.generate_substation(3, "tiny"))
+    series = sim.materialize_profiles([*loads[:2], *pvs], 96)[2:]
+    peak = np.array([d.peak_pu for d in pvs])[:, None]
+    assert np.all(series[:, :24] == 0.0)
+    assert np.all(series[:, 50] > 0.0)
+    assert np.all(series <= peak + 1e-12)
 
 
 def test_ar1_matches_scalar_recurrence():
-    for seed in range(5):
-        gen_a, gen_b = (sim._rng(seed, "profile", "load") for _ in range(2))
-        eps = gen_b.normal(0.0, 0.35, size=200)
+    """Each column of the vector recurrence is the scalar recurrence over
+    that column's draws, bit for bit."""
+    draws = np.stack([sim._rng(seed, "profile", "load").normal(0.0, 0.35,
+                                                                size=200)
+                      for seed in range(5)], axis=1)
+    got = sim._ar1(draws.copy())
+    for k in range(5):
         prev, expected = 0.0, np.empty(200)
         for i in range(200):
-            prev = 0.6 * prev + math.sqrt(1 - 0.6 ** 2) * eps[i]
+            prev = 0.6 * prev + math.sqrt(1 - 0.6 ** 2) * draws[i, k]
             expected[i] = prev
-        assert sim._ar1(gen_a, 200, 0.35).tobytes() == expected.tobytes()
+        assert got[:, k].tobytes() == expected.tobytes()
 
 
 def test_injections_over_a_shorter_horizon_are_a_prefix(tiny_spec):
@@ -863,6 +1011,8 @@ def test_injections_over_a_shorter_horizon_are_a_prefix(tiny_spec):
 
 
 def test_unknown_profile_kind():
-    with pytest.raises(ValueError, match="kind"):
-        sim.materialize_profile(
-            sim.ProfileSpec(kind="wind", peak_pu=1.0, peak_hour=0.0), 4)
+    wind = sim.ProfileSpec(kind="wind", peak_pu=1.0, peak_hour=0.0)
+    load = sim.ProfileSpec(kind="load", peak_pu=1.0, peak_hour=0.0)
+    for profiles in ([wind], [load, wind, load]):
+        with pytest.raises(ValueError, match="kind 'wind'"):
+            sim.materialize_profiles(profiles, 4)
