@@ -19,13 +19,13 @@ one tape record in place of a chain of small ones:
 A fused op runs the numpy operations of the chain it replaces, in the same
 order, forward and backward, so its values and gradients are bitwise
 those of the chain, and it checks every intermediate the chain's ops
-checked. The edge ops share one ``EdgePlan`` per forward pass: the index
-arrays every layer needs, with the flat bins of the backward scatter-adds
-built once. Every sum over rows into buckets (the aggregation, the
-backward of a gather or an edge op) is one flat-bin ``bincount``
-scatter-add. ``relu`` and ``layer_norm`` make no more full-size passes
-than their outputs need and stay bitwise equal to ``np.where(x > 0, x, 0)``
-and the ``mean``/``var`` formula.
+checked. The edge ops share one ``EdgePlan`` per batch: the index arrays
+every layer needs, with the flat bins of their scatter-adds built once
+and reused by every forward and backward on that batch. Every sum over
+rows into buckets (the aggregation, the backward of a gather or an edge
+op) is one flat-bin ``bincount`` scatter-add. ``relu`` and ``layer_norm``
+make no more full-size passes than their outputs need and stay bitwise
+equal to ``np.where(x > 0, x, 0)`` and the ``mean``/``var`` formula.
 
 A ``FlatStore`` packs leaf tensors back to back into one value vector and
 one gradient buffer, with every tensor a reshaped view of its span. An
@@ -408,9 +408,11 @@ class EdgePlan:
     form again: the pair index (row ``2k`` is the receiver of the ``k``-th
     edge in type order, row ``2k + 1`` its sender), ``z`` in type order,
     the non-empty type blocks and the receiver segments' starts. The flat
-    bins of the backward scatter-adds are built by the first backward that
-    needs them and reused by every layer after it, so a forward without a
-    tape builds none and holds no ``[E, out]``-sized index array.
+    bins of a scatter-add are built by the first op that needs them and
+    reused by every layer and every forward after it: the aggregation's
+    ``("recv", out)`` bins by the first forward, so a forward without a
+    tape holds one ``[E * out]`` index array per plan, and the bins of the
+    backward scatter-adds by the first backward that needs them.
     """
 
     def __init__(self, recv, send, z, type_order, type_bounds, n_nodes: int):
@@ -450,8 +452,8 @@ class EdgePlan:
 
     def scatter(self, index: str, g: np.ndarray, n: int) -> np.ndarray:
         """``_scatter_add_rows(g, getattr(self, index), n)`` for 2-D ``g``
-        and ``index`` "pairs" or "ends", with the flat bins of that index
-        and width built once."""
+        and ``index`` "recv", "pairs" or "ends", with the flat bins of that
+        index and width built once."""
         cols = g.shape[1]
         bins = self._bins.get((index, cols))
         if bins is None:
@@ -476,10 +478,13 @@ def typed_edge_matmul(x, weights: Sequence[Tensor], plan: EdgePlan) -> Tensor:
     """Edge rows ``[x[recv] ‖ x[send] ‖ z]``, each times its type's weight.
 
     Each type's edges are multiplied by ``weights[r]`` as one contiguous
-    block of the plan's type order. The op forms ``[x[recv] ‖ x[send]]``
-    off the tape, as one gather of node rows through the pair index, and
-    adds the product of the constant ``z`` block to it. The backward pass
-    scatter-adds the gradient of the two ``x`` blocks by the same index.
+    block of the plan's type order. Per block, the op gathers the node rows
+    ``[x[recv] ‖ x[send]]`` off the tape through its span of the pair
+    index, adds the product of the constant ``z`` block to their product
+    and writes the result straight to the block's edges. No ``[E, 2d]``
+    gather of every edge is formed; the backward pass keeps the blocks,
+    and scatter-adds the gradient of the two ``x`` blocks by the pair
+    index.
     """
     x = as_tensor(x)
     ws = [as_tensor(w) for w in weights]
@@ -490,25 +495,26 @@ def typed_edge_matmul(x, weights: Sequence[Tensor], plan: EdgePlan) -> Tensor:
     d = _edge_weight_rows("typed_edge_matmul", x, plan, ws[0].shape[0])
     n_edges = len(plan.recv)
     out_dim = ws[0].shape[1]
-    nodes = x.values[plan.pairs].reshape(n_edges, 2 * d)
     z_t = plan.z_typed
-    out = np.empty((n_edges, out_dim), dtype=np.float64)
+    vals = np.empty((n_edges, out_dim), dtype=np.float64)
+    nodes = []
     for r, a, b in plan.blocks:
-        np.matmul(nodes[a:b], ws[r].values[:2 * d], out=out[a:b])
-        out[a:b] += z_t[a:b] @ ws[r].values[2 * d:]
-    vals = np.empty_like(out)
-    vals[plan.order] = out
+        block = x.values[plan.pairs[2 * a:2 * b]].reshape(b - a, 2 * d)
+        out = block @ ws[r].values[:2 * d]
+        out += z_t[a:b] @ ws[r].values[2 * d:]
+        vals[plan.order[a:b]] = out
+        nodes.append(block)
 
     def bwd(g):
-        g_t = g[plan.order]
         d_nodes = np.empty((n_edges, 2 * d), dtype=np.float64)
         dws = [None] * len(ws)
-        for r, a, b in plan.blocks:
+        for (r, a, b), block in zip(plan.blocks, nodes):
             w = ws[r].values
-            np.matmul(g_t[a:b], w[:2 * d].T, out=d_nodes[a:b])
+            g_t = g[plan.order[a:b]]
+            np.matmul(g_t, w[:2 * d].T, out=d_nodes[a:b])
             dws[r] = np.empty_like(w)
-            np.matmul(nodes[a:b].T, g_t[a:b], out=dws[r][:2 * d])
-            np.matmul(z_t[a:b].T, g_t[a:b], out=dws[r][2 * d:])
+            np.matmul(block.T, g_t, out=dws[r][:2 * d])
+            np.matmul(z_t[a:b].T, g_t, out=dws[r][2 * d:])
         dx = plan.scatter("pairs", d_nodes.reshape(2 * n_edges, d),
                           x.shape[0])
         return (dx, *dws)
@@ -605,7 +611,7 @@ def softmax_aggregate(messages, logits, plan: EdgePlan,
         d_logits = alpha * (d_alpha - inner[seg]) / temperature
         return (g_w * alpha_col, d_logits.reshape((n_edges, 1)))
 
-    return _record("softmax_aggregate", _scatter_add_rows(weighted, seg, n),
+    return _record("softmax_aggregate", plan.scatter("recv", weighted, n),
                    (m, s), bwd)
 
 

@@ -173,7 +173,6 @@ def _train_config(args) -> gtr.TrainConfig:
             if not isinstance(values["levels"], list):
                 raise CliError("config", "levels must be a JSON list, got "
                                          f"{values['levels']!r}")
-            values["levels"] = tuple(values["levels"])
     if args.seed is not None:
         values["seed"] = args.seed
     try:
@@ -183,14 +182,9 @@ def _train_config(args) -> gtr.TrainConfig:
 
 
 def _parse_levels(text: str) -> tuple:
-    # A level is hashed by its str() into the mask and attack draws, so an
-    # integral value is an int however it is spelled: "20.0" is level 20.
-    def level(x: str):
-        value = float(x)
-        return int(value) if value.is_integer() else value
-
     try:
-        levels = tuple(level(x) for x in text.split(",") if x.strip())
+        levels = tuple(gtr.canonical_level(x) for x in text.split(",")
+                       if x.strip())
     except ValueError as exc:
         raise CliError("config", f"cannot parse levels {text!r}") from exc
     if not levels:

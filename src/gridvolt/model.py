@@ -395,11 +395,15 @@ def build_batch(items: list[Snapshot],
 
 
 # Bus-phase nodes per no-grad batch. At 1,024 nodes a layer's [E, 64] and
-# [N, 64] float64 arrays (about 1 MB and 0.5 MB) stay in a 2 MiB L2. In a
+# [N, 64] float64 arrays (about 1 MB and 0.5 MB) stay in a 2 MiB L2; the
+# batch's plan adds its aggregation bins, one [E * 64] index array (about
+# 1 MB) built by the first forward and read by every layer and mask. In a
 # sweep of the forward's CPU time per snapshot (CHANGES.md) the cost is
 # within 17 % of its minimum from about 750 to 2,050 nodes on the 93- and
 # 183-node graphs, and 27-34 % above the 915-node cost at 32 snapshots of
-# 183 nodes (5,856).
+# 183 nodes (5,856). With the plan's bins, eval-tiny6 on 183-node graphs
+# still reads fastest at 1,024: 1,536 and 2,048 nodes measured 6 % and 7 %
+# below it on the same workload seed (CHANGES.md).
 BATCH_NODES = 1024
 
 

@@ -48,6 +48,16 @@ CURRICULUM_LEVELS = (80, 75, 70, 65, 60, 55, 50, 45, 40, 35, 30, 25, 20, 15,
                      10, 5, 1)
 
 
+def canonical_level(p_obs):
+    """An observability level spelled as its mask draws label it.
+
+    A level seeds its draws by ``str(p_obs)``, so an integral level is an
+    int however it is spelled (``20.0`` is level 20) and any other a float.
+    """
+    value = float(p_obs)
+    return int(value) if value.is_integer() else value
+
+
 _REAL_FIELDS = ("lr_warmup", "lr_curriculum", "lr_finetune", "plateau_eps",
                 "lam_sup", "lam_max", "lam_reg", "val_fraction",
                 "finetune_fraction", "warmup_p_obs")
@@ -98,6 +108,14 @@ class TrainConfig:
             raise ValueError("selection levels must lie in (0, 100)")
         if not 0 < self.warmup_p_obs < 100:
             raise ValueError("warmup_p_obs must lie in (0, 100)")
+        # a level labels the validation masks it draws by its str(), so each
+        # takes one spelling: curriculum levels as evaluate spells them, the
+        # selection and warm-up levels as floats, their default spelling
+        object.__setattr__(self, "levels",
+                           tuple(canonical_level(p) for p in self.levels))
+        object.__setattr__(self, "select_levels",
+                           tuple(float(p) for p in self.select_levels))
+        object.__setattr__(self, "warmup_p_obs", float(self.warmup_p_obs))
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not _is_int(self.plateau_window) or self.plateau_window < 1:
@@ -361,10 +379,10 @@ class _Trainer:
         cfg = self.config
         optimizer = Adam(self.params.store, self.params.span("head"),
                          lr=cfg.lr_finetune)
-        levels = tuple(cfg.levels)
         try:
             for e in range(cfg.finetune_epochs):
-                rec = self.run_epoch("finetune", levels[e % len(levels)],
+                rec = self.run_epoch("finetune",
+                                     cfg.levels[e % len(cfg.levels)],
                                      cfg.lam_max, optimizer, 40.0)
                 self._consider_select(rec, 40.0)
             self._restore_selected()

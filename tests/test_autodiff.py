@@ -436,6 +436,167 @@ def test_edge_ops_take_an_empty_edge_set():
         np.testing.assert_array_equal(t.grad, 0.0)
 
 
+# -- the edge ops against their whole-edge references -------------------------
+#
+# ``typed_edge_matmul_reference`` forms one [E, 2d] gather of every edge's
+# node rows and a second [E, out] buffer; ``softmax_aggregate_reference``
+# builds its receiver bins on every call. Both are the ops as they were
+# before the plan's bins and the per-block gathers; the ops must stay
+# bitwise equal to them, values and gradients, with a tape or without.
+
+
+def typed_edge_matmul_reference(x, weights, plan):
+    x = ad.as_tensor(x)
+    ws = [ad.as_tensor(w) for w in weights]
+    d = x.shape[1]
+    n_edges = len(plan.recv)
+    out_dim = ws[0].shape[1]
+    nodes = x.values[plan.pairs].reshape(n_edges, 2 * d)
+    z_t = plan.z_typed
+    out = np.empty((n_edges, out_dim), dtype=np.float64)
+    for r, a, b in plan.blocks:
+        np.matmul(nodes[a:b], ws[r].values[:2 * d], out=out[a:b])
+        out[a:b] += z_t[a:b] @ ws[r].values[2 * d:]
+    vals = np.empty_like(out)
+    vals[plan.order] = out
+
+    def bwd(g):
+        g_t = g[plan.order]
+        d_nodes = np.empty((n_edges, 2 * d), dtype=np.float64)
+        dws = [None] * len(ws)
+        for r, a, b in plan.blocks:
+            w = ws[r].values
+            np.matmul(g_t[a:b], w[:2 * d].T, out=d_nodes[a:b])
+            dws[r] = np.empty_like(w)
+            np.matmul(nodes[a:b].T, g_t[a:b], out=dws[r][:2 * d])
+            np.matmul(z_t[a:b].T, g_t[a:b], out=dws[r][2 * d:])
+        dx = ad._scatter_add_rows(d_nodes.reshape(2 * n_edges, d),
+                                  plan.pairs, x.shape[0])
+        return (dx, *dws)
+
+    return ad._record("typed_edge_matmul", vals, (x, *ws), bwd)
+
+
+def softmax_aggregate_reference(messages, logits, plan, temperature=1.0):
+    m, s = ad.as_tensor(messages), ad.as_tensor(logits)
+    n_edges, n = len(plan.recv), plan.n_nodes
+    seg = plan.recv
+    x = s.values.reshape((n_edges,))
+    if n_edges == 0:
+        alpha = np.zeros(0, dtype=np.float64)
+    else:
+        seg_max = np.zeros(n, dtype=np.float64)
+        seg_max[plan.filled] = np.maximum.reduceat(x, plan.starts)
+        e = np.exp((x - seg_max[seg]) / temperature)
+        alpha = e / np.bincount(seg, weights=e, minlength=n)[seg]
+    alpha_col = alpha.reshape((n_edges, 1))
+    weighted = m.values * alpha_col
+
+    def bwd(g):
+        g_w = g[seg]
+        d_alpha = ad._unbroadcast(g_w * m.values, (n_edges, 1)).reshape(
+            (n_edges,))
+        inner = np.bincount(seg, weights=alpha * d_alpha, minlength=n)
+        d_logits = alpha * (d_alpha - inner[seg]) / temperature
+        return (g_w * alpha_col, d_logits.reshape((n_edges, 1)))
+
+    return ad._record("softmax_aggregate",
+                      ad._scatter_add_rows(weighted, seg, n), (m, s), bwd)
+
+
+def _wide_edge_case(seed, d=16, out_dim=64):
+    """A receiver-sorted random graph of 30 nodes at the model's message
+    width: nodes 0 and 29 have no incoming edge, type 1 has no edge, and
+    one node row and part of another are -0.0."""
+    r = np.random.Generator(np.random.PCG64(seed))
+    n, n_edges = 30, 90
+    x_values = r.normal(size=(n, d))
+    x_values[3] = -0.0
+    x_values[7, ::3] = -0.0
+    x = ad.Tensor(x_values, requires_grad=True, name="x")
+    recv = np.sort(r.integers(1, n - 1, n_edges))
+    send = r.integers(0, n, n_edges)
+    types = r.choice([0, 2, 3], n_edges)
+    z = r.normal(size=(n_edges, 5))
+    z[:4] = 0.0
+    ws = [ad.Tensor(r.normal(size=(2 * d + 5, out_dim)), requires_grad=True,
+                    name=f"W{k}") for k in range(4)]
+    plan = ad.EdgePlan(recv, send, z, *_type_partition(types, 4), n)
+    return r, x, plan, ws
+
+
+def _oracle_cases():
+    r, x, z, recv, send, types, ws = _edge_case(9)
+    yield r, x, _edge_plan(z, recv, send, types), ws
+    yield _wide_edge_case(10)
+
+
+def _edge_chain(typed, aggregate, x, ws, plan, logits, w_out):
+    msgs = typed(x, ws, plan)
+    agg = aggregate(msgs, logits, plan, 0.7)
+    return msgs, agg, ad.total_sum(ad.mul(agg, w_out))
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_edge_ops_equal_their_whole_edge_references_bitwise(taped):
+    for r, x, plan, ws in _oracle_cases():
+        out_dim = ws[0].shape[1]
+        n_edges = len(plan.recv)
+        logit_values = r.normal(size=(n_edges, 1))
+        w_out = r.normal(size=(plan.n_nodes, out_dim))
+        got, want = [], []
+        for typed, aggregate, record in (
+                (ad.typed_edge_matmul, ad.softmax_aggregate, got),
+                (typed_edge_matmul_reference, softmax_aggregate_reference,
+                 want)):
+            for t in (x, *ws):
+                t.zero_grad()
+            logits = ad.Tensor(logit_values, requires_grad=True,
+                               name="logits")
+            if taped:
+                with ad.Tape() as tape:
+                    msgs, agg, loss = _edge_chain(typed, aggregate, x, ws,
+                                                  plan, logits, w_out)
+                tape.backward(loss)
+                record.extend(t.grad for t in (x, *ws, logits))
+            else:
+                with ad.no_grad():
+                    msgs, agg, loss = _edge_chain(typed, aggregate, x, ws,
+                                                  plan, logits, w_out)
+                assert loss._tape is None
+            record.extend((msgs.values, agg.values, loss.values))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if b is None:  # the type without an edge gets no gradient
+                assert a is None
+                continue
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_negative_zero_message_aggregates_like_the_reference():
+    plan = _plan([0, 1, 1, 3], 4)
+    messages = np.array([[-0.0, 1.0], [-0.0, -0.0], [-0.0, 2.0],
+                         [-0.0, -0.0]])
+    logits = np.array([[0.5], [0.0], [1000.0], [-2.0]])
+    got = ad.softmax_aggregate(messages, logits, plan).values
+    want = softmax_aggregate_reference(messages, logits, plan).values
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_second_forward_reuses_the_receiver_bins():
+    r, x, plan, ws = _wide_edge_case(11)
+    logits = r.normal(size=(len(plan.recv), 1))
+    with ad.no_grad():
+        ad.softmax_aggregate(ad.typed_edge_matmul(x, ws, plan), logits, plan)
+        assert list(plan._bins) == [("recv", 64)]
+        bins = plan._bins["recv", 64]
+        ad.softmax_aggregate(ad.typed_edge_matmul(x, ws[::-1], plan),
+                             -logits, plan)
+    assert list(plan._bins) == [("recv", 64)]
+    assert plan._bins["recv", 64] is bins
+
+
 def test_l2_penalty_value_and_grad():
     # the L2 term is off the tape: its gradient (here at weight 1) is
     # seeded into the store's buffer while the tape records

@@ -507,6 +507,29 @@ def test_study_a_is_the_same_for_either_spelling_of_a_level(workspace,
     assert texts[0] == texts[1]
 
 
+def test_train_is_the_same_for_either_spelling_of_a_level(workspace,
+                                                         tmp_path, capsys):
+    spellings = {
+        "floats": {"levels": [80.0, 5.0]},
+        "ints": {"levels": [80, 5], "warmup_p_obs": 80,
+                 "select_levels": [5, 10, 20, 40, 60, 80]},
+    }
+    outputs = []
+    for name, spelled in spellings.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({
+            "steps_per_epoch": 4, "max_warmup_epochs": 1, "ramp_epochs": 1,
+            "val_max_snapshots": 4, **spelled}))
+        ckpt = tmp_path / name / "model.npz"
+        rc, _, _ = run(["train", "--data", str(workspace["data"]),
+                        "--config", str(cfg), "--seed", "7",
+                        "--out", str(ckpt)], capsys)
+        assert rc == 0
+        outputs.append((ckpt.read_bytes(),
+                        ckpt.with_suffix(".history.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_evaluate_deterministic_report(workspace, tmp_path, capsys):
     texts = []
     for sub in ("one", "two"):

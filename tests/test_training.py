@@ -189,6 +189,20 @@ def test_config_validation():
     tr.TrainConfig(levels=(80, 20.5), plateau_eps=0, lam_reg=np.float64(0.5))
 
 
+def test_config_spells_each_level_one_way():
+    cfg = tr.TrainConfig(levels=[80.0, 5.5, np.int64(20)], warmup_p_obs=80,
+                         select_levels=[5, 10.0])
+    assert cfg.levels == (80, 5.5, 20)
+    assert [type(p) for p in cfg.levels] == [int, float, int]
+    assert cfg.select_levels == (5.0, 10.0)
+    assert [type(p) for p in cfg.select_levels] == [float, float]
+    assert type(cfg.warmup_p_obs) is float
+    default = tr.TrainConfig()
+    assert default.levels == tr.CURRICULUM_LEVELS
+    assert all(type(p) is int for p in default.levels)
+    assert default.select_levels == (5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
+
+
 # -- the loop -----------------------------------------------------------------
 
 
