@@ -33,8 +33,17 @@ gradient is zero of either sign); ``evaluate --seeds 2`` of
 the first checkpoint in every study: A on the two-day set, B on tiny 0 at
 0 % and 40 % DER, C on tiny 0 with its ties open and closed, E on the
 two-day set with the no-decay checkpoint as the ablation, and D with the
-checkpoint from ``finetune --seed 0`` of it on tiny seed 1. It takes about
-two minutes on one core.
+checkpoint from ``finetune --seed 0`` of it on tiny seed 1; and E once
+more on the two-day set at levels 1 and 20. It takes about 35 s on one
+core of a 2-vCPU Xeon host.
+
+A level's replicates that draw the same sensor fleet share one forward
+(and one ridge score) when no attack is set. On the 93-node two-day set
+the 1 % budget is one node, the hub row, so both replicate fleets are the
+same there: study A's default levels start at 1 % and take that shared
+path, and so does the clean half of the ``--levels 1,20`` study E, whose
+attacked half forwards each replicate on its own. The other studies'
+default levels start at 5 % or 20 %, where the fleets differ.
 """
 
 import argparse
@@ -83,9 +92,10 @@ def commands(work: Path) -> list[list[str]]:
                  "--out", str(work / "no_decay" / "model.npz")])
     model = str(work / "model.npz")
 
-    def study(name, *args):
+    def study(name, *args, out=None):
+        out_dir = work / (out or f"study{name}")
         return ["evaluate", "--study", name, "--checkpoint", model, *args,
-                "--seeds", "2", "--out-dir", str(work / f"study{name}")]
+                "--seeds", "2", "--out-dir", str(out_dir)]
 
     runs.append(study("A", "--data", data))
     runs.append(study("B", "--data", str(work / "tiny0.npz"),
@@ -94,6 +104,9 @@ def commands(work: Path) -> list[list[str]]:
                       "--data-closed", str(work / "tiny0c.npz")))
     runs.append(study("E", "--data", data, "--ablation-checkpoint",
                       str(work / "no_decay" / "model.npz")))
+    runs.append(study("E", "--data", data, "--ablation-checkpoint",
+                      str(work / "no_decay" / "model.npz"), "--levels", "1,20",
+                      out="studyE1"))
     target = str(work / "tiny1.npz")
     runs.append(["finetune", "--checkpoint", model,
                  "--data", target, "--config",

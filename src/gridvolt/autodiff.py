@@ -78,10 +78,13 @@ class TapeConsumedError(EngineError):
 def _check_finite(op: str, values: np.ndarray) -> None:
     if values.size == 0:
         return
+    # one sum screens the array; the count decides, because finite values
+    # whose sum overflows also fail the screen
     s = values.sum()
     if not np.isfinite(s):
         bad = int(np.count_nonzero(~np.isfinite(values)))
-        raise NonFiniteError(f"{op}: produced {bad} non-finite values")
+        if bad:
+            raise NonFiniteError(f"{op}: produced {bad} non-finite values")
 
 
 class Tensor:

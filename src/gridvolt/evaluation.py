@@ -15,9 +15,12 @@ scored by one no-grad path, ``level_predictions`` and ``hidden_errors``,
 which training's validation and checkpoint selection share: one pass per
 level over the cache-sized snapshot runs of ``model.batch_runs``. Each
 run's batch, edge plan included, is built once from the unmasked
-snapshots, and every mask of the level swaps in only its masked ``node_x``
-and ``observed`` before its forward. Memory holds one level's predictions
-and one run's batch at a time.
+snapshots; each distinct fleet of the level then swaps in only its masked
+``node_x`` and ``observed`` and is forwarded once, its predictions shared
+by every replicate that drew that fleet. An attacked replicate draws its
+own attack stream, so it is forwarded once on its own. The ridge baseline
+scores each distinct fleet once the same way. Memory holds one level's
+predictions and one run's batch at a time.
 
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
@@ -168,25 +171,39 @@ def _with_mask(batch: GraphBatch, snaps, mask: np.ndarray,
     return dataclasses.replace(batch, node_x=node_x, observed=observed)
 
 
+def _fleet_groups(masks) -> list[list[int]]:
+    """Replicate indices grouped by identical mask, in first-seen order."""
+    groups: dict[bytes, list[int]] = {}
+    for k, mask in enumerate(masks):
+        groups.setdefault(mask.tobytes(), []).append(k)
+    return list(groups.values())
+
+
 def level_predictions(params: ModelParams, snaps, masks, gens,
                       attack: AttackConfig | None) -> np.ndarray:
     """Predictions ``[replicate, snapshot, node]`` under each mask.
 
     Each run of ``model.batch_runs`` is built once from the unmasked
-    snapshots. Each mask then swaps in only its own ``node_x`` and
-    ``observed`` and forwards on that structure. The mask is held fixed
-    across the snapshots, like a fixed sensor fleet watching the day
+    snapshots. Each distinct mask then swaps in only its own ``node_x``
+    and ``observed``, forwards once on that structure, and its predictions
+    fill the slot of every replicate holding that mask. The mask is held
+    fixed across the snapshots, like a fixed sensor fleet watching the day
     unfold; under an ``attack``, mask ``k``'s draws come from ``gens[k]``,
-    run by run in snapshot order.
+    run by run in snapshot order, so every attacked replicate forwards
+    once on its own.
     """
+    groups = (_fleet_groups(masks) if attack is None
+              else [[k] for k in range(len(masks))])
     preds = np.empty((len(masks), len(snaps), snaps[0].node_x.shape[0]))
     with ad.no_grad():
         for run in batch_runs(snaps):
             batch = build_batch(snaps[run], params.feeder_rows)
-            for k, mask in enumerate(masks):
-                v_hat = forward(params, _with_mask(batch, snaps[run], mask,
-                                                   attack, gens[k]))
-                preds[k, run] = v_hat.values.reshape(run.stop - run.start, -1)
+            for group in groups:
+                k = group[0]
+                v_hat = forward(params, _with_mask(batch, snaps[run],
+                                                   masks[k], attack, gens[k]))
+                preds[group, run] = v_hat.values.reshape(
+                    run.stop - run.start, -1)
             # freed before the next run's build, which reuses its memory
             del batch
     return preds
@@ -280,10 +297,15 @@ def baseline_masked(baseline: LinearBaseline, snaps, p_obs: float,
 def baseline_sweep(baseline: LinearBaseline, snaps, substation: str, levels,
                    n_seeds: int, seed: int = 0, *, scenario: str,
                    model: str) -> list[ReportRow]:
-    """Masked-node error of the ridge baseline per observability level."""
+    """Masked-node error of the ridge baseline per observability level,
+    scored once per distinct fleet of the level."""
     def score_level(level, masks, _):
-        return [baseline_masked(baseline, snaps, level, mask)
-                for mask in masks]
+        scores = [None] * len(masks)
+        for group in _fleet_groups(masks):
+            score = baseline_masked(baseline, snaps, level, masks[group[0]])
+            for k in group:
+                scores[k] = score
+        return scores
     return _sweep(score_level, snaps, substation, levels, n_seeds, seed,
                   scenario, model)
 

@@ -151,7 +151,8 @@ def fleet_order(node_x: np.ndarray, gen) -> np.ndarray:
     first. Materializing one order per fleet and truncating it per level
     gives nested sensor sets, so error curves across observability levels
     compare supersets of the same placements instead of independent
-    redraws.
+    redraws. A level whose budget fits in the hub rows gives every
+    replicate the same fleet.
     """
     hub = np.flatnonzero(node_x[:, NODE_FEATURE_INDEX["type_hub"]] == 1.0)
     rest = gen.permutation(len(node_x))

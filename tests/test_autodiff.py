@@ -113,6 +113,16 @@ def test_nonfinite_raises():
             ad.mul(x, x)
 
 
+def test_finite_tensor_whose_sum_overflows_passes():
+    big = np.full(4, 1e308)
+    with np.errstate(over="ignore"):
+        x = ad.Tensor(big)
+        with pytest.raises(ad.NonFiniteError,
+                           match="add: produced 4 non-finite values"):
+            ad.add(x, x)
+    np.testing.assert_array_equal(x.values, big)
+
+
 def test_backward_requires_scalar():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:

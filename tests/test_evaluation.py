@@ -204,9 +204,9 @@ def test_sweep_equals_the_per_mask_path(tiny_setup, attack):
         [(r.rmse, r.mae) for r in expected]
 
 
-def test_sweep_builds_each_run_once_per_level(tiny_setup, monkeypatch):
-    params, snaps, data = tiny_setup
-    calls = {"build_batch": 0, "forward": 0}
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Live call counts of the named ``evaluation`` module functions."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(ev, name)
@@ -216,14 +216,55 @@ def test_sweep_builds_each_run_once_per_level(tiny_setup, monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(ev, name, counted(name))
+    return calls
+
+
+def test_sweep_builds_each_run_once_per_level(tiny_setup, monkeypatch):
+    params, snaps, data = tiny_setup
+    calls = _count_calls(monkeypatch, "build_batch", "forward")
     ev.observability_sweep(params, snaps[:23], "s31", **_SWEEP,
                            attack=ev.AttackConfig(), scenario="X",
                            model="gnn")
     levels, runs = len(_SWEEP["levels"]), len(gm.batch_runs(snaps[:23]))
     assert calls == {"build_batch": levels * runs,
                      "forward": levels * runs * _SWEEP["n_seeds"]}
+
+
+def test_one_percent_fleets_are_the_hub_row(tiny_setup):
+    """At 1 % the 93-node budget is one node, and the hub rows fill the
+    budget first, so all ten replicate fleets meter the same hub row; at
+    5 % the budget reaches past the three hub rows and the fleets differ."""
+    params, snaps, data = tiny_setup
+    assert data.n_nodes == 93
+    orders = ev.fleet_orders(snaps, 10, 4)
+    hub = np.flatnonzero(snaps[0].node_x[:, NI["type_hub"]] == 1.0)
+    for order in orders:
+        np.testing.assert_array_equal(
+            np.flatnonzero(net.fleet_mask(order, 1)), hub[:1])
+    assert len({net.fleet_mask(o, 5).tobytes() for o in orders}) == 10
+
+
+@pytest.mark.parametrize("attack,forwards_per_run",
+                         [(None, 1 + 3), (ev.AttackConfig(), 3 * 2)],
+                         ids=["clean", "attacked"])
+def test_sweep_forwards_each_distinct_input_once(tiny_setup, monkeypatch,
+                                                 attack, forwards_per_run):
+    """Clean, the three replicates of the 1 % level share one fleet and one
+    forward per run, and the three 40 % fleets differ; attacked, each
+    replicate draws its own attack stream and forwards on its own."""
+    params, snaps, data = tiny_setup
+    items = snaps[:23]
+    sweep = dict(levels=(1, 40), n_seeds=3, seed=4)
+    expected = reference_sweep(params, items, **sweep, attack=attack)
+    calls = _count_calls(monkeypatch, "forward")
+    rows = ev.observability_sweep(params, items, "s31", **sweep,
+                                  attack=attack, scenario="X", model="gnn")
+    assert calls["forward"] == len(gm.batch_runs(items)) * forwards_per_run
+    assert rows == expected
+    assert [(r.rmse, r.mae) for r in rows] == \
+        [(r.rmse, r.mae) for r in expected]
 
 
 def test_predict_matches_single_forward(tiny_setup, monkeypatch):
@@ -372,6 +413,29 @@ def test_baseline_scores_the_level_fit_alone(tiny_setup):
         baseline = ev.fit_linear_baseline(train, levels=levels, seed=0)
         got = ev.baseline_masked(baseline, test, 20, mask)
         np.testing.assert_allclose(got, expected, rtol=1e-9)
+
+
+def test_baseline_sweep_scores_each_replicate_mask(tiny_setup, monkeypatch):
+    """Rows equal one ``baseline_masked`` per replicate, though the three
+    1 % replicates share a fleet and are scored once."""
+    params, snaps, data = tiny_setup
+    sweep = dict(levels=(1, 40), n_seeds=3, seed=4)
+    baseline = ev.fit_linear_baseline(snaps[:20], sweep["levels"], seed=0)
+    test = snaps[36:]
+    orders = ev.fleet_orders(test, sweep["n_seeds"], sweep["seed"])
+    expected = []
+    for level in sweep["levels"]:
+        for k, order in enumerate(orders):
+            r, m = ev.baseline_masked(baseline, test, level,
+                                      net.fleet_mask(order, level))
+            expected.append(ev.ReportRow(
+                "X", "s31", level, "linear", r, m,
+                derive_seed(sweep["seed"], "sweep", level, k)))
+    calls = _count_calls(monkeypatch, "baseline_masked")
+    rows = ev.baseline_sweep(baseline, test, "s31", **sweep, scenario="X",
+                             model="linear")
+    assert calls["baseline_masked"] == 1 + 3
+    assert rows == expected
 
 
 def test_baseline_beats_nominal_guess_on_real_data(tiny_setup):
