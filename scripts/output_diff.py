@@ -10,6 +10,8 @@ are equal prints ``identical``. Otherwise it prints the max |Δ|:
   ``differs``. An npz whose arrays all have equal names, dtypes, shapes
   and bytes prints one line, ``same arrays, container bytes differ``: only
   its zip encoding changed,
+* of a JSON file whose parsed content is equal (key order, spacing and
+  indentation aside), one line, ``same JSON, text differs``,
 * of a CSV file, one line per column (``<file>[<column>]``), over the
   cells that parse as numbers on both sides; the line also counts the
   other cells of that column that differ,
@@ -29,6 +31,7 @@ two listings' directories, as in:
 import argparse
 import csv
 import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -127,9 +130,22 @@ def diff_text(name: str, a: Path, b: Path) -> list[str]:
             f"numbers{tail}"]
 
 
+def _canonical_json(path: Path):
+    """The file's JSON content written one canonical way (sorted keys, so
+    -0.0, 1 and 1.0 stay apart), or None when it does not parse."""
+    try:
+        return json.dumps(json.loads(path.read_text()), sort_keys=True)
+    except ValueError:
+        return None
+
+
 def diff_file(name: str, a: Path, b: Path) -> list[str]:
     if a.read_bytes() == b.read_bytes():
         return [f"{name} identical"]
+    if a.suffix == ".json":
+        content = _canonical_json(a)
+        if content is not None and content == _canonical_json(b):
+            return [f"{name} same JSON, text differs"]
     if a.suffix == ".npz":
         return diff_npz(name, a, b)
     if a.suffix == ".csv":

@@ -326,18 +326,6 @@ def mul(a, b) -> Tensor:
     return _record("mul", vals, (a, b), bwd)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    vals = a.values @ b.values
-
-    def bwd(g):
-        return (g @ b.values.T, a.values.T @ g)
-
-    return _record("matmul", vals, (a, b), bwd)
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
     vals = np.maximum(x.values, 0.0)

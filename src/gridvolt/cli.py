@@ -4,7 +4,9 @@ Subcommands cover the pipeline end to end: ``generate`` synthesizes a
 substation and solves a day (or longer) of snapshots into a dataset,
 ``train`` runs the observability curriculum, ``finetune`` adapts a
 checkpoint to a new substation, ``evaluate`` runs one of the five case
-studies, and ``gradcheck`` validates gradients of the full model.
+studies, and ``gradcheck`` validates gradients of the full model. The
+case studies are defined here, in ``_study_rows``: each is a list of
+``evaluation`` sweeps under its scenario and model labels.
 
 Every run writes a manifest into its run directory (the directory of the
 primary output, overridable via the ``GRIDVOLT_RUN_DIR`` environment
@@ -215,7 +217,7 @@ def cmd_generate(args) -> None:
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
     health = gsim.solver_health(states)
-    del states  # freed before the writes, as inside build_dataset
+    del states  # freed before the writes
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     gds.save_dataset(data, out)
@@ -309,6 +311,11 @@ def _study_rows(args) -> list:
         test = gds.split_windows(d.n_snapshots, 0.0, args.eval_fraction)[2]
         return [d.snapshot(i) for i in test]
 
+    def sweep(p, snaps, scenario, model="gnn", attack=None, substation=name):
+        return gev.observability_sweep(p, snaps, substation, attack=attack,
+                                       scenario=scenario, model=model,
+                                       **common)
+
     if args.study == "A":
         # the ridge fit reads a strided sample of the snapshots before the
         # evaluation window; only those are assembled
@@ -317,8 +324,11 @@ def _study_rows(args) -> list:
         baseline = gev.fit_linear_baseline(
             [data.snapshot(i) for i in gev.baseline_sample(before)],
             levels=common["levels"], seed=args.seed)
-        return gev.study_observability(params, baseline, test_views(data),
-                                       name, **common)
+        snaps = test_views(data)
+        return (sweep(params, snaps, "A-observability")
+                + gev.baseline_sweep(baseline, snaps, name,
+                                     scenario="A-observability",
+                                     model="linear", **common))
     if args.study == "B":
         sets = [data] + [_load_dataset(p) for p in args.data[1:]]
         by_pen = {}
@@ -329,24 +339,30 @@ def _study_rows(args) -> list:
                                          f"DER penetration; {path} repeats "
                                          f"{pen} %")
             by_pen[pen] = test_views(d)
-        return gev.study_der(params, by_pen,
-                             sets[-1].meta.get("substation", "?"), **common)
+        last = sets[-1].meta.get("substation", "?")
+        return [row for pen, snaps in sorted(by_pen.items())
+                for row in sweep(params, snaps, f"B-der{pen}",
+                                 substation=last)]
     if args.study == "C":
         closed = _load_dataset(args.data_closed)
-        return gev.study_tie(params, test_views(data), test_views(closed),
-                             name, **common)
+        return (sweep(params, test_views(data), "C-radial")
+                + sweep(params, test_views(closed), "C-tie-closed"))
     if args.study == "D":
         tuned = _load_checkpoint(args.finetuned_checkpoint)
-        return gev.study_transfer(params, tuned, test_views(data), name,
-                                  **common)
+        snaps = test_views(data)
+        return (sweep(params, snaps, "D-transfer", "gnn-zeroshot")
+                + sweep(tuned, snaps, "D-transfer", "gnn-finetuned"))
     ablation = _load_checkpoint(args.ablation_checkpoint)
     try:
         attack = gev.AttackConfig(penetration=args.attack_penetration,
                                   targets=args.attack_targets)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-    return gev.study_attack(params, ablation, test_views(data), name, attack,
-                            **common)
+    snaps = test_views(data)
+    return [row for model, p in (("gnn-physics", params),
+                                 ("gnn-nophysics", ablation))
+            for scenario, hit in (("E-clean", None), ("E-attacked", attack))
+            for row in sweep(p, snaps, scenario, model, hit)]
 
 
 def cmd_evaluate(args) -> None:

@@ -197,13 +197,6 @@ def split_windows(n: int, val_fraction: float,
             range(n - n_test, n))
 
 
-def build_dataset(spec: sim.SubstationSpec,
-                  scenario: sim.ScenarioConfig) -> SnapshotDataset:
-    """Run the scenario and flatten every snapshot into dataset arrays."""
-    states = sim.run_timeseries(spec, scenario)
-    return dataset_from_states(spec, scenario, states)
-
-
 def dataset_from_states(spec: sim.SubstationSpec,
                         scenario: sim.ScenarioConfig,
                         states: list[sim.SolvedState]) -> SnapshotDataset:

@@ -7,7 +7,9 @@ resample sensor placements over several seeds per level and return one
 report row per level and seed; the summary averages over seeds. The
 reference baseline is per-feeder ridge-regularized least squares from the
 same masked node features: one fit per level, scored only at the level it
-was fit at (no best-of across fits).
+was fit at (no best-of across fits). The five case studies are composed
+in ``cli evaluate`` from the two sweeps here, ``observability_sweep`` and
+``baseline_sweep``, each run under its study's scenario and model labels.
 
 Every input, to the model and to the baseline, is a ``dataset.Snapshot``
 seen through one sensor mask, ``snapshot.masked(mask)``. The model is
@@ -310,7 +312,7 @@ def baseline_sweep(baseline: LinearBaseline, snaps, substation: str, levels,
                   scenario, model)
 
 
-# -- case studies -----------------------------------------------------------------
+# -- reports ----------------------------------------------------------------------
 
 
 @dataclass
@@ -331,64 +333,6 @@ def write_report(path, rows: list[ReportRow]) -> None:
         for r in rows:
             writer.writerow([r.scenario, r.substation, r.p_obs, r.model,
                              f"{r.rmse:.8f}", f"{r.mae:.8f}", r.seed])
-
-
-def study_observability(params, baseline, snaps, substation, levels, n_seeds,
-                        seed=0) -> list[ReportRow]:
-    """Study A: model vs linear baseline across observability levels."""
-    return (observability_sweep(params, snaps, substation, levels, n_seeds,
-                                seed, scenario="A-observability", model="gnn")
-            + baseline_sweep(baseline, snaps, substation, levels, n_seeds,
-                             seed, scenario="A-observability",
-                             model="linear"))
-
-
-def study_der(params, snaps_by_penetration: dict[int, list], substation,
-              levels, n_seeds, seed=0) -> list[ReportRow]:
-    """Study B: error under increasing local generation."""
-    rows = []
-    for pen, snaps in sorted(snaps_by_penetration.items()):
-        rows += observability_sweep(params, snaps, substation, levels,
-                                    n_seeds, seed, scenario=f"B-der{pen}",
-                                    model="gnn")
-    return rows
-
-
-def study_tie(params, snaps_base, snaps_closed, substation, levels, n_seeds,
-              seed=0) -> list[ReportRow]:
-    """Study C: radial operation vs a closed inter-feeder tie."""
-    return (observability_sweep(params, snaps_base, substation, levels,
-                                n_seeds, seed, scenario="C-radial",
-                                model="gnn")
-            + observability_sweep(params, snaps_closed, substation, levels,
-                                  n_seeds, seed, scenario="C-tie-closed",
-                                  model="gnn"))
-
-
-def study_transfer(zero_shot_params, finetuned_params, snaps, substation,
-                   levels, n_seeds, seed=0) -> list[ReportRow]:
-    """Study D: pretrained model on an unseen substation, before/after
-    head-only fine-tuning."""
-    return (observability_sweep(zero_shot_params, snaps, substation, levels,
-                                n_seeds, seed, scenario="D-transfer",
-                                model="gnn-zeroshot")
-            + observability_sweep(finetuned_params, snaps, substation, levels,
-                                  n_seeds, seed, scenario="D-transfer",
-                                  model="gnn-finetuned"))
-
-
-def study_attack(params, ablation_params, snaps, substation,
-                 attack: AttackConfig, levels, n_seeds,
-                 seed=0) -> list[ReportRow]:
-    """Study E: attacked vs clean error, physics-trained vs ablation."""
-    rows = []
-    for model, p in (("gnn-physics", params),
-                     ("gnn-nophysics", ablation_params)):
-        for scenario, hit in (("E-clean", None), ("E-attacked", attack)):
-            rows += observability_sweep(p, snaps, substation, levels, n_seeds,
-                                        seed, hit, scenario=scenario,
-                                        model=model)
-    return rows
 
 
 def summarize(rows: list[ReportRow]) -> str:

@@ -222,9 +222,6 @@ class ModelParams:
     def backbone_names(self) -> list[str]:
         return [n for n, g in self.groups.items() if g == "backbone"]
 
-    def head_names(self) -> list[str]:
-        return [n for n, g in self.groups.items() if g == "head"]
-
     def span(self, group: str) -> slice:
         """The group's contiguous span of ``store.values``."""
         ks = [k for k, g in enumerate(self.groups.values()) if g == group]

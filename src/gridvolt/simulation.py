@@ -20,8 +20,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -232,82 +231,21 @@ class ScenarioConfig:
 # serialization (key-value tree on disk)
 
 def save_spec(spec: SubstationSpec, path: str | Path) -> None:
-    """The spec as sorted JSON: its fields, ``aux_load`` as ``[re, im]``,
-    and the ``substation-spec/v1`` format tag, in the bytes
-    ``json.dumps(..., indent=2, sort_keys=True)`` writes."""
-    data = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    """The spec as compact sorted JSON, ``json.dumps(..., sort_keys=True)``
+    of its fields (each nested dataclass as the dict of its fields), with
+    ``aux_load`` as ``[re, im]`` and the ``substation-spec/v1`` format tag.
+    A value JSON cannot hold raises TypeError."""
+    data = _field_dict(spec)
     data["format"] = "substation-spec/v1"
     data["aux_load"] = [spec.aux_load.real, spec.aux_load.imag]
-    out: list[str] = []
-    _emit_json(data, out, "\n")
-    Path(path).write_text("".join(out))
+    Path(path).write_text(json.dumps(data, default=_field_dict,
+                                     sort_keys=True))
 
 
-# each dataclass type's field names, sorted, as _emit_json writes them
-_FIELD_NAMES: dict[type, list[str]] = {}
-
-
-def _emit_json(obj, out: list[str], newline: str) -> None:
-    """Append ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
-    writes it, a dataclass as the dict of its fields (as ``asdict`` gives
-    it, without the deep copy). ``newline`` is the line break plus the
-    current indent. With ``indent`` set, ``json`` runs its pure-Python
-    encoder; this writes the same text with less work per value. The
-    scalar, list and tuple types a spec holds are tested by exact type,
-    before the dataclass test, and each dataclass type's sorted field
-    names are looked up once."""
-    kind = type(obj)
-    if kind is str:
-        out.append(encode_basestring_ascii(obj))
-    elif kind is float and math.isfinite(obj):
-        out.append(float.__repr__(obj))
-    elif kind is int:
-        out.append(int.__repr__(obj))
-    elif kind is bool:
-        out.append("true" if obj else "false")
-    elif (kind is list or kind is tuple) and obj:
-        _emit_array(obj, out, newline)
-    elif is_dataclass(kind):
-        names = _FIELD_NAMES.get(kind)
-        if names is None:
-            names = _FIELD_NAMES[kind] = sorted(f.name for f in fields(kind))
-        _emit_object([(name, getattr(obj, name)) for name in names],
-                     out, newline)
-    elif isinstance(obj, dict) and obj:
-        _emit_object(sorted(obj.items()), out, newline)
-    elif isinstance(obj, (list, tuple)) and obj:
-        _emit_array(obj, out, newline)
-    else:
-        # null, non-finite floats, empty containers and scalar
-        # subclasses, which the compact encoder writes as the indented one
-        # does; it raises TypeError on what JSON cannot hold
-        out.append(json.dumps(obj))
-
-
-def _emit_object(items: list[tuple[str, object]], out: list[str],
-                 newline: str) -> None:
-    """Key-value pairs, in the order given, as an indented JSON object."""
-    if not items:
-        out.append("{}")
-        return
-    inner = newline + "  "
-    sep = "{" + inner
-    for key, value in items:
-        out.append(sep + encode_basestring_ascii(key) + ": ")
-        _emit_json(value, out, inner)
-        sep = "," + inner
-    out.append(newline + "}")
-
-
-def _emit_array(values, out: list[str], newline: str) -> None:
-    """A non-empty list or tuple as an indented JSON array."""
-    inner = newline + "  "
-    sep = "[" + inner
-    for value in values:
-        out.append(sep)
-        _emit_json(value, out, inner)
-        sep = "," + inner
-    out.append(newline + "]")
+def _field_dict(obj) -> dict:
+    """A dataclass as the dict of its fields, without ``asdict``'s deep
+    copy; ``fields`` raises TypeError on anything else."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +723,6 @@ class _PhaseTree(NamedTuple):
     """
 
     order: np.ndarray        # node at each BFS position, roots first
-    parent_edge: np.ndarray  # per node, -1 at roots
     parent_node: np.ndarray  # per node, -1 at roots
     child: np.ndarray        # per edge, -1 when open
     levels: list[_Level]     # depths 1, 2, ... (the roots are depth 0)
@@ -801,9 +738,9 @@ class _PhaseTree(NamedTuple):
 def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
     """BFS trees of the closed edges, one per phase, rooted at the hub.
 
-    Returns the visiting order (roots first), the parent edge and parent
-    node of every node (-1 at roots), the child node of every edge (-1 when
-    open), and the order cut into depth levels: BFS visits depths in
+    Returns the visiting order (roots first), the parent node of every
+    node (-1 at roots), the child node of every edge (-1 when open), and
+    the order cut into depth levels: BFS visits depths in
     nondecreasing order, so each depth is a contiguous run of it. The
     sweeps' gather indices, regulator slots and impedance rows are built
     here too, once per switch configuration. Raises PowerFlowError when a
@@ -884,7 +821,7 @@ def _phase_trees(graph: GraphIndex, status: np.ndarray) -> _PhaseTree:
             reg_block=slice(4 * done, 4 * (done + len(reg)))))
         done += len(reg)
     return _PhaseTree(
-        order_arr, parent_edge, parent_node, child, levels, edges,
+        order_arr, parent_node, child, levels, edges,
         own=_fused_pairs(np.arange(roots, n)),
         z_coef=_pair_coefficients(graph.edge_impedance[edges]),
         reg_edges=reg_edges, reg_taps=tap_of[reg_edges],

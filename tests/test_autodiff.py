@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridvolt import autodiff as ad
 
+from helpers import matmul
+
 
 def finite_floats(**kw):
     return st.floats(min_value=-50, max_value=50, allow_nan=False, **kw)
@@ -100,8 +102,9 @@ def test_segment_mean_empty_segment_errors():
 
 
 def test_shape_mismatch_names_op():
-    with pytest.raises(ad.ShapeError, match="matmul"):
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+    with pytest.raises(ad.ShapeError, match="linear"):
+        ad.linear(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))),
+                  ad.Tensor(np.zeros(3)))
 
 
 def test_nonfinite_raises():
@@ -147,7 +150,7 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
     def step():
         w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
         with ad.Tape() as tape:
-            hidden = ad.relu(ad.matmul(ad.as_tensor(np.ones((4, 3))), w))
+            hidden = ad.relu(matmul(ad.as_tensor(np.ones((4, 3))), w))
             loss = ad.total_sum(hidden)
         tape.backward(loss)
         assert tape.records == []
@@ -203,7 +206,7 @@ def test_gradcheck_matmul_bias_relu():
     t = ad.Tensor(r.normal(size=(7, 4)))
 
     def build():
-        return ad.l1_loss(ad.sub(ad.relu(ad.add(ad.matmul(x, W), b)), t))
+        return ad.l1_loss(ad.sub(ad.relu(ad.add(matmul(x, W), b)), t))
 
     _check(build, [W, b])
 
@@ -635,8 +638,8 @@ def _taped_l2(params):
 
 def _reuse_loss(a, b, x):
     """A loss that reaches ``a`` by two paths and ``b`` by one."""
-    h = ad.relu(ad.matmul(ad.as_tensor(x), a))
-    return ad.total_sum(ad.mul(ad.add(ad.matmul(h, b), ad.matmul(h, b)),
+    h = ad.relu(matmul(ad.as_tensor(x), a))
+    return ad.total_sum(ad.mul(ad.add(matmul(h, b), matmul(h, b)),
                                ad.reshape(ad.total_sum(a), (1, 1))))
 
 

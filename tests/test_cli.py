@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, error lines, manifests, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -542,6 +544,76 @@ def test_evaluate_deterministic_report(workspace, tmp_path, capsys):
         assert rc == 0
         texts.append((out_dir / "study_A.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+@pytest.fixture(scope="module")
+def study_sets(workspace):
+    """Study B's 0 % DER set, of another substation (seed 32), and study
+    C's closed-tie set of the workspace substation."""
+    root = workspace["root"]
+    sets = {"der0": root / "der0" / "sub.npz",
+            "closed": root / "closed" / "sub.npz"}
+    for name, flags in (("der0", ["--seed", "32", "--der", "0"]),
+                        ("closed", ["--seed", "31", "--der", "20",
+                                    "--close-ties"])):
+        assert cli.dispatch(["generate", "--size", "tiny", "--feeders", "3",
+                             "--horizon-minutes", "720", *flags,
+                             "--out", str(sets[name])]) == 0
+    return sets
+
+
+# the (scenario, model) blocks of each study, in report order
+STUDY_BLOCKS = {
+    "B": [("B-der0", "gnn"), ("B-der20", "gnn")],
+    "C": [("C-radial", "gnn"), ("C-tie-closed", "gnn")],
+    "D": [("D-transfer", "gnn-zeroshot"), ("D-transfer", "gnn-finetuned")],
+    "E": [("E-clean", "gnn-physics"), ("E-attacked", "gnn-physics"),
+          ("E-clean", "gnn-nophysics"), ("E-attacked", "gnn-nophysics")],
+}
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_BLOCKS))
+def test_evaluate_study_blocks_and_determinism(workspace, study_sets,
+                                               tmp_path, capsys, study):
+    """Studies B-E run to completion through the CLI: their report holds
+    each (scenario, model) block in order, one row per level and seed,
+    under the substation of the named set, and two runs write the same
+    bytes. B's blocks follow DER penetration, not --data order, and its
+    substation is the last --data set's. The workspace checkpoint stands
+    in for the fine-tuned and the ablation checkpoints."""
+    data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
+    flags, named = {
+        "B": (["--data", data, "--data", str(study_sets["der0"])],
+              study_sets["der0"]),
+        "C": (["--data", data, "--data-closed", str(study_sets["closed"])],
+              workspace["data"]),
+        "D": (["--data", data, "--finetuned-checkpoint", ckpt],
+              workspace["data"]),
+        "E": (["--data", data, "--ablation-checkpoint", ckpt],
+              workspace["data"]),
+    }[study]
+    blocks = STUDY_BLOCKS[study]
+    outputs = []
+    for sub in ("one", "two"):
+        out_dir = tmp_path / sub
+        rc, _, _ = run(["evaluate", "--study", study, "--checkpoint", ckpt,
+                        *flags, "--levels", "20,5", "--seeds", "2",
+                        "--out-dir", str(out_dir)], capsys)
+        assert rc == 0
+        outputs.append([(out_dir / f"study_{study}{suffix}").read_bytes()
+                        for suffix in (".csv", "_summary.txt")])
+    assert outputs[0] == outputs[1]
+
+    rows = list(csv.DictReader(io.StringIO(outputs[0][0].decode())))
+    assert len(rows) == 4 * len(blocks)
+    for b, block in enumerate(blocks):
+        part = rows[4 * b:4 * b + 4]
+        assert {(r["scenario"], r["model"]) for r in part} == {block}
+        assert [r["p_obs"] for r in part] == ["20", "20", "5", "5"]
+    substation = ds.load_dataset(named).meta["substation"]
+    assert {r["substation"] for r in rows} == {substation}
+    if study == "B":
+        assert substation != ds.load_dataset(data).meta["substation"]
 
 
 def test_evaluate_study_c_requires_closed_data(workspace, tmp_path, capsys):

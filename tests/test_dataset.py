@@ -16,6 +16,8 @@ from gridvolt import network as net
 from gridvolt import simulation as sim
 from gridvolt.seeding import rng
 
+from helpers import build_dataset
+
 HORIZON = 12 * sim.TIMESTEP_MINUTES
 
 
@@ -155,7 +157,7 @@ def tiny_spec():
 
 @pytest.fixture(scope="module")
 def ds(tiny_spec):
-    return dsm.build_dataset(tiny_spec, sim.ScenarioConfig(
+    return build_dataset(tiny_spec, sim.ScenarioConfig(
         horizon_minutes=HORIZON, der_penetration=20))
 
 
@@ -198,7 +200,7 @@ def test_written_bytes_are_deterministic(ds, tiny_spec, tmp_path):
     p1, p2, p3 = (tmp_path / n for n in ("a.npz", "b.npz", "c.npz"))
     dsm.save_dataset(ds, p1)
     dsm.save_dataset(ds, p2)
-    rebuilt = dsm.build_dataset(tiny_spec, sim.ScenarioConfig(
+    rebuilt = build_dataset(tiny_spec, sim.ScenarioConfig(
         horizon_minutes=HORIZON, der_penetration=20))
     dsm.save_dataset(rebuilt, p3)
     assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
@@ -311,7 +313,7 @@ def test_feature_hash_guard(ds):
 
 def test_effective_feeder_between_tie_states(tiny_spec):
     tie = tiny_spec.ties[0]
-    closed = dsm.build_dataset(tiny_spec, sim.ScenarioConfig(
+    closed = build_dataset(tiny_spec, sim.ScenarioConfig(
         horizon_minutes=4 * sim.TIMESTEP_MINUTES, tie_closures=(0,),
         tie_close_step=2))
     graph = sim.build_graph(tiny_spec)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import gridvolt.autodiff as ad
-import gridvolt.dataset as ds
 import gridvolt.evaluation as ev
 import gridvolt.model as gm
 import gridvolt.network as net
 import gridvolt.simulation as sim
 from gridvolt.seeding import derive_seed, rng
+
+from helpers import build_dataset
 
 NI = net.NODE_FEATURE_INDEX
 
@@ -21,7 +22,7 @@ NI = net.NODE_FEATURE_INDEX
 def tiny_setup():
     spec = sim.generate_substation(31, "tiny", n_feeders=3)
     scen = sim.ScenarioConfig(horizon_minutes=720, der_penetration=20)
-    data = ds.build_dataset(spec, scen)
+    data = build_dataset(spec, scen)
     snaps = [data.snapshot(i) for i in range(data.n_snapshots)]
     params = gm.ModelParams.create(gm.ModelConfig(hidden_dim=8, n_layers=2),
                                    data.feeder_ids, seed=3)
@@ -464,18 +465,3 @@ def test_write_report_and_summarize(tiny_setup, tmp_path):
     assert len(lines) == 3
     text = ev.summarize(rows)
     assert "A-observability" in text and "linear" in text
-
-
-def test_study_attack_rows_are_deterministic(tiny_setup):
-    params, snaps, data = tiny_setup
-    kwargs = dict(params=params, ablation_params=params, snaps=snaps[:4],
-                  substation="s31", attack=ev.AttackConfig(), levels=(20,),
-                  n_seeds=2, seed=5)
-    rows_a = ev.study_attack(**kwargs)
-    rows_b = ev.study_attack(**kwargs)
-    assert [(r.scenario, r.model, r.rmse) for r in rows_a] == \
-        [(r.scenario, r.model, r.rmse) for r in rows_b]
-    scenarios = {r.scenario for r in rows_a}
-    assert scenarios == {"E-clean", "E-attacked"}
-    models = {r.model for r in rows_a}
-    assert models == {"gnn-physics", "gnn-nophysics"}

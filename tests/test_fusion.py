@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import gridvolt.autodiff as ad
-import gridvolt.dataset as ds
 import gridvolt.losses as losses
 import gridvolt.model as gm
 import gridvolt.simulation as sim
+
+from helpers import build_dataset, matmul
 
 
 # -- the unfused reference ----------------------------------------------------
@@ -69,7 +70,7 @@ def segment_sum(x, seg, n):
 
 
 def affine(x, w, b):
-    return ad.add(ad.matmul(ad.as_tensor(x), w), b)
+    return ad.add(matmul(ad.as_tensor(x), w), b)
 
 
 def unfused_forward(params, batch):
@@ -82,8 +83,8 @@ def unfused_forward(params, batch):
         messages = gm.edge_messages(params, layer, h, batch)
         hidden = ad.relu(edge_matmul(h, batch.plan.z, t[p + "att_W"], recv,
                                      send))
-        logits = ad.add(ad.matmul(hidden, t[p + "att_a"]),
-                        ad.matmul(ad.as_tensor(batch.prior), t["beta"]))
+        logits = ad.add(matmul(hidden, t[p + "att_a"]),
+                        matmul(ad.as_tensor(batch.prior), t["beta"]))
         alpha = segment_softmax(ad.reshape(logits, (e,)), recv, n,
                                 params.config.temperature)
         agg = segment_sum(ad.mul(messages, ad.reshape(alpha, (e, 1))), recv, n)
@@ -112,7 +113,7 @@ def unfused_forward(params, batch):
 @pytest.fixture(scope="module")
 def tiny():
     spec = sim.generate_substation(31, "tiny", n_feeders=3)
-    data = ds.build_dataset(spec, sim.ScenarioConfig(horizon_minutes=120,
+    data = build_dataset(spec, sim.ScenarioConfig(horizon_minutes=120,
                                                      der_penetration=20))
     return data
 

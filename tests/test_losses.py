@@ -12,17 +12,18 @@ import numpy as np
 import pytest
 
 import gridvolt.autodiff as ad
-import gridvolt.dataset as ds
 import gridvolt.losses as gl
 import gridvolt.model as gm
 import gridvolt.simulation as sim
+
+from helpers import build_dataset, head_names
 
 
 @pytest.fixture(scope="module")
 def tiny_batch():
     spec = sim.generate_substation(41, "tiny", n_feeders=3)
     scen = sim.ScenarioConfig(horizon_minutes=60, der_penetration=30)
-    data = ds.build_dataset(spec, scen)
+    data = build_dataset(spec, scen)
     params = gm.ModelParams.create(gm.ModelConfig(hidden_dim=8, n_layers=2),
                                    data.feeder_ids, seed=1)
     gen = np.random.default_rng(5)
@@ -194,7 +195,7 @@ def test_frozen_parameters_receive_exactly_no_gradient(tiny_batch):
             ad.backward(total)
         for name in params.backbone_names():
             assert params.tensors[name].grad is None, name
-        for name in params.head_names():
+        for name in head_names(params):
             assert params.tensors[name].grad is not None, name
     finally:
         for t in params.tensors.values():

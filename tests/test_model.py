@@ -14,6 +14,8 @@ import gridvolt.model as gm
 import gridvolt.network as net
 import gridvolt.simulation as sim
 
+from helpers import build_dataset, head_names, matmul
+
 NI = net.NODE_FEATURE_INDEX
 EI = net.EDGE_FEATURE_INDEX
 
@@ -54,7 +56,7 @@ def small_params(n_feeders=2, d=8, layers=2, seed=5):
 def tiny_snaps():
     spec = sim.generate_substation(31, "tiny", n_feeders=3)
     scen = sim.ScenarioConfig(horizon_minutes=120, der_penetration=20)
-    data = ds.build_dataset(spec, scen)
+    data = build_dataset(spec, scen)
     return [data.snapshot(i) for i in range(data.n_snapshots)], data
 
 
@@ -188,7 +190,7 @@ def test_attention_sums_to_one_per_receiver(tiny_snaps):
     params = gm.ModelParams.create(gm.ModelConfig(), data.feeder_ids, seed=1)
     item = snaps[0].masked(np.ones(data.n_nodes, dtype=bool))
     batch = gm.build_batch([item], params.feeder_rows)
-    h = ad.matmul(ad.as_tensor(batch.node_x), params.tensors["input.W"])
+    h = matmul(ad.as_tensor(batch.node_x), params.tensors["input.W"])
     alpha = attention_weights(params, h, batch)
     sums = np.bincount(batch.plan.recv, weights=alpha, minlength=batch.n_nodes)
     degree = np.bincount(batch.plan.recv, minlength=batch.n_nodes)
@@ -208,12 +210,12 @@ def test_isolated_batch_reduces_to_residual_norm_stack():
     got = gm.forward(params, batch)
 
     t = params.tensors
-    h = ad.add(ad.matmul(ad.as_tensor(batch.node_x), t["input.W"]), t["input.b"])
+    h = ad.add(matmul(ad.as_tensor(batch.node_x), t["input.W"]), t["input.b"])
     for layer in range(params.config.n_layers):
         zero_agg = ad.as_tensor(np.zeros((3, 8)))
-        hid = ad.relu(ad.add(ad.matmul(zero_agg, t[f"layer{layer}.phi_W1"]),
+        hid = ad.relu(ad.add(matmul(zero_agg, t[f"layer{layer}.phi_W1"]),
                              t[f"layer{layer}.phi_b1"]))
-        upd = ad.add(ad.matmul(hid, t[f"layer{layer}.phi_W2"]),
+        upd = ad.add(matmul(hid, t[f"layer{layer}.phi_W2"]),
                      t[f"layer{layer}.phi_b2"])
         h = ad.layer_norm(ad.add(h, upd), t[f"layer{layer}.norm_gain"],
                           t[f"layer{layer}.norm_bias"])
@@ -455,7 +457,7 @@ def test_fresh_params_decode_near_nominal_voltage(tiny_snaps):
 def test_freezing_groups_partition_every_tensor():
     params = gm.ModelParams.create(gm.ModelConfig(), [3, 4, 5], seed=0)
     backbone = set(params.backbone_names())
-    head = set(params.head_names())
+    head = set(head_names(params))
     assert backbone.isdisjoint(head)
     assert backbone | head == set(params.tensors)
     assert "input.W" in backbone and "beta" in backbone
@@ -489,7 +491,7 @@ def _assert_flat_layout(params):
         assert np.shares_memory(t.values, span), name
         offset += t.values.size
     assert offset == store.values.size == store.grad.size
-    head = params.head_names()
+    head = head_names(params)
     assert names[len(names) - len(head):] == head
     assert set(names[:len(names) - len(head)]) == set(params.backbone_names())
 
@@ -504,7 +506,7 @@ def test_layout_gives_the_created_shapes_and_a_tail_head_span():
     head = params.span("head")
     assert head.stop == params.store.values.size
     assert params.span("backbone") == slice(0, head.start)
-    n_head = sum(params.tensors[n].values.size for n in params.head_names())
+    n_head = sum(params.tensors[n].values.size for n in head_names(params))
     assert head.stop - head.start == n_head
     _assert_flat_layout(params)
 

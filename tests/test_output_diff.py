@@ -1,6 +1,7 @@
 """scripts/output_diff.py on two small hand-made output directories."""
 
 import importlib.util
+import json
 import zipfile
 from pathlib import Path
 
@@ -76,3 +77,18 @@ def test_npz_with_equal_arrays_in_another_encoding_is_one_line(tmp_path):
                         tag=arrays["tag"])
     assert mod.diff_file("m.npz", a, c) == [
         "m.npz:tag identical", "m.npz:w max|Δ| 0.000e+00"]
+
+
+def test_json_with_equal_content_in_another_layout_is_one_line(tmp_path):
+    mod = _load()
+    a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+    content = {"seed": 7, "buses": [{"v": -0.0, "on": True}], "ties": []}
+    a.write_text(json.dumps(content, indent=2, sort_keys=True))
+    b.write_text(json.dumps(content))
+    assert mod.diff_file("s.spec.json", a, b) == [
+        "s.spec.json same JSON, text differs"]
+    # 0.0 equals -0.0 as a number but is other content
+    c.write_text(json.dumps({**content, "buses": [{"v": 0.0, "on": True}]},
+                            indent=2, sort_keys=True))
+    assert mod.diff_file("s.spec.json", a, c) == [
+        "s.spec.json max|Δ| 0.000e+00 over 2 numbers"]

@@ -24,6 +24,8 @@ from gridvolt import dataset as dsm
 from gridvolt import network as net
 from gridvolt import simulation as sim
 
+from helpers import build_dataset
+
 
 def closed_form_v2(r, x, p, q, v1=1.0):
     b = 2.0 * (r * p + x * q) - v1 * v1
@@ -227,14 +229,13 @@ def test_spec_file_holds_every_field_and_the_format_tag(tiny_spec, tmp_path):
 
 
 def assert_spec_file_is_the_encoder_output(spec, path):
-    """save_spec writes what json.dumps(indent=2, sort_keys=True) of the
-    asdict form writes, byte for byte, so spec hashes stay put."""
+    """save_spec writes what json.dumps(sort_keys=True) of the asdict form
+    writes, byte for byte, so spec hashes stay put."""
     data = dataclasses.asdict(spec)
     data["format"] = "substation-spec/v1"
     data["aux_load"] = [spec.aux_load.real, spec.aux_load.imag]
     sim.save_spec(spec, path)
-    assert path.read_bytes() == json.dumps(data, indent=2,
-                                           sort_keys=True).encode()
+    assert path.read_bytes() == json.dumps(data, sort_keys=True).encode()
 
 
 @pytest.mark.parametrize("seed,size,n_feeders", [
@@ -251,13 +252,22 @@ def test_spec_file_bytes_are_the_indented_json_encoder_output(
 def test_spec_file_bytes_with_empty_lists_and_flags(tmp_path):
     """A hand-built spec with empty list fields (no ties, no feeder
     devices, DER or capacitors), an open switch, a capacitor switched off
-    and a negative zero: the type checks before the dataclass test write
-    what the encoder writes."""
+    and a negative zero is written as the encoder writes its asdict
+    form."""
     spec = two_bus_spec(load_peak=0.02)
     assert spec.ties == [] and spec.feeders[0].ders == []
     spec.hub_links[0].normally_closed = False
     spec.feeders[0].capacitors.append(sim.CapacitorSpec(1, -0.0, on=False))
     assert_spec_file_is_the_encoder_output(spec, tmp_path / "spec.json")
+
+
+def test_spec_file_refuses_a_numpy_integer(tmp_path):
+    """A field holding an np.int64, which JSON cannot hold, raises
+    TypeError rather than being written as something else."""
+    spec = two_bus_spec(load_peak=0.02)
+    spec.feeders[0].feeder_id = np.int64(5)
+    with pytest.raises(TypeError):
+        sim.save_spec(spec, tmp_path / "spec.json")
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +642,9 @@ def loop_sweep_reference(spec, graph, s_injection, controls, timestamp=0.0,
     tree = sim._phase_trees(graph, status)
     order = [int(v) for v in tree.order]
     rev = order[::-1]
-    parent_edge, parent_node, child = (tree.parent_edge, tree.parent_node,
-                                       tree.child)
+    parent_node, child = tree.parent_node, tree.child
+    parent_edge = np.full(n, -1)                  # -1 at roots
+    parent_edge[child[child >= 0]] = np.flatnonzero(child >= 0)
     flip = np.flatnonzero((child >= 0) & (graph.edge_to != child)
                           & (ratio != 1.0))
     e_ratio = ratio.copy()
@@ -805,7 +816,7 @@ def test_phase_tree_levels(seed, size, ties):
                           np.flatnonzero(tree.parent_node >= 0))
     # the rows past the roots: the edge above each position, and its pairs
     # then the same pairs swapped, real part at 2k, imaginary at 2k + 1
-    assert np.array_equal(tree.edges, tree.parent_edge[tree.order[roots:]])
+    assert np.array_equal(tree.child[tree.edges], tree.order[roots:])
     below = np.arange(2 * roots, 2 * n)
     assert np.array_equal(tree.own, np.concatenate([below, below ^ 1]))
     z = graph.edge_impedance[tree.edges]
@@ -835,7 +846,7 @@ def test_phase_tree_levels(seed, size, ties):
         assert len(lv.parent) == h
         assert np.all((parents >= above.start) & (parents < above.stop))
         assert np.array_equal(tree.order[parents], tree.parent_node[nodes])
-        assert np.array_equal(lv.edges, tree.parent_edge[nodes])
+        assert np.array_equal(tree.child[lv.edges], nodes)
         # float-view indices: the run's pairs and its parents' pairs
         assert lv.pairs == slice(2 * lv.nodes.start, 2 * lv.nodes.stop)
         assert lv.span == slice(lv.pairs.start - 2 * roots,
@@ -890,7 +901,7 @@ def test_run_builds_each_switch_configuration_once(tiny_spec, monkeypatch):
     scenario = sim.ScenarioConfig(horizon_minutes=8 * sim.TIMESTEP_MINUTES,
                                   der_penetration=20, tie_closures=(0,),
                                   tie_close_step=3)
-    data = dsm.build_dataset(tiny_spec, scenario)
+    data = build_dataset(tiny_spec, scenario)
     assert data.n_snapshots == 8
     assert len(built) == len(set(built)) == 2
 

@@ -18,12 +18,14 @@ import gridvolt.simulation as sim
 import gridvolt.training as tr
 from gridvolt.seeding import rng
 
+from helpers import build_dataset, head_names
+
 
 @pytest.fixture(scope="module")
 def day_dataset():
     spec = sim.generate_substation(31, "tiny", n_feeders=3)
     scen = sim.ScenarioConfig(horizon_minutes=1440, der_penetration=20)
-    return ds.build_dataset(spec, scen)  # 96 snapshots
+    return build_dataset(spec, scen)  # 96 snapshots
 
 
 def micro_config(**overrides):
@@ -110,7 +112,7 @@ def _per_tensor_adam(values, grad_steps, lr, beta1=0.9, beta2=0.999,
 @pytest.mark.parametrize("group", ["all", "head"])
 def test_flat_adam_matches_the_per_tensor_formula_bitwise(group):
     params = gm.ModelParams.create(gm.ModelConfig(), [1, 2, 3], seed=2)
-    names = list(params.tensors) if group == "all" else params.head_names()
+    names = list(params.tensors) if group == "all" else head_names(params)
     tensors = [params.tensors[n] for n in names]
     others = {n: t.values.copy() for n, t in params.tensors.items()
               if n not in names}
@@ -257,7 +259,7 @@ def test_epoch_masks_are_resampled_and_union_grows():
 def test_empty_and_undersized_datasets_rejected():
     with pytest.raises(ValueError, match="no datasets"):
         tr.train([], micro_config())
-    two = ds.build_dataset(sim.generate_substation(31, "tiny", n_feeders=3),
+    two = build_dataset(sim.generate_substation(31, "tiny", n_feeders=3),
                            sim.ScenarioConfig(
                                horizon_minutes=2 * sim.TIMESTEP_MINUTES))
     with pytest.raises(ValueError, match="validation split"):
@@ -443,7 +445,7 @@ def test_history_csv_roundtrip(micro_run, tmp_path):
 def target_dataset():
     spec = sim.generate_substation(77, "tiny", n_feeders=3)
     scen = sim.ScenarioConfig(horizon_minutes=1440, der_penetration=20)
-    return ds.build_dataset(spec, scen)
+    return build_dataset(spec, scen)
 
 
 def test_finetune_freezes_backbone_bitwise(micro_run, target_dataset,
@@ -452,7 +454,7 @@ def test_finetune_freezes_backbone_bitwise(micro_run, target_dataset,
     before = {n: params.tensors[n].values.copy()
               for n in params.backbone_names()}
     head_before = {n: params.tensors[n].values.copy()
-                   for n in params.head_names() if n != "eta"}
+                   for n in head_names(params) if n != "eta"}
     result = tr.finetune(params, target_dataset, micro_config(),
                          n_pretrain=day_dataset.n_snapshots)
     assert not result.aborted
