@@ -29,12 +29,15 @@ ROADMAP's protocol dataset (tiny seed 11, 3 feeders, 20 % DER, 2000
 snapshots, the data the acceptance numbers are measured on);
 ``train --seed 0`` on the two-day set with a short curriculum, and a
 shorter one there without weight decay (``lam_reg`` 0, where the decay
-gradient is zero of either sign); ``evaluate --seeds 2`` of
+gradient is zero of either sign), which runs once more on medium 103 with
+its ties closed (603 bus-phases, whose regulator taps change within the
+training window, so its steps swap edge features into one batch
+structure); ``evaluate --seeds 2`` of
 the first checkpoint in every study: A on the two-day set, B on tiny 0 at
 0 % and 40 % DER, C on tiny 0 with its ties open and closed, E on the
 two-day set with the no-decay checkpoint as the ablation, and D with the
 checkpoint from ``finetune --seed 0`` of it on tiny seed 1; and E once
-more on the two-day set at levels 1 and 20. It takes about 35 s on one
+more on the two-day set at levels 1 and 20. It takes about 45 s on one
 core of a 2-vCPU Xeon host.
 
 A level's replicates that draw the same sensor fleet share one forward
@@ -90,6 +93,9 @@ def commands(work: Path) -> list[list[str]]:
     runs.append(["train", "--data", data, "--config",
                  str(work / "no_decay_config.json"), "--seed", "0",
                  "--out", str(work / "no_decay" / "model.npz")])
+    runs.append(["train", "--data", str(work / "med103c.npz"), "--config",
+                 str(work / "no_decay_config.json"), "--seed", "0",
+                 "--out", str(work / "med103c_train" / "model.npz")])
     model = str(work / "model.npz")
 
     def study(name, *args, out=None):

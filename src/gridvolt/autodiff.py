@@ -54,6 +54,7 @@ Conventions:
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Sequence
 
 import numpy as np
@@ -404,6 +405,8 @@ class EdgePlan:
     ``("recv", out)`` bins by the first forward, so a forward without a
     tape holds one ``[E * out]`` index array per plan, and the bins of the
     backward scatter-adds by the first backward that needs them.
+    ``with_z`` gives the plan over another ``z`` of the same edges: it
+    shares every index array and the bins, built or still to be built.
     """
 
     def __init__(self, recv, send, z, type_order, type_bounds, n_nodes: int):
@@ -440,6 +443,16 @@ class EdgePlan:
         self.filled = counts > 0
         self.starts = (np.cumsum(counts) - counts)[self.filled]
         self._bins: dict[tuple[str, int], np.ndarray] = {}
+
+    def with_z(self, z) -> "EdgePlan":
+        """This plan over ``z``, another ``[E, k]`` feature row per edge in
+        edge order, as constructing it over ``z`` would give."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != self.z.shape:
+            raise ShapeError(f"EdgePlan.with_z: z {z.shape} vs {self.z.shape}")
+        plan = copy.copy(self)
+        plan.z, plan.z_typed = z, z[self.order]
+        return plan
 
     def scatter(self, index: str, g: np.ndarray, n: int) -> np.ndarray:
         """``_scatter_add_rows(g, getattr(self, index), n)`` for 2-D ``g``

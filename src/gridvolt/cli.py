@@ -338,11 +338,10 @@ def _study_rows(args) -> list:
                 raise CliError("config", f"study B takes one --data set per "
                                          f"DER penetration; {path} repeats "
                                          f"{pen} %")
-            by_pen[pen] = test_views(d)
-        last = sets[-1].meta.get("substation", "?")
-        return [row for pen, snaps in sorted(by_pen.items())
+            by_pen[pen] = (test_views(d), d.meta.get("substation", "?"))
+        return [row for pen, (snaps, sub) in sorted(by_pen.items())
                 for row in sweep(params, snaps, f"B-der{pen}",
-                                 substation=last)]
+                                 substation=sub)]
     if args.study == "C":
         closed = _load_dataset(args.data_closed)
         return (sweep(params, test_views(data), "C-radial")

@@ -28,7 +28,11 @@ forward cuts its snapshots into consecutive, balanced runs of at most
 activations stay in a core's L2 cache. The batch carries its edge plan,
 the index arrays every layer shares. A mask changes only a batch's
 ``node_x`` and ``observed`` (``node_inputs``), so one built batch, plan
-included, serves every mask of an observability level.
+included, serves every mask of an observability level. Within one switch
+configuration, time changes a snapshot's batch only in ``node_x``,
+``observed``, ``v_true``, ``phys_p``, ``phys_q`` and the tap column of the
+plan's edge features, which ``edge_rows`` locates in the snapshot's own
+``edge_z``; training swaps those into one built batch per configuration.
 """
 
 from __future__ import annotations
@@ -261,6 +265,7 @@ class GraphBatch:
     node_x: np.ndarray
     plan: ad.EdgePlan           # the edges, their features and device types
     prior: np.ndarray           # [E, 4] structural prior features
+    edge_rows: np.ndarray       # [E] row of the items' stacked edge_z per edge
     n_nodes: int
     n_graphs: int
     graph_of_node: np.ndarray
@@ -301,11 +306,11 @@ def build_batch(items: list[Snapshot],
     if not items:
         raise ValueError("empty batch")
     feeder_parts, graph_parts = [], []
-    recv_parts, send_parts, z_parts = [], [], []
+    recv_parts, send_parts, row_parts = [], [], []
     v_parts = []
     pf_parts, pt_parts, pr_parts, px_parts, pp_parts, pq_parts = \
         [], [], [], [], [], []
-    offset = 0
+    offset = edge_offset = 0
     for g, item in enumerate(items):
         n = item.node_x.shape[0]
         phases = item.node_x[:, _PH_COLS]
@@ -317,7 +322,7 @@ def build_batch(items: list[Snapshot],
         send_parts.append(item.edge_from[keep] + offset)
         recv_parts.append(item.edge_from[keep] + offset)
         send_parts.append(item.edge_to[keep] + offset)
-        z_parts.extend((item.edge_z[keep], item.edge_z[keep]))
+        row_parts.extend((keep + edge_offset, keep + edge_offset))
         feeder_parts.append(item.node_feeder)
         graph_parts.append(np.full(n, g, dtype=np.int64))
         v_parts.append(item.v_true)
@@ -328,15 +333,17 @@ def build_batch(items: list[Snapshot],
         pp_parts.append(item.phys_p)
         pq_parts.append(item.phys_q)
         offset += n
+        edge_offset += item.edge_z.shape[0]
 
     node_x, observed = node_inputs(items)
     node_feeder = np.concatenate(feeder_parts)
     graph_of_node = np.concatenate(graph_parts)
     recv = np.concatenate(recv_parts)
     send = np.concatenate(send_parts)
-    edge_z = np.concatenate(z_parts, axis=0)
     order = np.argsort(recv, kind="stable")
-    recv, send, edge_z = recv[order], send[order], edge_z[order]
+    recv, send = recv[order], send[order]
+    edge_rows = np.concatenate(row_parts)[order]
+    edge_z = np.concatenate([it.edge_z for it in items], axis=0)[edge_rows]
 
     r = edge_z[:, net.EDGE_FEATURE_INDEX["r_pu"]]
     x = edge_z[:, net.EDGE_FEATURE_INDEX["x_pu"]]
@@ -379,7 +386,7 @@ def build_batch(items: list[Snapshot],
                        np.r_[0, np.cumsum(type_counts)], node_x.shape[0])
 
     return GraphBatch(
-        node_x=node_x, plan=plan, prior=prior,
+        node_x=node_x, plan=plan, prior=prior, edge_rows=edge_rows,
         n_nodes=node_x.shape[0], n_graphs=len(items),
         graph_of_node=graph_of_node,
         film_nodes=film_nodes, film_seg=film_seg, film_n_seg=film_n_seg,

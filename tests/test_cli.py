@@ -577,20 +577,21 @@ def test_evaluate_study_blocks_and_determinism(workspace, study_sets,
                                                tmp_path, capsys, study):
     """Studies B-E run to completion through the CLI: their report holds
     each (scenario, model) block in order, one row per level and seed,
-    under the substation of the named set, and two runs write the same
-    bytes. B's blocks follow DER penetration, not --data order, and its
-    substation is the last --data set's. The workspace checkpoint stands
-    in for the fine-tuned and the ablation checkpoints."""
+    under the substation of the set it was computed on, and two runs
+    write the same bytes. B's blocks follow DER penetration, not --data
+    order, and each carries its own set's substation. The workspace
+    checkpoint stands in for the fine-tuned and the ablation
+    checkpoints."""
     data, ckpt = str(workspace["data"]), str(workspace["ckpt"])
     flags, named = {
         "B": (["--data", data, "--data", str(study_sets["der0"])],
-              study_sets["der0"]),
+              [study_sets["der0"], workspace["data"]]),
         "C": (["--data", data, "--data-closed", str(study_sets["closed"])],
-              workspace["data"]),
+              [workspace["data"], study_sets["closed"]]),
         "D": (["--data", data, "--finetuned-checkpoint", ckpt],
-              workspace["data"]),
+              [workspace["data"]] * 2),
         "E": (["--data", data, "--ablation-checkpoint", ckpt],
-              workspace["data"]),
+              [workspace["data"]] * 4),
     }[study]
     blocks = STUDY_BLOCKS[study]
     outputs = []
@@ -606,14 +607,14 @@ def test_evaluate_study_blocks_and_determinism(workspace, study_sets,
 
     rows = list(csv.DictReader(io.StringIO(outputs[0][0].decode())))
     assert len(rows) == 4 * len(blocks)
-    for b, block in enumerate(blocks):
+    for b, (block, path) in enumerate(zip(blocks, named, strict=True)):
         part = rows[4 * b:4 * b + 4]
         assert {(r["scenario"], r["model"]) for r in part} == {block}
         assert [r["p_obs"] for r in part] == ["20", "20", "5", "5"]
-    substation = ds.load_dataset(named).meta["substation"]
-    assert {r["substation"] for r in rows} == {substation}
+        substation = ds.load_dataset(path).meta["substation"]
+        assert {r["substation"] for r in part} == {substation}
     if study == "B":
-        assert substation != ds.load_dataset(data).meta["substation"]
+        assert len({r["substation"] for r in rows}) == 2
 
 
 def test_evaluate_study_c_requires_closed_data(workspace, tmp_path, capsys):

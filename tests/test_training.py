@@ -6,6 +6,8 @@ sequencing, mask resampling, determinism, divergence recovery, and the
 freezing contract of fine-tuning.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_adam_refuses_a_gradient_outside_the_buffer():
 def _per_tensor_adam(values, grad_steps, lr, beta1=0.9, beta2=0.999,
                      eps=1e-8):
     """Adam tensor by tensor, allocating every intermediate (the
-    reference for the in-place whole-vector update)."""
+    reference for the in-place blocked update)."""
     values = [v.copy() for v in values]
     m = [np.zeros_like(v) for v in values]
     v2 = [np.zeros_like(v) for v in values]
@@ -109,31 +111,59 @@ def _per_tensor_adam(values, grad_steps, lr, beta1=0.9, beta2=0.999,
     return values
 
 
-@pytest.mark.parametrize("group", ["all", "head"])
+def _adam_case(group):
+    """(store, the optimized tensors, their span) of one Adam test case.
+
+    "one-value" is a span shorter than a block, "mid-block" one that
+    starts after a tensor outside it and ends mid-way through its second
+    block, and the model's "all" and "head" spans straddle several block
+    edges."""
+    if group in ("all", "head"):
+        params = gm.ModelParams.create(gm.ModelConfig(), [1, 2, 3], seed=2)
+        names = list(params.tensors) if group == "all" else head_names(params)
+        span = slice(None) if group == "all" else params.span("head")
+        return (params.store, [params.tensors[n] for n in names], span)
+    r = np.random.default_rng(6)
+    shapes = {"one-value": [(1,)],
+              "mid-block": [(5,), (3, tr.ADAM_BLOCK // 2),
+                            (tr.ADAM_BLOCK // 3,)]}[group]
+    store = ad.FlatStore([ad.Tensor(r.normal(size=shape), requires_grad=True)
+                          for shape in shapes])
+    first = 0 if group == "one-value" else 1
+    return (store, store.tensors[first:],
+            slice(store.bounds[first], store.bounds[-1]))
+
+
+@pytest.mark.parametrize("group", ["all", "head", "one-value", "mid-block"])
 def test_flat_adam_matches_the_per_tensor_formula_bitwise(group):
-    params = gm.ModelParams.create(gm.ModelConfig(), [1, 2, 3], seed=2)
-    names = list(params.tensors) if group == "all" else head_names(params)
-    tensors = [params.tensors[n] for n in names]
-    others = {n: t.values.copy() for n, t in params.tensors.items()
-              if n not in names}
-    views = dict(zip(map(id, params.store.tensors), params.store.grad_views))
+    store, tensors, span = _adam_case(group)
+    lo, hi, _ = span.indices(store.values.size)
+    n = hi - lo
+    if group == "one-value":
+        assert n == 1
+    elif group == "mid-block":
+        assert tr.ADAM_BLOCK < n < 2 * tr.ADAM_BLOCK and lo > 0
+    else:
+        assert n > 3 * tr.ADAM_BLOCK and n % tr.ADAM_BLOCK
+    others = {k: t.values.copy() for k, t in enumerate(store.tensors)
+              if not any(t is u for u in tensors)}
+    views = dict(zip(map(id, store.tensors), store.grad_views))
     r = np.random.default_rng(5)
     grad_steps = [[r.normal(0.0, 10.0 ** r.integers(-6, 1), size=t.shape)
                    for t in tensors] for _ in range(4)]
     want = _per_tensor_adam([t.values for t in tensors], grad_steps, lr=3e-4)
-    span = slice(None) if group == "all" else params.span("head")
-    opt = tr.Adam(params.store, span, lr=3e-4)
-    assert opt.store is params.store
+    opt = tr.Adam(store, span, lr=3e-4)
+    assert opt.store is store
     for grads in grad_steps:
         opt.zero_grad()
         for t, g in zip(tensors, grads):  # bound as the L2 seeding binds
             t.grad = views[id(t)]
             t.grad[...] = g
         opt.step()
-    for name, t, w in zip(names, tensors, want):
-        assert t.values.tobytes() == w.tobytes(), name
-    for name, vals in others.items():
-        assert params.tensors[name].values.tobytes() == vals.tobytes()
+    for k, (t, w) in enumerate(zip(tensors, want)):
+        assert t.values.tobytes() == w.tobytes(), (t.name, k)
+    for k, vals in others.items():
+        assert store.tensors[k].values.tobytes() == vals.tobytes()
 
 
 # -- config -------------------------------------------------------------------
@@ -427,6 +457,86 @@ def test_scoring_builds_each_validation_run_once_per_call(day_dataset,
     assert len(calls) > len(result.history)
     assert counts == {"build_batch": len(calls) * runs,
                       "forward": sum(n for n, _ in calls) * runs}
+
+
+@pytest.fixture(scope="module")
+def tie_dataset():
+    """A day of tiny seed 33 whose ties close at step 30, inside the
+    training window: two switch configurations, each with tap changes."""
+    spec = sim.generate_substation(33, "tiny", n_feeders=3)
+    scen = sim.ScenarioConfig(horizon_minutes=1440, der_penetration=20,
+                              tie_closures=tuple(range(len(spec.ties))),
+                              tie_close_step=30)
+    return build_dataset(spec, scen)
+
+
+def _assert_same_batch(got, want):
+    """Every array of two batches equal bit for bit, plan included."""
+    for field in dataclasses.fields(gm.GraphBatch):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "plan":
+            for name in ("recv", "send", "z", "z_typed", "order", "pairs",
+                         "ends", "filled", "starts"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name
+            assert (a.n_nodes, a.n_types, a.blocks) == \
+                (b.n_nodes, b.n_types, b.blocks)
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_step_batches_reuse_one_structure_per_configuration(tie_dataset,
+                                                            monkeypatch):
+    """Each training step's batch equals a fresh ``build_batch`` of its
+    masked snapshot, though only the first step drawn in each switch
+    configuration builds one; later steps share that batch's plan bins."""
+    data = tie_dataset
+    train_idx, _, _ = ds.split_windows(data.n_snapshots, 0.1,
+                                       ds.TEST_FRACTION)
+    config_of = data.arrays["config_index"]
+    window = config_of[train_idx.start:train_idx.stop]
+    taps = data.arrays["edge_tap"][train_idx.start:train_idx.stop]
+    assert set(window.tolist()) == {0, 1}
+    for c in (0, 1):
+        assert len({row.tobytes() for row in taps[window == c]}) > 1
+
+    builds = []
+    real_build = tr.build_batch
+
+    def counted(items, feeder_rows):
+        builds.append(items)
+        return real_build(items, feeder_rows)
+
+    seen = {"steps": 0, "tap_swaps": 0}
+    trainers = []
+    real_step_batch = tr._Trainer._step_batch
+
+    def checked(self, i, mask):
+        if not trainers or trainers[-1] is not self:
+            trainers.append(self)
+        batch = real_step_batch(self, i, mask)
+        want = real_build([data.snapshot(i).masked(mask)],
+                          self.params.feeder_rows)
+        _assert_same_batch(batch, want)
+        structure = self._structures[int(config_of[i])]
+        assert batch.plan._bins is structure.plan._bins
+        seen["steps"] += 1
+        seen["tap_swaps"] += (batch.plan.z.tobytes()
+                              != structure.plan.z.tobytes())
+        return batch
+
+    monkeypatch.setattr(tr, "build_batch", counted)
+    monkeypatch.setattr(tr._Trainer, "_step_batch", checked)
+    result = tr.train(data, micro_config())
+    assert not result.aborted
+    assert len(trainers) == 1
+    assert sorted(trainers[0]._structures) == [0, 1]
+    assert len(builds) == 2 and seen["tap_swaps"] > 0
+    assert seen["steps"] == len(result.history) * 12
 
 
 def test_history_csv_roundtrip(micro_run, tmp_path):
