@@ -31,8 +31,8 @@ snapshots, the data the acceptance numbers are measured on);
 shorter one there without weight decay (``lam_reg`` 0, where the decay
 gradient is zero of either sign), which runs once more on medium 103 with
 its ties closed (603 bus-phases, whose regulator taps change within the
-training window, so its steps swap edge features into one batch
-structure); ``evaluate --seeds 2`` of
+training window, so its steps refill one batch structure with new edge
+features); ``evaluate --seeds 2`` of
 the first checkpoint in every study: A on the two-day set, B on tiny 0 at
 0 % and 40 % DER, C on tiny 0 with its ties open and closed, E on the
 two-day set with the no-decay checkpoint as the ablation, and D with the

@@ -344,8 +344,14 @@ def _study_rows(args) -> list:
                                  substation=sub)]
     if args.study == "C":
         closed = _load_dataset(args.data_closed)
+        closed_name = closed.meta.get("substation", "?")
+        if closed_name != name:
+            raise CliError("config", f"study C compares one substation; "
+                                     f"--data-closed {args.data_closed} is "
+                                     f"{closed_name}, --data is {name}")
         return (sweep(params, test_views(data), "C-radial")
-                + sweep(params, test_views(closed), "C-tie-closed"))
+                + sweep(params, test_views(closed), "C-tie-closed",
+                        substation=closed_name))
     if args.study == "D":
         tuned = _load_checkpoint(args.finetuned_checkpoint)
         snaps = test_views(data)

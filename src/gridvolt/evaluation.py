@@ -14,15 +14,16 @@ in ``cli evaluate`` from the two sweeps here, ``observability_sweep`` and
 Every input, to the model and to the baseline, is a ``dataset.Snapshot``
 seen through one sensor mask, ``snapshot.masked(mask)``. The model is
 scored by one no-grad path, ``level_predictions`` and ``hidden_errors``,
-which training's validation and checkpoint selection share: one pass per
-level over the cache-sized snapshot runs of ``model.batch_runs``. Each
-run's batch, edge plan included, is built once from the unmasked
-snapshots; each distinct fleet of the level then swaps in only its masked
-``node_x`` and ``observed`` and is forwarded once, its predictions shared
-by every replicate that drew that fleet. An attacked replicate draws its
-own attack stream, so it is forwarded once on its own. The ridge baseline
-scores each distinct fleet once the same way. Memory holds one level's
-predictions and one run's batch at a time.
+which training's validation and checkpoint selection share in one call
+per epoch: one pass per level over the cache-sized snapshot runs of
+``model.batch_runs``. Each run's batch, edge plan included, is built once
+from the unmasked snapshots; each distinct fleet of the level is then
+forwarded once on ``model.refill`` of that batch with its masked
+snapshots, its predictions shared by every replicate that drew that
+fleet. An attacked replicate draws its own attack stream, so it is
+forwarded once on its own. The ridge baseline scores each distinct fleet
+once the same way. Memory holds one level's predictions and one run's
+batch at a time.
 
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
@@ -43,8 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from . import network as net
 from .dataset import Snapshot
-from .model import (GraphBatch, ModelParams, batch_runs, build_batch,
-                    forward, node_inputs)
+from .model import ModelParams, batch_runs, build_batch, forward, refill
 from .seeding import derive_seed
 from .seeding import rng as _rng
 
@@ -162,17 +162,6 @@ def hidden_errors(preds: np.ndarray, truth: np.ndarray,
             mae(preds.ravel(), truth.ravel(), hidden))
 
 
-def _with_mask(batch: GraphBatch, snaps, mask: np.ndarray,
-               attack: AttackConfig | None, gen) -> GraphBatch:
-    """``batch``, built from ``snaps``, with the node inputs of ``mask``:
-    each snapshot ``masked``, then attacked from ``gen`` if ``attack``."""
-    items = [s.masked(mask) for s in snaps]
-    if attack is not None:
-        items = [inject_attack(it, attack, gen) for it in items]
-    node_x, observed = node_inputs(items)
-    return dataclasses.replace(batch, node_x=node_x, observed=observed)
-
-
 def _fleet_groups(masks) -> list[list[int]]:
     """Replicate indices grouped by identical mask, in first-seen order."""
     groups: dict[bytes, list[int]] = {}
@@ -186,13 +175,13 @@ def level_predictions(params: ModelParams, snaps, masks, gens,
     """Predictions ``[replicate, snapshot, node]`` under each mask.
 
     Each run of ``model.batch_runs`` is built once from the unmasked
-    snapshots. Each distinct mask then swaps in only its own ``node_x``
-    and ``observed``, forwards once on that structure, and its predictions
-    fill the slot of every replicate holding that mask. The mask is held
-    fixed across the snapshots, like a fixed sensor fleet watching the day
-    unfold; under an ``attack``, mask ``k``'s draws come from ``gens[k]``,
-    run by run in snapshot order, so every attacked replicate forwards
-    once on its own.
+    snapshots. Each distinct mask then forwards once on that batch refilled
+    with the run's snapshots under the mask (``model.refill``), and its
+    predictions fill the slot of every replicate holding that mask. The
+    mask is held fixed across the snapshots, like a fixed sensor fleet
+    watching the day unfold; under an ``attack``, mask ``k``'s draws come
+    from ``gens[k]``, run by run in snapshot order, so every attacked
+    replicate forwards once on its own.
     """
     groups = (_fleet_groups(masks) if attack is None
               else [[k] for k in range(len(masks))])
@@ -202,8 +191,11 @@ def level_predictions(params: ModelParams, snaps, masks, gens,
             batch = build_batch(snaps[run], params.feeder_rows)
             for group in groups:
                 k = group[0]
-                v_hat = forward(params, _with_mask(batch, snaps[run],
-                                                   masks[k], attack, gens[k]))
+                items = [s.masked(masks[k]) for s in snaps[run]]
+                if attack is not None:
+                    items = [inject_attack(it, attack, gens[k])
+                             for it in items]
+                v_hat = forward(params, refill(batch, items))
                 preds[group, run] = v_hat.values.reshape(
                     run.stop - run.start, -1)
             # freed before the next run's build, which reuses its memory

@@ -26,13 +26,10 @@ A batch is the disjoint union of masked ``dataset.Snapshot`` records
 forward cuts its snapshots into consecutive, balanced runs of at most
 ``BATCH_NODES`` bus-phase nodes (``batch_runs``), sized so that a layer's
 activations stay in a core's L2 cache. The batch carries its edge plan,
-the index arrays every layer shares. A mask changes only a batch's
-``node_x`` and ``observed`` (``node_inputs``), so one built batch, plan
-included, serves every mask of an observability level. Within one switch
-configuration, time changes a snapshot's batch only in ``node_x``,
-``observed``, ``v_true``, ``phys_p``, ``phys_q`` and the tap column of the
-plan's edge features, which ``edge_rows`` locates in the snapshot's own
-``edge_z``; training swaps those into one built batch per configuration.
+the index arrays every layer shares. Within one switch configuration, a
+mask or a time step changes only the arrays that ``refill`` takes from
+the snapshots, so one built batch, plan and bins included, serves every
+mask and every time step of its configurations.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -260,9 +257,11 @@ def status_gate(edge_z: np.ndarray, phase_i: np.ndarray,
 
 @dataclass
 class GraphBatch:
-    """Disjoint union of snapshots with gated, receiver-sorted edges."""
+    """Disjoint union of snapshots with gated, receiver-sorted edges.
 
-    node_x: np.ndarray
+    The arrays after ``phys_x``, and the plan's ``z``, are the snapshots'
+    own; ``refill`` sets them."""
+
     plan: ad.EdgePlan           # the edges, their features and device types
     prior: np.ndarray           # [E, 4] structural prior features
     edge_rows: np.ndarray       # [E] row of the items' stacked edge_z per edge
@@ -275,14 +274,15 @@ class GraphBatch:
     film_seg_graph: np.ndarray  # graph id per pooling segment
     eta_idx: np.ndarray
     eta_known: np.ndarray
-    v_true: np.ndarray
-    observed: np.ndarray
     phys_from: np.ndarray
     phys_to: np.ndarray
     phys_r: np.ndarray
     phys_x: np.ndarray
-    phys_p: np.ndarray
-    phys_q: np.ndarray
+    node_x: np.ndarray = None
+    observed: np.ndarray = None
+    v_true: np.ndarray = None
+    phys_p: np.ndarray = None
+    phys_q: np.ndarray = None
 
 
 def edge_type_ids(edge_z: np.ndarray) -> np.ndarray:
@@ -293,23 +293,33 @@ def edge_type_ids(edge_z: np.ndarray) -> np.ndarray:
     return block.argmax(axis=1)
 
 
-def node_inputs(items: list[Snapshot]) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's mask-dependent arrays, ``node_x`` and ``observed``, stacked
-    over ``items``. Every other batch array is the same under any mask, so a
-    batch built once can take another mask's inputs from this."""
-    return (np.concatenate([it.node_x for it in items], axis=0),
-            np.concatenate([it.observed for it in items]))
+def refill(batch: GraphBatch, items: list[Snapshot]) -> GraphBatch:
+    """``batch`` with the arrays that change from snapshot to snapshot taken
+    from ``items``: ``node_x``, ``observed``, ``v_true``, ``phys_p``,
+    ``phys_q`` and the plan's edge features, whose rows ``edge_rows``
+    picks from the items' stacked ``edge_z``.
+
+    ``items`` are snapshots of the switch configurations ``batch`` was
+    built from, in its order, under any mask or attack. Every other array,
+    and the plan's index arrays and scatter bins, are ``batch``'s own.
+    """
+    def stack(name):
+        return np.concatenate([getattr(it, name) for it in items])
+    return replace(batch, node_x=stack("node_x"), observed=stack("observed"),
+                   v_true=stack("v_true"), phys_p=stack("phys_p"),
+                   phys_q=stack("phys_q"),
+                   plan=batch.plan.with_z(stack("edge_z")[batch.edge_rows]))
 
 
 def build_batch(items: list[Snapshot],
                 feeder_rows: dict[int, int]) -> GraphBatch:
+    """The disjoint union of ``items``, its per-snapshot arrays set by
+    ``refill``."""
     if not items:
         raise ValueError("empty batch")
-    feeder_parts, graph_parts = [], []
+    feeder_parts, graph_parts, phase_parts = [], [], []
     recv_parts, send_parts, row_parts = [], [], []
-    v_parts = []
-    pf_parts, pt_parts, pr_parts, px_parts, pp_parts, pq_parts = \
-        [], [], [], [], [], []
+    pf_parts, pt_parts, pr_parts, px_parts = [], [], [], []
     offset = edge_offset = 0
     for g, item in enumerate(items):
         n = item.node_x.shape[0]
@@ -325,17 +335,15 @@ def build_batch(items: list[Snapshot],
         row_parts.extend((keep + edge_offset, keep + edge_offset))
         feeder_parts.append(item.node_feeder)
         graph_parts.append(np.full(n, g, dtype=np.int64))
-        v_parts.append(item.v_true)
+        phase_parts.append(phases)
         pf_parts.append(item.phys_from + offset)
         pt_parts.append(item.phys_to + offset)
         pr_parts.append(item.phys_r)
         px_parts.append(item.phys_x)
-        pp_parts.append(item.phys_p)
-        pq_parts.append(item.phys_q)
         offset += n
         edge_offset += item.edge_z.shape[0]
 
-    node_x, observed = node_inputs(items)
+    phases = np.concatenate(phase_parts)
     node_feeder = np.concatenate(feeder_parts)
     graph_of_node = np.concatenate(graph_parts)
     recv = np.concatenate(recv_parts)
@@ -347,8 +355,7 @@ def build_batch(items: list[Snapshot],
 
     r = edge_z[:, net.EDGE_FEATURE_INDEX["r_pu"]]
     x = edge_z[:, net.EDGE_FEATURE_INDEX["x_pu"]]
-    phase_match = np.einsum(
-        "ep,ep->e", node_x[recv][:, _PH_COLS], node_x[send][:, _PH_COLS])
+    phase_match = np.einsum("ep,ep->e", phases[recv], phases[send])
     prior = np.stack([
         -np.hypot(r, x),
         phase_match,
@@ -383,19 +390,17 @@ def build_batch(items: list[Snapshot],
     type_counts = np.bincount(edge_type, minlength=N_EDGE_TYPES)
     plan = ad.EdgePlan(recv, send, edge_z,
                        np.argsort(edge_type, kind="stable"),
-                       np.r_[0, np.cumsum(type_counts)], node_x.shape[0])
+                       np.r_[0, np.cumsum(type_counts)], offset)
 
-    return GraphBatch(
-        node_x=node_x, plan=plan, prior=prior, edge_rows=edge_rows,
-        n_nodes=node_x.shape[0], n_graphs=len(items),
-        graph_of_node=graph_of_node,
+    return refill(GraphBatch(
+        plan=plan, prior=prior, edge_rows=edge_rows, n_nodes=offset,
+        n_graphs=len(items), graph_of_node=graph_of_node,
         film_nodes=film_nodes, film_seg=film_seg, film_n_seg=film_n_seg,
         film_seg_graph=film_seg_graph,
         eta_idx=eta_idx, eta_known=eta_known[:, None],
-        v_true=np.concatenate(v_parts), observed=observed,
         phys_from=np.concatenate(pf_parts), phys_to=np.concatenate(pt_parts),
-        phys_r=np.concatenate(pr_parts), phys_x=np.concatenate(px_parts),
-        phys_p=np.concatenate(pp_parts), phys_q=np.concatenate(pq_parts))
+        phys_r=np.concatenate(pr_parts), phys_x=np.concatenate(px_parts)),
+        items)
 
 
 # Bus-phase nodes per no-grad batch. At 1,024 nodes a layer's [E, 64] and

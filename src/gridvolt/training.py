@@ -9,19 +9,20 @@ model sees many mask realizations at each level.
 
 Each optimization step processes one full substation snapshot; an epoch
 is a seeded sample of snapshots from the training window. A step's batch
-is built once per switch configuration and reused: every later step in
-that configuration swaps in only the arrays that change over time, and
-keeps the edge plan with its scatter bins (``_Trainer._step_batch``).
+is built once per switch configuration, and every step refills it with
+its own snapshot (``model.refill``), keeping the edge plan with its
+scatter bins (``_Trainer._step_batch``).
 ``Adam`` updates the parameters in blocks of ``ADAM_BLOCK`` values that
 stay in a core's L2 cache. Every series is
 cut by ``dataset.split_windows`` into three contiguous time blocks:
 training, then validation, then a held-out test window (the last
 ``TEST_FRACTION`` of the snapshots). The warm-up plateau test and
 checkpoint selection read only the validation block; nothing here reads
-the test window, which ``evaluate`` scores. Validation and selection
-score the validation sample under one mask per level through the sweep's
-scorer, ``evaluation.level_predictions``; a selection probe drawn like the
-epoch's own validation mask reuses the epoch's score.
+the test window, which ``evaluate`` scores. Each epoch scores the
+validation sample in one call of the sweep's scorer,
+``evaluation.level_predictions``: under the epoch's validation mask and,
+after the warm-up, under the mask of every selection level. A probe
+drawn like the validation mask is one fleet there, forwarded once.
 
 Fine-tuning freezes the backbone (input projection, prior coefficients,
 all but the last encoder layer), re-creates per-feeder gates for the
@@ -36,7 +37,7 @@ parameters saved after the last completed epoch.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .dataset import TEST_FRACTION, SnapshotDataset, split_windows
 from .evaluation import hidden_errors, level_predictions
 from .losses import LossWeights, batch_loss, physics_ramp
 from .model import (GraphBatch, ModelConfig, ModelParams, _is_int,
-                    _require_real, build_batch)
+                    _require_real, build_batch, refill)
 from .seeding import rng as _rng
 
 CURRICULUM_LEVELS = (80, 75, 70, 65, 60, 55, 50, 45, 40, 35, 30, 25, 20, 15,
@@ -284,12 +285,11 @@ def _val_batch(val_snaps, p_obs, seed) -> np.ndarray:
 
 
 def _val_metrics(params, val_snaps, masks) -> list[tuple[float, float]]:
-    """(masked-node MAE, RMSE) over the validation snapshots, per mask."""
+    """(masked-node RMSE, MAE) over the validation snapshots, per mask."""
     truth = np.stack([s.v_true for s in val_snaps])
     preds = level_predictions(params, val_snaps, masks, [None] * len(masks),
                               None)
-    scores = [hidden_errors(p, truth, mask) for p, mask in zip(preds, masks)]
-    return [(mae, rmse) for rmse, mae in scores]
+    return [hidden_errors(p, truth, mask) for p, mask in zip(preds, masks)]
 
 
 # -- the loop -------------------------------------------------------------------
@@ -314,52 +314,26 @@ class _Trainer:
         self.selected_epoch = -1
         self._best_score = np.inf
         self._best_values = None
-        # (label, mask) of each selection level
-        self.select_masks = [(str(p), _val_batch(self.val_snaps, p,
-                                                 config.seed))
+        # the mask of each selection level
+        self.select_masks = [_val_batch(self.val_snaps, p, config.seed)
                              for p in config.select_levels]
         # the batch built for the first step drawn in each switch
         # configuration, by configuration index
         self._structures: dict[int, GraphBatch] = {}
 
     def _step_batch(self, i: int, mask: np.ndarray) -> GraphBatch:
-        """The batch of training snapshot ``i`` under ``mask``.
-
-        Only the first snapshot drawn in a switch configuration is built,
-        and its batch is kept as the configuration's structure: the gated
-        edges, the plan with its scatter bins, the prior, the FiLM pooling
-        and the physics edges. A later snapshot of that configuration
-        takes the structure with its own time-varying arrays swapped in:
-        ``node_x``, ``observed``, ``v_true``, ``phys_p``, ``phys_q`` and the
-        plan's edge features, whose tap column changes with time. The
-        batch equals ``build_batch([snapshot])`` array for array.
-        """
+        """The batch of training snapshot ``i`` under ``mask``: the batch
+        built for the first snapshot drawn in its switch configuration,
+        refilled with this one. The gated edges, the plan with its scatter
+        bins, the prior, the FiLM pooling and the physics edges are built
+        once per configuration."""
         snap = self.dataset.snapshot(i).masked(mask)
         config = int(self.dataset.arrays["config_index"][i])
         base = self._structures.get(config)
         if base is None:
             base = build_batch([snap], self.params.feeder_rows)
             self._structures[config] = base
-            return base
-        return replace(base, node_x=snap.node_x, observed=snap.observed,
-                       v_true=snap.v_true, phys_p=snap.phys_p,
-                       phys_q=snap.phys_q,
-                       plan=base.plan.with_z(snap.edge_z[base.edge_rows]))
-
-    def _consider_select(self, record: EpochRecord, val_level) -> None:
-        # a probe drawn by the label of the epoch's validation level was
-        # scored at these weights already, in record.val_rmse
-        label = str(val_level)
-        others = iter(_val_metrics(
-            self.params, self.val_snaps,
-            [mask for lab, mask in self.select_masks if lab != label]))
-        score = float(np.mean([record.val_rmse if lab == label
-                               else next(others)[1]
-                               for lab, _ in self.select_masks]))
-        if score < self._best_score:
-            self._best_score = score
-            self._best_values = self.params.store.values.copy()
-            self.selected_epoch = self.epoch - 1
+        return refill(base, [snap])
 
     def _restore_selected(self) -> None:
         if self._best_values is not None:
@@ -386,16 +360,25 @@ class _Trainer:
             optimizer.step()
             totals += (parts["total"], parts["supervised"], parts["physics"])
         totals /= max(len(order), 1)
-        val_sup, val_rmse = _val_metrics(
-            self.params, self.val_snaps,
-            [_val_batch(self.val_snaps, val_level, cfg.seed)])[0]
+        # after the warm-up, every epoch is a candidate for the returned
+        # weights: its score is the mean RMSE over the selection masks
+        masks = [_val_batch(self.val_snaps, val_level, cfg.seed)]
+        if stage != "warmup":
+            masks += self.select_masks
+        (val_rmse, val_mae), *probes = _val_metrics(self.params,
+                                                    self.val_snaps, masks)
         record = EpochRecord(
             epoch=self.epoch, stage=stage, p_obs=p_obs, lam_phys=lam_phys,
             lr=optimizer.lr, train_total=totals[0], train_sup=totals[1],
-            train_phys=totals[2], val_sup=val_sup, val_rmse=val_rmse)
+            train_phys=totals[2], val_sup=val_mae, val_rmse=val_rmse)
         self.history.append(record)
         self.epoch += 1
         self.last_good = self.params.store.values.copy()
+        score = np.mean([rmse for rmse, _ in probes]) if probes else np.inf
+        if score < self._best_score:
+            self._best_score = float(score)
+            self._best_values = self.last_good
+            self.selected_epoch = record.epoch
         return record
 
     def train_substation(self) -> None:
@@ -414,15 +397,13 @@ class _Trainer:
             optimizer.lr = cfg.lr_curriculum
             for e in range(1, cfg.ramp_epochs + 1):
                 lam = physics_ramp(e, cfg.ramp_epochs, cfg.lam_max)
-                rec = self.run_epoch("ramp", cfg.warmup_p_obs, lam, optimizer,
-                                     cfg.warmup_p_obs)
-                self._consider_select(rec, cfg.warmup_p_obs)
+                self.run_epoch("ramp", cfg.warmup_p_obs, lam, optimizer,
+                               cfg.warmup_p_obs)
             # stage 3: observability descends
             for level in cfg.levels:
                 for _ in range(cfg.epochs_per_level):
-                    rec = self.run_epoch("curriculum", level, cfg.lam_max,
-                                         optimizer, level)
-                    self._consider_select(rec, level)
+                    self.run_epoch("curriculum", level, cfg.lam_max,
+                                   optimizer, level)
             self._restore_selected()
         except ad.NonFiniteError:
             self.params.store.values[:] = self.last_good
@@ -434,10 +415,8 @@ class _Trainer:
                          lr=cfg.lr_finetune)
         try:
             for e in range(cfg.finetune_epochs):
-                rec = self.run_epoch("finetune",
-                                     cfg.levels[e % len(cfg.levels)],
-                                     cfg.lam_max, optimizer, 40.0)
-                self._consider_select(rec, 40.0)
+                self.run_epoch("finetune", cfg.levels[e % len(cfg.levels)],
+                               cfg.lam_max, optimizer, 40.0)
             self._restore_selected()
         except ad.NonFiniteError:
             self.params.store.values[:] = self.last_good

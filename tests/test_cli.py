@@ -626,6 +626,23 @@ def test_evaluate_study_c_requires_closed_data(workspace, tmp_path, capsys):
     assert err.strip().startswith("ERROR config:")
 
 
+def test_study_c_refuses_a_closed_set_of_another_substation(
+        workspace, study_sets, tmp_path, capsys):
+    """Study C compares one substation with its ties open and closed: a
+    closed set of seed 32 beside the seed-31 set is a config error, not a
+    report whose closed block carries the seed-31 name."""
+    rc, _, err = run(["evaluate", "--study", "C",
+                      "--checkpoint", str(workspace["ckpt"]),
+                      "--data", str(workspace["data"]),
+                      "--data-closed", str(study_sets["der0"]),
+                      "--levels", "20", "--out-dir", str(tmp_path)], capsys)
+    assert rc == 1
+    assert ERROR_LINE.match(err.strip())
+    assert err.strip().startswith("ERROR config:")
+    assert "s32-tiny-f3" in err and "s31-tiny-f3" in err
+    assert not (tmp_path / "study_C.csv").exists()
+
+
 def test_evaluate_missing_checkpoint(workspace, tmp_path, capsys):
     rc, _, err = run(["evaluate", "--study", "A",
                       "--checkpoint", str(tmp_path / "none.npz"),

@@ -1,0 +1,61 @@
+"""The benchmark's span tracer against the current package.
+
+``perfbench/tracing.py`` looks gridvolt functions and methods up by name
+and rebinds every reference to them. A refactor that deletes or renames
+one of those names breaks every traced benchmark run, so this test
+installs the tracer (read-only: the file is loaded, never edited) and
+checks that it finds its names and that ``uninstall`` restores every
+attribute it patched.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gridvolt_attributes(classes):
+    """Every attribute of every loaded gridvolt module and of ``classes``,
+    by (owner, name)."""
+    owners = [m for k, m in sys.modules.items()
+              if k == "gridvolt" or k.startswith("gridvolt.")] + classes
+    return {(owner, name): value for owner in owners
+            for name, value in list(vars(owner).items())}
+
+
+def test_tracer_install_finds_its_names_and_uninstall_restores_them():
+    tracing = _load_tracing()
+    mods = {name: importlib.import_module(f"gridvolt.{name}")
+            for name in tracing.LAYERS}
+    training = mods["training"]
+    classes = [mods["dataset"].SnapshotDataset, training.Adam,
+               training._Trainer]
+    before = _gridvolt_attributes(classes)
+    named = [(training, "_val_metrics"), (training, "_val_batch"),
+             (training._Trainer, "run_epoch"), (training.Adam, "step"),
+             (mods["dataset"].SnapshotDataset, "snapshot"),
+             (mods["model"], "build_batch"), (mods["model"], "forward"),
+             (mods["cli"], "_sha256")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = {(owner, name) for owner, name, _ in tracer._restore}
+        for owner, name in named:
+            assert (owner, name) in patched, name
+            assert vars(owner)[name] is not before[owner, name], name
+    finally:
+        tracer.uninstall()
+    after = _gridvolt_attributes(classes)
+    assert after.keys() == before.keys()
+    assert [name for owner, name in before
+            if after[owner, name] is not before[owner, name]] == []

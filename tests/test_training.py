@@ -342,7 +342,7 @@ def test_an_overflow_in_a_fused_op_aborts_to_last_good(day_dataset,
 
 
 def _reference_val_metrics(params, val_snaps, masks):
-    """(MAE, RMSE) per mask from one batch of the masked snapshots: the
+    """(RMSE, MAE) per mask from one batch of the masked snapshots: the
     validation metric with no runs and no batch shared across masks."""
     scores = []
     for mask in masks:
@@ -352,8 +352,8 @@ def _reference_val_metrics(params, val_snaps, masks):
             v_hat = gm.forward(params, batch).values
         hidden = ~batch.observed
         err = v_hat - batch.v_true
-        scores.append((float(np.mean(np.abs(err[hidden]))),
-                       ev.rmse(v_hat, batch.v_true, hidden)))
+        scores.append((ev.rmse(v_hat, batch.v_true, hidden),
+                       float(np.mean(np.abs(err[hidden])))))
     return scores
 
 
@@ -369,74 +369,13 @@ def test_val_metrics_over_split_batches_equals_one_batch(day_dataset,
             == _reference_val_metrics(params, snaps, masks))
 
 
-def _count_scored_masks(monkeypatch):
-    """The number of masks of each ``_val_metrics`` call, and its
-    validation snapshots."""
-    calls = []
-    real = tr._val_metrics
-
-    def counted(params, val_snaps, masks):
-        calls.append((len(masks), val_snaps))
-        return real(params, val_snaps, masks)
-
-    monkeypatch.setattr(tr, "_val_metrics", counted)
-    return calls
-
-
-def _reference_selection(monkeypatch):
-    """Per selection: the epoch's (MAE, RMSE) and the mean RMSE over every
-    selection mask, both from ``_reference_val_metrics`` at the epoch's
-    weights, and the best score kept after it."""
-    seen = []
-    real = tr._Trainer._consider_select
-
-    def spy(self, record, val_level):
-        own = _reference_val_metrics(
-            self.params, self.val_snaps,
-            [tr._val_batch(self.val_snaps, val_level, self.config.seed)])[0]
-        probes = _reference_val_metrics(
-            self.params, self.val_snaps, [m for _, m in self.select_masks])
-        real(self, record, val_level)
-        seen.append((record, own, float(np.mean([r for _, r in probes])),
-                     self._best_score))
-
-    monkeypatch.setattr(tr._Trainer, "_consider_select", spy)
-    return seen
-
-
-def _assert_selection_is_the_reference(seen, result):
-    """Each epoch's validation and the running best score equal the
-    per-mask reference, and the selected epoch is its first minimum."""
-    for k, (record, own, _, best) in enumerate(seen):
-        assert (record.val_sup, record.val_rmse) == own
-        assert best == min(score for _, _, score, _ in seen[:k + 1])
-    first_best = int(np.argmin([score for _, _, score, _ in seen]))
-    assert result.selected_epochs[-1] == seen[first_best][0].epoch
-
-
-def test_a_probe_shared_by_the_epoch_is_scored_once(day_dataset, micro_run,
-                                                     monkeypatch):
-    """Ramp epochs validate on the 80.0 probe's mask: its score serves
-    both, and validation and selection equal a per-mask reference that
-    scores every probe. The int curriculum level 80 draws its own mask and
-    is not shared."""
-    calls = _count_scored_masks(monkeypatch)
-    seen = _reference_selection(monkeypatch)
-    shared = tr.train(day_dataset, micro_config())
-    n_probes = len(micro_config().select_levels)
-    selecting = [r for r in shared.history if r.stage != "warmup"]
-    n_ramp = sum(r.stage == "ramp" for r in shared.history)
-    assert sum(n for n, _ in calls) == (len(shared.history)
-                                        + n_probes * len(selecting) - n_ramp)
-    assert [record for record, *_ in seen] == selecting
-    _assert_selection_is_the_reference(seen, shared)
-    _assert_same_run(micro_run, shared)
-
-
-def test_scoring_builds_each_validation_run_once_per_call(day_dataset,
-                                                          monkeypatch):
-    """Each scoring call builds every run of the validation sample once and
-    forwards it once per mask; a training step builds its own batch."""
+def _spy_scoring(monkeypatch):
+    """Per epoch: its record, its ``_val_metrics`` calls and the best
+    selection score kept after it. A call holds its masks, validation
+    snapshots and scores, the scores of ``_reference_val_metrics`` at the
+    same weights, and the ``build_batch`` and ``forward`` calls it made.
+    Also the counts of those two over the whole run."""
+    epochs, calls = [], []
     counts = {"build_batch": 0, "forward": 0}
 
     def counted(name):
@@ -449,14 +388,93 @@ def test_scoring_builds_each_validation_run_once_per_call(day_dataset,
 
     for name in counts:
         monkeypatch.setattr(ev, name, counted(name))
-    calls = _count_scored_masks(monkeypatch)
-    result = tr.train(day_dataset,
-                      micro_config(val_fraction=0.3, val_max_snapshots=32))
-    runs = len(gm.batch_runs(calls[0][1]))
-    assert runs > 1
-    assert len(calls) > len(result.history)
-    assert counts == {"build_batch": len(calls) * runs,
-                      "forward": sum(n for n, _ in calls) * runs}
+    real_metrics = tr._val_metrics
+
+    def metrics(params, val_snaps, masks):
+        before = dict(counts)
+        scores = real_metrics(params, val_snaps, masks)
+        calls.append(dict(
+            masks=masks, val_snaps=val_snaps, scores=scores,
+            reference=_reference_val_metrics(params, val_snaps, masks),
+            **{name: counts[name] - before[name] for name in counts}))
+        return scores
+
+    real_epoch = tr._Trainer.run_epoch
+
+    def run_epoch(self, *args):
+        first = len(calls)
+        record = real_epoch(self, *args)
+        epochs.append((record, calls[first:], self._best_score))
+        return record
+
+    monkeypatch.setattr(tr, "_val_metrics", metrics)
+    monkeypatch.setattr(tr._Trainer, "run_epoch", run_epoch)
+    return epochs, counts
+
+
+def _assert_scoring_is_the_reference(epochs, result, config):
+    """Each epoch makes one scoring call: of its validation mask, then,
+    after the warm-up, of every selection mask. The call builds each
+    validation run once and forwards it once per distinct mask, as many
+    forwards as scoring the probe drawn like the validation mask (the
+    ramp's 80.0, fine-tuning's 40.0) on its own would leave out. Its
+    scores, the epoch's record and the running best score equal the
+    per-mask reference, and the selected epoch is its first minimum."""
+    selecting = []
+    for record, calls, best in epochs:
+        assert len(calls) == 1
+        call = calls[0]
+        snaps = call["val_snaps"]
+        level = 40.0 if record.stage == "finetune" else record.p_obs
+        want = [tr._val_batch(snaps, level, config.seed)]
+        if record.stage != "warmup":
+            want += [tr._val_batch(snaps, p, config.seed)
+                     for p in config.select_levels]
+        assert [m.tobytes() for m in call["masks"]] == \
+            [m.tobytes() for m in want]
+        distinct = len({m.tobytes() for m in want})
+        assert distinct == len(want) - (record.stage in ("ramp", "finetune"))
+        runs = len(gm.batch_runs(snaps))
+        assert (call["build_batch"], call["forward"]) == (runs,
+                                                          distinct * runs)
+        assert call["scores"] == call["reference"]
+        assert (record.val_rmse, record.val_sup) == call["reference"][0]
+        if record.stage != "warmup":
+            score = float(np.mean([r for r, _ in call["reference"][1:]]))
+            selecting.append((record, score))
+            assert best == min(s for _, s in selecting)
+    first_best = int(np.argmin([s for _, s in selecting]))
+    assert result.selected_epochs[-1] == selecting[first_best][0].epoch
+
+
+def test_a_probe_shared_by_the_epoch_is_scored_once(day_dataset, micro_run,
+                                                     monkeypatch):
+    """Ramp epochs validate on the 80.0 probe's mask: it is forwarded once
+    for both, and validation and selection equal a per-mask reference that
+    scores every probe. The int curriculum level 80 draws its own mask and
+    is not shared."""
+    epochs, _ = _spy_scoring(monkeypatch)
+    shared = tr.train(day_dataset, micro_config())
+    assert [record for record, *_ in epochs] == shared.history
+    assert {r.stage for r in shared.history} == {"warmup", "ramp",
+                                                 "curriculum"}
+    _assert_scoring_is_the_reference(epochs, shared, micro_config())
+    _assert_same_run(micro_run, shared)
+
+
+def test_scoring_builds_each_validation_run_once_per_call(day_dataset,
+                                                          monkeypatch):
+    """Each epoch's one scoring call builds every run of the validation
+    sample once and forwards it once per distinct mask; a training step
+    builds its own batch."""
+    epochs, counts = _spy_scoring(monkeypatch)
+    config = micro_config(val_fraction=0.3, val_max_snapshots=32)
+    result = tr.train(day_dataset, config)
+    assert len(gm.batch_runs(epochs[0][1][0]["val_snaps"])) > 1
+    _assert_scoring_is_the_reference(epochs, result, config)
+    calls = [call for _, epoch_calls, _ in epochs for call in epoch_calls]
+    assert counts == {name: sum(call[name] for call in calls)
+                      for name in counts}
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +557,33 @@ def test_step_batches_reuse_one_structure_per_configuration(tie_dataset,
     assert seen["steps"] == len(result.history) * 12
 
 
+@pytest.mark.parametrize("attacked", [False, True])
+def test_refill_equals_a_fresh_build(tie_dataset, attacked):
+    """A run of snapshots 26-33, which straddles the tie closure at step
+    30, refilled with snapshots of the same configurations at other tap
+    positions, masked and optionally attacked, equals ``build_batch`` of
+    those snapshots, and keeps the run's plan bins."""
+    data = tie_dataset
+    config_of = data.arrays["config_index"]
+    built, other = range(26, 34), [2, 3, 4, 5, 60, 61, 62, 63]
+    assert config_of[list(built)].tolist() == config_of[other].tolist()
+    assert len(set(config_of[other].tolist())) == 2
+    feeder_rows = {int(f): k for k, f in enumerate(sorted(data.feeder_ids))}
+    base = gm.build_batch([data.snapshot(i) for i in built], feeder_rows)
+    mask = net.fleet_mask(net.fleet_order(data.snapshot(0).node_x,
+                                          rng(5, "refill")), 30)
+    items = [data.snapshot(i).masked(mask) for i in other]
+    if attacked:
+        gen = rng(5, "refill-attack")
+        items = [ev.inject_attack(it, ev.AttackConfig(), gen)
+                 for it in items]
+    got = gm.refill(base, items)
+    _assert_same_batch(got, gm.build_batch(items, feeder_rows))
+    assert got.plan._bins is base.plan._bins
+    assert got.plan.z.tobytes() != base.plan.z.tobytes()
+    assert got.node_x.tobytes() != base.node_x.tobytes()
+
+
 def test_history_csv_roundtrip(micro_run, tmp_path):
     path = tmp_path / "history.csv"
     tr.history_to_csv(micro_run.history, path)
@@ -607,14 +652,12 @@ def test_finetune_truncates_to_pretraining_fraction(micro_run, target_dataset,
 def test_finetune_scores_its_40_probe_once(micro_run, target_dataset,
                                           monkeypatch):
     # every finetune epoch validates on the 40.0 probe's mask
-    calls = _count_scored_masks(monkeypatch)
-    seen = _reference_selection(monkeypatch)
+    epochs, _ = _spy_scoring(monkeypatch)
     result = tr.finetune(_clone(micro_run.params), target_dataset,
                          micro_config())
-    n_probes = len(micro_config().select_levels)
-    assert sum(n for n, _ in calls) == n_probes * len(result.history)
-    assert [record for record, *_ in seen] == result.history
-    _assert_selection_is_the_reference(seen, result)
+    assert [record for record, *_ in epochs] == result.history
+    assert {r.stage for r in result.history} == {"finetune"}
+    _assert_scoring_is_the_reference(epochs, result, micro_config())
 
 
 # -- the held-out window ------------------------------------------------------
