@@ -210,14 +210,16 @@ def cmd_generate(args) -> None:
                                        der_penetration=args.der,
                                        tie_closures=closures,
                                        tie_close_step=0)
-        states = gsim.run_timeseries(spec, scenario)
-        data = gds.dataset_from_states(spec, scenario, states)
+        run = gsim.run_timeseries(spec, scenario)
+        flows = gsim.derive_flows(run)
+        run.v = run.i_branch = None  # only derive_flows reads them
+        data = gds.dataset_from_states(spec, scenario, run, flows)
     except gsim.PowerFlowError as exc:
         raise CliError("powerflow", str(exc)) from exc
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-    health = gsim.solver_health(states)
-    del states  # freed before the writes
+    health = gsim.solver_health(run, flows)
+    del run, flows  # freed before the writes
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     gds.save_dataset(data, out)

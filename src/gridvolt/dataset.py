@@ -198,31 +198,24 @@ def split_windows(n: int, val_fraction: float,
 
 
 def dataset_from_states(spec: sim.SubstationSpec,
-                        scenario: sim.ScenarioConfig,
-                        states: list[sim.SolvedState]) -> SnapshotDataset:
-    """Factor solved timesteps into dataset arrays, fully observed.
-
-    The graph's static feature rows are stored once, the structural
-    annotations once per distinct switch configuration, and only the
-    per-step columns per snapshot.
-    """
-    if not states:
-        raise ValueError("no snapshots to store")
-    graph = states[0].graph
-
-    def stack(name: str) -> np.ndarray:
-        return np.stack([getattr(s, name) for s in states])
-
-    v_true = stack("v_mag")
-    status = stack("edge_status")
-    edge_tap = stack("edge_tap")
+                        scenario: sim.ScenarioConfig, run: sim.SolvedState,
+                        flows: sim.Flows) -> SnapshotDataset:
+    """Factor a solved run (run_timeseries) and its derive_flows into
+    dataset arrays, fully observed: the graph's static feature rows once,
+    the structural annotations once per distinct switch configuration, and
+    only the per-step columns per snapshot."""
+    graph = run.graph
+    v_true = run.v_mag
+    status, taps = run.controls
     reg = graph.reg_edges
+    edge_tap = np.zeros(status.shape)
+    edge_tap[:, reg] = taps / sim.REG_MAX_TAP
     node_tap = np.zeros_like(v_true)
     node_tap[:, graph.edge_to[reg]] = np.where(status[:, reg] == 1,
                                                edge_tap[:, reg], 0.0)
     _check_range(v_true, node_tap)
 
-    configs, which = _group_rows(status)
+    configs, which = sim.group_rows(status)
     # the run cached each configuration's tree on the graph
     per_config = [sim.structural_annotations(graph, c) for c in configs]
     depth, elec, degree, feeder = (np.stack(a) for a in zip(*per_config))
@@ -231,31 +224,27 @@ def dataset_from_states(spec: sim.SubstationSpec,
     sw_closed[k, graph.edge_from[e]] = 0.0
     sw_closed[k, graph.edge_to[e]] = 0.0
 
-    p_inj = stack("p_injection_pu")
     rating = graph.serving_rating
-    injection = np.divide(p_inj, rating, out=np.zeros_like(p_inj),
-                          where=rating > 0)
+    injection = np.divide(run.s_injection.real, rating,
+                          out=np.zeros(v_true.shape), where=rating > 0)
     _blur_injection(injection, feeder[which[0]], spec, scenario)
 
-    fids = sorted(f.feeder_id for f in spec.feeders)
-    heads = np.array([[s.feeder_heads[f] for f in fids] for s in states],
-                     dtype=complex)
-    s_sub = np.array([s.s_subxfmr for s in states], dtype=complex)
-    s_aux = np.array([s.s_aux for s in states], dtype=complex)
+    by_id = np.argsort(graph.feeder_ids)
+    heads, s_sub = flows.head[:, by_id], flows.s_subxfmr
     bps = graph.bus_phases
     meta = {
         "format": _FORMAT,
         "feature_order_hash": net.feature_order_hash(),
         "substation": spec.name,
         "scenarios": [scenario_to_dict(scenario)],
-        "n_snapshots": len(states),
+        "n_snapshots": len(v_true),
     }
     arrays = dict(
         node_features_static=graph.node_features,
         edge_features_static=graph.edge_features,
         edge_from=graph.edge_from.astype(np.int64),
         edge_to=graph.edge_to.astype(np.int64),
-        feeder_ids=np.array(fids, dtype=np.int64),
+        feeder_ids=graph.feeder_ids[by_id].astype(np.int64),
         bus_id=np.array([bp.bus_id for bp in bps], dtype=np.int64),
         phase_idx=np.array([net.PHASES.index(bp.phase) for bp in bps],
                            dtype=np.int64),
@@ -269,11 +258,11 @@ def dataset_from_states(spec: sim.SubstationSpec,
         config_edge_phys=(configs == 1) & graph.phys_device,
         config_index=which.astype(np.int64), injection=injection,
         node_tap=node_tap, edge_tap=edge_tap, v_true=v_true,
-        edge_p=stack("edge_p"), edge_q=stack("edge_q"),
-        timestamps=np.array([s.timestamp for s in states], dtype=float),
+        edge_p=flows.edge_p, edge_q=flows.edge_q, timestamps=run.timestamp,
         head_p=heads.real.copy(), head_q=heads.imag.copy(),
         s_subxfmr_re=s_sub.real.copy(), s_subxfmr_im=s_sub.imag.copy(),
-        s_aux_re=s_aux.real.copy(), s_aux_im=s_aux.imag.copy(),
+        s_aux_re=np.full(len(v_true), graph.aux_load.real),
+        s_aux_im=np.full(len(v_true), graph.aux_load.imag),
     )
     return SnapshotDataset(meta, arrays)
 
@@ -291,22 +280,6 @@ def _check_range(v_true: np.ndarray, node_tap: np.ndarray) -> None:
         t, i = bad[0]
         raise ValueError(f"bus-phase {i}: tap {node_tap[t, i]} outside "
                          f"[-1, 1] at step {t}")
-
-
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``rows`` in lexicographic order and the index
-    of each row among them, as ``np.unique(rows, axis=0,
-    return_inverse=True)`` gives them. Rows are grouped by their bytes, and
-    only the distinct rows are sorted."""
-    group: dict[bytes, int] = {}
-    ids = np.array([group.setdefault(row.tobytes(), len(group))
-                    for row in rows])
-    # ids number the groups in order of first appearance
-    distinct = rows[np.unique(ids, return_index=True)[1]]
-    order = np.lexsort(distinct.T[::-1])
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return distinct[order], rank[ids]
 
 
 def _blur_injection(injection: np.ndarray, fid: np.ndarray,

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from itertools import product
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,6 +38,7 @@ REG_DEADBAND = 0.01          # regulate toward 1.0 +/- this band
 SOLVER_TOL = 1e-12           # max |dV| between sweeps; well inside the 1e-8 contract
 SOLVER_MAX_ITER = 100
 VOLTAGE_BAND = (0.94, 1.06)  # p.u., open: where every solved bus-phase belongs
+DERIVE_STEPS = 16            # steps derive_flows takes at once: bounds its scratch
 
 DER_PENETRATIONS = (0, 20, 30, 40)
 SIZE_CLASSES = ("tiny", "small", "medium")
@@ -243,9 +245,11 @@ def save_spec(spec: SubstationSpec, path: str | Path) -> None:
 
 
 def _field_dict(obj) -> dict:
-    """A dataclass as the dict of its fields, without ``asdict``'s deep
-    copy; ``fields`` raises TypeError on anything else."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    """A dataclass instance as a copy of its attribute dict, without
+    ``asdict``'s deep copy; anything else raises TypeError."""
+    if not is_dataclass(obj) or isinstance(obj, type):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return dict(vars(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +495,8 @@ class GraphIndex:
     phys_device: np.ndarray      # line, cable or switch: physics set when closed
     # per edge: index in spec.feeders of the head a hub link feeds, else -1
     head_feeder: np.ndarray
+    feeder_ids: np.ndarray       # of spec.feeders, in that order
+    aux_load: complex            # the substation's own load, spec.aux_load
     node_features: np.ndarray    # [N, 17], columns no timestep changes
     serving_rating: np.ndarray
     cap_q: np.ndarray            # reactive output of the switched-on capacitors
@@ -573,6 +579,8 @@ def build_graph(spec: SubstationSpec) -> GraphIndex:
         edge_features=net.static_edge_features(edge_dev),
         phys_device=np.isin(kind, ("line", "cable", "switch")),
         head_feeder=np.array(head_feeder, dtype=int),
+        feeder_ids=np.array([f.feeder_id for f in spec.feeders], dtype=int),
+        aux_load=spec.aux_load,
         node_features=net.static_node_features(bus_phases, cap_on),
         serving_rating=np.array(serving), cap_q=cap_q, hub_node_ids=hub_nodes,
     )
@@ -592,27 +600,20 @@ class Controls(NamedTuple):
 
 @dataclass
 class SolvedState:
-    """One solved timestep.
+    """What the solver produced for one timestep, or for a run of them
+    stacked along a leading [T] axis (run_timeseries); derive_flows forms
+    the rest. Node arrays follow the graph's node order and edge arrays its
+    edge order. ``i_branch`` is each tree edge's current from parent to
+    child, before its tap ratio, and 0 on open edges."""
 
-    Node arrays follow the graph's node order and edge arrays its edge
-    order. Edge flows are sending-end values in the spec's from -> to
-    direction; flows and currents are 0 on open edges.
-    """
-
-    timestamp: float
     graph: GraphIndex
+    timestamp: float | np.ndarray   # minutes
+    s_injection: np.ndarray         # complex net consumption per node
+    controls: Controls              # the status and taps solved under
+    v: np.ndarray                   # complex node voltages
+    i_branch: np.ndarray
     v_mag: np.ndarray
-    p_injection_pu: np.ndarray      # net active, consumption-positive
-    q_injection_pu: np.ndarray
-    edge_status: np.ndarray         # 1 closed, 0 open
-    edge_tap: np.ndarray            # regulator tap step / REG_MAX_TAP, else 0
-    edge_p: np.ndarray
-    edge_q: np.ndarray
-    edge_i_mag: np.ndarray
-    feeder_heads: dict[int, complex]
-    s_subxfmr: complex
-    s_aux: complex
-    sweep_iterations: int = 0
+    sweep_iterations: int | np.ndarray
 
 
 def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
@@ -633,18 +634,10 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     ``controls.taps``; a solve forms the tap ratios of those edges alone.
     """
     n = graph.n_nodes
-    n_edges = len(graph.edge_device)
     tree = graph.tree(controls.status)
 
-    # the ratio applies from the parent side to the child side; a tap is
-    # tied to the device's to-bus, so a device specified child -> parent
-    # sees its ratio inverted
-    ratio = 1.0 + REG_STEP * controls.taps[tree.reg_taps]
-    ratio[tree.reg_flip] = 1.0 / ratio[tree.reg_flip]
-    e_ratio = np.ones(n_edges)
-    e_ratio[tree.reg_edges] = ratio
-
     # the sweeps work in BFS positions: s and v are tree.order's nodes
+    ratio = _tap_ratios(tree, controls.taps)
     ratio_coef = _pair_coefficients(ratio.astype(complex))[tree.ratio_index]
     s = s_injection[tree.order]
     v = np.full(n, complex(spec.ltc_setpoint, 0.0), dtype=complex)
@@ -672,13 +665,12 @@ def solve_powerflow(spec: SubstationSpec, graph: GraphIndex,
     i_acc = _backward_sweep(tree, ratio_coef, s, v)
     v_volt = np.empty(n, dtype=complex)
     v_volt[tree.order] = v
-    i_branch = np.zeros(n_edges, dtype=complex)
+    i_branch = np.zeros(len(graph.edge_device), dtype=complex)
     i_branch[tree.edges] = i_acc[len(graph.hub_node_ids):]
-
-    state = _assemble_state(spec, graph, tree, controls, s_injection,
-                            timestamp, v_volt, i_branch, e_ratio)
-    state.sweep_iterations = iterations
-    return state
+    # the state owns its inputs: the caller may reuse its arrays
+    return SolvedState(graph, timestamp, s_injection.copy(),
+                       Controls(controls.status.copy(), controls.taps.copy()),
+                       v_volt, i_branch, np.abs(v_volt), iterations)
 
 
 class _Level(NamedTuple):
@@ -920,99 +912,121 @@ def _times_conj(ar, ai, br, bi):
     return ar * br + ai * bi, ai * br - ar * bi
 
 
-def _assemble_state(spec, graph, tree, controls, s_injection, timestamp,
-                    v_volt, i_branch, e_ratio) -> SolvedState:
-    n_edges = len(graph.edge_device)
-    child, status = tree.child, controls.status
-    vr, vi = v_volt.real, v_volt.imag
-    ir, ii = i_branch.real, i_branch.imag
-    # e_ratio * i_branch with the real ratio taken as the complex (r, 0)
-    cr = e_ratio * ir - 0.0 * ii
-    ci = e_ratio * ii + 0.0 * ir
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows`` in lexicographic order and the index
+    of each row among them, as ``np.unique(rows, axis=0,
+    return_inverse=True)`` gives them. Rows are grouped by their bytes, and
+    only the distinct rows are sorted."""
+    group: dict[bytes, int] = {}
+    ids = np.array([group.setdefault(row.tobytes(), len(group))
+                    for row in rows])
+    # ids number the groups in order of first appearance
+    distinct = rows[np.unique(ids, return_index=True)[1]]
+    order = np.lexsort(distinct.T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[ids]
 
-    # sending-end flows oriented with the spec's from -> to direction; a
-    # closed edge is a tree edge, its child node is either end
-    a = graph.edge_from
-    fwd = np.flatnonzero(child == graph.edge_to)
-    bwd = np.flatnonzero(child == a)
-    p = np.zeros(n_edges)
-    q = np.zeros(n_edges)
-    p[fwd], q[fwd] = _times_conj(vr[a[fwd]], vi[a[fwd]], cr[fwd], ci[fwd])
-    pb, qb = _times_conj(vr[a[bwd]], vi[a[bwd]], ir[bwd], ii[bwd])
-    p[bwd], q[bwd] = -pb, -qb
-    closed = np.flatnonzero(child >= 0)
-    i_mag = np.zeros(n_edges)
-    i_mag[closed] = np.hypot(ir[closed], ii[closed])
 
-    # power the hub sends into each feeder head, summed in edge order
-    links = np.flatnonzero((graph.head_feeder >= 0) & (status == 1))
-    hub = tree.parent_node[child[links]]
-    sr, si = _times_conj(vr[hub], vi[hub], cr[links], ci[links])
-    head_re = np.zeros(len(spec.feeders))
-    head_im = np.zeros(len(spec.feeders))
-    np.add.at(head_re, graph.head_feeder[links], sr)
-    np.add.at(head_im, graph.head_feeder[links], si)
-    head_flow = {f.feeder_id: complex(head_re[k], head_im[k])
-                 for k, f in enumerate(spec.feeders)}
-    s_subxfmr = sum(head_flow.values()) + spec.aux_load
-    tap = np.zeros(n_edges)
-    tap[graph.reg_edges] = controls.taps / REG_MAX_TAP
+def _tap_ratios(tree: _PhaseTree, taps: np.ndarray) -> np.ndarray:
+    """The ratios of tree.reg_edges under taps [..., R], applied from the
+    parent side to the child side. A tap is tied to the device's to-bus, so
+    a device specified child -> parent sees its ratio inverted."""
+    ratio = 1.0 + REG_STEP * taps[..., tree.reg_taps]
+    ratio[..., tree.reg_flip] = 1.0 / ratio[..., tree.reg_flip]
+    return ratio
 
-    return SolvedState(
-        timestamp=timestamp,
-        graph=graph,
-        v_mag=np.abs(v_volt),
-        p_injection_pu=s_injection.real.copy(),
-        q_injection_pu=s_injection.imag.copy(),
-        edge_status=status.copy(),
-        edge_tap=tap,
-        edge_p=p,
-        edge_q=q,
-        edge_i_mag=i_mag,
-        feeder_heads=head_flow,
-        s_subxfmr=s_subxfmr,
-        s_aux=spec.aux_load,
-    )
+
+class Flows(NamedTuple):
+    """What a solved state implies, with its leading axes. Edge flows are
+    sending-end values in the spec's from -> to direction, 0 on open edges.
+    ``head`` is the power the hub sends into each feeder head, in
+    graph.feeder_ids order. ``residual`` is each node's |complex power in -
+    out - consumption|, 0 at the hub nodes, which are the slack."""
+
+    edge_p: np.ndarray        # [..., E]
+    edge_q: np.ndarray
+    edge_i_mag: np.ndarray
+    head: np.ndarray          # [..., F] complex
+    s_subxfmr: np.ndarray     # [...] complex
+    residual: np.ndarray      # [..., N]
+
+
+def derive_flows(state: SolvedState) -> Flows:
+    """The Flows of one solved step or of a run, DERIVE_STEPS steps of one
+    switch configuration at a time. Every value is formed with the
+    arithmetic of a single step, so a run's rows equal each step's own
+    derivation bit for bit: a scatter adds each step's edges in edge order,
+    and ``s_subxfmr`` is Python's ``sum`` of the heads plus the aux load."""
+    g = state.graph
+    status, taps, v, i, s_inj = (np.atleast_2d(a) for a in (
+        *state.controls, state.v, state.i_branch, state.s_injection))
+    p, q, i_mag = (np.zeros(status.shape) for _ in range(3))
+    head = np.zeros((len(status), len(g.feeder_ids)), dtype=complex)
+    acc = -s_inj
+    configs, which = group_rows(status)
+    for k, lo in product(range(len(configs)),
+                         range(0, len(status), DERIVE_STEPS)):
+        config, tree = configs[k], g.tree(configs[k])
+        steps = lo + np.flatnonzero(which[lo:lo + DERIVE_STEPS] == k)
+        t = steps[:, None]
+        vr, vi, ir, ii = (x[steps] for x in (v.real, v.imag, i.real, i.imag))
+        e_ratio = np.ones((len(steps), len(config)))
+        e_ratio[:, tree.reg_edges] = _tap_ratios(tree, taps[steps])
+        # e_ratio * i_branch with the real ratio taken as the complex (r, 0)
+        cr = e_ratio * ir - 0.0 * ii
+        ci = e_ratio * ii + 0.0 * ir
+
+        # a closed edge is a tree edge, its child node is either end
+        a = g.edge_from
+        fwd, bwd = (np.flatnonzero(tree.child == e) for e in (g.edge_to, a))
+        p[t, fwd], q[t, fwd] = _times_conj(vr[:, a[fwd]], vi[:, a[fwd]],
+                                           cr[:, fwd], ci[:, fwd])
+        pb, qb = _times_conj(vr[:, a[bwd]], vi[:, a[bwd]], ir[:, bwd],
+                             ii[:, bwd])
+        p[t, bwd], q[t, bwd] = -pb, -qb
+        closed = np.flatnonzero(config)
+        i_mag[t, closed] = np.hypot(ir[:, closed], ii[:, closed])
+
+        links = np.flatnonzero((g.head_feeder >= 0) & (config == 1))
+        hub = tree.parent_node[tree.child[links]]
+        sr, si = _times_conj(vr[:, hub], vi[:, hub], cr[:, links],
+                             ci[:, links])
+        np.add.at(head.real, (t, g.head_feeder[links]), sr)
+        np.add.at(head.imag, (t, g.head_feeder[links]), si)
+
+        s_from = p[t, closed] + 1j * q[t, closed]
+        loss = g.edge_impedance[closed] * i_mag[t, closed] ** 2
+        np.add.at(acc, (t, g.edge_from[closed]), -s_from)
+        np.add.at(acc, (t, g.edge_to[closed]), s_from - loss)
+    acc[:, g.hub_node_ids] = 0.0
+    flows = Flows(p, q, i_mag, head, sum(head.T) + g.aux_load, np.abs(acc))
+    return flows if np.ndim(state.v) > 1 else Flows(*(a[0] for a in flows))
 
 
 def conservation_residuals(state: SolvedState) -> np.ndarray:
-    """Per-node |complex power in - out - consumption| for a solved state.
-
-    Hub nodes are the slack and are reported as zero.
-    """
-    g = state.graph
-    closed = np.flatnonzero(state.edge_status)
-    s_from = state.edge_p[closed] + 1j * state.edge_q[closed]
-    loss = g.edge_impedance[closed] * state.edge_i_mag[closed] ** 2
-    acc = -(state.p_injection_pu + 1j * state.q_injection_pu)
-    np.add.at(acc, g.edge_from[closed], -s_from)
-    np.add.at(acc, g.edge_to[closed], s_from - loss)
-    acc[g.hub_node_ids] = 0.0
-    return np.abs(acc)
+    """derive_flows' per-node conservation residuals of a solved state."""
+    return derive_flows(state).residual
 
 
-def solver_health(states: list[SolvedState]) -> dict:
+def solver_health(run: SolvedState, flows: Flows) -> dict:
     """How a run's solves went: sweep iterations (mean, max, and the number
     of solves per iteration count), the largest per-node conservation
     residual, the lowest and highest regulator tap step, the voltage range
     over every snapshot per bus type, and whether every voltage lies inside
-    VOLTAGE_BAND."""
-    graph = states[0].graph
-    v = np.stack([state.v_mag for state in states])
-    bus_type = np.array([bp.bus_type for bp in graph.bus_phases])
-    iterations = [state.sweep_iterations for state in states]
-    steps = REG_MAX_TAP * np.stack([s.edge_tap[graph.reg_edges]
-                                    for s in states])
+    VOLTAGE_BAND. ``flows`` is derive_flows of the run."""
+    v = run.v_mag
+    bus_type = np.array([bp.bus_type for bp in run.graph.bus_phases])
+    iterations = run.sweep_iterations.tolist()
+    taps = run.controls.taps
     lo, hi = VOLTAGE_BAND
     return {
-        "snapshots": len(states),
+        "snapshots": len(v),
         "sweep_iterations_mean": float(np.mean(iterations)),
         "sweep_iterations_max": max(iterations),
         "sweep_iterations_hist": dict(sorted(Counter(iterations).items())),
-        "tap_steps": ([int(steps.min()), int(steps.max())] if steps.size
-                      else None),
-        "conservation_max_pu": max(float(conservation_residuals(s).max())
-                                   for s in states),
+        "tap_steps": [int(taps.min()), int(taps.max())] if taps.size else None,
+        "conservation_max_pu": float(flows.residual.max()),
         "v_range_pu": {t: [float(v[:, bus_type == t].min()),
                            float(v[:, bus_type == t].max())]
                        for t in net.BUS_TYPES if np.any(bus_type == t)},
@@ -1145,8 +1159,9 @@ def _injections(spec: SubstationSpec, graph: GraphIndex,
 
 
 def run_timeseries(spec: SubstationSpec,
-                   scenario: ScenarioConfig) -> list[SolvedState]:
-    """Solve the scenario horizon at 15-minute resolution.
+                   scenario: ScenarioConfig) -> SolvedState:
+    """Solve the scenario horizon at 15-minute resolution, one
+    solve_powerflow per step, into one state of [T, ...] arrays.
 
     Timesteps are independent given the control state carried over from the
     previous step (regulator taps). Tie closures listed in the scenario take
@@ -1158,17 +1173,27 @@ def run_timeseries(spec: SubstationSpec,
         tie = spec.ties[ti]
         tied[graph.edge_device == tie.device_uid] = 1
         tied[graph.edge_device == tie.sectionalizer_uid] = 0
-    taps = np.zeros(len(graph.reg_edges), dtype=int)
-    states: list[SolvedState] = []
-    for t, s_inj in enumerate(_injections(spec, graph, scenario)):
-        status = (tied if t >= scenario.tie_close_step
-                  else graph.edge_normally_closed)
-        controls = Controls(status, taps)
+    s_inj = _injections(spec, graph, scenario)
+    n_steps = len(s_inj)
+    steps = np.arange(n_steps)
+    run = SolvedState(
+        graph, TIMESTEP_MINUTES * steps.astype(float), s_inj,
+        Controls(np.where(steps[:, None] >= scenario.tie_close_step, tied,
+                          graph.edge_normally_closed),
+                 np.zeros((n_steps, len(graph.reg_edges)), dtype=int)),
+        np.empty(s_inj.shape, dtype=complex),
+        np.empty((n_steps, len(tied)), dtype=complex),
+        np.empty(s_inj.shape), np.empty(n_steps, dtype=int))
+    for t in steps.tolist():
+        controls = Controls(run.controls.status[t], run.controls.taps[t])
         try:
-            state = solve_powerflow(spec, graph, s_inj, controls,
+            state = solve_powerflow(spec, graph, s_inj[t], controls,
                                     timestamp=float(t * TIMESTEP_MINUTES))
         except PowerFlowError as exc:
             raise PowerFlowError(f"timestep {t}: {exc}", exc.residual) from exc
-        states.append(state)
-        taps = _regulate(graph, controls, state.v_mag)
-    return states
+        run.v[t], run.i_branch[t], run.v_mag[t] = (state.v, state.i_branch,
+                                                   state.v_mag)
+        run.sweep_iterations[t] = state.sweep_iterations
+        if t + 1 < n_steps:
+            run.controls.taps[t + 1] = _regulate(graph, controls, state.v_mag)
+    return run

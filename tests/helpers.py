@@ -33,5 +33,5 @@ def head_names(params) -> list[str]:
 def build_dataset(spec: sim.SubstationSpec,
                   scenario: sim.ScenarioConfig) -> ds.SnapshotDataset:
     """Run the scenario and flatten every snapshot into dataset arrays."""
-    states = sim.run_timeseries(spec, scenario)
-    return ds.dataset_from_states(spec, scenario, states)
+    run = sim.run_timeseries(spec, scenario)
+    return ds.dataset_from_states(spec, scenario, run, sim.derive_flows(run))

@@ -136,9 +136,9 @@ def test_generate_out_of_range_voltage_reports_config(tmp_path, capsys,
     solve = gsim.run_timeseries
 
     def sagging(spec, scenario):
-        states = solve(spec, scenario)
-        states[2].v_mag[4] = 0.3
-        return states
+        run = solve(spec, scenario)
+        run.v_mag[2, 4] = 0.3
+        return run
 
     monkeypatch.setattr(gsim, "run_timeseries", sagging)
     rc, _, err = run(["generate", "--seed", "1", "--horizon-minutes", "60",

@@ -63,18 +63,43 @@ def bfs_annotations_reference(graph, status):
     return depth, elec, degree, feeder
 
 
-def v1_reference_arrays(states, spec, scenario):
+def step_state(run, t):
+    """Step t of a run as the state its own solve returns."""
+    return sim.SolvedState(
+        run.graph, run.timestamp[t], run.s_injection[t],
+        sim.Controls(*(a[t] for a in run.controls)), run.v[t],
+        run.i_branch[t], run.v_mag[t], int(run.sweep_iterations[t]))
+
+
+def as_run(state):
+    """One solved step as a run of one step."""
+    return sim.SolvedState(
+        state.graph, np.array([state.timestamp]), state.s_injection[None],
+        sim.Controls(*(a[None] for a in state.controls)), state.v[None],
+        state.i_branch[None], state.v_mag[None],
+        np.array([state.sweep_iterations]))
+
+
+def v1_reference_arrays(run, spec, scenario):
     """The arrays of a ``snapshot-dataset/v1`` file: every feature row
-    broadcast over time and patched per step, as that format stored them.
+    broadcast over time and patched per step, as that format stored them,
+    with each step's flows and head powers derived from that step alone.
     The reference that every assembled v2 snapshot must equal bit for bit."""
-    graph = states[0].graph
+    graph = run.graph
+    states = [step_state(run, t) for t in range(len(run.v_mag))]
+    flows = [sim.derive_flows(s) for s in states]
 
-    def stack(name):
-        return np.stack([getattr(s, name) for s in states])
+    def stack(values):
+        return np.stack(list(values))
 
-    v_true = stack("v_mag")
-    status = stack("edge_status")
-    edge_tap = stack("edge_tap")
+    def tap_row(state):
+        tap = np.zeros(len(graph.edge_device))
+        tap[graph.reg_edges] = state.controls.taps / sim.REG_MAX_TAP
+        return tap
+
+    v_true = stack(s.v_mag for s in states)
+    status = stack(s.controls.status for s in states)
+    edge_tap = stack(tap_row(s) for s in states)
     reg = np.flatnonzero(graph.edge_kind == "regulator")
     node_tap = np.zeros_like(v_true)
     node_tap[:, graph.edge_to[reg]] = np.where(status[:, reg] == 1,
@@ -88,7 +113,7 @@ def v1_reference_arrays(states, spec, scenario):
     k, e = np.nonzero((configs == 0) & (graph.edge_kind == "switch"))
     sw_closed[k, graph.edge_from[e]] = 0.0
     sw_closed[k, graph.edge_to[e]] = 0.0
-    p_inj = stack("p_injection_pu")
+    p_inj = stack(s.s_injection.real for s in states)
     rating = graph.serving_rating
     injection = np.divide(p_inj, rating, out=np.zeros_like(p_inj),
                           where=rating > 0)
@@ -118,17 +143,18 @@ def v1_reference_arrays(states, spec, scenario):
                                        size=n)
             node_features[t, :, col] *= np.clip(factor, 0.3, 1.7)
     fids = sorted(f.feeder_id for f in spec.feeders)
-    heads = np.array([[s.feeder_heads[f] for f in fids] for s in states],
-                     dtype=complex)
-    s_sub = np.array([s.s_subxfmr for s in states], dtype=complex)
-    s_aux = np.array([s.s_aux for s in states], dtype=complex)
+    heads = np.array([[dict(zip(graph.feeder_ids.tolist(), f.head))[k]
+                       for k in fids] for f in flows], dtype=complex)
+    s_sub = np.array([f.s_subxfmr for f in flows], dtype=complex)
+    s_aux = np.array([spec.aux_load for _ in states], dtype=complex)
     bps = graph.bus_phases
     return dict(
         node_features=node_features, v_true=v_true,
         node_feeder=feeder.astype(np.int64),
         edge_from=graph.edge_from.astype(np.int64),
         edge_to=graph.edge_to.astype(np.int64), edge_features=edge_features,
-        edge_p=stack("edge_p"), edge_q=stack("edge_q"),
+        edge_p=stack(f.edge_p for f in flows),
+        edge_q=stack(f.edge_q for f in flows),
         edge_phys=(status == 1) & graph.phys_device,
         timestamps=np.array([s.timestamp for s in states], dtype=float),
         feeder_ids=np.array(fids, dtype=np.int64),
@@ -145,9 +171,10 @@ def v1_reference_arrays(states, spec, scenario):
 
 
 def solved(spec, scenario):
-    """A run's solved states and the dataset built from them."""
-    states = sim.run_timeseries(spec, scenario)
-    return states, dsm.dataset_from_states(spec, scenario, states)
+    """A solved run and the dataset built from it."""
+    run = sim.run_timeseries(spec, scenario)
+    return run, dsm.dataset_from_states(spec, scenario, run,
+                                        sim.derive_flows(run))
 
 
 @pytest.fixture(scope="module")
@@ -171,18 +198,19 @@ def test_shapes(ds):
 
 
 def test_snapshot_accessor_matches_solver(ds, tiny_spec):
-    states = sim.run_timeseries(tiny_spec, sim.ScenarioConfig(
+    run = sim.run_timeseries(tiny_spec, sim.ScenarioConfig(
         horizon_minutes=HORIZON, der_penetration=20))
+    flows = sim.derive_flows(step_state(run, 5))
     snap = ds.snapshot(5)
-    assert np.array_equal(snap.v_true, states[5].v_mag)
+    assert np.array_equal(snap.v_true, run.v_mag[5])
     obs_col = net.NODE_FEATURE_INDEX["m_obs"]
     v_col = net.NODE_FEATURE_INDEX["m_obs_v_pu"]
     assert np.all(snap.node_x[:, obs_col] == 1.0)
     assert snap.observed.all()
-    assert np.array_equal(snap.node_x[:, v_col], states[5].v_mag)
-    phys = (states[5].edge_status == 1) & states[5].graph.phys_device
-    assert np.array_equal(snap.phys_p, states[5].edge_p[phys])
-    assert np.array_equal(snap.phys_q, states[5].edge_q[phys])
+    assert np.array_equal(snap.node_x[:, v_col], run.v_mag[5])
+    phys = (run.controls.status[5] == 1) & run.graph.phys_device
+    assert np.array_equal(snap.phys_p, flows.edge_p[phys])
+    assert np.array_equal(snap.phys_q, flows.edge_q[phys])
     with pytest.raises(IndexError):
         ds.snapshot(12)
 
@@ -394,18 +422,20 @@ def test_split_windows_reject_too_short_series():
 
 def test_out_of_range_values_name_bus_phase_and_step(tiny_spec):
     cfg = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20)
-    states = sim.run_timeseries(tiny_spec, cfg)
-    states[3].v_mag[5] = 0.4
+    run = sim.run_timeseries(tiny_spec, cfg)
+    flows = sim.derive_flows(run)
+    run.v_mag[3, 5] = 0.4
     with pytest.raises(ValueError, match=r"^bus-phase 5: voltage 0.4 outside "
                                          r"\(0.5, 1.5\) at step 3$"):
-        dsm.dataset_from_states(tiny_spec, cfg, states)
-    states[3].v_mag[5] = 1.0
-    reg = np.flatnonzero(states[0].graph.edge_kind == "regulator")[1]
-    states[7].edge_tap[reg] = -1.5
-    node = states[0].graph.edge_to[reg]
+        dsm.dataset_from_states(tiny_spec, cfg, run, flows)
+    run.v_mag[3, 5] = 1.0
+    assert run.graph.reg_edges[1] == np.flatnonzero(
+        run.graph.edge_kind == "regulator")[1]
+    run.controls.taps[7, 1] = -1.5 * sim.REG_MAX_TAP
+    node = run.graph.edge_to[run.graph.reg_edges[1]]
     with pytest.raises(ValueError, match=rf"^bus-phase {node}: tap -1.5 "
                                          r"outside \[-1, 1\] at step 7$"):
-        dsm.dataset_from_states(tiny_spec, cfg, states)
+        dsm.dataset_from_states(tiny_spec, cfg, run, flows)
 
 
 def test_node_tap_follows_regulator_edges(tiny_spec):
@@ -417,7 +447,9 @@ def test_node_tap_follows_regulator_edges(tiny_spec):
     state = sim.solve_powerflow(
         tiny_spec, graph, sim._injections(tiny_spec, graph, cfg)[0],
         sim.Controls(graph.edge_normally_closed, taps))
-    snap = dsm.dataset_from_states(tiny_spec, cfg, [state]).snapshot(0)
+    run = as_run(state)
+    snap = dsm.dataset_from_states(tiny_spec, cfg, run,
+                                   sim.derive_flows(run)).snapshot(0)
     tap = snap.node_x[:, net.NODE_FEATURE_INDEX["tap"]]
     edge_tap = snap.edge_z[:, net.EDGE_FEATURE_INDEX["tap"]]
     assert tap[graph.edge_to[reg]] == edge_tap[reg] == 0.25
@@ -463,9 +495,10 @@ def test_dataset_builds_no_second_tree(tiny_spec, monkeypatch):
         return real(graph, status)
 
     monkeypatch.setattr(sim, "_phase_trees", counted)
-    states = sim.run_timeseries(tiny_spec, TIE_AT_2)
+    run = sim.run_timeseries(tiny_spec, TIE_AT_2)
     assert len(built) == 2         # the run crossed the tie closing
-    data = dsm.dataset_from_states(tiny_spec, TIE_AT_2, states)
+    data = dsm.dataset_from_states(tiny_spec, TIE_AT_2, run,
+                                   sim.derive_flows(run))
     assert len(built) == 2
     assert len(data.arrays["config_status"]) == 2
 
@@ -500,18 +533,59 @@ TIE_AT_2 = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20,
                               tie_closures=(0,), tie_close_step=2)
 
 
+@pytest.mark.parametrize("scenario", [
+    TIE_AT_2,
+    # 40 steps: the closing falls inside derive_flows' second block
+    dataclasses.replace(TIE_AT_2, horizon_minutes=40 * sim.TIMESTEP_MINUTES,
+                        tie_close_step=20)])
+def test_run_derivation_equals_each_step_alone(tiny_spec, scenario,
+                                               monkeypatch):
+    """A run that crosses a tie closing holds each step's solve as it
+    returned it, and derive_flows over the run, one block of steps of one
+    switch configuration at a time, equals derive_flows of each step's own
+    state in every row of every array, byte for byte (a -0.0 against a 0.0
+    counts)."""
+    solve = sim.solve_powerflow
+    steps = []
+
+    def kept(*args, **kwargs):
+        steps.append(solve(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(sim, "solve_powerflow", kept)
+    run = sim.run_timeseries(tiny_spec, scenario)
+    n = scenario.horizon_minutes // sim.TIMESTEP_MINUTES
+    close = scenario.tie_close_step
+    configs, which = sim.group_rows(run.controls.status)
+    assert len(configs) == 2 and which[0] != which[-1]
+    assert len(set(which[:close])) == len(set(which[close:])) == 1
+    assert len(steps) == len(run.v_mag) == n
+    flows = sim.derive_flows(run)
+    for t, state in enumerate(steps):
+        alone = step_state(run, t)
+        for name in ("timestamp", "s_injection", "v", "i_branch", "v_mag",
+                     "sweep_iterations"):
+            assert (np.asarray(getattr(alone, name)).tobytes()
+                    == np.asarray(getattr(state, name)).tobytes()), (name, t)
+        for got, want in zip(alone.controls, state.controls):
+            assert got.tobytes() == want.tobytes(), t
+        for name, got, want in zip(sim.Flows._fields, flows,
+                                   sim.derive_flows(state)):
+            assert got[t].tobytes() == want.tobytes(), (name, t)
+
+
 def test_v2_rows_equal_v1_on_tiny_open(tiny_spec):
     scenario = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20)
-    states, data = solved(tiny_spec, scenario)
+    run, data = solved(tiny_spec, scenario)
     assert len(data.arrays["config_status"]) == 1
-    assert_rows_equal_v1(data, v1_reference_arrays(states, tiny_spec,
+    assert_rows_equal_v1(data, v1_reference_arrays(run, tiny_spec,
                                                    scenario))
 
 
 def test_v2_rows_equal_v1_across_a_tie_closing(tiny_spec):
-    states, data = solved(tiny_spec, TIE_AT_2)
+    run, data = solved(tiny_spec, TIE_AT_2)
     assert len(data.arrays["config_status"]) == 2
-    ref = v1_reference_arrays(states, tiny_spec, TIE_AT_2)
+    ref = v1_reference_arrays(run, tiny_spec, TIE_AT_2)
     assert_rows_equal_v1(data, ref)
 
 
@@ -519,8 +593,8 @@ def test_v2_rows_equal_v1_on_medium_with_ties_closed():
     spec = sim.generate_substation(101, "medium")
     scenario = sim.ScenarioConfig(horizon_minutes=1440, der_penetration=20,
                                   tie_closures=tuple(range(len(spec.ties))))
-    states, data = solved(spec, scenario)
-    assert_rows_equal_v1(data, v1_reference_arrays(states, spec, scenario))
+    run, data = solved(spec, scenario)
+    assert_rows_equal_v1(data, v1_reference_arrays(run, spec, scenario))
 
 
 @pytest.mark.parametrize("rows", [
@@ -530,11 +604,11 @@ def test_v2_rows_equal_v1_on_medium_with_ties_closed():
      [-1, 2, 0, 0], [1, 0, 1, 0], [1, 0, 0, 9]],
 ])
 def test_configuration_grouping_equals_unique_rows(rows):
-    """_group_rows gives np.unique(axis=0, return_inverse=True)'s sorted
+    """group_rows gives np.unique(axis=0, return_inverse=True)'s sorted
     distinct rows and inverse on stacks of 1, 2 and 5 distinct rows given
     out of order, in the rows' dtype."""
     status = np.array(rows, dtype=np.int64)
-    configs, which = dsm._group_rows(status)
+    configs, which = sim.group_rows(status)
     expected, inverse = np.unique(status, axis=0, return_inverse=True)
     assert configs.dtype == status.dtype
     assert configs.shape == expected.shape
@@ -548,9 +622,8 @@ def test_configuration_grouping_of_a_run_with_a_tie_closing(tiny_spec):
     order, group as np.unique groups them."""
     scenario = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20,
                                   tie_closures=(0,), tie_close_step=5)
-    status = np.stack([s.edge_status
-                       for s in sim.run_timeseries(tiny_spec, scenario)])
-    configs, which = dsm._group_rows(status)
+    status = sim.run_timeseries(tiny_spec, scenario).controls.status
+    configs, which = sim.group_rows(status)
     expected, inverse = np.unique(status, axis=0, return_inverse=True)
     assert which.tolist() == [1] * 5 + [0] * 7
     assert configs.tobytes() == expected.tobytes()
@@ -559,13 +632,13 @@ def test_configuration_grouping_of_a_run_with_a_tie_closing(tiny_spec):
 
 def test_v1_files_are_refused(ds, tiny_spec, tmp_path, capsys):
     scenario = sim.ScenarioConfig(horizon_minutes=HORIZON, der_penetration=20)
-    states = sim.run_timeseries(tiny_spec, scenario)
-    arrays = v1_reference_arrays(states, tiny_spec, scenario)
+    run = sim.run_timeseries(tiny_spec, scenario)
+    arrays = v1_reference_arrays(run, tiny_spec, scenario)
     meta = {"format": "snapshot-dataset/v1",
             "feature_order_hash": net.feature_order_hash(),
             "substation": tiny_spec.name,
             "scenarios": [dsm.scenario_to_dict(scenario)],
-            "n_snapshots": len(states)}
+            "n_snapshots": len(run.v_mag)}
     arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
     path = tmp_path / "old.npz"
     dsm.write_npz(path, arrays)

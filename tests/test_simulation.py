@@ -100,11 +100,13 @@ def test_two_bus_closed_form_property(r, x, p, q):
 
 def test_two_bus_flows_and_head_power():
     state, graph = solve_two_bus(0.01, 0.02, 0.5, 0.2)
-    s_send = complex(state.edge_p[0], state.edge_q[0])
-    loss = complex(0.01, 0.02) * state.edge_i_mag[0] ** 2
+    flows = sim.derive_flows(state)
+    s_send = complex(flows.edge_p[0], flows.edge_q[0])
+    loss = complex(0.01, 0.02) * flows.edge_i_mag[0] ** 2
     assert abs(s_send - loss - complex(0.5, 0.2)) < 1e-9
-    assert abs(state.feeder_heads[5] - s_send) < 1e-12
-    assert state.s_subxfmr == state.feeder_heads[5] + state.s_aux
+    assert graph.feeder_ids.tolist() == [5]
+    assert abs(flows.head[0] - s_send) < 1e-12
+    assert flows.s_subxfmr == flows.head[0] + graph.aux_load
 
 
 def test_nonconvergence_raises_with_residual():
@@ -134,6 +136,11 @@ def tiny_spec():
 def tiny_day(tiny_spec):
     return sim.run_timeseries(tiny_spec, sim.ScenarioConfig(
         horizon_minutes=1440, der_penetration=20))
+
+
+@pytest.fixture(scope="module")
+def tiny_day_flows(tiny_day):
+    return sim.derive_flows(tiny_day)
 
 
 def test_generation_is_deterministic(tiny_spec):
@@ -275,8 +282,11 @@ def test_spec_file_refuses_a_numpy_integer(tmp_path):
 
 
 def test_horizon_snapshot_count(tiny_spec):
-    states = sim.run_timeseries(tiny_spec, sim.ScenarioConfig(horizon_minutes=500))
-    assert len(states) == 33
+    run = sim.run_timeseries(tiny_spec, sim.ScenarioConfig(horizon_minutes=500))
+    steps = [run.timestamp, run.s_injection, *run.controls, run.v,
+             run.i_branch, run.v_mag, run.sweep_iterations]
+    assert [len(a) for a in steps] == [33] * len(steps)
+    assert run.timestamp.tolist() == [15.0 * t for t in range(33)]
 
 
 def test_scenario_validation():
@@ -286,74 +296,70 @@ def test_scenario_validation():
         sim.ScenarioConfig(horizon_minutes=10)
 
 
-def test_conservation_is_exact_over_a_day(tiny_day):
-    for state in tiny_day:
-        assert conservation_max(state) < 1e-10
-        assert state.sweep_iterations < 100
+def test_conservation_is_exact_over_a_day(tiny_day, tiny_day_flows):
+    assert tiny_day_flows.residual.shape == tiny_day.v_mag.shape
+    assert tiny_day_flows.residual.max() < 1e-10
+    assert tiny_day.sweep_iterations.max() < 100
 
 
-def conservation_max(state):
-    return float(sim.conservation_residuals(state).max())
-
-
-def test_hub_balance_identity(tiny_day):
-    for state in tiny_day[::7]:
-        total = sum(state.feeder_heads.values()) + state.s_aux
-        assert total == state.s_subxfmr
-        injections = np.sum(state.p_injection_pu + 1j * state.q_injection_pu)
-        closed = state.edge_status == 1
-        losses = np.sum(state.graph.edge_impedance[closed]
-                        * state.edge_i_mag[closed] ** 2)
-        expected = injections + losses + state.s_aux
-        assert abs(state.s_subxfmr - expected) < 1e-9
+def test_hub_balance_identity(tiny_day, tiny_day_flows):
+    g, flows = tiny_day.graph, tiny_day_flows
+    for t in range(0, len(tiny_day.v_mag), 7):
+        total = sum(flows.head[t]) + g.aux_load
+        assert total == flows.s_subxfmr[t]
+        injections = np.sum(tiny_day.s_injection[t])
+        closed = tiny_day.controls.status[t] == 1
+        losses = np.sum(g.edge_impedance[closed]
+                        * flows.edge_i_mag[t, closed] ** 2)
+        expected = injections + losses + g.aux_load
+        assert abs(flows.s_subxfmr[t] - expected) < 1e-9
 
 
 def test_conservation_on_medium_substation():
     spec = sim.generate_substation(11, "medium")
     graph = sim.build_graph(spec)
     assert graph.n_nodes == 603
-    states = sim.run_timeseries(spec, sim.ScenarioConfig(
+    run = sim.run_timeseries(spec, sim.ScenarioConfig(
         horizon_minutes=4 * sim.TIMESTEP_MINUTES, der_penetration=20))
-    for state in states:
-        assert conservation_max(state) < 1e-9
+    assert sim.derive_flows(run).residual.max() < 1e-9
 
 
-def test_squared_voltage_drop_identity(tiny_day):
+def test_squared_voltage_drop_identity(tiny_day, tiny_day_flows):
     """On every active unity-ratio edge, the squared-magnitude drop minus
     2(R*P + X*Q) equals the quadratic loss term -(|z| |I|)^2 exactly."""
-    for state in (tiny_day[20], tiny_day[50], tiny_day[90]):
-        g = state.graph
-        e = np.flatnonzero((state.edge_status == 1)
+    g, flows = tiny_day.graph, tiny_day_flows
+    for t in (20, 50, 90):
+        e = np.flatnonzero((tiny_day.controls.status[t] == 1)
                            & (g.edge_kind != "regulator"))
-        v, z = state.v_mag, g.edge_impedance[e]
+        v, z = tiny_day.v_mag[t], g.edge_impedance[e]
         gap = (v[g.edge_from[e]] ** 2 - v[g.edge_to[e]] ** 2
-               - 2.0 * (z.real * state.edge_p[e] + z.imag * state.edge_q[e]))
-        quad = (z.real ** 2 + z.imag ** 2) * state.edge_i_mag[e] ** 2
+               - 2.0 * (z.real * flows.edge_p[t, e]
+                        + z.imag * flows.edge_q[t, e]))
+        quad = (z.real ** 2 + z.imag ** 2) * flows.edge_i_mag[t, e] ** 2
         assert np.max(np.abs(gap + quad)) < 1e-9
         assert len(e) > 50
 
 
-def test_physics_edge_set_membership(tiny_spec, tiny_day):
+def test_physics_edge_set_membership(tiny_spec, tiny_day, tiny_day_flows):
     data = dsm.dataset_from_states(tiny_spec, sim.ScenarioConfig(
-        horizon_minutes=1440, der_penetration=20), tiny_day)
-    kind = tiny_day[0].graph.edge_kind
+        horizon_minutes=1440, der_penetration=20), tiny_day, tiny_day_flows)
+    kind = tiny_day.graph.edge_kind
     for t in (0, 40):
-        expected = (tiny_day[t].edge_status == 1) & np.isin(
+        expected = (tiny_day.controls.status[t] == 1) & np.isin(
             kind, ("line", "cable", "switch"))
         snap = data.snapshot(t)
         assert np.array_equal(snap.phys_from, snap.edge_from[expected])
         assert np.array_equal(snap.phys_to, snap.edge_to[expected])
 
 
-def test_branch_flows_stay_light_on_tiny(tiny_day):
-    worst = max(np.max(np.hypot(state.edge_p, state.edge_q))
-                for state in tiny_day)
-    assert worst < 0.3
+def test_branch_flows_stay_light_on_tiny(tiny_day_flows):
+    flows = tiny_day_flows
+    assert np.max(np.hypot(flows.edge_p, flows.edge_q)) < 0.3
 
 
-def test_voltage_band_and_variability(tiny_day):
-    v = np.stack([state.v_mag for state in tiny_day])
-    bus_phases = tiny_day[0].graph.bus_phases
+def test_voltage_band_and_variability(tiny_day, tiny_day_flows):
+    v = tiny_day.v_mag
+    bus_phases = tiny_day.graph.bus_phases
 
     def where(t, node):
         bp = bus_phases[node]
@@ -370,7 +376,7 @@ def test_voltage_band_and_variability(tiny_day):
     assert v.min() > lo, f"below the band: {where(t, node)}"
     t, node = np.unravel_index(np.argmax(v), v.shape)
     assert v.max() < hi, f"above the band: {where(t, node)}"
-    assert sim.solver_health(tiny_day)["in_band"]
+    assert sim.solver_health(tiny_day, tiny_day_flows)["in_band"]
     lv_nodes = np.array([bp.id for bp in bus_phases if bp.bus_type == "lv_node"])
     per_node_std = v[:, lv_nodes].std(axis=0)
     stiffest = lv_nodes[np.argmin(per_node_std)]
@@ -388,15 +394,17 @@ def test_monotone_drop_without_der(tiny_spec):
     for f in spec.feeders:
         for c in f.capacitors:
             c.on = False
-    states = sim.run_timeseries(spec, sim.ScenarioConfig(
+    run = sim.run_timeseries(spec, sim.ScenarioConfig(
         horizon_minutes=1440, der_penetration=0))
-    state = states[72]  # evening peak
-    g = state.graph
-    e = np.flatnonzero((state.edge_status == 1) & (g.edge_kind != "regulator"))
-    reverse = state.edge_p[e] < 0
+    t = 72  # evening peak
+    g = run.graph
+    e = np.flatnonzero((run.controls.status[t] == 1)
+                       & (g.edge_kind != "regulator"))
+    reverse = sim.derive_flows(run).edge_p[t, e] < 0
     upstream = np.where(reverse, g.edge_to[e], g.edge_from[e])
     downstream = np.where(reverse, g.edge_from[e], g.edge_to[e])
-    assert np.all(state.v_mag[downstream] <= state.v_mag[upstream] + 1e-9)
+    v = run.v_mag[t]
+    assert np.all(v[downstream] <= v[upstream] + 1e-9)
 
 
 def test_der_raises_downstream_voltage(tiny_spec):
@@ -405,9 +413,9 @@ def test_der_raises_downstream_voltage(tiny_spec):
     high = sim.run_timeseries(tiny_spec, sim.ScenarioConfig(
         horizon_minutes=1440, der_penetration=40))
     noon = 50
-    assert base[noon].p_injection_pu.min() >= 0.0
-    assert high[noon].p_injection_pu.min() < 0.0
-    lift = high[noon].v_mag - base[noon].v_mag
+    assert base.s_injection[noon].real.min() >= 0.0
+    assert high.s_injection[noon].real.min() < 0.0
+    lift = high.v_mag[noon] - base.v_mag[noon]
     assert lift.max() > 1e-4
     assert lift.min() > -1e-6
 
@@ -415,8 +423,8 @@ def test_der_raises_downstream_voltage(tiny_spec):
 def test_run_is_deterministic(tiny_spec):
     cfg = sim.ScenarioConfig(horizon_minutes=6 * sim.TIMESTEP_MINUTES,
                              der_penetration=20)
-    a = np.stack([s.v_mag for s in sim.run_timeseries(tiny_spec, cfg)])
-    b = np.stack([s.v_mag for s in sim.run_timeseries(tiny_spec, cfg)])
+    a = sim.run_timeseries(tiny_spec, cfg).v_mag
+    b = sim.run_timeseries(tiny_spec, cfg).v_mag
     assert np.array_equal(a, b)
 
 
@@ -459,8 +467,7 @@ def test_regulator_steps_into_deadband():
     assert taps == sorted(taps)
     assert 1 <= controls.taps.max() <= 5
     assert 0.99 <= volts[-1] <= 1.01
-    assert state.edge_tap[graph.reg_edges[0]] == pytest.approx(
-        controls.taps.max() / 16)
+    assert state.controls.taps.tolist() == controls.taps.tolist()
 
 
 def settle_reg_chain(reversed_regulator: bool, steps: int = 20):
@@ -502,18 +509,22 @@ def test_reversed_regulator_settles_like_the_forward_one():
 
 
 def test_solved_state_owns_its_device_arrays(tiny_spec):
-    """A later change to a Controls array leaves a solved state as it was."""
+    """A later change to a Controls array or to the injections leaves a
+    solved state as it was."""
     graph = sim.build_graph(tiny_spec)
     controls = normal_controls(graph)
     controls.taps[:] = 2
     s = sim._injections(tiny_spec, graph, sim.ScenarioConfig(
         horizon_minutes=sim.TIMESTEP_MINUTES))[0]
     state = sim.solve_powerflow(tiny_spec, graph, s, controls)
+    before = s.copy()
     controls.status[:] = 0
     controls.taps[:] = -3
-    assert state.edge_status.tobytes() == graph.edge_normally_closed.tobytes()
-    assert np.all(state.edge_tap[graph.reg_edges] == 2 / sim.REG_MAX_TAP)
-    assert np.count_nonzero(state.edge_tap) == len(graph.reg_edges)
+    s[:] = 0
+    assert (state.controls.status.tobytes()
+            == graph.edge_normally_closed.tobytes())
+    assert np.all(state.controls.taps == 2)
+    assert state.s_injection.tobytes() == before.tobytes()
 
 
 def regulate_scalar(v, tap):
@@ -577,28 +588,26 @@ def test_tie_closure_reroots_transfer_subtree(tiny_spec):
     cfg = sim.ScenarioConfig(horizon_minutes=4 * sim.TIMESTEP_MINUTES,
                              der_penetration=0,
                              tie_closures=(0,), tie_close_step=2)
-    states = sim.run_timeseries(tiny_spec, cfg)
+    status = sim.run_timeseries(tiny_spec, cfg).controls.status
     tie = tiny_spec.ties[0]
     graph = sim.build_graph(tiny_spec)
 
     tie_edges = np.flatnonzero(graph.edge_device == tie.device_uid)
     sect_edges = np.flatnonzero(graph.edge_device == tie.sectionalizer_uid)
     assert len(tie_edges) == len(sect_edges) == 3
-    for state in states[:2]:
-        assert np.all(state.edge_status[tie_edges] == 0)
-        assert np.all(state.edge_status[sect_edges] == 1)
-    for state in states[2:]:
-        assert np.all(state.edge_status[tie_edges] == 1)
-        assert np.all(state.edge_status[sect_edges] == 0)
+    assert np.all(status[:2, tie_edges] == 0)
+    assert np.all(status[:2, sect_edges] == 1)
+    assert np.all(status[2:, tie_edges] == 1)
+    assert np.all(status[2:, sect_edges] == 0)
 
-    def supplying_feeder(state):
-        return sim.structural_annotations(graph, state.edge_status)[3]
+    def supplying_feeder(t):
+        return sim.structural_annotations(graph, status[t])[3]
 
-    feeder = supplying_feeder(states[3])
+    feeder = supplying_feeder(3)
     for ph in net.PHASES:
         node = graph.node_of[(tie.transfer_bus, ph)]
         assert feeder[node] == tie.from_feeder
-    feeder_before = supplying_feeder(states[0])
+    feeder_before = supplying_feeder(0)
     for ph in net.PHASES:
         node = graph.node_of[(tie.transfer_bus, ph)]
         assert feeder_before[node] == tie.to_feeder
@@ -682,22 +691,18 @@ def loop_sweep_reference(spec, graph, s_injection, controls, timestamp=0.0,
         raise sim.PowerFlowError("solver produced non-finite voltages",
                                  residual=residual)
     backward(v_volt, i_branch)
-    state = sim._assemble_state(spec, graph, tree, controls, s_injection,
-                                timestamp, v_volt, i_branch, e_ratio)
-    state.sweep_iterations = iterations
-    return state
-
-
-SOLVED_ARRAYS = ("v_mag", "edge_p", "edge_q", "edge_i_mag")
+    return sim.SolvedState(graph, timestamp, s_injection, controls, v_volt,
+                           i_branch, np.abs(v_volt), iterations)
 
 
 def assert_bit_identical(state, ref, where):
-    for name in SOLVED_ARRAYS:
-        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), \
-            f"{name} differs {where}"
+    """Equal voltage magnitudes and iteration counts, and every array
+    derive_flows forms from the two states equal byte for byte."""
+    assert state.v_mag.tobytes() == ref.v_mag.tobytes(), f"v_mag {where}"
     assert state.sweep_iterations == ref.sweep_iterations, where
-    assert (np.array(state.s_subxfmr).tobytes()
-            == np.array(ref.s_subxfmr).tobytes()), where
+    for name, got, want in zip(sim.Flows._fields, sim.derive_flows(state),
+                               sim.derive_flows(ref)):
+        assert got.tobytes() == want.tobytes(), f"{name} differs {where}"
 
 
 def zero_injection_subtrees(tree, s_injection):
@@ -748,7 +753,7 @@ def test_level_sweep_matches_loop_reference(seed, size, n_feeders, n_steps,
         return state
 
     monkeypatch.setattr(sim, "solve_powerflow", checked)
-    graph = sim.run_timeseries(spec, scenario)[0].graph
+    graph = sim.run_timeseries(spec, scenario).graph
     assert len(seen) == n_steps
     # one tree per switch configuration the run crossed
     assert len(graph.trees) == (1 if close_step == 0 else 2)
