@@ -11,9 +11,10 @@ case studies are defined here, in ``_study_rows``: each is a list of
 Every run writes a manifest into its run directory (the directory of the
 primary output, overridable via the ``GRIDVOLT_RUN_DIR`` environment
 variable): command name, a hash of the effective configuration, the seeds
-involved, input and output paths, and a SHA-256 per output file. Two runs
-with the same configuration and seeds produce byte-identical outputs, so
-the manifests certify reproducibility.
+involved, input and output paths, and a SHA-256 per output file, plus the
+solver's health (``generate``) or what model selection chose (``train``,
+``finetune``). Two runs with the same configuration and seeds produce
+byte-identical outputs, so the manifests certify reproducibility.
 
 Failures exit with code 1 and print one line, ``ERROR <category>:
 <message>``, where category is one of config, data, powerflow, training,
@@ -30,7 +31,7 @@ import sys
 import time
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -40,6 +41,7 @@ from . import model as gmodel
 from . import simulation as gsim
 from . import training as gtr
 from .gradcheck import format_report, run_gradcheck
+from .settings import from_settings
 
 ERROR_CATEGORIES = ("config", "data", "powerflow", "training", "checkpoint",
                     "internal")
@@ -71,6 +73,7 @@ class RunManifest:
     version: str
     wall_clock_s: float
     solver: dict | None = None  # generate: simulation.solver_health
+    training: dict | None = None  # train, finetune: TrainResult.summary
 
 
 def _sha256(path) -> str:
@@ -110,7 +113,8 @@ def write_manifest(run_dir, manifest: RunManifest) -> Path:
 
 
 def _finish(command: str, config_obj, seeds, inputs, outputs,
-            started: float, solver: dict | None = None) -> None:
+            started: float, **blocks) -> None:
+    """Write the run's manifest; ``blocks`` are its optional blocks."""
     manifest = RunManifest(
         command=command,
         config_hash=_config_hash(config_obj),
@@ -119,8 +123,7 @@ def _finish(command: str, config_obj, seeds, inputs, outputs,
         outputs={str(p): _sha256(p) for p in outputs},
         version=__version__,
         wall_clock_s=round(time.monotonic() - started, 3),
-        solver=solver,
-    )
+        **blocks)
     write_manifest(run_dir_for(outputs[0]), manifest)
 
 
@@ -163,24 +166,11 @@ def _train_config(args) -> gtr.TrainConfig:
                            f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise CliError("config", f"malformed config JSON: {exc}") from exc
-        if not isinstance(values, dict):
-            raise CliError("config", "config must be a JSON object, got "
-                                     f"{type(values).__name__}")
-        known = {f.name for f in fields(gtr.TrainConfig)}
-        unknown = set(values) - known
-        if unknown:
-            raise CliError("config",
-                           f"unknown config keys: {sorted(unknown)}")
-        if "levels" in values:
-            if not isinstance(values["levels"], list):
-                raise CliError("config", "levels must be a JSON list, got "
-                                         f"{values['levels']!r}")
-    if args.seed is not None:
-        values["seed"] = args.seed
     try:
-        return gtr.TrainConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise CliError("config", f"invalid training config: {exc}") from exc
+        config = from_settings(gtr.TrainConfig, values, "training config")
+        return config if args.seed is None else replace(config, seed=args.seed)
+    except ValueError as exc:
+        raise CliError("config", str(exc)) from exc
 
 
 def _parse_levels(text: str) -> tuple:
@@ -266,7 +256,7 @@ def cmd_train(args) -> None:
     history_path = out.with_suffix(".history.csv")
     gtr.history_to_csv(result.history, history_path)
     _finish("train", asdict(config), [config.seed], args.data,
-            [out, history_path], started)
+            [out, history_path], started, training=result.summary())
     if result.aborted:
         raise CliError("training",
                        f"diverged; last good checkpoint written to {out}")
@@ -294,7 +284,8 @@ def cmd_finetune(args) -> None:
     history_path = out.with_suffix(".history.csv")
     gtr.history_to_csv(result.history, history_path)
     _finish("finetune", asdict(config), [config.seed],
-            [args.checkpoint, args.data], [out, history_path], started)
+            [args.checkpoint, args.data], [out, history_path], started,
+            training=result.summary())
     if result.aborted:
         raise CliError("training",
                        f"diverged; last good checkpoint written to {out}")

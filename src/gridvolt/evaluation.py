@@ -47,6 +47,7 @@ from .dataset import Snapshot
 from .model import ModelParams, batch_runs, build_batch, forward, refill
 from .seeding import derive_seed
 from .seeding import rng as _rng
+from .settings import check_fields
 
 REPORT_COLUMNS = ("scenario", "substation", "p_obs", "model", "RMSE", "MAE",
                   "seed")
@@ -90,6 +91,7 @@ class AttackConfig:
     targets: str = "both"  # voltage | power | both
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.penetration <= 0.06:
             raise ValueError(
                 f"penetration must lie in [0, 0.06], got {self.penetration}")

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import GraphBatch, ModelParams, forward
+from .settings import check_fields
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +39,7 @@ class LossWeights:
     lam_reg: float = 1e-5
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("lam_sup", "lam_phys", "lam_reg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -35,9 +35,7 @@ mask and every time step of its configurations.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,6 +43,7 @@ from . import autodiff as ad
 from . import network as net
 from .dataset import Snapshot, write_npz
 from .seeding import rng as _rng
+from .settings import check_fields, from_settings
 
 CHECKPOINT_FORMAT = "gridvolt-checkpoint/v1"
 N_EDGE_TYPES = 4  # line, cable, transformer/regulator, switch
@@ -57,19 +56,6 @@ _EDGE_PH_COLS = slice(net.EDGE_FEATURE_INDEX["phase_a"],
                       net.EDGE_FEATURE_INDEX["phase_c"] + 1)
 
 
-def _require_real(name: str, value) -> None:
-    """Refuse anything but a finite real number; a bool is not one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, "
-                         f"got {value!r}")
-
-
-def _is_int(value) -> bool:
-    """An int, and not a bool (which Python counts as one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class ModelConfig:
     hidden_dim: int = 64
@@ -80,44 +66,13 @@ class ModelConfig:
     sensor_gain: float = 25.0   # init-time amplification of the sensor rows
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_layers < 2:
             raise ValueError("need at least 2 layers to split freezing groups")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.sensor_gain < 0:
             raise ValueError("sensor_gain must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {"hidden_dim": self.hidden_dim, "n_layers": self.n_layers,
-                "decoder_hidden": self.decoder_hidden,
-                "temperature": self.temperature,
-                "beta_init": list(self.beta_init),
-                "sensor_gain": self.sensor_gain}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config ``to_dict`` gave. A key it does not write, or a value
-        of the wrong type, is refused with a ``ValueError``."""
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown model config keys {sorted(unknown)}")
-        d = dict(d)
-        for name in ("hidden_dim", "n_layers", "decoder_hidden"):
-            if name in d and not _is_int(d[name]):
-                raise ValueError(f"model config {name} must be an integer, "
-                                 f"got {d[name]!r}")
-        for name in ("temperature", "sensor_gain"):
-            if name in d:
-                _require_real(f"model config {name}", d[name])
-        if "beta_init" in d:
-            beta = d["beta_init"]
-            if not isinstance(beta, list) or len(beta) != len(cls.beta_init):
-                raise ValueError(f"model config beta_init must be a list of "
-                                 f"{len(cls.beta_init)}, got {beta!r}")
-            for value in beta:
-                _require_real("each of model config beta_init", value)
-            d["beta_init"] = tuple(beta)
-        return cls(**d)
 
 
 _LAYER_TENSORS = tuple(f"msg{r}" for r in range(N_EDGE_TYPES)) + (
@@ -508,7 +463,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     meta = {
         "format": CHECKPOINT_FORMAT,
         "feature_order_hash": net.feature_order_hash(),
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "groups": params.groups,
         "feeder_rows": {str(k): v for k, v in params.feeder_rows.items()},
     }
@@ -528,7 +483,7 @@ def load_checkpoint(path) -> ModelParams:
         if meta["feature_order_hash"] != net.feature_order_hash():
             raise ValueError("checkpoint feature order does not match this "
                              "build; refusing to load")
-        config = ModelConfig.from_dict(meta["config"])
+        config = from_settings(ModelConfig, meta["config"], "model config")
         tensors = {}
         for key in data.files:
             if key.startswith("tensor/"):

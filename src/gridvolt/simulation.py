@@ -29,6 +29,7 @@ import numpy as np
 
 from . import network as net
 from .seeding import derive_seed, rng as _rng
+from .settings import check_fields
 
 S_BASE_MVA = 1.0
 TIMESTEP_MINUTES = 15
@@ -219,6 +220,7 @@ class ScenarioConfig:
     pseudo_noise_local: float = 0.12
 
     def __post_init__(self):
+        check_fields(self)
         if self.der_penetration not in DER_PENETRATIONS:
             raise ValueError(
                 f"der_penetration must be one of {DER_PENETRATIONS}, "
@@ -862,9 +864,9 @@ def _backward_sweep(tree: _PhaseTree, ratio_coef: np.ndarray, s: np.ndarray,
     would change a current only in the sign of an exact zero, so the run
     is added as it is. Inside a subtree without injections, a zero current
     then keeps the -0 imaginary part of conj(0 / v) where the product would
-    give +0. _assemble_state multiplies every current by its ratio again,
-    which clears that sign on each edge specified from parent to child, as
-    every generated edge is.
+    give +0. derive_flows multiplies every branch current by its ratio
+    again, which clears that sign on each edge specified from parent to
+    child, as every generated edge is.
     """
     i_acc = np.conj(s / v)
     x = i_acc.view(np.float64)

@@ -46,9 +46,9 @@ from . import network as net
 from .dataset import TEST_FRACTION, SnapshotDataset, split_windows
 from .evaluation import hidden_errors, level_predictions
 from .losses import LossWeights, batch_loss, physics_ramp
-from .model import (GraphBatch, ModelConfig, ModelParams, _is_int,
-                    _require_real, build_batch, refill)
+from .model import GraphBatch, ModelConfig, ModelParams, build_batch, refill
 from .seeding import rng as _rng
+from .settings import check_fields
 
 CURRICULUM_LEVELS = (80, 75, 70, 65, 60, 55, 50, 45, 40, 35, 30, 25, 20, 15,
                      10, 5, 1)
@@ -62,11 +62,6 @@ def canonical_level(p_obs):
     """
     value = float(p_obs)
     return int(value) if value.is_integer() else value
-
-
-_REAL_FIELDS = ("lr_warmup", "lr_curriculum", "lr_finetune", "plateau_eps",
-                "lam_sup", "lam_max", "lam_reg", "val_fraction",
-                "finetune_fraction", "warmup_p_obs")
 
 
 @dataclass(frozen=True)
@@ -99,19 +94,13 @@ class TrainConfig:
     select_levels: tuple = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
 
     def __post_init__(self):
-        for name in _REAL_FIELDS:
-            _require_real(name, getattr(self, name))
-        for name in ("levels", "select_levels"):
-            for value in getattr(self, name):
-                _require_real(f"each of {name}", value)
-        if not self.levels:
-            raise ValueError("curriculum needs at least one level")
-        if any(not 0 < p < 100 for p in self.levels):
-            raise ValueError("observability levels must lie in (0, 100)")
-        if not self.select_levels:
-            raise ValueError("selection needs at least one level")
-        if any(not 0 < p < 100 for p in self.select_levels):
-            raise ValueError("selection levels must lie in (0, 100)")
+        check_fields(self)
+        for name, label in (("levels", "observability"),
+                            ("select_levels", "selection")):
+            levels = getattr(self, name)
+            if not levels or any(not 0 < p < 100 for p in levels):
+                raise ValueError(f"{label} levels must lie in (0, 100), one "
+                                 f"or more, got {levels!r}")
         if not 0 < self.warmup_p_obs < 100:
             raise ValueError("warmup_p_obs must lie in (0, 100)")
         # a level labels the validation masks it draws by its str(), so each
@@ -122,17 +111,14 @@ class TrainConfig:
         object.__setattr__(self, "select_levels",
                            tuple(float(p) for p in self.select_levels))
         object.__setattr__(self, "warmup_p_obs", float(self.warmup_p_obs))
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not _is_int(self.plateau_window) or self.plateau_window < 1:
-            raise ValueError("plateau window must be an integer >= 1")
+        if self.plateau_window < 1:
+            raise ValueError("plateau window must be >= 1")
         for name, least in (("steps_per_epoch", 1), ("val_max_snapshots", 1),
                             ("epochs_per_level", 1), ("max_warmup_epochs", 0),
                             ("ramp_epochs", 0), ("finetune_epochs", 0)):
             value = getattr(self, name)
-            if not _is_int(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, "
-                                 f"got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         if not 0 < self.val_fraction < 1:
             raise ValueError("val_fraction must lie in (0, 1)")
         if not 0 < self.finetune_fraction <= 1:
@@ -162,7 +148,17 @@ class TrainResult:
     params: ModelParams
     history: list[EpochRecord]
     aborted: bool = False
+    # per dataset, the epoch whose weights were kept (-1: none) and its score,
+    # the mean RMSE of the selection probes (inf: none)
     selected_epochs: tuple = ()
+    selection_scores: tuple = ()
+
+    def summary(self) -> dict:
+        """What selection chose, as the manifest's ``training`` block."""
+        return {"epochs": len(self.history), "aborted": self.aborted,
+                "selected_epochs": list(self.selected_epochs),
+                "selection_scores": [s if np.isfinite(s) else None
+                                     for s in self.selection_scores]}
 
 
 HISTORY_COLUMNS = ("epoch", "stage", "p_obs", "lam_phys", "lr", "train_total",
@@ -439,8 +435,7 @@ def train(datasets, config: TrainConfig,
     params = ModelParams.create(model_config or ModelConfig(), feeders,
                                 seed=config.seed)
     history: list[EpochRecord] = []
-    aborted = False
-    selected: list[int] = []
+    trainers: list[_Trainer] = []
     for dataset in datasets:
         train_idx, val_idx, _ = split_windows(
             dataset.n_snapshots, config.val_fraction, TEST_FRACTION)
@@ -448,12 +443,12 @@ def train(datasets, config: TrainConfig,
         trainer.epoch = len(history)
         trainer.train_substation()
         history.extend(trainer.history)
-        selected.append(trainer.selected_epoch)
+        trainers.append(trainer)
         if trainer.aborted:
-            aborted = True
             break
-    return TrainResult(params=params, history=history, aborted=aborted,
-                       selected_epochs=tuple(selected))
+    return TrainResult(params, history, trainers[-1].aborted,
+                       tuple(t.selected_epoch for t in trainers),
+                       tuple(t._best_score for t in trainers))
 
 
 def finetune(params: ModelParams, dataset: SnapshotDataset,
@@ -482,6 +477,5 @@ def finetune(params: ModelParams, dataset: SnapshotDataset,
 
     trainer = _Trainer(params, dataset, train_idx[:n_keep], val_idx, config)
     trainer.finetune_substation()
-    return TrainResult(params=params, history=trainer.history,
-                       aborted=trainer.aborted,
-                       selected_epochs=(trainer.selected_epoch,))
+    return TrainResult(params, trainer.history, trainer.aborted,
+                       (trainer.selected_epoch,), (trainer._best_score,))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +126,20 @@ def test_finite_tensor_whose_sum_overflows_passes():
                            match="add: produced 4 non-finite values"):
             ad.add(x, x)
     np.testing.assert_array_equal(x.values, big)
+
+
+def test_finite_screen_raises_no_warning():
+    """The screen never sums the values, so a finite tensor whose sum
+    overflows builds without numpy's overflow warning; a NaN or an inf is
+    still refused with its count."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ad.Tensor(np.full(4, 1e308))
+        ad.Tensor(np.zeros((0, 3)))
+        for bad in ([1.0, np.nan, np.nan], [np.inf, 0.0, -np.inf]):
+            with pytest.raises(ad.NonFiniteError,
+                               match="produced 2 non-finite values"):
+                ad.Tensor(bad)
 
 
 def test_backward_requires_scalar():

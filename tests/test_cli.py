@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import struct
@@ -16,6 +17,7 @@ import pytest
 from gridvolt import cli
 from gridvolt import dataset as ds
 from gridvolt import simulation as gsim
+from gridvolt import training as gtr
 
 ERROR_LINE = re.compile(r"^ERROR (config|data|powerflow|training|checkpoint"
                         r"|internal): .+$")
@@ -178,6 +180,45 @@ def test_train_writes_history_and_manifest(workspace):
     assert manifest["seeds"] == [7]
 
 
+def test_train_and_finetune_manifests_record_the_selection(
+        workspace, tmp_path, monkeypatch):
+    """Each manifest's training block holds the epochs run, the epoch
+    selection kept with its finite score, and whether the run aborted, as
+    the TrainResult the command wrote."""
+    results = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            results.append(fn(*args, **kwargs))
+            return results[-1]
+        return wrapped
+
+    monkeypatch.setattr(gtr, "train", recording(gtr.train))
+    monkeypatch.setattr(gtr, "finetune", recording(gtr.finetune))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**json.loads(workspace["cfg"].read_text()),
+                               "finetune_epochs": 2}))
+    common = ["--data", str(workspace["data"]), "--config", str(cfg)]
+    for command, extra in (("train", []),
+                           ("finetune", ["--checkpoint",
+                                         str(workspace["ckpt"])])):
+        out = tmp_path / command / "m.npz"
+        assert cli.dispatch([command, *common, *extra, "--out", str(out)]) == 0
+        result = results[-1]
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        block = manifest["training"]
+        assert block["epochs"] == len(result.history)
+        assert block["aborted"] is result.aborted is False
+        assert block["selected_epochs"] == list(result.selected_epochs)
+        assert all(e >= 0 for e in block["selected_epochs"])
+        assert block["selection_scores"] == list(result.selection_scores)
+        assert all(math.isfinite(s) for s in block["selection_scores"])
+    assert len(results) == 2
+    generated = json.loads(
+        (workspace["data"].parent / "manifest.json").read_text())
+    assert "training" not in generated
+
+
 def test_train_missing_dataset(tmp_path, capsys):
     rc, _, err = run(["train", "--data", str(tmp_path / "nope.npz"),
                       "--out", str(tmp_path / "m.npz")], capsys)
@@ -204,6 +245,17 @@ def test_train_invalid_config_value(workspace, tmp_path, capsys):
                      capsys)
     assert rc == 1
     assert err.strip().startswith("ERROR config:")
+
+
+def test_seed_flag_does_not_hide_a_bad_seed_in_the_file(workspace, tmp_path,
+                                                        capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"seed": "a"}))
+    rc, _, err = run(["train", "--data", str(workspace["data"]),
+                      "--config", str(bad), "--seed", "3",
+                      "--out", str(tmp_path / "m.npz")], capsys)
+    assert rc == 1
+    assert err.strip() == "ERROR config: seed must be an integer, got 'a'"
 
 
 @dataclass(frozen=True)
@@ -411,6 +463,20 @@ def test_checkpoint_with_a_malformed_config(workspace, tmp_path, capsys,
     ckpt = _malformed_checkpoint(workspace, tmp_path, rewrite)
     err = _checkpoint_error(_evaluate_argv(ckpt, workspace, tmp_path), capsys)
     assert next(iter(edit)) in err
+
+
+@pytest.mark.parametrize("config", [5, [["hidden_dim", 8]]],
+                         ids=["a-number", "a-list"])
+def test_checkpoint_whose_config_is_not_an_object(workspace, tmp_path, capsys,
+                                                  config):
+    def rewrite(arrays):
+        meta = json.loads(str(arrays["meta_json"][()]))
+        meta["config"] = config
+        arrays["meta_json"] = np.array(json.dumps(meta, sort_keys=True))
+
+    ckpt = _malformed_checkpoint(workspace, tmp_path, rewrite)
+    err = _checkpoint_error(_evaluate_argv(ckpt, workspace, tmp_path), capsys)
+    assert "model config must be a JSON object" in err
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

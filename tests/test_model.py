@@ -5,6 +5,8 @@ invariants (permutation equivariance, locality of open edges, attention
 normalization) run on generated substations.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -759,7 +761,7 @@ def test_checkpoint_rejects_missing_tensor(tmp_path):
     del arrays["tensor/decoder.W2"]
     meta = {"format": gm.CHECKPOINT_FORMAT,
             "feature_order_hash": net.feature_order_hash(),
-            "config": params.config.to_dict(),
+            "config": asdict(params.config),
             "groups": {}, "feeder_rows": {"1": 0}}
     arrays["meta_json"] = np.array(json.dumps(meta))
     path = tmp_path / "model.npz"

@@ -187,7 +187,7 @@ def test_config_validation():
         tr.TrainConfig(plateau_window=0)
     with pytest.raises(ValueError, match="finetune_fraction"):
         tr.TrainConfig(finetune_fraction=0.0)
-    with pytest.raises(ValueError, match="plateau window"):
+    with pytest.raises(ValueError, match="plateau[_ ]window"):
         tr.TrainConfig(plateau_window=1.5)
     with pytest.raises(ValueError, match="seed"):
         tr.TrainConfig(seed="a")
