@@ -42,7 +42,10 @@ Conventions:
 * all values are float64; anything non-finite raises ``NonFiniteError`` as
   soon as it is produced,
 * segment ids must be sorted (non-decreasing); builders sort once up front,
-* a tape is single-threaded and is consumed by its first backward pass,
+* the active tape, and ``no_grad``'s suspension of it, belong to the
+  thread that entered them: an op records on its own thread's tape, so a
+  forward in another thread never records on it,
+* a tape is consumed by its first backward pass,
   which drops each record once it has used it, so a step's graph is freed
   by reference counting as soon as the caller lets go of its tensors,
 * gradients accumulate in ``grad``: a tensor whose ``grad`` is None takes a
@@ -55,6 +58,7 @@ Conventions:
 from __future__ import annotations
 
 import copy
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,14 +131,12 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._prev = _THREAD.tape
+        _THREAD.tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
+        _THREAD.tape = self._prev
 
     def backward(self, loss: Tensor) -> None:
         if self.consumed:
@@ -166,21 +168,34 @@ class Tape:
                     t.grad += g
 
 
-_ACTIVE_TAPE: Tape | None = None
+class _ThreadTape(threading.local):
+    """The tape that ops of the current thread record on, if any."""
+
+    tape: Tape | None = None
+
+
+_THREAD = _ThreadTape()
+
+
+def __getattr__(name: str):
+    # ``_ACTIVE_TAPE``, which ``perfbench/tracing.py`` reads, is the
+    # calling thread's active tape
+    if name == "_ACTIVE_TAPE":
+        return _THREAD.tape
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class no_grad:
-    """Context manager that disables recording (evaluation fast path)."""
+    """Context manager that disables recording in the current thread
+    (evaluation fast path)."""
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        self._prev = _THREAD.tape
+        _THREAD.tape = None
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
+        _THREAD.tape = self._prev
 
 
 class FlatStore:
@@ -228,7 +243,7 @@ class FlatStore:
         total = 0.0
         for k in ks:
             total += np.square(self.tensors[k].values).sum()
-        if _ACTIVE_TAPE is None or not ks:
+        if _THREAD.tape is None or not ks:
             return float(total)
         if ks[-1] - ks[0] + 1 != len(ks):
             raise ValueError("the tensors that require a gradient are not "
@@ -258,7 +273,7 @@ def _record(op: str, output_values: np.ndarray, inputs: tuple[Tensor, ...],
     out.values = output_values
     out.grad = None
     out.name = op
-    tape = _ACTIVE_TAPE
+    tape = _THREAD.tape
     tracked = tape is not None and any(t.requires_grad or not t._is_leaf for t in inputs)
     out.requires_grad = False
     out._is_leaf = not tracked

@@ -22,8 +22,10 @@ forwarded once on ``model.refill`` of that batch with its masked
 snapshots, its predictions shared by every replicate that drew that
 fleet. An attacked replicate draws its own attack stream, so it is
 forwarded once on its own. The ridge baseline scores each distinct fleet
-once the same way. Memory holds one level's predictions and one run's
-batch at a time.
+once the same way. The caller builds the runs and draws their attacks
+in run order; given a second usable core, one worker thread forwards
+whole runs beside it. Memory holds one level's predictions and at most
+two runs' batches, one per thread.
 
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
@@ -35,8 +37,11 @@ ground-truth labels are never touched.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +177,16 @@ def _fleet_groups(masks) -> list[list[int]]:
     return list(groups.values())
 
 
+def _worker() -> ThreadPoolExecutor | None:
+    """The scoring thread beside the caller's, or None when this process
+    may run on one core only."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    if cores < 2:
+        return None
+    return ThreadPoolExecutor(1, thread_name_prefix="gridvolt-score")
+
+
 def level_predictions(params: ModelParams, snaps, masks, gens,
                       attack: AttackConfig | None) -> np.ndarray:
     """Predictions ``[replicate, snapshot, node]`` under each mask.
@@ -184,24 +199,53 @@ def level_predictions(params: ModelParams, snaps, masks, gens,
     watching the day unfold; under an ``attack``, mask ``k``'s draws come
     from ``gens[k]``, run by run in snapshot order, so every attacked
     replicate forwards once on its own.
+
+    The caller builds the runs and draws their attacks in run order. With
+    a second usable core, one worker thread forwards whole runs beside
+    it: a run goes to the worker when it is idle and is forwarded by the
+    caller otherwise, so at most one run per thread is in flight. Runs
+    write disjoint slices of the result, which is the same whichever
+    thread forwards a run. An exception in the worker is raised again in
+    the caller.
     """
     groups = (_fleet_groups(masks) if attack is None
               else [[k] for k in range(len(masks))])
     preds = np.empty((len(masks), len(snaps), snaps[0].node_x.shape[0]))
-    with ad.no_grad():
+
+    def forward_run(run, batch, fleets):
+        with ad.no_grad():
+            for group, items in zip(groups, fleets):
+                v_hat = forward(params, refill(batch, items))
+                preds[group, run] = v_hat.values.reshape(
+                    run.stop - run.start, -1)
+
+    worker, pending = _worker(), None
+    try:
         for run in batch_runs(snaps):
             batch = build_batch(snaps[run], params.feeder_rows)
+            fleets = []
             for group in groups:
                 k = group[0]
                 items = [s.masked(masks[k]) for s in snaps[run]]
                 if attack is not None:
                     items = [inject_attack(it, attack, gens[k])
                              for it in items]
-                v_hat = forward(params, refill(batch, items))
-                preds[group, run] = v_hat.values.reshape(
-                    run.stop - run.start, -1)
+                fleets.append(items)
+            if worker is not None and (pending is None or pending.done()):
+                if pending is not None:
+                    pending.result()
+                # the caller's context carries numpy's error state
+                pending = worker.submit(contextvars.copy_context().run,
+                                        forward_run, run, batch, fleets)
+            else:
+                forward_run(run, batch, fleets)
             # freed before the next run's build, which reuses its memory
-            del batch
+            del batch, fleets
+        if pending is not None:
+            pending.result()
+    finally:
+        if worker is not None:
+            worker.shutdown()
     return preds
 
 
@@ -211,7 +255,8 @@ def observability_sweep(params: ModelParams, snaps, substation: str, levels,
                         scenario: str, model: str) -> list[ReportRow]:
     """Masked-node error of the model per observability level.
 
-    Memory holds one level's predictions and one run's batch at a time."""
+    Memory holds one level's predictions and at most two runs' batches,
+    one per scoring thread."""
     truth = np.stack([s.v_true for s in snaps])
 
     def score_level(level, masks, mask_seeds):
@@ -243,7 +288,11 @@ class LinearBaseline:
         return np.hstack([features, np.ones((features.shape[0], 1))])
 
     def fit_level(self, level, items: list[Snapshot]) -> None:
-        x = np.vstack([self._design(i.node_x) for i in items])
+        # filled in place: per-snapshot design copies held beside it would
+        # add a second matrix to the fit's peak memory
+        x = np.ones((sum(len(i.node_x) for i in items),
+                     items[0].node_x.shape[1] + 1))
+        np.concatenate([i.node_x for i in items], out=x[:, :-1])
         y = np.concatenate([i.v_true for i in items])
         groups = np.concatenate([i.node_feeder for i in items])
         self.coef[level] = {}

@@ -25,11 +25,12 @@ A batch is the disjoint union of masked ``dataset.Snapshot`` records
 (``build_batch``). A training step forwards one snapshot. Every no-grad
 forward cuts its snapshots into consecutive, balanced runs of at most
 ``BATCH_NODES`` bus-phase nodes (``batch_runs``), sized so that a layer's
-activations stay in a core's L2 cache. The batch carries its edge plan,
-the index arrays every layer shares. Within one switch configuration, a
-mask or a time step changes only the arrays that ``refill`` takes from
-the snapshots, so one built batch, plan and bins included, serves every
-mask and every time step of its configurations.
+activations stay in a core's L2 cache; the scorer forwards up to two runs
+at once, one per core (``evaluation.level_predictions``). The batch
+carries its edge plan, the index arrays every layer shares. Within one
+switch configuration, a mask or a time step changes only the arrays that
+``refill`` takes from the snapshots, so one built batch, plan and bins
+included, serves every mask and every time step of its configurations.
 """
 
 from __future__ import annotations
@@ -358,17 +359,18 @@ def build_batch(items: list[Snapshot],
         items)
 
 
-# Bus-phase nodes per no-grad batch. At 1,024 nodes a layer's [E, 64] and
-# [N, 64] float64 arrays (about 1 MB and 0.5 MB) stay in a 2 MiB L2; the
-# batch's plan adds its aggregation bins, one [E * 64] index array (about
-# 1 MB) built by the first forward and read by every layer and mask. In a
-# sweep of the forward's CPU time per snapshot (CHANGES.md) the cost is
-# within 17 % of its minimum from about 750 to 2,050 nodes on the 93- and
-# 183-node graphs, and 27-34 % above the 915-node cost at 32 snapshots of
-# 183 nodes (5,856). With the plan's bins, eval-tiny6 on 183-node graphs
-# still reads fastest at 1,024: 1,536 and 2,048 nodes measured 6 % and 7 %
-# below it on the same workload seed (CHANGES.md).
-BATCH_NODES = 1024
+# Bus-phase nodes per no-grad batch. The scorer forwards two runs at once,
+# one per core, so two 512-node runs hold what one 1,024-node run held
+# when one run was in flight: a layer's [E, 64] and [N, 64] float64 arrays
+# and the plan's aggregation bins, one [E * 64] index array built by the
+# first forward and read by every layer and mask, stay in a core's 2 MiB
+# L2. One thread alone forwards a snapshot cheapest from about 750 to
+# 2,050 nodes (within 17 % of its minimum; CHANGES.md). With two threads,
+# eval-tiny6 on 183-node graphs read 455-477 /s at 768 and 1,024 nodes
+# against 390 /s at 512, but each thread's heap keeps its own run's
+# memory: peak RSS rose 9-10 % and 15 % over one 1,024-node run in
+# flight, against under 1 % at 512 (CHANGES.md).
+BATCH_NODES = 512
 
 
 def batch_runs(items: list[Snapshot]) -> list[slice]:

@@ -22,7 +22,9 @@ the test window, which ``evaluate`` scores. Each epoch scores the
 validation sample in one call of the sweep's scorer,
 ``evaluation.level_predictions``: under the epoch's validation mask and,
 after the warm-up, under the mask of every selection level. A probe
-drawn like the validation mask is one fleet there, forwarded once.
+drawn like the validation mask is one fleet there, forwarded once. Given
+a second usable core, the scorer forwards the sample's runs on two
+threads, and an overflow in either aborts training like one in a step.
 
 Fine-tuning freezes the backbone (input projection, prior coefficients,
 all but the last encoder layer), re-creates per-feeder gates for the

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -207,6 +208,58 @@ def test_no_grad_skips_recording():
         with ad.no_grad():
             y = ad.mul(x, x)
     assert tape.records == [] and y._tape is None
+
+
+def _in_thread(fn):
+    """Run ``fn`` in a new thread and return what it returned."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_a_forward_in_another_thread_records_nothing_on_the_tape():
+    x = ad.Tensor(2.0, requires_grad=True)
+    with ad.Tape() as tape:
+        y = _in_thread(lambda: ad.mul(x, x))
+        assert tape.records == [] and y._tape is None
+        assert _in_thread(lambda: ad._ACTIVE_TAPE) is None
+        assert ad._ACTIVE_TAPE is tape
+        z = ad.mul(x, x)
+    assert [r.output for r in tape.records] == [z]
+
+
+def test_no_grad_in_another_thread_leaves_the_tape_active():
+    """A worker's ``no_grad`` entered while the main thread records, and
+    exited after the main thread's tape was entered, suspends nothing
+    there and restores nothing there."""
+    x = ad.Tensor(2.0, requires_grad=True)
+    entered, recorded, exited = (threading.Event() for _ in range(3))
+
+    def worker():
+        with ad.no_grad():
+            entered.set()
+            recorded.wait(timeout=30)
+        exited.set()
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert entered.wait(timeout=30)
+        with ad.Tape() as tape:
+            first = ad.mul(x, x)
+            recorded.set()
+            assert exited.wait(timeout=30)
+            assert ad._ACTIVE_TAPE is tape
+            second = ad.mul(x, x)
+    finally:
+        recorded.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert [r.output for r in tape.records] == [first, second]
+    assert ad._ACTIVE_TAPE is None
 
 
 def _check(build, params, seed=0):

@@ -1,7 +1,11 @@
 """Evaluation-harness tests: metrics, attacks, baseline, case studies."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -186,7 +190,7 @@ def reference_sweep(params, snaps, levels, n_seeds, seed, attack=None):
     return rows
 
 
-# 23 snapshots of the 93-node graph: runs of 7, 8 and 8
+# 23 snapshots of the 93-node graph: runs of 4, 5, 4, 5 and 5
 _SWEEP = dict(levels=(5, 40), n_seeds=2, seed=4)
 
 
@@ -195,7 +199,7 @@ _SWEEP = dict(levels=(5, 40), n_seeds=2, seed=4)
 def test_sweep_equals_the_per_mask_path(tiny_setup, attack):
     params, snaps, data = tiny_setup
     items = snaps[:23]
-    assert [r.stop - r.start for r in gm.batch_runs(items)] == [7, 8, 8]
+    assert [r.stop - r.start for r in gm.batch_runs(items)] == [4, 5, 4, 5, 5]
     rows = ev.observability_sweep(params, items, "s31", **_SWEEP,
                                   attack=attack, scenario="X", model="gnn")
     expected = reference_sweep(params, items, **_SWEEP, attack=attack)
@@ -205,15 +209,99 @@ def test_sweep_equals_the_per_mask_path(tiny_setup, attack):
         [(r.rmse, r.mae) for r in expected]
 
 
+def _level_masks(snaps, levels, n_seeds, seed):
+    """Every replicate mask of every level, and one attack stream each."""
+    orders = ev.fleet_orders(snaps, n_seeds, seed)
+    masks = [net.fleet_mask(o, level) for level in levels for o in orders]
+    return masks, [rng(seed, "attack", k) for k in range(len(masks))]
+
+
+def _scoring_threads(monkeypatch, worker: bool) -> set[int]:
+    """Route ``level_predictions`` through one worker thread, whatever the
+    core count, or through the caller alone; the ids of the threads that
+    forward a run are added to the returned set."""
+    monkeypatch.setattr(ev, "_worker", (lambda: ThreadPoolExecutor(1))
+                        if worker else (lambda: None))
+    threads, real = set(), ev.forward
+
+    def forward(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+    monkeypatch.setattr(ev, "forward", forward)
+    return threads
+
+
+@pytest.mark.parametrize("attack", [None, ev.AttackConfig()],
+                         ids=["clean", "attacked"])
+def test_scoring_with_the_worker_equals_the_caller_alone(tiny_setup,
+                                                        monkeypatch, attack):
+    params, snaps, data = tiny_setup
+    items = snaps[:23]
+    assert len(gm.batch_runs(items)) == 5
+    preds, interval = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave often
+    try:
+        for worker in (False, True):
+            threads = _scoring_threads(monkeypatch, worker)
+            masks, gens = _level_masks(items, (1, 40), 3, 4)
+            preds[worker] = ev.level_predictions(params, items, masks, gens,
+                                                 attack)
+            # the first run always goes to the idle worker
+            assert (threads != {threading.get_ident()}) == worker
+    finally:
+        sys.setswitchinterval(interval)
+    assert preds[True].shape == (6, 23, data.n_nodes)
+    assert np.array_equal(preds[True], preds[False])
+
+
+@pytest.mark.parametrize("tensor, stage", [
+    ("layer1.att_a", "attention_score/learned"),
+    ("input.W", "linear/matmul"),
+], ids=["logit", "linear"])
+def test_an_overflow_in_the_worker_reaches_the_caller(tiny_setup, monkeypatch,
+                                                      tensor, stage):
+    """The overflow of ``test_fusion``, raised in a run the worker
+    forwards, is the exception the caller sees."""
+    params, snaps, data = tiny_setup
+    poisoned = gm.ModelParams(params.config, {
+        name: ad.Tensor(t.values.copy(), name=name)
+        for name, t in params.tensors.items()}, params.feeder_rows)
+    poisoned.tensors[tensor].values[...] = 1e308
+    caller = threading.get_ident()
+    _scoring_threads(monkeypatch, worker=True)
+    raised, real = [], ev.forward
+
+    def forward(params, batch):
+        if threading.get_ident() == caller:
+            return real(params, batch)
+        try:
+            return real(poisoned, batch)
+        except ad.NonFiniteError as exc:
+            raised.append(exc)
+            raise
+    monkeypatch.setattr(ev, "forward", forward)
+    masks, gens = _level_masks(snaps[:23], (40,), 1, 4)
+    # the worker runs under the caller's numpy error state: an overflow
+    # warning there would be raised in place of the engine's error
+    with np.errstate(over="ignore", invalid="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ad.NonFiniteError, match=stage) as caught:
+            ev.level_predictions(params, snaps[:23], masks, gens, None)
+    assert caught.value is raised[0]
+
+
 def _count_calls(monkeypatch, *names) -> dict[str, int]:
-    """Live call counts of the named ``evaluation`` module functions."""
-    calls = dict.fromkeys(names, 0)
+    """Live call counts of the named ``evaluation`` module functions, from
+    whichever thread calls them."""
+    calls, lock = dict.fromkeys(names, 0), threading.Lock()
 
     def counted(name):
         real = getattr(ev, name)
 
         def call(*args, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return real(*args, **kwargs)
         return call
 

@@ -7,6 +7,8 @@ freezing contract of fine-tuning.
 """
 
 import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -341,18 +343,64 @@ def test_an_overflow_in_a_fused_op_aborts_to_last_good(day_dataset,
         assert np.all(np.isfinite(t.values))
 
 
+def test_an_overflow_in_the_scoring_worker_aborts_to_last_good(day_dataset,
+                                                              monkeypatch):
+    """The overflow of ``test_fusion`` raised in the scorer's worker
+    thread, in the second epoch's validation, reaches training as the
+    engine's error naming its stage: training aborts and returns the
+    weights of the first epoch."""
+    monkeypatch.setattr(ev, "_worker", lambda: ThreadPoolExecutor(1))
+    caller, errors, validated = threading.get_ident(), [], []
+    real_metrics, real_forward = tr._val_metrics, ev.forward
+
+    def metrics(params, val_snaps, masks):
+        validated.append(params.store.values.copy())
+        return real_metrics(params, val_snaps, masks)
+
+    def forward(params, batch):
+        if len(validated) < 2 or threading.get_ident() == caller:
+            return real_forward(params, batch)
+        poisoned = gm.ModelParams(params.config, {
+            name: ad.Tensor(t.values.copy(), name=name)
+            for name, t in params.tensors.items()}, params.feeder_rows)
+        poisoned.tensors["layer1.att_a"].values[...] = 1e308
+        try:
+            return real_forward(poisoned, batch)
+        except ad.NonFiniteError as exc:
+            errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(tr, "_val_metrics", metrics)
+    monkeypatch.setattr(ev, "forward", forward)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = tr.train(day_dataset, micro_config())
+    assert errors and errors[0].startswith("attention_score/learned:")
+    assert result.aborted
+    assert len(result.history) == 1
+    assert np.array_equal(result.params.store.values, validated[0])
+
+
 def _reference_val_metrics(params, val_snaps, masks):
-    """(RMSE, MAE) per mask from one batch of the masked snapshots: the
-    validation metric with no runs and no batch shared across masks."""
+    """(RMSE, MAE) per mask, each run of the masked snapshots built and
+    forwarded afresh: the validation metric with no batch shared across
+    masks. Each mask's predictions also equal one batch of all its masked
+    snapshots to within one ulp near 1.0 p.u., where only the BLAS kernels
+    chosen by row count differ."""
     scores = []
     for mask in masks:
-        batch = gm.build_batch([s.masked(mask) for s in val_snaps],
-                               params.feeder_rows)
+        items = [s.masked(mask) for s in val_snaps]
         with ad.no_grad():
-            v_hat = gm.forward(params, batch).values
-        hidden = ~batch.observed
-        err = v_hat - batch.v_true
-        scores.append((ev.rmse(v_hat, batch.v_true, hidden),
+            v_hat = np.concatenate([
+                gm.forward(params, gm.build_batch(items[run],
+                                                  params.feeder_rows)).values
+                for run in gm.batch_runs(items)])
+            whole = gm.forward(params, gm.build_batch(
+                items, params.feeder_rows)).values
+        np.testing.assert_allclose(v_hat, whole, rtol=0, atol=2.3e-16)
+        v_true = np.concatenate([s.v_true for s in items])
+        hidden = ~np.concatenate([s.observed for s in items])
+        err = v_hat - v_true
+        scores.append((ev.rmse(v_hat, v_true, hidden),
                        float(np.mean(np.abs(err[hidden])))))
     return scores
 
@@ -376,13 +424,14 @@ def _spy_scoring(monkeypatch):
     same weights, and the ``build_batch`` and ``forward`` calls it made.
     Also the counts of those two over the whole run."""
     epochs, calls = [], []
-    counts = {"build_batch": 0, "forward": 0}
+    counts, lock = {"build_batch": 0, "forward": 0}, threading.Lock()
 
     def counted(name):
         real = getattr(ev, name)
 
         def call(*args, **kwargs):
-            counts[name] += 1
+            with lock:  # the scorer's worker thread forwards too
+                counts[name] += 1
             return real(*args, **kwargs)
         return call
 
