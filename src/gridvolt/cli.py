@@ -6,7 +6,8 @@ substation and solves a day (or longer) of snapshots into a dataset,
 checkpoint to a new substation, ``evaluate`` runs one of the five case
 studies, and ``gradcheck`` validates gradients of the full model. The
 case studies are defined here, in ``_study_rows``: each is a list of
-``evaluation`` sweeps under its scenario and model labels.
+``evaluation.sweep`` calls, one per estimator (the model, or study A's
+ridge baseline) under its scenario and model labels.
 
 Every run writes a manifest into its run directory (the directory of the
 primary output, overridable via the ``GRIDVOLT_RUN_DIR`` environment
@@ -137,23 +138,15 @@ _UNREADABLE = (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile,
                zlib.error)
 
 
-def _load_dataset(path) -> gds.SnapshotDataset:
+def _load(read, category: str, noun: str, path):
+    """``read(path)``, with its failures as ``ERROR <category>`` lines
+    that name the ``noun`` read."""
     try:
-        return gds.load_dataset(path)
+        return read(path)
     except FileNotFoundError as exc:
-        raise CliError("data", f"dataset not found: {path}") from exc
+        raise CliError(category, f"{noun} not found: {path}") from exc
     except _UNREADABLE as exc:
-        raise CliError("data", f"cannot load dataset {path}: {exc}") from exc
-
-
-def _load_checkpoint(path) -> gmodel.ModelParams:
-    try:
-        return gmodel.load_checkpoint(path)
-    except FileNotFoundError as exc:
-        raise CliError("checkpoint", f"checkpoint not found: {path}") from exc
-    except _UNREADABLE as exc:
-        raise CliError("checkpoint",
-                       f"cannot load checkpoint {path}: {exc}") from exc
+        raise CliError(category, f"cannot load {noun} {path}: {exc}") from exc
 
 
 def _train_config(args) -> gtr.TrainConfig:
@@ -242,24 +235,35 @@ def _solver_line(health: dict) -> str:
             f"{max(b for _, b in ranges.values()):.4f} p.u., {verdict}")
 
 
-def cmd_train(args) -> None:
-    started = time.monotonic()
-    config = _train_config(args)
-    datasets = [_load_dataset(p) for p in args.data]
-    try:
-        result = gtr.train(datasets, config)
-    except ValueError as exc:
-        raise CliError("data", str(exc)) from exc
-    out = Path(args.out)
+def _save_training(command: str, result, config, inputs, out,
+                   started: float) -> Path:
+    """Write a train or finetune run's checkpoint, history CSV and
+    manifest; a diverged run is an ``ERROR training`` once they are
+    written."""
+    out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     gmodel.save_checkpoint(result.params, out)
     history_path = out.with_suffix(".history.csv")
     gtr.history_to_csv(result.history, history_path)
-    _finish("train", asdict(config), [config.seed], args.data,
+    _finish(command, asdict(config), [config.seed], inputs,
             [out, history_path], started, training=result.summary())
     if result.aborted:
         raise CliError("training",
                        f"diverged; last good checkpoint written to {out}")
+    return out
+
+
+def cmd_train(args) -> None:
+    started = time.monotonic()
+    config = _train_config(args)
+    datasets = [_load(gds.load_dataset, "data", "dataset", p)
+                for p in args.data]
+    try:
+        result = gtr.train(datasets, config)
+    except ValueError as exc:
+        raise CliError("data", str(exc)) from exc
+    out = _save_training("train", result, config, args.data, args.out,
+                         started)
     final = result.history[-1]
     print(f"trained {len(result.history)} epochs -> {out} "
           f"(final val RMSE {final.val_rmse:.5f} at p_obs {final.p_obs:g}%)")
@@ -271,43 +275,36 @@ def cmd_finetune(args) -> None:
         raise CliError("config", f"--pretrain-snapshots must be at least 1, "
                                  f"got {args.pretrain_snapshots}")
     config = _train_config(args)
-    params = _load_checkpoint(args.checkpoint)
-    data = _load_dataset(args.data)
+    params = _load(gmodel.load_checkpoint, "checkpoint", "checkpoint",
+                   args.checkpoint)
+    data = _load(gds.load_dataset, "data", "dataset", args.data)
     try:
         result = gtr.finetune(params, data, config,
                               n_pretrain=args.pretrain_snapshots)
     except ValueError as exc:
         raise CliError("data", str(exc)) from exc
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    gmodel.save_checkpoint(result.params, out)
-    history_path = out.with_suffix(".history.csv")
-    gtr.history_to_csv(result.history, history_path)
-    _finish("finetune", asdict(config), [config.seed],
-            [args.checkpoint, args.data], [out, history_path], started,
-            training=result.summary())
-    if result.aborted:
-        raise CliError("training",
-                       f"diverged; last good checkpoint written to {out}")
+    out = _save_training("finetune", result, config,
+                         [args.checkpoint, args.data], args.out, started)
     print(f"fine-tuned {len(result.history)} epochs -> {out}")
 
 
 def _study_rows(args) -> list:
-    params = _load_checkpoint(args.checkpoint)
+    params = _load(gmodel.load_checkpoint, "checkpoint", "checkpoint",
+                   args.checkpoint)
     common = dict(levels=_parse_levels(args.levels) if args.levels
                   else STUDY_LEVELS[args.study],
                   n_seeds=args.seeds, seed=args.seed)
-    data = _load_dataset(args.data[0])
+    data = _load(gds.load_dataset, "data", "dataset", args.data[0])
     name = data.meta.get("substation", "?")
 
     def test_views(d):
         test = gds.split_windows(d.n_snapshots, 0.0, args.eval_fraction)[2]
         return [d.snapshot(i) for i in test]
 
-    def sweep(p, snaps, scenario, model="gnn", attack=None, substation=name):
-        return gev.observability_sweep(p, snaps, substation, attack=attack,
-                                       scenario=scenario, model=model,
-                                       **common)
+    def sweep(estimator, snaps, scenario, model="gnn", attack=None,
+              substation=name):
+        return gev.sweep(estimator, snaps, substation, attack=attack,
+                         scenario=scenario, model=model, **common)
 
     if args.study == "A":
         # the ridge fit reads a strided sample of the snapshots before the
@@ -318,12 +315,12 @@ def _study_rows(args) -> list:
             [data.snapshot(i) for i in gev.baseline_sample(before)],
             levels=common["levels"], seed=args.seed)
         snaps = test_views(data)
-        return (sweep(params, snaps, "A-observability")
-                + gev.baseline_sweep(baseline, snaps, name,
-                                     scenario="A-observability",
-                                     model="linear", **common))
+        return (sweep(gev.gnn(params), snaps, "A-observability")
+                + sweep(baseline.level_predictions, snaps, "A-observability",
+                        "linear"))
     if args.study == "B":
-        sets = [data] + [_load_dataset(p) for p in args.data[1:]]
+        sets = [data] + [_load(gds.load_dataset, "data", "dataset", p)
+                         for p in args.data[1:]]
         by_pen = {}
         for path, d in zip(args.data, sets):
             pen = int(d.meta["scenarios"][0]["der_penetration"])
@@ -333,24 +330,26 @@ def _study_rows(args) -> list:
                                          f"{pen} %")
             by_pen[pen] = (test_views(d), d.meta.get("substation", "?"))
         return [row for pen, (snaps, sub) in sorted(by_pen.items())
-                for row in sweep(params, snaps, f"B-der{pen}",
+                for row in sweep(gev.gnn(params), snaps, f"B-der{pen}",
                                  substation=sub)]
     if args.study == "C":
-        closed = _load_dataset(args.data_closed)
+        closed = _load(gds.load_dataset, "data", "dataset", args.data_closed)
         closed_name = closed.meta.get("substation", "?")
         if closed_name != name:
             raise CliError("config", f"study C compares one substation; "
                                      f"--data-closed {args.data_closed} is "
                                      f"{closed_name}, --data is {name}")
-        return (sweep(params, test_views(data), "C-radial")
-                + sweep(params, test_views(closed), "C-tie-closed",
+        return (sweep(gev.gnn(params), test_views(data), "C-radial")
+                + sweep(gev.gnn(params), test_views(closed), "C-tie-closed",
                         substation=closed_name))
     if args.study == "D":
-        tuned = _load_checkpoint(args.finetuned_checkpoint)
+        tuned = _load(gmodel.load_checkpoint, "checkpoint", "checkpoint",
+                      args.finetuned_checkpoint)
         snaps = test_views(data)
-        return (sweep(params, snaps, "D-transfer", "gnn-zeroshot")
-                + sweep(tuned, snaps, "D-transfer", "gnn-finetuned"))
-    ablation = _load_checkpoint(args.ablation_checkpoint)
+        return (sweep(gev.gnn(params), snaps, "D-transfer", "gnn-zeroshot")
+                + sweep(gev.gnn(tuned), snaps, "D-transfer", "gnn-finetuned"))
+    ablation = _load(gmodel.load_checkpoint, "checkpoint", "checkpoint",
+                     args.ablation_checkpoint)
     try:
         attack = gev.AttackConfig(penetration=args.attack_penetration,
                                   targets=args.attack_targets)
@@ -360,7 +359,7 @@ def _study_rows(args) -> list:
     return [row for model, p in (("gnn-physics", params),
                                  ("gnn-nophysics", ablation))
             for scenario, hit in (("E-clean", None), ("E-attacked", attack))
-            for row in sweep(p, snaps, scenario, model, hit)]
+            for row in sweep(gev.gnn(p), snaps, scenario, model, hit)]
 
 
 def cmd_evaluate(args) -> None:

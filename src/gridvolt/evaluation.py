@@ -2,14 +2,19 @@
 
 Reported errors are computed over masked nodes only: reconstructing the
 voltages the estimator cannot see is the quantity that matters, and the
-observed nodes carry their own measurement anyway. Observability sweeps
-resample sensor placements over several seeds per level and return one
-report row per level and seed; the summary averages over seeds. The
-reference baseline is per-feeder ridge-regularized least squares from the
-same masked node features: one fit per level, scored only at the level it
-was fit at (no best-of across fits). The five case studies are composed
-in ``cli evaluate`` from the two sweeps here, ``observability_sweep`` and
-``baseline_sweep``, each run under its study's scenario and model labels.
+observed nodes carry their own measurement anyway. One ``sweep`` scores
+any estimator: it resamples sensor fleets over several seeds per level,
+draws each replicate's mask and attack stream, asks the estimator for its
+predictions ``[replicate, snapshot, node]`` under the level's masks, and
+returns one report row per level and replicate; the summary averages
+over replicates. The five case studies are composed in ``cli evaluate``
+from that one sweep, run under each study's estimator, scenario and model
+labels. Two estimators are defined here: the model, ``gnn(params)``,
+and the reference baseline, ``LinearBaseline.level_predictions``,
+per-feeder ridge-regularized least squares from the same masked node
+features, fit once per level and scored only at the level it was fit at
+(no best-of across fits). The ridge reads no attack stream, so it
+refuses an attack.
 
 Every input, to the model and to the baseline, is a ``dataset.Snapshot``
 seen through one sensor mask, ``snapshot.masked(mask)``. The model is
@@ -21,11 +26,11 @@ from the unmasked snapshots; each distinct fleet of the level is then
 forwarded once on ``model.refill`` of that batch with its masked
 snapshots, its predictions shared by every replicate that drew that
 fleet. An attacked replicate draws its own attack stream, so it is
-forwarded once on its own. The ridge baseline scores each distinct fleet
-once the same way. The caller builds the runs and draws their attacks
-in run order; given a second usable core, one worker thread forwards
-whole runs beside it. Memory holds one level's predictions and at most
-two runs' batches, one per thread.
+forwarded once on its own. The ridge predicts each distinct fleet once
+the same way. The caller builds the runs and draws their attacks in run
+order; given a second usable core, one worker thread forwards whole runs
+beside it. Memory holds one level's predictions and at most two runs'
+batches, one per thread.
 
 Measurement attacks follow an additive model: an attacked channel gets
 zero-mean Gaussian noise plus a constant bias drawn uniformly once per
@@ -137,26 +142,34 @@ def fleet_orders(snaps, n_seeds: int, seed: int) -> list[np.ndarray]:
             for k in range(n_seeds)]
 
 
-def _sweep(score_level, snaps, substation: str, levels, n_seeds: int,
-           seed: int, scenario: str, model: str) -> list[ReportRow]:
-    """One report row per (level, replicate).
+def sweep(estimator, snaps, substation: str, levels, n_seeds: int,
+          seed: int = 0, attack: AttackConfig | None = None, *,
+          scenario: str, model: str) -> list[ReportRow]:
+    """Masked-node error of an estimator, one report row per (level,
+    replicate).
 
-    ``score_level(level, masks, mask_seeds)`` gives the (RMSE, MAE) of each
-    of a level's replicate masks, in replicate order. Each replicate is one
-    sensor fleet rolled out in priority order, so the sets compared across
-    levels are nested and the per-replicate error curves are paired.
+    ``estimator(level, snaps, masks, gens, attack)`` gives the predictions
+    ``[replicate, snapshot, node]`` under each of a level's replicate
+    masks; mask ``k``'s attack draws, if any, come from ``gens[k]``. Each
+    replicate is one sensor fleet rolled out in priority order, so the
+    sets compared across levels are nested and the per-replicate error
+    curves are paired. Memory holds one level's predictions beside what
+    the estimator holds.
     """
     orders = fleet_orders(snaps, n_seeds, seed)
+    truth = np.stack([s.v_true for s in snaps])
     rows = []
     for level in levels:
         # one integer per (sweep seed, level, replicate), stable
         mask_seeds = [derive_seed(seed, "sweep", level, k)
                       for k in range(n_seeds)]
         masks = [net.fleet_mask(order, level) for order in orders]
-        for (r, m), mask_seed in zip(score_level(level, masks, mask_seeds),
-                                     mask_seeds):
-            rows.append(ReportRow(scenario, substation, level, model, r, m,
-                                  mask_seed))
+        # one attack stream per mask, drawn from only under an attack
+        gens = [_rng(seed, "attack", level, s) for s in mask_seeds]
+        preds = estimator(level, snaps, masks, gens, attack)
+        for p, mask, mask_seed in zip(preds, masks, mask_seeds):
+            rows.append(ReportRow(scenario, substation, level, model,
+                                  *hidden_errors(p, truth, mask), mask_seed))
     return rows
 
 
@@ -249,24 +262,11 @@ def level_predictions(params: ModelParams, snaps, masks, gens,
     return preds
 
 
-def observability_sweep(params: ModelParams, snaps, substation: str, levels,
-                        n_seeds: int, seed: int = 0,
-                        attack: AttackConfig | None = None, *,
-                        scenario: str, model: str) -> list[ReportRow]:
-    """Masked-node error of the model per observability level.
-
-    Memory holds one level's predictions and at most two runs' batches,
-    one per scoring thread."""
-    truth = np.stack([s.v_true for s in snaps])
-
-    def score_level(level, masks, mask_seeds):
-        # one attack stream per mask, drawn from only under an attack
-        gens = [_rng(seed, "attack", level, s) for s in mask_seeds]
-        preds = level_predictions(params, snaps, masks, gens, attack)
-        return [hidden_errors(p, truth, mask)
-                for p, mask in zip(preds, masks)]
-    return _sweep(score_level, snaps, substation, levels, n_seeds, seed,
-                  scenario, model)
+def gnn(params: ModelParams):
+    """The model as a ``sweep`` estimator; its predictions depend on the
+    masks, not on the level they were drawn at."""
+    return lambda level, snaps, masks, gens, attack: level_predictions(
+        params, snaps, masks, gens, attack)
 
 
 # -- linear baseline ---------------------------------------------------------------
@@ -283,10 +283,6 @@ class LinearBaseline:
     def __init__(self):
         self.coef: dict[float, dict[int, np.ndarray]] = {}
 
-    @staticmethod
-    def _design(features: np.ndarray) -> np.ndarray:
-        return np.hstack([features, np.ones((features.shape[0], 1))])
-
     def fit_level(self, level, items: list[Snapshot]) -> None:
         # filled in place: per-snapshot design copies held beside it would
         # add a second matrix to the fit's peak memory
@@ -302,12 +298,28 @@ class LinearBaseline:
             self.coef[level][int(f)] = np.linalg.solve(gram, xf.T @ yf)
 
     def predict(self, level, item: Snapshot) -> np.ndarray:
-        x = self._design(item.node_x)
+        x = np.hstack([item.node_x, np.ones((len(item.node_x), 1))])
         out = np.ones(x.shape[0])  # unseen feeder: nominal voltage
         for f, w in self.coef[level].items():
             rows = item.node_feeder == f
             out[rows] = x[rows] @ w
         return out
+
+    def level_predictions(self, level, snaps, masks, gens=None,
+                          attack: AttackConfig | None = None) -> np.ndarray:
+        """Predictions ``[replicate, snapshot, node]`` of the level-``level``
+        fit under each mask, a ``sweep`` estimator. Each distinct fleet is
+        predicted once, its predictions shared by every replicate that drew
+        it. The ridge reads no attack stream, so it refuses an attack
+        rather than score clean inputs under the attacked label."""
+        if attack is not None:
+            raise ValueError("the linear baseline cannot be scored under a "
+                             "measurement attack")
+        preds = np.empty((len(masks), len(snaps), snaps[0].node_x.shape[0]))
+        for group in _fleet_groups(masks):
+            preds[group] = [self.predict(level, s.masked(masks[group[0]]))
+                            for s in snaps]
+        return preds
 
 
 def baseline_sample(window: range, max_snapshots: int = 400) -> range:
@@ -328,31 +340,6 @@ def fit_linear_baseline(train_snaps, levels, seed: int = 0) -> LinearBaseline:
         baseline.fit_level(level, [s.masked(net.fleet_mask(
             net.fleet_order(s.node_x, gen), level)) for s in train_snaps])
     return baseline
-
-
-def baseline_masked(baseline: LinearBaseline, snaps, p_obs: float,
-                    mask: np.ndarray) -> tuple[float, float]:
-    """Error of the level-``p_obs`` fit under one sensor placement."""
-    preds = np.concatenate([baseline.predict(p_obs, s.masked(mask))
-                            for s in snaps])
-    return hidden_errors(preds, np.concatenate([s.v_true for s in snaps]),
-                          mask)
-
-
-def baseline_sweep(baseline: LinearBaseline, snaps, substation: str, levels,
-                   n_seeds: int, seed: int = 0, *, scenario: str,
-                   model: str) -> list[ReportRow]:
-    """Masked-node error of the ridge baseline per observability level,
-    scored once per distinct fleet of the level."""
-    def score_level(level, masks, _):
-        scores = [None] * len(masks)
-        for group in _fleet_groups(masks):
-            score = baseline_masked(baseline, snaps, level, masks[group[0]])
-            for k in group:
-                scores[k] = score
-        return scores
-    return _sweep(score_level, snaps, substation, levels, n_seeds, seed,
-                  scenario, model)
 
 
 # -- reports ----------------------------------------------------------------------

@@ -108,6 +108,15 @@ def layout(config: ModelConfig,
     return rows
 
 
+def _feeder_rows(feeder_ids) -> dict[int, int]:
+    """One gate row per distinct feeder id, in sorted order. The hub is no
+    feeder, so it gets no gate."""
+    rows = {int(f): k for k, f in enumerate(sorted(set(feeder_ids)))}
+    if net.HUB_FEEDER in rows:
+        raise ValueError("the hub pseudo-feeder cannot have a gate")
+    return rows
+
+
 class ModelParams:
     """Named parameter tensors plus the feeder-gate row mapping.
 
@@ -145,9 +154,7 @@ class ModelParams:
     def create(cls, config: ModelConfig, feeder_ids: list[int],
                seed: int = 0) -> "ModelParams":
         d = config.hidden_dim
-        feeder_rows = {int(f): k for k, f in enumerate(sorted(set(feeder_ids)))}
-        if net.HUB_FEEDER in feeder_rows:
-            raise ValueError("the hub pseudo-feeder cannot have a gate")
+        feeder_rows = _feeder_rows(feeder_ids)
         scales = {"film.Wg": 0.01 / np.sqrt(d), "film.Wb": 0.01 / np.sqrt(d),
                   "decoder.W2": 0.01}
         t: dict[str, ad.Tensor] = {}
@@ -189,8 +196,7 @@ class ModelParams:
 
         The gate count can change, so every tensor is repacked into a new
         store; build optimizers after this call."""
-        self.feeder_rows = {int(f): k
-                            for k, f in enumerate(sorted(set(feeder_ids)))}
+        self.feeder_rows = _feeder_rows(feeder_ids)
         tensors = dict(self.tensors)
         tensors["eta"] = ad.Tensor(
             np.ones((len(self.feeder_rows), 1)), requires_grad=True, name="eta")

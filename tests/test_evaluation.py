@@ -200,8 +200,8 @@ def test_sweep_equals_the_per_mask_path(tiny_setup, attack):
     params, snaps, data = tiny_setup
     items = snaps[:23]
     assert [r.stop - r.start for r in gm.batch_runs(items)] == [4, 5, 4, 5, 5]
-    rows = ev.observability_sweep(params, items, "s31", **_SWEEP,
-                                  attack=attack, scenario="X", model="gnn")
+    rows = ev.sweep(ev.gnn(params), items, "s31", **_SWEEP, attack=attack,
+                    scenario="X", model="gnn")
     expected = reference_sweep(params, items, **_SWEEP, attack=attack)
     assert len(rows) == 4
     assert rows == expected
@@ -313,9 +313,8 @@ def _count_calls(monkeypatch, *names) -> dict[str, int]:
 def test_sweep_builds_each_run_once_per_level(tiny_setup, monkeypatch):
     params, snaps, data = tiny_setup
     calls = _count_calls(monkeypatch, "build_batch", "forward")
-    ev.observability_sweep(params, snaps[:23], "s31", **_SWEEP,
-                           attack=ev.AttackConfig(), scenario="X",
-                           model="gnn")
+    ev.sweep(ev.gnn(params), snaps[:23], "s31", **_SWEEP,
+             attack=ev.AttackConfig(), scenario="X", model="gnn")
     levels, runs = len(_SWEEP["levels"]), len(gm.batch_runs(snaps[:23]))
     assert calls == {"build_batch": levels * runs,
                      "forward": levels * runs * _SWEEP["n_seeds"]}
@@ -348,8 +347,8 @@ def test_sweep_forwards_each_distinct_input_once(tiny_setup, monkeypatch,
     sweep = dict(levels=(1, 40), n_seeds=3, seed=4)
     expected = reference_sweep(params, items, **sweep, attack=attack)
     calls = _count_calls(monkeypatch, "forward")
-    rows = ev.observability_sweep(params, items, "s31", **sweep,
-                                  attack=attack, scenario="X", model="gnn")
+    rows = ev.sweep(ev.gnn(params), items, "s31", **sweep, attack=attack,
+                    scenario="X", model="gnn")
     assert calls["forward"] == len(gm.batch_runs(items)) * forwards_per_run
     assert rows == expected
     assert [(r.rmse, r.mae) for r in rows] == \
@@ -369,8 +368,8 @@ def test_predict_matches_single_forward(tiny_setup, monkeypatch):
         return real_rmse(v_hat, v_true, nodes)
 
     monkeypatch.setattr(ev, "rmse", spy)
-    ev.observability_sweep(params, items, "s31", **_SWEEP, scenario="X",
-                           model="gnn")
+    ev.sweep(ev.gnn(params), items, "s31", **_SWEEP, scenario="X",
+             model="gnn")
     orders = ev.fleet_orders(items, _SWEEP["n_seeds"], _SWEEP["seed"])
     masks = [net.fleet_mask(order, level)
              for level in _SWEEP["levels"] for order in orders]
@@ -404,8 +403,8 @@ def test_predict_peak_memory_does_not_grow_with_snapshots(tiny_setup):
 
     def sweep(n):
         items = [snaps[k % len(snaps)] for k in range(n)]
-        return lambda: ev.observability_sweep(
-            params, items, "s31", levels=(5, 40), n_seeds=n_seeds,
+        return lambda: ev.sweep(
+            ev.gnn(params), items, "s31", levels=(5, 40), n_seeds=n_seeds,
             scenario="X", model="gnn")
 
     budget = _traced_peak(sweep(gm.BATCH_NODES // data.n_nodes))
@@ -416,9 +415,8 @@ def test_predict_peak_memory_does_not_grow_with_snapshots(tiny_setup):
 
 def test_evaluate_masked_returns_finite_scores(tiny_setup):
     params, snaps, data = tiny_setup
-    [row] = ev.observability_sweep(params, snaps[:8], "s31", levels=(20,),
-                                   n_seeds=1, seed=5, scenario="X",
-                                   model="gnn")
+    [row] = ev.sweep(ev.gnn(params), snaps[:8], "s31", levels=(20,),
+                     n_seeds=1, seed=5, scenario="X", model="gnn")
     assert np.isfinite(row.rmse) and np.isfinite(row.mae)
     assert row.rmse >= row.mae > 0
 
@@ -427,12 +425,12 @@ def test_observability_sweep_shape_and_determinism(tiny_setup):
     params, snaps, data = tiny_setup
     kwargs = dict(levels=(5, 40), n_seeds=3, seed=2, scenario="X",
                   model="gnn")
-    rows = ev.observability_sweep(params, snaps[:6], "s31", **kwargs)
+    rows = ev.sweep(ev.gnn(params), snaps[:6], "s31", **kwargs)
     assert [r.p_obs for r in rows] == [5, 5, 5, 40, 40, 40]
     assert {(r.scenario, r.substation, r.model) for r in rows} == \
         {("X", "s31", "gnn")}
     assert len({r.seed for r in rows}) == 6
-    again = ev.observability_sweep(params, snaps[:6], "s31", **kwargs)
+    again = ev.sweep(ev.gnn(params), snaps[:6], "s31", **kwargs)
     assert again == rows
 
 
@@ -452,13 +450,19 @@ def test_baseline_sample_strides_over_the_window():
             snaps[::stride][:min(n, 400)]
 
 
+def _ridge_errors(baseline, snaps, level, mask):
+    """(RMSE, MAE) of the level-``level`` fit under one fleet, scored from
+    the ridge's ``level_predictions``."""
+    [preds] = baseline.level_predictions(level, snaps, [mask])
+    return ev.hidden_errors(preds, np.stack([s.v_true for s in snaps]), mask)
+
+
 def test_baseline_fits_constant_voltage_exactly(tiny_setup):
     params, snaps, data = tiny_setup
     flat_snaps = [dataclasses.replace(s, v_true=np.ones(data.n_nodes))
                   for s in snaps[:10]]
     baseline = ev.fit_linear_baseline(flat_snaps, levels=(20,), seed=0)
-    r, m = ev.baseline_masked(baseline, flat_snaps, 20,
-                              _fleet_mask(data, 1, 20))
+    r, m = _ridge_errors(baseline, flat_snaps, 20, _fleet_mask(data, 1, 20))
     assert r < 1e-6
 
 
@@ -500,13 +504,13 @@ def test_baseline_scores_the_level_fit_alone(tiny_setup):
     # fits at other levels never enter the level-20 score
     for levels in ((20,), (5, 20, 80)):
         baseline = ev.fit_linear_baseline(train, levels=levels, seed=0)
-        got = ev.baseline_masked(baseline, test, 20, mask)
+        got = _ridge_errors(baseline, test, 20, mask)
         np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
 def test_baseline_sweep_scores_each_replicate_mask(tiny_setup, monkeypatch):
-    """Rows equal one ``baseline_masked`` per replicate, though the three
-    1 % replicates share a fleet and are scored once."""
+    """Rows equal the ridge's error under each replicate mask alone, though
+    the three 1 % replicates share a fleet and are predicted once."""
     params, snaps, data = tiny_setup
     sweep = dict(levels=(1, 40), n_seeds=3, seed=4)
     baseline = ev.fit_linear_baseline(snaps[:20], sweep["levels"], seed=0)
@@ -515,23 +519,44 @@ def test_baseline_sweep_scores_each_replicate_mask(tiny_setup, monkeypatch):
     expected = []
     for level in sweep["levels"]:
         for k, order in enumerate(orders):
-            r, m = ev.baseline_masked(baseline, test, level,
-                                      net.fleet_mask(order, level))
+            r, m = _ridge_errors(baseline, test, level,
+                                 net.fleet_mask(order, level))
             expected.append(ev.ReportRow(
                 "X", "s31", level, "linear", r, m,
                 derive_seed(sweep["seed"], "sweep", level, k)))
-    calls = _count_calls(monkeypatch, "baseline_masked")
-    rows = ev.baseline_sweep(baseline, test, "s31", **sweep, scenario="X",
-                             model="linear")
-    assert calls["baseline_masked"] == 1 + 3
+    calls, real = [0], ev.LinearBaseline.predict
+
+    def predict(self, level, item):
+        calls[0] += 1
+        return real(self, level, item)
+    monkeypatch.setattr(ev.LinearBaseline, "predict", predict)
+    rows = ev.sweep(baseline.level_predictions, test, "s31", **sweep,
+                    scenario="X", model="linear")
+    assert calls[0] == (1 + 3) * len(test)
     assert rows == expected
+    assert [(r.rmse, r.mae) for r in rows] == \
+        [(r.rmse, r.mae) for r in expected]
+
+
+def test_baseline_refuses_an_attack(tiny_setup):
+    """The ridge reads no attack stream: handed an attack, it raises
+    rather than score clean inputs as attacked ones."""
+    params, snaps, data = tiny_setup
+    baseline = ev.fit_linear_baseline(snaps[:10], levels=(20,), seed=0)
+    masks, gens = _level_masks(snaps[36:], (20,), 2, 4)
+    with pytest.raises(ValueError, match="attack"):
+        baseline.level_predictions(20, snaps[36:], masks, gens,
+                                   ev.AttackConfig())
+    with pytest.raises(ValueError, match="attack"):
+        ev.sweep(baseline.level_predictions, snaps[36:], "s31", levels=(20,),
+                 n_seeds=2, attack=ev.AttackConfig(), scenario="X",
+                 model="linear")
 
 
 def test_baseline_beats_nominal_guess_on_real_data(tiny_setup):
     params, snaps, data = tiny_setup
     baseline = ev.fit_linear_baseline(snaps[:36], levels=(20,), seed=0)
-    r, m = ev.baseline_masked(baseline, snaps[36:], 20,
-                              _fleet_mask(data, 4, 20))
+    r, m = _ridge_errors(baseline, snaps[36:], 20, _fleet_mask(data, 4, 20))
     flat = np.concatenate([np.ones(data.n_nodes) for _ in snaps[36:]])
     truth = np.concatenate([s.v_true for s in snaps[36:]])
     nominal = ev.rmse(flat, truth, np.arange(len(truth)))

@@ -783,3 +783,14 @@ def test_checkpoint_rejects_feeder_rows_outside_the_gates(tmp_path):
     ds.write_npz(path, arrays)
     with pytest.raises(ValueError, match="feeder rows"):
         gm.load_checkpoint(path)
+
+
+def test_replace_eta_refuses_a_hub_gate():
+    """A dataset whose ``feeder_ids`` holds the hub gives it no gate in
+    fine-tuning either, and the refused call leaves the gates as they
+    were."""
+    params = gm.ModelParams.create(gm.ModelConfig(), [1, 2], seed=0)
+    with pytest.raises(ValueError, match="hub"):
+        params.replace_eta([net.HUB_FEEDER, 10])
+    assert params.feeder_rows == {1: 0, 2: 1}
+    assert params.tensors["eta"].shape == (2, 1)
